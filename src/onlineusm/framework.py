@@ -16,6 +16,12 @@ Value queries are memoized within a round (the incremental sets repeat)
 so a round costs at most 2n + 2 counted queries, comfortably inside the
 4n + 2 budget.  All metrics (best fixed set in hindsight, regret
 series, replay diagnostics) use the oracle's uncounted peek path.
+
+Subroutine i draws one coin per round from its own stream.  A game
+draws each stream's coins for all rounds as one block before the first
+round; a numpy Generator's block equals the same number of sequential
+draws, so the coins, and every output, are those of round-by-round
+drawing.
 """
 
 from __future__ import annotations
@@ -87,41 +93,41 @@ def run_round(
     if len(streams) != n:
         raise ConfigError(f"need {n} coin streams, got {len(streams)}")
     q0 = f.queries
-    memo: dict[int, float] = {}
-    evaluate = f.evaluate
-
-    def ev(mask: int) -> float:
-        v = memo.get(mask)
-        if v is None:
-            v = evaluate(mask)
-            memo[mask] = v
-        return v
-
     x = 0
     y = full_mask(n)
     xs = [0]
     ys = [y]
+    # the mask each element's marginals need beyond the X and Y chains:
+    # Y_{i-1} - i after a yes, X_{i-1} + i after a no
+    others = []
     decisions = []
-    for i in range(n):
-        d = subroutines[i].decide(streams[i].random())
+    bit = 1
+    for sub, stream in zip(subroutines, streams):
+        d = sub.decide(stream.random())
         if d.chose_yes:
-            x |= 1 << i
+            others.append(y ^ bit)
+            x |= bit
         else:
-            y &= ~(1 << i)
+            others.append(x | bit)
+            y ^= bit
         decisions.append(d)
         xs.append(x)
         ys.append(y)
+        bit <<= 1
 
+    # The masks the marginals and the reward need are exactly the X
+    # chain, the Y chain and ``others``; each distinct one costs one
+    # counted query.
+    evaluate = f.evaluate
+    value = {m: evaluate(m) for m in {*xs, *ys, *others}}
     marginals = []
-    for i in range(n):
-        bit = 1 << i
-        xprev = xs[i]
-        yprev = ys[i]
-        alpha = ev(xprev | bit) - ev(xprev)
-        beta = ev(yprev & ~bit) - ev(yprev)
-        subroutines[i].update(BalancePoint(alpha, beta))
+    bit = 1
+    for sub, xprev, yprev in zip(subroutines, xs, ys):
+        alpha = value[xprev | bit] - value[xprev]
+        beta = value[yprev ^ bit] - value[yprev]
+        sub.update(BalancePoint(alpha, beta))
         marginals.append((alpha, beta))
-    ev(x)  # reward value, memoized with the rest
+        bit <<= 1
 
     return RoundTranscript(
         t=t,
@@ -175,6 +181,28 @@ def fit_growth_exponent(ts: Iterable[float], values: Iterable[float]) -> float:
     return float(np.polyfit(lt, lv, 1)[0])
 
 
+class _CoinBlock:
+    """Stand-in for a coin stream whose ``random()`` replays drawn coins."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, coins: list[float]):
+        self.random = iter(coins).__next__
+
+
+def _coin_blocks(streams: Sequence, count: int) -> Sequence:
+    """``count`` coins per stream, drawn now as one block each.
+
+    A Generator's ``random(count)`` equals ``count`` sequential
+    ``random()`` calls.  Shared or non-Generator streams are returned
+    as they are, since their draws interleave across elements.
+    """
+    distinct = len({id(s) for s in streams}) == len(streams)
+    if not distinct or not all(isinstance(s, np.random.Generator) for s in streams):
+        return streams
+    return [_CoinBlock(s.random(count).tolist()) for s in streams]
+
+
 def run_usm_game(
     subroutines: Sequence[BalanceSubroutine],
     adversary,
@@ -195,12 +223,19 @@ def run_usm_game(
     value table of each distinct oracle is accumulated (n <= 20) so the
     best fixed set in hindsight, and hence the alpha-regret series, can
     be reported without spending counted queries.
+
+    Each stream's ``rounds`` coins are drawn up front as one
+    ``random(rounds)`` block, which yields the same values as ``rounds``
+    sequential ``random()`` calls and leaves the stream in the same
+    state.  Streams that are not distinct ``numpy`` Generators are drawn
+    from round by round instead.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     n = len(subroutines)
     if track_opt and n > ENUMERATION_LIMIT:
         raise SizeError(f"tracking the best fixed set needs n <= {ENUMERATION_LIMIT}")
+    streams = _coin_blocks(streams, rounds)
     rewards = np.empty(rounds)
     round_queries = np.empty(rounds, dtype=np.int64)
     cum_opt = np.empty(rounds) if (track_opt and regret_series) else None

@@ -16,7 +16,8 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -352,19 +353,15 @@ def _run_usm_experiment(config: ExperimentConfig):
     results = _map_trials(_usm_trial, config)
     rows = []
     for k, res in enumerate(results):
-        queries = np.cumsum(res.round_queries)
-        for t in range(config.rounds):
-            rows.append(
-                (
-                    k,
-                    t + 1,
-                    float(res.rewards[t]),
-                    float(res.cum_rewards[t]),
-                    float(res.cum_opt[t]),
-                    float(res.alpha_regret[t]),
-                    int(queries[t]),
-                )
-            )
+        rows.extend(zip(
+            repeat(k),
+            range(1, config.rounds + 1),
+            res.rewards.tolist(),
+            res.cum_rewards.tolist(),
+            res.cum_opt.tolist(),
+            res.alpha_regret.tolist(),
+            np.cumsum(res.round_queries).tolist(),
+        ))
     finals = [res.final_alpha_regret for res in results]
     mean_final, std_final = _summary_stats(finals)
     cps = default_checkpoints(config.rounds)
@@ -525,6 +522,10 @@ def _run_verify(config: ExperimentConfig) -> dict:
 
 # --- output -----------------------------------------------------------
 
+#: rows formatted per CSV chunk, so the formatted cells stay small in memory
+_CSV_CHUNK_ROWS = 4096
+
+
 def _fmt_cell(v) -> str:
     if v is None:
         return ""
@@ -533,12 +534,37 @@ def _fmt_cell(v) -> str:
     return format(v, ".12g")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _fmt_column(column: tuple) -> Iterable[str]:
+    """``_fmt_cell`` over a column, without a Python call per cell when
+    the column holds only ``float`` or only ``int``."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        return map(format, column, repeat(".12g"))
+    if kinds == {int}:
+        return map(str, column)
+    return map(_fmt_cell, column)
+
+
+def _csv_blocks(rows: Iterable[tuple]) -> Iterator[str]:
+    """CSV text of the rows in blocks of whole lines, each ending in a
+    newline; chunks of equal-width rows are formatted column by column."""
+    it = iter(rows)
+    while chunk := list(islice(it, _CSV_CHUNK_ROWS)):
+        widths = set(map(len, chunk))
+        if len(widths) == 1 and widths != {0}:
+            lines = map(",".join, zip(*map(_fmt_column, zip(*chunk))))
+        else:
+            lines = (",".join(map(_fmt_cell, row)) for row in chunk)
+        yield "\n".join(lines) + "\n"
+
+
+def _atomic_write(path: str, parts: Iterable[str]) -> None:
+    """Write the concatenation of ``parts`` atomically."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-results-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -558,11 +584,8 @@ def write_results(
     """Emit rows + summary as csv (12 significant digits, LF endings)
     or as a single json object; the write is atomic either way."""
     if fmt == "csv":
-        lines = [",".join(RESULT_HEADER)]
-        if not summary_only:
-            for row in rows:
-                lines.append(",".join(_fmt_cell(v) for v in row))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        header = ",".join(RESULT_HEADER) + "\n"
+        _atomic_write(path, [header] if summary_only else chain([header], _csv_blocks(rows)))
     elif fmt == "json":
         obj: dict = {}
         if config is not None:
@@ -570,6 +593,6 @@ def write_results(
         obj["summary"] = summary
         if not summary_only:
             obj["rows"] = [list(row) for row in rows]
-        _atomic_write(path, json.dumps(obj, indent=1) + "\n")
+        _atomic_write(path, [json.dumps(obj, indent=1) + "\n"])
     else:
         raise ConfigError(f"unknown output format {fmt!r}")

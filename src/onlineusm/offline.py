@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
+from .framework import _CoinBlock
 from .submodular import SubmodularOracle, full_mask, value_table
 
 
@@ -41,14 +42,15 @@ def _double_greedy_sweep(
     f: SubmodularOracle, choose_yes: Callable[[float, float], bool]
 ) -> tuple[int, float]:
     n = f.ground.n
+    evaluate = f.evaluate
     x = 0
     y = full_mask(n)
-    fx = f.evaluate(x)
-    fy = f.evaluate(y)
+    fx = evaluate(x)
+    fy = evaluate(y)
     for i in range(n):
         bit = 1 << i
-        fx_add = f.evaluate(x | bit)
-        fy_del = f.evaluate(y & ~bit)
+        fx_add = evaluate(x | bit)
+        fy_del = evaluate(y & ~bit)
         alpha = fx_add - fx
         beta = fy_del - fy
         if choose_yes(alpha, beta):
@@ -74,26 +76,33 @@ def rand_double_greedy(f: SubmodularOracle, rng: np.random.Generator) -> Offline
     Consumes one uniform draw per element.
     """
 
+    random = rng.random
+
     def choose(a: float, b: float) -> bool:
         ap = a if a > 0.0 else 0.0
         bp = b if b > 0.0 else 0.0
         p = 1.0 if ap + bp <= 0.0 else ap / (ap + bp)
-        return rng.random() < p
+        return random() < p
 
     chosen, value = _double_greedy_sweep(f, choose)
     return OfflineResult(chosen=chosen, value=value)
 
 
 def rand_double_greedy_stats(f: SubmodularOracle, trials: int, seed: int) -> OfflineResult:
-    """Repeat the randomized sweep; report the best run plus mean/std."""
+    """Repeat the randomized sweep; report the best run plus mean/std.
+
+    Each sweep's n coins are drawn as one ``random(n)`` block, the same
+    values as n sequential draws.
+    """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    n = f.ground.n
     values = np.empty(trials)
     best_set = 0
     best_value = -np.inf
     for k in range(trials):
-        res = rand_double_greedy(f, rng)
+        res = rand_double_greedy(f, _CoinBlock(rng.random(n).tolist()))
         values[k] = res.value
         if res.value > best_value:
             best_value = res.value

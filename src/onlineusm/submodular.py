@@ -130,6 +130,7 @@ class SubmodularOracle:
         table: np.ndarray | None = None,
     ):
         self.ground = ground
+        self._full = ground.full
         self._fn = fn
         self._graph = graph
         self._scale = scale
@@ -143,7 +144,7 @@ class SubmodularOracle:
 
     def evaluate(self, s: Mask) -> float:
         """Return f(s), counting one query."""
-        if s < 0 or s > self.ground.full:
+        if s < 0 or s > self._full:
             raise InvalidSubsetError(f"subset {s:#x} outside ground set of size {self.ground.n}")
         with self._lock:
             self._queries += 1
@@ -155,7 +156,7 @@ class SubmodularOracle:
         Metrics, diagnostics, and ground-truth enumeration use this so
         the counter keeps measuring the algorithm under test only.
         """
-        if s < 0 or s > self.ground.full:
+        if s < 0 or s > self._full:
             raise InvalidSubsetError(f"subset {s:#x} outside ground set of size {self.ground.n}")
         return self._fn(s)
 
@@ -177,18 +178,19 @@ def normalize(g: DirectedGraph) -> SubmodularOracle:
 
 
 def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
-    """Oracle backed by an explicit table of 2^n values in [0, 1]."""
+    """Oracle backed by an explicit table of 2^n values in [0, 1].
+
+    Lookups go through a zero-copy ``memoryview`` of the table, which
+    returns the same Python float as ``float(table[s])`` without a numpy
+    scalar per query and without a list copy of the table.
+    """
     table = np.asarray(values, dtype=float)
     if table.ndim != 1 or table.size < 2 or table.size & (table.size - 1):
         raise InvalidInstanceError(f"table length {table.size} is not a power of two >= 2")
     if table.min() < -1e-9 or table.max() > 1.0 + 1e-9:
         raise InvalidInstanceError("table values must lie in [0, 1]")
     n = int(table.size.bit_length() - 1)
-
-    def fn(s: Mask, _t: np.ndarray = table) -> float:
-        return float(_t[s])
-
-    return SubmodularOracle(GroundSet(n), fn, table=table)
+    return SubmodularOracle(GroundSet(n), memoryview(table).__getitem__, table=table)
 
 
 def value_table(oracle: SubmodularOracle) -> np.ndarray:

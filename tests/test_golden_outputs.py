@@ -1,0 +1,83 @@
+"""Golden seeded outputs: the sha256 of small CLI runs, byte for byte.
+
+Each case runs ``onlineusm.cli.main`` in a temporary directory with a
+relative output name (the JSON output records ``config.output``), then
+hashes the output file and the summary printed on stdout.  A change to
+any digest is a change of behaviour and has to say so.
+
+``fresh-random`` and ``adaptive:*`` adversaries are left out: without
+oracle retention their regret columns come from stale value tables
+(ROADMAP item 1), and a golden digest would pin that defect.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from onlineusm import cli
+
+USM = ["simulate-usm", "--n", "6", "--rounds", "150", "--trials", "2", "--seed", "3"]
+
+CASES = {
+    "usm-cycle-balancer": USM + ["--adversary", "cycle-random:k=3", "--subroutine", "balancer",
+                                 "--output", "out.csv"],
+    "usm-cycle-mw": USM + ["--adversary", "cycle-random:k=3", "--subroutine", "mw",
+                           "--output", "out.csv"],
+    "usm-cycle-uniform": USM + ["--adversary", "cycle-random:k=3", "--subroutine", "uniform",
+                                "--output", "out.csv"],
+    "usm-fixed-balancer": USM + ["--adversary", "fixed-random", "--subroutine", "balancer",
+                                 "--output", "out.csv"],
+    "usm-fixed-mw": USM + ["--adversary", "fixed-random", "--subroutine", "mw",
+                           "--output", "out.csv"],
+    "usm-fixed-uniform": USM + ["--adversary", "fixed-random", "--subroutine", "uniform",
+                                "--output", "out.csv"],
+    "usm-json-transcripts": USM + ["--adversary", "cycle-random:k=3", "--subroutine", "balancer",
+                                   "--format", "json", "--keep-transcripts",
+                                   "--output", "out.json"],
+    "balance-csv": ["simulate-balance", "--rounds", "300", "--trials", "2", "--seed", "3",
+                    "--adversary", "pattern:URL", "--output", "out.csv"],
+    "offline-json": ["offline", "--n", "9", "--trials", "500", "--seed", "3",
+                     "--output", "out.json"],
+}
+
+#: case -> (sha256 of the output file, sha256 of the summary on stdout)
+GOLDEN = {
+    "balance-csv": ("f41f39b8a6ca1482abbbc5f7e07281bb234686eb379ccfa4f7125a1f576383de",
+                    "7c369523c5db4e56cb35c6915667b3275cd383e7d7841c6622c9fca3c2a3174a"),
+    "offline-json": ("2183c7d5283867b4b15a06ad6559d09ac7bb5882c8e1a124b681520b97164292",
+                     "d1a0bc9eba958fd5fa007cf22887cca6543cae80da0d5d9ab0e83774078292cb"),
+    "usm-cycle-balancer": ("ec2cd1de06b8cc53e046bb322511330d89ea2b8b9ce90aee594582be4128eee7",
+                           "1ad194f45babc19cf28814c75453e4b386122e1ed08b3671e0f06a92a870d2a1"),
+    "usm-cycle-mw": ("1b1e64a0f74a2ad246452165fec6e27905ad0db7cfd74a8816ffbd9376f64779",
+                     "135534629470932f6e57f61a6977061ff8504a9e2e61ffbd4c2daa6b8521fa2c"),
+    "usm-cycle-uniform": ("8dfdea41c7298e48190fe11e7326c737329014304648aa06edf005a12c18d262",
+                          "0bd3a5330dd1e1dd7bc3a39ebb9bd91ad160d9843e6286392dc5ad5aa3d78a42"),
+    "usm-fixed-balancer": ("41c0492f1abf9a435ce36092d8db700cea8eacc70ea0cf439503b434d8072498",
+                           "f2e5e0b98ac119d26f8a2d300a5d330ad884a3d74573db8f08335b88848253fd"),
+    "usm-fixed-mw": ("977b653c54cfb982950c7ec921145fd105fa66a1b102ebdb719325983a8eb4e6",
+                     "c82068e315d21815aac8dbaf475393c94ff5b6d12918600a3730e0cb98271643"),
+    "usm-fixed-uniform": ("bc81c12b01f660661e13e3bd1bc99c38483215fe30195acba008ece27ca42de8",
+                          "f7e0540ac12510ea66b5ea0d3f98eaf5b5c4897cf19095034cc4ff525f035fdd"),
+    "usm-json-transcripts": ("c61964a5a7a3eb1e2ecaca418c76bc2792536fbfb9979b4a39db9900c80d98fc",
+                             "1684049b369f88b486c2f65c8f9665a0bf9b770c94d53893c47bc1d6545480a1"),
+}
+
+
+def _run(argv: list[str]) -> tuple[str, str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    output = Path(argv[argv.index("--output") + 1]).read_bytes()
+    return (hashlib.sha256(output).hexdigest(),
+            hashlib.sha256(stdout.getvalue().encode()).hexdigest())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run(CASES[case]) == GOLDEN[case]
