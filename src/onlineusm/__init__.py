@@ -17,13 +17,13 @@ from .adversaries import (
     FixedFunctionAdversary,
     ObliviousBalanceAdversary,
     RandomObliviousAdversary,
-    adaptive_balance_step,
     covariance_estimate,
     extremal_pattern_sequence,
 )
 from .balance import (
     BalancePoint,
     Balancer,
+    ConstantPolicy,
     ConvexWeights,
     Decision,
     DoublingHorizon,
@@ -32,19 +32,12 @@ from .balance import (
     RIGHT,
     TwoExperts,
     UP,
-    always_no,
-    always_yes,
     balance_alpha_regret,
-    balancer_step,
     decompose,
     default_learning_rate,
     expected_ledger_deltas,
-    horizon_doubling_wrapper,
-    ledger_update,
-    mw_step,
     potentials,
     step_invariant_deltas,
-    uniform_coin,
 )
 from .errors import (
     ConfigError,
@@ -91,11 +84,8 @@ from .offline import (
     uniform_random_value,
 )
 from .submodular import (
-    CycleFamily,
     DirectedGraph,
     GroundSet,
-    MixtureFamily,
-    RandomCutFamily,
     SubmodularOracle,
     directed_cut_value,
     elements_of,
@@ -105,7 +95,6 @@ from .submodular import (
     oracle_from_table,
     random_digraph,
     read_digraph,
-    synth_sequence,
     tabulate,
     value_table,
     verify_submodularity,

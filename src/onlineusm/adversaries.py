@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .balance import LEFT, RIGHT, UP, BalancePoint, Decision
-from .errors import ConfigError, ContractError
-from .submodular import DirectedGraph, SubmodularOracle, _family_draw, normalize
+from .errors import ConfigError
+from .submodular import DirectedGraph, SubmodularOracle, normalize, random_digraph
 
 _PATTERN_POINTS = {"U": UP, "R": RIGHT, "L": LEFT}
 
@@ -46,10 +46,7 @@ class ObliviousBalanceAdversary:
 
     @classmethod
     def from_pattern(cls, pattern: str) -> "ObliviousBalanceAdversary":
-        points = [_PATTERN_POINTS[ch] if ch in _PATTERN_POINTS else None for ch in pattern]
-        if not pattern or None in points:
-            raise ConfigError(f"bad extremal pattern {pattern!r}; symbols must be U, R, L")
-        return cls(points, kind="extremal-pattern")
+        return cls(extremal_pattern_sequence(pattern, len(pattern)), kind="extremal-pattern")
 
     def next_point(self, last_decision: Decision | None = None) -> BalancePoint:
         pt = self.points[self._pos % len(self.points)]
@@ -83,15 +80,6 @@ class AdaptiveBalanceAdversary:
         if self.rule == "punish-last":
             return LEFT if last_decision.chose_yes else RIGHT
         return RIGHT if last_decision.chose_yes else LEFT
-
-
-def adaptive_balance_step(
-    adv: AdaptiveBalanceAdversary, last_decision: Decision | None
-) -> BalancePoint:
-    """Advance an adaptive balance adversary by one observed decision."""
-    if not isinstance(adv, AdaptiveBalanceAdversary):
-        raise ContractError(f"adversary of kind {getattr(adv, 'kind', '?')!r} is not adaptive")
-    return adv.next_point(last_decision)
 
 
 # --- two-step covariance experiment -------------------------------------
@@ -165,16 +153,17 @@ class CycleFunctionAdversary:
 
 
 class RandomObliviousAdversary:
-    """A fresh draw from an instance family each round, seeded up front."""
+    """A fresh random-digraph cut function each round, seeded up front."""
 
-    def __init__(self, family, seed: int):
+    def __init__(self, n: int, density: float, weight_range: tuple[float, float], seed: int):
         self.kind = "random-oblivious"
-        self.family = family
+        self.n = n
+        self.density = density
+        self.weight_range = weight_range
         self._rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        self._state: dict = {}
 
     def next_oracle(self, last_set: int | None = None) -> SubmodularOracle:
-        return _family_draw(self.family, self._state, self._rng)
+        return normalize(random_digraph(self.n, self.density, self.weight_range, self._rng))
 
 
 ADAPTIVE_USM_RULES = ("punish-last-set",)

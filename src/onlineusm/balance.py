@@ -36,20 +36,18 @@ class BalancePoint:
     alpha: float
     beta: float
 
-    def in_triangle(self, tol: float = 1e-9) -> bool:
-        a, b = self.alpha, self.beta
-        return (
-            a >= -1.0 - tol
-            and a <= 1.0 + tol
-            and b >= -1.0 - tol
-            and b <= 1.0 + tol
-            and a + b >= -2.0 * tol
-        )
 
-    def validate(self, tol: float = 1e-9) -> "BalancePoint":
-        if not self.in_triangle(tol):
-            raise InvalidPointError(f"({self.alpha}, {self.beta}) outside triangle by more than {tol}")
-        return self
+#: float drift a point may show past each triangle edge (the sum edge
+#: gets twice this, one share per coordinate)
+TRIANGLE_TOL = 1e-6
+
+
+def _in_triangle(a: float, b: float) -> bool:
+    return (
+        -1.0 - TRIANGLE_TOL <= a <= 1.0 + TRIANGLE_TOL
+        and -1.0 - TRIANGLE_TOL <= b <= 1.0 + TRIANGLE_TOL
+        and a + b >= -2.0 * TRIANGLE_TOL
+    )
 
 
 UP = BalancePoint(1.0, 1.0)
@@ -71,16 +69,16 @@ class ConvexWeights:
         return a, b
 
 
-def decompose(pt: BalancePoint, *, tol: float = 1e-6) -> ConvexWeights:
+def decompose(pt: BalancePoint) -> ConvexWeights:
     """Unique affine weights of ``pt`` over up/right/left.
 
     c_up = (alpha+beta)/2, c_right = (1-beta)/2, c_left = (1-alpha)/2.
     Float drift can push a weight slightly negative; those are clamped
     to zero and the triple renormalized.  Points outside the triangle by
-    more than ``tol`` are rejected.
+    more than ``TRIANGLE_TOL`` are rejected.
     """
-    if not pt.in_triangle(tol):
-        raise InvalidPointError(f"({pt.alpha}, {pt.beta}) outside triangle by more than {tol}")
+    if not _in_triangle(pt.alpha, pt.beta):
+        raise InvalidPointError(f"({pt.alpha}, {pt.beta}) outside triangle by more than {TRIANGLE_TOL}")
     c_up = 0.5 * (pt.alpha + pt.beta)
     c_right = 0.5 * (1.0 - pt.beta)
     c_left = 0.5 * (1.0 - pt.alpha)
@@ -140,7 +138,7 @@ class Balancer:
 
     def update(self, pt: BalancePoint) -> None:
         a, b = pt.alpha, pt.beta
-        if not (-1.000001 <= a <= 1.000001 and -1.000001 <= b <= 1.000001 and a + b >= -2e-6):
+        if not _in_triangle(a, b):
             raise InvalidPointError(f"({a}, {b}) outside triangle; is the function submodular?")
         c_up = 0.5 * (a + b)
         c_right = 0.5 * (1.0 - b)
@@ -152,16 +150,6 @@ class Balancer:
         elif x > self.sqrt_horizon:
             x = self.sqrt_horizon
         self.x = x
-
-    def step(self, pt: BalancePoint, coin: float) -> Decision:
-        d = self.decide(coin)
-        self.update(pt)
-        return d
-
-
-def balancer_step(state: Balancer, pt: BalancePoint, coin: float) -> Decision:
-    """One round: decide from current state, then fold in the point."""
-    return state.step(pt, coin)
 
 
 def default_learning_rate(horizon: int) -> float:
@@ -205,15 +193,6 @@ class TwoExperts:
         self.w_yes = wy / top
         self.w_no = wn / top
 
-    def step(self, pt: BalancePoint, coin: float) -> Decision:
-        d = self.decide(coin)
-        self.update(pt)
-        return d
-
-
-def mw_step(state: TwoExperts, pt: BalancePoint, coin: float) -> Decision:
-    return state.step(pt, coin)
-
 
 class ConstantPolicy:
     """Fixed yes-probability; ignores feedback.  Baseline subroutine."""
@@ -228,18 +207,6 @@ class ConstantPolicy:
 
     def update(self, pt: BalancePoint) -> None:
         pass
-
-
-def always_yes() -> ConstantPolicy:
-    return ConstantPolicy(1.0)
-
-
-def always_no() -> ConstantPolicy:
-    return ConstantPolicy(0.0)
-
-
-def uniform_coin() -> ConstantPolicy:
-    return ConstantPolicy(0.5)
 
 
 class DoublingHorizon:
@@ -269,10 +236,6 @@ class DoublingHorizon:
         self.inner.update(pt)
 
 
-def horizon_doubling_wrapper(factory: Callable[[int], BalanceSubroutine]) -> DoublingHorizon:
-    return DoublingHorizon(factory)
-
-
 # --- ledger ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -282,13 +245,6 @@ class Ledger:
     r_alg: float = 0.0
     c_yes: float = 0.0
     c_no: float = 0.0
-
-
-def ledger_update(ledger: Ledger, d: Decision, pt: BalancePoint) -> Ledger:
-    """yes: r += alpha/2, c_no += beta.  no: r += beta/2, c_yes += alpha."""
-    if d.chose_yes:
-        return Ledger(ledger.r_alg + 0.5 * pt.alpha, ledger.c_yes, ledger.c_no + pt.beta)
-    return Ledger(ledger.r_alg + 0.5 * pt.beta, ledger.c_yes + pt.alpha, ledger.c_no)
 
 
 def balance_alpha_regret(ledger: Ledger, a: float) -> float:

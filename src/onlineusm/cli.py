@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import ConfigError, InvalidInstanceError, SizeError, UsmError
-from .harness import ExperimentConfig, run_experiment, write_results
+from .harness import SUBROUTINE_NAMES, ExperimentConfig, run_experiment, write_results
 
 
 class _Parser(argparse.ArgumentParser):
@@ -24,8 +24,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser, *, alpha_default: str) -> None:
     p.add_argument("--rounds", type=int, required=True, help="rounds per trial (required)")
-    p.add_argument("--subroutine", default="balancer",
-                   choices=["balancer", "mw", "uniform", "always-yes", "always-no"])
+    p.add_argument("--subroutine", default="balancer", choices=SUBROUTINE_NAMES)
     p.add_argument("--alpha", type=float, default=None,
                    help=f"regret factor in (0, 1]; default {alpha_default}")
     p.add_argument("--trials", type=int, default=1)

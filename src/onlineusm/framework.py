@@ -302,6 +302,22 @@ def run_usm_game(
     )
 
 
+def distinct_tables(oracles: Sequence[SubmodularOracle]) -> list[np.ndarray]:
+    """``value_table`` of each oracle, built once per distinct oracle.
+
+    The cache is keyed by the oracle objects themselves, so it holds
+    each one alive and a key cannot be reused by a later object.
+    """
+    cache: dict[SubmodularOracle, np.ndarray] = {}
+    out = []
+    for f in oracles:
+        table = cache.get(f)
+        if table is None:
+            table = cache[f] = value_table(f)
+        out.append(table)
+    return out
+
+
 def usm_alpha_regret(
     history: Iterable[tuple[SubmodularOracle, int]],
     a: float,
@@ -324,12 +340,7 @@ def usm_alpha_regret(
                 f"computing the best fixed set needs n <= {ENUMERATION_LIMIT}; supply opt explicitly"
             )
         total = np.zeros(1 << n)
-        cache: dict[int, np.ndarray] = {}
-        for f, chosen in items:
-            table = cache.get(id(f))
-            if table is None:
-                table = value_table(f)
-                cache[id(f)] = table
+        for table, (_, chosen) in zip(distinct_tables([f for f, _ in items]), items):
             total += table
             algo_total += float(table[chosen])
         best = float(total.max())

@@ -26,6 +26,7 @@ from . import balance as bal
 from .errors import ConfigError
 from .framework import (
     default_checkpoints,
+    distinct_tables,
     fit_growth_exponent,
     opt_tracking_check,
     run_usm_game,
@@ -39,12 +40,10 @@ from .offline import (
 )
 from .submodular import (
     ENUMERATION_LIMIT,
-    RandomCutFamily,
     normalize,
     random_digraph,
     read_digraph,
     tabulate,
-    value_table,
     verify_submodularity,
 )
 
@@ -152,11 +151,11 @@ def build_subroutine(name: str, horizon: int):
     if name == "mw":
         return bal.TwoExperts(horizon)
     if name == "uniform":
-        return bal.uniform_coin()
+        return bal.ConstantPolicy(0.5)
     if name == "always-yes":
-        return bal.always_yes()
+        return bal.ConstantPolicy(1.0)
     if name == "always-no":
-        return bal.always_no()
+        return bal.ConstantPolicy(0.0)
     raise ConfigError(f"unknown subroutine {name!r}; expected one of {SUBROUTINE_NAMES}")
 
 
@@ -201,8 +200,7 @@ def build_usm_adversary(descriptor: str, n: int, master_seed: int):
     if kind == "fresh-random":
         params = _parse_params(rest, {"density": float, "wlo": float, "whi": float}, "fresh-random")
         wr = (params.get("wlo", 0.0), params.get("whi", 1.0))
-        family = RandomCutFamily(n, params.get("density", 0.5), wr)
-        return adv.RandomObliviousAdversary(family, seed=master_seed)
+        return adv.RandomObliviousAdversary(n, params.get("density", 0.5), wr, master_seed)
     if kind in ("cycle-files", "fixed-file"):
         paths = [p for p in rest.split(";") if p]
         if not paths or (kind == "fixed-file" and len(paths) != 1):
@@ -391,24 +389,12 @@ def _run_usm_experiment(config: ExperimentConfig):
     return rows, summary
 
 
-def _result_tables(res) -> list[np.ndarray]:
-    cache: dict[int, np.ndarray] = {}
-    out = []
-    for f in res.oracles:
-        t = cache.get(id(f))
-        if t is None:
-            t = value_table(f)
-            cache[id(f)] = t
-        out.append(t)
-    return out
-
-
 def _usm_diagnostics(results) -> dict:
     """Replay checks over retained transcripts (see framework module)."""
     worst_residual = 0.0
     failures = 0
     for res in results:
-        opt = int(np.argmax(sum(_result_tables(res))))
+        opt = int(np.argmax(sum(distinct_tables(res.oracles))))
         for tr, f in zip(res.transcripts, res.oracles):
             if opt_tracking_check(tr, f, opt) is not None:
                 failures += 1

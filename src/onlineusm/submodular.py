@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -118,6 +119,10 @@ class SubmodularOracle:
     counter, and callers that want per-round memoization do it on their
     side.  The counter increment is lock-protected so read-only
     evaluations may run concurrently.
+
+    ``table``, when given, returns a fresh array of all 2^n values by
+    increasing bitmask; :func:`value_table` uses it in place of 2^n
+    peeks.
     """
 
     def __init__(
@@ -125,16 +130,12 @@ class SubmodularOracle:
         ground: GroundSet,
         fn: Callable[[Mask], float],
         *,
-        graph: DirectedGraph | None = None,
-        scale: float = 1.0,
-        table: np.ndarray | None = None,
+        table: Callable[[], np.ndarray] | None = None,
     ):
         self.ground = ground
         self._full = ground.full
         self._fn = fn
-        self._graph = graph
-        self._scale = scale
-        self._table = table
+        self._all_values = table
         self._queries = 0
         self._lock = threading.Lock()
 
@@ -174,7 +175,18 @@ def normalize(g: DirectedGraph) -> SubmodularOracle:
     def fn(s: Mask, _g: DirectedGraph = g, _scale: float = scale) -> float:
         return directed_cut_value(_g, s) * _scale
 
-    return SubmodularOracle(GroundSet(g.n), fn, graph=g, scale=scale)
+    return SubmodularOracle(GroundSet(g.n), fn, table=partial(_cut_table, g, scale))
+
+
+def _cut_table(g: DirectedGraph, scale: float) -> np.ndarray:
+    """All 2^n cut values of ``g`` times ``scale``, one numpy pass per edge."""
+    masks = np.arange(1 << g.n, dtype=np.int64)
+    acc = np.zeros(1 << g.n, dtype=float)
+    for u, v, w in g.edges:
+        src = (masks >> (u - 1)) & 1
+        dst = (masks >> (v - 1)) & 1
+        acc += w * (src & (1 - dst))
+    return acc * scale
 
 
 def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
@@ -190,28 +202,21 @@ def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
     if table.min() < -1e-9 or table.max() > 1.0 + 1e-9:
         raise InvalidInstanceError("table values must lie in [0, 1]")
     n = int(table.size.bit_length() - 1)
-    return SubmodularOracle(GroundSet(n), memoryview(table).__getitem__, table=table)
+    return SubmodularOracle(GroundSet(n), memoryview(table).__getitem__, table=table.copy)
 
 
 def value_table(oracle: SubmodularOracle) -> np.ndarray:
     """All 2^n values of the oracle, by increasing bitmask, uncounted.
 
-    Vectorized for graph-backed oracles; anything else falls back to a
-    peek loop.  Requires n <= ENUMERATION_LIMIT.
+    Uses the oracle's own table when it has one (explicit tables, cut
+    functions); anything else falls back to a peek loop.  Requires
+    n <= ENUMERATION_LIMIT.
     """
     n = oracle.ground.n
     if n > ENUMERATION_LIMIT:
         raise SizeError(f"full value table needs n <= {ENUMERATION_LIMIT}, got {n}")
-    if oracle._table is not None:
-        return oracle._table.copy()
-    if oracle._graph is not None:
-        masks = np.arange(1 << n, dtype=np.int64)
-        acc = np.zeros(1 << n, dtype=float)
-        for u, v, w in oracle._graph.edges:
-            src = (masks >> (u - 1)) & 1
-            dst = (masks >> (v - 1)) & 1
-            acc += w * (src & (1 - dst))
-        return acc * oracle._scale
+    if oracle._all_values is not None:
+        return oracle._all_values()
     return np.array([oracle.peek(m) for m in range(1 << n)], dtype=float)
 
 
@@ -339,74 +344,6 @@ def random_digraph(
             if u != v and rng.random() < density:
                 edges.append((u, v, float(rng.uniform(lo, hi))))
     return DirectedGraph(n, tuple(edges))
-
-
-# --- instance families -------------------------------------------------
-
-@dataclass(frozen=True)
-class RandomCutFamily:
-    """Fresh random-digraph cut function per draw."""
-
-    n: int
-    density: float = 0.5
-    weight_range: tuple[float, float] = (0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class CycleFamily:
-    """Cycle deterministically through a fixed list of graphs."""
-
-    graphs: tuple[DirectedGraph, ...]
-
-    def __post_init__(self) -> None:
-        if not self.graphs:
-            raise ConfigError("cycle family needs at least one graph")
-
-
-@dataclass(frozen=True)
-class MixtureFamily:
-    """Each draw picks a component family (optionally weighted), then draws from it."""
-
-    components: tuple
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise ConfigError("mixture family needs at least one component")
-        if self.weights is not None:
-            if len(self.weights) != len(self.components):
-                raise ConfigError("mixture weights must match component count")
-            if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-                raise ConfigError("mixture weights must be nonnegative and sum > 0")
-
-
-def _family_draw(family, state: dict, rng: np.random.Generator) -> SubmodularOracle:
-    if isinstance(family, RandomCutFamily):
-        return normalize(random_digraph(family.n, family.density, family.weight_range, rng))
-    if isinstance(family, CycleFamily):
-        oracles = state.setdefault(id(family), [normalize(g) for g in family.graphs])
-        pos_key = ("pos", id(family))
-        pos = state.get(pos_key, 0)
-        state[pos_key] = pos + 1
-        return oracles[pos % len(oracles)]
-    if isinstance(family, MixtureFamily):
-        k = len(family.components)
-        if family.weights is None:
-            idx = int(rng.integers(0, k))
-        else:
-            p = np.asarray(family.weights, dtype=float)
-            idx = int(rng.choice(k, p=p / p.sum()))
-        return _family_draw(family.components[idx], state, rng)
-    raise ConfigError(f"unknown instance family: {family!r}")
-
-
-def synth_sequence(family, count: int, seed: int) -> list[SubmodularOracle]:
-    """Deterministic sequence of ``count`` oracles from an instance family."""
-    if count < 0:
-        raise ConfigError(f"count must be >= 0, got {count}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    state: dict = {}
-    return [_family_draw(family, state, rng) for _ in range(count)]
 
 
 # --- graph file format -------------------------------------------------

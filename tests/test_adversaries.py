@@ -9,14 +9,13 @@ from onlineusm.adversaries import (
     FixedFunctionAdversary,
     ObliviousBalanceAdversary,
     RandomObliviousAdversary,
-    adaptive_balance_step,
     covariance_estimate,
     extremal_pattern_sequence,
 )
-from onlineusm.balance import LEFT, RIGHT, UP, Balancer, Decision, Ledger, ledger_update
-from onlineusm.errors import ConfigError, ContractError
+from onlineusm.balance import LEFT, RIGHT, UP, Balancer, ConstantPolicy, Decision
+from onlineusm.errors import ConfigError
 from onlineusm.harness import run_balance_game
-from onlineusm.submodular import RandomCutFamily, value_table, verify_submodularity
+from onlineusm.submodular import value_table, verify_submodularity
 
 
 def test_pattern_sequence_constant():
@@ -28,9 +27,8 @@ def test_pattern_sequence_cycles():
 
 
 def test_pattern_url_ledger_against_always_yes():
-    led = Ledger()
-    for pt in extremal_pattern_sequence("URL", 3):
-        led = ledger_update(led, Decision(True, 1.0), pt)
+    adv = ObliviousBalanceAdversary(extremal_pattern_sequence("URL", 3))
+    led = run_balance_game(ConstantPolicy(1.0), adv, 3, np.random.default_rng(0)).ledger
     assert led.c_no == pytest.approx(1.0)  # +1 - 1 + 1
 
 
@@ -39,17 +37,18 @@ def test_pattern_rejects_bad_input():
         extremal_pattern_sequence("", 5)
     with pytest.raises(ConfigError):
         extremal_pattern_sequence("URX", 5)
-    with pytest.raises(ConfigError):
-        ObliviousBalanceAdversary.from_pattern("q")
+    for bad in ("q", "", "URX"):
+        with pytest.raises(ConfigError):
+            ObliviousBalanceAdversary.from_pattern(bad)
 
 
 def test_points_are_exactly_in_triangle():
     adv = ObliviousBalanceAdversary.from_pattern("URL")
     for _ in range(9):
-        assert adv.next_point(None).in_triangle(tol=0.0)
+        assert adv.next_point(None) in (UP, RIGHT, LEFT)
     rule = AdaptiveBalanceAdversary("punish-last")
-    assert rule.next_point(None).in_triangle(tol=0.0)
-    assert rule.next_point(Decision(True, 0.5)).in_triangle(tol=0.0)
+    assert rule.next_point(None) in (UP, RIGHT, LEFT)
+    assert rule.next_point(Decision(True, 0.5)) in (UP, RIGHT, LEFT)
 
 
 def test_adaptive_punish_last():
@@ -65,13 +64,6 @@ def test_adaptive_reward_chase():
     assert adv.next_point(None) == UP
     assert adv.next_point(Decision(False, 0.5)) == LEFT
     assert adv.next_point(Decision(True, 0.5)) == RIGHT
-
-
-def test_adaptive_step_rejects_oblivious():
-    with pytest.raises(ContractError):
-        adaptive_balance_step(ObliviousBalanceAdversary.from_pattern("U"), None)
-    adv = AdaptiveBalanceAdversary("punish-last")
-    assert adaptive_balance_step(adv, Decision(True, 0.5)) == LEFT
 
 
 def test_unknown_adaptive_rule():
@@ -138,9 +130,8 @@ def test_fixed_and_cycle_function_adversaries(single_edge_oracle):
 
 
 def test_random_oblivious_deterministic_and_ignores_history():
-    fam = RandomCutFamily(5, density=0.6)
-    a = RandomObliviousAdversary(fam, seed=4)
-    b = RandomObliviousAdversary(fam, seed=4)
+    a = RandomObliviousAdversary(5, 0.6, (0.0, 1.0), seed=4)
+    b = RandomObliviousAdversary(5, 0.6, (0.0, 1.0), seed=4)
     for k in range(6):
         fa = a.next_oracle(k)  # history argument must not matter
         fb = b.next_oracle(None)

@@ -2,32 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from onlineusm.adversaries import ObliviousBalanceAdversary
 from onlineusm.balance import (
     LEFT,
     RIGHT,
+    TRIANGLE_TOL,
     UP,
     BalancePoint,
     Balancer,
-    Decision,
+    ConstantPolicy,
     DoublingHorizon,
     Ledger,
     TwoExperts,
-    always_no,
-    always_yes,
     balance_alpha_regret,
-    balancer_step,
     decompose,
     default_learning_rate,
     expected_ledger_deltas,
-    horizon_doubling_wrapper,
-    ledger_update,
-    mw_step,
     potentials,
     step_invariant_deltas,
-    uniform_coin,
 )
 from onlineusm.errors import DomainError, InvalidPointError
+from onlineusm.harness import run_balance_game
 
 
 def random_triangle_points(count, rng):
@@ -88,31 +86,69 @@ def test_decompose_rejects_far_outside():
     decompose(BalancePoint(1.0 + 5e-7, -1.0))
 
 
-def test_point_validate():
-    BalancePoint(0.5, -0.5).validate()
-    with pytest.raises(InvalidPointError):
-        BalancePoint(0.5, -0.6).validate()
+# Base points on the triangle's edges (alpha = 1, beta = 1, alpha + beta = 0),
+# on the box sides that touch it only at a corner, and at the corners; each
+# coordinate then moves by up to 10 * TRIANGLE_TOL, so draws land on both
+# sides of the gate.  Half-tolerance steps put draws exactly on the gate.
+_on_boundary = st.one_of(
+    st.sampled_from([(UP.alpha, UP.beta), (RIGHT.alpha, RIGHT.beta), (LEFT.alpha, LEFT.beta)]),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+    st.tuples(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0])),
+    st.floats(-1.0, 1.0).map(lambda a: (a, -a)),
+)
+_offset = st.one_of(
+    st.integers(-20, 20).map(lambda k: k * TRIANGLE_TOL / 2),
+    st.floats(-10 * TRIANGLE_TOL, 10 * TRIANGLE_TOL),
+)
+
+
+def _accepts(op) -> bool:
+    try:
+        op()
+    except InvalidPointError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(_on_boundary, _offset, _offset)
+def test_decompose_and_balancer_update_share_the_triangle_gate(base, da, db):
+    a, b = base[0] + da, base[1] + db
+    pt = BalancePoint(a, b)
+    by_decompose = _accepts(lambda: decompose(pt))
+    assert _accepts(lambda: Balancer(100).update(pt)) == by_decompose
+    inside = (
+        abs(a) <= 1.0 + TRIANGLE_TOL and abs(b) <= 1.0 + TRIANGLE_TOL and a + b >= -2 * TRIANGLE_TOL
+    )
+    assert by_decompose == inside
+    if by_decompose:
+        w = decompose(pt)
+        assert min(w.c_up, w.c_right, w.c_left) >= 0.0
+        assert w.c_up + w.c_right + w.c_left == pytest.approx(1.0, abs=1e-12)
 
 
 # --- balancer ------------------------------------------------------------
 
 def test_balancer_midpoint_up_keeps_state():
     b = Balancer(100)  # sqrt(T) = 10, x starts at 5
-    d = balancer_step(b, UP, coin=0.49)
+    d = b.decide(0.49)
+    b.update(UP)
     assert d.p_used == 0.5 and d.chose_yes
     assert b.x == 5.0
 
 
 def test_balancer_cap_at_lower_boundary():
     b = Balancer(100, x=0.0)
-    d = balancer_step(b, LEFT, coin=0.0)
+    d = b.decide(0.0)
+    b.update(LEFT)
     assert d.p_used == 0.0 and not d.chose_yes
     assert b.x == 0.0
 
 
 def test_balancer_cap_at_upper_boundary():
     b = Balancer(100, x=10.0)
-    d = balancer_step(b, RIGHT, coin=0.999)
+    d = b.decide(0.999)
+    b.update(RIGHT)
     assert d.p_used == 1.0 and d.chose_yes
     assert b.x == 10.0
 
@@ -124,7 +160,8 @@ def test_balancer_stays_in_range_on_random_sequences():
         s = math.sqrt(T)
         alpha, beta = random_triangle_points(T, rng)
         for a, be in zip(alpha, beta):
-            balancer_step(b, BalancePoint(a, be), rng.random())
+            b.decide(rng.random())
+            b.update(BalancePoint(a, be))
             assert 0.0 <= b.x <= s
 
 
@@ -151,17 +188,20 @@ def test_mw_fresh_state_is_uniform():
 
 def test_mw_ratio_after_right_point():
     m = TwoExperts(horizon=None, eta=0.1)
-    mw_step(m, RIGHT, coin=0.3)
+    m.decide(0.3)
+    m.update(RIGHT)
     # yes reward 1, no reward 0 after the [-1,1] -> [0,1] shift
     assert m.w_yes / m.w_no == pytest.approx(math.exp(0.1), rel=1e-12)
 
 
 def test_mw_equal_rewards_keep_ratio():
     m = TwoExperts(horizon=None, eta=0.25)
-    mw_step(m, RIGHT, coin=0.1)
+    m.decide(0.1)
+    m.update(RIGHT)
     ratio = m.w_yes / m.w_no
     for c in (0.7, -0.2, 0.0):
-        mw_step(m, BalancePoint(c, c), coin=0.5)
+        m.decide(0.5)
+        m.update(BalancePoint(c, c))
         assert m.w_yes / m.w_no == pytest.approx(ratio, rel=1e-12)
 
 
@@ -169,7 +209,8 @@ def test_mw_weights_stay_bounded():
     m = TwoExperts(horizon=None, eta=0.5)
     rng = np.random.default_rng(0)
     for _ in range(5000):
-        mw_step(m, RIGHT, rng.random())
+        m.decide(rng.random())
+        m.update(RIGHT)
     assert 0.0 < m.w_yes <= 1.0
     assert 0.0 < m.w_no <= 1.0
 
@@ -182,28 +223,36 @@ def test_default_learning_rate():
 
 # --- ledger --------------------------------------------------------------
 
+def ledger_after(p, points, rounds, seed=0):
+    """Ledger of a ``rounds``-round game of ConstantPolicy(p) against ``points``."""
+    adversary = ObliviousBalanceAdversary(points)
+    return run_balance_game(ConstantPolicy(p), adversary, rounds, np.random.default_rng(seed)).ledger
+
+
 def test_ledger_update_yes_on_right():
-    led = ledger_update(Ledger(), Decision(True, 0.5), RIGHT)
+    led = ledger_after(1.0, [RIGHT], 1)
     assert (led.r_alg, led.c_yes, led.c_no) == (0.5, 0.0, -1.0)
 
 
 def test_ledger_update_no_on_right():
-    led = ledger_update(Ledger(), Decision(False, 0.5), RIGHT)
+    led = ledger_after(0.0, [RIGHT], 1)
     assert (led.r_alg, led.c_yes, led.c_no) == (-0.5, 1.0, 0.0)
 
 
 def test_ledger_update_zero_point():
-    led = ledger_update(Ledger(1.0, 2.0, 3.0), Decision(True, 0.1), BalancePoint(0.0, 0.0))
-    assert (led.r_alg, led.c_yes, led.c_no) == (1.0, 2.0, 3.0)
+    points = [RIGHT, LEFT, UP, BalancePoint(0.0, 0.0)]
+    for p in (0.0, 1.0):
+        before = ledger_after(p, points, 3)
+        assert before != Ledger()
+        assert ledger_after(p, points, 4) == before
 
 
 def test_ledger_bounds_after_t_rounds():
     rng = np.random.default_rng(9)
     t = 500
-    led = Ledger()
     alpha, beta = random_triangle_points(t, rng)
-    for a, b in zip(alpha, beta):
-        led = ledger_update(led, Decision(bool(rng.random() < 0.5), 0.5), BalancePoint(a, b))
+    points = [BalancePoint(a, b) for a, b in zip(alpha, beta)]
+    led = ledger_after(0.5, points, t, seed=9)
     assert abs(led.r_alg) <= t / 2 + 1e-9
     assert abs(led.c_yes) <= t + 1e-9
     assert abs(led.c_no) <= t + 1e-9
@@ -307,15 +356,15 @@ def test_capping_monotonicity():
 # --- constant policies and the doubling wrapper --------------------------
 
 def test_constant_policies():
-    assert always_yes().decide(0.999).chose_yes
-    assert not always_no().decide(0.0).chose_yes
-    u = uniform_coin()
+    assert ConstantPolicy(1.0).decide(0.999).chose_yes
+    assert not ConstantPolicy(0.0).decide(0.0).chose_yes
+    u = ConstantPolicy(0.5)
     assert u.decide(0.49).chose_yes and not u.decide(0.51).chose_yes
 
 
 def test_doubling_guess_schedule():
     guesses = []
-    w = horizon_doubling_wrapper(lambda T: always_yes())
+    w = DoublingHorizon(lambda T: ConstantPolicy(1.0))
     for r in range(1, 65):
         w.decide(0.5)
         guesses.append(w.guess)
@@ -325,7 +374,7 @@ def test_doubling_guess_schedule():
 
 def test_doubling_restart_count():
     for total in (1, 2, 3, 4, 5, 8, 13, 16, 33, 64):
-        w = DoublingHorizon(lambda T: always_yes())
+        w = DoublingHorizon(lambda T: ConstantPolicy(1.0))
         for _ in range(total):
             w.decide(0.5)
         assert w.restarts == (total - 1).bit_length()

@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import onlineusm.cli as cli
+from onlineusm.errors import ConfigError
+from onlineusm.harness import SUBROUTINE_NAMES, build_subroutine
 from onlineusm.submodular import random_digraph, write_digraph
 
 
@@ -37,6 +40,16 @@ def test_bad_alpha_exit_one():
 def test_unknown_flag_exit_one():
     proc = run_cli("simulate-balance", "--rounds", "10", "--nope")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("name", SUBROUTINE_NAMES)
+def test_every_subroutine_name_parses_and_builds(name):
+    for command in (["simulate-usm", "--n", "3"], ["simulate-balance"]):
+        config = cli.parse_config([*command, "--rounds", "4", "--subroutine", name])
+        sub = build_subroutine(config.subroutine, config.rounds)
+        assert 0.0 <= sub.decide(0.5).p_used <= 1.0
+    with pytest.raises(ConfigError):
+        cli.parse_config(["simulate-balance", "--rounds", "4", "--subroutine", name + "-x"])
 
 
 def test_balance_run_writes_csv(tmp_path):

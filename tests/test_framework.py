@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from onlineusm.adversaries import CycleFunctionAdversary, FixedFunctionAdversary
-from onlineusm.balance import Balancer, always_no, always_yes, uniform_coin
+from onlineusm.balance import Balancer, ConstantPolicy
 from onlineusm.errors import ConfigError, ContractError, SizeError
 from onlineusm.framework import (
     fit_growth_exponent,
@@ -75,14 +75,14 @@ def test_marginal_pair_contract_errors(single_edge_oracle):
 
 def test_run_round_forced_yes_single_element():
     f = oracle_from_table([0.0, 1.0])
-    tr = run_round([always_yes()], f, streams_for(1))
+    tr = run_round([ConstantPolicy(1.0)], f, streams_for(1))
     assert tr.chosen == 0b1
     assert tr.x_sets == (0, 1) and tr.y_sets == (1, 1)
 
 
 def test_run_round_always_no_shrinks_y():
     f = random_cut_oracle(4, seed=3)
-    tr = run_round([always_no() for _ in range(4)], f, streams_for(4))
+    tr = run_round([ConstantPolicy(0.0) for _ in range(4)], f, streams_for(4))
     assert tr.chosen == 0
     assert tr.y_sets == (0b1111, 0b1110, 0b1100, 0b1000, 0b0000)
     assert tr.x_sets == (0, 0, 0, 0, 0)
@@ -114,7 +114,7 @@ def test_run_round_query_budget_n8():
 def test_run_round_marginals_match_direct_recompute():
     n = 5
     f = random_cut_oracle(n, seed=8)
-    subs = [uniform_coin() for _ in range(n)]
+    subs = [ConstantPolicy(0.5) for _ in range(n)]
     tr = run_round(subs, f, streams_for(n, seed=4))
     for i in range(1, n + 1):
         bit = 1 << (i - 1)
@@ -127,7 +127,7 @@ def test_run_round_marginals_match_direct_recompute():
 def test_run_round_no_cross_round_caching():
     n = 4
     f = random_cut_oracle(n, seed=2)
-    subs = [always_yes() for _ in range(n)]
+    subs = [ConstantPolicy(1.0) for _ in range(n)]
     tr1 = run_round(subs, f, streams_for(n))
     tr2 = run_round(subs, f, streams_for(n))
     assert tr2.queries == tr1.queries  # second identical round pays again
@@ -136,7 +136,7 @@ def test_run_round_no_cross_round_caching():
 def test_run_round_subroutine_count_mismatch():
     f = random_cut_oracle(3, seed=1)
     with pytest.raises(ConfigError):
-        run_round([always_yes()], f, streams_for(1))
+        run_round([ConstantPolicy(1.0)], f, streams_for(1))
 
 
 # --- usm_alpha_regret ----------------------------------------------------
@@ -193,7 +193,7 @@ def test_opt_tracking_passes_on_submodular_runs():
 
 
 def test_opt_tracking_with_opt_equal_to_choice():
-    res = run_recorded(5, 10, lambda: uniform_coin(), oracle_seed=3)
+    res = run_recorded(5, 10, lambda: ConstantPolicy(0.5), oracle_seed=3)
     for tr, f in zip(res.transcripts, res.oracles):
         assert opt_tracking_check(tr, f, tr.chosen) is None
 
@@ -201,7 +201,7 @@ def test_opt_tracking_with_opt_equal_to_choice():
 def test_opt_tracking_flags_non_submodular():
     n = 4
     f = grow_only_oracle(n)
-    subs = [always_yes() for _ in range(n)]  # feedback ignored, no triangle check
+    subs = [ConstantPolicy(1.0) for _ in range(n)]  # feedback ignored, no triangle check
     tr = run_round(subs, f, streams_for(n))
     violation = opt_tracking_check(tr, f, opt=0)
     assert violation is not None
@@ -271,15 +271,15 @@ def test_run_usm_game_errors():
     n = 3
     f = random_cut_oracle(n, seed=4)
     adversary = FixedFunctionAdversary(f)
-    subs = [always_yes() for _ in range(n)]
+    subs = [ConstantPolicy(1.0) for _ in range(n)]
     with pytest.raises(ConfigError):
         run_usm_game(subs, adversary, 0, streams_for(n))
     with pytest.raises(ConfigError):
-        run_usm_game([always_yes()], adversary, 5, streams_for(1))
+        run_usm_game([ConstantPolicy(1.0)], adversary, 5, streams_for(1))
     big = SubmodularOracle(GroundSet(21), lambda m: 0.0)
     with pytest.raises(SizeError):
         run_usm_game(
-            [always_yes() for _ in range(21)],
+            [ConstantPolicy(1.0) for _ in range(21)],
             FixedFunctionAdversary(big),
             2,
             streams_for(21),
@@ -291,7 +291,7 @@ def test_always_no_rewards_are_empty_set_values():
     n = 4
     f = random_cut_oracle(n, seed=13)
     res = run_usm_game(
-        [always_no() for _ in range(n)],
+        [ConstantPolicy(0.0) for _ in range(n)],
         FixedFunctionAdversary(f),
         9,
         streams_for(n),

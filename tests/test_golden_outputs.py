@@ -5,9 +5,11 @@ relative output name (the JSON output records ``config.output``), then
 hashes the output file and the summary printed on stdout.  A change to
 any digest is a change of behaviour and has to say so.
 
-``fresh-random`` and ``adaptive:*`` adversaries are left out: without
-oracle retention their regret columns come from stale value tables
-(ROADMAP item 1), and a golden digest would pin that defect.
+``fresh-random`` and ``adaptive:*`` adversaries are pinned only with
+``--keep-transcripts``: without oracle retention their regret columns
+come from stale value tables (ROADMAP item 1), and a golden digest would
+pin that defect.  With retention their outputs are correct and
+repeatable (the summary reports 0 replay failures).
 """
 
 from __future__ import annotations
@@ -39,20 +41,37 @@ CASES = {
     "usm-json-transcripts": USM + ["--adversary", "cycle-random:k=3", "--subroutine", "balancer",
                                    "--format", "json", "--keep-transcripts",
                                    "--output", "out.json"],
+    "usm-fresh-json-transcripts": USM + ["--adversary", "fresh-random", "--subroutine", "balancer",
+                                         "--format", "json", "--keep-transcripts",
+                                         "--output", "out.json"],
+    "usm-adaptive-json-transcripts": USM + ["--adversary", "adaptive:punish-last-set",
+                                            "--subroutine", "balancer", "--format", "json",
+                                            "--keep-transcripts", "--output", "out.json"],
+    "usm-cycle-always-no": USM + ["--adversary", "cycle-random:k=3", "--subroutine", "always-no",
+                                  "--output", "out.csv"],
     "balance-csv": ["simulate-balance", "--rounds", "300", "--trials", "2", "--seed", "3",
                     "--adversary", "pattern:URL", "--output", "out.csv"],
+    "balance-adaptive-mw": ["simulate-balance", "--rounds", "300", "--trials", "2", "--seed", "3",
+                            "--adversary", "adaptive:punish-last", "--subroutine", "mw",
+                            "--output", "out.csv"],
     "offline-json": ["offline", "--n", "9", "--trials", "500", "--seed", "3",
                      "--output", "out.json"],
 }
 
 #: case -> (sha256 of the output file, sha256 of the summary on stdout)
 GOLDEN = {
+    "balance-adaptive-mw": ("a9678afc787508a4e984adc1c02215a0b044df28829561fb17d63915ecc205e0",
+                            "bf2093cdd71a5bd570ac6d3a451c92e55783048c9b185fdcc8c273fc761e9dba"),
     "balance-csv": ("f41f39b8a6ca1482abbbc5f7e07281bb234686eb379ccfa4f7125a1f576383de",
                     "7c369523c5db4e56cb35c6915667b3275cd383e7d7841c6622c9fca3c2a3174a"),
     "offline-json": ("2183c7d5283867b4b15a06ad6559d09ac7bb5882c8e1a124b681520b97164292",
                      "d1a0bc9eba958fd5fa007cf22887cca6543cae80da0d5d9ab0e83774078292cb"),
     "usm-cycle-balancer": ("ec2cd1de06b8cc53e046bb322511330d89ea2b8b9ce90aee594582be4128eee7",
                            "1ad194f45babc19cf28814c75453e4b386122e1ed08b3671e0f06a92a870d2a1"),
+    "usm-adaptive-json-transcripts": ("3f3c592f7d81248f96b23d9e4539a58b5f82e811281b1681ff51f7fc3392712d",
+                                      "92a4b24c8c4f5037f1aa368eca1b95f8b1aa47624f0b74ab0ddad96ba456eaae"),
+    "usm-cycle-always-no": ("9983509f1a942a31fc24055ad2768d48fe3c1861b84341034c68b64a4b60a284",
+                            "ed3d30eb68eaacd9f77b488798175f49c0c5abdd92831e169e792e1dd72a41e5"),
     "usm-cycle-mw": ("1b1e64a0f74a2ad246452165fec6e27905ad0db7cfd74a8816ffbd9376f64779",
                      "135534629470932f6e57f61a6977061ff8504a9e2e61ffbd4c2daa6b8521fa2c"),
     "usm-cycle-uniform": ("8dfdea41c7298e48190fe11e7326c737329014304648aa06edf005a12c18d262",
@@ -63,6 +82,8 @@ GOLDEN = {
                      "c82068e315d21815aac8dbaf475393c94ff5b6d12918600a3730e0cb98271643"),
     "usm-fixed-uniform": ("bc81c12b01f660661e13e3bd1bc99c38483215fe30195acba008ece27ca42de8",
                           "f7e0540ac12510ea66b5ea0d3f98eaf5b5c4897cf19095034cc4ff525f035fdd"),
+    "usm-fresh-json-transcripts": ("6d93953b898ec9e63b7b54765fad9dc74f656cddbd9239a7c35309763679469d",
+                                   "9c7ab03412ba26b4f3b069a3ca6152bd0422517bf9c76c602199e29ef3023c36"),
     "usm-json-transcripts": ("c61964a5a7a3eb1e2ecaca418c76bc2792536fbfb9979b4a39db9900c80d98fc",
                              "1684049b369f88b486c2f65c8f9665a0bf9b770c94d53893c47bc1d6545480a1"),
 }

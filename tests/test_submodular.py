@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
 from onlineusm.errors import (
     ConfigError,
     InvalidInstanceError,
@@ -10,11 +11,8 @@ from onlineusm.errors import (
     SizeError,
 )
 from onlineusm.submodular import (
-    CycleFamily,
     DirectedGraph,
     GroundSet,
-    MixtureFamily,
-    RandomCutFamily,
     SubmodularOracle,
     directed_cut_value,
     elements_of,
@@ -24,7 +22,6 @@ from onlineusm.submodular import (
     oracle_from_table,
     random_digraph,
     read_digraph,
-    synth_sequence,
     tabulate,
     value_table,
     verify_submodularity,
@@ -232,10 +229,14 @@ def test_pairwise_marginal_sum_nonnegative_exhaustive():
             assert alpha + beta >= -1e-9
 
 
+def synth(adversary, count):
+    return [adversary.next_oracle(None) for _ in range(count)]
+
+
 def test_synth_cycle_family():
     g1 = DirectedGraph(2, ((1, 2, 1.0),))
     g2 = DirectedGraph(2, ((2, 1, 3.0),))
-    oracles = synth_sequence(CycleFamily((g1, g2)), 4, seed=0)
+    oracles = synth(CycleFunctionAdversary([normalize(g1), normalize(g2)]), 4)
     assert len(oracles) == 4
     assert oracles[0] is oracles[2]
     assert oracles[1] is oracles[3]
@@ -244,47 +245,28 @@ def test_synth_cycle_family():
 
 
 def test_synth_random_deterministic():
-    fam = RandomCutFamily(6, density=0.5)
-    a = synth_sequence(fam, 5, seed=11)
-    b = synth_sequence(fam, 5, seed=11)
+    a = synth(RandomObliviousAdversary(6, 0.5, (0.0, 1.0), seed=11), 5)
+    b = synth(RandomObliviousAdversary(6, 0.5, (0.0, 1.0), seed=11), 5)
     for fa, fb in zip(a, b):
         assert np.array_equal(value_table(fa), value_table(fb))
-    c = synth_sequence(fam, 5, seed=12)
+    c = synth(RandomObliviousAdversary(6, 0.5, (0.0, 1.0), seed=12), 5)
     assert any(not np.array_equal(value_table(x), value_table(y)) for x, y in zip(a, c))
 
 
 def test_synth_random_all_verify():
-    for oracle in synth_sequence(RandomCutFamily(8, density=0.5), 100, seed=21):
+    for oracle in synth(RandomObliviousAdversary(8, 0.5, (0.0, 1.0), seed=21), 100):
         assert verify_submodularity(oracle) is None
-
-
-def test_synth_mixture_deterministic():
-    fam = MixtureFamily(
-        (RandomCutFamily(4, 0.4), CycleFamily((DirectedGraph(4, ((1, 2, 1.0),)),))),
-        weights=(0.5, 0.5),
-    )
-    a = synth_sequence(fam, 10, seed=5)
-    b = synth_sequence(fam, 10, seed=5)
-    for fa, fb in zip(a, b):
-        assert np.array_equal(value_table(fa), value_table(fb))
-
-
-def test_synth_unknown_family_rejected():
-    with pytest.raises(ConfigError):
-        synth_sequence("not-a-family", 3, seed=0)
 
 
 def test_family_validation():
     with pytest.raises(ConfigError):
-        CycleFamily(())
-    with pytest.raises(ConfigError):
-        MixtureFamily((), None)
-    with pytest.raises(ConfigError):
-        MixtureFamily((RandomCutFamily(3),), weights=(1.0, 2.0))
-    with pytest.raises(ConfigError):
         random_digraph(4, 1.5)
     with pytest.raises(ConfigError):
         random_digraph(4, 0.5, (0.5, 0.1))
+    with pytest.raises(ConfigError):
+        RandomObliviousAdversary(4, 1.5, (0.0, 1.0), seed=0).next_oracle(None)
+    with pytest.raises(ConfigError):
+        CycleFunctionAdversary([])
 
 
 def test_graph_file_roundtrip(tmp_path):
