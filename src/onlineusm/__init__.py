@@ -14,7 +14,6 @@ from .adversaries import (
     AdaptiveCutAdversary,
     BUILTIN_COVARIANCE_RULES,
     CycleFunctionAdversary,
-    FixedFunctionAdversary,
     ObliviousBalanceAdversary,
     RandomObliviousAdversary,
     covariance_estimate,

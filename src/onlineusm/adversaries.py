@@ -37,16 +37,15 @@ def extremal_pattern_sequence(pattern: str, rounds: int) -> list[BalancePoint]:
 class ObliviousBalanceAdversary:
     """Fixed point sequence, repeated cyclically; ignores decisions."""
 
-    def __init__(self, points: Sequence[BalancePoint], kind: str = "fixed-sequence"):
+    def __init__(self, points: Sequence[BalancePoint]):
         if not points:
             raise ConfigError("oblivious adversary needs at least one point")
-        self.kind = kind
         self.points = tuple(points)
         self._pos = 0
 
     @classmethod
     def from_pattern(cls, pattern: str) -> "ObliviousBalanceAdversary":
-        return cls(extremal_pattern_sequence(pattern, len(pattern)), kind="extremal-pattern")
+        return cls(extremal_pattern_sequence(pattern, len(pattern)))
 
     def next_point(self, last_decision: Decision | None = None) -> BalancePoint:
         pt = self.points[self._pos % len(self.points)]
@@ -69,14 +68,11 @@ class AdaptiveBalanceAdversary:
     def __init__(self, rule: str):
         if rule not in ADAPTIVE_BALANCE_RULES:
             raise ConfigError(f"unknown adaptive rule {rule!r}; expected one of {ADAPTIVE_BALANCE_RULES}")
-        self.kind = "adaptive-rule"
         self.rule = rule
-        self.history: list[Decision] = []
 
     def next_point(self, last_decision: Decision | None = None) -> BalancePoint:
         if last_decision is None:
             return UP
-        self.history.append(last_decision)
         if self.rule == "punish-last":
             return LEFT if last_decision.chose_yes else RIGHT
         return RIGHT if last_decision.chose_yes else LEFT
@@ -110,7 +106,9 @@ def covariance_estimate(
         raise ConfigError(f"need at least 1000 samples for a meaningful estimate, got {samples}")
     if not 0.0 <= p1 <= 1.0:
         raise ConfigError(f"p1 must be in [0, 1], got {p1}")
-    fn = BUILTIN_COVARIANCE_RULES[rule] if isinstance(rule, str) else rule
+    fn = BUILTIN_COVARIANCE_RULES.get(rule) if isinstance(rule, str) else rule
+    if fn is None:
+        raise ConfigError(f"unknown covariance rule {rule!r}; expected one of {list(BUILTIN_COVARIANCE_RULES)}")
     p2_of = (float(fn(0)), float(fn(1)))
     if not (0.0 <= p2_of[0] <= 1.0 and 0.0 <= p2_of[1] <= 1.0):
         raise ConfigError(f"rule produced probabilities outside [0, 1]: {p2_of}")
@@ -125,24 +123,13 @@ def covariance_estimate(
 
 # --- function adversaries for the online game ---------------------------
 
-class FixedFunctionAdversary:
-    """The same oracle every round."""
-
-    def __init__(self, oracle: SubmodularOracle):
-        self.kind = "fixed-function"
-        self.oracle = oracle
-
-    def next_oracle(self, last_set: int | None = None) -> SubmodularOracle:
-        return self.oracle
-
-
 class CycleFunctionAdversary:
-    """Cycle deterministically through a fixed list of oracles."""
+    """Cycle deterministically through a fixed list of oracles; a fixed
+    function is a cycle of length one."""
 
     def __init__(self, oracles: Sequence[SubmodularOracle]):
         if not oracles:
             raise ConfigError("cycle adversary needs at least one oracle")
-        self.kind = "cycle"
         self.oracles = tuple(oracles)
         self._pos = 0
 
@@ -156,7 +143,6 @@ class RandomObliviousAdversary:
     """A fresh random-digraph cut function each round, seeded up front."""
 
     def __init__(self, n: int, density: float, weight_range: tuple[float, float], seed: int):
-        self.kind = "random-oblivious"
         self.n = n
         self.density = density
         self.weight_range = weight_range
@@ -184,10 +170,8 @@ class AdaptiveCutAdversary:
             raise ConfigError(f"unknown adaptive rule {rule!r}; expected one of {ADAPTIVE_USM_RULES}")
         if n < 2:
             raise ConfigError(f"adaptive cut adversary needs n >= 2, got {n}")
-        self.kind = "adaptive-rule"
         self.rule = rule
         self.n = n
-        self.history: list[int] = []
 
     def _bipartite_into(self, target: int) -> SubmodularOracle:
         edges = []
@@ -201,8 +185,6 @@ class AdaptiveCutAdversary:
 
     def next_oracle(self, last_set: int | None = None) -> SubmodularOracle:
         full = (1 << self.n) - 1
-        if last_set is not None:
-            self.history.append(last_set)
         if last_set is None or last_set in (0, full):
             half = (1 << (self.n // 2)) - 1
             return self._bipartite_into(full & ~half)

@@ -128,10 +128,6 @@ class Balancer:
         if not 0.0 <= self.x <= self.sqrt_horizon:
             raise DomainError(f"x={self.x} outside [0, sqrt(T)={self.sqrt_horizon}]")
 
-    @property
-    def probability(self) -> float:
-        return self.x / self.sqrt_horizon
-
     def decide(self, coin: float) -> Decision:
         p = self.x / self.sqrt_horizon
         return Decision(coin < p, p)
@@ -177,10 +173,6 @@ class TwoExperts:
         self.eta = eta
         self.w_yes = 1.0
         self.w_no = 1.0
-
-    @property
-    def probability(self) -> float:
-        return self.w_yes / (self.w_yes + self.w_no)
 
     def decide(self, coin: float) -> Decision:
         p = self.w_yes / (self.w_yes + self.w_no)

@@ -41,7 +41,7 @@ def build_parser() -> _Parser:
 
     p_usm = sub.add_parser("simulate-usm", help="online submodular maximization game")
     p_usm.add_argument("--n", type=int, required=True, help="ground set size (required)")
-    p_usm.add_argument("--adversary", default="cycle-random:k=4",
+    p_usm.add_argument("--adversary", default=None,
                        help="cycle-random:k=4[,density=..] | fixed-random[:density=..] | "
                             "fresh-random[:density=..] | cycle-files:a.dg;b.dg | fixed-file:a.dg | "
                             "adaptive:punish-last-set")
@@ -50,7 +50,7 @@ def build_parser() -> _Parser:
     _add_common(p_usm, alpha_default="0.5")
 
     p_bal = sub.add_parser("simulate-balance", help="balance subproblem game")
-    p_bal.add_argument("--adversary", default="pattern:URL",
+    p_bal.add_argument("--adversary", default=None,
                        help="pattern:<string over U,R,L> | adaptive:punish-last | adaptive:reward-chase")
     _add_common(p_bal, alpha_default="1")
 
@@ -61,7 +61,7 @@ def build_parser() -> _Parser:
     p_off.add_argument("--trials", type=int, default=10000, help="randomized double-greedy repetitions")
     p_off.add_argument("--seed", type=int, default=0)
     p_off.add_argument("--output", default=None)
-    p_off.add_argument("--format", default="json", choices=["csv", "json"])
+    p_off.add_argument("--format", default="json", choices=["json"])
 
     p_ver = sub.add_parser("verify", help="submodularity check of a graph file's cut function")
     p_ver.add_argument("graph", help="graph file to verify")

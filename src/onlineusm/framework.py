@@ -17,11 +17,10 @@ so a round costs at most 2n + 2 counted queries, comfortably inside the
 4n + 2 budget.  All metrics (best fixed set in hindsight, regret
 series, replay diagnostics) use the oracle's uncounted peek path.
 
-Subroutine i draws one coin per round from its own stream.  A game
-draws each stream's coins for all rounds as one block before the first
-round; a numpy Generator's block equals the same number of sequential
-draws, so the coins, and every output, are those of round-by-round
-drawing.
+Subroutine i decides with one uniform coin per round.  A round takes
+its n coins as an array, coin i for element i; a game draws each
+element's coins for all rounds as one ``random(T)`` block of its own
+stream, which equals T sequential draws.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from .balance import BalancePoint, BalanceSubroutine, Decision
 from .errors import ConfigError, ContractError, SizeError
-from .submodular import ENUMERATION_LIMIT, SubmodularOracle, full_mask, value_table
+from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mask, value_table
 
 
 @dataclass
@@ -78,20 +77,20 @@ def marginal_pair(
 def run_round(
     subroutines: Sequence[BalanceSubroutine],
     f: SubmodularOracle,
-    streams: Sequence[np.random.Generator],
+    coins: Sequence[float],
     *,
     t: int = 1,
 ) -> RoundTranscript:
     """One framework round: decide all elements, then feed back marginals.
 
-    Subroutine i draws exactly one coin from streams[i]; marginals are
-    computed after the chosen set is fixed and reported in index order.
+    Subroutine i decides with ``coins[i]``; marginals are computed after
+    the chosen set is fixed and reported in index order.
     """
     n = f.ground.n
     if len(subroutines) != n:
         raise ConfigError(f"need {n} subroutines, got {len(subroutines)}")
-    if len(streams) != n:
-        raise ConfigError(f"need {n} coin streams, got {len(streams)}")
+    if len(coins) != n:
+        raise ConfigError(f"need {n} coins, got {len(coins)}")
     q0 = f.queries
     x = 0
     y = full_mask(n)
@@ -102,8 +101,8 @@ def run_round(
     others = []
     decisions = []
     bit = 1
-    for sub, stream in zip(subroutines, streams):
-        d = sub.decide(stream.random())
+    for sub, coin in zip(subroutines, coins):
+        d = sub.decide(coin)
         if d.chose_yes:
             others.append(y ^ bit)
             x |= bit
@@ -181,28 +180,6 @@ def fit_growth_exponent(ts: Iterable[float], values: Iterable[float]) -> float:
     return float(np.polyfit(lt, lv, 1)[0])
 
 
-class _CoinBlock:
-    """Stand-in for a coin stream whose ``random()`` replays drawn coins."""
-
-    __slots__ = ("random",)
-
-    def __init__(self, coins: list[float]):
-        self.random = iter(coins).__next__
-
-
-def _coin_blocks(streams: Sequence, count: int) -> Sequence:
-    """``count`` coins per stream, drawn now as one block each.
-
-    A Generator's ``random(count)`` equals ``count`` sequential
-    ``random()`` calls.  Shared or non-Generator streams are returned
-    as they are, since their draws interleave across elements.
-    """
-    distinct = len({id(s) for s in streams}) == len(streams)
-    if not distinct or not all(isinstance(s, np.random.Generator) for s in streams):
-        return streams
-    return [_CoinBlock(s.random(count).tolist()) for s in streams]
-
-
 def run_usm_game(
     subroutines: Sequence[BalanceSubroutine],
     adversary,
@@ -214,7 +191,6 @@ def run_usm_game(
     regret_series: bool = True,
     keep_transcripts: bool = False,
     keep_sets: bool = False,
-    keep_oracles: bool = False,
 ) -> UsmRunResult:
     """Drive ``rounds`` rounds of the framework against a function adversary.
 
@@ -224,18 +200,26 @@ def run_usm_game(
     best fixed set in hindsight, and hence the alpha-regret series, can
     be reported without spending counted queries.
 
-    Each stream's ``rounds`` coins are drawn up front as one
+    ``streams`` holds one distinct Generator per subroutine.  Each
+    stream's ``rounds`` coins are drawn up front as one
     ``random(rounds)`` block, which yields the same values as ``rounds``
     sequential ``random()`` calls and leaves the stream in the same
-    state.  Streams that are not distinct ``numpy`` Generators are drawn
-    from round by round instead.
+    state; round t hands ``run_round`` the array of every stream's coin
+    t.  ``keep_transcripts`` keeps each round's transcript and oracle,
+    which the replay diagnostics read together.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     n = len(subroutines)
+    if n < 1:
+        raise ConfigError("need at least one subroutine")
+    if len(streams) != n:
+        raise ConfigError(f"need {n} coin streams, got {len(streams)}")
+    if len(set(streams)) != n:
+        raise ConfigError("coin streams must be distinct objects, one per subroutine")
     if track_opt and n > ENUMERATION_LIMIT:
         raise SizeError(f"tracking the best fixed set needs n <= {ENUMERATION_LIMIT}")
-    streams = _coin_blocks(streams, rounds)
+    blocks = [s.random(rounds).tolist() for s in streams]
     rewards = np.empty(rounds)
     round_queries = np.empty(rounds, dtype=np.int64)
     cum_opt = np.empty(rounds) if (track_opt and regret_series) else None
@@ -243,18 +227,16 @@ def run_usm_game(
     table_cache: dict[int, np.ndarray] = {}
     transcripts: list[RoundTranscript] | None = [] if keep_transcripts else None
     sets: list[int] | None = [] if keep_sets else None
-    oracles: list[SubmodularOracle] | None = [] if keep_oracles else None
+    oracles: list[SubmodularOracle] | None = [] if keep_transcripts else None
 
     last_set: int | None = None
-    cum_reward = 0.0
-    for t in range(rounds):
+    for t, coins in enumerate(zip(*blocks)):
         f = adversary.next_oracle(last_set)
         if f.ground.n != n:
             raise ConfigError(f"oracle ground size {f.ground.n} != subroutine count {n}")
-        tr = run_round(subroutines, f, streams, t=t + 1)
+        tr = run_round(subroutines, f, coins, t=t + 1)
         reward = f.peek(tr.chosen)
         rewards[t] = reward
-        cum_reward += reward
         round_queries[t] = tr.queries
         if track_opt:
             key = id(f)
@@ -270,10 +252,9 @@ def run_usm_game(
                 cum_opt[t] = cum_table.max()
         if transcripts is not None:
             transcripts.append(tr)
+            oracles.append(f)
         if sets is not None:
             sets.append(tr.chosen)
-        if oracles is not None:
-            oracles.append(f)
         last_set = tr.chosen
 
     cum_rewards = np.cumsum(rewards)
@@ -366,8 +347,6 @@ def opt_tracking_check(
     transcript: RoundTranscript,
     f: SubmodularOracle,
     opt: int,
-    *,
-    tol: float = 1e-9,
 ) -> TrackingViolation | None:
     """Replay one round against a reference set morphing into the choice.
 
@@ -380,7 +359,7 @@ def opt_tracking_check(
         no:  f(X_i) = f(X_{i-1}),  f(Y_i) = f(Y_{i-1}) + beta_i,
              i in OPT     => f(OPT_i) >= f(OPT_{i-1}) - alpha_i.
 
-    Returns None when every relation holds within ``tol``.
+    Returns None when every relation holds within ``VALUE_TOL``.
     """
     n = len(transcript.decisions)
     opt_cur = opt
@@ -394,22 +373,22 @@ def opt_tracking_check(
         fy_prev = f.peek(transcript.y_sets[i - 1])
         fy_cur = f.peek(transcript.y_sets[i])
         if d.chose_yes:
-            if abs(fx_cur - (fx_prev + alpha)) > tol:
+            if abs(fx_cur - (fx_prev + alpha)) > VALUE_TOL:
                 return TrackingViolation(i, "x-gain", fx_cur, fx_prev + alpha)
-            if abs(fy_cur - fy_prev) > tol:
+            if abs(fy_cur - fy_prev) > VALUE_TOL:
                 return TrackingViolation(i, "y-unchanged", fy_cur, fy_prev)
             opt_next = opt_cur | bit
             f_opt_next = f.peek(opt_next)
-            if not opt & bit and f_opt_next < f_opt_cur - beta - tol:
+            if not opt & bit and f_opt_next < f_opt_cur - beta - VALUE_TOL:
                 return TrackingViolation(i, "opt-drop-yes", f_opt_next, f_opt_cur - beta)
         else:
-            if abs(fx_cur - fx_prev) > tol:
+            if abs(fx_cur - fx_prev) > VALUE_TOL:
                 return TrackingViolation(i, "x-unchanged", fx_cur, fx_prev)
-            if abs(fy_cur - (fy_prev + beta)) > tol:
+            if abs(fy_cur - (fy_prev + beta)) > VALUE_TOL:
                 return TrackingViolation(i, "y-gain", fy_cur, fy_prev + beta)
             opt_next = opt_cur & ~bit
             f_opt_next = f.peek(opt_next)
-            if opt & bit and f_opt_next < f_opt_cur - alpha - tol:
+            if opt & bit and f_opt_next < f_opt_cur - alpha - VALUE_TOL:
                 return TrackingViolation(i, "opt-drop-no", f_opt_next, f_opt_cur - alpha)
         opt_cur = opt_next
         f_opt_cur = f_opt_next

@@ -184,23 +184,20 @@ def build_usm_adversary(descriptor: str, n: int, master_seed: int):
         oracle = normalize(graph)
         return tabulate(oracle) if tab else oracle
 
-    if kind == "cycle-random":
-        params = _parse_params(rest, {"k": int, "density": float, "wlo": float, "whi": float}, "cycle-random")
-        k = params.get("k", 4)
+    if kind in ("cycle-random", "fixed-random", "fresh-random"):
+        spec = {"density": float, "wlo": float, "whi": float}
+        if kind == "cycle-random":
+            spec["k"] = int
+        params = _parse_params(rest, spec, kind)
+        density = params.get("density", 0.5)
+        wr = (params.get("wlo", 0.0), params.get("whi", 1.0))
+        if kind == "fresh-random":
+            return adv.RandomObliviousAdversary(n, density, wr, master_seed)
+        k = params.get("k", 4) if kind == "cycle-random" else 1
         if k < 1:
             raise ConfigError(f"cycle-random needs k >= 1, got {k}")
-        wr = (params.get("wlo", 0.0), params.get("whi", 1.0))
-        graphs = [random_digraph(n, params.get("density", 0.5), wr, rng) for _ in range(k)]
+        graphs = [random_digraph(n, density, wr, rng) for _ in range(k)]
         return adv.CycleFunctionAdversary([cut_oracle(g) for g in graphs])
-    if kind == "fixed-random":
-        params = _parse_params(rest, {"density": float, "wlo": float, "whi": float}, "fixed-random")
-        wr = (params.get("wlo", 0.0), params.get("whi", 1.0))
-        g = random_digraph(n, params.get("density", 0.5), wr, rng)
-        return adv.FixedFunctionAdversary(cut_oracle(g))
-    if kind == "fresh-random":
-        params = _parse_params(rest, {"density": float, "wlo": float, "whi": float}, "fresh-random")
-        wr = (params.get("wlo", 0.0), params.get("whi", 1.0))
-        return adv.RandomObliviousAdversary(n, params.get("density", 0.5), wr, master_seed)
     if kind in ("cycle-files", "fixed-file"):
         paths = [p for p in rest.split(";") if p]
         if not paths or (kind == "fixed-file" and len(paths) != 1):
@@ -211,8 +208,6 @@ def build_usm_adversary(descriptor: str, n: int, master_seed: int):
             if g.n != n:
                 raise ConfigError(f"graph {p} has n={g.n}, experiment has n={n}")
             oracles.append(cut_oracle(g))
-        if kind == "fixed-file":
-            return adv.FixedFunctionAdversary(oracles[0])
         return adv.CycleFunctionAdversary(oracles)
     if kind == "adaptive":
         return adv.AdaptiveCutAdversary(n, rest)
@@ -231,8 +226,6 @@ class BalanceRunResult:
     regret: float
     reward_series: np.ndarray | None = None
     pile_series: np.ndarray | None = None
-    decisions: list[bal.Decision] | None = None
-    points: list[bal.BalancePoint] | None = None
 
 
 def run_balance_game(
@@ -254,8 +247,6 @@ def run_balance_game(
     c_no = 0.0
     rewards = np.empty(rounds) if record else None
     piles = np.empty(rounds) if record else None
-    decisions = [] if record else None
-    points = [] if record else None
     prev: bal.Decision | None = None
     next_point = adversary.next_point
     decide = subroutine.decide
@@ -274,8 +265,6 @@ def run_balance_game(
         if record:
             rewards[t] = r_alg
             piles[t] = c_yes if c_yes >= c_no else c_no
-            decisions.append(d)
-            points.append(pt)
         prev = d
     ledger = bal.Ledger(r_alg, c_yes, c_no)
     return BalanceRunResult(
@@ -284,8 +273,6 @@ def run_balance_game(
         regret=bal.balance_alpha_regret(ledger, alpha),
         reward_series=rewards,
         pile_series=piles,
-        decisions=decisions,
-        points=points,
     )
 
 
@@ -304,7 +291,6 @@ def _usm_trial(config: ExperimentConfig, trial: int):
         track_opt=True,
         regret_series=True,
         keep_transcripts=config.keep_transcripts,
-        keep_oracles=config.keep_transcripts,
     )
 
 

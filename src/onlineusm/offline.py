@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .framework import _CoinBlock
 from .submodular import SubmodularOracle, full_mask, value_table
 
 
@@ -73,36 +72,32 @@ def rand_double_greedy(f: SubmodularOracle, rng: np.random.Generator) -> Offline
 
     Positive parts make the rule total: when only one marginal is
     positive that choice is forced, and when both are zero yes is taken.
-    Consumes one uniform draw per element.
+    Draws the n coins as one ``rng.random(n)`` block, the same values as
+    n sequential draws, coin i for element i.
     """
 
-    random = rng.random
+    coin = iter(rng.random(f.ground.n).tolist()).__next__
 
     def choose(a: float, b: float) -> bool:
         ap = a if a > 0.0 else 0.0
         bp = b if b > 0.0 else 0.0
         p = 1.0 if ap + bp <= 0.0 else ap / (ap + bp)
-        return random() < p
+        return coin() < p
 
     chosen, value = _double_greedy_sweep(f, choose)
     return OfflineResult(chosen=chosen, value=value)
 
 
 def rand_double_greedy_stats(f: SubmodularOracle, trials: int, seed: int) -> OfflineResult:
-    """Repeat the randomized sweep; report the best run plus mean/std.
-
-    Each sweep's n coins are drawn as one ``random(n)`` block, the same
-    values as n sequential draws.
-    """
+    """Repeat the randomized sweep; report the best run plus mean/std."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    n = f.ground.n
     values = np.empty(trials)
     best_set = 0
     best_value = -np.inf
     for k in range(trials):
-        res = rand_double_greedy(f, _CoinBlock(rng.random(n).tolist()))
+        res = rand_double_greedy(f, rng)
         values[k] = res.value
         if res.value > best_value:
             best_value = res.value

@@ -34,6 +34,9 @@ Mask = int
 ENUMERATION_LIMIT = 20
 #: largest n for which the exhaustive submodularity check runs
 EXHAUSTIVE_VERIFY_LIMIT = 16
+#: float drift allowed when function values are compared: the [0, 1]
+#: range of a table, diminishing returns, the replay relations
+VALUE_TOL = 1e-9
 
 
 def full_mask(n: int) -> Mask:
@@ -199,7 +202,7 @@ def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
     table = np.asarray(values, dtype=float)
     if table.ndim != 1 or table.size < 2 or table.size & (table.size - 1):
         raise InvalidInstanceError(f"table length {table.size} is not a power of two >= 2")
-    if table.min() < -1e-9 or table.max() > 1.0 + 1e-9:
+    if table.min() < -VALUE_TOL or table.max() > 1.0 + VALUE_TOL:
         raise InvalidInstanceError("table values must lie in [0, 1]")
     n = int(table.size.bit_length() - 1)
     return SubmodularOracle(GroundSet(n), memoryview(table).__getitem__, table=table.copy)
@@ -245,7 +248,7 @@ def _submasks_ascending(s: Mask) -> list[Mask]:
     return subs
 
 
-def _first_violation_scan(table: np.ndarray, n: int, tol: float) -> tuple[Mask, Mask, int]:
+def _first_violation_scan(table: np.ndarray, n: int) -> tuple[Mask, Mask, int]:
     # Canonical order: S ascending, T (subset of S) ascending, i ascending.
     for s in range(1 << n):
         for t in _submasks_ascending(s):
@@ -253,7 +256,7 @@ def _first_violation_scan(table: np.ndarray, n: int, tol: float) -> tuple[Mask, 
                 bit = 1 << i
                 if s & bit:
                     continue
-                if _marginal(table, s, bit) > _marginal(table, t, bit) + tol:
+                if _marginal(table, s, bit) > _marginal(table, t, bit) + VALUE_TOL:
                     return (s, t, i + 1)
     raise AssertionError("violation vanished during ordered rescan")
 
@@ -261,20 +264,19 @@ def _first_violation_scan(table: np.ndarray, n: int, tol: float) -> tuple[Mask, 
 def verify_submodularity(
     oracle: SubmodularOracle,
     *,
-    tol: float = 1e-9,
     samples: int | None = None,
     seed: int = 0,
 ) -> tuple[Mask, Mask, int] | None:
     """Check diminishing returns; None on pass, else first witness (S, T, i).
 
     The exhaustive mode (default, n <= 16) checks f(S+i) - f(S) <=
-    f(T+i) - f(T) + tol for every T subset of S with i outside S, and on
+    f(T+i) - f(T) + VALUE_TOL for every T subset of S with i outside S, and on
     failure reports the first violating triple in (S asc, T asc, i asc)
     order.  ``samples`` switches to randomized triples for larger n.
     """
     n = oracle.ground.n
     if samples is not None:
-        return _verify_sampled(oracle, samples=samples, tol=tol, seed=seed)
+        return _verify_sampled(oracle, samples=samples, seed=seed)
     if n > EXHAUSTIVE_VERIFY_LIMIT:
         raise SizeError(
             f"exhaustive check needs n <= {EXHAUSTIVE_VERIFY_LIMIT}, got {n}; "
@@ -296,13 +298,13 @@ def verify_submodularity(
             bj = 1 << j
             lo = masks[(masks & bj) == 0]
             sup[lo] = np.maximum(sup[lo], sup[lo | bj])
-        if np.any(sup[without] > gain[without] + tol):
-            return _first_violation_scan(table, n, tol)
+        if np.any(sup[without] > gain[without] + VALUE_TOL):
+            return _first_violation_scan(table, n)
     return None
 
 
 def _verify_sampled(
-    oracle: SubmodularOracle, *, samples: int, tol: float, seed: int
+    oracle: SubmodularOracle, *, samples: int, seed: int
 ) -> tuple[Mask, Mask, int] | None:
     if samples < 1:
         raise ConfigError(f"sample count must be >= 1, got {samples}")
@@ -319,7 +321,7 @@ def _verify_sampled(
         bit = 1 << i
         big = oracle.evaluate(s | bit) - oracle.evaluate(s)
         small = oracle.evaluate(t | bit) - oracle.evaluate(t)
-        if big > small + tol:
+        if big > small + VALUE_TOL:
             return (s, t, i + 1)
     return None
 

@@ -222,7 +222,7 @@ def test_6_round_replay_relations():
         streams = [coin_stream(SEED + run_id, 0, i) for i in range(n)]
         res = run_usm_game(
             subs, adversary, rounds, streams,
-            keep_transcripts=True, keep_oracles=True, regret_series=False,
+            keep_transcripts=True, regret_series=False,
         )
         tables = {}
         total = 0.0

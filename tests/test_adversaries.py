@@ -6,7 +6,6 @@ from onlineusm.adversaries import (
     AdaptiveCutAdversary,
     BUILTIN_COVARIANCE_RULES,
     CycleFunctionAdversary,
-    FixedFunctionAdversary,
     ObliviousBalanceAdversary,
     RandomObliviousAdversary,
     covariance_estimate,
@@ -56,7 +55,8 @@ def test_adaptive_punish_last():
     assert adv.next_point(None) == UP  # declared default first move
     assert adv.next_point(Decision(True, 0.5)) == LEFT
     assert adv.next_point(Decision(False, 0.5)) == RIGHT
-    assert len(adv.history) == 2
+    # each point depends on the last decision only
+    assert [adv.next_point(Decision(True, p)) for p in (0.1, 0.9)] == [LEFT, LEFT]
 
 
 def test_adaptive_reward_chase():
@@ -71,13 +71,24 @@ def test_unknown_adaptive_rule():
         AdaptiveBalanceAdversary("exploit")
 
 
+class PointSpy:
+    """Records every point the wrapped balance adversary emits."""
+
+    def __init__(self, adversary):
+        self.adversary = adversary
+        self.points = []
+
+    def next_point(self, last_decision=None):
+        pt = self.adversary.next_point(last_decision)
+        self.points.append(pt)
+        return pt
+
+
 def test_oblivious_sequence_independent_of_algorithm_seed():
     def points_with(seed):
-        adv = ObliviousBalanceAdversary.from_pattern("URRL")
-        res = run_balance_game(
-            Balancer(64), adv, 64, np.random.default_rng(seed), record=True
-        )
-        return res.points
+        spy = PointSpy(ObliviousBalanceAdversary.from_pattern("URRL"))
+        run_balance_game(Balancer(64), spy, 64, np.random.default_rng(seed), record=True)
+        return spy.points
 
     assert points_with(1) == points_with(999)
 
@@ -114,10 +125,17 @@ def test_covariance_custom_rule_and_validation():
         covariance_estimate("copy", samples=2000, seed=0, p1=1.5)
 
 
+def test_covariance_unknown_rule_name_lists_the_builtin_rules():
+    with pytest.raises(ConfigError, match="'nope'") as exc:
+        covariance_estimate("nope", samples=1000, seed=1)
+    for name in BUILTIN_COVARIANCE_RULES:
+        assert name in str(exc.value)
+
+
 # --- function adversaries ---------------------------------------------------
 
 def test_fixed_and_cycle_function_adversaries(single_edge_oracle):
-    fixed = FixedFunctionAdversary(single_edge_oracle)
+    fixed = CycleFunctionAdversary([single_edge_oracle])
     assert fixed.next_oracle(None) is single_edge_oracle
     assert fixed.next_oracle(0b01) is single_edge_oracle
 
@@ -147,7 +165,13 @@ def test_adaptive_cut_adversary_punishes_last_set():
         assert verify_submodularity(f) is None
         assert f.peek(last) == 0.0  # the punished set is worthless now
         assert value_table(f).max() > 0.0
-    assert adv.history == [0b000111, 0b101010, 0b000001]
+        # the cut of the complete bipartite digraph from the complement into
+        # the last set: f(S) = |S minus last| * |last minus S|, normalized
+        outside = [bin(s & ~last).count("1") for s in range(1 << 6)]
+        inside = [bin(last & ~s).count("1") for s in range(1 << 6)]
+        size = bin(last).count("1")
+        want = np.multiply(outside, inside) / ((6 - size) * size)
+        assert np.allclose(value_table(f), want, rtol=0.0, atol=1e-12)
 
 
 def test_adaptive_cut_adversary_edge_cases():

@@ -85,6 +85,15 @@ def test_offline_subcommand():
     assert summary["opt"]["value"] >= summary["det_double_greedy"]["value"] - 1e-9
 
 
+def test_offline_rejects_csv_output(tmp_path, capsys):
+    # offline writes one summary object and no rows, so json is its only format
+    out = tmp_path / "x.csv"
+    argv = ["offline", "--n", "6", "--trials", "10", "--format", "csv", "--output", str(out)]
+    assert cli.main(argv) == 1
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_pass_exit_zero(tmp_path):
     g = random_digraph(5, 0.6, (0.0, 1.0), np.random.default_rng(3))
     p = tmp_path / "ok.dg"

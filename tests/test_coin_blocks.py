@@ -1,17 +1,20 @@
 """Coins drawn as blocks are the coins drawn one at a time.
 
-A game draws each stream's coins for all its rounds as one
-``random(T)`` block, and the offline ladder draws each sweep's coins as
-one ``random(n)`` block.  These tests pin that the blocks change no
-coin: the results, and the streams' states afterwards, are those of
-sequential ``random()`` calls.
+A round takes its n coins as an array, coin i for element i.  A game
+draws each stream's coins for all its rounds as one ``random(T)``
+block, and a randomized offline sweep draws its n coins as one
+``random(n)`` block.  These tests pin that the blocks change no coin:
+the results, and the streams' states afterwards, are those of
+sequential ``random()`` calls.  A game needs one distinct stream per
+subroutine, and rejects anything else before it draws.
 """
 
 import numpy as np
 import pytest
 
 from onlineusm.adversaries import CycleFunctionAdversary
-from onlineusm.balance import Balancer, TwoExperts
+from onlineusm.balance import Balancer, ConstantPolicy, TwoExperts
+from onlineusm.errors import ConfigError
 from onlineusm.framework import run_round, run_usm_game
 from onlineusm.offline import rand_double_greedy, rand_double_greedy_stats
 from onlineusm.submodular import normalize, random_digraph, tabulate
@@ -38,33 +41,57 @@ def test_game_leaves_each_stream_after_rounds_draws(rounds):
         assert stream.random() == twin.random()
 
 
-@pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("make", [Balancer, TwoExperts])
-def test_game_equals_rounds_on_sequential_streams(make, shared):
-    # Shared streams interleave their draws across elements, so the game
-    # must draw from them round by round; distinct ones go as blocks.
+def test_game_equals_rounds_on_sequential_streams(make):
     n, rounds = 4, 60
     oracles = cut_oracles(n, (5, 6, 7))
-
-    def streams():
-        return [np.random.default_rng(9)] * n if shared else streams_for(n, seed=9)
-
     res = run_usm_game([make(rounds) for _ in range(n)], CycleFunctionAdversary(oracles),
-                       rounds, streams(), keep_transcripts=True)
+                       rounds, streams_for(n, seed=9), keep_transcripts=True)
     subs = [make(rounds) for _ in range(n)]
-    plain = streams()
+    plain = streams_for(n, seed=9)
     for t, tr in enumerate(res.transcripts):
-        want = run_round(subs, oracles[t % len(oracles)], plain, t=t + 1)
+        coins = [stream.random() for stream in plain]
+        want = run_round(subs, oracles[t % len(oracles)], coins, t=t + 1)
         assert (tr.chosen, tr.decisions, tr.marginals) == (want.chosen, want.decisions, want.marginals)
 
 
-def test_run_round_draws_one_coin_per_element_from_generators():
+def test_game_rejects_repeated_streams():
+    n = 4
+    stream = np.random.default_rng(9)
+    repeated = streams_for(n, seed=9)
+    repeated[0] = repeated[1]
+    for streams in ([stream] * n, repeated):
+        with pytest.raises(ConfigError, match="distinct"):
+            run_usm_game([Balancer(10) for _ in range(n)],
+                         CycleFunctionAdversary(cut_oracles(n, (5,))), 10, streams)
+    assert stream.random() == np.random.default_rng(9).random()  # nothing was drawn
+
+
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_game_rejects_a_wrong_stream_count(count):
+    n = 4
+    with pytest.raises(ConfigError, match=f"need {n} coin streams, got {count}"):
+        run_usm_game([Balancer(10) for _ in range(n)],
+                     CycleFunctionAdversary(cut_oracles(n, (5,))), 10, streams_for(count, seed=1))
+
+
+def test_run_round_decides_element_i_from_coin_i():
+    # ConstantPolicy(0.5) says yes exactly when its coin is below 0.5
     n = 6
-    streams = streams_for(n, seed=4)
-    run_round([Balancer(10) for _ in range(n)], cut_oracles(n, (8,))[0], streams)
-    for stream, twin in zip(streams, streams_for(n, seed=4)):
-        twin.random()
-        assert stream.random() == twin.random()
+    coins = [0.1, 0.9, 0.4, 0.6, 0.0, 0.99]
+    tr = run_round([ConstantPolicy(0.5) for _ in range(n)], cut_oracles(n, (8,))[0], coins)
+    assert [d.chose_yes for d in tr.decisions] == [c < 0.5 for c in coins]
+    assert tr.chosen == 0b010101
+    with pytest.raises(ConfigError, match="coins"):
+        run_round([ConstantPolicy(0.5) for _ in range(n)], cut_oracles(n, (8,))[0], coins[:-1])
+
+
+def test_sweep_draws_one_coin_per_element():
+    f = cut_oracles(9, (12,))[0]
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    rand_double_greedy(f, rng)
+    twin.random(9)
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("trials", [1, 2, 300])

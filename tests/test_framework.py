@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from onlineusm.adversaries import CycleFunctionAdversary, FixedFunctionAdversary
+from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, ConstantPolicy
 from onlineusm.errors import ConfigError, ContractError, SizeError
 from onlineusm.framework import (
@@ -31,6 +31,11 @@ from conftest import grow_only_oracle
 
 def streams_for(n, seed=0):
     return [np.random.default_rng((seed, i)) for i in range(n)]
+
+
+def coins_for(n, seed=0):
+    """One round's coins: the first draw of each of ``streams_for(n, seed)``."""
+    return [stream.random() for stream in streams_for(n, seed)]
 
 
 def random_cut_oracle(n, seed, density=0.5):
@@ -75,14 +80,14 @@ def test_marginal_pair_contract_errors(single_edge_oracle):
 
 def test_run_round_forced_yes_single_element():
     f = oracle_from_table([0.0, 1.0])
-    tr = run_round([ConstantPolicy(1.0)], f, streams_for(1))
+    tr = run_round([ConstantPolicy(1.0)], f, coins_for(1))
     assert tr.chosen == 0b1
     assert tr.x_sets == (0, 1) and tr.y_sets == (1, 1)
 
 
 def test_run_round_always_no_shrinks_y():
     f = random_cut_oracle(4, seed=3)
-    tr = run_round([ConstantPolicy(0.0) for _ in range(4)], f, streams_for(4))
+    tr = run_round([ConstantPolicy(0.0) for _ in range(4)], f, coins_for(4))
     assert tr.chosen == 0
     assert tr.y_sets == (0b1111, 0b1110, 0b1100, 0b1000, 0b0000)
     assert tr.x_sets == (0, 0, 0, 0, 0)
@@ -92,7 +97,7 @@ def test_run_round_transcript_invariants():
     n = 6
     f = random_cut_oracle(n, seed=11)
     subs = [Balancer(64) for _ in range(n)]
-    tr = run_round(subs, f, streams_for(n))
+    tr = run_round(subs, f, coins_for(n))
     for i in range(n + 1):
         assert tr.x_sets[i] & ~tr.y_sets[i] == 0  # X inside Y
     assert tr.x_sets[n] == tr.y_sets[n] == tr.chosen
@@ -105,7 +110,7 @@ def test_run_round_query_budget_n8():
     f = random_cut_oracle(n, seed=5)
     subs = [Balancer(100) for _ in range(n)]
     before = f.queries
-    tr = run_round(subs, f, streams_for(n))
+    tr = run_round(subs, f, coins_for(n))
     assert tr.queries == f.queries - before
     assert tr.queries <= 34
     assert tr.queries <= 4 * n + 2
@@ -115,7 +120,7 @@ def test_run_round_marginals_match_direct_recompute():
     n = 5
     f = random_cut_oracle(n, seed=8)
     subs = [ConstantPolicy(0.5) for _ in range(n)]
-    tr = run_round(subs, f, streams_for(n, seed=4))
+    tr = run_round(subs, f, coins_for(n, seed=4))
     for i in range(1, n + 1):
         bit = 1 << (i - 1)
         x_prev, y_prev = tr.x_sets[i - 1], tr.y_sets[i - 1]
@@ -128,15 +133,15 @@ def test_run_round_no_cross_round_caching():
     n = 4
     f = random_cut_oracle(n, seed=2)
     subs = [ConstantPolicy(1.0) for _ in range(n)]
-    tr1 = run_round(subs, f, streams_for(n))
-    tr2 = run_round(subs, f, streams_for(n))
+    tr1 = run_round(subs, f, coins_for(n))
+    tr2 = run_round(subs, f, coins_for(n))
     assert tr2.queries == tr1.queries  # second identical round pays again
 
 
 def test_run_round_subroutine_count_mismatch():
     f = random_cut_oracle(3, seed=1)
     with pytest.raises(ConfigError):
-        run_round([ConstantPolicy(1.0)], f, streams_for(1))
+        run_round([ConstantPolicy(1.0)], f, coins_for(1))
 
 
 # --- usm_alpha_regret ----------------------------------------------------
@@ -176,12 +181,12 @@ def test_usm_alpha_regret_supplied_opt_and_size_error():
 
 def run_recorded(n, rounds, subs_factory, oracle_seed=0, coin_seed=0):
     f = random_cut_oracle(n, seed=oracle_seed)
-    adversary = FixedFunctionAdversary(f)
+    adversary = CycleFunctionAdversary([f])
     subs = [subs_factory() for _ in range(n)]
     streams = streams_for(n, seed=coin_seed)
     return run_usm_game(
         subs, adversary, rounds, streams,
-        keep_transcripts=True, keep_oracles=True,
+        keep_transcripts=True,
     )
 
 
@@ -202,7 +207,7 @@ def test_opt_tracking_flags_non_submodular():
     n = 4
     f = grow_only_oracle(n)
     subs = [ConstantPolicy(1.0) for _ in range(n)]  # feedback ignored, no triangle check
-    tr = run_round(subs, f, streams_for(n))
+    tr = run_round(subs, f, coins_for(n))
     violation = opt_tracking_check(tr, f, opt=0)
     assert violation is not None
     assert violation.relation == "opt-drop-yes"
@@ -225,7 +230,7 @@ def test_earlier_subroutine_inputs_ignore_later_seeds():
     f = random_cut_oracle(n, seed=6)
 
     def run_with(stream_seeds):
-        adversary = FixedFunctionAdversary(f)
+        adversary = CycleFunctionAdversary([f])
         subs = [Balancer(rounds) for _ in range(n)]
         streams = [np.random.default_rng(s) for s in stream_seeds]
         return run_usm_game(subs, adversary, rounds, streams, keep_transcripts=True)
@@ -252,7 +257,7 @@ def test_run_result_series_invariants():
     subs = [Balancer(rounds) for _ in range(n)]
     res = run_usm_game(
         subs, adversary, rounds, streams_for(n, seed=2),
-        alpha=0.5, keep_sets=True, keep_oracles=True,
+        alpha=0.5, keep_sets=True, keep_transcripts=True,
     )
     assert np.allclose(np.cumsum(res.rewards), res.cum_rewards)
     assert np.all(np.diff(np.cumsum(res.round_queries)) >= 0)
@@ -270,17 +275,19 @@ def test_run_result_series_invariants():
 def test_run_usm_game_errors():
     n = 3
     f = random_cut_oracle(n, seed=4)
-    adversary = FixedFunctionAdversary(f)
+    adversary = CycleFunctionAdversary([f])
     subs = [ConstantPolicy(1.0) for _ in range(n)]
     with pytest.raises(ConfigError):
         run_usm_game(subs, adversary, 0, streams_for(n))
     with pytest.raises(ConfigError):
         run_usm_game([ConstantPolicy(1.0)], adversary, 5, streams_for(1))
+    with pytest.raises(ConfigError, match="at least one subroutine"):
+        run_usm_game([], adversary, 5, [])
     big = SubmodularOracle(GroundSet(21), lambda m: 0.0)
     with pytest.raises(SizeError):
         run_usm_game(
             [ConstantPolicy(1.0) for _ in range(21)],
-            FixedFunctionAdversary(big),
+            CycleFunctionAdversary([big]),
             2,
             streams_for(21),
             track_opt=True,
@@ -292,7 +299,7 @@ def test_always_no_rewards_are_empty_set_values():
     f = random_cut_oracle(n, seed=13)
     res = run_usm_game(
         [ConstantPolicy(0.0) for _ in range(n)],
-        FixedFunctionAdversary(f),
+        CycleFunctionAdversary([f]),
         9,
         streams_for(n),
     )

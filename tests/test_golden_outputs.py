@@ -10,6 +10,10 @@ any digest is a change of behaviour and has to say so.
 come from stale value tables (ROADMAP item 1), and a golden digest would
 pin that defect.  With retention their outputs are correct and
 repeatable (the summary reports 0 replay failures).
+
+The file-based descriptors read graphs that each case writes first, with
+``write_digraph`` from a seeded ``random_digraph``, into the temporary
+directory under the relative names ``g0.dg`` and ``g1.dg``.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ import hashlib
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from onlineusm import cli
+from onlineusm import cli, random_digraph, write_digraph
 
 USM = ["simulate-usm", "--n", "6", "--rounds", "150", "--trials", "2", "--seed", "3"]
 
@@ -47,6 +52,10 @@ CASES = {
     "usm-adaptive-json-transcripts": USM + ["--adversary", "adaptive:punish-last-set",
                                             "--subroutine", "balancer", "--format", "json",
                                             "--keep-transcripts", "--output", "out.json"],
+    "usm-fixed-file": USM + ["--adversary", "fixed-file:g0.dg", "--subroutine", "balancer",
+                             "--output", "out.csv"],
+    "usm-cycle-files": USM + ["--adversary", "cycle-files:g0.dg;g1.dg", "--subroutine", "balancer",
+                              "--output", "out.csv"],
     "usm-cycle-always-no": USM + ["--adversary", "cycle-random:k=3", "--subroutine", "always-no",
                                   "--output", "out.csv"],
     "balance-csv": ["simulate-balance", "--rounds", "300", "--trials", "2", "--seed", "3",
@@ -78,6 +87,10 @@ GOLDEN = {
                           "0bd3a5330dd1e1dd7bc3a39ebb9bd91ad160d9843e6286392dc5ad5aa3d78a42"),
     "usm-fixed-balancer": ("41c0492f1abf9a435ce36092d8db700cea8eacc70ea0cf439503b434d8072498",
                            "f2e5e0b98ac119d26f8a2d300a5d330ad884a3d74573db8f08335b88848253fd"),
+    "usm-fixed-file": ("a331b1983621a0a8d9d8de708376fc5687a64e17b1ad19125b00d7be541476f7",
+                       "dc721286b13c44e5af429fd17760cf87da2ce925f8e0047e6b50078b6de2e039"),
+    "usm-cycle-files": ("87e0bf029a08daacbe023e9af725d691a59a69f5ad9fe0b7b9fd89808951f374",
+                        "455aab2371e512f81593c72c17586fbc5b33e98c029d67d653a87dad08fb898f"),
     "usm-fixed-mw": ("977b653c54cfb982950c7ec921145fd105fa66a1b102ebdb719325983a8eb4e6",
                      "c82068e315d21815aac8dbaf475393c94ff5b6d12918600a3730e0cb98271643"),
     "usm-fixed-uniform": ("bc81c12b01f660661e13e3bd1bc99c38483215fe30195acba008ece27ca42de8",
@@ -98,7 +111,14 @@ def _run(argv: list[str]) -> tuple[str, str]:
             hashlib.sha256(stdout.getvalue().encode()).hexdigest())
 
 
+def _write_graphs(directory: Path) -> None:
+    for k in range(2):
+        g = random_digraph(6, 0.5, (0.0, 1.0), np.random.default_rng(k))
+        write_digraph(directory / f"g{k}.dg", g)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_output(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    _write_graphs(tmp_path)
     assert _run(CASES[case]) == GOLDEN[case]

@@ -18,7 +18,7 @@ from onlineusm.harness import (
     run_experiment,
     write_results,
 )
-from onlineusm.submodular import write_digraph, random_digraph
+from onlineusm.submodular import normalize, random_digraph, value_table, write_digraph
 
 
 # --- config parsing -------------------------------------------------------
@@ -214,18 +214,42 @@ def test_usm_always_no_zero_rewards():
         assert row[2] == 0.0  # cut value of the empty set
 
 
+def test_fixed_random_is_a_one_function_cycle():
+    # fixed-random draws the graph cycle-random:k=1 draws, from the same seed
+    for params in ("", ":density=0.3,wlo=0.2,whi=0.9"):
+        fixed = build_usm_adversary("fixed-random" + params, 5, 8)
+        cycle = build_usm_adversary("cycle-random:k=1" + params.replace(":", ","), 5, 8)
+        assert len(fixed.oracles) == 1
+        assert np.array_equal(value_table(fixed.oracles[0]), value_table(cycle.oracles[0]))
+        assert all(fixed.next_oracle(s) is fixed.oracles[0] for s in (None, 0, 0b11111))
+    for kind in ("fixed-random", "fresh-random"):
+        with pytest.raises(ConfigError, match=f"unknown {kind} parameter 'k'"):
+            build_usm_adversary(f"{kind}:k=2", 5, 8)
+
+
 def test_usm_adversary_files_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    paths = []
+    graphs, paths = [], []
     for k in range(2):
         g = random_digraph(4, 0.7, (0.0, 1.0), rng)
         p = tmp_path / f"g{k}.dg"
         write_digraph(p, g)
+        graphs.append(g)
         paths.append(str(p))
-    adv = build_usm_adversary(f"cycle-files:{paths[0]};{paths[1]}", 4, 0)
-    assert adv.kind == "cycle"
+    tables = [value_table(normalize(g)) for g in graphs]
+
+    def emitted(descriptor, rounds):
+        adv = build_usm_adversary(descriptor, 4, 0)
+        return [value_table(adv.next_oracle(None)) for _ in range(rounds)]
+
+    for got, want in zip(emitted(f"cycle-files:{paths[0]};{paths[1]}", 5), [0, 1, 0, 1, 0]):
+        assert np.allclose(got, tables[want], rtol=0.0, atol=1e-12)
+    for got in emitted(f"fixed-file:{paths[1]}", 3):
+        assert np.allclose(got, tables[1], rtol=0.0, atol=1e-12)
     with pytest.raises(ConfigError):
         build_usm_adversary(f"cycle-files:{paths[0]}", 5, 0)  # n mismatch
+    with pytest.raises(ConfigError, match="fixed-file"):
+        build_usm_adversary(f"fixed-file:{paths[0]};{paths[1]}", 4, 0)  # one path only
 
 
 # --- output ----------------------------------------------------------------

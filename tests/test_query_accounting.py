@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from onlineusm.adversaries import CycleFunctionAdversary, FixedFunctionAdversary
+from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, TwoExperts
 from onlineusm.errors import InvalidSubsetError
 from onlineusm.framework import run_usm_game
@@ -62,7 +62,7 @@ def test_round_queries_are_the_distinct_masks(backing, make):
     rounds = 40
     f = BACKINGS[backing](3)
     streams = [np.random.default_rng((2, i)) for i in range(N)]
-    res = run_usm_game([make(rounds) for _ in range(N)], FixedFunctionAdversary(f), rounds,
+    res = run_usm_game([make(rounds) for _ in range(N)], CycleFunctionAdversary([f]), rounds,
                        streams, keep_transcripts=True)
     assert [tr.queries for tr in res.transcripts] == [distinct_masks(tr) for tr in res.transcripts]
     assert res.round_queries.tolist() == [tr.queries for tr in res.transcripts]
