@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ConfigError(f"--format must be csv or json, got {self.format!r}")
         if self.keep_transcripts and self.format == "csv" and self.output:
             raise ConfigError("--keep-transcripts diagnostics need --format json")
+        if self.game in ("offline", "verify") and self.format == "csv" and self.output:
+            raise ConfigError(f"{self.game} writes one summary object and no rows; it needs --format json")
         if self.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {self.seed}")
         if self.game == "usm":

@@ -154,6 +154,19 @@ class SubmodularOracle:
             self._queries += 1
         return self._fn(s)
 
+    def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
+        """Return f at each mask of a 1-D integer array, counting one query per entry.
+
+        The whole array is range-checked before anything is counted, and a
+        repeated mask counts once per entry, as the same ``evaluate`` calls
+        would.
+        """
+        if masks.size and (masks.min() < 0 or masks.max() > self._full):
+            raise InvalidSubsetError(f"a subset in the batch lies outside ground set of size {self.ground.n}")
+        with self._lock:
+            self._queries += masks.size
+        return np.fromiter(map(self._fn, masks.tolist()), float, masks.size)
+
     def peek(self, s: Mask) -> float:
         """Return f(s) without touching the query counter.
 

@@ -2,9 +2,9 @@
 
 A round takes its n coins as an array, coin i for element i.  A game
 draws each stream's coins for all its rounds as one ``random(T)``
-block, and a randomized offline sweep draws its n coins as one
-``random(n)`` block.  These tests pin that the blocks change no coin:
-the results, and the streams' states afterwards, are those of
+block, and a randomized offline walk of k sweeps draws its coins as
+one ``random((k, n))`` block.  These tests pin that the blocks change
+no coin: the results, and the streams' states afterwards, are those of
 sequential ``random()`` calls.  A game needs one distinct stream per
 subroutine, and rejects anything else before it draws.
 """
@@ -16,7 +16,7 @@ from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, ConstantPolicy, TwoExperts
 from onlineusm.errors import ConfigError
 from onlineusm.framework import run_round, run_usm_game
-from onlineusm.offline import rand_double_greedy, rand_double_greedy_stats
+from onlineusm.offline import _BLOCK, rand_double_greedy, rand_double_greedy_stats
 from onlineusm.submodular import normalize, random_digraph, tabulate
 
 
@@ -94,11 +94,26 @@ def test_sweep_draws_one_coin_per_element():
     assert rng.random() == twin.random()
 
 
-@pytest.mark.parametrize("trials", [1, 2, 300])
-def test_stats_equal_a_loop_of_sequential_sweeps(trials):
-    f = cut_oracles(9, (12,))[0]
+@pytest.mark.parametrize("trials", [1, 2, 300, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_stats_equal_a_loop_of_sequential_sweeps(trials, monkeypatch):
+    n = 9
+    f = cut_oracles(n, (12,))[0]
     seed = 21
+    made = []
+    default_rng = np.random.default_rng
+
+    def keep_stream(*args):
+        made.append(default_rng(*args))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", keep_stream)
     got = rand_double_greedy_stats(f, trials, seed)
+    monkeypatch.undo()
+    (stream,) = made
+    twin = np.random.default_rng(np.random.SeedSequence([seed]))
+    for _ in range(trials * n):
+        twin.random()
+    assert stream.random() == twin.random()
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     runs = [rand_double_greedy(f, rng) for _ in range(trials)]

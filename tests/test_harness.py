@@ -70,6 +70,18 @@ def test_parse_rejects_csv_transcripts():
         ).validated()
 
 
+@pytest.mark.parametrize("game, extra", [("offline", {"n": 6, "trials": 10}), ("verify", {"graph": "g.dg"})])
+def test_summary_games_reject_csv_output(game, extra, tmp_path):
+    # offline and verify write one summary object and no rows; a csv file
+    # would hold only the online-game header
+    with pytest.raises(ConfigError, match="json"):
+        ExperimentConfig(game=game, output=str(tmp_path / "x.csv"), **extra).validated()
+    # without an output the default format is never used, so it still
+    # validates (test_offline_game_summary runs such a config)
+    assert ExperimentConfig(game=game, **extra).validated().format == "csv"
+    ExperimentConfig(game=game, format="json", output=str(tmp_path / "x.json"), **extra).validated()
+
+
 def test_validation_misc():
     with pytest.raises(ConfigError):
         ExperimentConfig(game="nope", rounds=5).validated()

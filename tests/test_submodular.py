@@ -120,17 +120,61 @@ def test_peek_does_not_count(single_edge_oracle):
 
 def test_counter_thread_safe(single_edge_oracle):
     f = single_edge_oracle
+    batch = np.array([0b01, 0b10, 0b11], dtype=np.int64)
 
     def hammer():
         for _ in range(500):
             f.evaluate(0b01)
 
+    def hammer_many():
+        for _ in range(500):
+            f.evaluate_many(batch)
+
     threads = [threading.Thread(target=hammer) for _ in range(8)]
+    threads += [threading.Thread(target=hammer_many) for _ in range(4)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert f.queries == 4000
+    assert f.queries == 4000 + 4 * 500 * batch.size
+
+
+def _backed_oracles(n, seed):
+    """The same cut function behind a table, a graph and a plain callable."""
+    g = random_digraph(n, 0.5, (0.0, 1.0), np.random.default_rng(seed))
+    cut = normalize(g)
+    return {"table": tabulate(cut), "cut": cut, "function": SubmodularOracle(GroundSet(n), cut.peek)}
+
+
+@pytest.mark.parametrize("backing", ["table", "cut", "function"])
+def test_evaluate_many_returns_the_floats_of_evaluate(backing):
+    n = 6
+    f = _backed_oracles(n, 17)[backing]
+    masks = np.random.default_rng(3).integers(0, 1 << n, size=40)
+    got = f.evaluate_many(masks)
+    assert got.dtype == np.float64 and got.shape == (40,)
+    want = [f.evaluate(m) for m in masks.tolist()]
+    assert all(type(v) is float for v in want)
+    assert got.tolist() == want
+    assert f.queries == 80
+
+
+def test_evaluate_many_counts_every_entry(single_edge_oracle):
+    f = single_edge_oracle
+    f.evaluate_many(np.array([0b01, 0b01, 0b01, 0b00], dtype=np.int64))
+    assert f.queries == 4
+    empty = f.evaluate_many(np.array([], dtype=np.int64))
+    assert empty.shape == (0,)
+    assert f.queries == 4
+
+
+@pytest.mark.parametrize("bad", [-1, 0b100])
+def test_evaluate_many_rejects_out_of_range_before_counting(single_edge_oracle, bad):
+    f = single_edge_oracle
+    f.evaluate(0b01)
+    with pytest.raises(InvalidSubsetError):
+        f.evaluate_many(np.array([0b00, 0b11, bad], dtype=np.int64))
+    assert f.queries == 1
 
 
 def test_oracle_from_table_validation():
