@@ -14,6 +14,7 @@ query budget go through :meth:`SubmodularOracle.peek` instead.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -125,7 +126,8 @@ class SubmodularOracle:
 
     ``table``, when given, returns a fresh array of all 2^n values by
     increasing bitmask; :func:`value_table` uses it in place of 2^n
-    peeks.
+    peeks.  An oracle made by :func:`oracle_from_table` also keeps that
+    array in ``_values``, which :meth:`evaluate_many` gathers from.
     """
 
     def __init__(
@@ -139,6 +141,7 @@ class SubmodularOracle:
         self._full = ground.full
         self._fn = fn
         self._all_values = table
+        self._values: np.ndarray | None = None
         self._queries = 0
         self._lock = threading.Lock()
 
@@ -157,14 +160,22 @@ class SubmodularOracle:
     def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
         """Return f at each mask of a 1-D integer array, counting one query per entry.
 
-        The whole array is range-checked before anything is counted, and a
-        repeated mask counts once per entry, as the same ``evaluate`` calls
-        would.
+        A mask array that is not of an integer dtype, or that holds a mask
+        outside the ground set, raises before anything is counted; a
+        repeated mask counts once per entry, as the same ``evaluate``
+        calls would.  A table-backed oracle answers with one gather from
+        its table, any other with one ``fn`` call per entry; either way
+        the result is a fresh float64 array of the floats ``evaluate``
+        returns.
         """
+        if masks.dtype.kind not in "iu":
+            raise InvalidSubsetError(f"subset masks must be integers, got dtype {masks.dtype}")
         if masks.size and (masks.min() < 0 or masks.max() > self._full):
             raise InvalidSubsetError(f"a subset in the batch lies outside ground set of size {self.ground.n}")
         with self._lock:
             self._queries += masks.size
+        if self._values is not None:
+            return self._values[masks]
         return np.fromiter(map(self._fn, masks.tolist()), float, masks.size)
 
     def peek(self, s: Mask) -> float:
@@ -183,10 +194,14 @@ def normalize(g: DirectedGraph) -> SubmodularOracle:
 
     Dividing by the total weight (1 for the edgeless graph) is cheap,
     keeps the argmax, and preserves submodularity; no cut can exceed the
-    total weight, so the range requirement holds.
+    total weight, so the range requirement holds.  A total weight whose
+    sum or reciprocal is not finite (an overflowing sum, a subnormal
+    total) raises :class:`InvalidInstanceError`.
     """
     w = g.total_weight
     scale = 1.0 / w if w > 0 else 1.0
+    if not (math.isfinite(w) and math.isfinite(scale)):
+        raise InvalidInstanceError(f"total edge weight {w!r} cannot be scaled into [0, 1]")
 
     def fn(s: Mask, _g: DirectedGraph = g, _scale: float = scale) -> float:
         return directed_cut_value(_g, s) * _scale
@@ -195,30 +210,44 @@ def normalize(g: DirectedGraph) -> SubmodularOracle:
 
 
 def _cut_table(g: DirectedGraph, scale: float) -> np.ndarray:
-    """All 2^n cut values of ``g`` times ``scale``, one numpy pass per edge."""
-    masks = np.arange(1 << g.n, dtype=np.int64)
-    acc = np.zeros(1 << g.n, dtype=float)
+    """All 2^n cut values of ``g`` times ``scale``.
+
+    Each edge adds its weight, in edge order, to the entries whose mask
+    has u and lacks v: an in-place add on the view of the table as a
+    (2,)*n cube, where axis n - i holds bit i - 1, indexed 1 on u's axis
+    and 0 on v's.  Every entry sums the same doubles in the same order as
+    :func:`directed_cut_value`, so the table equals its peeks bit for bit.
+    """
+    n = g.n
+    acc = np.zeros(1 << n, dtype=float)
+    cube = acc.reshape((2,) * n)
     for u, v, w in g.edges:
-        src = (masks >> (u - 1)) & 1
-        dst = (masks >> (v - 1)) & 1
-        acc += w * (src & (1 - dst))
+        idx = [slice(None)] * n
+        idx[n - u] = 1
+        idx[n - v] = 0
+        cube[tuple(idx)] += w
     return acc * scale
 
 
 def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
-    """Oracle backed by an explicit table of 2^n values in [0, 1].
+    """Oracle backed by an explicit table of 2^n finite values in [0, 1].
 
-    Lookups go through a zero-copy ``memoryview`` of the table, which
-    returns the same Python float as ``float(table[s])`` without a numpy
-    scalar per query and without a list copy of the table.
+    A single lookup goes through a zero-copy ``memoryview`` of the table,
+    which returns the same Python float as ``float(table[s])`` without a
+    numpy scalar per query and without a list copy of the table.  A batch
+    lookup (:meth:`SubmodularOracle.evaluate_many`) is one gather from
+    the table, kept in the oracle's private ``_values``.
     """
     table = np.asarray(values, dtype=float)
     if table.ndim != 1 or table.size < 2 or table.size & (table.size - 1):
         raise InvalidInstanceError(f"table length {table.size} is not a power of two >= 2")
-    if table.min() < -VALUE_TOL or table.max() > 1.0 + VALUE_TOL:
-        raise InvalidInstanceError("table values must lie in [0, 1]")
+    # min/max propagate nan, and every comparison with nan is false
+    if not (table.min() >= -VALUE_TOL and table.max() <= 1.0 + VALUE_TOL):
+        raise InvalidInstanceError("table values must be finite and lie in [0, 1]")
     n = int(table.size.bit_length() - 1)
-    return SubmodularOracle(GroundSet(n), memoryview(table).__getitem__, table=table.copy)
+    oracle = SubmodularOracle(GroundSet(n), memoryview(table).__getitem__, table=table.copy)
+    oracle._values = table
+    return oracle
 
 
 def value_table(oracle: SubmodularOracle) -> np.ndarray:

@@ -1,7 +1,10 @@
+import math
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
 from onlineusm.errors import (
@@ -26,6 +29,7 @@ from onlineusm.submodular import (
     value_table,
     verify_submodularity,
     write_digraph,
+    _cut_table,
 )
 
 from conftest import grow_only_oracle, naive_first_violation
@@ -140,13 +144,25 @@ def test_counter_thread_safe(single_edge_oracle):
 
 
 def _backed_oracles(n, seed):
-    """The same cut function behind a table, a graph and a plain callable."""
+    """The same cut function behind tables (contiguous, from a list, strided), a graph and a plain callable."""
     g = random_digraph(n, 0.5, (0.0, 1.0), np.random.default_rng(seed))
     cut = normalize(g)
-    return {"table": tabulate(cut), "cut": cut, "function": SubmodularOracle(GroundSet(n), cut.peek)}
+    table = value_table(cut)
+    strided = np.repeat(table, 2)[::2]
+    assert not strided.flags.c_contiguous
+    return {
+        "table": tabulate(cut),
+        "cut": cut,
+        "function": SubmodularOracle(GroundSet(n), cut.peek),
+        "list-table": oracle_from_table(table.tolist()),
+        "strided-table": oracle_from_table(strided),
+    }
 
 
-@pytest.mark.parametrize("backing", ["table", "cut", "function"])
+BACKINGS = ["table", "cut", "function", "list-table", "strided-table"]
+
+
+@pytest.mark.parametrize("backing", BACKINGS)
 def test_evaluate_many_returns_the_floats_of_evaluate(backing):
     n = 6
     f = _backed_oracles(n, 17)[backing]
@@ -177,6 +193,43 @@ def test_evaluate_many_rejects_out_of_range_before_counting(single_edge_oracle, 
     assert f.queries == 1
 
 
+@pytest.mark.parametrize("backing", BACKINGS)
+def test_evaluate_many_returns_a_fresh_array(backing):
+    f = _backed_oracles(5, 4)[backing]
+    masks = np.arange(1 << 5, dtype=np.int64)
+    want = f.evaluate_many(masks).tolist()
+    got = f.evaluate_many(masks)
+    got[:] = 7.0
+    assert f.evaluate_many(masks).tolist() == want
+    assert [f.evaluate(m) for m in range(1 << 5)] == want
+    assert [f.peek(m) for m in range(1 << 5)] == want
+
+
+@pytest.mark.parametrize("backing", BACKINGS)
+@pytest.mark.parametrize("dtype", [np.int32, np.uint64])
+def test_evaluate_many_takes_any_integer_dtype(backing, dtype):
+    f = _backed_oracles(6, 9)[backing]
+    masks = np.random.default_rng(5).integers(0, 1 << 6, size=30)
+    want = f.evaluate_many(masks.astype(np.int64))
+    got = f.evaluate_many(masks.astype(dtype))
+    assert got.dtype == np.float64
+    assert got.tolist() == want.tolist()
+    assert f.queries == 60
+
+
+@pytest.mark.parametrize("backing", BACKINGS)
+@pytest.mark.parametrize(
+    "masks", [np.array([True, False, True]), np.array([0.0, 1.0, 3.0])], ids=["bool", "float"]
+)
+def test_evaluate_many_rejects_non_integer_masks_before_counting(backing, masks):
+    # a gather would read a bool array as a selection, not as the masks 0 and 1
+    f = _backed_oracles(2, 6)[backing]
+    f.evaluate(0b01)
+    with pytest.raises(InvalidSubsetError):
+        f.evaluate_many(masks)
+    assert f.queries == 1
+
+
 def test_oracle_from_table_validation():
     with pytest.raises(InvalidInstanceError):
         oracle_from_table([0.0, 0.5, 1.0])  # not a power of two
@@ -189,6 +242,89 @@ def test_value_table_matches_peek(cut_corpus):
         table = value_table(oracle)
         probe = np.array([oracle.peek(m) for m in range(1 << n)])
         assert np.allclose(table, probe, atol=1e-12)
+
+
+def test_oracle_from_table_rejects_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInstanceError):
+            oracle_from_table([0.0, bad])
+    with pytest.raises(InvalidInstanceError):
+        oracle_from_table(np.array([0.0, 0.5, math.nan, 1.0]))
+
+
+def test_normalize_rejects_a_total_weight_it_cannot_scale():
+    with pytest.raises(InvalidInstanceError):
+        normalize(DirectedGraph(2, ((1, 2, 5e-324),)))  # 1 / w overflows
+    with pytest.raises(InvalidInstanceError):
+        normalize(DirectedGraph(3, ((1, 2, 1e308), (2, 3, 1e308))))  # the sum overflows
+    with pytest.raises(InvalidInstanceError):
+        normalize(DirectedGraph(2, ((1, 2, math.inf),)))
+    # a tiny total whose reciprocal is finite still scales
+    assert normalize(DirectedGraph(2, ((1, 2, 1e-300),))).peek(0b01) == pytest.approx(1.0)
+
+
+def reference_cut_table(g, scale):
+    """The per-edge integer pass ``_cut_table`` made before the cube view, kept verbatim."""
+    masks = np.arange(1 << g.n, dtype=np.int64)
+    acc = np.zeros(1 << g.n, dtype=float)
+    for u, v, w in g.edges:
+        src = (masks >> (u - 1)) & 1
+        dst = (masks >> (v - 1)) & 1
+        acc += w * (src & (1 - dst))
+    return acc * scale
+
+
+_edge_weights = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e6),
+)
+
+
+@st.composite
+def digraphs(draw, max_n=12):
+    """Random digraphs with repeated (u, v) pairs, zero and subnormal weights."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    edges = []
+    if pairs:
+        edges = draw(st.lists(st.tuples(st.sampled_from(pairs), _edge_weights), max_size=3 * n))
+        if edges:
+            edges += draw(st.lists(st.sampled_from(edges), max_size=n))  # repeats
+            edges = draw(st.permutations(edges))
+    return DirectedGraph(n, tuple((u, v, w) for (u, v), w in edges))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(), st.sampled_from([None, 1.0, 0.1, 3.0]))
+@example(DirectedGraph(1, ()), None)
+@example(DirectedGraph(5, ()), None)
+@example(DirectedGraph(3, ((1, 2, 0.1), (1, 2, 0.2), (2, 3, 5e-324), (1, 2, 0.0))), None)
+def test_cut_table_is_the_per_edge_pass_bit_for_bit(g, scale):
+    if scale is None:  # the scale normalize takes, where it is finite
+        w = g.total_weight
+        scale = 1.0 / w if w > 0 and math.isfinite(1.0 / w) else 1.0
+    got = _cut_table(g, scale)
+    want = reference_cut_table(g, scale)
+    assert got.dtype == np.float64 and got.shape == (1 << g.n,)
+    assert _hex(got) == _hex(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(max_n=9))
+@example(DirectedGraph(4, ()))
+def test_value_table_equals_the_peeks_bit_for_bit(g):
+    total = g.total_weight
+    if total > 0 and not math.isfinite(1.0 / total):
+        with pytest.raises(InvalidInstanceError):
+            normalize(g)
+        return
+    oracle = normalize(g)
+    assert _hex(value_table(oracle)) == _hex(oracle.peek(m) for m in range(1 << g.n))
 
 
 def test_value_table_size_error():
