@@ -19,18 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from .errors import DomainError, InvalidPointError
 
 
-@dataclass(frozen=True)
-class BalancePoint:
+class BalancePoint(NamedTuple):
     """Adversary move (alpha, beta); valid points satisfy
     -1 <= alpha, beta <= 1 and alpha + beta >= 0 (up to float drift).
 
-    Construction does not validate so that callers can represent and
-    test out-of-triangle data; consuming operations enforce membership.
+    An immutable tuple, so ``a, b = pt`` unpacks it.  Construction does
+    not validate so that callers can represent and test out-of-triangle
+    data; consuming operations enforce membership.
     """
 
     alpha: float
@@ -91,10 +91,21 @@ def decompose(pt: BalancePoint) -> ConvexWeights:
     return ConvexWeights(c_up, c_right, c_left)
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
+    """One round's move: the action taken and its yes-probability.
+
+    An immutable tuple of two fields, so it is always truthy: read
+    ``d.chose_yes``, never ``if d:``.
+    """
+
     chose_yes: bool
     p_used: float
+
+
+#: ``_record(Decision, (yes, p))`` builds the same record as
+#: ``Decision(yes, p)`` without the Python frame of the generated
+#: ``__new__``, at half the cost; every round builds one per element
+_record = tuple.__new__
 
 
 class BalanceSubroutine(Protocol):
@@ -102,7 +113,9 @@ class BalanceSubroutine(Protocol):
 
     ``decide`` must depend only on internal state and the coin (one
     uniform [0,1) draw per round, always consumed); the revealed point
-    arrives later through ``update``.
+    arrives later through ``update``.  Both records are immutable
+    tuples: a :class:`Decision` is always truthy (read ``.chose_yes``),
+    and a :class:`BalancePoint` unpacks as ``alpha, beta``.
     """
 
     def decide(self, coin: float) -> Decision: ...
@@ -130,10 +143,10 @@ class Balancer:
 
     def decide(self, coin: float) -> Decision:
         p = self.x / self.sqrt_horizon
-        return Decision(coin < p, p)
+        return _record(Decision, (coin < p, p))
 
     def update(self, pt: BalancePoint) -> None:
-        a, b = pt.alpha, pt.beta
+        a, b = pt
         if not _in_triangle(a, b):
             raise InvalidPointError(f"({a}, {b}) outside triangle; is the function submodular?")
         c_up = 0.5 * (a + b)
@@ -176,7 +189,7 @@ class TwoExperts:
 
     def decide(self, coin: float) -> Decision:
         p = self.w_yes / (self.w_yes + self.w_no)
-        return Decision(coin < p, p)
+        return _record(Decision, (coin < p, p))
 
     def update(self, pt: BalancePoint) -> None:
         wy = self.w_yes * math.exp(self.eta * 0.5 * (pt.alpha + 1.0))
@@ -195,7 +208,7 @@ class ConstantPolicy:
         self.p = p
 
     def decide(self, coin: float) -> Decision:
-        return Decision(coin < self.p, self.p)
+        return _record(Decision, (coin < self.p, self.p))
 
     def update(self, pt: BalancePoint) -> None:
         pass

@@ -26,7 +26,7 @@ stream, which equals T sequential draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,14 +35,17 @@ from .errors import ConfigError, ContractError, SizeError
 from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mask, value_table
 
 
-@dataclass
-class RoundTranscript:
-    """Everything one round did: decisions, marginals, set trajectories."""
+class RoundTranscript(NamedTuple):
+    """Everything one round did: decisions, marginals, set trajectories.
+
+    An immutable tuple; ``marginals[i]`` is the very :class:`BalancePoint`
+    that subroutine i + 1 was fed, and unpacks as ``alpha, beta``.
+    """
 
     t: int
     chosen: int
     decisions: tuple[Decision, ...]
-    marginals: tuple[tuple[float, float], ...]
+    marginals: tuple[BalancePoint, ...]
     x_sets: tuple[int, ...]  # X_0..X_n as bitmasks
     y_sets: tuple[int, ...]  # Y_0..Y_n
     queries: int
@@ -83,8 +86,11 @@ def run_round(
 ) -> RoundTranscript:
     """One framework round: decide all elements, then feed back marginals.
 
-    Subroutine i decides with ``coins[i]``; marginals are computed after
-    the chosen set is fixed and reported in index order.
+    Three passes in turn: every subroutine decides (subroutine i with
+    ``coins[i]``); one walk over the decisions builds the X and Y
+    chains, which fix the chosen set; then each subroutine, in index
+    order, is fed its marginal point, the same object the transcript
+    keeps.
     """
     n = f.ground.n
     if len(subroutines) != n:
@@ -92,6 +98,8 @@ def run_round(
     if len(coins) != n:
         raise ConfigError(f"need {n} coins, got {len(coins)}")
     q0 = f.queries
+    decisions = [sub.decide(coin) for sub, coin in zip(subroutines, coins)]
+
     x = 0
     y = full_mask(n)
     xs = [0]
@@ -99,17 +107,14 @@ def run_round(
     # the mask each element's marginals need beyond the X and Y chains:
     # Y_{i-1} - i after a yes, X_{i-1} + i after a no
     others = []
-    decisions = []
     bit = 1
-    for sub, coin in zip(subroutines, coins):
-        d = sub.decide(coin)
+    for d in decisions:
         if d.chose_yes:
             others.append(y ^ bit)
             x |= bit
         else:
             others.append(x | bit)
             y ^= bit
-        decisions.append(d)
         xs.append(x)
         ys.append(y)
         bit <<= 1
@@ -119,13 +124,15 @@ def run_round(
     # counted query.
     evaluate = f.evaluate
     value = {m: evaluate(m) for m in {*xs, *ys, *others}}
+    # tuple.__new__ builds the same BalancePoint as the class call, at
+    # half the cost (no Python frame for the generated __new__)
+    record = tuple.__new__
     marginals = []
     bit = 1
     for sub, xprev, yprev in zip(subroutines, xs, ys):
-        alpha = value[xprev | bit] - value[xprev]
-        beta = value[yprev ^ bit] - value[yprev]
-        sub.update(BalancePoint(alpha, beta))
-        marginals.append((alpha, beta))
+        pt = record(BalancePoint, (value[xprev | bit] - value[xprev], value[yprev ^ bit] - value[yprev]))
+        sub.update(pt)
+        marginals.append(pt)
         bit <<= 1
 
     return RoundTranscript(
@@ -249,7 +256,8 @@ def run_usm_game(
             else:
                 cum_table += table
             if cum_opt is not None:
-                cum_opt[t] = cum_table.max()
+                # the float .max() gives, without its Python-level wrapper
+                cum_opt[t] = np.maximum.reduce(cum_table)
         if transcripts is not None:
             transcripts.append(tr)
             oracles.append(f)

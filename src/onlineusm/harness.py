@@ -242,7 +242,10 @@ def run_balance_game(
     """Play ``rounds`` rounds: decide, reveal, update, settle the ledger.
 
     Adaptive adversaries see only strictly past decisions; the round's
-    point is fixed before the round's coin is drawn.
+    point is fixed before the round's coin is read.  The ``rounds``
+    coins are drawn up front as one ``rng.random(rounds)`` block, which
+    yields the same values as ``rounds`` sequential ``random()`` calls
+    and leaves ``rng`` in the same state.
     """
     r_alg = 0.0
     c_yes = 0.0
@@ -253,10 +256,9 @@ def run_balance_game(
     next_point = adversary.next_point
     decide = subroutine.decide
     update = subroutine.update
-    random = rng.random
-    for t in range(rounds):
+    for t, coin in enumerate(rng.random(rounds).tolist()):
         pt = next_point(prev)
-        d = decide(random())
+        d = decide(coin)
         update(pt)
         if d.chose_yes:
             r_alg += 0.5 * pt.alpha

@@ -83,7 +83,11 @@ class GroundSet:
 
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Weighted digraph on vertices 1..n; the test-instance family."""
+    """Weighted digraph on vertices 1..n; the test-instance family.
+
+    Every weight must be finite and nonnegative; anything else raises
+    :class:`InvalidInstanceError`.
+    """
 
     n: int
     edges: tuple[tuple[int, int, float], ...]
@@ -97,6 +101,8 @@ class DirectedGraph:
                 raise InvalidInstanceError(f"edge ({u}, {v}) outside vertex range 1..{self.n}")
             if u == v:
                 raise InvalidInstanceError(f"self-loop at vertex {u}")
+            if not math.isfinite(w):
+                raise InvalidInstanceError(f"non-finite weight {w} on edge ({u}, {v})")
             if w < 0:
                 raise InvalidInstanceError(f"negative weight {w} on edge ({u}, {v})")
 
@@ -236,9 +242,11 @@ def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
     which returns the same Python float as ``float(table[s])`` without a
     numpy scalar per query and without a list copy of the table.  A batch
     lookup (:meth:`SubmodularOracle.evaluate_many`) is one gather from
-    the table, kept in the oracle's private ``_values``.
+    the table, kept in the oracle's private ``_values``.  The table is a
+    copy of ``values``, so later writes to the caller's array do not
+    reach the oracle.
     """
-    table = np.asarray(values, dtype=float)
+    table = np.array(values, dtype=float)
     if table.ndim != 1 or table.size < 2 or table.size & (table.size - 1):
         raise InvalidInstanceError(f"table length {table.size} is not a power of two >= 2")
     # min/max propagate nan, and every comparison with nan is false

@@ -110,6 +110,19 @@ def test_verify_malformed_file_exit_one(tmp_path):
     assert proc.returncode == 1
 
 
+def test_non_finite_weight_in_a_graph_file_exit_one(tmp_path):
+    p = tmp_path / "inf.dg"
+    p.write_text("digraph 3\n1 2 0.5\n2 3 inf\n")
+    proc = run_cli("verify", str(p))
+    assert proc.returncode == 1
+    assert "non-finite" in proc.stderr
+    p = tmp_path / "nan.dg"
+    p.write_text("digraph 3\n1 2 nan\n2 3 0.5\n")
+    proc = run_cli("offline", "--graph", str(p), "--trials", "10")
+    assert proc.returncode == 1
+    assert "non-finite" in proc.stderr
+
+
 def test_verify_too_large_exit_one(tmp_path):
     g = random_digraph(17, 0.05, (0.0, 1.0), np.random.default_rng(0))
     p = tmp_path / "big.dg"

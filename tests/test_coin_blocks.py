@@ -2,8 +2,9 @@
 
 A round takes its n coins as an array, coin i for element i.  A game
 draws each stream's coins for all its rounds as one ``random(T)``
-block, and a randomized offline walk of k sweeps draws its coins as
-one ``random((k, n))`` block.  These tests pin that the blocks change
+block, the balance game draws its T coins as one ``random(T)`` block,
+and a randomized offline walk of k sweeps draws its coins as one
+``random((k, n))`` block.  These tests pin that the blocks change
 no coin: the results, and the streams' states afterwards, are those of
 sequential ``random()`` calls.  A game needs one distinct stream per
 subroutine, and rejects anything else before it draws.
@@ -16,6 +17,7 @@ from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, ConstantPolicy, TwoExperts
 from onlineusm.errors import ConfigError
 from onlineusm.framework import run_round, run_usm_game
+from onlineusm.harness import build_balance_adversary, run_balance_game
 from onlineusm.offline import _BLOCK, rand_double_greedy, rand_double_greedy_stats
 from onlineusm.submodular import normalize, random_digraph, tabulate
 
@@ -53,6 +55,51 @@ def test_game_equals_rounds_on_sequential_streams(make):
         coins = [stream.random() for stream in plain]
         want = run_round(subs, oracles[t % len(oracles)], coins, t=t + 1)
         assert (tr.chosen, tr.decisions, tr.marginals) == (want.chosen, want.decisions, want.marginals)
+
+
+def reference_balance_game(subroutine, adversary, rounds, rng):
+    """The balance game's loop as it was with one ``rng.random()`` per round:
+    returns (r_alg, c_yes, c_no), the reward series and the pile series."""
+    r_alg = 0.0
+    c_yes = 0.0
+    c_no = 0.0
+    rewards = np.empty(rounds)
+    piles = np.empty(rounds)
+    prev = None
+    next_point = adversary.next_point
+    decide = subroutine.decide
+    update = subroutine.update
+    random = rng.random
+    for t in range(rounds):
+        pt = next_point(prev)
+        d = decide(random())
+        update(pt)
+        if d.chose_yes:
+            r_alg += 0.5 * pt.alpha
+            c_no += pt.beta
+        else:
+            r_alg += 0.5 * pt.beta
+            c_yes += pt.alpha
+        rewards[t] = r_alg
+        piles[t] = c_yes if c_yes >= c_no else c_no
+        prev = d
+    return (r_alg, c_yes, c_no), rewards, piles
+
+
+@pytest.mark.parametrize("adversary", ["pattern:URL", "adaptive:punish-last"])
+@pytest.mark.parametrize("rounds", [1, 2, 999])
+def test_balance_game_equals_a_per_round_draw_loop(adversary, rounds):
+    rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+    got = run_balance_game(Balancer(rounds), build_balance_adversary(adversary), rounds, rng,
+                           record=True)
+    (r_alg, c_yes, c_no), rewards, piles = reference_balance_game(
+        Balancer(rounds), build_balance_adversary(adversary), rounds, twin)
+    ledger = got.ledger
+    assert [v.hex() for v in (ledger.r_alg, ledger.c_yes, ledger.c_no)] == \
+        [v.hex() for v in (r_alg, c_yes, c_no)]
+    assert got.reward_series.tobytes() == rewards.tobytes()
+    assert got.pile_series.tobytes() == piles.tobytes()
+    assert rng.random() == twin.random()  # both streams end in the same state
 
 
 def test_game_rejects_repeated_streams():

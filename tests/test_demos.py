@@ -1,8 +1,5 @@
-"""Smoke test: the demos that drive the online round and the offline
-sweeps run to completion.
-
-``balance_pacing.py`` is left out: it takes several seconds and uses
-only the balance game.
+"""Smoke test: the demos of the online round, the balance game and the
+offline sweeps run to completion.
 """
 
 import os
@@ -15,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["online_game.py", "offline_ladder.py"])
+@pytest.mark.parametrize("demo", ["online_game.py", "balance_pacing.py", "offline_ladder.py"])
 def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

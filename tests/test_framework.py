@@ -1,12 +1,17 @@
 import math
+import pickle
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from onlineusm.adversaries import CycleFunctionAdversary
-from onlineusm.balance import Balancer, ConstantPolicy
+from onlineusm.balance import BalancePoint, Balancer, ConstantPolicy, Decision, DoublingHorizon
 from onlineusm.errors import ConfigError, ContractError, SizeError
 from onlineusm.framework import (
+    RoundTranscript,
     fit_growth_exponent,
     marginal_pair,
     opt_drop_margin,
@@ -16,14 +21,18 @@ from onlineusm.framework import (
     usm_alpha_regret,
     value_identity_residual,
 )
+from onlineusm.harness import SUBROUTINE_NAMES, build_subroutine
 from onlineusm.offline import brute_force_opt
 from onlineusm.submodular import (
+    DirectedGraph,
     GroundSet,
     SubmodularOracle,
+    full_mask,
     normalize,
     oracle_from_table,
     random_digraph,
     tabulate,
+    value_table,
 )
 
 from conftest import grow_only_oracle
@@ -142,6 +151,144 @@ def test_run_round_subroutine_count_mismatch():
     f = random_cut_oracle(3, seed=1)
     with pytest.raises(ConfigError):
         run_round([ConstantPolicy(1.0)], f, coins_for(1))
+
+
+# --- run_round against the round it replaced ------------------------------
+
+def reference_round(subroutines, f, coins, *, t=1):
+    """The single-loop round that ``run_round``'s three passes replaced,
+    past its argument checks; returns the transcript's fields as a dict."""
+    n = f.ground.n
+    q0 = f.queries
+    x = 0
+    y = full_mask(n)
+    xs = [0]
+    ys = [y]
+    others = []
+    decisions = []
+    bit = 1
+    for sub, coin in zip(subroutines, coins):
+        d = sub.decide(coin)
+        if d.chose_yes:
+            others.append(y ^ bit)
+            x |= bit
+        else:
+            others.append(x | bit)
+            y ^= bit
+        decisions.append(d)
+        xs.append(x)
+        ys.append(y)
+        bit <<= 1
+
+    evaluate = f.evaluate
+    value = {m: evaluate(m) for m in {*xs, *ys, *others}}
+    marginals = []
+    bit = 1
+    for sub, xprev, yprev in zip(subroutines, xs, ys):
+        alpha = value[xprev | bit] - value[xprev]
+        beta = value[yprev ^ bit] - value[yprev]
+        sub.update(BalancePoint(alpha, beta))
+        marginals.append((alpha, beta))
+        bit <<= 1
+
+    return dict(
+        t=t,
+        chosen=x,
+        decisions=tuple(decisions),
+        marginals=tuple(marginals),
+        x_sets=tuple(xs),
+        y_sets=tuple(ys),
+        queries=f.queries - q0,
+    )
+
+
+def _bits(value):
+    """A value with every float spelled by ``float.hex``, for bit-for-bit equality."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def subroutine_state(sub):
+    """Every attribute of a subroutine, floats by their bits, inner subroutines unfolded."""
+    return {k: subroutine_state(v) if hasattr(v, "decide") else _bits(v)
+            for k, v in vars(sub).items() if not callable(v)}
+
+
+@st.composite
+def cut_table_cycles(draw, max_n=8):
+    """One to three normalized cut tables of random digraphs on the same n <= max_n vertices."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        picked = draw(st.lists(st.tuples(st.sampled_from(pairs), st.floats(0.0, 1.0)),
+                               max_size=3 * n)) if pairs else []
+        g = DirectedGraph(n, tuple((u, v, w) for (u, v), w in picked))
+        assume(g.total_weight == 0.0 or math.isfinite(1.0 / g.total_weight))
+        tables.append(np.clip(value_table(normalize(g)), 0.0, 1.0))
+    return n, tables
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cycle=cut_table_cycles(),
+    name=st.sampled_from(SUBROUTINE_NAMES),
+    doubling=st.booleans(),
+    rounds=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_round_is_the_reference_round_bit_for_bit(cycle, name, doubling, rounds, seed):
+    n, tables = cycle
+
+    def make():
+        if doubling:
+            return DoublingHorizon(partial(build_subroutine, name))
+        return build_subroutine(name, rounds)
+
+    got_subs = [make() for _ in range(n)]
+    want_subs = [make() for _ in range(n)]
+    got_oracles = [oracle_from_table(t) for t in tables]
+    want_oracles = [oracle_from_table(t) for t in tables]
+    coins = np.random.default_rng(seed).random((rounds, n)).tolist()
+    for r in range(rounds):
+        k = r % len(tables)
+        got = run_round(got_subs, got_oracles[k], coins[r], t=r + 1)
+        want = reference_round(want_subs, want_oracles[k], coins[r], t=r + 1)
+        assert _bits(list(got._asdict().values())) == _bits(list(want.values()))
+        assert [type(d) for d in got.decisions] == [Decision] * n
+        assert [type(pt) for pt in got.marginals] == [BalancePoint] * n
+    assert [subroutine_state(s) for s in got_subs] == [subroutine_state(s) for s in want_subs]
+    assert [f.queries for f in got_oracles] == [f.queries for f in want_oracles]
+
+
+def test_run_round_feeds_each_subroutine_the_point_it_records():
+    fed = []
+
+    class Recorder(ConstantPolicy):
+        def update(self, pt):
+            fed.append(pt)
+
+    n = 5
+    tr = run_round([Recorder(0.5) for _ in range(n)], random_cut_oracle(n, seed=8), coins_for(n))
+    assert len(fed) == n and all(a is b for a, b in zip(fed, tr.marginals))
+
+
+def test_round_records_are_immutable_and_pickle():
+    n = 4
+    tr = run_round([Balancer(16) for _ in range(n)], random_cut_oracle(n, seed=6), coins_for(n))
+    records = [(tr, "chosen", 0), (tr.decisions[0], "chose_yes", False),
+               (tr.marginals[0], "alpha", 0.0)]
+    for record, field, value in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        back = pickle.loads(pickle.dumps(record))
+        assert type(back) is type(record) and back == record
+    assert isinstance(tr, RoundTranscript) and pickle.loads(pickle.dumps(tr)).marginals == tr.marginals
+    # a record is a nonempty tuple, so it is truthy whatever it holds
+    assert Decision(False, 0.0) and BalancePoint(0.0, 0.0)
 
 
 # --- usm_alpha_regret ----------------------------------------------------

@@ -57,6 +57,14 @@ def test_ground_set_and_graph_validation():
         DirectedGraph(2, ((1, 2, -0.5),))
 
 
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_graph_rejects_a_non_finite_weight(w):
+    with pytest.raises(InvalidInstanceError, match="non-finite"):
+        DirectedGraph(2, ((1, 2, w),))
+    with pytest.raises(InvalidInstanceError, match="non-finite"):
+        DirectedGraph(3, ((1, 2, 0.5), (2, 3, w)))
+
+
 def test_directed_cut_single_edge():
     g = DirectedGraph(2, ((1, 2, 1.0),))
     assert directed_cut_value(g, mask_of([1])) == 1.0
@@ -250,6 +258,16 @@ def test_oracle_from_table_rejects_non_finite_values():
             oracle_from_table([0.0, bad])
     with pytest.raises(InvalidInstanceError):
         oracle_from_table(np.array([0.0, 0.5, math.nan, 1.0]))
+
+
+def test_oracle_from_table_copies_its_input():
+    t = np.zeros(4)
+    o = oracle_from_table(t)
+    t[1] = 5.0
+    t[2] = math.nan
+    assert o.evaluate(1) == 0.0
+    assert o.evaluate_many(np.array([1, 2])).tolist() == [0.0, 0.0]
+    assert value_table(o).tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_normalize_rejects_a_total_weight_it_cannot_scale():
