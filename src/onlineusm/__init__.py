@@ -40,7 +40,6 @@ from .balance import (
 )
 from .errors import (
     ConfigError,
-    ContractError,
     DomainError,
     InvalidInstanceError,
     InvalidPointError,
@@ -53,12 +52,10 @@ from .framework import (
     UsmRunResult,
     default_checkpoints,
     fit_growth_exponent,
-    marginal_pair,
     opt_drop_margin,
     opt_tracking_check,
     run_round,
     run_usm_game,
-    usm_alpha_regret,
     value_identity_residual,
 )
 from .harness import (

@@ -82,11 +82,11 @@ def parse_config(argv) -> ExperimentConfig:
 def main(argv=None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
-        rows, summary = run_experiment(config)
+        columns, summary = run_experiment(config)
         if config.output:
-            write_results(rows, summary, config.format, config.output,
+            write_results(columns, summary, config.format, config.output,
                           config=config, summary_only=config.summary_only)
-            print(f"wrote {len(rows)} rows to {config.output}", file=sys.stderr)
+            print(f"wrote {len(columns['trial'])} rows to {config.output}", file=sys.stderr)
         print(json.dumps(summary, indent=1))
         if config.game == "verify" and not summary["passed"]:
             return 3

@@ -9,10 +9,6 @@ class ConfigError(UsmError, ValueError):
     """Invalid experiment configuration, descriptor, or family name."""
 
 
-class ContractError(UsmError, ValueError):
-    """A documented call precondition was violated."""
-
-
 class SizeError(UsmError, ValueError):
     """Instance too large for an enumeration-based operation."""
 

@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .balance import BalancePoint, BalanceSubroutine, Decision
-from .errors import ConfigError, ContractError, SizeError
+from .errors import ConfigError, SizeError
 from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mask, value_table
 
 
@@ -49,32 +49,6 @@ class RoundTranscript(NamedTuple):
     x_sets: tuple[int, ...]  # X_0..X_n as bitmasks
     y_sets: tuple[int, ...]  # Y_0..Y_n
     queries: int
-
-
-def marginal_pair(
-    f: SubmodularOracle, x_set: int, y_set: int, i: int
-) -> tuple[float, float]:
-    """Counted marginals of element i at the pair (X, Y).
-
-    Preconditions: X subset of Y, the two agree below i, i not in X,
-    i in Y.  For submodular f the result satisfies alpha + beta >= 0.
-    """
-    n = f.ground.n
-    if not 1 <= i <= n:
-        raise ContractError(f"element {i} outside 1..{n}")
-    bit = 1 << (i - 1)
-    below = bit - 1
-    if x_set & ~y_set:
-        raise ContractError("X must be a subset of Y")
-    if (x_set ^ y_set) & below:
-        raise ContractError(f"X and Y must agree on elements below {i}")
-    if x_set & bit:
-        raise ContractError(f"element {i} already in X")
-    if not y_set & bit:
-        raise ContractError(f"element {i} already removed from Y")
-    alpha = f.evaluate(x_set | bit) - f.evaluate(x_set)
-    beta = f.evaluate(y_set & ~bit) - f.evaluate(y_set)
-    return alpha, beta
 
 
 def run_round(
@@ -187,6 +161,11 @@ def fit_growth_exponent(ts: Iterable[float], values: Iterable[float]) -> float:
     return float(np.polyfit(lt, lv, 1)[0])
 
 
+#: bytes of value tables that one tracking pass stacks; a pass always
+#: takes at least one table, so from n = 15 on each pass is one round
+_TRACK_BLOCK_BYTES = 256 * 1024
+
+
 def run_usm_game(
     subroutines: Sequence[BalanceSubroutine],
     adversary,
@@ -207,12 +186,22 @@ def run_usm_game(
     best fixed set in hindsight, and hence the alpha-regret series, can
     be reported without spending counted queries.
 
+    The game is played in blocks of rounds, each holding at most
+    ``_TRACK_BLOCK_BYTES`` of value tables (and at least one round).
+    Each round looks its table up as it is played; at the end of a block
+    one pass stacks the block's tables, adds the running total to the
+    first row and accumulates down the rows.  That is the same sequence
+    of IEEE additions as one ``total += table`` per round, so every
+    running total, row maximum (``cum_opt``) and ``final_opt`` is the
+    same double.
+
     ``streams`` holds one distinct Generator per subroutine.  Each
-    stream's ``rounds`` coins are drawn up front as one
-    ``random(rounds)`` block, which yields the same values as ``rounds``
-    sequential ``random()`` calls and leaves the stream in the same
-    state; round t hands ``run_round`` the array of every stream's coin
-    t.  ``keep_transcripts`` keeps each round's transcript and oracle,
+    stream's ``rounds`` coins are drawn up front as one ``random``
+    block, which yields the same values as ``rounds`` sequential
+    ``random()`` calls and leaves the stream in the same state; they
+    become Python floats one block of rounds at a time, and round t
+    hands ``run_round`` the list of every stream's coin t.
+    ``keep_transcripts`` keeps each round's transcript and oracle,
     which the replay diagnostics read together.
     """
     if rounds < 1:
@@ -226,50 +215,56 @@ def run_usm_game(
         raise ConfigError("coin streams must be distinct objects, one per subroutine")
     if track_opt and n > ENUMERATION_LIMIT:
         raise SizeError(f"tracking the best fixed set needs n <= {ENUMERATION_LIMIT}")
-    blocks = [s.random(rounds).tolist() for s in streams]
+    coins = np.empty((n, rounds))
+    for stream, row in zip(streams, coins):
+        stream.random(out=row)
+    step = max(1, _TRACK_BLOCK_BYTES // (8 << n))
     rewards = np.empty(rounds)
     round_queries = np.empty(rounds, dtype=np.int64)
     cum_opt = np.empty(rounds) if (track_opt and regret_series) else None
-    cum_table: np.ndarray | None = None
+    # rows of running totals, reused by every block; ``total`` is a view of
+    # the last row the previous block wrote
+    totals = np.empty((min(step, rounds), 1 << n)) if track_opt else None
+    total: np.ndarray | None = None
     table_cache: dict[int, np.ndarray] = {}
     transcripts: list[RoundTranscript] | None = [] if keep_transcripts else None
     sets: list[int] | None = [] if keep_sets else None
     oracles: list[SubmodularOracle] | None = [] if keep_transcripts else None
 
     last_set: int | None = None
-    for t, coins in enumerate(zip(*blocks)):
-        f = adversary.next_oracle(last_set)
-        if f.ground.n != n:
-            raise ConfigError(f"oracle ground size {f.ground.n} != subroutine count {n}")
-        tr = run_round(subroutines, f, coins, t=t + 1)
-        reward = f.peek(tr.chosen)
-        rewards[t] = reward
-        round_queries[t] = tr.queries
+    for start in range(0, rounds, step):
+        stop = min(start + step, rounds)
+        tables = []
+        for t, round_coins in enumerate(coins[:, start:stop].T.tolist(), start):
+            f = adversary.next_oracle(last_set)
+            if f.ground.n != n:
+                raise ConfigError(f"oracle ground size {f.ground.n} != subroutine count {n}")
+            tr = run_round(subroutines, f, round_coins, t=t + 1)
+            rewards[t] = f.peek(tr.chosen)
+            round_queries[t] = tr.queries
+            if track_opt:
+                key = id(f)
+                table = table_cache.get(key)
+                if table is None:
+                    table = value_table(f)
+                    table_cache[key] = table
+                tables.append(table)
+            if transcripts is not None:
+                transcripts.append(tr)
+                oracles.append(f)
+            if sets is not None:
+                sets.append(tr.chosen)
+            last_set = tr.chosen
         if track_opt:
-            key = id(f)
-            table = table_cache.get(key)
-            if table is None:
-                table = value_table(f)
-                table_cache[key] = table
-            if cum_table is None:
-                cum_table = table.copy()
-            else:
-                cum_table += table
-            if cum_opt is not None:
-                # the float .max() gives, without its Python-level wrapper
-                cum_opt[t] = np.maximum.reduce(cum_table)
-        if transcripts is not None:
-            transcripts.append(tr)
-            oracles.append(f)
-        if sets is not None:
-            sets.append(tr.chosen)
-        last_set = tr.chosen
+            total = _accumulate(
+                tables, total, totals[: stop - start], None if cum_opt is None else cum_opt[start:stop]
+            )
 
     cum_rewards = np.cumsum(rewards)
     regret = None
     if cum_opt is not None:
         regret = alpha * cum_opt - cum_rewards
-    final_opt = float(cum_table.max()) if cum_table is not None else None
+    final_opt = float(total.max()) if total is not None else None
     exponent = float("nan")
     if regret is not None:
         cps = default_checkpoints(rounds)
@@ -291,6 +286,32 @@ def run_usm_game(
     )
 
 
+def _accumulate(
+    tables: list[np.ndarray],
+    total: np.ndarray | None,
+    block: np.ndarray,
+    maxima: np.ndarray | None,
+) -> np.ndarray:
+    """Running totals of one block of rounds; returns the last one.
+
+    ``block`` (one row per table) receives ``total + tables[0]`` (or a
+    copy of ``tables[0]`` when there is no total yet) and the later
+    tables, then ``np.cumsum`` down its rows, a sequential accumulate:
+    row r is the running total after the block's round r.  ``total`` may
+    be a row of ``block`` itself.  The row maxima go into ``maxima``.
+    """
+    if total is None:
+        block[0] = tables[0]
+    else:
+        np.add(total, tables[0], out=block[0])
+    if len(tables) > 1:
+        np.stack(tables[1:], out=block[1:])
+        np.cumsum(block, axis=0, out=block)
+    if maxima is not None:
+        np.maximum.reduce(block, axis=1, out=maxima)
+    return block[-1]
+
+
 def distinct_tables(oracles: Sequence[SubmodularOracle]) -> list[np.ndarray]:
     """``value_table`` of each oracle, built once per distinct oracle.
 
@@ -305,40 +326,6 @@ def distinct_tables(oracles: Sequence[SubmodularOracle]) -> list[np.ndarray]:
             table = cache[f] = value_table(f)
         out.append(table)
     return out
-
-
-def usm_alpha_regret(
-    history: Iterable[tuple[SubmodularOracle, int]],
-    a: float,
-    opt: int | str = "compute",
-) -> float:
-    """a * (best fixed set's total value) - (algorithm's total value).
-
-    ``opt="compute"`` brute-forces the best fixed subset of the summed
-    function (n <= 20, ties to the smallest bitmask); or pass a bitmask
-    to compare against a specific fixed set.
-    """
-    items = list(history)
-    if not items:
-        return 0.0
-    algo_total = 0.0
-    if opt == "compute":
-        n = items[0][0].ground.n
-        if n > ENUMERATION_LIMIT:
-            raise SizeError(
-                f"computing the best fixed set needs n <= {ENUMERATION_LIMIT}; supply opt explicitly"
-            )
-        total = np.zeros(1 << n)
-        for table, (_, chosen) in zip(distinct_tables([f for f, _ in items]), items):
-            total += table
-            algo_total += float(table[chosen])
-        best = float(total.max())
-    else:
-        best = 0.0
-        for f, chosen in items:
-            best += f.peek(int(opt))
-            algo_total += f.peek(chosen)
-    return a * best - algo_total
 
 
 @dataclass(frozen=True)

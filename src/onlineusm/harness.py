@@ -4,9 +4,15 @@ Everything is deterministic given the master seed: trial k's coin
 stream for subroutine i is derived from (seed, trial, i) through a
 splittable seed sequence, and instance-generating randomness (the
 adversary's functions) is derived from the master seed alone so every
-trial faces the same input sequence.  Result rows are merged in
-(trial, round) order regardless of worker scheduling, and files are
-written atomically (temp file, then rename).
+trial faces the same input sequence.
+
+An experiment's result rows are seven column arrays named by
+``RESULT_HEADER`` (int64 ``trial``, ``t`` and ``queries``, float64 for
+the rest), in (trial, round) order regardless of worker scheduling.
+They are built from each trial's series with array operations, so no
+Python object per row exists until output, which formats a bounded
+slice of rows at a time.  Files are written atomically (temp file, then
+rename).
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -48,6 +54,7 @@ from .submodular import (
 )
 
 RESULT_HEADER = ("trial", "t", "reward", "cum_reward", "cum_opt", "alpha_regret", "queries")
+_INT_COLUMNS = frozenset({"trial", "t", "queries"})
 
 SUBROUTINE_NAMES = ("balancer", "mw", "uniform", "always-yes", "always-no")
 
@@ -312,10 +319,13 @@ def _summary_stats(finals: list[float]) -> tuple[float, float]:
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run the configured experiment; returns (rows, summary).
+    """Run the configured experiment; returns (columns, summary).
 
-    Rows follow RESULT_HEADER in (trial, t) order.  Deterministic given
-    the config: reruns produce identical rows and summary.
+    ``columns`` maps each name of RESULT_HEADER to one array holding that
+    cell of every row, rows in (trial, t) order: int64 for ``trial``,
+    ``t`` and ``queries``, float64 for the rest.  The offline and verify
+    games have no rows, so their columns are empty.  Deterministic given
+    the config: reruns produce identical columns and summary.
     """
     config = config.validated()
     if config.game == "usm":
@@ -323,10 +333,28 @@ def run_experiment(config: ExperimentConfig):
     if config.game == "balance":
         return _run_balance_experiment(config)
     if config.game == "offline":
-        return [], _run_offline(config)
-    if config.game == "verify":
-        return [], _run_verify(config)
-    raise ConfigError(f"unknown game {config.game!r}")
+        summary = _run_offline(config)
+    elif config.game == "verify":
+        summary = _run_verify(config)
+    else:
+        raise ConfigError(f"unknown game {config.game!r}")
+    return _columns(*[()] * len(RESULT_HEADER)), summary
+
+
+def _columns(*cells) -> dict[str, np.ndarray]:
+    """The result columns, named by RESULT_HEADER, one argument per name."""
+    return {
+        name: np.asarray(column, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
+        for name, column in zip(RESULT_HEADER, cells, strict=True)
+    }
+
+
+def _trial_columns(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The ``trial`` and ``t`` columns of ``config.trials`` trials of ``config.rounds`` rounds."""
+    return (
+        np.repeat(np.arange(config.trials), config.rounds),
+        np.tile(np.arange(1, config.rounds + 1), config.trials),
+    )
 
 
 def _map_trials(fn, config: ExperimentConfig):
@@ -339,17 +367,14 @@ def _map_trials(fn, config: ExperimentConfig):
 
 def _run_usm_experiment(config: ExperimentConfig):
     results = _map_trials(_usm_trial, config)
-    rows = []
-    for k, res in enumerate(results):
-        rows.extend(zip(
-            repeat(k),
-            range(1, config.rounds + 1),
-            res.rewards.tolist(),
-            res.cum_rewards.tolist(),
-            res.cum_opt.tolist(),
-            res.alpha_regret.tolist(),
-            np.cumsum(res.round_queries).tolist(),
-        ))
+    columns = _columns(
+        *_trial_columns(config),
+        np.concatenate([res.rewards for res in results]),
+        np.concatenate([res.cum_rewards for res in results]),
+        np.concatenate([res.cum_opt for res in results]),
+        np.concatenate([res.alpha_regret for res in results]),
+        np.concatenate([np.cumsum(res.round_queries) for res in results]),
+    )
     finals = [res.final_alpha_regret for res in results]
     mean_final, std_final = _summary_stats(finals)
     cps = default_checkpoints(config.rounds)
@@ -376,7 +401,7 @@ def _run_usm_experiment(config: ExperimentConfig):
     }
     if config.keep_transcripts:
         summary["diagnostics"] = _usm_diagnostics(results)
-    return rows, summary
+    return columns, summary
 
 
 def _usm_diagnostics(results) -> dict:
@@ -398,16 +423,16 @@ def _usm_diagnostics(results) -> dict:
 
 def _run_balance_experiment(config: ExperimentConfig):
     results = _map_trials(_balance_trial, config)
-    rows = []
-    for k, res in enumerate(results):
-        prev = 0.0
-        for t in range(config.rounds):
-            cum_r = float(res.reward_series[t])
-            pile = float(res.pile_series[t])
-            rows.append(
-                (k, t + 1, cum_r - prev, cum_r, pile, config.alpha * pile - cum_r, 0)
-            )
-            prev = cum_r
+    cum_rewards = np.concatenate([res.reward_series for res in results])
+    piles = np.concatenate([res.pile_series for res in results])
+    columns = _columns(
+        *_trial_columns(config),
+        np.concatenate([np.diff(res.reward_series, prepend=0.0) for res in results]),
+        cum_rewards,
+        piles,
+        config.alpha * piles - cum_rewards,
+        np.zeros(cum_rewards.size, dtype=np.int64),
+    )
     finals = [res.regret for res in results]
     mean_final, std_final = _summary_stats(finals)
     cps = default_checkpoints(config.rounds)
@@ -436,7 +461,7 @@ def _run_balance_experiment(config: ExperimentConfig):
         "growth_exponent": fit_growth_exponent(cps, mean_regret_at),
         "total_queries": 0,
     }
-    return rows, summary
+    return columns, summary
 
 
 def _offline_instance(config: ExperimentConfig):
@@ -498,40 +523,29 @@ def _run_verify(config: ExperimentConfig) -> dict:
 
 # --- output -----------------------------------------------------------
 
-#: rows formatted per CSV chunk, so the formatted cells stay small in memory
-_CSV_CHUNK_ROWS = 4096
+#: rows per output slice; only one slice's rows exist as Python objects
+#: at a time (4096 rows raised the peak of an 8-trial, 4000-round CSV
+#: run by about 1 MB)
+_ROWS_PER_SLICE = 1024
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, int):
-        return str(v)
-    return format(v, ".12g")
+def _row_slices(columns: Mapping[str, np.ndarray]) -> Iterator[list[list]]:
+    """Each bounded slice of rows as one list of Python values per column,
+    in RESULT_HEADER order (ints for int64 columns, floats for float64)."""
+    arrays = [columns[name] for name in RESULT_HEADER]
+    for start in range(0, len(arrays[0]), _ROWS_PER_SLICE):
+        yield [a[start:start + _ROWS_PER_SLICE].tolist() for a in arrays]
 
 
-def _fmt_column(column: tuple) -> Iterable[str]:
-    """``_fmt_cell`` over a column, without a Python call per cell when
-    the column holds only ``float`` or only ``int``."""
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        return map(format, column, repeat(".12g"))
-    if kinds == {int}:
-        return map(str, column)
-    return map(_fmt_cell, column)
-
-
-def _csv_blocks(rows: Iterable[tuple]) -> Iterator[str]:
-    """CSV text of the rows in blocks of whole lines, each ending in a
-    newline; chunks of equal-width rows are formatted column by column."""
-    it = iter(rows)
-    while chunk := list(islice(it, _CSV_CHUNK_ROWS)):
-        widths = set(map(len, chunk))
-        if len(widths) == 1 and widths != {0}:
-            lines = map(",".join, zip(*map(_fmt_column, zip(*chunk))))
-        else:
-            lines = (",".join(map(_fmt_cell, row)) for row in chunk)
-        yield "\n".join(lines) + "\n"
+def _csv_blocks(columns: Mapping[str, np.ndarray]) -> Iterator[str]:
+    """CSV text of the rows, one block of whole lines per slice, each
+    ending in a newline: int columns through ``str``, float columns
+    through ``format(v, ".12g")``."""
+    ints = [columns[name].dtype.kind in "iu" for name in RESULT_HEADER]
+    for part in _row_slices(columns):
+        cells = [map(str, col) if is_int else map(format, col, repeat(".12g"))
+                 for col, is_int in zip(part, ints)]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _atomic_write(path: str, parts: Iterable[str]) -> None:
@@ -549,7 +563,7 @@ def _atomic_write(path: str, parts: Iterable[str]) -> None:
 
 
 def write_results(
-    rows: Sequence[tuple],
+    columns: Mapping[str, np.ndarray],
     summary: dict,
     fmt: str,
     path: str,
@@ -557,18 +571,25 @@ def write_results(
     config: ExperimentConfig | None = None,
     summary_only: bool = False,
 ) -> None:
-    """Emit rows + summary as csv (12 significant digits, LF endings)
-    or as a single json object; the write is atomic either way."""
+    """Emit the rows of ``columns`` (as :func:`run_experiment` returns
+    them) and the summary, as csv (12 significant digits for floats, LF
+    endings) or as a single json object; the write is atomic either way.
+
+    CSV text is formatted one slice of rows at a time.  JSON is encoded
+    piece by piece with ``JSONEncoder(indent=1).iterencode``, the same
+    encoder and bytes as ``json.dumps(obj, indent=1)``, without the whole
+    text in one string.
+    """
     if fmt == "csv":
         header = ",".join(RESULT_HEADER) + "\n"
-        _atomic_write(path, [header] if summary_only else chain([header], _csv_blocks(rows)))
+        _atomic_write(path, [header] if summary_only else chain([header], _csv_blocks(columns)))
     elif fmt == "json":
         obj: dict = {}
         if config is not None:
             obj["config"] = asdict(config)
         obj["summary"] = summary
         if not summary_only:
-            obj["rows"] = [list(row) for row in rows]
-        _atomic_write(path, [json.dumps(obj, indent=1) + "\n"])
+            obj["rows"] = [list(row) for part in _row_slices(columns) for row in zip(*part)]
+        _atomic_write(path, chain(json.JSONEncoder(indent=1).iterencode(obj), ["\n"]))
     else:
         raise ConfigError(f"unknown output format {fmt!r}")

@@ -166,7 +166,8 @@ class SubmodularOracle:
     def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
         """Return f at each mask of a 1-D integer array, counting one query per entry.
 
-        A mask array that is not of an integer dtype, or that holds a mask
+        Anything but a 1-D ndarray of an integer dtype (a list, a 2-D
+        array, a bool or float array), or an array that holds a mask
         outside the ground set, raises before anything is counted; a
         repeated mask counts once per entry, as the same ``evaluate``
         calls would.  A table-backed oracle answers with one gather from
@@ -174,6 +175,8 @@ class SubmodularOracle:
         the result is a fresh float64 array of the floats ``evaluate``
         returns.
         """
+        if not (isinstance(masks, np.ndarray) and masks.ndim == 1):
+            raise InvalidSubsetError(f"subset masks must be a 1-D integer ndarray, got {masks!r:.60}")
         if masks.dtype.kind not in "iu":
             raise InvalidSubsetError(f"subset masks must be integers, got dtype {masks.dtype}")
         if masks.size and (masks.min() < 0 or masks.max() > self._full):

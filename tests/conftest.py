@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from onlineusm.harness import RESULT_HEADER
 from onlineusm.submodular import (
     DirectedGraph,
     normalize,
@@ -57,3 +58,14 @@ def naive_first_violation(table, n, tol=1e-9):
                 if table[s | bit] - table[s] > table[t | bit] - table[t] + tol:
                     return (s, t, i + 1)
     return None
+
+
+#: the result columns of integer type; the rest are float64
+INT_COLUMNS = ("trial", "t", "queries")
+
+
+def columns_of(rows):
+    """Result columns of tuple rows: int64 for INT_COLUMNS, float64 for the rest."""
+    cells = list(zip(*rows)) if rows else [()] * len(RESULT_HEADER)
+    return {name: np.array(c, dtype=np.int64 if name in INT_COLUMNS else np.float64)
+            for name, c in zip(RESULT_HEADER, cells)}

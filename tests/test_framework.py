@@ -1,24 +1,25 @@
 import math
 import pickle
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onlineusm.adversaries import CycleFunctionAdversary
+from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
 from onlineusm.balance import BalancePoint, Balancer, ConstantPolicy, Decision, DoublingHorizon
-from onlineusm.errors import ConfigError, ContractError, SizeError
+from onlineusm import framework
+from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import (
     RoundTranscript,
+    distinct_tables,
     fit_growth_exponent,
-    marginal_pair,
     opt_drop_margin,
     opt_tracking_check,
     run_round,
     run_usm_game,
-    usm_alpha_regret,
     value_identity_residual,
 )
 from onlineusm.harness import SUBROUTINE_NAMES, build_subroutine
@@ -36,6 +37,7 @@ from onlineusm.submodular import (
 )
 
 from conftest import grow_only_oracle
+from references import reference_tracking, usm_alpha_regret
 
 
 def streams_for(n, seed=0):
@@ -51,38 +53,44 @@ def random_cut_oracle(n, seed, density=0.5):
     return tabulate(normalize(random_digraph(n, density, (0.0, 1.0), np.random.default_rng(seed))))
 
 
-# --- marginal_pair -------------------------------------------------------
+# --- the marginal pairs a round feeds -----------------------------------
 
-def test_marginal_pair_single_edge(single_edge_oracle):
+def test_run_round_single_edge_marginals(single_edge_oracle):
     f = single_edge_oracle
-    assert marginal_pair(f, 0, 0b11, 1) == (1.0, 0.0)
-    # after a yes on element 1: adding 2 kills the cut, dropping it restores
-    assert marginal_pair(f, 0b01, 0b11, 2) == (-1.0, 1.0)
+    tr = run_round([ConstantPolicy(1.0), ConstantPolicy(1.0)], f, coins_for(2))
+    # element 1 at (X, Y) = ({}, {1, 2}); then, after its yes, adding 2
+    # kills the cut and dropping it restores it
+    assert tr.marginals == ((1.0, 0.0), (-1.0, 1.0))
 
 
-def test_marginal_pair_constant(constant_oracle):
-    # valid context for i = 2: X and Y agree on element 1
-    assert marginal_pair(constant_oracle(3), 0, 0b110, 2) == (0.0, 0.0)
+def test_run_round_constant_marginals_are_zero(constant_oracle):
+    for policy in (0.0, 0.5, 1.0):
+        tr = run_round([ConstantPolicy(policy) for _ in range(3)], constant_oracle(3), coins_for(3))
+        assert tr.marginals == ((0.0, 0.0),) * 3
 
 
-def test_marginal_pair_counts_queries(single_edge_oracle):
+def test_run_round_single_edge_counts_distinct_masks(single_edge_oracle):
     f = single_edge_oracle
-    marginal_pair(f, 0, 0b11, 1)
-    assert f.queries == 4
+    tr = run_round([ConstantPolicy(1.0), ConstantPolicy(1.0)], f, coins_for(2))
+    # X chain {} {1} {1,2}, Y chain {1,2}, and {2}, {1}: four distinct masks
+    assert tr.queries == f.queries == 4
 
 
-def test_marginal_pair_contract_errors(single_edge_oracle):
-    f = single_edge_oracle
-    with pytest.raises(ContractError):
-        marginal_pair(f, 0b10, 0b01, 1)  # X not inside Y
-    with pytest.raises(ContractError):
-        marginal_pair(f, 0b01, 0b11, 1)  # i already in X
-    with pytest.raises(ContractError):
-        marginal_pair(f, 0, 0b01, 2)  # i missing from Y
-    with pytest.raises(ContractError):
-        marginal_pair(f, 0b01, 0b10, 2)  # disagree below i
-    with pytest.raises(ContractError):
-        marginal_pair(f, 0, 0b11, 3)  # element out of range
+def test_run_round_chains_meet_the_marginal_preconditions():
+    # at element i the round's (X_{i-1}, Y_{i-1}) has X inside Y, the two
+    # agree below i, i is not in X and i is in Y: the pair at which the
+    # marginals alpha_i, beta_i are defined
+    n = 3
+    for choices in range(1 << n):
+        policies = [ConstantPolicy(float(choices >> i & 1)) for i in range(n)]
+        tr = run_round(policies, random_cut_oracle(n, seed=choices), coins_for(n))
+        for i in range(1, n + 1):
+            bit = 1 << (i - 1)
+            x, y = tr.x_sets[i - 1], tr.y_sets[i - 1]
+            assert x & ~y == 0
+            assert (x ^ y) & (bit - 1) == 0
+            assert not x & bit and y & bit
+        assert tr.chosen == choices
 
 
 # --- run_round -----------------------------------------------------------
@@ -417,6 +425,62 @@ def test_run_result_series_invariants():
     for t in (1, 7, 33, 60):
         want = usm_alpha_regret(history[:t], 0.5)
         assert res.alpha_regret[t - 1] == pytest.approx(want, abs=1e-9)
+
+
+# --- best-fixed-set tracking against the per-round sum ---------------------
+
+def assert_tracking_is_the_reference(res, tables, regret_series):
+    want_opt, want_final = reference_tracking(tables)
+    assert res.final_opt == want_final
+    if regret_series:
+        assert res.cum_opt.tolist() == want_opt.tolist()
+        assert res.alpha_regret.tolist() == (res.alpha * want_opt - res.cum_rewards).tolist()
+    else:
+        assert res.cum_opt is None and res.alpha_regret is None
+
+
+@pytest.mark.parametrize("regret_series", [True, False])
+@pytest.mark.parametrize(
+    "n, rounds, adversary",
+    [
+        (8, 300, "cycle"),  # 128 tables per block: two full blocks and a part
+        (8, 129, "fresh"),  # a fresh table every round, one round past a block
+        (15, 4, "cycle"),  # one table fills a block: a block per round
+        (16, 3, "fixed"),  # one table exceeds a block: still a block per round
+    ],
+)
+def test_block_tracking_is_the_per_round_sum_bit_for_bit(n, rounds, adversary, regret_series):
+    if adversary == "fresh":
+        adv = RandomObliviousAdversary(n, 0.5, (0.0, 1.0), 4)
+    else:
+        k = 3 if adversary == "cycle" else 1
+        adv = CycleFunctionAdversary([random_cut_oracle(n, seed=s) for s in range(k)])
+    res = run_usm_game([Balancer(rounds) for _ in range(n)], adv, rounds, streams_for(n, seed=1),
+                       regret_series=regret_series, keep_transcripts=True)
+    assert_tracking_is_the_reference(res, distinct_tables(res.oracles), regret_series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    k=st.integers(1, 4),
+    rounds=st.integers(1, 40),
+    tables_per_block=st.integers(1, 9),
+    regret_series=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_any_block_size_tracks_the_per_round_sum(n, k, rounds, tables_per_block, regret_series, seed):
+    # arbitrary tables in [0, 1] with a spread of exponents, so that any
+    # other order of additions would round differently; constant policies
+    # ignore the feedback, so the tables need not be submodular
+    rng = np.random.default_rng(seed)
+    tables = [rng.random(1 << n) ** rng.integers(1, 40) for _ in range(k)]
+    oracles = [oracle_from_table(t) for t in tables]
+    with patch.object(framework, "_TRACK_BLOCK_BYTES", tables_per_block * (8 << n)):
+        res = run_usm_game([ConstantPolicy(0.5) for _ in range(n)], CycleFunctionAdversary(oracles),
+                           rounds, streams_for(n, seed=seed % 7), regret_series=regret_series)
+    assert_tracking_is_the_reference(res, [value_table(oracles[t % k]) for t in range(rounds)],
+                                     regret_series)
 
 
 def test_run_usm_game_errors():

@@ -6,7 +6,6 @@ import pytest
 from onlineusm.balance import balance_alpha_regret
 from onlineusm.cli import parse_config
 from onlineusm.errors import ConfigError
-from onlineusm.framework import usm_alpha_regret
 from onlineusm.harness import (
     RESULT_HEADER,
     ExperimentConfig,
@@ -19,6 +18,14 @@ from onlineusm.harness import (
     write_results,
 )
 from onlineusm.submodular import normalize, random_digraph, value_table, write_digraph
+
+from conftest import columns_of
+from references import usm_alpha_regret
+
+
+def rows_of(columns):
+    """The rows of ``run_experiment``'s columns as tuples of Python values."""
+    return list(zip(*(columns[name].tolist() for name in RESULT_HEADER)))
 
 
 # --- config parsing -------------------------------------------------------
@@ -125,7 +132,8 @@ def test_coin_streams_are_independent_and_reproducible():
 def test_balance_experiment_rows_and_regret_column():
     cfg = ExperimentConfig(game="balance", rounds=50, trials=2, seed=5,
                            adversary="pattern:URL", subroutine="balancer").validated()
-    rows, summary = run_experiment(cfg)
+    columns, summary = run_experiment(cfg)
+    rows = rows_of(columns)
     assert len(rows) == 100
     assert [r[0] for r in rows[:50]] == [0] * 50
     assert [r[1] for r in rows[:3]] == [1, 2, 3]
@@ -171,7 +179,8 @@ def small_usm_config():
 
 
 def test_usm_experiment_row_invariants(small_usm_config):
-    rows, summary = run_experiment(small_usm_config)
+    columns, summary = run_experiment(small_usm_config)
+    rows = rows_of(columns)
     cfg = small_usm_config
     assert len(rows) == cfg.trials * cfg.rounds
     assert [r[:2] for r in rows] == sorted([r[:2] for r in rows])
@@ -186,7 +195,7 @@ def test_usm_experiment_row_invariants(small_usm_config):
 
 def test_usm_rows_match_recomputed_regret(small_usm_config):
     cfg = small_usm_config
-    rows, _ = run_experiment(cfg)
+    rows = rows_of(run_experiment(cfg)[0])
     # rebuild trial 1 with retention on and recompute regret on 100 random prefixes
     retained = ExperimentConfig(**{**vars(cfg), "keep_transcripts": True, "format": "json"})
     res = _usm_trial(retained, 1)
@@ -200,10 +209,10 @@ def test_usm_rows_match_recomputed_regret(small_usm_config):
 
 
 def test_usm_workers_match_serial(small_usm_config):
-    rows1, summary1 = run_experiment(small_usm_config)
+    columns1, summary1 = run_experiment(small_usm_config)
     cfg2 = ExperimentConfig(**{**vars(small_usm_config), "workers": 2})
-    rows2, summary2 = run_experiment(cfg2)
-    assert rows1 == rows2
+    columns2, summary2 = run_experiment(cfg2)
+    assert rows_of(columns1) == rows_of(columns2)
     assert summary1["final_alpha_regret"] == summary2["final_alpha_regret"]
 
 
@@ -221,8 +230,8 @@ def test_usm_diagnostics_via_transcripts():
 def test_usm_always_no_zero_rewards():
     cfg = ExperimentConfig(game="usm", n=4, rounds=10, trials=1, seed=2,
                            subroutine="always-no", adversary="fixed-random").validated()
-    rows, _ = run_experiment(cfg)
-    for row in rows:
+    columns, _ = run_experiment(cfg)
+    for row in rows_of(columns):
         assert row[2] == 0.0  # cut value of the empty set
 
 
@@ -268,23 +277,27 @@ def test_usm_adversary_files_roundtrip(tmp_path):
 
 def test_write_csv_empty_rows_header_only(tmp_path):
     path = tmp_path / "empty.csv"
-    write_results([], {"game": "balance"}, "csv", str(path))
+    write_results(columns_of([]), {"game": "balance"}, "csv", str(path))
     assert path.read_text() == ",".join(RESULT_HEADER) + "\n"
 
 
-def test_write_csv_formats_and_blank_cells(tmp_path):
+def test_write_csv_formats_int_and_float_columns(tmp_path):
+    # int columns print whole through str; .12g would write 1e+14.  Float
+    # columns print through .12g, including whole-valued floats.
     path = tmp_path / "r.csv"
-    rows = [(0, 1, 0.5, 0.5, None, None, 3)]
-    write_results(rows, {}, "csv", str(path))
+    rows = [(0, 1, 0.1 + 0.2, 2.0, 1e-300, -0.0, 10**14), (7, 100000000000000, 1 / 3, 1e20, 5.0, 0.5, 3)]
+    write_results(columns_of(rows), {}, "csv", str(path))
     lines = path.read_text().splitlines()
-    assert lines[1] == "0,1,0.5,0.5,,,3"
+    assert lines[1] == "0,1,0.3,2,1e-300,-0,100000000000000"
+    assert lines[2] == "7,100000000000000,0.333333333333,1e+20,5,0.5,3"
 
 
 def test_json_roundtrip_exact(tmp_path):
     cfg = ExperimentConfig(game="balance", rounds=40, trials=1, seed=1).validated()
-    rows, summary = run_experiment(cfg)
+    columns, summary = run_experiment(cfg)
+    rows = rows_of(columns)
     path = tmp_path / "out.json"
-    write_results(rows, summary, "json", str(path), config=cfg)
+    write_results(columns, summary, "json", str(path), config=cfg)
     obj = json.loads(path.read_text())
     assert obj["config"]["seed"] == 1
     assert len(obj["rows"]) == len(rows)
@@ -295,9 +308,9 @@ def test_json_roundtrip_exact(tmp_path):
 
 def test_json_summary_only(tmp_path):
     cfg = ExperimentConfig(game="balance", rounds=10, trials=1, seed=1).validated()
-    rows, summary = run_experiment(cfg)
+    columns, summary = run_experiment(cfg)
     path = tmp_path / "s.json"
-    write_results(rows, summary, "json", str(path), summary_only=True)
+    write_results(columns, summary, "json", str(path), summary_only=True)
     obj = json.loads(path.read_text())
     assert "rows" not in obj
 
@@ -307,17 +320,18 @@ def test_csv_bytes_deterministic(tmp_path):
                            subroutine="balancer", adversary="cycle-random:k=2").validated()
     paths = []
     for name in ("a.csv", "b.csv"):
-        rows, summary = run_experiment(cfg)
+        columns, summary = run_experiment(cfg)
         p = tmp_path / name
-        write_results(rows, summary, "csv", str(p), config=cfg)
+        write_results(columns, summary, "csv", str(p), config=cfg)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_offline_game_summary():
     cfg = ExperimentConfig(game="offline", n=8, trials=500, seed=4).validated()
-    rows, summary = run_experiment(cfg)
-    assert rows == []
+    columns, summary = run_experiment(cfg)
+    assert list(columns) == list(RESULT_HEADER)
+    assert all(c.size == 0 for c in columns.values())
     opt = summary["opt"]["value"]
     assert opt > 0
     assert summary["det_double_greedy"]["value"] >= opt / 3 - 1e-9

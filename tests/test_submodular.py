@@ -225,6 +225,20 @@ def test_evaluate_many_takes_any_integer_dtype(backing, dtype):
     assert f.queries == 60
 
 
+@pytest.mark.parametrize("backing", ["table", "cut"])
+@pytest.mark.parametrize(
+    "masks", [[1, 2], (1, 2), np.array([[1, 2], [3, 0]]), np.array(1)], ids=["list", "tuple", "2-D", "0-D"]
+)
+def test_evaluate_many_rejects_anything_but_a_1d_array_before_counting(backing, masks):
+    # a list has no dtype, and a 2-D integer array would be gathered and
+    # counted entry by entry
+    f = _backed_oracles(2, 6)[backing]
+    f.evaluate(0b01)
+    with pytest.raises(InvalidSubsetError, match="1-D integer ndarray"):
+        f.evaluate_many(masks)
+    assert f.queries == 1
+
+
 @pytest.mark.parametrize("backing", BACKINGS)
 @pytest.mark.parametrize(
     "masks", [np.array([True, False, True]), np.array([0.0, 1.0, 3.0])], ids=["bool", "float"]
