@@ -123,6 +123,12 @@ class BalanceSubroutine(Protocol):
     def update(self, pt: BalancePoint) -> None: ...
 
 
+def _sqrt_horizon(horizon: int) -> float:
+    if horizon < 1:
+        raise DomainError(f"horizon must be >= 1, got {horizon}")
+    return math.sqrt(horizon)
+
+
 class Balancer:
     """Pacing subroutine: keep x in [0, sqrt(T)], say yes w.p. x/sqrt(T).
 
@@ -133,10 +139,8 @@ class Balancer:
     """
 
     def __init__(self, horizon: int, x: float | None = None):
-        if horizon < 1:
-            raise DomainError(f"horizon must be >= 1, got {horizon}")
+        self.sqrt_horizon = _sqrt_horizon(horizon)
         self.horizon = horizon
-        self.sqrt_horizon = math.sqrt(horizon)
         self.x = 0.5 * self.sqrt_horizon if x is None else float(x)
         if not 0.0 <= self.x <= self.sqrt_horizon:
             raise DomainError(f"x={self.x} outside [0, sqrt(T)={self.sqrt_horizon}]")
@@ -181,8 +185,9 @@ class TwoExperts:
             if horizon is None:
                 raise DomainError("TwoExperts needs a horizon or an explicit eta")
             eta = default_learning_rate(horizon)
-        if eta <= 0:
-            raise DomainError(f"eta must be > 0, got {eta}")
+        # a nan or infinite eta turns both weights into nan after one update
+        if not (math.isfinite(eta) and eta > 0):
+            raise DomainError(f"eta must be finite and > 0, got {eta}")
         self.eta = eta
         self.w_yes = 1.0
         self.w_no = 1.0
@@ -276,9 +281,10 @@ def potentials(x: float, horizon: int) -> tuple[float, float, float]:
 
     phi_alg peaks at x = sqrt(T)/2 and is added to the reward; phi_yes
     vanishes at x = sqrt(T) and is added to C_yes; phi_no vanishes at
-    x = 0 and is added to C_no.
+    x = 0 and is added to C_no.  A horizon below 1 raises
+    :class:`DomainError`.
     """
-    s = math.sqrt(horizon)
+    s = _sqrt_horizon(horizon)
     if not 0.0 <= x <= s:
         raise DomainError(f"x={x} outside [0, sqrt(T)={s}]")
     return _phi_alg(x, s), _phi_yes(x, s), _phi_no(x, s)
@@ -305,8 +311,8 @@ def step_invariant_deltas(p: float, pt: BalancePoint, horizon: int) -> tuple[flo
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p} outside [0, 1]")
+    s = _sqrt_horizon(horizon)
     w = decompose(pt)
-    s = math.sqrt(horizon)
     x = p * s
     delta = (1.0 - 2.0 * p) * w.c_up + w.c_right - w.c_left
     x2 = x + delta

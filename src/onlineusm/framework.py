@@ -12,10 +12,14 @@ round's function arrives, each subroutine i is fed the marginal pair
 the rewards for yes and no.  Submodularity makes alpha_i + beta_i >= 0,
 so the pair is a valid balance-subproblem point.
 
-Value queries are memoized within a round (the incremental sets repeat)
-so a round costs at most 2n + 2 counted queries, comfortably inside the
-4n + 2 budget.  All metrics (best fixed set in hindsight, regret
-series, replay diagnostics) use the oracle's uncounted peek path.
+A round walks the elements once: at element i it reads f(X_{i-1} + i)
+and f(Y_{i-1} - i) through a per-round memo that starts with f(empty
+set) and f(full set), and then advances X and Y.  The incremental sets
+repeat, so each distinct mask is one counted query and a round costs at
+most 2n + 2 of them, comfortably inside the 4n + 2 budget; a round's
+``queries`` is the number of its own ``evaluate`` calls.  All metrics
+(best fixed set in hindsight, regret series, replay diagnostics) use
+the oracle's uncounted peek path.
 
 Subroutine i decides with one uniform coin per round.  A round takes
 its n coins as an array, coin i for element i; a game draws each
@@ -60,63 +64,60 @@ def run_round(
 ) -> RoundTranscript:
     """One framework round: decide all elements, then feed back marginals.
 
-    Three passes in turn: every subroutine decides (subroutine i with
-    ``coins[i]``); one walk over the decisions builds the X and Y
-    chains, which fix the chosen set; then each subroutine, in index
-    order, is fed its marginal point, the same object the transcript
-    keeps.
+    Every subroutine decides first (subroutine i with ``coins[i]``).  One
+    walk over the elements then looks up f(X_{i-1} + i) and
+    f(Y_{i-1} - i) in a per-round memo that starts with f(empty set) and
+    f(full set), evaluating a mask only the first time it comes up,
+    builds element i's marginal point and advances X and Y by decision
+    i.  Last, each subroutine, in index order, is fed its point, the same
+    object the transcript keeps.  ``queries`` is the round's own count of
+    ``evaluate`` calls: one per distinct mask in the memo.
     """
     n = f.ground.n
     if len(subroutines) != n:
         raise ConfigError(f"need {n} subroutines, got {len(subroutines)}")
     if len(coins) != n:
         raise ConfigError(f"need {n} coins, got {len(coins)}")
-    q0 = f.queries
     decisions = [sub.decide(coin) for sub, coin in zip(subroutines, coins)]
 
+    evaluate = f.evaluate
     x = 0
     y = full_mask(n)
-    xs = [0]
+    fx = evaluate(x)
+    fy = evaluate(y)
+    value = {x: fx, y: fy}
+    xs = [x]
     ys = [y]
-    # the mask each element's marginals need beyond the X and Y chains:
-    # Y_{i-1} - i after a yes, X_{i-1} + i after a no
-    others = []
+    # tuple.__new__ builds the same BalancePoint (and RoundTranscript) as
+    # the class call, at half the cost (no Python frame for the generated
+    # __new__)
+    record = tuple.__new__
+    marginals = []
     bit = 1
     for d in decisions:
+        x_up = x | bit
+        fx_up = value.get(x_up)
+        if fx_up is None:
+            fx_up = value[x_up] = evaluate(x_up)
+        y_down = y ^ bit
+        fy_down = value.get(y_down)
+        if fy_down is None:
+            fy_down = value[y_down] = evaluate(y_down)
+        marginals.append(record(BalancePoint, (fx_up - fx, fy_down - fy)))
         if d.chose_yes:
-            others.append(y ^ bit)
-            x |= bit
+            x, fx = x_up, fx_up
         else:
-            others.append(x | bit)
-            y ^= bit
+            y, fy = y_down, fy_down
         xs.append(x)
         ys.append(y)
         bit <<= 1
 
-    # The masks the marginals and the reward need are exactly the X
-    # chain, the Y chain and ``others``; each distinct one costs one
-    # counted query.
-    evaluate = f.evaluate
-    value = {m: evaluate(m) for m in {*xs, *ys, *others}}
-    # tuple.__new__ builds the same BalancePoint as the class call, at
-    # half the cost (no Python frame for the generated __new__)
-    record = tuple.__new__
-    marginals = []
-    bit = 1
-    for sub, xprev, yprev in zip(subroutines, xs, ys):
-        pt = record(BalancePoint, (value[xprev | bit] - value[xprev], value[yprev ^ bit] - value[yprev]))
+    for sub, pt in zip(subroutines, marginals):
         sub.update(pt)
-        marginals.append(pt)
-        bit <<= 1
 
-    return RoundTranscript(
-        t=t,
-        chosen=x,
-        decisions=tuple(decisions),
-        marginals=tuple(marginals),
-        x_sets=tuple(xs),
-        y_sets=tuple(ys),
-        queries=f.queries - q0,
+    return record(
+        RoundTranscript,
+        (t, x, tuple(decisions), tuple(marginals), tuple(xs), tuple(ys), len(value)),
     )
 
 

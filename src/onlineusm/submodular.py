@@ -14,6 +14,7 @@ query budget go through :meth:`SubmodularOracle.peek` instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -55,7 +56,13 @@ def mask_of(elements: Iterable[int], n: int | None = None) -> Mask:
 
 
 def elements_of(mask: Mask) -> list[int]:
-    """1-based element ids present in a bitmask, ascending."""
+    """1-based element ids present in a bitmask, ascending.
+
+    A negative mask raises :class:`InvalidSubsetError`: it has infinitely
+    many set bits, so the walk below would never end.
+    """
+    if mask < 0:
+        raise InvalidSubsetError(f"subset mask must be >= 0, got {mask}")
     out = []
     i = 1
     while mask:
@@ -125,10 +132,21 @@ def directed_cut_value(g: DirectedGraph, s: Mask) -> float:
 class SubmodularOracle:
     """Value-oracle access to a set function with query accounting.
 
-    The oracle never caches: every :meth:`evaluate` call increments the
-    counter, and callers that want per-round memoization do it on their
-    side.  The counter increment is lock-protected so read-only
-    evaluations may run concurrently.
+    The oracle never caches: every :meth:`evaluate` call counts one
+    query, and callers that want per-round memoization do it on their
+    side.  Counting is exact when threads share an oracle, and
+    :meth:`evaluate` takes no lock:
+
+    * :meth:`evaluate` takes one tick of an ``itertools.count``: a single
+      ``next()`` call, which runs in C and so is atomic under the GIL;
+    * :meth:`evaluate_many` adds its batch size to a separate total under
+      the lock;
+    * :attr:`queries` reads under the lock.  Reading the tick counter
+      takes a tick too, so it subtracts the reads made before it, which
+      the lock keeps in step with the ticks the reads took.
+
+    The count therefore rests on the GIL: a build of Python without it
+    would need the lock back in :meth:`evaluate`.
 
     ``table``, when given, returns a fresh array of all 2^n values by
     increasing bitmask; :func:`value_table` uses it in place of 2^n
@@ -148,19 +166,24 @@ class SubmodularOracle:
         self._fn = fn
         self._all_values = table
         self._values: np.ndarray | None = None
-        self._queries = 0
+        # one tick per evaluate call and per read of ``queries``
+        self._ticks = itertools.count()
+        self._reads = 0
+        self._batched = 0
         self._lock = threading.Lock()
 
     @property
     def queries(self) -> int:
-        return self._queries
+        with self._lock:
+            scalar = next(self._ticks) - self._reads
+            self._reads += 1
+            return scalar + self._batched
 
     def evaluate(self, s: Mask) -> float:
         """Return f(s), counting one query."""
         if s < 0 or s > self._full:
             raise InvalidSubsetError(f"subset {s:#x} outside ground set of size {self.ground.n}")
-        with self._lock:
-            self._queries += 1
+        next(self._ticks)
         return self._fn(s)
 
     def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
@@ -182,7 +205,7 @@ class SubmodularOracle:
         if masks.size and (masks.min() < 0 or masks.max() > self._full):
             raise InvalidSubsetError(f"a subset in the batch lies outside ground set of size {self.ground.n}")
         with self._lock:
-            self._queries += masks.size
+            self._batched += masks.size
         if self._values is not None:
             return self._values[masks]
         return np.fromiter(map(self._fn, masks.tolist()), float, masks.size)

@@ -205,6 +205,12 @@ def test_mw_equal_rewards_keep_ratio():
         assert m.w_yes / m.w_no == pytest.approx(ratio, rel=1e-12)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, 0.0])
+def test_mw_rejects_a_non_finite_or_nonpositive_eta(eta):
+    with pytest.raises(DomainError, match="eta must be finite and > 0"):
+        TwoExperts(horizon=None, eta=eta)
+
+
 def test_mw_weights_stay_bounded():
     m = TwoExperts(horizon=None, eta=0.5)
     rng = np.random.default_rng(0)
@@ -283,6 +289,14 @@ def test_potentials_range_and_domain():
         potentials(-0.01, T)
     with pytest.raises(DomainError):
         potentials(s + 0.01, T)
+
+
+@pytest.mark.parametrize("horizon", [0, -4])
+def test_potentials_reject_a_horizon_below_one(horizon):
+    with pytest.raises(DomainError, match="horizon must be >= 1"):
+        potentials(0.0, horizon)
+    with pytest.raises(DomainError, match="horizon must be >= 1"):
+        step_invariant_deltas(0.5, UP, horizon)
 
 
 def test_expected_ledger_deltas_extremal():

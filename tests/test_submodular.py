@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -44,6 +45,10 @@ def test_mask_helpers():
         mask_of([4], 3)
     with pytest.raises(InvalidSubsetError):
         mask_of([0], 3)
+    # -1 >> 1 == -1: without the check the walk never ends
+    for negative in (-1, np.int64(-1)):
+        with pytest.raises(InvalidSubsetError):
+            elements_of(negative)
 
 
 def test_ground_set_and_graph_validation():
@@ -149,6 +154,53 @@ def test_counter_thread_safe(single_edge_oracle):
     for t in threads:
         t.join()
     assert f.queries == 4000 + 4 * 500 * batch.size
+
+
+def test_counter_exact_with_concurrent_readers(single_edge_oracle):
+    f = single_edge_oracle
+    batch = np.array([0b01, 0b10, 0b11], dtype=np.int64)
+    scalar_threads, batch_threads, calls = 4, 3, 1000
+    seen = []
+    done = threading.Event()
+
+    def hammer():
+        for _ in range(calls):
+            f.evaluate(0b10)
+
+    def hammer_many():
+        for _ in range(calls):
+            f.evaluate_many(batch)
+
+    def read():
+        values = []
+        while not done.is_set():
+            values.append(f.queries)
+        values.append(f.queries)
+        seen.append(values)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        writers = [threading.Thread(target=hammer) for _ in range(scalar_threads)]
+        writers += [threading.Thread(target=hammer_many) for _ in range(batch_threads)]
+        for t in readers + writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        done.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in readers + writers)
+    total = scalar_threads * calls + batch_threads * calls * batch.size
+    assert len(seen) == 3
+    for values in seen:
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        assert values[-1] == total
+    assert f.queries == total
 
 
 def _backed_oracles(n, seed):
