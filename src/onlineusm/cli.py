@@ -31,7 +31,8 @@ def _add_common(p: argparse.ArgumentParser, *, alpha_default: str) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None, help="result file; summary prints to stdout either way")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="must be 1: trials run in one process (kept because perfbench's commands pass it)")
     p.add_argument("--summary-only", action="store_true", help="omit per-round rows from the output file")
 
 

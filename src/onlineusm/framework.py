@@ -175,7 +175,6 @@ def run_usm_game(
     *,
     alpha: float = 0.5,
     track_opt: bool = True,
-    regret_series: bool = True,
     keep_transcripts: bool = False,
     keep_sets: bool = False,
 ) -> UsmRunResult:
@@ -222,7 +221,7 @@ def run_usm_game(
     step = max(1, _TRACK_BLOCK_BYTES // (8 << n))
     rewards = np.empty(rounds)
     round_queries = np.empty(rounds, dtype=np.int64)
-    cum_opt = np.empty(rounds) if (track_opt and regret_series) else None
+    cum_opt = np.empty(rounds) if track_opt else None
     # rows of running totals, reused by every block; ``total`` is a view of
     # the last row the previous block wrote
     totals = np.empty((min(step, rounds), 1 << n)) if track_opt else None
@@ -257,9 +256,7 @@ def run_usm_game(
                 sets.append(tr.chosen)
             last_set = tr.chosen
         if track_opt:
-            total = _accumulate(
-                tables, total, totals[: stop - start], None if cum_opt is None else cum_opt[start:stop]
-            )
+            total = _accumulate(tables, total, totals[: stop - start], cum_opt[start:stop])
 
     cum_rewards = np.cumsum(rewards)
     regret = None
@@ -291,7 +288,7 @@ def _accumulate(
     tables: list[np.ndarray],
     total: np.ndarray | None,
     block: np.ndarray,
-    maxima: np.ndarray | None,
+    maxima: np.ndarray,
 ) -> np.ndarray:
     """Running totals of one block of rounds; returns the last one.
 
@@ -308,8 +305,7 @@ def _accumulate(
     if len(tables) > 1:
         np.stack(tables[1:], out=block[1:])
         np.cumsum(block, axis=0, out=block)
-    if maxima is not None:
-        np.maximum.reduce(block, axis=1, out=maxima)
+    np.maximum.reduce(block, axis=1, out=maxima)
     return block[-1]
 
 

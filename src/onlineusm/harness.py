@@ -6,10 +6,11 @@ splittable seed sequence, and instance-generating randomness (the
 adversary's functions) is derived from the master seed alone so every
 trial faces the same input sequence.
 
-An experiment's result rows are seven column arrays named by
-``RESULT_HEADER`` (int64 ``trial``, ``t`` and ``queries``, float64 for
-the rest), in (trial, round) order regardless of worker scheduling.
-They are built from each trial's series with array operations, so no
+Trials run one after another in one process.  An experiment's result
+rows are seven column arrays named by ``RESULT_HEADER`` (int64
+``trial``, ``t`` and ``queries``, float64 for the rest), in (trial,
+round) order.  Both online games build them, and their summaries, in
+one function from each trial's series with array operations, so no
 Python object per row exists until output, which formats a bounded
 slice of rows at a time.  Files are written atomically (temp file, then
 rename).
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping
@@ -84,7 +84,7 @@ class ExperimentConfig:
     seed: int = 0
     output: str | None = None
     format: str = "csv"
-    workers: int = 1
+    workers: int = 1  # must be 1; JSON outputs record the config, this field included
     keep_transcripts: bool = False
     summary_only: bool = False
     graph: str | None = None
@@ -99,8 +99,8 @@ class ExperimentConfig:
                 raise ConfigError(f"--rounds must be >= 1, got {self.rounds}")
             if self.trials < 1:
                 raise ConfigError(f"--trials must be >= 1, got {self.trials}")
-            if self.workers < 1:
-                raise ConfigError(f"--workers must be >= 1, got {self.workers}")
+            if self.workers != 1:
+                raise ConfigError(f"--workers must be 1, got {self.workers}: trials run in one process")
             if self.alpha is None:
                 self.alpha = 0.5 if self.game == "usm" else 1.0
             if not 0.0 < self.alpha <= 1.0:
@@ -187,12 +187,6 @@ def build_usm_adversary(descriptor: str, n: int, master_seed: int):
     """
     kind, _, rest = descriptor.partition(":")
     rng = instance_rng(master_seed)
-    tab = n <= ENUMERATION_LIMIT
-
-    def cut_oracle(graph):
-        oracle = normalize(graph)
-        return tabulate(oracle) if tab else oracle
-
     if kind in ("cycle-random", "fixed-random", "fresh-random"):
         spec = {"density": float, "wlo": float, "whi": float}
         if kind == "cycle-random":
@@ -206,7 +200,7 @@ def build_usm_adversary(descriptor: str, n: int, master_seed: int):
         if k < 1:
             raise ConfigError(f"cycle-random needs k >= 1, got {k}")
         graphs = [random_digraph(n, density, wr, rng) for _ in range(k)]
-        return adv.CycleFunctionAdversary([cut_oracle(g) for g in graphs])
+        return adv.CycleFunctionAdversary([tabulate(normalize(g)) for g in graphs])
     if kind in ("cycle-files", "fixed-file"):
         paths = [p for p in rest.split(";") if p]
         if not paths or (kind == "fixed-file" and len(paths) != 1):
@@ -216,7 +210,7 @@ def build_usm_adversary(descriptor: str, n: int, master_seed: int):
             g = read_digraph(p)
             if g.n != n:
                 raise ConfigError(f"graph {p} has n={g.n}, experiment has n={n}")
-            oracles.append(cut_oracle(g))
+            oracles.append(tabulate(normalize(g)))
         return adv.CycleFunctionAdversary(oracles)
     if kind == "adaptive":
         return adv.AdaptiveCutAdversary(n, rest)
@@ -233,8 +227,8 @@ class BalanceRunResult:
     ledger: bal.Ledger
     alpha: float
     regret: float
-    reward_series: np.ndarray | None = None
-    pile_series: np.ndarray | None = None
+    reward_series: np.ndarray
+    pile_series: np.ndarray
 
 
 def run_balance_game(
@@ -244,7 +238,6 @@ def run_balance_game(
     rng: np.random.Generator,
     *,
     alpha: float = 1.0,
-    record: bool = False,
 ) -> BalanceRunResult:
     """Play ``rounds`` rounds: decide, reveal, update, settle the ledger.
 
@@ -252,13 +245,14 @@ def run_balance_game(
     point is fixed before the round's coin is read.  The ``rounds``
     coins are drawn up front as one ``rng.random(rounds)`` block, which
     yields the same values as ``rounds`` sequential ``random()`` calls
-    and leaves ``rng`` in the same state.
+    and leaves ``rng`` in the same state.  ``reward_series`` and
+    ``pile_series`` hold R_alg and max(C_yes, C_no) after each round.
     """
     r_alg = 0.0
     c_yes = 0.0
     c_no = 0.0
-    rewards = np.empty(rounds) if record else None
-    piles = np.empty(rounds) if record else None
+    rewards = np.empty(rounds)
+    piles = np.empty(rounds)
     prev: bal.Decision | None = None
     next_point = adversary.next_point
     decide = subroutine.decide
@@ -273,9 +267,8 @@ def run_balance_game(
         else:
             r_alg += 0.5 * pt.beta
             c_yes += pt.alpha
-        if record:
-            rewards[t] = r_alg
-            piles[t] = c_yes if c_yes >= c_no else c_no
+        rewards[t] = r_alg
+        piles[t] = c_yes if c_yes >= c_no else c_no
         prev = d
     ledger = bal.Ledger(r_alg, c_yes, c_no)
     return BalanceRunResult(
@@ -300,22 +293,24 @@ def _usm_trial(config: ExperimentConfig, trial: int):
         streams,
         alpha=config.alpha,
         track_opt=True,
-        regret_series=True,
         keep_transcripts=config.keep_transcripts,
     )
+
+
+def _usm_series(res) -> tuple[np.ndarray, ...]:
+    return res.rewards, res.cum_rewards, res.cum_opt, np.cumsum(res.round_queries)
 
 
 def _balance_trial(config: ExperimentConfig, trial: int) -> BalanceRunResult:
     adversary = build_balance_adversary(config.adversary)
     sub = build_subroutine(config.subroutine, config.rounds)
     rng = coin_stream(config.seed, trial, 0)
-    return run_balance_game(sub, adversary, config.rounds, rng, alpha=config.alpha, record=True)
+    return run_balance_game(sub, adversary, config.rounds, rng, alpha=config.alpha)
 
 
-def _summary_stats(finals: list[float]) -> tuple[float, float]:
-    arr = np.asarray(finals)
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return float(arr.mean()), std
+def _balance_series(res: BalanceRunResult) -> tuple[np.ndarray, ...]:
+    rewards = res.reward_series
+    return np.diff(rewards, prepend=0.0), rewards, res.pile_series, np.zeros(rewards.size, dtype=np.int64)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -328,10 +323,8 @@ def run_experiment(config: ExperimentConfig):
     the config: reruns produce identical columns and summary.
     """
     config = config.validated()
-    if config.game == "usm":
-        return _run_usm_experiment(config)
-    if config.game == "balance":
-        return _run_balance_experiment(config)
+    if config.game in ("usm", "balance"):
+        return _run_online_experiment(config)
     if config.game == "offline":
         summary = _run_offline(config)
     elif config.game == "verify":
@@ -349,39 +342,48 @@ def _columns(*cells) -> dict[str, np.ndarray]:
     }
 
 
-def _trial_columns(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The ``trial`` and ``t`` columns of ``config.trials`` trials of ``config.rounds`` rounds."""
-    return (
+def _run_online_experiment(config: ExperimentConfig):
+    """Columns and summary of the USM or the balance game.
+
+    Each trial's series (per-round reward, cumulative reward, best
+    fixed choice so far and cumulative queries) come from the game's
+    ``_*_series`` adapter: ``cum_opt`` is the USM best so far, the
+    larger pile the balance game's.  The regret column is
+    ``alpha * best - cum_reward``, the same doubles as each trial's own
+    regret series; its last entry per trial is that trial's final regret.
+    """
+    usm = config.game == "usm"
+    trial, series = (_usm_trial, _usm_series) if usm else (_balance_trial, _balance_series)
+    results = [trial(config, k) for k in range(config.trials)]
+    reward, cum_reward, best, queries = (np.concatenate(s) for s in zip(*map(series, results)))
+    regret = config.alpha * best - cum_reward
+    columns = _columns(
         np.repeat(np.arange(config.trials), config.rounds),
         np.tile(np.arange(1, config.rounds + 1), config.trials),
+        reward,
+        cum_reward,
+        best,
+        regret,
+        queries,
     )
-
-
-def _map_trials(fn, config: ExperimentConfig):
-    indices = range(config.trials)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(fn, [config] * config.trials, indices))
-    return [fn(config, k) for k in indices]
-
-
-def _run_usm_experiment(config: ExperimentConfig):
-    results = _map_trials(_usm_trial, config)
-    columns = _columns(
-        *_trial_columns(config),
-        np.concatenate([res.rewards for res in results]),
-        np.concatenate([res.cum_rewards for res in results]),
-        np.concatenate([res.cum_opt for res in results]),
-        np.concatenate([res.alpha_regret for res in results]),
-        np.concatenate([np.cumsum(res.round_queries) for res in results]),
-    )
-    finals = [res.final_alpha_regret for res in results]
-    mean_final, std_final = _summary_stats(finals)
+    by_trial = regret.reshape(config.trials, config.rounds)
+    finals = by_trial[:, -1].tolist()
+    arr = np.asarray(finals)
+    mean_final = float(arr.mean())
+    std_final = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     cps = default_checkpoints(config.rounds)
-    mean_regret_at = [float(np.mean([res.alpha_regret[c - 1] for res in results])) for c in cps]
+    # fancy indexing copies each checkpoint's regrets into one contiguous
+    # row, the array np.mean would make of a list of them
+    mean_regret_at = [float(np.mean(row)) for row in by_trial.T[[c - 1 for c in cps]]]
+    if usm:
+        head = {"n": config.n}
+        scaled = {"mean_final_regret_per_n_sqrt_t": mean_final / (config.n * config.rounds ** 0.5)}
+    else:
+        head = {}
+        scaled = {"mean_final_regret_per_sqrt_t": mean_final / config.rounds ** 0.5}
     summary = {
-        "game": "usm",
-        "n": config.n,
+        "game": config.game,
+        **head,
         "rounds": config.rounds,
         "trials": config.trials,
         "alpha": config.alpha,
@@ -391,16 +393,17 @@ def _run_usm_experiment(config: ExperimentConfig):
         "final_alpha_regret": finals,
         "mean_final_alpha_regret": mean_final,
         "std_final_alpha_regret": std_final,
-        "mean_final_regret_per_n_sqrt_t": mean_final / (config.n * config.rounds ** 0.5),
+        **scaled,
         "checkpoints": cps,
         "mean_regret_at_checkpoints": mean_regret_at,
         "growth_exponent": fit_growth_exponent(cps, mean_regret_at),
-        "total_queries": int(sum(res.total_queries for res in results)),
-        "max_round_queries": int(max(res.max_round_queries for res in results)),
-        "query_budget_per_round": 4 * config.n + 2,
+        "total_queries": int(queries.reshape(config.trials, config.rounds)[:, -1].sum()),
     }
-    if config.keep_transcripts:
-        summary["diagnostics"] = _usm_diagnostics(results)
+    if usm:
+        summary["max_round_queries"] = int(max(res.max_round_queries for res in results))
+        summary["query_budget_per_round"] = 4 * config.n + 2
+        if config.keep_transcripts:
+            summary["diagnostics"] = _usm_diagnostics(results)
     return columns, summary
 
 
@@ -419,49 +422,6 @@ def _usm_diagnostics(results) -> dict:
                 worst_residual, abs(value_identity_residual(res.transcripts, res.oracles, i))
             )
     return {"opt_tracking_failures": failures, "max_value_identity_residual": worst_residual}
-
-
-def _run_balance_experiment(config: ExperimentConfig):
-    results = _map_trials(_balance_trial, config)
-    cum_rewards = np.concatenate([res.reward_series for res in results])
-    piles = np.concatenate([res.pile_series for res in results])
-    columns = _columns(
-        *_trial_columns(config),
-        np.concatenate([np.diff(res.reward_series, prepend=0.0) for res in results]),
-        cum_rewards,
-        piles,
-        config.alpha * piles - cum_rewards,
-        np.zeros(cum_rewards.size, dtype=np.int64),
-    )
-    finals = [res.regret for res in results]
-    mean_final, std_final = _summary_stats(finals)
-    cps = default_checkpoints(config.rounds)
-    mean_regret_at = [
-        float(
-            np.mean(
-                [config.alpha * res.pile_series[c - 1] - res.reward_series[c - 1] for res in results]
-            )
-        )
-        for c in cps
-    ]
-    summary = {
-        "game": "balance",
-        "rounds": config.rounds,
-        "trials": config.trials,
-        "alpha": config.alpha,
-        "subroutine": config.subroutine,
-        "adversary": config.adversary,
-        "seed": config.seed,
-        "final_alpha_regret": finals,
-        "mean_final_alpha_regret": mean_final,
-        "std_final_alpha_regret": std_final,
-        "mean_final_regret_per_sqrt_t": mean_final / config.rounds ** 0.5,
-        "checkpoints": cps,
-        "mean_regret_at_checkpoints": mean_regret_at,
-        "growth_exponent": fit_growth_exponent(cps, mean_regret_at),
-        "total_queries": 0,
-    }
-    return columns, summary
 
 
 def _offline_instance(config: ExperimentConfig):

@@ -412,8 +412,8 @@ def random_digraph(
     if not 0.0 <= density <= 1.0:
         raise ConfigError(f"density must be in [0, 1], got {density}")
     lo, hi = weight_range
-    if lo < 0 or hi < lo:
-        raise ConfigError(f"weight range must satisfy 0 <= lo <= hi, got {weight_range}")
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0 or hi < lo:
+        raise ConfigError(f"weight range must satisfy 0 <= lo <= hi, both finite, got {weight_range}")
     if rng is None:
         rng = np.random.default_rng()
     edges = []

@@ -72,7 +72,7 @@ def _usm_runs(subroutine: str, alpha: float):
             streams = [coin_stream(cfg.seed, k, i) for i in range(cfg.n)]
             results.append(
                 run_usm_game(subs, adversary, horizon, streams,
-                             alpha=alpha, track_opt=True, regret_series=False)
+                             alpha=alpha, track_opt=True)
             )
         runs[horizon] = results
     return runs, time.perf_counter() - start
@@ -220,10 +220,7 @@ def test_6_round_replay_relations():
         adversary = build_usm_adversary(adversary_desc, n, SEED + run_id)
         subs = [build_subroutine(subroutine, rounds) for _ in range(n)]
         streams = [coin_stream(SEED + run_id, 0, i) for i in range(n)]
-        res = run_usm_game(
-            subs, adversary, rounds, streams,
-            keep_transcripts=True, regret_series=False,
-        )
+        res = run_usm_game(subs, adversary, rounds, streams, keep_transcripts=True)
         tables = {}
         total = 0.0
         for f in res.oracles:

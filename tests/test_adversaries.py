@@ -87,7 +87,7 @@ class PointSpy:
 def test_oblivious_sequence_independent_of_algorithm_seed():
     def points_with(seed):
         spy = PointSpy(ObliviousBalanceAdversary.from_pattern("URRL"))
-        run_balance_game(Balancer(64), spy, 64, np.random.default_rng(seed), record=True)
+        run_balance_game(Balancer(64), spy, 64, np.random.default_rng(seed))
         return spy.points
 
     assert points_with(1) == points_with(999)

@@ -134,6 +134,26 @@ def test_verify_too_large_exit_one(tmp_path):
     assert sampled.returncode == 0
 
 
+@pytest.mark.parametrize("adversary", ["cycle-random:whi=nan", "cycle-random:whi=inf",
+                                       "fixed-random:wlo=nan", "fresh-random:whi=inf"])
+def test_non_finite_weight_range_exit_one(adversary):
+    proc = run_cli("simulate-usm", "--n", "4", "--rounds", "5", "--adversary", adversary)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_workers_must_be_one():
+    args = ("simulate-usm", "--n", "4", "--rounds", "20", "--trials", "2", "--keep-transcripts")
+    proc = run_cli(*args, "--workers", "2")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --workers must be 1")
+    assert "Traceback" not in proc.stderr
+    proc = run_cli(*args, "--workers", "1")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["trials"] == 2
+
+
 def test_unwritable_output_exit_two(tmp_path):
     out = tmp_path / "missing-dir" / "res.csv"
     proc = run_cli("simulate-balance", "--rounds", "5", "--output", str(out))

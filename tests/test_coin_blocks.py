@@ -90,8 +90,7 @@ def reference_balance_game(subroutine, adversary, rounds, rng):
 @pytest.mark.parametrize("rounds", [1, 2, 999])
 def test_balance_game_equals_a_per_round_draw_loop(adversary, rounds):
     rng, twin = np.random.default_rng(17), np.random.default_rng(17)
-    got = run_balance_game(Balancer(rounds), build_balance_adversary(adversary), rounds, rng,
-                           record=True)
+    got = run_balance_game(Balancer(rounds), build_balance_adversary(adversary), rounds, rng)
     (r_alg, c_yes, c_no), rewards, piles = reference_balance_game(
         Balancer(rounds), build_balance_adversary(adversary), rounds, twin)
     ledger = got.ledger

@@ -429,17 +429,13 @@ def test_run_result_series_invariants():
 
 # --- best-fixed-set tracking against the per-round sum ---------------------
 
-def assert_tracking_is_the_reference(res, tables, regret_series):
+def assert_tracking_is_the_reference(res, tables):
     want_opt, want_final = reference_tracking(tables)
     assert res.final_opt == want_final
-    if regret_series:
-        assert res.cum_opt.tolist() == want_opt.tolist()
-        assert res.alpha_regret.tolist() == (res.alpha * want_opt - res.cum_rewards).tolist()
-    else:
-        assert res.cum_opt is None and res.alpha_regret is None
+    assert res.cum_opt.tolist() == want_opt.tolist()
+    assert res.alpha_regret.tolist() == (res.alpha * want_opt - res.cum_rewards).tolist()
 
 
-@pytest.mark.parametrize("regret_series", [True, False])
 @pytest.mark.parametrize(
     "n, rounds, adversary",
     [
@@ -449,15 +445,15 @@ def assert_tracking_is_the_reference(res, tables, regret_series):
         (16, 3, "fixed"),  # one table exceeds a block: still a block per round
     ],
 )
-def test_block_tracking_is_the_per_round_sum_bit_for_bit(n, rounds, adversary, regret_series):
+def test_block_tracking_is_the_per_round_sum_bit_for_bit(n, rounds, adversary):
     if adversary == "fresh":
         adv = RandomObliviousAdversary(n, 0.5, (0.0, 1.0), 4)
     else:
         k = 3 if adversary == "cycle" else 1
         adv = CycleFunctionAdversary([random_cut_oracle(n, seed=s) for s in range(k)])
     res = run_usm_game([Balancer(rounds) for _ in range(n)], adv, rounds, streams_for(n, seed=1),
-                       regret_series=regret_series, keep_transcripts=True)
-    assert_tracking_is_the_reference(res, distinct_tables(res.oracles), regret_series)
+                       keep_transcripts=True)
+    assert_tracking_is_the_reference(res, distinct_tables(res.oracles))
 
 
 @settings(max_examples=60, deadline=None)
@@ -466,10 +462,9 @@ def test_block_tracking_is_the_per_round_sum_bit_for_bit(n, rounds, adversary, r
     k=st.integers(1, 4),
     rounds=st.integers(1, 40),
     tables_per_block=st.integers(1, 9),
-    regret_series=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_any_block_size_tracks_the_per_round_sum(n, k, rounds, tables_per_block, regret_series, seed):
+def test_any_block_size_tracks_the_per_round_sum(n, k, rounds, tables_per_block, seed):
     # arbitrary tables in [0, 1] with a spread of exponents, so that any
     # other order of additions would round differently; constant policies
     # ignore the feedback, so the tables need not be submodular
@@ -478,9 +473,8 @@ def test_any_block_size_tracks_the_per_round_sum(n, k, rounds, tables_per_block,
     oracles = [oracle_from_table(t) for t in tables]
     with patch.object(framework, "_TRACK_BLOCK_BYTES", tables_per_block * (8 << n)):
         res = run_usm_game([ConstantPolicy(0.5) for _ in range(n)], CycleFunctionAdversary(oracles),
-                           rounds, streams_for(n, seed=seed % 7), regret_series=regret_series)
-    assert_tracking_is_the_reference(res, [value_table(oracles[t % k]) for t in range(rounds)],
-                                     regret_series)
+                           rounds, streams_for(n, seed=seed % 7))
+    assert_tracking_is_the_reference(res, [value_table(oracles[t % k]) for t in range(rounds)])
 
 
 def test_run_usm_game_errors():

@@ -9,6 +9,7 @@ from onlineusm.errors import ConfigError
 from onlineusm.harness import (
     RESULT_HEADER,
     ExperimentConfig,
+    _balance_trial,
     _usm_trial,
     build_balance_adversary,
     build_subroutine,
@@ -208,12 +209,21 @@ def test_usm_rows_match_recomputed_regret(small_usm_config):
         assert trial_rows[t - 1][5] == pytest.approx(want, abs=1e-9)
 
 
-def test_usm_workers_match_serial(small_usm_config):
-    columns1, summary1 = run_experiment(small_usm_config)
-    cfg2 = ExperimentConfig(**{**vars(small_usm_config), "workers": 2})
-    columns2, summary2 = run_experiment(cfg2)
-    assert rows_of(columns1) == rows_of(columns2)
-    assert summary1["final_alpha_regret"] == summary2["final_alpha_regret"]
+@pytest.mark.parametrize("game", ["usm", "balance"])
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("rounds", [1, 17])
+def test_summary_finals_are_each_trials_final_regret(game, trials, rounds):
+    # the summary takes each trial's final regret from the last row of the
+    # regret column; it must be the very double the trial reports itself
+    if game == "usm":
+        cfg = ExperimentConfig(game="usm", n=4, rounds=rounds, trials=trials, seed=3,
+                               adversary="cycle-random:k=2").validated()
+        want = [_usm_trial(cfg, k).final_alpha_regret for k in range(trials)]
+    else:
+        cfg = ExperimentConfig(game="balance", rounds=rounds, trials=trials, seed=3,
+                               adversary="pattern:URLLR", alpha=0.7).validated()
+        want = [_balance_trial(cfg, k).regret for k in range(trials)]
+    assert run_experiment(cfg)[1]["final_alpha_regret"] == want
 
 
 def test_usm_diagnostics_via_transcripts():
