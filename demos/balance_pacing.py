@@ -48,8 +48,8 @@ for desc in adversaries:
     regrets = []
     for seed in range(20):
         rng = np.random.default_rng((SEED, seed))
-        res = run_balance_game(Balancer(T), build_balance_adversary(desc), T, rng, alpha=1.0)
-        regrets.append(res.regret)
+        res = run_balance_game(Balancer(T), build_balance_adversary(desc), T, rng)
+        regrets.append(res.pile_series[-1] - res.reward_series[-1])
     print(f"  {desc:22s}  mean {np.mean(regrets):10.1f}   worst {max(regrets):10.1f}")
 
 print(f"\nthe two-experts learner on the same patterns, scored at 1/2-regret:")
@@ -57,8 +57,8 @@ for desc in ("pattern:U", "pattern:RL", "pattern:URL"):
     regrets = []
     for seed in range(20):
         rng = np.random.default_rng((SEED, seed, 7))
-        res = run_balance_game(TwoExperts(T), build_balance_adversary(desc), T, rng, alpha=0.5)
-        regrets.append(res.regret)
+        res = run_balance_game(TwoExperts(T), build_balance_adversary(desc), T, rng)
+        regrets.append(0.5 * res.pile_series[-1] - res.reward_series[-1])
     print(f"  {desc:22s}  mean {np.mean(regrets):10.1f}   worst {max(regrets):10.1f}")
 
 # Why pacing beats plain experts here: the experts learner only tracks

@@ -16,6 +16,8 @@ from onlineusm import (
     build_subroutine,
     build_usm_adversary,
     coin_stream,
+    default_checkpoints,
+    fit_growth_exponent,
     run_usm_game,
 )
 
@@ -27,12 +29,12 @@ for name in ("balancer", "mw", "uniform", "always-no"):
     adversary = build_usm_adversary("cycle-random:k=4", N, SEED)
     subs = [build_subroutine(name, T) for _ in range(N)]
     streams = [coin_stream(SEED, 0, i) for i in range(N)]
-    res = run_usm_game(subs, adversary, T, streams, alpha=0.5)
+    res = run_usm_game(subs, adversary, T, streams)
     total = res.cum_rewards[-1]
-    best_fixed = res.final_opt
+    best_fixed = res.cum_opt[-1]
     print(
         f"{name:10s}  total value {total:9.1f}   half of best fixed {0.5 * best_fixed:9.1f}"
-        f"   1/2-regret {res.final_alpha_regret:9.1f}"
+        f"   1/2-regret {0.5 * best_fixed - total:9.1f}"
         f"   queries/round <= {res.max_round_queries} (budget {4 * N + 2})"
     )
 
@@ -44,8 +46,11 @@ print("\nregret trajectory for the pacing subroutine (checkpoints, one seed):")
 adversary = build_usm_adversary("cycle-random:k=4", N, SEED)
 subs = [build_subroutine("balancer", T) for _ in range(N)]
 streams = [coin_stream(SEED, 1, i) for i in range(N)]
-res = run_usm_game(subs, adversary, T, streams, alpha=0.5)
-for t in (T // 16, T // 8, T // 4, T // 2, T):
-    print(f"  t={t:6d}   1/2-regret {res.alpha_regret[t - 1]:9.1f}   5*n*sqrt(t) = {5 * N * np.sqrt(t):8.0f}")
-print(f"fitted growth exponent of the regret series: {res.growth_exponent:.3f}"
+res = run_usm_game(subs, adversary, T, streams)
+regret = 0.5 * res.cum_opt - res.cum_rewards
+checkpoints = default_checkpoints(T)
+for t in checkpoints:
+    print(f"  t={t:6d}   1/2-regret {regret[t - 1]:9.1f}   5*n*sqrt(t) = {5 * N * np.sqrt(t):8.0f}")
+exponent = fit_growth_exponent(checkpoints, [regret[t - 1] for t in checkpoints])
+print(f"fitted growth exponent of the regret series: {exponent:.3f}"
       " (nan when the regret is nonpositive at the checkpoints)")

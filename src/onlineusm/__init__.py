@@ -25,13 +25,11 @@ from .balance import (
     ConstantPolicy,
     ConvexWeights,
     Decision,
-    DoublingHorizon,
     LEFT,
     Ledger,
     RIGHT,
     TwoExperts,
     UP,
-    balance_alpha_regret,
     decompose,
     default_learning_rate,
     expected_ledger_deltas,
@@ -52,7 +50,6 @@ from .framework import (
     UsmRunResult,
     default_checkpoints,
     fit_growth_exponent,
-    opt_drop_margin,
     opt_tracking_check,
     run_round,
     run_usm_game,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import DomainError, InvalidPointError
 
@@ -219,33 +219,6 @@ class ConstantPolicy:
         pass
 
 
-class DoublingHorizon:
-    """Unknown-horizon wrapper: guess T, double and restart when exceeded.
-
-    Round r runs a fresh inner subroutine built for the smallest power
-    of two >= r, so decisions within an epoch match the fixed-horizon
-    subroutine exactly.
-    """
-
-    def __init__(self, factory: Callable[[int], BalanceSubroutine]):
-        self.factory = factory
-        self.guess = 1
-        self.rounds = 0
-        self.restarts = 0
-        self.inner = factory(1)
-
-    def decide(self, coin: float) -> Decision:
-        self.rounds += 1
-        while self.rounds > self.guess:
-            self.guess *= 2
-            self.inner = self.factory(self.guess)
-            self.restarts += 1
-        return self.inner.decide(coin)
-
-    def update(self, pt: BalancePoint) -> None:
-        self.inner.update(pt)
-
-
 # --- ledger ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -255,11 +228,6 @@ class Ledger:
     r_alg: float = 0.0
     c_yes: float = 0.0
     c_no: float = 0.0
-
-
-def balance_alpha_regret(ledger: Ledger, a: float) -> float:
-    """a * max(C_yes, C_no) - R_alg; a is meant to lie in (0, 1]."""
-    return a * max(ledger.c_yes, ledger.c_no) - ledger.r_alg
 
 
 # --- potentials --------------------------------------------------------

@@ -32,7 +32,7 @@ def _add_common(p: argparse.ArgumentParser, *, alpha_default: str) -> None:
     p.add_argument("--output", default=None, help="result file; summary prints to stdout either way")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--workers", type=int, default=1,
-                   help="must be 1: trials run in one process (kept because perfbench's commands pass it)")
+                   help="must be 1: trials run in one process (accepted so existing command lines still run)")
     p.add_argument("--summary-only", action="store_true", help="omit per-round rows from the output file")
 
 
@@ -77,6 +77,9 @@ def parse_config(argv) -> ExperimentConfig:
     args = build_parser().parse_args(argv)
     game = {"simulate-usm": "usm", "simulate-balance": "balance"}.get(args.command, args.command)
     fields = {k: v for k, v in vars(args).items() if k != "command"}
+    workers = fields.pop("workers", 1)
+    if workers != 1:
+        raise ConfigError(f"--workers must be 1, got {workers}: trials run in one process")
     return ExperimentConfig(game=game, **fields).validated()
 
 
@@ -87,7 +90,8 @@ def main(argv=None) -> int:
         if config.output:
             write_results(columns, summary, config.format, config.output,
                           config=config, summary_only=config.summary_only)
-            print(f"wrote {len(columns['trial'])} rows to {config.output}", file=sys.stderr)
+            rows = 0 if config.summary_only else len(columns["trial"])
+            print(f"wrote {rows} rows to {config.output}", file=sys.stderr)
         print(json.dumps(summary, indent=1))
         if config.game == "verify" and not summary["passed"]:
             return 3

@@ -1,4 +1,4 @@
-"""Online double-greedy framework and its regret metrics.
+"""Online double-greedy framework: the round, the game and its replay checks.
 
 Each round runs n binary-action subroutines, one per element, in fixed
 order 1..n.  A growing set X (starts empty) and a shrinking set Y
@@ -10,16 +10,20 @@ round's function arrives, each subroutine i is fed the marginal pair
     beta_i  = f(Y_{i-1} - i) - f(Y_{i-1}),
 
 the rewards for yes and no.  Submodularity makes alpha_i + beta_i >= 0,
-so the pair is a valid balance-subproblem point.
+so the pair is a valid balance-subproblem point.  All decisions come
+before any feedback, so S fixes both chains: X_i is S restricted to
+elements 1..i and Y_i is X_i plus every element after i.  A round's
+record keeps S and derives the chains from it.
 
 A round walks the elements once: at element i it reads f(X_{i-1} + i)
 and f(Y_{i-1} - i) through a per-round memo that starts with f(empty
 set) and f(full set), and then advances X and Y.  The incremental sets
 repeat, so each distinct mask is one counted query and a round costs at
 most 2n + 2 of them, comfortably inside the 4n + 2 budget; a round's
-``queries`` is the number of its own ``evaluate`` calls.  All metrics
-(best fixed set in hindsight, regret series, replay diagnostics) use
-the oracle's uncounted peek path.
+``queries`` is the number of its own ``evaluate`` calls.  The game
+records per-round series (reward, best fixed set in hindsight, queries)
+and the experiment driver turns them into alpha-regret; the best fixed
+set and the replay diagnostics use the oracle's uncounted peek path.
 
 Subroutine i decides with one uniform coin per round.  A round takes
 its n coins as an array, coin i for element i; a game draws each
@@ -40,19 +44,30 @@ from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mas
 
 
 class RoundTranscript(NamedTuple):
-    """Everything one round did: decisions, marginals, set trajectories.
+    """Everything one round did: choice, decisions, marginals, queries.
 
     An immutable tuple; ``marginals[i]`` is the very :class:`BalancePoint`
-    that subroutine i + 1 was fed, and unpacks as ``alpha, beta``.
+    that subroutine i + 1 was fed, and unpacks as ``alpha, beta``.  The
+    set chains are derived from the choice, as bitmasks:
+    X_i = chosen & (2^i - 1) and Y_i = chosen | (full & ~(2^i - 1)).
     """
 
     t: int
     chosen: int
     decisions: tuple[Decision, ...]
     marginals: tuple[BalancePoint, ...]
-    x_sets: tuple[int, ...]  # X_0..X_n as bitmasks
-    y_sets: tuple[int, ...]  # Y_0..Y_n
     queries: int
+
+    @property
+    def x_sets(self) -> tuple[int, ...]:
+        """X_0..X_n: the chosen elements among the first i."""
+        return tuple(self.chosen & ((1 << i) - 1) for i in range(len(self.decisions) + 1))
+
+    @property
+    def y_sets(self) -> tuple[int, ...]:
+        """Y_0..Y_n: X_i plus every element after i."""
+        full = full_mask(len(self.decisions))
+        return tuple(self.chosen | (full >> i << i) for i in range(len(self.decisions) + 1))
 
 
 def run_round(
@@ -86,8 +101,6 @@ def run_round(
     fx = evaluate(x)
     fy = evaluate(y)
     value = {x: fx, y: fy}
-    xs = [x]
-    ys = [y]
     # tuple.__new__ builds the same BalancePoint (and RoundTranscript) as
     # the class call, at half the cost (no Python frame for the generated
     # __new__)
@@ -108,8 +121,6 @@ def run_round(
             x, fx = x_up, fx_up
         else:
             y, fy = y_down, fy_down
-        xs.append(x)
-        ys.append(y)
         bit <<= 1
 
     for sub, pt in zip(subroutines, marginals):
@@ -117,33 +128,27 @@ def run_round(
 
     return record(
         RoundTranscript,
-        (t, x, tuple(decisions), tuple(marginals), tuple(xs), tuple(ys), len(value)),
+        (t, x, tuple(decisions), tuple(marginals), len(value)),
     )
 
 
 @dataclass
 class UsmRunResult:
-    """Per-round reward/regret series and query accounting for one run."""
+    """Per-round series and query accounting of one run.
 
-    alpha: float
+    ``cum_opt[t - 1]`` is the best fixed set's total value over rounds
+    1..t (None without tracking); the experiment driver turns it and
+    ``cum_rewards`` into the alpha-regret.
+    """
+
     rewards: np.ndarray
     cum_rewards: np.ndarray
     cum_opt: np.ndarray | None
-    alpha_regret: np.ndarray | None
     round_queries: np.ndarray
-    total_queries: int
     max_round_queries: int
-    final_opt: float | None
-    growth_exponent: float
     chosen_sets: list[int] | None = None
     transcripts: list[RoundTranscript] | None = None
     oracles: list[SubmodularOracle] | None = None
-
-    @property
-    def final_alpha_regret(self) -> float:
-        if self.final_opt is None:
-            raise SizeError("best fixed set was not tracked for this run")
-        return self.alpha * self.final_opt - float(self.cum_rewards[-1])
 
 
 def default_checkpoints(rounds: int) -> list[int]:
@@ -173,7 +178,6 @@ def run_usm_game(
     rounds: int,
     streams: Sequence[np.random.Generator],
     *,
-    alpha: float = 0.5,
     track_opt: bool = True,
     keep_transcripts: bool = False,
     keep_sets: bool = False,
@@ -183,8 +187,8 @@ def run_usm_game(
     ``adversary.next_oracle(last_set)`` supplies each round's function
     (oblivious kinds ignore the argument).  With ``track_opt`` the full
     value table of each distinct oracle is accumulated (n <= 20) so the
-    best fixed set in hindsight, and hence the alpha-regret series, can
-    be reported without spending counted queries.
+    best fixed set's total value after each round (``cum_opt``) is
+    reported without spending counted queries.
 
     The game is played in blocks of rounds, each holding at most
     ``_TRACK_BLOCK_BYTES`` of value tables (and at least one round).
@@ -192,8 +196,7 @@ def run_usm_game(
     one pass stacks the block's tables, adds the running total to the
     first row and accumulates down the rows.  That is the same sequence
     of IEEE additions as one ``total += table`` per round, so every
-    running total, row maximum (``cum_opt``) and ``final_opt`` is the
-    same double.
+    running total and row maximum (``cum_opt``) is the same double.
 
     ``streams`` holds one distinct Generator per subroutine.  Each
     stream's ``rounds`` coins are drawn up front as one ``random``
@@ -258,26 +261,12 @@ def run_usm_game(
         if track_opt:
             total = _accumulate(tables, total, totals[: stop - start], cum_opt[start:stop])
 
-    cum_rewards = np.cumsum(rewards)
-    regret = None
-    if cum_opt is not None:
-        regret = alpha * cum_opt - cum_rewards
-    final_opt = float(total.max()) if total is not None else None
-    exponent = float("nan")
-    if regret is not None:
-        cps = default_checkpoints(rounds)
-        exponent = fit_growth_exponent(cps, [regret[c - 1] for c in cps])
     return UsmRunResult(
-        alpha=alpha,
         rewards=rewards,
-        cum_rewards=cum_rewards,
+        cum_rewards=np.cumsum(rewards),
         cum_opt=cum_opt,
-        alpha_regret=regret,
         round_queries=round_queries,
-        total_queries=int(round_queries.sum()),
         max_round_queries=int(round_queries.max()),
-        final_opt=final_opt,
-        growth_exponent=exponent,
         chosen_sets=sets,
         transcripts=transcripts,
         oracles=oracles,
@@ -354,16 +343,18 @@ def opt_tracking_check(
     Returns None when every relation holds within ``VALUE_TOL``.
     """
     n = len(transcript.decisions)
+    xs = transcript.x_sets
+    ys = transcript.y_sets
     opt_cur = opt
     f_opt_cur = f.peek(opt_cur)
     for i in range(1, n + 1):
         bit = 1 << (i - 1)
         d = transcript.decisions[i - 1]
         alpha, beta = transcript.marginals[i - 1]
-        fx_prev = f.peek(transcript.x_sets[i - 1])
-        fx_cur = f.peek(transcript.x_sets[i])
-        fy_prev = f.peek(transcript.y_sets[i - 1])
-        fy_cur = f.peek(transcript.y_sets[i])
+        fx_prev = f.peek(xs[i - 1])
+        fx_cur = f.peek(xs[i])
+        fy_prev = f.peek(ys[i - 1])
+        fy_cur = f.peek(ys[i])
         if d.chose_yes:
             if abs(fx_cur - (fx_prev + alpha)) > VALUE_TOL:
                 return TrackingViolation(i, "x-gain", fx_cur, fx_prev + alpha)
@@ -404,44 +395,9 @@ def value_identity_residual(
     lhs = 0.0
     rhs = 0.0
     for tr, f in zip(transcripts, oracles):
-        lhs += (
-            f.peek(tr.x_sets[i]) - f.peek(tr.x_sets[prev])
-            + f.peek(tr.y_sets[i]) - f.peek(tr.y_sets[prev])
-        )
+        xs = tr.x_sets
+        ys = tr.y_sets
+        lhs += f.peek(xs[i]) - f.peek(xs[prev]) + f.peek(ys[i]) - f.peek(ys[prev])
         alpha, beta = tr.marginals[prev]
         rhs += alpha if tr.decisions[prev].chose_yes else beta
     return lhs - rhs
-
-
-def opt_drop_margin(
-    transcripts: Sequence[RoundTranscript],
-    oracles: Sequence[SubmodularOracle],
-    opt: int,
-    i: int,
-) -> float:
-    """Slack in the bound on the reference set's total value drop at element i.
-
-    max(sum of alpha_i over no-rounds, sum of beta_i over yes-rounds)
-    minus the actual total drop of the morphing reference set across
-    element i.  Nonnegative (up to tolerance) for submodular functions.
-    """
-    drop = 0.0
-    sum_alpha_no = 0.0
-    sum_beta_yes = 0.0
-    bit = 1 << (i - 1)
-    for tr, f in zip(transcripts, oracles):
-        opt_prev = opt
-        for j in range(1, i):
-            bj = 1 << (j - 1)
-            if tr.decisions[j - 1].chose_yes:
-                opt_prev |= bj
-            else:
-                opt_prev &= ~bj
-        opt_next = opt_prev | bit if tr.decisions[i - 1].chose_yes else opt_prev & ~bit
-        drop += f.peek(opt_prev) - f.peek(opt_next)
-        alpha, beta = tr.marginals[i - 1]
-        if tr.decisions[i - 1].chose_yes:
-            sum_beta_yes += beta
-        else:
-            sum_alpha_no += alpha
-    return max(sum_alpha_no, sum_beta_yes) - drop

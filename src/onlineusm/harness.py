@@ -84,7 +84,6 @@ class ExperimentConfig:
     seed: int = 0
     output: str | None = None
     format: str = "csv"
-    workers: int = 1  # must be 1; JSON outputs record the config, this field included
     keep_transcripts: bool = False
     summary_only: bool = False
     graph: str | None = None
@@ -99,8 +98,6 @@ class ExperimentConfig:
                 raise ConfigError(f"--rounds must be >= 1, got {self.rounds}")
             if self.trials < 1:
                 raise ConfigError(f"--trials must be >= 1, got {self.trials}")
-            if self.workers != 1:
-                raise ConfigError(f"--workers must be 1, got {self.workers}: trials run in one process")
             if self.alpha is None:
                 self.alpha = 0.5 if self.game == "usm" else 1.0
             if not 0.0 < self.alpha <= 1.0:
@@ -225,8 +222,6 @@ def build_usm_adversary(descriptor: str, n: int, master_seed: int):
 @dataclass
 class BalanceRunResult:
     ledger: bal.Ledger
-    alpha: float
-    regret: float
     reward_series: np.ndarray
     pile_series: np.ndarray
 
@@ -236,8 +231,6 @@ def run_balance_game(
     adversary,
     rounds: int,
     rng: np.random.Generator,
-    *,
-    alpha: float = 1.0,
 ) -> BalanceRunResult:
     """Play ``rounds`` rounds: decide, reveal, update, settle the ledger.
 
@@ -270,14 +263,7 @@ def run_balance_game(
         rewards[t] = r_alg
         piles[t] = c_yes if c_yes >= c_no else c_no
         prev = d
-    ledger = bal.Ledger(r_alg, c_yes, c_no)
-    return BalanceRunResult(
-        ledger=ledger,
-        alpha=alpha,
-        regret=bal.balance_alpha_regret(ledger, alpha),
-        reward_series=rewards,
-        pile_series=piles,
-    )
+    return BalanceRunResult(bal.Ledger(r_alg, c_yes, c_no), rewards, piles)
 
 
 # --- experiment drivers ---------------------------------------------------
@@ -291,7 +277,6 @@ def _usm_trial(config: ExperimentConfig, trial: int):
         adversary,
         config.rounds,
         streams,
-        alpha=config.alpha,
         track_opt=True,
         keep_transcripts=config.keep_transcripts,
     )
@@ -305,7 +290,7 @@ def _balance_trial(config: ExperimentConfig, trial: int) -> BalanceRunResult:
     adversary = build_balance_adversary(config.adversary)
     sub = build_subroutine(config.subroutine, config.rounds)
     rng = coin_stream(config.seed, trial, 0)
-    return run_balance_game(sub, adversary, config.rounds, rng, alpha=config.alpha)
+    return run_balance_game(sub, adversary, config.rounds, rng)
 
 
 def _balance_series(res: BalanceRunResult) -> tuple[np.ndarray, ...]:
@@ -348,9 +333,10 @@ def _run_online_experiment(config: ExperimentConfig):
     Each trial's series (per-round reward, cumulative reward, best
     fixed choice so far and cumulative queries) come from the game's
     ``_*_series`` adapter: ``cum_opt`` is the USM best so far, the
-    larger pile the balance game's.  The regret column is
-    ``alpha * best - cum_reward``, the same doubles as each trial's own
-    regret series; its last entry per trial is that trial's final regret.
+    larger pile the balance game's.  This is the one place the
+    alpha-regret is computed: the regret column is
+    ``alpha * best - cum_reward``, its last entry per trial is that
+    trial's final regret, and the summary statistics are reductions of it.
     """
     usm = config.game == "usm"
     trial, series = (_usm_trial, _usm_series) if usm else (_balance_trial, _balance_series)
@@ -546,7 +532,9 @@ def write_results(
     elif fmt == "json":
         obj: dict = {}
         if config is not None:
-            obj["config"] = asdict(config)
+            # the output path is not recorded: the same seeded command
+            # writes the same bytes under any name
+            obj["config"] = {k: v for k, v in asdict(config).items() if k != "output"}
         obj["summary"] = summary
         if not summary_only:
             obj["rows"] = [list(row) for part in _row_slices(columns) for row in zip(*part)]

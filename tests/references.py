@@ -5,6 +5,7 @@ in its arithmetic, so a test can require the new code to give the same
 values bit for bit (``==`` on floats, never a tolerance):
 
 * ``usm_alpha_regret``: the independent regret of a recorded history;
+* ``balance_alpha_regret``: the balance game's regret of a final ledger;
 * ``reference_usm_rows`` / ``reference_balance_rows``: the tuple rows
   that ``run_experiment`` assembled before it returned column arrays;
 * ``reference_tracking``: the per-round ``cum_table += table`` tracking
@@ -20,6 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
+from onlineusm.balance import Ledger
 from onlineusm.errors import SizeError
 from onlineusm.framework import distinct_tables
 from onlineusm.submodular import ENUMERATION_LIMIT, SubmodularOracle
@@ -59,7 +61,12 @@ def usm_alpha_regret(
     return a * best - algo_total
 
 
-def reference_usm_rows(results, rounds: int) -> list[tuple]:
+def balance_alpha_regret(ledger: Ledger, a: float) -> float:
+    """a * max(C_yes, C_no) - R_alg; a is meant to lie in (0, 1]."""
+    return a * max(ledger.c_yes, ledger.c_no) - ledger.r_alg
+
+
+def reference_usm_rows(results, rounds: int, alpha: float) -> list[tuple]:
     """Tuple rows of USM trials' ``UsmRunResult``s, in (trial, t) order."""
     rows = []
     for k, res in enumerate(results):
@@ -69,7 +76,7 @@ def reference_usm_rows(results, rounds: int) -> list[tuple]:
             res.rewards.tolist(),
             res.cum_rewards.tolist(),
             res.cum_opt.tolist(),
-            res.alpha_regret.tolist(),
+            (alpha * res.cum_opt - res.cum_rewards).tolist(),
             np.cumsum(res.round_queries).tolist(),
         ))
     return rows
@@ -91,8 +98,8 @@ def reference_balance_rows(results, rounds: int, alpha: float) -> list[tuple]:
 
 
 def reference_tracking(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
-    """``cum_opt`` series and ``final_opt`` of the rounds' value tables,
-    one ``+=`` and one maximum per round."""
+    """``cum_opt`` series and final best value of the rounds' value
+    tables, one ``+=`` and one maximum per round."""
     cum_table = None
     cum_opt = []
     for table in tables:

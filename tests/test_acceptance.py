@@ -32,6 +32,8 @@ from onlineusm.offline import (
 )
 from onlineusm.submodular import normalize, random_digraph, tabulate, value_table
 
+from references import balance_alpha_regret
+
 SEED = 2026
 TRIALS = 50
 HORIZONS = (1000, 4000, 16000)
@@ -70,12 +72,9 @@ def _usm_runs(subroutine: str, alpha: float):
             adversary = build_usm_adversary(adversary_desc, cfg.n, cfg.seed)
             subs = [build_subroutine(subroutine, horizon) for _ in range(cfg.n)]
             streams = [coin_stream(cfg.seed, k, i) for i in range(cfg.n)]
-            results.append(
-                run_usm_game(subs, adversary, horizon, streams,
-                             alpha=alpha, track_opt=True)
-            )
+            results.append(run_usm_game(subs, adversary, horizon, streams, track_opt=True))
         runs[horizon] = results
-    return runs, time.perf_counter() - start
+    return runs, alpha, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -124,10 +123,8 @@ def test_2_balancer_regret_bound():
             bound = 5 * math.sqrt(horizon)
             for seed in range(100):
                 rng = np.random.default_rng((SEED, horizon, seed))
-                res = run_balance_game(
-                    Balancer(horizon), build_balance_adversary(desc), horizon, rng, alpha=1.0
-                )
-                slack = res.regret / bound
+                res = run_balance_game(Balancer(horizon), build_balance_adversary(desc), horizon, rng)
+                slack = balance_alpha_regret(res.ledger, 1.0) / bound
                 if slack > worst:
                     worst = slack
                     worst_case = f"{desc} T={horizon}"
@@ -140,8 +137,9 @@ def test_2_balancer_regret_bound():
     )
 
 
-def _growth_report(name: str, runs, elapsed: float, budget: float):
-    means = {h: float(np.mean([r.final_alpha_regret for r in res])) for h, res in runs.items()}
+def _growth_report(name: str, runs, alpha: float, elapsed: float, budget: float):
+    means = {h: float(np.mean([alpha * r.cum_opt[-1] - r.cum_rewards[-1] for r in res]))
+             for h, res in runs.items()}
     pairs = list(zip(HORIZONS, HORIZONS[1:]))
     checks = []
     for small, big in pairs:
@@ -157,18 +155,18 @@ def _growth_report(name: str, runs, elapsed: float, budget: float):
 
 
 def test_3_online_half_regret_growth(balancer_runs):
-    runs, elapsed = balancer_runs
+    runs, alpha, elapsed = balancer_runs
     _growth_report(
         "online 1/2-regret growth cap, pacing subroutine (n=8, 4-function cycle, 50 seeds)",
-        runs, elapsed, budget=300,
+        runs, alpha, elapsed, budget=300,
     )
 
 
 def test_4_online_third_regret_growth(mw_runs):
-    runs, elapsed = mw_runs
+    runs, alpha, elapsed = mw_runs
     _growth_report(
         "online 1/3-regret growth cap, two-experts subroutine (n=8, 4-function cycle, 50 seeds)",
-        runs, elapsed, budget=300,
+        runs, alpha, elapsed, budget=300,
     )
 
 
@@ -261,7 +259,7 @@ def test_7_adaptive_coin_covariance():
 def test_8_query_budget(balancer_runs, mw_runs):
     budget = 4 * 8 + 2
     worst = 0
-    for runs, _ in (balancer_runs, mw_runs):
+    for runs, _, _ in (balancer_runs, mw_runs):
         for results in runs.values():
             for res in results:
                 worst = max(worst, res.max_round_queries)

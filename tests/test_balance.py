@@ -14,10 +14,8 @@ from onlineusm.balance import (
     BalancePoint,
     Balancer,
     ConstantPolicy,
-    DoublingHorizon,
     Ledger,
     TwoExperts,
-    balance_alpha_regret,
     decompose,
     default_learning_rate,
     expected_ledger_deltas,
@@ -25,7 +23,9 @@ from onlineusm.balance import (
     step_invariant_deltas,
 )
 from onlineusm.errors import DomainError, InvalidPointError
-from onlineusm.harness import run_balance_game
+from onlineusm.harness import ExperimentConfig, _balance_trial, run_balance_game, run_experiment
+
+from references import balance_alpha_regret
 
 
 def random_triangle_points(count, rng):
@@ -265,9 +265,21 @@ def test_ledger_bounds_after_t_rounds():
 
 
 def test_balance_alpha_regret_values():
-    assert balance_alpha_regret(Ledger(1.0, 2.0, 0.0), 1.0) == 1.0
-    assert balance_alpha_regret(Ledger(), 0.7) == 0.0
-    assert balance_alpha_regret(Ledger(0.0, 4.0, 6.0), 0.5) == 3.0
+    # the experiment's final a * max(C_yes, C_no) - R_alg on ledgers known in
+    # closed form over 4 rounds: yes on U earns 1/2 and adds 1 to the no
+    # pile, no on R earns -1/2 and adds 1 to the yes pile, no on L earns
+    # 1/2 and takes 1 from the yes pile (so the empty no pile is the max)
+    cases = [
+        ("always-yes", "pattern:U", 1.0, Ledger(2.0, 0.0, 4.0), 2.0),
+        ("always-yes", "pattern:U", 0.5, Ledger(2.0, 0.0, 4.0), 0.0),
+        ("always-no", "pattern:R", 0.25, Ledger(-2.0, 4.0, 0.0), 3.0),
+        ("always-no", "pattern:L", 0.7, Ledger(2.0, -4.0, 0.0), -2.0),
+    ]
+    for subroutine, adversary, a, ledger, regret in cases:
+        cfg = ExperimentConfig(game="balance", rounds=4, subroutine=subroutine,
+                               adversary=adversary, alpha=a).validated()
+        assert _balance_trial(cfg, 0).ledger == ledger
+        assert run_experiment(cfg)[1]["final_alpha_regret"] == [regret]
 
 
 # --- potentials ----------------------------------------------------------
@@ -367,54 +379,13 @@ def test_capping_monotonicity():
         assert got[2] <= ref[2] + 1e-12
 
 
-# --- constant policies and the doubling wrapper --------------------------
+# --- constant policies ---------------------------------------------------
 
 def test_constant_policies():
     assert ConstantPolicy(1.0).decide(0.999).chose_yes
     assert not ConstantPolicy(0.0).decide(0.0).chose_yes
     u = ConstantPolicy(0.5)
     assert u.decide(0.49).chose_yes and not u.decide(0.51).chose_yes
-
-
-def test_doubling_guess_schedule():
-    guesses = []
-    w = DoublingHorizon(lambda T: ConstantPolicy(1.0))
-    for r in range(1, 65):
-        w.decide(0.5)
-        guesses.append(w.guess)
-    for r, g in enumerate(guesses, start=1):
-        assert g == 1 << (r - 1).bit_length()  # smallest power of two >= r
-
-
-def test_doubling_restart_count():
-    for total in (1, 2, 3, 4, 5, 8, 13, 16, 33, 64):
-        w = DoublingHorizon(lambda T: ConstantPolicy(1.0))
-        for _ in range(total):
-            w.decide(0.5)
-        assert w.restarts == (total - 1).bit_length()
-
-
-def test_doubling_epochs_match_fresh_inner():
-    # final epoch of a power-of-two run covers rounds (T/2, T] on a
-    # fresh subroutine; replay those rounds directly and compare.
-    T = 16
-    rng = np.random.default_rng(5)
-    alpha, beta = random_triangle_points(T, rng)
-    points = [BalancePoint(a, b) for a, b in zip(alpha, beta)]
-    coins = rng.random(T)
-
-    w = DoublingHorizon(lambda h: Balancer(h))
-    wrapper_decisions = []
-    for t in range(T):
-        wrapper_decisions.append(w.decide(float(coins[t])))
-        w.update(points[t])
-    assert w.guess == T
-
-    fresh = Balancer(T)
-    for t in range(T // 2, T):
-        d = fresh.decide(float(coins[t]))
-        assert d == wrapper_decisions[t]
-        fresh.update(points[t])
 
 
 # --- empirical two-experts reduction (extremal oblivious adversaries) ----
@@ -428,11 +399,11 @@ def test_mw_half_regret_and_balancer_one_regret_sublinear(pattern):
         for seed in range(20):
             rng = np.random.default_rng((seed, T, 1))
             res_mw = run_balance_game(
-                TwoExperts(T), build_balance_adversary(f"pattern:{pattern}"), T, rng, alpha=0.5
+                TwoExperts(T), build_balance_adversary(f"pattern:{pattern}"), T, rng
             )
-            assert res_mw.regret <= bound
+            assert balance_alpha_regret(res_mw.ledger, 0.5) <= bound
             rng = np.random.default_rng((seed, T, 2))
             res_bal = run_balance_game(
-                Balancer(T), build_balance_adversary(f"pattern:{pattern}"), T, rng, alpha=1.0
+                Balancer(T), build_balance_adversary(f"pattern:{pattern}"), T, rng
             )
-            assert res_bal.regret <= bound
+            assert balance_alpha_regret(res_bal.ledger, 1.0) <= bound

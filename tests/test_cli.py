@@ -78,6 +78,28 @@ def test_usm_run_json_summary_only(tmp_path):
     assert obj["summary"]["n"] == 4
 
 
+def test_summary_only_reports_the_rows_it_writes(tmp_path, capsys):
+    argv = ["simulate-usm", "--n", "4", "--rounds", "10", "--trials", "2", "--output"]
+    full, short = tmp_path / "all.csv", tmp_path / "so.csv"
+    assert cli.main([*argv, str(full)]) == 0
+    assert capsys.readouterr().err == f"wrote 20 rows to {full}\n"
+    assert cli.main([*argv, str(short), "--summary-only"]) == 0
+    assert capsys.readouterr().err == f"wrote 0 rows to {short}\n"
+    assert short.read_text() == "trial,t,reward,cum_reward,cum_opt,alpha_regret,queries\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate-usm", "--n", "4", "--rounds", "20", "--trials", "2", "--seed", "5", "--format", "json"],
+    ["offline", "--n", "6", "--trials", "50", "--seed", "5"],
+])
+def test_json_bytes_do_not_depend_on_the_output_name(tmp_path, capsys, command):
+    (tmp_path / "sub").mkdir()
+    paths = [tmp_path / "a.json", tmp_path / "sub" / "another-name.json"]
+    for path in paths:
+        assert cli.main([*command, "--output", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_offline_subcommand():
     proc = run_cli("offline", "--n", "6", "--trials", "200", "--seed", "2")
     assert proc.returncode == 0

@@ -1,8 +1,9 @@
 """Golden seeded outputs: the sha256 of small CLI runs, byte for byte.
 
-Each case runs ``onlineusm.cli.main`` in a temporary directory with a
-relative output name (the JSON output records ``config.output``), then
-hashes the output file and the summary printed on stdout.  A change to
+Each case runs ``onlineusm.cli.main`` in a temporary directory, then
+hashes the output file and the summary printed on stdout.  The JSON
+outputs record the config without the output path, so their bytes do
+not depend on where they are written.  A change to
 any digest is a change of behaviour and has to say so.
 
 ``fresh-random`` and ``adaptive:*`` adversaries are pinned only with
@@ -73,11 +74,11 @@ GOLDEN = {
                             "bf2093cdd71a5bd570ac6d3a451c92e55783048c9b185fdcc8c273fc761e9dba"),
     "balance-csv": ("f41f39b8a6ca1482abbbc5f7e07281bb234686eb379ccfa4f7125a1f576383de",
                     "7c369523c5db4e56cb35c6915667b3275cd383e7d7841c6622c9fca3c2a3174a"),
-    "offline-json": ("2183c7d5283867b4b15a06ad6559d09ac7bb5882c8e1a124b681520b97164292",
+    "offline-json": ("caeed2ee99a5305c72a0f0cc7d5b7f5887fe4867ca8afda4b2aa1263f220cf72",
                      "d1a0bc9eba958fd5fa007cf22887cca6543cae80da0d5d9ab0e83774078292cb"),
     "usm-cycle-balancer": ("ec2cd1de06b8cc53e046bb322511330d89ea2b8b9ce90aee594582be4128eee7",
                            "1ad194f45babc19cf28814c75453e4b386122e1ed08b3671e0f06a92a870d2a1"),
-    "usm-adaptive-json-transcripts": ("3f3c592f7d81248f96b23d9e4539a58b5f82e811281b1681ff51f7fc3392712d",
+    "usm-adaptive-json-transcripts": ("53e9bfca030567619333e6eefbca5a81441c600e00a7ce05dc30f66bb6d7419a",
                                       "92a4b24c8c4f5037f1aa368eca1b95f8b1aa47624f0b74ab0ddad96ba456eaae"),
     "usm-cycle-always-no": ("9983509f1a942a31fc24055ad2768d48fe3c1861b84341034c68b64a4b60a284",
                             "ed3d30eb68eaacd9f77b488798175f49c0c5abdd92831e169e792e1dd72a41e5"),
@@ -95,9 +96,9 @@ GOLDEN = {
                      "c82068e315d21815aac8dbaf475393c94ff5b6d12918600a3730e0cb98271643"),
     "usm-fixed-uniform": ("bc81c12b01f660661e13e3bd1bc99c38483215fe30195acba008ece27ca42de8",
                           "f7e0540ac12510ea66b5ea0d3f98eaf5b5c4897cf19095034cc4ff525f035fdd"),
-    "usm-fresh-json-transcripts": ("6d93953b898ec9e63b7b54765fad9dc74f656cddbd9239a7c35309763679469d",
+    "usm-fresh-json-transcripts": ("72d808030b106831418c819387187ecb7e55c4bb4a8a92669c36785b181d6c02",
                                    "9c7ab03412ba26b4f3b069a3ca6152bd0422517bf9c76c602199e29ef3023c36"),
-    "usm-json-transcripts": ("c61964a5a7a3eb1e2ecaca418c76bc2792536fbfb9979b4a39db9900c80d98fc",
+    "usm-json-transcripts": ("db1bf230424ca8c09a3951a69e5087dcc6e6ea969571e7569faa499a45d1a48b",
                              "1684049b369f88b486c2f65c8f9665a0bf9b770c94d53893c47bc1d6545480a1"),
 }
 

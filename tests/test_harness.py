@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from onlineusm.balance import balance_alpha_regret
 from onlineusm.cli import parse_config
 from onlineusm.errors import ConfigError
 from onlineusm.harness import (
@@ -21,7 +20,7 @@ from onlineusm.harness import (
 from onlineusm.submodular import normalize, random_digraph, value_table, write_digraph
 
 from conftest import columns_of
-from references import usm_alpha_regret
+from references import balance_alpha_regret, usm_alpha_regret
 
 
 def rows_of(columns):
@@ -163,7 +162,6 @@ def test_balance_experiment_final_matches_replay():
         200,
         coin_stream(9, 0, 0),
     )
-    assert summary["final_alpha_regret"][0] == pytest.approx(res.regret, abs=1e-12)
     assert summary["final_alpha_regret"][0] == pytest.approx(
         balance_alpha_regret(res.ledger, 1.0), abs=1e-12
     )
@@ -214,15 +212,17 @@ def test_usm_rows_match_recomputed_regret(small_usm_config):
 @pytest.mark.parametrize("rounds", [1, 17])
 def test_summary_finals_are_each_trials_final_regret(game, trials, rounds):
     # the summary takes each trial's final regret from the last row of the
-    # regret column; it must be the very double the trial reports itself
+    # regret column; it must be, as a double, alpha times the trial's final
+    # best value (USM best fixed set, larger balance pile) minus its reward
     if game == "usm":
         cfg = ExperimentConfig(game="usm", n=4, rounds=rounds, trials=trials, seed=3,
                                adversary="cycle-random:k=2").validated()
-        want = [_usm_trial(cfg, k).final_alpha_regret for k in range(trials)]
+        results = [_usm_trial(cfg, k) for k in range(trials)]
+        want = [cfg.alpha * r.cum_opt[-1] - r.cum_rewards[-1] for r in results]
     else:
         cfg = ExperimentConfig(game="balance", rounds=rounds, trials=trials, seed=3,
                                adversary="pattern:URLLR", alpha=0.7).validated()
-        want = [_balance_trial(cfg, k).regret for k in range(trials)]
+        want = [balance_alpha_regret(_balance_trial(cfg, k).ledger, cfg.alpha) for k in range(trials)]
     assert run_experiment(cfg)[1]["final_alpha_regret"] == want
 
 

@@ -66,7 +66,7 @@ def test_round_queries_are_the_distinct_masks(backing, make):
                        streams, keep_transcripts=True)
     assert [tr.queries for tr in res.transcripts] == [distinct_masks(tr) for tr in res.transcripts]
     assert res.round_queries.tolist() == [tr.queries for tr in res.transcripts]
-    assert f.queries == res.total_queries
+    assert f.queries == res.round_queries.sum()
     assert res.max_round_queries <= 2 * N + 2
 
 
@@ -77,7 +77,7 @@ def test_counters_sum_to_the_game_total_across_a_cycle(backing):
     streams = [np.random.default_rng((7, i)) for i in range(N)]
     res = run_usm_game([Balancer(rounds) for _ in range(N)], CycleFunctionAdversary(oracles),
                        rounds, streams)
-    assert sum(f.queries for f in oracles) == res.total_queries
+    assert sum(f.queries for f in oracles) == res.round_queries.sum()
 
 
 def test_table_lookup_returns_python_floats_for_numpy_masks():

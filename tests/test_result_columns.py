@@ -64,7 +64,7 @@ def test_usm_columns_are_the_tuple_rows(subroutine, adversary, graph_files):
     cfg = ExperimentConfig(game="usm", n=5, rounds=70, trials=3, seed=6, subroutine=subroutine,
                            adversary=adversary).validated()
     columns, _ = run_experiment(cfg)
-    rows = reference_usm_rows([_usm_trial(cfg, k) for k in range(cfg.trials)], cfg.rounds)
+    rows = reference_usm_rows([_usm_trial(cfg, k) for k in range(cfg.trials)], cfg.rounds, cfg.alpha)
     assert_columns_are_rows(columns, rows)
 
 
@@ -113,7 +113,9 @@ def test_json_is_json_dumps(tmp_path_factory, rows, rows_per_slice, summary_only
     with patch.object(harness, "_ROWS_PER_SLICE", rows_per_slice):
         write_results(columns_of(rows), summary, "json", str(path), config=cfg,
                       summary_only=summary_only)
-    obj = {"config": asdict(cfg), "summary": summary}
+    config = asdict(cfg)
+    del config["output"]
+    obj = {"config": config, "summary": summary}
     if not summary_only:
         obj["rows"] = [list(row) for row in rows]
     assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=1) + "\n"
