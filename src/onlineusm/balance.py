@@ -41,13 +41,15 @@ class BalancePoint(NamedTuple):
 #: gets twice this, one share per coordinate)
 TRIANGLE_TOL = 1e-6
 
+# the triangle's bounds with their tolerance, computed once: every
+# Balancer update tests one point against them
+_LO = -1.0 - TRIANGLE_TOL
+_HI = 1.0 + TRIANGLE_TOL
+_SUM_LO = -2.0 * TRIANGLE_TOL
+
 
 def _in_triangle(a: float, b: float) -> bool:
-    return (
-        -1.0 - TRIANGLE_TOL <= a <= 1.0 + TRIANGLE_TOL
-        and -1.0 - TRIANGLE_TOL <= b <= 1.0 + TRIANGLE_TOL
-        and a + b >= -2.0 * TRIANGLE_TOL
-    )
+    return _LO <= a <= _HI and _LO <= b <= _HI and a + b >= _SUM_LO
 
 
 UP = BalancePoint(1.0, 1.0)

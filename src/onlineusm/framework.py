@@ -188,7 +188,11 @@ def run_usm_game(
     (oblivious kinds ignore the argument).  With ``track_opt`` the full
     value table of each distinct oracle is accumulated (n <= 20) so the
     best fixed set's total value after each round (``cum_opt``) is
-    reported without spending counted queries.
+    reported without spending counted queries.  Callers that already
+    hold that series pass ``track_opt=False``: the experiment driver for
+    every trial but the first of a cycle kind, whose sequence of
+    functions, and so whose series, is the first trial's; and replays
+    that need only the chosen sets.
 
     The game is played in blocks of rounds, each holding at most
     ``_TRACK_BLOCK_BYTES`` of value tables (and at least one round).

@@ -4,7 +4,12 @@ Everything is deterministic given the master seed: trial k's coin
 stream for subroutine i is derived from (seed, trial, i) through a
 splittable seed sequence, and instance-generating randomness (the
 adversary's functions) is derived from the master seed alone so every
-trial faces the same input sequence.
+trial faces the same input sequence.  For the cycle kinds (``cycle-random``,
+``fixed-random``, ``cycle-files``, ``fixed-file``) that sequence is fixed
+before any coin is drawn, so an experiment builds the instance once and
+tracks its best fixed set once: the trials share the oracles and the
+``cum_opt`` series.  ``fresh-random`` and the adaptive kinds build and
+track per trial.
 
 Trials run one after another in one process.  An experiment's result
 rows are seven column arrays named by ``RESULT_HEADER`` (int64
@@ -22,7 +27,7 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -268,18 +273,46 @@ def run_balance_game(
 
 # --- experiment drivers ---------------------------------------------------
 
-def _usm_trial(config: ExperimentConfig, trial: int):
-    adversary = build_usm_adversary(config.adversary, config.n, config.seed)
+def _usm_trial(config: ExperimentConfig, trial: int, adversary=None, cum_opt: np.ndarray | None = None):
+    """One USM trial, against ``adversary`` or, without one, a fresh build.
+
+    With ``cum_opt`` the game skips tracking the best fixed set and the
+    result reports that series instead.
+    """
+    if adversary is None:
+        adversary = build_usm_adversary(config.adversary, config.n, config.seed)
     subs = [build_subroutine(config.subroutine, config.rounds) for _ in range(config.n)]
     streams = [coin_stream(config.seed, trial, i) for i in range(config.n)]
-    return run_usm_game(
+    res = run_usm_game(
         subs,
         adversary,
         config.rounds,
         streams,
-        track_opt=True,
+        track_opt=cum_opt is None,
         keep_transcripts=config.keep_transcripts,
     )
+    if cum_opt is not None:
+        res.cum_opt = cum_opt
+    return res
+
+
+def _usm_trials(config: ExperimentConfig) -> list:
+    """Every trial of a USM experiment, in trial order.
+
+    A cycle kind's sequence of functions is fixed by the master seed
+    before any coin is drawn, so its instance is built once: each trial
+    plays a fresh cursor over the same oracles, and the best-fixed-set
+    series that trial 0 tracks (the same doubles any trial would track)
+    is every trial's ``cum_opt``, one read-only array.  Other kinds build
+    their adversary, and track, once per trial.
+    """
+    built = build_usm_adversary(config.adversary, config.n, config.seed)
+    first = _usm_trial(config, 0, built)
+    if not isinstance(built, adv.CycleFunctionAdversary):
+        return [first, *(_usm_trial(config, k) for k in range(1, config.trials))]
+    first.cum_opt.flags.writeable = False
+    return [first, *(_usm_trial(config, k, adv.CycleFunctionAdversary(built.oracles), first.cum_opt)
+                     for k in range(1, config.trials))]
 
 
 def _usm_series(res) -> tuple[np.ndarray, ...]:
@@ -339,8 +372,10 @@ def _run_online_experiment(config: ExperimentConfig):
     trial's final regret, and the summary statistics are reductions of it.
     """
     usm = config.game == "usm"
-    trial, series = (_usm_trial, _usm_series) if usm else (_balance_trial, _balance_series)
-    results = [trial(config, k) for k in range(config.trials)]
+    if usm:
+        results, series = _usm_trials(config), _usm_series
+    else:
+        results, series = [_balance_trial(config, k) for k in range(config.trials)], _balance_series
     reward, cum_reward, best, queries = (np.concatenate(s) for s in zip(*map(series, results)))
     regret = config.alpha * best - cum_reward
     columns = _columns(
@@ -485,13 +520,13 @@ def _row_slices(columns: Mapping[str, np.ndarray]) -> Iterator[list[list]]:
 
 def _csv_blocks(columns: Mapping[str, np.ndarray]) -> Iterator[str]:
     """CSV text of the rows, one block of whole lines per slice, each
-    ending in a newline: int columns through ``str``, float columns
-    through ``format(v, ".12g")``."""
-    ints = [columns[name].dtype.kind in "iu" for name in RESULT_HEADER]
+    ending in a newline.  One ``%`` template formats a whole row: ``%d``
+    for int columns (the text ``str`` gives), ``%.12g`` for float columns
+    (the text ``format(v, ".12g")`` gives, nan, infinities and -0.0
+    included)."""
+    template = ",".join("%d" if columns[name].dtype.kind in "iu" else "%.12g" for name in RESULT_HEADER)
     for part in _row_slices(columns):
-        cells = [map(str, col) if is_int else map(format, col, repeat(".12g"))
-                 for col, is_int in zip(part, ints)]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        yield "\n".join(map(template.__mod__, zip(*part))) + "\n"
 
 
 def _atomic_write(path: str, parts: Iterable[str]) -> None:

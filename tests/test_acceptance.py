@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The heavy online
 runs (criteria 3, 4, 8 share them) are built once per subroutine in
-module-scoped fixtures.
+module-scoped fixtures, through the harness's per-experiment helper
+``_usm_trials``, the path ``run_experiment`` takes.
 """
 
 import math
@@ -16,6 +17,7 @@ from onlineusm.balance import LEFT, RIGHT, UP, BalancePoint, Balancer, step_inva
 from onlineusm.framework import opt_tracking_check, run_usm_game, value_identity_residual
 from onlineusm.harness import (
     ExperimentConfig,
+    _usm_trials,
     build_balance_adversary,
     build_subroutine,
     build_usm_adversary,
@@ -66,14 +68,7 @@ def _usm_runs(subroutine: str, alpha: float):
             game="usm", n=8, rounds=horizon, trials=TRIALS, seed=SEED,
             subroutine=subroutine, adversary="cycle-random:k=4", alpha=alpha,
         ).validated()
-        adversary_desc = cfg.adversary
-        results = []
-        for k in range(TRIALS):
-            adversary = build_usm_adversary(adversary_desc, cfg.n, cfg.seed)
-            subs = [build_subroutine(subroutine, horizon) for _ in range(cfg.n)]
-            streams = [coin_stream(cfg.seed, k, i) for i in range(cfg.n)]
-            results.append(run_usm_game(subs, adversary, horizon, streams, track_opt=True))
-        runs[horizon] = results
+        runs[horizon] = _usm_trials(cfg)
     return runs, alpha, time.perf_counter() - start
 
 

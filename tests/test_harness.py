@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from onlineusm import harness
 from onlineusm.cli import parse_config
 from onlineusm.errors import ConfigError
 from onlineusm.harness import (
@@ -10,6 +11,7 @@ from onlineusm.harness import (
     ExperimentConfig,
     _balance_trial,
     _usm_trial,
+    _usm_trials,
     build_balance_adversary,
     build_subroutine,
     build_usm_adversary,
@@ -224,6 +226,55 @@ def test_summary_finals_are_each_trials_final_regret(game, trials, rounds):
                                adversary="pattern:URLLR", alpha=0.7).validated()
         want = [balance_alpha_regret(_balance_trial(cfg, k).ledger, cfg.alpha) for k in range(trials)]
     assert run_experiment(cfg)[1]["final_alpha_regret"] == want
+
+
+def _counted_builds(monkeypatch):
+    """Route ``harness.build_usm_adversary`` through a wrapper that keeps
+    every adversary it builds."""
+    built = []
+    build = harness.build_usm_adversary
+
+    def counting(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_usm_adversary", counting)
+    return built
+
+
+@pytest.mark.parametrize("adversary", ["cycle-random:k=3", "fixed-random", "cycle-files"])
+def test_cycle_kinds_build_and_track_once_per_experiment(adversary, monkeypatch, tmp_path):
+    if adversary == "cycle-files":
+        rng = np.random.default_rng(4)
+        paths = [tmp_path / f"g{k}.dg" for k in range(2)]
+        for p in paths:
+            write_digraph(p, random_digraph(5, 0.6, (0.0, 1.0), rng))
+        adversary = "cycle-files:" + ";".join(map(str, paths))
+    cfg = ExperimentConfig(game="usm", n=5, rounds=40, trials=3, seed=6,
+                           adversary=adversary).validated()
+    built = _counted_builds(monkeypatch)
+    results = _usm_trials(cfg)
+    assert len(built) == 1
+    shared = results[0].cum_opt
+    assert not shared.flags.writeable
+    assert all(res.cum_opt is shared for res in results)
+
+    built.clear()
+    _, summary = run_experiment(cfg)
+    assert len(built) == 1
+    # every trial queried the one set of oracles, so their counters hold
+    # all the experiment's counted queries
+    assert sum(f.queries for f in built[0].oracles) == summary["total_queries"]
+
+
+@pytest.mark.parametrize("adversary", ["fresh-random", "adaptive:punish-last-set"])
+def test_other_kinds_build_once_per_trial(adversary, monkeypatch):
+    cfg = ExperimentConfig(game="usm", n=5, rounds=40, trials=3, seed=6,
+                           adversary=adversary).validated()
+    built = _counted_builds(monkeypatch)
+    results = _usm_trials(cfg)
+    assert len(built) == cfg.trials
+    assert len({id(res.cum_opt) for res in results}) == cfg.trials
 
 
 def test_usm_diagnostics_via_transcripts():
