@@ -15,15 +15,18 @@ before any feedback, so S fixes both chains: X_i is S restricted to
 elements 1..i and Y_i is X_i plus every element after i.  A round's
 record keeps S and derives the chains from it.
 
-A round walks the elements once: at element i it reads f(X_{i-1} + i)
-and f(Y_{i-1} - i) through a per-round memo that starts with f(empty
-set) and f(full set), and then advances X and Y.  The incremental sets
-repeat, so each distinct mask is one counted query and a round costs at
-most 2n + 2 of them, comfortably inside the 4n + 2 budget; a round's
-``queries`` is the number of its own ``evaluate`` calls.  The game
-records per-round series (reward, best fixed set in hindsight, queries)
-and the experiment driver turns them into alpha-regret; the best fixed
-set and the replay diagnostics use the oracle's uncounted peek path.
+A round walks the elements once: after f(empty set) and f(full set) it
+evaluates f(X_{i-1} + i) and f(Y_{i-1} - i) for each element i < n and
+then advances X and Y.  None of these masks repeats: for i < n,
+X_{i-1} + i lacks element n and Y_{i-1} - i holds it, and neither is
+empty or full.  At element n they do repeat, since Y_{n-1} = X_{n-1} + n:
+its point is (f(Y_{n-1}) - f(X_{n-1}), f(X_{n-1}) - f(Y_{n-1})) from the
+two values the walk already holds.  A round therefore costs exactly 2n
+counted queries, one per distinct mask, inside the 4n + 2 budget; a
+round's ``queries`` is that count.  The game records per-round series
+(reward, best fixed set in hindsight, queries) and the experiment driver
+turns them into alpha-regret; the best fixed set and the replay
+diagnostics use the oracle's uncounted peek path.
 
 Subroutine i decides with one uniform coin per round.  A round takes
 its n coins as an array, coin i for element i; a game draws each
@@ -80,13 +83,14 @@ def run_round(
     """One framework round: decide all elements, then feed back marginals.
 
     Every subroutine decides first (subroutine i with ``coins[i]``).  One
-    walk over the elements then looks up f(X_{i-1} + i) and
-    f(Y_{i-1} - i) in a per-round memo that starts with f(empty set) and
-    f(full set), evaluating a mask only the first time it comes up,
-    builds element i's marginal point and advances X and Y by decision
-    i.  Last, each subroutine, in index order, is fed its point, the same
-    object the transcript keeps.  ``queries`` is the round's own count of
-    ``evaluate`` calls: one per distinct mask in the memo.
+    walk over elements 1..n-1 then evaluates f(X_{i-1} + i) and
+    f(Y_{i-1} - i), builds element i's marginal point and advances X and
+    Y by decision i.  Element n needs no query: X_{n-1} + n is Y_{n-1}
+    and Y_{n-1} - n is X_{n-1}, whose values the walk holds.  Last, each
+    subroutine, in index order, is fed its point, the same object the
+    transcript keeps.  ``queries`` is the round's own count of
+    ``evaluate`` calls, exactly 2n: f(empty set), f(full set) and two
+    masks per element before n, all distinct.
     """
     n = f.ground.n
     if len(subroutines) != n:
@@ -100,35 +104,33 @@ def run_round(
     y = full_mask(n)
     fx = evaluate(x)
     fy = evaluate(y)
-    value = {x: fx, y: fy}
     # tuple.__new__ builds the same BalancePoint (and RoundTranscript) as
     # the class call, at half the cost (no Python frame for the generated
     # __new__)
     record = tuple.__new__
     marginals = []
     bit = 1
-    for d in decisions:
+    for d in decisions[:-1]:
         x_up = x | bit
-        fx_up = value.get(x_up)
-        if fx_up is None:
-            fx_up = value[x_up] = evaluate(x_up)
+        fx_up = evaluate(x_up)
         y_down = y ^ bit
-        fy_down = value.get(y_down)
-        if fy_down is None:
-            fy_down = value[y_down] = evaluate(y_down)
+        fy_down = evaluate(y_down)
         marginals.append(record(BalancePoint, (fx_up - fx, fy_down - fy)))
         if d.chose_yes:
             x, fx = x_up, fx_up
         else:
             y, fy = y_down, fy_down
         bit <<= 1
+    marginals.append(record(BalancePoint, (fy - fx, fx - fy)))
+    if decisions[-1].chose_yes:
+        x = y
 
     for sub, pt in zip(subroutines, marginals):
         sub.update(pt)
 
     return record(
         RoundTranscript,
-        (t, x, tuple(decisions), tuple(marginals), len(value)),
+        (t, x, tuple(decisions), tuple(marginals), 2 * n),
     )
 
 

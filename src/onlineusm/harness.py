@@ -77,6 +77,10 @@ def instance_rng(master_seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, _INSTANCE_DOMAIN]))
 
 
+#: the offline ladder's size error, for --n and for --graph files
+_OFFLINE_SIZE_MESSAGE = f"offline ladder needs n <= {ENUMERATION_LIMIT} (exhaustive optimum), got {{}}"
+
+
 @dataclass
 class ExperimentConfig:
     game: str
@@ -130,6 +134,10 @@ class ExperimentConfig:
         if self.game == "offline":
             if self.graph is None and (self.n is None or self.n < 1):
                 raise ConfigError("offline needs --graph FILE or --n for a random instance")
+            # checked before the n^2 coin draws of a random instance; a
+            # graph file's size is known only after it is read
+            if self.graph is None and self.n > ENUMERATION_LIMIT:
+                raise ConfigError(_OFFLINE_SIZE_MESSAGE.format(self.n))
             if self.trials < 1:
                 raise ConfigError(f"--trials must be >= 1, got {self.trials}")
         if self.game == "verify" and self.graph is None:
@@ -451,7 +459,7 @@ def _offline_instance(config: ExperimentConfig):
     else:
         g = random_digraph(config.n, config.density, (0.0, 1.0), instance_rng(config.seed))
     if g.n > ENUMERATION_LIMIT:
-        raise ConfigError(f"offline ladder needs n <= {ENUMERATION_LIMIT} (exhaustive optimum), got {g.n}")
+        raise ConfigError(_OFFLINE_SIZE_MESSAGE.format(g.n))
     return g
 
 

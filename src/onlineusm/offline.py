@@ -3,13 +3,16 @@
 The approximation ladder these realize on nonnegative submodular
 functions: a uniform random subset earns at least 1/4 of the optimum in
 expectation, the deterministic double-greedy sweep at least 1/3, and
-the randomized sweep at least 1/2 in expectation.  All three sweeps go
-through one walk that runs k sweeps side by side: int64 masks and float
-values as length-k arrays, the two marginals of every sweep read with
-one counted batch query per element.  A randomized walk takes its coins
-as one (k, n) array, equal to k sequential ``random(n)`` draws.  Each
-sweep spends exactly 2n + 2 counted value queries; the
-enumeration-based operations use the uncounted table path.
+the randomized sweep at least 1/2 in expectation.  Both sweeps go
+through one walk that runs k sweeps side by side.  A sweep's shrinking
+set Y is always its growing set X plus the elements not yet decided, so
+the walk keeps only X (int64 masks, a length-k array) and derives every
+Y mask from it; f(X) and f(Y) of all k sweeps sit in one 2k buffer, and
+the two marginals of every sweep are read with one counted batch query
+per element.  A randomized walk takes its coins as one (k, n) array,
+equal to k sequential ``random(n)`` draws.  Each sweep spends exactly
+2n + 2 counted value queries; the enumeration-based operations use the
+uncounted table path.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def brute_force_opt(f: SubmodularOracle) -> OfflineResult:
 
 #: sweeps that :func:`rand_double_greedy_stats` walks side by side; its
 #: coins come as one (block, n) array per block
-_BLOCK = 4096
+_BLOCK = 3072
 
 
 def _walk(
@@ -51,29 +54,52 @@ def _walk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk k double-greedy sweeps side by side; return their sets and values.
 
-    Sweep j keeps X_j (grown from the empty set) and Y_j (shrunk from the
-    full set); at element i it reads both marginals of every sweep with
-    one counted batch query and keeps i where ``choose_yes(i, alpha,
-    beta)`` is true.  Each sweep spends 2n + 2 counted queries.
+    Sweep j keeps only X_j, grown from the empty set; its Y_j is always
+    X_j plus the elements not yet decided.  At bit i (element i + 1) the
+    two masks it queries are X_j | (1 << i) and Y_j without bit i, which
+    is X_j | (full & ~((2 << i) - 1)).  Both halves of one reused 2k mask
+    buffer are filled in place and read with one counted batch query;
+    ``choose_yes(i, alpha, beta)`` gets the marginals (k-long views of
+    one buffer) and returns where to take the element.  A yes makes the
+    queried f(X_j + i) the new f(X_j) and sets bit i of X_j; a no makes
+    the queried f(Y_j - i) the new f(Y_j).  The 2k buffer of f(X) then
+    f(Y) takes these by selecting bit patterns through an int64 view, so
+    every value it holds is the very double that was queried.  Each
+    sweep spends 2n + 2 counted queries.
     """
     n = f.ground.n
+    full = full_mask(n)
     evaluate_many = f.evaluate_many
     x = np.zeros(k, dtype=np.int64)
-    y = np.full(k, full_mask(n), dtype=np.int64)
-    both = evaluate_many(np.concatenate((x, y)))
-    fx, fy = both[:k], both[k:]
+    masks = np.empty(2 * k, dtype=np.int64)
+    grown, shrunk = masks[:k], masks[k:]
+    grown.fill(0)
+    shrunk.fill(full)
+    values = evaluate_many(masks)
+    bits = values.view(np.int64)
+    # all ones where a query's value replaces the held one: f(X) on yes,
+    # f(Y) on no
+    keep = np.empty(2 * k, dtype=np.int64)
+    keep_x, keep_y = keep[:k], keep[k:]
+    marginals = np.empty(2 * k)
+    alpha, beta = marginals[:k], marginals[k:]
     for i in range(n):
         bit = 1 << i
-        grown = x | bit
-        shrunk = y & ~bit
-        both = evaluate_many(np.concatenate((grown, shrunk)))
-        fx_add, fy_del = both[:k], both[k:]
-        yes = choose_yes(i, fx_add - fx, fy_del - fy)
-        x = np.where(yes, grown, x)
-        fx = np.where(yes, fx_add, fx)
-        y = np.where(yes, y, shrunk)
-        fy = np.where(yes, fy, fy_del)
-    return x, fx
+        np.bitwise_or(x, bit, out=grown)
+        np.bitwise_or(x, full & ~((2 << i) - 1), out=shrunk)
+        queried = evaluate_many(masks)
+        np.subtract(queried, values, out=marginals)
+        np.copyto(keep_x, choose_yes(i, alpha, beta))
+        np.negative(keep_x, out=keep_x)
+        np.invert(keep_x, out=keep_y)
+        # queried is a fresh array, so its bits can hold the selection
+        new_bits = queried.view(np.int64)
+        np.bitwise_xor(new_bits, bits, out=new_bits)
+        new_bits &= keep
+        bits ^= new_bits
+        keep_x &= bit
+        x |= keep_x
+    return x, values[:k]
 
 
 def det_double_greedy(f: SubmodularOracle) -> OfflineResult:
@@ -83,14 +109,21 @@ def det_double_greedy(f: SubmodularOracle) -> OfflineResult:
 
 
 def _coin_rule(coins: np.ndarray) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
-    """Yes with probability a+ / (a+ + b+), sweep j deciding i with ``coins[j, i]``."""
+    """Yes with probability a+ / (a+ + b+), sweep j deciding i with ``coins[j, i]``.
+
+    Where both positive parts are zero, 0/0 gives nan, which loses to
+    every coin, so yes is forced there.  A positive part may be -0.0
+    (``np.maximum(-0.0, 0.0)``); its probability is then -0.0 or nan,
+    which decides exactly as 0.0 would.
+    """
 
     def choose(i: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ap = np.where(a > 0.0, a, 0.0)
-        bp = np.where(b > 0.0, b, 0.0)
-        total = ap + bp
-        p = np.divide(ap, total, out=np.ones_like(total), where=total > 0.0)
-        return coins[:, i] < p
+        ap = np.maximum(a, 0.0)
+        total = ap + np.maximum(b, 0.0)
+        with np.errstate(invalid="ignore"):
+            yes = coins[:, i] < ap / total
+        yes |= total == 0.0
+        return yes
 
     return choose
 
@@ -122,18 +155,19 @@ def rand_double_greedy_stats(f: SubmodularOracle, trials: int, seed: int) -> Off
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     n = f.ground.n
-    sets, values = [], []
+    value = np.empty(trials)
+    # each block's first best set: the first best sweep overall is the
+    # first best of the block that holds it
+    block_best = []
     for start in range(0, trials, _BLOCK):
-        k = min(_BLOCK, trials - start)
-        x, fx = _walk(f, k, _coin_rule(rng.random((k, n))))
-        sets.append(x)
-        values.append(fx)
-    chosen = np.concatenate(sets)
-    value = np.concatenate(values)
+        stop = min(start + _BLOCK, trials)
+        x, fx = _walk(f, stop - start, _coin_rule(rng.random((stop - start, n))))
+        value[start:stop] = fx
+        block_best.append(int(x[np.argmax(fx)]))
     best = int(np.argmax(value))
     std = float(value.std(ddof=1)) if trials > 1 else 0.0
     return OfflineResult(
-        chosen=int(chosen[best]),
+        chosen=block_best[best // _BLOCK],
         value=float(value[best]),
         trials=trials,
         mean=float(value.mean()),

@@ -245,20 +245,21 @@ def _cut_table(g: DirectedGraph, scale: float) -> np.ndarray:
     """All 2^n cut values of ``g`` times ``scale``.
 
     Each edge adds its weight, in edge order, to the entries whose mask
-    has u and lacks v: an in-place add on the view of the table as a
-    (2,)*n cube, where axis n - i holds bit i - 1, indexed 1 on u's axis
-    and 0 on v's.  Every entry sums the same doubles in the same order as
+    has u and lacks v: an in-place add on a five-axis view of the table,
+    (2^(n-1-hi), 2, 2^(hi-lo-1), 2, 2^lo) for the edge's lower and higher
+    bit lo < hi, indexed on the two length-2 axes (1 on u's, 0 on v's).
+    Every entry sums the same doubles in the same order as
     :func:`directed_cut_value`, so the table equals its peeks bit for bit.
     """
     n = g.n
     acc = np.zeros(1 << n, dtype=float)
-    cube = acc.reshape((2,) * n)
     for u, v, w in g.edges:
-        idx = [slice(None)] * n
-        idx[n - u] = 1
-        idx[n - v] = 0
-        cube[tuple(idx)] += w
-    return acc * scale
+        lo, hi = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+        view = acc.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        u_high = int(u > v)
+        view[:, u_high, :, 1 - u_high, :] += w
+    acc *= scale
+    return acc
 
 
 def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
@@ -272,7 +273,11 @@ def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
     copy of ``values``, so later writes to the caller's array do not
     reach the oracle.
     """
-    table = np.array(values, dtype=float)
+    return _table_oracle(np.array(values, dtype=float))
+
+
+def _table_oracle(table: np.ndarray) -> SubmodularOracle:
+    """:func:`oracle_from_table` over ``table`` itself, a float64 array no one else holds."""
     if table.ndim != 1 or table.size < 2 or table.size & (table.size - 1):
         raise InvalidInstanceError(f"table length {table.size} is not a power of two >= 2")
     # min/max propagate nan, and every comparison with nan is false
@@ -302,9 +307,13 @@ def value_table(oracle: SubmodularOracle) -> np.ndarray:
 def tabulate(oracle: SubmodularOracle) -> SubmodularOracle:
     """Same function as an explicit-table oracle with a fresh counter.
 
-    O(1) per evaluate afterwards; every evaluate is still counted.
+    O(1) per evaluate afterwards; every evaluate is still counted.  The
+    fresh array ``value_table`` returns is clipped into [0, 1] in place
+    and becomes the new oracle's table, so no second copy is made.
     """
-    return oracle_from_table(np.clip(value_table(oracle), 0.0, 1.0))
+    table = value_table(oracle)
+    np.clip(table, 0.0, 1.0, out=table)
+    return _table_oracle(table)
 
 
 def _marginal(table: np.ndarray, s: Mask, i_bit: Mask) -> float:

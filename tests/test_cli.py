@@ -116,6 +116,24 @@ def test_offline_rejects_csv_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_offline_rejects_a_large_n_before_building_the_graph(monkeypatch, capsys):
+    import onlineusm.harness as harness
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("random_digraph called for an n the ladder rejects")
+
+    monkeypatch.setattr(harness, "random_digraph", no_build)
+    assert cli.main(["offline", "--n", "1600", "--trials", "1"]) == 1
+    assert "offline ladder needs n <= 20 (exhaustive optimum), got 1600" in capsys.readouterr().err
+
+
+def test_offline_rejects_a_large_graph_file(tmp_path, capsys):
+    p = tmp_path / "big.dg"
+    write_digraph(p, random_digraph(21, 0.05, (0.0, 1.0), np.random.default_rng(0)))
+    assert cli.main(["offline", "--graph", str(p), "--trials", "1"]) == 1
+    assert "offline ladder needs n <= 20 (exhaustive optimum), got 21" in capsys.readouterr().err
+
+
 def test_verify_pass_exit_zero(tmp_path):
     g = random_digraph(5, 0.6, (0.0, 1.0), np.random.default_rng(3))
     p = tmp_path / "ok.dg"

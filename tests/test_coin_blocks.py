@@ -140,7 +140,9 @@ def test_sweep_draws_one_coin_per_element():
     assert rng.random() == twin.random()
 
 
-@pytest.mark.parametrize("trials", [1, 2, 300, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+# trial counts around the block size and around 4096: full and partial last blocks
+@pytest.mark.parametrize("trials", sorted({1, 2, 300, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
+                                           4095, 4096, 4097, 8193}))
 def test_stats_equal_a_loop_of_sequential_sweeps(trials, monkeypatch):
     n = 9
     f = cut_oracles(n, (12,))[0]

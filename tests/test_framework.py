@@ -153,6 +153,56 @@ def test_run_round_no_cross_round_caching():
     assert tr2.queries == tr1.queries  # second identical round pays again
 
 
+def recording_oracle(n, seed):
+    """A table-backed cut oracle whose ``evaluate`` calls append their masks to a list."""
+    table = value_table(random_cut_oracle(n, seed))
+    calls = []
+
+    def fn(s):
+        calls.append(s)
+        return float(table[s])
+
+    return SubmodularOracle(GroundSet(n), fn), calls
+
+
+def expected_round_masks(n, chosen):
+    """The masks a round evaluates, in order: empty, full, then X_{i-1} + i
+    and Y_{i-1} - i for each element i < n."""
+    full = full_mask(n)
+    masks = [0, full]
+    for i in range(1, n):
+        bit = 1 << (i - 1)
+        x = chosen & (bit - 1)
+        y = x | (full & ~(bit - 1))
+        masks += [x | bit, y & ~bit]
+    return masks
+
+
+def decision_vectors(n):
+    """Every decision vector for n <= 4; otherwise all-yes, all-no and eight seeded ones."""
+    if n <= 4:
+        return range(1 << n)
+    rng = np.random.default_rng(n)
+    return [0, full_mask(n), *rng.integers(0, 1 << n, 8).tolist()]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_round_evaluates_each_mask_once_in_walk_order(n):
+    for choices in decision_vectors(n):
+        f, calls = recording_oracle(n, seed=n * 1000 + choices)
+        policies = [ConstantPolicy(float(choices >> i & 1)) for i in range(n)]
+        tr = run_round(policies, f, coins_for(n))
+        assert tr.chosen == choices
+        assert len(calls) == tr.queries == f.queries == 2 * n
+        assert len(set(calls)) == 2 * n
+        assert calls == expected_round_masks(n, choices)
+        # element n reuses f(X_{n-1}) and f(Y_{n-1}) = f(X_{n-1} + n)
+        x, y = tr.x_sets[n - 1], tr.y_sets[n - 1]
+        fx, fy = f.peek(x), f.peek(y)
+        assert y == x | 1 << (n - 1)
+        assert _bits(tr.marginals[-1]) == _bits((fy - fx, fx - fy))
+
+
 def test_run_round_subroutine_count_mismatch():
     f = random_cut_oracle(3, seed=1)
     with pytest.raises(ConfigError):

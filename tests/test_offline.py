@@ -20,11 +20,13 @@ from onlineusm.submodular import (
     GroundSet,
     SubmodularOracle,
     full_mask,
+    _cut_table,
     mask_of,
     normalize,
     oracle_from_table,
     tabulate,
     value_table,
+    verify_submodularity,
 )
 
 
@@ -183,16 +185,17 @@ def reference_sweep(f, choose_yes):
     return x, fx
 
 
+def reference_coin_rule(a: float, b: float, coin: float) -> bool:
+    """The randomized sweep's scalar rule: yes with probability a+ / (a+ + b+)."""
+    ap = a if a > 0.0 else 0.0
+    bp = b if b > 0.0 else 0.0
+    p = 1.0 if ap + bp <= 0.0 else ap / (ap + bp)
+    return coin < p
+
+
 def reference_rand_sweep(f, coins):
     coin = iter(coins.tolist()).__next__
-
-    def choose(a: float, b: float) -> bool:
-        ap = a if a > 0.0 else 0.0
-        bp = b if b > 0.0 else 0.0
-        p = 1.0 if ap + bp <= 0.0 else ap / (ap + bp)
-        return coin() < p
-
-    return reference_sweep(f, choose)
+    return reference_sweep(f, lambda a, b: reference_coin_rule(a, b, coin()))
 
 
 def same_bits(a, b) -> bool:
@@ -202,24 +205,80 @@ def same_bits(a, b) -> bool:
 _weights = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
+def _dyadic_cut(draw):
+    """Cut of a unit-weight digraph times 2^-p, with 2^p at least its edge
+    count: every value and every marginal is exact, so marginals tie exactly."""
+    n = draw(st.integers(2, 10))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    picked = draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
+    g = DirectedGraph(n, tuple((u, v, 1.0) for u, v in picked))
+    return _cut_table(g, 2.0 ** -max(len(picked) - 1, 0).bit_length())
+
+
+def _subset_bits(n):
+    masks = np.arange(1 << n)
+    return (masks[:, None] >> np.arange(n)) & 1
+
+
+def _concave_of_count(draw):
+    """sqrt or min(c, .) of a nonnegative weighted count, unscaled."""
+    n = draw(st.integers(1, 10))
+    w = np.array(draw(st.lists(_weights, min_size=n, max_size=n)))
+    counts = _subset_bits(n) @ w
+    if draw(st.booleans()):
+        return np.sqrt(counts)
+    return np.minimum(draw(st.floats(0.0, float(n))), counts)
+
+
+def _coverage(draw):
+    """Weight of the union of the items each element covers, unscaled."""
+    n = draw(st.integers(1, 10))
+    items = draw(st.integers(1, 12))
+    covers = np.array(draw(st.lists(st.lists(st.booleans(), min_size=items, max_size=items),
+                                    min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(_weights, min_size=items, max_size=items)))
+    covered = (_subset_bits(n) @ covers) > 0
+    return covered.astype(float) @ w
+
+
 @st.composite
 def value_tables(draw):
-    """Cut tables of random digraphs, of bidirected pairs, and constant tables."""
-    kind = draw(st.sampled_from(["cut", "bidirected", "constant"]))
+    """Value tables in [0, 1] of nonnegative submodular functions.
+
+    Cut tables of random digraphs and of bidirected pairs, constant
+    tables, dyadic cut tables whose marginals tie exactly, and two
+    families that are not cuts (a concave function of a weighted count,
+    a coverage function), scaled by their maximum and confirmed by
+    ``verify_submodularity``.  Any draw may turn some of its zero
+    entries into -0.0.
+    """
+    kind = draw(st.sampled_from(["cut", "bidirected", "constant", "dyadic", "concave", "coverage"]))
     if kind == "constant":
-        return np.full(1 << draw(st.integers(1, 10)), draw(_weights))
-    n = draw(st.integers(2 if kind == "bidirected" else 1, 10))
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
-             if u != v and (kind == "cut" or u < v)]
-    picked = draw(st.lists(st.tuples(st.sampled_from(pairs), _weights), max_size=3 * n)) if pairs else []
-    edges = [(u, v, w) for (u, v), w in picked]
-    if kind == "bidirected":
-        edges += [(v, u, w) for u, v, w in edges]
-    g = DirectedGraph(n, tuple(edges))
-    # a subnormal total weight (one edge of 5e-324) has no finite scale,
-    # and normalize rejects it
-    assume(g.total_weight == 0.0 or math.isfinite(1.0 / g.total_weight))
-    return np.clip(value_table(normalize(g)), 0.0, 1.0)
+        table = np.full(1 << draw(st.integers(1, 10)), draw(_weights))
+    elif kind == "dyadic":
+        table = _dyadic_cut(draw)
+    elif kind in ("concave", "coverage"):
+        values = _concave_of_count(draw) if kind == "concave" else _coverage(draw)
+        top = values.max()
+        table = values / top if top > 0.0 else values
+        assert verify_submodularity(oracle_from_table(table)) is None
+    else:
+        n = draw(st.integers(2 if kind == "bidirected" else 1, 10))
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                 if u != v and (kind == "cut" or u < v)]
+        picked = draw(st.lists(st.tuples(st.sampled_from(pairs), _weights), max_size=3 * n)) if pairs else []
+        edges = [(u, v, w) for (u, v), w in picked]
+        if kind == "bidirected":
+            edges += [(v, u, w) for u, v, w in edges]
+        g = DirectedGraph(n, tuple(edges))
+        # a subnormal total weight (one edge of 5e-324) has no finite scale,
+        # and normalize rejects it
+        assume(g.total_weight == 0.0 or math.isfinite(1.0 / g.total_weight))
+        table = np.clip(value_table(normalize(g)), 0.0, 1.0)
+    if draw(st.booleans()):
+        flip = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(table.size) < 0.5
+        table = np.where((table == 0.0) & flip, -0.0, table)
+    return table
 
 
 def _coins(n, rows):
@@ -284,3 +343,21 @@ def test_bidirected_pair_tie_chooses_yes():
     # alpha == beta == 0.5 for element 1, and then element 2 is forced no
     oracle = tabulate(normalize(DirectedGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))))
     assert det_double_greedy(oracle).chosen == mask_of([1])
+
+
+_TINY = 5e-324
+_SUBNORMAL = 2.2250738585072014e-308 / 3
+
+
+@pytest.mark.parametrize("a, b", [
+    (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (-0.5, -0.25), (-0.0, 0.5), (0.5, -0.0),
+    (0.25, -0.25), (-0.25, 0.25), (1.0, -1.0), (_TINY, -_TINY), (-_TINY, _TINY),
+    (_TINY, _TINY), (_TINY, 0.0), (0.0, _TINY), (_TINY, 1.0), (1.0, _TINY), (_SUBNORMAL, _TINY),
+    (_SUBNORMAL, 1e-310), (0.3, 0.7), (0.5, 0.5),
+])
+def test_coin_rule_is_the_scalar_rule(a, b):
+    coins = np.array([0.0, _TINY, 1e-300, 0.3, 0.5, np.nextafter(0.5, 1.0), 0.7, np.nextafter(1.0, 0.0)])
+    k = coins.size
+    yes = _coin_rule(coins.reshape(k, 1))(0, np.full(k, a), np.full(k, b))
+    assert yes.dtype == bool
+    assert yes.tolist() == [reference_coin_rule(a, b, c) for c in coins.tolist()]
