@@ -139,8 +139,11 @@ class UsmRunResult:
     """Per-round series and query accounting of one run.
 
     ``cum_opt[t - 1]`` is the best fixed set's total value over rounds
-    1..t (None without tracking); the experiment driver turns it and
-    ``cum_rewards`` into the alpha-regret.
+    1..t, and ``opt_set`` is the best fixed set over all rounds (the
+    first maximizer of the final total, so ties go to the smallest
+    bitmask); both are None without tracking.  The experiment driver
+    turns ``cum_opt`` and ``cum_rewards`` into the alpha-regret, and the
+    replay diagnostics morph ``opt_set`` into each round's choice.
     """
 
     rewards: np.ndarray
@@ -148,6 +151,7 @@ class UsmRunResult:
     cum_opt: np.ndarray | None
     round_queries: np.ndarray
     max_round_queries: int
+    opt_set: int | None = None
     chosen_sets: list[int] | None = None
     transcripts: list[RoundTranscript] | None = None
     oracles: list[SubmodularOracle] | None = None
@@ -190,11 +194,12 @@ def run_usm_game(
     (oblivious kinds ignore the argument).  With ``track_opt`` the full
     value table of each distinct oracle is accumulated (n <= 20) so the
     best fixed set's total value after each round (``cum_opt``) is
-    reported without spending counted queries.  Callers that already
-    hold that series pass ``track_opt=False``: the experiment driver for
-    every trial but the first of a cycle kind, whose sequence of
-    functions, and so whose series, is the first trial's; and replays
-    that need only the chosen sets.
+    reported without spending counted queries, and the final total's
+    first maximizer as ``opt_set``.  Callers that already hold these
+    pass ``track_opt=False``: the experiment driver for every trial but
+    the first of a cycle kind, whose sequence of functions, and so whose
+    series and best set, is the first trial's; and replays that need
+    only the chosen sets.
 
     The game is played in blocks of rounds, each holding at most
     ``_TRACK_BLOCK_BYTES`` of value tables (and at least one round).
@@ -273,6 +278,7 @@ def run_usm_game(
         cum_opt=cum_opt,
         round_queries=round_queries,
         max_round_queries=int(round_queries.max()),
+        opt_set=int(np.argmax(total)) if track_opt else None,
         chosen_sets=sets,
         transcripts=transcripts,
         oracles=oracles,
@@ -302,22 +308,6 @@ def _accumulate(
         np.cumsum(block, axis=0, out=block)
     np.maximum.reduce(block, axis=1, out=maxima)
     return block[-1]
-
-
-def distinct_tables(oracles: Sequence[SubmodularOracle]) -> list[np.ndarray]:
-    """``value_table`` of each oracle, built once per distinct oracle.
-
-    The cache is keyed by the oracle objects themselves, so it holds
-    each one alive and a key cannot be reused by a later object.
-    """
-    cache: dict[SubmodularOracle, np.ndarray] = {}
-    out = []
-    for f in oracles:
-        table = cache.get(f)
-        if table is None:
-            table = cache[f] = value_table(f)
-        out.append(table)
-    return out
 
 
 @dataclass(frozen=True)

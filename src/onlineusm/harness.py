@@ -37,7 +37,6 @@ from . import balance as bal
 from .errors import ConfigError
 from .framework import (
     default_checkpoints,
-    distinct_tables,
     fit_growth_exponent,
     opt_tracking_check,
     run_usm_game,
@@ -281,11 +280,12 @@ def run_balance_game(
 
 # --- experiment drivers ---------------------------------------------------
 
-def _usm_trial(config: ExperimentConfig, trial: int, adversary=None, cum_opt: np.ndarray | None = None):
+def _usm_trial(config: ExperimentConfig, trial: int, adversary=None, tracked=None):
     """One USM trial, against ``adversary`` or, without one, a fresh build.
 
-    With ``cum_opt`` the game skips tracking the best fixed set and the
-    result reports that series instead.
+    With ``tracked``, an earlier trial's result against the same sequence
+    of functions, the game skips tracking the best fixed set and the
+    result reports that trial's ``cum_opt`` and ``opt_set`` instead.
     """
     if adversary is None:
         adversary = build_usm_adversary(config.adversary, config.n, config.seed)
@@ -296,11 +296,11 @@ def _usm_trial(config: ExperimentConfig, trial: int, adversary=None, cum_opt: np
         adversary,
         config.rounds,
         streams,
-        track_opt=cum_opt is None,
+        track_opt=tracked is None,
         keep_transcripts=config.keep_transcripts,
     )
-    if cum_opt is not None:
-        res.cum_opt = cum_opt
+    if tracked is not None:
+        res.cum_opt, res.opt_set = tracked.cum_opt, tracked.opt_set
     return res
 
 
@@ -311,15 +311,16 @@ def _usm_trials(config: ExperimentConfig) -> list:
     before any coin is drawn, so its instance is built once: each trial
     plays a fresh cursor over the same oracles, and the best-fixed-set
     series that trial 0 tracks (the same doubles any trial would track)
-    is every trial's ``cum_opt``, one read-only array.  Other kinds build
-    their adversary, and track, once per trial.
+    is every trial's ``cum_opt``, one read-only array, as its best set is
+    every trial's ``opt_set``.  Other kinds build their adversary, and
+    track, once per trial.
     """
     built = build_usm_adversary(config.adversary, config.n, config.seed)
     first = _usm_trial(config, 0, built)
     if not isinstance(built, adv.CycleFunctionAdversary):
         return [first, *(_usm_trial(config, k) for k in range(1, config.trials))]
     first.cum_opt.flags.writeable = False
-    return [first, *(_usm_trial(config, k, adv.CycleFunctionAdversary(built.oracles), first.cum_opt)
+    return [first, *(_usm_trial(config, k, adv.CycleFunctionAdversary(built.oracles), first)
                      for k in range(1, config.trials))]
 
 
@@ -437,13 +438,16 @@ def _run_online_experiment(config: ExperimentConfig):
 
 
 def _usm_diagnostics(results) -> dict:
-    """Replay checks over retained transcripts (see framework module)."""
+    """Replay checks over retained transcripts (see framework module).
+
+    Each trial's reference set is the best fixed set its game tracked
+    (``opt_set``), checked against every round it played.
+    """
     worst_residual = 0.0
     failures = 0
     for res in results:
-        opt = int(np.argmax(sum(distinct_tables(res.oracles))))
         for tr, f in zip(res.transcripts, res.oracles):
-            if opt_tracking_check(tr, f, opt) is not None:
+            if opt_tracking_check(tr, f, res.opt_set) is not None:
                 failures += 1
         n = len(res.transcripts[0].decisions)
         for i in range(1, n + 1):

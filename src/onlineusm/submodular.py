@@ -150,8 +150,9 @@ class SubmodularOracle:
 
     ``table``, when given, returns a fresh array of all 2^n values by
     increasing bitmask; :func:`value_table` uses it in place of 2^n
-    peeks.  An oracle made by :func:`oracle_from_table` also keeps that
-    array in ``_values``, which :meth:`evaluate_many` gathers from.
+    peeks.  An oracle made by :func:`oracle_from_table` keeps its
+    read-only table in ``_values`` instead, which :meth:`evaluate_many`
+    gathers from and :func:`value_table` returns.
     """
 
     def __init__(
@@ -202,7 +203,9 @@ class SubmodularOracle:
             raise InvalidSubsetError(f"subset masks must be a 1-D integer ndarray, got {masks!r:.60}")
         if masks.dtype.kind not in "iu":
             raise InvalidSubsetError(f"subset masks must be integers, got dtype {masks.dtype}")
-        if masks.size and (masks.min() < 0 or masks.max() > self._full):
+        # exact for any integer dtype: a negative mask makes the or negative
+        seen = np.bitwise_or.reduce(masks)
+        if seen < 0 or seen > self._full:
             raise InvalidSubsetError(f"a subset in the batch lies outside ground set of size {self.ground.n}")
         with self._lock:
             self._batched += masks.size
@@ -270,80 +273,56 @@ def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
     numpy scalar per query and without a list copy of the table.  A batch
     lookup (:meth:`SubmodularOracle.evaluate_many`) is one gather from
     the table, kept in the oracle's private ``_values``.  The table is a
-    copy of ``values``, so later writes to the caller's array do not
-    reach the oracle.
+    read-only copy of ``values``, so later writes to the caller's array
+    do not reach the oracle, and no reader of the oracle can write it.
     """
     return _table_oracle(np.array(values, dtype=float))
 
 
 def _table_oracle(table: np.ndarray) -> SubmodularOracle:
-    """:func:`oracle_from_table` over ``table`` itself, a float64 array no one else holds."""
+    """:func:`oracle_from_table` over ``table`` itself, a float64 array no
+    one else holds; it is made read-only."""
     if table.ndim != 1 or table.size < 2 or table.size & (table.size - 1):
         raise InvalidInstanceError(f"table length {table.size} is not a power of two >= 2")
     # min/max propagate nan, and every comparison with nan is false
     if not (table.min() >= -VALUE_TOL and table.max() <= 1.0 + VALUE_TOL):
         raise InvalidInstanceError("table values must be finite and lie in [0, 1]")
     n = int(table.size.bit_length() - 1)
-    oracle = SubmodularOracle(GroundSet(n), memoryview(table).__getitem__, table=table.copy)
+    table.flags.writeable = False
+    oracle = SubmodularOracle(GroundSet(n), memoryview(table).__getitem__)
     oracle._values = table
     return oracle
 
 
 def value_table(oracle: SubmodularOracle) -> np.ndarray:
-    """All 2^n values of the oracle, by increasing bitmask, uncounted.
+    """All 2^n values of the oracle, by increasing bitmask, uncounted, read-only.
 
-    Uses the oracle's own table when it has one (explicit tables, cut
-    functions); anything else falls back to a peek loop.  Requires
+    A table-backed oracle (:func:`oracle_from_table`, :func:`tabulate`)
+    returns its own table, uncopied.  A cut function builds a fresh
+    table, and anything else falls back to a peek loop.  Requires
     n <= ENUMERATION_LIMIT.
     """
     n = oracle.ground.n
     if n > ENUMERATION_LIMIT:
         raise SizeError(f"full value table needs n <= {ENUMERATION_LIMIT}, got {n}")
+    if oracle._values is not None:
+        return oracle._values
     if oracle._all_values is not None:
-        return oracle._all_values()
-    return np.array([oracle.peek(m) for m in range(1 << n)], dtype=float)
+        table = oracle._all_values()
+    else:
+        table = np.array([oracle.peek(m) for m in range(1 << n)], dtype=float)
+    table.flags.writeable = False
+    return table
 
 
 def tabulate(oracle: SubmodularOracle) -> SubmodularOracle:
     """Same function as an explicit-table oracle with a fresh counter.
 
     O(1) per evaluate afterwards; every evaluate is still counted.  The
-    fresh array ``value_table`` returns is clipped into [0, 1] in place
-    and becomes the new oracle's table, so no second copy is made.
+    read-only array ``value_table`` returns is clipped into [0, 1] out of
+    place, and the clipped copy becomes the new oracle's table.
     """
-    table = value_table(oracle)
-    np.clip(table, 0.0, 1.0, out=table)
-    return _table_oracle(table)
-
-
-def _marginal(table: np.ndarray, s: Mask, i_bit: Mask) -> float:
-    return float(table[s | i_bit] - table[s])
-
-
-def _submasks_ascending(s: Mask) -> list[Mask]:
-    # (t - 1) & s walks submasks descending; collect and reverse.
-    subs = []
-    t = s
-    while True:
-        subs.append(t)
-        if t == 0:
-            break
-        t = (t - 1) & s
-    subs.reverse()
-    return subs
-
-
-def _first_violation_scan(table: np.ndarray, n: int) -> tuple[Mask, Mask, int]:
-    # Canonical order: S ascending, T (subset of S) ascending, i ascending.
-    for s in range(1 << n):
-        for t in _submasks_ascending(s):
-            for i in range(n):
-                bit = 1 << i
-                if s & bit:
-                    continue
-                if _marginal(table, s, bit) > _marginal(table, t, bit) + VALUE_TOL:
-                    return (s, t, i + 1)
-    raise AssertionError("violation vanished during ordered rescan")
+    return _table_oracle(np.clip(value_table(oracle), 0.0, 1.0))
 
 
 def verify_submodularity(
@@ -357,7 +336,15 @@ def verify_submodularity(
     The exhaustive mode (default, n <= 16) checks f(S+i) - f(S) <=
     f(T+i) - f(T) + VALUE_TOL for every T subset of S with i outside S, and on
     failure reports the first violating triple in (S asc, T asc, i asc)
-    order.  ``samples`` switches to randomized triples for larger n.
+    order.  All 2^n values are read with one counted batch query.  For
+    each i, the gains of the sets that lack i are reduced to their
+    minimum over subsets (``np.fmin``, one pass per other element); S
+    violates for i exactly when its gain exceeds that minimum plus
+    VALUE_TOL, as rounding x + VALUE_TOL keeps the order of x.  A nan
+    gain fails every comparison and ``fmin`` skips it, as in the pairwise
+    test.  The smallest violating S over all i is the witness's; one
+    comparison of its gains with those of its subsets gives T, then i.
+    ``samples`` switches to randomized triples for larger n.
     """
     n = oracle.ground.n
     if samples is not None:
@@ -367,25 +354,29 @@ def verify_submodularity(
             f"exhaustive check needs n <= {EXHAUSTIVE_VERIFY_LIMIT}, got {n}; "
             "pass samples= for the randomized mode"
         )
-    size = 1 << n
-    table = np.array([oracle.evaluate(m) for m in range(size)], dtype=float)
-    masks = np.arange(size, dtype=np.int64)
+    masks = np.arange(1 << n)
+    table = oracle.evaluate_many(masks)
+    first = masks.size
     for i in range(n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        gain = np.full(size, -np.inf)
-        gain[without] = table[without | bit] - table[without]
-        # superset-max over all bits except i; entries with bit i stay -inf
-        sup = gain.copy()
-        for j in range(n):
-            if j == i:
-                continue
-            bj = 1 << j
-            lo = masks[(masks & bj) == 0]
-            sup[lo] = np.maximum(sup[lo], sup[lo | bj])
-        if np.any(sup[without] > gain[without] + VALUE_TOL):
-            return _first_violation_scan(table, n)
-    return None
+        # entry c of ``gain`` is the set whose bits below i are c's and
+        # whose bits above i are c's bits from i up, shifted one place
+        pairs = table.reshape(-1, 2, 1 << i)
+        gain = (pairs[:, 1] - pairs[:, 0]).ravel()
+        least = gain.copy()
+        for j in range(n - 1):
+            halves = least.reshape(-1, 2, 1 << j)
+            np.fmin(halves[:, 1], halves[:, 0], out=halves[:, 1])
+        hits = np.flatnonzero(gain > least + VALUE_TOL)
+        if hits.size:
+            c = int(hits[0])
+            first = min(first, (c & ((1 << i) - 1)) | (c >> i << (i + 1)))
+    if first == masks.size:
+        return None
+    subsets = masks[(masks & first) == masks][:, None]
+    bits = np.array([1 << i for i in range(n) if not first >> i & 1])
+    hit = table[first | bits] - table[first] > table[subsets | bits] - table[subsets] + VALUE_TOL
+    row, col = divmod(int(np.argmax(hit)), bits.size)
+    return (first, int(subsets[row, 0]), int(bits[col]).bit_length())
 
 
 def _verify_sampled(

@@ -11,20 +11,38 @@ values bit for bit (``==`` on floats, never a tolerance):
 * ``reference_tracking``: the per-round ``cum_table += table`` tracking
   of the best fixed set that ``run_usm_game`` did before it accumulated
   blocks of rounds;
+* ``distinct_tables``: each round's value table, built once per distinct
+  oracle, as the replay diagnostics summed them before the game
+  reported its best set;
 * ``reference_csv_line``: the per-cell CSV formatting of a tuple row.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from onlineusm.balance import Ledger
 from onlineusm.errors import SizeError
-from onlineusm.framework import distinct_tables
-from onlineusm.submodular import ENUMERATION_LIMIT, SubmodularOracle
+from onlineusm.submodular import ENUMERATION_LIMIT, SubmodularOracle, value_table
+
+
+def distinct_tables(oracles: Sequence[SubmodularOracle]) -> list[np.ndarray]:
+    """``value_table`` of each oracle, built once per distinct oracle.
+
+    The cache is keyed by the oracle objects themselves, so it holds
+    each one alive and a key cannot be reused by a later object.
+    """
+    cache: dict[SubmodularOracle, np.ndarray] = {}
+    out = []
+    for f in oracles:
+        table = cache.get(f)
+        if table is None:
+            table = cache[f] = value_table(f)
+        out.append(table)
+    return out
 
 
 def usm_alpha_regret(
@@ -97,9 +115,9 @@ def reference_balance_rows(results, rounds: int, alpha: float) -> list[tuple]:
     return rows
 
 
-def reference_tracking(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, float]:
-    """``cum_opt`` series and final best value of the rounds' value
-    tables, one ``+=`` and one maximum per round."""
+def reference_tracking(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, float, int]:
+    """``cum_opt`` series, final best value and first best set of the
+    rounds' value tables, one ``+=`` and one maximum per round."""
     cum_table = None
     cum_opt = []
     for table in tables:
@@ -108,7 +126,7 @@ def reference_tracking(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, float]
         else:
             cum_table += table
         cum_opt.append(np.maximum.reduce(cum_table))
-    return np.array(cum_opt), float(cum_table.max())
+    return np.array(cum_opt), float(cum_table.max()), int(np.argmax(cum_table))
 
 
 def reference_csv_line(row: tuple) -> str:

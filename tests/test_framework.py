@@ -13,7 +13,6 @@ from onlineusm import framework
 from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import (
     RoundTranscript,
-    distinct_tables,
     fit_growth_exponent,
     opt_tracking_check,
     run_round,
@@ -35,7 +34,7 @@ from onlineusm.submodular import (
 )
 
 from conftest import grow_only_oracle
-from references import reference_tracking, usm_alpha_regret
+from references import distinct_tables, reference_tracking, usm_alpha_regret
 
 
 def streams_for(n, seed=0):
@@ -469,9 +468,10 @@ def test_run_result_series_invariants():
 # --- best-fixed-set tracking against the per-round sum ---------------------
 
 def assert_tracking_is_the_reference(res, tables):
-    want_opt, want_final = reference_tracking(tables)
+    want_opt, want_final, want_set = reference_tracking(tables)
     assert res.cum_opt.tolist() == want_opt.tolist()
     assert res.cum_opt[-1] == want_final
+    assert res.opt_set == want_set
 
 
 @pytest.mark.parametrize(

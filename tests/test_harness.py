@@ -258,6 +258,10 @@ def test_cycle_kinds_build_and_track_once_per_experiment(adversary, monkeypatch,
     shared = results[0].cum_opt
     assert not shared.flags.writeable
     assert all(res.cum_opt is shared for res in results)
+    # the best set is shared too, and reaches the final best total
+    oracles, best = built[0].oracles, results[0].opt_set
+    assert all(res.opt_set == best for res in results)
+    assert shared[-1] == sum(oracles[t % len(oracles)].peek(best) for t in range(cfg.rounds))
 
     built.clear()
     _, summary = run_experiment(cfg)

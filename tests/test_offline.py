@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from onlineusm.balance import Balancer, _in_triangle, step_invariant_deltas
 from onlineusm.errors import ConfigError, SizeError
+from onlineusm.framework import opt_tracking_check, run_round
 from onlineusm.offline import (
     _coin_rule,
     _walk,
@@ -16,6 +18,7 @@ from onlineusm.offline import (
     uniform_random_value,
 )
 from onlineusm.submodular import (
+    VALUE_TOL,
     DirectedGraph,
     GroundSet,
     SubmodularOracle,
@@ -144,11 +147,9 @@ def test_rand_double_greedy_stats_validates_trials(single_edge_oracle):
 
 
 def test_uniform_random_value_single_edge(single_edge_oracle):
-    # four subsets, exactly one cuts the edge
-    assert uniform_random_value(single_edge_oracle) == pytest.approx(0.25)
-    assert uniform_random_value(single_edge_oracle) == pytest.approx(
-        brute_force_opt(single_edge_oracle).value / 4
-    )
+    # four subsets, exactly one cuts the edge: the 1/4 ladder rung is tight
+    assert uniform_random_value(single_edge_oracle) == 0.25
+    assert uniform_random_value(single_edge_oracle) == brute_force_opt(single_edge_oracle).value / 4
 
 
 def test_uniform_random_value_constant(constant_oracle):
@@ -361,3 +362,77 @@ def test_coin_rule_is_the_scalar_rule(a, b):
     yes = _coin_rule(coins.reshape(k, 1))(0, np.full(k, a), np.full(k, b))
     assert yes.dtype == bool
     assert yes.tolist() == [reference_coin_rule(a, b, c) for c in coins.tolist()]
+
+
+# --- properties of the online round and the offline ladder on every family ----
+
+def _recording_oracle(table):
+    """Function-backed oracle over ``table`` that lists every counted mask."""
+    asked = []
+    values = table.tolist()
+
+    def fn(m):
+        asked.append(m)
+        return values[m]
+
+    return SubmodularOracle(GroundSet(table.size.bit_length() - 1), fn), asked
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_tables(), st.data())
+def test_online_round_on_every_family(table, data):
+    n = table.size.bit_length() - 1
+    horizon = data.draw(st.integers(1, 400))
+    s = math.sqrt(horizon)
+    xs = data.draw(st.lists(st.floats(0.0, s), min_size=n, max_size=n))
+    coins = data.draw(_coins(n, 1))[0]
+    f, asked = _recording_oracle(table)
+    tr = run_round([Balancer(horizon, x) for x in xs], f, coins)
+    assert all(_in_triangle(a, b) for a, b in tr.marginals)
+    assert len(asked) == len(set(asked)) == f.queries == tr.queries == 2 * n
+    opt = brute_force_opt(oracle_from_table(table)).chosen
+    for reference in (opt, data.draw(st.integers(0, table.size - 1))):
+        assert opt_tracking_check(tr, f, reference) is None
+    for d, pt in zip(tr.decisions, tr.marginals):
+        d_alg, d_yes, d_no = step_invariant_deltas(d.p_used, pt, horizon)
+        assert d_alg - max(d_yes, d_no) + 2.0 / s >= 0.0
+
+
+def exact_rand_sweep_value(table):
+    """Exact expected value of the randomized sweep: both choices of every
+    element, weighted by their probabilities, over all 2^n paths."""
+    n = table.size.bit_length() - 1
+    full = table.size - 1
+    x = np.zeros(1, dtype=np.int64)
+    weight = np.ones(1)
+    for i in range(n):
+        bit = 1 << i
+        y = x | (full & ~(bit - 1))
+        ap = np.maximum(table[x | bit] - table[x], 0.0)
+        bp = np.maximum(table[y & ~bit] - table[y], 0.0)
+        total = ap + bp
+        # as the scalar rule: yes for sure when both positive parts are zero
+        p = np.where(total > 0.0, ap / np.where(total > 0.0, total, 1.0), 1.0)
+        x = np.concatenate((x | bit, x))
+        weight = np.concatenate((weight * p, weight * (1.0 - p)))
+    return float(weight @ table[x])
+
+
+def test_exact_rand_sweep_value_on_small_instances(single_edge_oracle):
+    # one edge: every choice is forced, onto the optimum {1}
+    assert exact_rand_sweep_value(value_table(single_edge_oracle)) == 1.0
+    # bidirected pair: element 1 is a fair coin, then element 2 is forced
+    # to the other side, so each path ends at a value of 1/2
+    pair = normalize(DirectedGraph(2, ((1, 2, 1.0), (2, 1, 1.0))))
+    assert exact_rand_sweep_value(value_table(pair)) == 0.5
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_tables())
+def test_offline_ladder_holds_exactly(table):
+    f = oracle_from_table(table)
+    opt = brute_force_opt(f).value
+    expected = exact_rand_sweep_value(table)
+    assert opt / 2 - VALUE_TOL <= expected <= opt + VALUE_TOL
+    assert det_double_greedy(f).value >= opt / 3 - VALUE_TOL
+    assert uniform_random_value(f) >= opt / 4 - VALUE_TOL

@@ -314,6 +314,7 @@ def test_oracle_from_table_validation():
 def test_value_table_matches_peek(cut_corpus):
     for n, oracle in cut_corpus(count=5, seed=3):
         table = value_table(oracle)
+        assert not table.flags.writeable
         probe = np.array([oracle.peek(m) for m in range(1 << n)])
         assert np.allclose(table, probe, atol=1e-12)
 
@@ -334,6 +335,11 @@ def test_oracle_from_table_copies_its_input():
     assert o.evaluate(1) == 0.0
     assert o.evaluate_many(np.array([1, 2])).tolist() == [0.0, 0.0]
     assert value_table(o).tolist() == [0.0, 0.0, 0.0, 0.0]
+    # every reader shares the oracle's one read-only table
+    shared = value_table(o)
+    assert shared is value_table(o) and not shared.flags.writeable
+    with pytest.raises(ValueError):
+        shared[0] = 1.0
 
 
 def test_normalize_rejects_a_total_weight_it_cannot_scale():
@@ -447,15 +453,47 @@ def test_verify_supermodular_finds_valid_first_witness():
     assert witness == naive_first_violation(table, n)
 
 
+def _function_oracle(table):
+    """Function-backed oracle over any float table, nan included."""
+    return SubmodularOracle(GroundSet(table.size.bit_length() - 1), table.tolist().__getitem__)
+
+
+def test_verify_finds_a_violation_next_to_a_nan_value():
+    # f(full) is nan, so every gain into the full set is nan and fails
+    # every comparison; the violation at S = {1}, T = {}, i = 2 stays
+    table = np.array([(m.bit_count() / 3) ** 2 for m in range(8)])
+    table[7] = math.nan
+    f = _function_oracle(table)
+    assert naive_first_violation(table, 3) == (1, 0, 2)
+    assert verify_submodularity(f) == (1, 0, 2)
+    assert f.queries == 8
+
+
 def test_verify_matches_naive_reference_on_random_tables():
     rng = np.random.default_rng(42)
-    for n in (3, 4, 5, 6):
-        for _ in range(12):
-            table = rng.random(1 << n)
-            oracle = oracle_from_table(table)
-            got = verify_submodularity(oracle)
-            want = naive_first_violation(table, n)
-            assert got == want
+    for n in range(1, 9):
+        for _ in range(6):
+            # a cut table with one entry raised: by nothing, by less than
+            # VALUE_TOL, by more, or by a lot
+            raised = value_table(normalize(random_digraph(n, 0.5, (0.0, 1.0), rng))).copy()
+            raised[rng.integers(raised.size)] += rng.choice([0.0, 5e-10, 2e-9, 0.05])
+            # quarter-grid values: many gains tie exactly
+            quarters = np.round(rng.random(1 << n) * 4) / 4
+            for table in (rng.random(1 << n), quarters, raised):
+                with_nan = table.copy()
+                with_nan[rng.integers(table.size)] = math.nan
+                for t in (table, with_nan):
+                    f = _function_oracle(t)
+                    assert verify_submodularity(f) == naive_first_violation(t, n)
+                    assert f.queries == t.size
+    # the only violation is at the last S the scan reaches: one batch
+    # query of all 2^n values still finds it
+    n = 12
+    table = np.array([m.bit_count() / (n + 1) for m in range(1 << n)])
+    table[-1] = 1.0
+    f = oracle_from_table(table)
+    assert verify_submodularity(f) == (2047, 0, 12)
+    assert f.queries == 4096
 
 
 def test_verify_size_error_names_sampling():
