@@ -244,23 +244,67 @@ def normalize(g: DirectedGraph) -> SubmodularOracle:
     return SubmodularOracle(GroundSet(g.n), fn, table=partial(_cut_table, g, scale))
 
 
+#: low mask bits per row of a routed cut-table add: 2^13 = 8192 entries,
+#: numpy's ufunc buffer size.  A pattern broadcast over shorter rows is
+#: copied through the buffer, and the add runs at about half speed.
+_ROW_BITS = 13
+
+
+def _edge_view(a: np.ndarray, bits: int, lo: int, hi: int) -> np.ndarray:
+    """``a`` of 2^bits entries as (2^(bits-1-hi), 2, 2^(hi-lo-1), 2, 2^lo),
+    whose two length-2 axes are mask bits hi and lo."""
+    return a.reshape(1 << (bits - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+
+
 def _cut_table(g: DirectedGraph, scale: float) -> np.ndarray:
     """All 2^n cut values of ``g`` times ``scale``.
 
     Each edge adds its weight, in edge order, to the entries whose mask
-    has u and lacks v: an in-place add on a five-axis view of the table,
-    (2^(n-1-hi), 2, 2^(hi-lo-1), 2, 2^lo) for the edge's lower and higher
-    bit lo < hi, indexed on the two length-2 axes (1 on u's, 0 on v's).
+    has u and lacks v.  By default that is an in-place add on the
+    five-axis :func:`_edge_view` of the table for the edge's lower and
+    higher bit lo < hi, indexed on the two length-2 axes (1 on u's, 0 on
+    v's).
+
+    That add walks runs of 2^lo contiguous entries (for lo = 0 and
+    hi >= 2, of 2^(hi-1) entries two apart), and numpy pays for each
+    run: at n = 16 an edge with lo = 1 costs ~160 us, one with lo >= 7
+    ~23 us.  So for n > 13 an edge whose run is at most 16 entries
+    (1 <= lo <= 4, or lo = 0 and 2 <= hi <= 5) is routed through rows of
+    2^13 entries instead.  A one-row pattern holds w on the low masks
+    that meet the edge's conditions on bits below 13, and 0.0 elsewhere.
+    It is added to every row when hi < 13, else to the rows whose bit hi
+    is 1 if it is u's and 0 if it is v's: ~25 us per edge over all rows
+    at n = 16, ~15 us over half of them.  For n <= 13 the table is at
+    most one row, and over shorter rows the broadcast add is slower than
+    the five-axis one.  Measured on a 2-core Xeon with numpy 2.4, random
+    digraphs of density 0.5: n = 16 (120 edges) 4.1 -> 2.7 ms, n = 20
+    (190 edges) 100 -> 63 ms; n <= 13 is unchanged.
+
     Every entry sums the same doubles in the same order as
     :func:`directed_cut_value`, so the table equals its peeks bit for bit.
+    A route adds +0.0 to the entries the edge does not cover, and that
+    leaves every partial sum unchanged: sums start at +0.0 and only gain
+    weights >= +0.0 (an added -0.0 gives +0.0), so none is -0.0.
     """
     n = g.n
     acc = np.zeros(1 << n, dtype=float)
+    routed = n > _ROW_BITS
+    if routed:
+        rows = acc.reshape(-1, 1 << _ROW_BITS)
+        pattern = np.empty(1 << _ROW_BITS)
     for u, v, w in g.edges:
         lo, hi = (u - 1, v - 1) if u < v else (v - 1, u - 1)
-        view = acc.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
         u_high = int(u > v)
-        view[:, u_high, :, 1 - u_high, :] += w
+        if routed and (1 <= lo <= 4 or (lo == 0 and 2 <= hi <= 5)):
+            pattern.fill(0.0)
+            if hi < _ROW_BITS:
+                _edge_view(pattern, _ROW_BITS, lo, hi)[:, u_high, :, 1 - u_high, :] = w
+                rows += pattern
+            else:
+                pattern.reshape(-1, 2, 1 << lo)[:, 1 - u_high] = w
+                acc.reshape(1 << (n - 1 - hi), 2, -1, 1 << _ROW_BITS)[:, u_high] += pattern
+        else:
+            _edge_view(acc, n, lo, hi)[:, u_high, :, 1 - u_high, :] += w
     acc *= scale
     return acc
 

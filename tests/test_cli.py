@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import onlineusm.cli as cli
+from onlineusm import submodular
 from onlineusm.errors import ConfigError
 from onlineusm.harness import SUBROUTINE_NAMES, build_subroutine
-from onlineusm.submodular import random_digraph, write_digraph
+from onlineusm.submodular import normalize, random_digraph, verify_submodularity, write_digraph
 
 
 def run_cli(*args):
@@ -161,6 +162,26 @@ def test_non_finite_weight_in_a_graph_file_exit_one(tmp_path):
     proc = run_cli("offline", "--graph", str(p), "--trials", "10")
     assert proc.returncode == 1
     assert "non-finite" in proc.stderr
+
+
+def test_exhaustive_verify_reads_the_cut_table(tmp_path, monkeypatch, capsys):
+    g = random_digraph(12, 0.5, (0.0, 1.0), np.random.default_rng(12))
+    p = tmp_path / "g.dg"
+    write_digraph(p, g)
+    oracle = normalize(g)  # the untabulated check: one Python cut sum per mask
+    witness = verify_submodularity(oracle)
+    want = {"game": "verify", "n": 12, "edges": len(g.edges), "mode": "exhaustive",
+            "passed": witness is None, "witness": None, "queries": oracle.queries}
+    assert want["queries"] == 1 << 12
+    calls = []
+    cut_value = submodular.directed_cut_value
+    monkeypatch.setattr(submodular, "directed_cut_value", lambda g, s: calls.append(s) or cut_value(g, s))
+    assert cli.main(["verify", str(p)]) == 0
+    assert calls == []
+    assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
+    # the sampled mode still asks the cut function itself, once per query
+    assert cli.main(["verify", str(p), "--samples", "50"]) == 0
+    assert len(calls) == json.loads(capsys.readouterr().out)["queries"] > 0
 
 
 def test_verify_too_large_exit_one(tmp_path):

@@ -15,6 +15,10 @@ repeatable (the summary reports 0 replay failures).
 The file-based descriptors read graphs that each case writes first, with
 ``write_digraph`` from a seeded ``random_digraph``, into the temporary
 directory under the relative names ``g0.dg`` and ``g1.dg``.
+
+``verify`` writes no output file, so its cases hash the summary alone:
+an exhaustive check at n = 12 and a sampled one at n = 22, each of a
+graph file written from a seeded ``random_digraph``.
 """
 
 from __future__ import annotations
@@ -103,6 +107,19 @@ GOLDEN = {
 }
 
 
+#: case -> ((n, density, seed) of the graph file g.dg, argv)
+VERIFY_CASES = {
+    "verify-exhaustive-n12": ((12, 0.5, 12), ["verify", "g.dg"]),
+    "verify-sampled-n22": ((22, 0.3, 22), ["verify", "g.dg", "--samples", "3000", "--seed", "4"]),
+}
+
+#: case -> sha256 of the summary on stdout
+VERIFY_GOLDEN = {
+    "verify-exhaustive-n12": "b78103e2bbbdab5ba8ecb5cedd242159aad389cb4355e6956087569a4c1ce495",
+    "verify-sampled-n22": "2933bdc6ad2b304af662de480c990de7c8e7242ab256ed302a804bbddf518b3d",
+}
+
+
 def _run(argv: list[str]) -> tuple[str, str]:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
@@ -123,3 +140,14 @@ def test_golden_output(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write_graphs(tmp_path)
     assert _run(CASES[case]) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_golden_verify_summary(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (n, density, seed), argv = VERIFY_CASES[case]
+    write_digraph(tmp_path / "g.dg", random_digraph(n, density, (0.0, 1.0), np.random.default_rng(seed)))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == VERIFY_GOLDEN[case]

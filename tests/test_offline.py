@@ -206,10 +206,9 @@ def same_bits(a, b) -> bool:
 _weights = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 
 
-def _dyadic_cut(draw):
+def _dyadic_cut(draw, n):
     """Cut of a unit-weight digraph times 2^-p, with 2^p at least its edge
     count: every value and every marginal is exact, so marginals tie exactly."""
-    n = draw(st.integers(2, 10))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     picked = draw(st.lists(st.sampled_from(pairs), max_size=3 * n))
     g = DirectedGraph(n, tuple((u, v, 1.0) for u, v in picked))
@@ -221,9 +220,8 @@ def _subset_bits(n):
     return (masks[:, None] >> np.arange(n)) & 1
 
 
-def _concave_of_count(draw):
+def _concave_of_count(draw, n):
     """sqrt or min(c, .) of a nonnegative weighted count, unscaled."""
-    n = draw(st.integers(1, 10))
     w = np.array(draw(st.lists(_weights, min_size=n, max_size=n)))
     counts = _subset_bits(n) @ w
     if draw(st.booleans()):
@@ -231,9 +229,8 @@ def _concave_of_count(draw):
     return np.minimum(draw(st.floats(0.0, float(n))), counts)
 
 
-def _coverage(draw):
+def _coverage(draw, n):
     """Weight of the union of the items each element covers, unscaled."""
-    n = draw(st.integers(1, 10))
     items = draw(st.integers(1, 12))
     covers = np.array(draw(st.lists(st.lists(st.booleans(), min_size=items, max_size=items),
                                     min_size=n, max_size=n)))
@@ -242,40 +239,53 @@ def _coverage(draw):
     return covered.astype(float) @ w
 
 
+def _cut(draw, n, bidirected=False):
+    """Normalized cut table of a random digraph, or of bidirected pairs."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+             if u != v and (not bidirected or u < v)]
+    picked = draw(st.lists(st.tuples(st.sampled_from(pairs), _weights), max_size=3 * n)) if pairs else []
+    edges = [(u, v, w) for (u, v), w in picked]
+    if bidirected:
+        edges += [(v, u, w) for u, v, w in edges]
+    g = DirectedGraph(n, tuple(edges))
+    # a subnormal total weight (one edge of 5e-324) has no finite scale,
+    # and normalize rejects it
+    assume(g.total_weight == 0.0 or math.isfinite(1.0 / g.total_weight))
+    return np.clip(value_table(normalize(g)), 0.0, 1.0)
+
+
+def _mixture(draw, n):
+    """Nonnegative mixture of a cut, a concave and a coverage function, unscaled."""
+    parts = (_cut(draw, n), _concave_of_count(draw, n), _coverage(draw, n))
+    return sum(w * part for w, part in zip(draw(st.lists(_weights, min_size=3, max_size=3)), parts))
+
+
 @st.composite
 def value_tables(draw):
     """Value tables in [0, 1] of nonnegative submodular functions.
 
     Cut tables of random digraphs and of bidirected pairs, constant
-    tables, dyadic cut tables whose marginals tie exactly, and two
-    families that are not cuts (a concave function of a weighted count,
-    a coverage function), scaled by their maximum and confirmed by
-    ``verify_submodularity``.  Any draw may turn some of its zero
-    entries into -0.0.
+    tables, dyadic cut tables whose marginals tie exactly, two families
+    that are not cuts (a concave function of a weighted count, a
+    coverage function), and nonnegative mixtures of a cut, a concave
+    and a coverage function on one ground set.  The last three are
+    scaled by their maximum and confirmed by ``verify_submodularity``.
+    Any draw may turn some of its zero entries into -0.0.
     """
-    kind = draw(st.sampled_from(["cut", "bidirected", "constant", "dyadic", "concave", "coverage"]))
+    kind = draw(st.sampled_from(["cut", "bidirected", "constant", "dyadic", "concave", "coverage",
+                                 "mixture"]))
+    n = draw(st.integers(2 if kind in ("bidirected", "dyadic") else 1, 10))
     if kind == "constant":
-        table = np.full(1 << draw(st.integers(1, 10)), draw(_weights))
+        table = np.full(1 << n, draw(_weights))
     elif kind == "dyadic":
-        table = _dyadic_cut(draw)
-    elif kind in ("concave", "coverage"):
-        values = _concave_of_count(draw) if kind == "concave" else _coverage(draw)
+        table = _dyadic_cut(draw, n)
+    elif kind in ("cut", "bidirected"):
+        table = _cut(draw, n, bidirected=kind == "bidirected")
+    else:
+        values = {"concave": _concave_of_count, "coverage": _coverage, "mixture": _mixture}[kind](draw, n)
         top = values.max()
         table = values / top if top > 0.0 else values
         assert verify_submodularity(oracle_from_table(table)) is None
-    else:
-        n = draw(st.integers(2 if kind == "bidirected" else 1, 10))
-        pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
-                 if u != v and (kind == "cut" or u < v)]
-        picked = draw(st.lists(st.tuples(st.sampled_from(pairs), _weights), max_size=3 * n)) if pairs else []
-        edges = [(u, v, w) for (u, v), w in picked]
-        if kind == "bidirected":
-            edges += [(v, u, w) for u, v, w in edges]
-        g = DirectedGraph(n, tuple(edges))
-        # a subnormal total weight (one edge of 5e-324) has no finite scale,
-        # and normalize rejects it
-        assume(g.total_weight == 0.0 or math.isfinite(1.0 / g.total_weight))
-        table = np.clip(value_table(normalize(g)), 0.0, 1.0)
     if draw(st.booleans()):
         flip = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(table.size) < 0.5
         table = np.where((table == 0.0) & flip, -0.0, table)

@@ -30,6 +30,7 @@ from onlineusm.submodular import (
     value_table,
     verify_submodularity,
     write_digraph,
+    _ROW_BITS,
     _cut_table,
 )
 
@@ -389,11 +390,43 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+# Above _ROW_BITS vertices, _cut_table routes the edges whose lower bit
+# is small through a one-row pattern.  These graphs reach every route.
+_ROUTED_N = _ROW_BITS + 2
+
+#: every ordered pair, each with its own weight: each (lo, hi) class,
+#: routed or not, in both directions
+_COMPLETE = DirectedGraph(_ROUTED_N, tuple(
+    (u, v, 1.0 / (3 + k)) for k, (u, v) in enumerate(
+        (u, v) for u in range(1, _ROUTED_N + 1) for v in range(1, _ROUTED_N + 1) if u != v)))
+
+#: -0.0, subnormal and 1e6 weights on routed edges (full and half rows)
+#: and on edges the five-axis view adds
+_EXTREME = DirectedGraph(_ROW_BITS + 1, (
+    (2, 1, -0.0), (2, 6, 1e6), (1, 3, 5e-324), (14, 3, 1e-310), (5, 14, -0.0), (3, 2, 0.1),
+    (1, 2, 1e6), (4, 13, 0.3), (13, 4, 5e-324), (6, 2, -0.0), (9, 14, 1e6), (2, 6, 5e-324),
+))
+
+
+def _shuffled_repeats():
+    """Each pair three times with its own weights, in a shuffled order."""
+    rng = np.random.default_rng(7)
+    pairs = [(2, 5), (5, 2), (1, 3), (15, 2), (4, 14), (3, 1), (1, 2), (10, 12), (1, 5)]
+    edges = [(u, v, w) for u, v in pairs for w in rng.random(3).tolist()]
+    return DirectedGraph(_ROUTED_N, tuple(edges[i] for i in rng.permutation(len(edges))))
+
+
 @settings(max_examples=200, deadline=None)
-@given(digraphs(), st.sampled_from([None, 1.0, 0.1, 3.0]))
+@given(digraphs(max_n=_ROUTED_N), st.sampled_from([None, 1.0, 0.1, 3.0]))
 @example(DirectedGraph(1, ()), None)
 @example(DirectedGraph(5, ()), None)
 @example(DirectedGraph(3, ((1, 2, 0.1), (1, 2, 0.2), (2, 3, 5e-324), (1, 2, 0.0))), None)
+@example(DirectedGraph(_ROUTED_N, ()), None)
+@example(_COMPLETE, None)
+@example(_COMPLETE, 3.0)
+@example(_EXTREME, None)
+@example(_EXTREME, 1.0)
+@example(_shuffled_repeats(), None)
 def test_cut_table_is_the_per_edge_pass_bit_for_bit(g, scale):
     if scale is None:  # the scale normalize takes, where it is finite
         w = g.total_weight
@@ -407,6 +440,7 @@ def test_cut_table_is_the_per_edge_pass_bit_for_bit(g, scale):
 @settings(max_examples=100, deadline=None)
 @given(digraphs(max_n=9))
 @example(DirectedGraph(4, ()))
+@example(_EXTREME)
 def test_value_table_equals_the_peeks_bit_for_bit(g):
     total = g.total_weight
     if total > 0 and not math.isfinite(1.0 / total):
