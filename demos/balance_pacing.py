@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from onlineusm import (
+    BalancePoint,
     Balancer,
     TwoExperts,
     build_balance_adversary,
@@ -29,10 +30,8 @@ SEED = 3
 
 print("decomposing a few points into up/right/left weights:")
 for alpha, beta in [(1.0, 1.0), (1.0, -1.0), (0.0, 0.0), (0.3, 0.4)]:
-    from onlineusm import BalancePoint
-
-    w = decompose(BalancePoint(alpha, beta))
-    print(f"  ({alpha:+.1f}, {beta:+.1f})  ->  up={w.c_up:.2f} right={w.c_right:.2f} left={w.c_left:.2f}")
+    c_up, c_right, c_left = decompose(BalancePoint(alpha, beta))
+    print(f"  ({alpha:+.1f}, {beta:+.1f})  ->  up={c_up:.2f} right={c_right:.2f} left={c_left:.2f}")
 
 print("\nthe three bookkeeping potentials at a few states (sqrt(T) = 100):")
 for x in (0.0, 25.0, 50.0, 75.0, 100.0):

@@ -12,18 +12,14 @@ harness with CSV/JSON emission.
 from .adversaries import (
     AdaptiveBalanceAdversary,
     AdaptiveCutAdversary,
-    BUILTIN_COVARIANCE_RULES,
     CycleFunctionAdversary,
     ObliviousBalanceAdversary,
     RandomObliviousAdversary,
-    covariance_estimate,
-    extremal_pattern_sequence,
 )
 from .balance import (
     BalancePoint,
     Balancer,
     ConstantPolicy,
-    ConvexWeights,
     Decision,
     LEFT,
     Ledger,
@@ -31,8 +27,6 @@ from .balance import (
     TwoExperts,
     UP,
     decompose,
-    default_learning_rate,
-    expected_ledger_deltas,
     potentials,
     step_invariant_deltas,
 )
@@ -78,12 +72,10 @@ from .offline import (
 )
 from .submodular import (
     DirectedGraph,
-    GroundSet,
     SubmodularOracle,
     directed_cut_value,
     elements_of,
     full_mask,
-    mask_of,
     normalize,
     oracle_from_table,
     random_digraph,

@@ -57,22 +57,8 @@ RIGHT = BalancePoint(1.0, -1.0)
 LEFT = BalancePoint(-1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ConvexWeights:
-    """Convex combination of the three extremal moves."""
-
-    c_up: float
-    c_right: float
-    c_left: float
-
-    def reconstruct(self) -> tuple[float, float]:
-        a = self.c_up + self.c_right - self.c_left
-        b = self.c_up - self.c_right + self.c_left
-        return a, b
-
-
-def decompose(pt: BalancePoint) -> ConvexWeights:
-    """Unique affine weights of ``pt`` over up/right/left.
+def decompose(pt: BalancePoint) -> tuple[float, float, float]:
+    """Unique affine weights ``(c_up, c_right, c_left)`` of ``pt`` over up/right/left.
 
     c_up = (alpha+beta)/2, c_right = (1-beta)/2, c_left = (1-alpha)/2.
     Float drift can push a weight slightly negative; those are clamped
@@ -90,7 +76,7 @@ def decompose(pt: BalancePoint) -> ConvexWeights:
         c_left = max(c_left, 0.0)
         total = c_up + c_right + c_left
         c_up, c_right, c_left = c_up / total, c_right / total, c_left / total
-    return ConvexWeights(c_up, c_right, c_left)
+    return c_up, c_right, c_left
 
 
 class Decision(NamedTuple):
@@ -167,26 +153,23 @@ class Balancer:
         self.x = x
 
 
-def default_learning_rate(horizon: int) -> float:
-    """Hedge tuning for two actions over a known horizon."""
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
-    return math.sqrt(8.0 * math.log(2.0) / horizon)
-
-
 class TwoExperts:
     """Multiplicative weights over the two actions yes / no.
 
     Rewards are shifted from [-1, 1] to [0, 1] before exponentiation;
     weights are renormalized by their max each update so long runs stay
-    in range without changing the yes-probability.
+    in range without changing the yes-probability.  Without an explicit
+    ``eta`` the rate is the Hedge tuning for two actions over the
+    horizon, sqrt(8 ln 2 / T).
     """
 
     def __init__(self, horizon: int | None = None, *, eta: float | None = None):
         if eta is None:
             if horizon is None:
                 raise DomainError("TwoExperts needs a horizon or an explicit eta")
-            eta = default_learning_rate(horizon)
+            if horizon < 1:
+                raise DomainError(f"horizon must be >= 1, got {horizon}")
+            eta = math.sqrt(8.0 * math.log(2.0) / horizon)
         # a nan or infinite eta turns both weights into nan after one update
         if not (math.isfinite(eta) and eta > 0):
             raise DomainError(f"eta must be finite and > 0, got {eta}")
@@ -260,33 +243,27 @@ def potentials(x: float, horizon: int) -> tuple[float, float, float]:
     return _phi_alg(x, s), _phi_yes(x, s), _phi_no(x, s)
 
 
-def expected_ledger_deltas(p: float, pt: BalancePoint) -> tuple[float, float, float]:
-    """Expected one-round (dR_alg, dC_yes, dC_no) when yes has probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p={p} outside [0, 1]")
-    d_r = p * 0.5 * pt.alpha + (1.0 - p) * 0.5 * pt.beta
-    d_cyes = (1.0 - p) * pt.alpha
-    d_cno = p * pt.beta
-    return d_r, d_cyes, d_cno
-
-
 def step_invariant_deltas(p: float, pt: BalancePoint, horizon: int) -> tuple[float, float, float]:
     """Exact expected one-step changes of the three potential-augmented sums.
 
-    Evaluates the closed-form potentials at x = p*sqrt(T) and at the
-    uncapped updated state x + (1-2p)c_up + c_right - c_left (the
-    quadratics extend smoothly past the interval ends; capping only ever
-    helps and is covered by its own monotonicity check).  The pacing
-    guarantee is d_alg >= max(d_yes, d_no) - 2/sqrt(T).
+    Adds the expected one-round changes of (R_alg, C_yes, C_no) when yes
+    has probability p to the changes of the closed-form potentials
+    between x = p*sqrt(T) and the uncapped updated state
+    x + (1-2p)c_up + c_right - c_left (the quadratics extend smoothly
+    past the interval ends; capping only ever helps and is covered by
+    its own monotonicity check).  The pacing guarantee is
+    d_alg >= max(d_yes, d_no) - 2/sqrt(T).
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p} outside [0, 1]")
     s = _sqrt_horizon(horizon)
-    w = decompose(pt)
+    c_up, c_right, c_left = decompose(pt)
     x = p * s
-    delta = (1.0 - 2.0 * p) * w.c_up + w.c_right - w.c_left
+    delta = (1.0 - 2.0 * p) * c_up + c_right - c_left
     x2 = x + delta
-    d_r, d_cyes, d_cno = expected_ledger_deltas(p, pt)
+    d_r = p * 0.5 * pt.alpha + (1.0 - p) * 0.5 * pt.beta
+    d_cyes = (1.0 - p) * pt.alpha
+    d_cno = p * pt.beta
     d_alg = d_r + _phi_alg(x2, s) - _phi_alg(x, s)
     d_yes = d_cyes + _phi_yes(x2, s) - _phi_yes(x, s)
     d_no = d_cno + _phi_no(x2, s) - _phi_no(x, s)

@@ -92,7 +92,7 @@ def run_round(
     ``evaluate`` calls, exactly 2n: f(empty set), f(full set) and two
     masks per element before n, all distinct.
     """
-    n = f.ground.n
+    n = f.n
     if len(subroutines) != n:
         raise ConfigError(f"need {n} subroutines, got {len(subroutines)}")
     if len(coins) != n:
@@ -251,8 +251,8 @@ def run_usm_game(
         tables = []
         for t, round_coins in enumerate(coins[:, start:stop].T.tolist(), start):
             f = adversary.next_oracle(last_set)
-            if f.ground.n != n:
-                raise ConfigError(f"oracle ground size {f.ground.n} != subroutine count {n}")
+            if f.n != n:
+                raise ConfigError(f"oracle ground size {f.n} != subroutine count {n}")
             tr = run_round(subroutines, f, round_coins, t=t + 1)
             rewards[t] = f.peek(tr.chosen)
             round_queries[t] = tr.queries

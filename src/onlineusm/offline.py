@@ -67,7 +67,7 @@ def _walk(
     every value it holds is the very double that was queried.  Each
     sweep spends 2n + 2 counted queries.
     """
-    n = f.ground.n
+    n = f.n
     full = full_mask(n)
     evaluate_many = f.evaluate_many
     x = np.zeros(k, dtype=np.int64)
@@ -136,7 +136,7 @@ def rand_double_greedy(f: SubmodularOracle, rng: np.random.Generator) -> Offline
     Draws the n coins as one ``rng.random((1, n))`` block, the same values
     as n sequential draws, coin i for element i.
     """
-    x, fx = _walk(f, 1, _coin_rule(rng.random((1, f.ground.n))))
+    x, fx = _walk(f, 1, _coin_rule(rng.random((1, f.n))))
     return OfflineResult(chosen=int(x[0]), value=float(fx[0]))
 
 
@@ -154,7 +154,7 @@ def rand_double_greedy_stats(f: SubmodularOracle, trials: int, seed: int) -> Off
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    n = f.ground.n
+    n = f.n
     value = np.empty(trials)
     # each block's first best set: the first best sweep overall is the
     # first best of the block that holds it

@@ -19,7 +19,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,16 +45,6 @@ def full_mask(n: int) -> Mask:
     return (1 << n) - 1
 
 
-def mask_of(elements: Iterable[int], n: int | None = None) -> Mask:
-    """Build a bitmask from 1-based element ids, validating the range."""
-    mask = 0
-    for e in elements:
-        if e < 1 or (n is not None and e > n):
-            raise InvalidSubsetError(f"element {e} outside ground set 1..{n}")
-        mask |= 1 << (e - 1)
-    return mask
-
-
 def elements_of(mask: Mask) -> list[int]:
     """1-based element ids present in a bitmask, ascending.
 
@@ -71,21 +61,6 @@ def elements_of(mask: Mask) -> list[int]:
         mask >>= 1
         i += 1
     return out
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """Universe {1, ..., n}."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InvalidInstanceError(f"ground set size must be >= 1, got {self.n}")
-
-    @property
-    def full(self) -> Mask:
-        return (1 << self.n) - 1
 
 
 @dataclass(frozen=True)
@@ -130,7 +105,7 @@ def directed_cut_value(g: DirectedGraph, s: Mask) -> float:
 
 
 class SubmodularOracle:
-    """Value-oracle access to a set function with query accounting.
+    """Value-oracle access to a set function on {1, ..., n} with query accounting.
 
     The oracle never caches: every :meth:`evaluate` call counts one
     query, and callers that want per-round memoization do it on their
@@ -152,18 +127,21 @@ class SubmodularOracle:
     increasing bitmask; :func:`value_table` uses it in place of 2^n
     peeks.  An oracle made by :func:`oracle_from_table` keeps its
     read-only table in ``_values`` instead, which :meth:`evaluate_many`
-    gathers from and :func:`value_table` returns.
+    gathers from and :func:`value_table` returns.  An ``n`` below 1
+    raises :class:`InvalidInstanceError`.
     """
 
     def __init__(
         self,
-        ground: GroundSet,
+        n: int,
         fn: Callable[[Mask], float],
         *,
         table: Callable[[], np.ndarray] | None = None,
     ):
-        self.ground = ground
-        self._full = ground.full
+        if n < 1:
+            raise InvalidInstanceError(f"ground set size must be >= 1, got {n}")
+        self.n = n
+        self._full = full_mask(n)
         self._fn = fn
         self._all_values = table
         self._values: np.ndarray | None = None
@@ -183,7 +161,7 @@ class SubmodularOracle:
     def evaluate(self, s: Mask) -> float:
         """Return f(s), counting one query."""
         if s < 0 or s > self._full:
-            raise InvalidSubsetError(f"subset {s:#x} outside ground set of size {self.ground.n}")
+            raise InvalidSubsetError(f"subset {s:#x} outside ground set of size {self.n}")
         next(self._ticks)
         return self._fn(s)
 
@@ -206,7 +184,7 @@ class SubmodularOracle:
         # exact for any integer dtype: a negative mask makes the or negative
         seen = np.bitwise_or.reduce(masks)
         if seen < 0 or seen > self._full:
-            raise InvalidSubsetError(f"a subset in the batch lies outside ground set of size {self.ground.n}")
+            raise InvalidSubsetError(f"a subset in the batch lies outside ground set of size {self.n}")
         with self._lock:
             self._batched += masks.size
         if self._values is not None:
@@ -220,7 +198,7 @@ class SubmodularOracle:
         the counter keeps measuring the algorithm under test only.
         """
         if s < 0 or s > self._full:
-            raise InvalidSubsetError(f"subset {s:#x} outside ground set of size {self.ground.n}")
+            raise InvalidSubsetError(f"subset {s:#x} outside ground set of size {self.n}")
         return self._fn(s)
 
 
@@ -241,7 +219,7 @@ def normalize(g: DirectedGraph) -> SubmodularOracle:
     def fn(s: Mask, _g: DirectedGraph = g, _scale: float = scale) -> float:
         return directed_cut_value(_g, s) * _scale
 
-    return SubmodularOracle(GroundSet(g.n), fn, table=partial(_cut_table, g, scale))
+    return SubmodularOracle(g.n, fn, table=partial(_cut_table, g, scale))
 
 
 #: low mask bits per row of a routed cut-table add: 2^13 = 8192 entries,
@@ -333,7 +311,7 @@ def _table_oracle(table: np.ndarray) -> SubmodularOracle:
         raise InvalidInstanceError("table values must be finite and lie in [0, 1]")
     n = int(table.size.bit_length() - 1)
     table.flags.writeable = False
-    oracle = SubmodularOracle(GroundSet(n), memoryview(table).__getitem__)
+    oracle = SubmodularOracle(n, memoryview(table).__getitem__)
     oracle._values = table
     return oracle
 
@@ -346,7 +324,7 @@ def value_table(oracle: SubmodularOracle) -> np.ndarray:
     table, and anything else falls back to a peek loop.  Requires
     n <= ENUMERATION_LIMIT.
     """
-    n = oracle.ground.n
+    n = oracle.n
     if n > ENUMERATION_LIMIT:
         raise SizeError(f"full value table needs n <= {ENUMERATION_LIMIT}, got {n}")
     if oracle._values is not None:
@@ -390,7 +368,7 @@ def verify_submodularity(
     comparison of its gains with those of its subsets gives T, then i.
     ``samples`` switches to randomized triples for larger n.
     """
-    n = oracle.ground.n
+    n = oracle.n
     if samples is not None:
         return _verify_sampled(oracle, samples=samples, seed=seed)
     if n > EXHAUSTIVE_VERIFY_LIMIT:
@@ -428,7 +406,7 @@ def _verify_sampled(
 ) -> tuple[Mask, Mask, int] | None:
     if samples < 1:
         raise ConfigError(f"sample count must be >= 1, got {samples}")
-    n = oracle.ground.n
+    n = oracle.n
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     full = full_mask(n)
     for _ in range(samples):

@@ -15,18 +15,28 @@ values bit for bit (``==`` on floats, never a tolerance):
   oracle, as the replay diagnostics summed them before the game
   reported its best set;
 * ``reference_csv_line``: the per-cell CSV formatting of a tuple row.
+
+The rest are helpers that only the tests call, so they live here and not
+in the package:
+
+* ``mask_of``: a bitmask from 1-based element ids;
+* ``reconstruct``: the point that ``decompose``'s weights combine to;
+* ``expected_ledger_deltas``: the expected one-round ledger changes that
+  ``step_invariant_deltas`` adds to its potential changes;
+* ``covariance_estimate`` over ``BUILTIN_COVARIANCE_RULES``: the
+  two-step coin experiment.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from onlineusm.balance import Ledger
-from onlineusm.errors import SizeError
-from onlineusm.submodular import ENUMERATION_LIMIT, SubmodularOracle, value_table
+from onlineusm.balance import BalancePoint, Ledger
+from onlineusm.errors import ConfigError, DomainError, InvalidSubsetError, SizeError
+from onlineusm.submodular import ENUMERATION_LIMIT, Mask, SubmodularOracle, value_table
 
 
 def distinct_tables(oracles: Sequence[SubmodularOracle]) -> list[np.ndarray]:
@@ -61,7 +71,7 @@ def usm_alpha_regret(
         return 0.0
     algo_total = 0.0
     if opt == "compute":
-        n = items[0][0].ground.n
+        n = items[0][0].n
         if n > ENUMERATION_LIMIT:
             raise SizeError(
                 f"computing the best fixed set needs n <= {ENUMERATION_LIMIT}; supply opt explicitly"
@@ -132,3 +142,71 @@ def reference_tracking(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, float,
 def reference_csv_line(row: tuple) -> str:
     """One CSV line of a tuple row: ints by ``str``, floats by ``.12g``."""
     return ",".join(str(v) if isinstance(v, int) else format(v, ".12g") for v in row)
+
+
+def mask_of(elements: Iterable[int], n: int | None = None) -> Mask:
+    """Build a bitmask from 1-based element ids, validating the range."""
+    mask = 0
+    for e in elements:
+        if e < 1 or (n is not None and e > n):
+            raise InvalidSubsetError(f"element {e} outside ground set 1..{n}")
+        mask |= 1 << (e - 1)
+    return mask
+
+
+def reconstruct(c_up: float, c_right: float, c_left: float) -> tuple[float, float]:
+    """The point (alpha, beta) that weights over up/right/left combine to."""
+    a = c_up + c_right - c_left
+    b = c_up - c_right + c_left
+    return a, b
+
+
+def expected_ledger_deltas(p: float, pt: BalancePoint) -> tuple[float, float, float]:
+    """Expected one-round (dR_alg, dC_yes, dC_no) when yes has probability p."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p={p} outside [0, 1]")
+    d_r = p * 0.5 * pt.alpha + (1.0 - p) * 0.5 * pt.beta
+    d_cyes = (1.0 - p) * pt.alpha
+    d_cno = p * pt.beta
+    return d_r, d_cyes, d_cno
+
+
+#: built-in rules mapping the first coin's outcome to the second coin's bias
+BUILTIN_COVARIANCE_RULES: dict[str, Callable[[int], float]] = {
+    "copy": lambda x1: float(x1),
+    "follow": lambda x1: 0.8 if x1 else 0.2,
+    "oppose": lambda x1: 0.2 if x1 else 0.8,
+    "constant-half": lambda x1: 0.5,
+}
+
+
+def covariance_estimate(
+    rule: str | Callable[[int], float],
+    samples: int,
+    seed: int,
+    p1: float = 0.5,
+) -> float:
+    """Sample covariance of (X1 - p1, X2 - p2) over two-coin episodes.
+
+    Per episode: X1 ~ Bernoulli(p1); the rule inspects X1 and fixes p2;
+    X2 ~ Bernoulli(p2).  Even when the second coin's bias is picked after
+    seeing the first outcome, the true covariance is zero, so estimates
+    concentrate within a few multiples of 1/sqrt(samples).
+    """
+    if samples < 1000:
+        raise ConfigError(f"need at least 1000 samples for a meaningful estimate, got {samples}")
+    if not 0.0 <= p1 <= 1.0:
+        raise ConfigError(f"p1 must be in [0, 1], got {p1}")
+    fn = BUILTIN_COVARIANCE_RULES.get(rule) if isinstance(rule, str) else rule
+    if fn is None:
+        raise ConfigError(f"unknown covariance rule {rule!r}; expected one of {list(BUILTIN_COVARIANCE_RULES)}")
+    p2_of = (float(fn(0)), float(fn(1)))
+    if not (0.0 <= p2_of[0] <= 1.0 and 0.0 <= p2_of[1] <= 1.0):
+        raise ConfigError(f"rule produced probabilities outside [0, 1]: {p2_of}")
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    x1 = rng.random(samples) < p1
+    p2 = np.where(x1, p2_of[1], p2_of[0])
+    x2 = rng.random(samples) < p2
+    u = x1.astype(float) - p1
+    v = x2.astype(float) - p2
+    return float(np.mean(u * v) - u.mean() * v.mean())

@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from onlineusm.adversaries import BUILTIN_COVARIANCE_RULES, covariance_estimate
 from onlineusm.balance import LEFT, RIGHT, UP, BalancePoint, Balancer, step_invariant_deltas
 from onlineusm.framework import opt_tracking_check, run_usm_game, value_identity_residual
 from onlineusm.harness import (
@@ -34,7 +33,7 @@ from onlineusm.offline import (
 )
 from onlineusm.submodular import normalize, random_digraph, tabulate, value_table
 
-from references import balance_alpha_regret
+from references import BUILTIN_COVARIANCE_RULES, balance_alpha_regret, covariance_estimate
 
 SEED = 2026
 TRIALS = 50

@@ -4,38 +4,44 @@ import pytest
 from onlineusm.adversaries import (
     AdaptiveBalanceAdversary,
     AdaptiveCutAdversary,
-    BUILTIN_COVARIANCE_RULES,
     CycleFunctionAdversary,
     ObliviousBalanceAdversary,
     RandomObliviousAdversary,
-    covariance_estimate,
-    extremal_pattern_sequence,
 )
 from onlineusm.balance import LEFT, RIGHT, UP, Balancer, ConstantPolicy, Decision
 from onlineusm.errors import ConfigError
 from onlineusm.harness import run_balance_game
 from onlineusm.submodular import value_table, verify_submodularity
 
+from references import BUILTIN_COVARIANCE_RULES, covariance_estimate
+
+
+def _pattern_points(pattern, rounds):
+    adv = ObliviousBalanceAdversary.from_pattern(pattern)
+    return [adv.next_point(None) for _ in range(rounds)]
+
 
 def test_pattern_sequence_constant():
-    assert extremal_pattern_sequence("U", 3) == [UP, UP, UP]
+    assert ObliviousBalanceAdversary.from_pattern("U").points == (UP,)
+    assert _pattern_points("U", 3) == [UP, UP, UP]
 
 
 def test_pattern_sequence_cycles():
-    assert extremal_pattern_sequence("RL", 4) == [RIGHT, LEFT, RIGHT, LEFT]
+    assert ObliviousBalanceAdversary.from_pattern("RL").points == (RIGHT, LEFT)
+    assert _pattern_points("RL", 4) == [RIGHT, LEFT, RIGHT, LEFT]
 
 
 def test_pattern_url_ledger_against_always_yes():
-    adv = ObliviousBalanceAdversary(extremal_pattern_sequence("URL", 3))
+    adv = ObliviousBalanceAdversary.from_pattern("URL")
     led = run_balance_game(ConstantPolicy(1.0), adv, 3, np.random.default_rng(0)).ledger
     assert led.c_no == pytest.approx(1.0)  # +1 - 1 + 1
 
 
 def test_pattern_rejects_bad_input():
-    with pytest.raises(ConfigError):
-        extremal_pattern_sequence("", 5)
-    with pytest.raises(ConfigError):
-        extremal_pattern_sequence("URX", 5)
+    with pytest.raises(ConfigError, match="pattern must be nonempty"):
+        ObliviousBalanceAdversary.from_pattern("")
+    with pytest.raises(ConfigError, match="unknown pattern symbol 'X'; expected U, R, or L"):
+        ObliviousBalanceAdversary.from_pattern("URX")
     for bad in ("q", "", "URX"):
         with pytest.raises(ConfigError):
             ObliviousBalanceAdversary.from_pattern(bad)

@@ -17,15 +17,13 @@ from onlineusm.balance import (
     Ledger,
     TwoExperts,
     decompose,
-    default_learning_rate,
-    expected_ledger_deltas,
     potentials,
     step_invariant_deltas,
 )
 from onlineusm.errors import DomainError, InvalidPointError
 from onlineusm.harness import ExperimentConfig, _balance_trial, run_balance_game, run_experiment
 
-from references import balance_alpha_regret
+from references import balance_alpha_regret, expected_ledger_deltas, reconstruct
 
 
 def random_triangle_points(count, rng):
@@ -37,14 +35,10 @@ def random_triangle_points(count, rng):
 
 # --- decomposition -------------------------------------------------------
 
-def weights_tuple(w):
-    return (w.c_up, w.c_right, w.c_left)
-
-
 def test_decompose_vertices():
-    assert weights_tuple(decompose(UP)) == pytest.approx((1.0, 0.0, 0.0))
-    assert weights_tuple(decompose(RIGHT)) == pytest.approx((0.0, 1.0, 0.0))
-    assert weights_tuple(decompose(LEFT)) == pytest.approx((0.0, 0.0, 1.0))
+    assert decompose(UP) == pytest.approx((1.0, 0.0, 0.0))
+    assert decompose(RIGHT) == pytest.approx((0.0, 1.0, 0.0))
+    assert decompose(LEFT) == pytest.approx((0.0, 0.0, 1.0))
 
 
 def test_decompose_center_matches_linear_solve():
@@ -52,9 +46,9 @@ def test_decompose_center_matches_linear_solve():
     for alpha, beta in [(0.0, 0.0), (0.3, 0.2), (-0.4, 0.9), (0.5, -0.5)]:
         a = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
         want = np.linalg.solve(a, np.array([1.0, alpha, beta]))
-        got = decompose(BalancePoint(alpha, beta))
-        assert np.allclose([got.c_up, got.c_right, got.c_left], want, atol=1e-12)
-    assert weights_tuple(decompose(BalancePoint(0.0, 0.0))) == pytest.approx((0.0, 0.5, 0.5))
+        c_up, c_right, c_left = decompose(BalancePoint(alpha, beta))
+        assert np.allclose([c_up, c_right, c_left], want, atol=1e-12)
+    assert decompose(BalancePoint(0.0, 0.0)) == pytest.approx((0.0, 0.5, 0.5))
 
 
 def test_decompose_reconstruct_identity_bulk():
@@ -62,19 +56,19 @@ def test_decompose_reconstruct_identity_bulk():
     alpha, beta = random_triangle_points(100_000, rng)
     worst = 0.0
     for a, b in zip(alpha, beta):
-        w = decompose(BalancePoint(a, b))
-        ra, rb = w.reconstruct()
+        c_up, c_right, c_left = decompose(BalancePoint(a, b))
+        ra, rb = reconstruct(c_up, c_right, c_left)
         worst = max(worst, abs(ra - a), abs(rb - b))
-        assert w.c_up >= 0 and w.c_right >= 0 and w.c_left >= 0
-        assert abs(w.c_up + w.c_right + w.c_left - 1.0) <= 1e-9
+        assert c_up >= 0 and c_right >= 0 and c_left >= 0
+        assert abs(c_up + c_right + c_left - 1.0) <= 1e-9
     assert worst <= 1e-9
 
 
 def test_decompose_clamps_boundary_drift():
-    w = decompose(BalancePoint(1e-13, -2e-13))  # alpha+beta = -1e-13
-    assert w.c_up == 0.0
-    assert abs(w.c_up + w.c_right + w.c_left - 1.0) <= 1e-12
-    ra, rb = w.reconstruct()
+    c_up, c_right, c_left = decompose(BalancePoint(1e-13, -2e-13))  # alpha+beta = -1e-13
+    assert c_up == 0.0
+    assert abs(c_up + c_right + c_left - 1.0) <= 1e-12
+    ra, rb = reconstruct(c_up, c_right, c_left)
     assert abs(ra - 1e-13) <= 1e-9 and abs(rb + 2e-13) <= 1e-9
 
 
@@ -122,9 +116,9 @@ def test_decompose_and_balancer_update_share_the_triangle_gate(base, da, db):
     )
     assert by_decompose == inside
     if by_decompose:
-        w = decompose(pt)
-        assert min(w.c_up, w.c_right, w.c_left) >= 0.0
-        assert w.c_up + w.c_right + w.c_left == pytest.approx(1.0, abs=1e-12)
+        c_up, c_right, c_left = decompose(pt)
+        assert min(c_up, c_right, c_left) >= 0.0
+        assert c_up + c_right + c_left == pytest.approx(1.0, abs=1e-12)
 
 
 # --- balancer ------------------------------------------------------------
@@ -222,9 +216,9 @@ def test_mw_weights_stay_bounded():
 
 
 def test_default_learning_rate():
-    assert default_learning_rate(10_000) == pytest.approx(math.sqrt(8 * math.log(2) / 10_000))
-    with pytest.raises(DomainError):
-        default_learning_rate(0)
+    assert TwoExperts(10_000).eta == math.sqrt(8 * math.log(2) / 10_000)
+    with pytest.raises(DomainError, match="horizon must be >= 1"):
+        TwoExperts(0)
 
 
 # --- ledger --------------------------------------------------------------
@@ -319,6 +313,27 @@ def test_expected_ledger_deltas_extremal():
         assert expected_ledger_deltas(p, LEFT) == pytest.approx((0.5 * (1 - 2 * p), -(1 - p), p))
 
 
+def test_step_invariant_deltas_add_the_ledger_deltas_to_the_potential_changes():
+    T = 400
+    s = math.sqrt(T)
+    checked = 0
+    for p in np.linspace(0, 1, 21):
+        p = float(p)
+        for pt in (UP, RIGHT, LEFT, BalancePoint(0.3, 0.4), BalancePoint(-0.5, 0.7)):
+            c_up, c_right, c_left = decompose(pt)
+            x = p * s
+            x2 = x + ((1.0 - 2.0 * p) * c_up + c_right - c_left)
+            if not 0.0 <= x2 <= s:
+                continue  # potentials() covers [0, sqrt(T)] only
+            want = tuple(
+                d + after - before
+                for d, after, before in zip(expected_ledger_deltas(p, pt), potentials(x2, T), potentials(x, T))
+            )
+            assert step_invariant_deltas(p, pt, T) == want
+            checked += 1
+    assert checked >= 90
+
+
 def test_step_invariant_up_at_half():
     d_alg, d_yes, d_no = step_invariant_deltas(0.5, UP, 10_000)
     assert d_alg >= 0.5 - 1e-15
@@ -337,10 +352,10 @@ def test_step_invariant_matches_reduced_algebra():
     for a, b in zip(alpha, beta):
         p = float(rng.random())
         pt = BalancePoint(a, b)
-        w = decompose(pt)
-        delta = (1 - 2 * p) * w.c_up + w.c_right - w.c_left
-        want_alg = w.c_up * (1 + (1 - 2 * p) ** 2) / 2 - delta**2 / (2 * s)
-        want_cost = 2 * p * (1 - p) * w.c_up + delta**2 / (2 * s)
+        c_up, c_right, c_left = decompose(pt)
+        delta = (1 - 2 * p) * c_up + c_right - c_left
+        want_alg = c_up * (1 + (1 - 2 * p) ** 2) / 2 - delta**2 / (2 * s)
+        want_cost = 2 * p * (1 - p) * c_up + delta**2 / (2 * s)
         d_alg, d_yes, d_no = step_invariant_deltas(p, pt, T)
         assert d_alg == pytest.approx(want_alg, abs=1e-11)
         assert d_yes == pytest.approx(want_cost, abs=1e-11)

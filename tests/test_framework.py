@@ -23,7 +23,6 @@ from onlineusm.harness import SUBROUTINE_NAMES, build_subroutine
 from onlineusm.offline import brute_force_opt
 from onlineusm.submodular import (
     DirectedGraph,
-    GroundSet,
     SubmodularOracle,
     full_mask,
     normalize,
@@ -161,7 +160,7 @@ def recording_oracle(n, seed):
         calls.append(s)
         return float(table[s])
 
-    return SubmodularOracle(GroundSet(n), fn), calls
+    return SubmodularOracle(n, fn), calls
 
 
 def expected_round_masks(n, chosen):
@@ -213,7 +212,7 @@ def test_run_round_subroutine_count_mismatch():
 def reference_round(subroutines, f, coins, *, t=1):
     """The single-loop round that ``run_round``'s three passes replaced,
     past its argument checks; returns the transcript's fields as a dict."""
-    n = f.ground.n
+    n = f.n
     q0 = f.queries
     x = 0
     y = full_mask(n)
@@ -366,7 +365,7 @@ def test_usm_alpha_regret_supplied_opt_and_size_error():
     f = oracle_from_table([0.0, 1.0, 0.25, 0.5])
     history = [(f, 0b01), (f, 0b10)]
     assert usm_alpha_regret(history, 1.0, opt=0b01) == pytest.approx(2.0 - 1.25)
-    big = SubmodularOracle(GroundSet(21), lambda m: 0.0)
+    big = SubmodularOracle(21, lambda m: 0.0)
     with pytest.raises(SizeError):
         usm_alpha_regret([(big, 0)], 0.5)
     assert usm_alpha_regret([(big, 0)], 0.5, opt=0) == 0.0
@@ -526,7 +525,7 @@ def test_run_usm_game_errors():
         run_usm_game([ConstantPolicy(1.0)], adversary, 5, streams_for(1))
     with pytest.raises(ConfigError, match="at least one subroutine"):
         run_usm_game([], adversary, 5, [])
-    big = SubmodularOracle(GroundSet(21), lambda m: 0.0)
+    big = SubmodularOracle(21, lambda m: 0.0)
     with pytest.raises(SizeError):
         run_usm_game(
             [ConstantPolicy(1.0) for _ in range(21)],

@@ -20,17 +20,17 @@ from onlineusm.offline import (
 from onlineusm.submodular import (
     VALUE_TOL,
     DirectedGraph,
-    GroundSet,
     SubmodularOracle,
     full_mask,
     _cut_table,
-    mask_of,
     normalize,
     oracle_from_table,
     tabulate,
     value_table,
     verify_submodularity,
 )
+
+from references import mask_of
 
 
 def test_brute_force_single_edge(single_edge_oracle):
@@ -62,7 +62,7 @@ def test_brute_force_modular_picks_positive_support():
 
 def test_brute_force_size_error():
     with pytest.raises(SizeError):
-        brute_force_opt(SubmodularOracle(GroundSet(21), lambda m: 0.0))
+        brute_force_opt(SubmodularOracle(21, lambda m: 0.0))
 
 
 def test_det_double_greedy_single_edge_trace(single_edge_oracle):
@@ -165,7 +165,7 @@ def test_uniform_random_value_quarter_of_opt(cut_corpus):
 # --- the walk against the scalar sweep it replaced ---------------------------
 
 def reference_sweep(f, choose_yes):
-    n = f.ground.n
+    n = f.n
     evaluate = f.evaluate
     x = 0
     y = full_mask(n)
@@ -204,6 +204,9 @@ def same_bits(a, b) -> bool:
 
 
 _weights = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+# a subnormal mixing weight rounds its part to multiples of 2^-1074, which
+# can take the mixture off submodularity
+_mixing_weights = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0, allow_subnormal=False))
 
 
 def _dyadic_cut(draw, n):
@@ -257,7 +260,7 @@ def _cut(draw, n, bidirected=False):
 def _mixture(draw, n):
     """Nonnegative mixture of a cut, a concave and a coverage function, unscaled."""
     parts = (_cut(draw, n), _concave_of_count(draw, n), _coverage(draw, n))
-    return sum(w * part for w, part in zip(draw(st.lists(_weights, min_size=3, max_size=3)), parts))
+    return sum(w * part for w, part in zip(draw(st.lists(_mixing_weights, min_size=3, max_size=3)), parts))
 
 
 @st.composite
@@ -269,7 +272,9 @@ def value_tables(draw):
     that are not cuts (a concave function of a weighted count, a
     coverage function), and nonnegative mixtures of a cut, a concave
     and a coverage function on one ground set.  The last three are
-    scaled by their maximum and confirmed by ``verify_submodularity``.
+    scaled by their maximum when it is a normal float (scaling by a
+    subnormal one would magnify the rounding of its entries into
+    violations) and confirmed by ``verify_submodularity``.
     Any draw may turn some of its zero entries into -0.0.
     """
     kind = draw(st.sampled_from(["cut", "bidirected", "constant", "dyadic", "concave", "coverage",
@@ -284,7 +289,7 @@ def value_tables(draw):
     else:
         values = {"concave": _concave_of_count, "coverage": _coverage, "mixture": _mixture}[kind](draw, n)
         top = values.max()
-        table = values / top if top > 0.0 else values
+        table = values / top if top >= np.finfo(float).smallest_normal else values
         assert verify_submodularity(oracle_from_table(table)) is None
     if draw(st.booleans()):
         flip = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(table.size) < 0.5
@@ -385,7 +390,7 @@ def _recording_oracle(table):
         asked.append(m)
         return values[m]
 
-    return SubmodularOracle(GroundSet(table.size.bit_length() - 1), fn), asked
+    return SubmodularOracle(table.size.bit_length() - 1, fn), asked
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,7 +16,6 @@ from onlineusm.balance import Balancer, TwoExperts
 from onlineusm.errors import InvalidSubsetError
 from onlineusm.framework import run_usm_game
 from onlineusm.submodular import (
-    GroundSet,
     SubmodularOracle,
     normalize,
     oracle_from_table,
@@ -36,7 +35,7 @@ def function_oracle(seed):
     w = np.random.default_rng(seed).uniform(0.0, 1.0, N).tolist()
     total = sum(w)
     return SubmodularOracle(
-        GroundSet(N), lambda s: math.sqrt(sum(wi for i, wi in enumerate(w) if s >> i & 1) / total)
+        N, lambda s: math.sqrt(sum(wi for i, wi in enumerate(w) if s >> i & 1) / total)
     )
 
 

@@ -16,12 +16,10 @@ from onlineusm.errors import (
 )
 from onlineusm.submodular import (
     DirectedGraph,
-    GroundSet,
     SubmodularOracle,
     directed_cut_value,
     elements_of,
     full_mask,
-    mask_of,
     normalize,
     oracle_from_table,
     random_digraph,
@@ -35,6 +33,7 @@ from onlineusm.submodular import (
 )
 
 from conftest import grow_only_oracle, naive_first_violation
+from references import mask_of
 
 
 def test_mask_helpers():
@@ -53,8 +52,8 @@ def test_mask_helpers():
 
 
 def test_ground_set_and_graph_validation():
-    with pytest.raises(InvalidInstanceError):
-        GroundSet(0)
+    with pytest.raises(InvalidInstanceError, match="ground set size must be >= 1, got 0"):
+        SubmodularOracle(0, lambda m: 0.0)
     with pytest.raises(InvalidInstanceError):
         DirectedGraph(2, ((1, 3, 1.0),))
     with pytest.raises(InvalidInstanceError):
@@ -214,7 +213,7 @@ def _backed_oracles(n, seed):
     return {
         "table": tabulate(cut),
         "cut": cut,
-        "function": SubmodularOracle(GroundSet(n), cut.peek),
+        "function": SubmodularOracle(n, cut.peek),
         "list-table": oracle_from_table(table.tolist()),
         "strided-table": oracle_from_table(strided),
     }
@@ -452,7 +451,7 @@ def test_value_table_equals_the_peeks_bit_for_bit(g):
 
 
 def test_value_table_size_error():
-    f = SubmodularOracle(GroundSet(21), lambda m: 0.0)
+    f = SubmodularOracle(21, lambda m: 0.0)
     with pytest.raises(SizeError):
         value_table(f)
 
@@ -489,7 +488,7 @@ def test_verify_supermodular_finds_valid_first_witness():
 
 def _function_oracle(table):
     """Function-backed oracle over any float table, nan included."""
-    return SubmodularOracle(GroundSet(table.size.bit_length() - 1), table.tolist().__getitem__)
+    return SubmodularOracle(table.size.bit_length() - 1, table.tolist().__getitem__)
 
 
 def test_verify_finds_a_violation_next_to_a_nan_value():
@@ -531,16 +530,16 @@ def test_verify_matches_naive_reference_on_random_tables():
 
 
 def test_verify_size_error_names_sampling():
-    f = SubmodularOracle(GroundSet(17), lambda m: 0.0)
+    f = SubmodularOracle(17, lambda m: 0.0)
     with pytest.raises(SizeError, match="samples"):
         verify_submodularity(f)
 
 
 def test_verify_sampled_mode():
     n = 18
-    passing = SubmodularOracle(GroundSet(n), lambda m, _n=n: m.bit_count() / _n * 0.5)
+    passing = SubmodularOracle(n, lambda m, _n=n: m.bit_count() / _n * 0.5)
     assert verify_submodularity(passing, samples=300, seed=1) is None
-    failing = SubmodularOracle(GroundSet(n), lambda m, _n=n: (m.bit_count() / _n) ** 2)
+    failing = SubmodularOracle(n, lambda m, _n=n: (m.bit_count() / _n) ** 2)
     witness = verify_submodularity(failing, samples=300, seed=1)
     assert witness is not None
     s, t, i = witness
