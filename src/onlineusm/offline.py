@@ -10,7 +10,9 @@ the walk keeps only X (int64 masks, a length-k array) and derives every
 Y mask from it; f(X) and f(Y) of all k sweeps sit in one 2k buffer, and
 the two marginals of every sweep are read with one counted batch query
 per element.  A randomized walk takes its coins as one (k, n) array,
-equal to k sequential ``random(n)`` draws.  Each sweep spends exactly
+equal to k sequential ``random(n)`` draws, and decides each element
+with one compare of its coin column against the yes-probabilities,
+computed in place in the marginal buffer.  Each sweep spends exactly
 2n + 2 counted value queries; the enumeration-based operations use the
 uncounted table path.
 """
@@ -60,7 +62,10 @@ def _walk(
     is X_j | (full & ~((2 << i) - 1)).  Both halves of one reused 2k mask
     buffer are filled in place and read with one counted batch query;
     ``choose_yes(i, alpha, beta)`` gets the marginals (k-long views of
-    one buffer) and returns where to take the element.  A yes makes the
+    one buffer, which it may overwrite: the walk reads them no more) and
+    returns a bool array of where to take the element.  The rules run
+    inside one ``np.errstate(invalid="ignore")`` that the walk enters
+    once, so a rule may divide 0 by 0 without a warning.  A yes makes the
     queried f(X_j + i) the new f(X_j) and sets bit i of X_j; a no makes
     the queried f(Y_j - i) the new f(Y_j).  The 2k buffer of f(X) then
     f(Y) takes these by selecting bit patterns through an int64 view, so
@@ -83,22 +88,23 @@ def _walk(
     keep_x, keep_y = keep[:k], keep[k:]
     marginals = np.empty(2 * k)
     alpha, beta = marginals[:k], marginals[k:]
-    for i in range(n):
-        bit = 1 << i
-        np.bitwise_or(x, bit, out=grown)
-        np.bitwise_or(x, full & ~((2 << i) - 1), out=shrunk)
-        queried = evaluate_many(masks)
-        np.subtract(queried, values, out=marginals)
-        np.copyto(keep_x, choose_yes(i, alpha, beta))
-        np.negative(keep_x, out=keep_x)
-        np.invert(keep_x, out=keep_y)
-        # queried is a fresh array, so its bits can hold the selection
-        new_bits = queried.view(np.int64)
-        np.bitwise_xor(new_bits, bits, out=new_bits)
-        new_bits &= keep
-        bits ^= new_bits
-        keep_x &= bit
-        x |= keep_x
+    with np.errstate(invalid="ignore"):
+        for i in range(n):
+            bit = 1 << i
+            np.bitwise_or(x, bit, out=grown)
+            np.bitwise_or(x, full & ~((2 << i) - 1), out=shrunk)
+            queried = evaluate_many(masks)
+            np.subtract(queried, values, out=marginals)
+            np.copyto(keep_x, choose_yes(i, alpha, beta))
+            np.negative(keep_x, out=keep_x)
+            np.invert(keep_x, out=keep_y)
+            # queried is a fresh array, so its bits can hold the selection
+            new_bits = queried.view(np.int64)
+            np.bitwise_xor(new_bits, bits, out=new_bits)
+            new_bits &= keep
+            bits ^= new_bits
+            keep_x &= bit
+            x |= keep_x
     return x, values[:k]
 
 
@@ -111,19 +117,25 @@ def det_double_greedy(f: SubmodularOracle) -> OfflineResult:
 def _coin_rule(coins: np.ndarray) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
     """Yes with probability a+ / (a+ + b+), sweep j deciding i with ``coins[j, i]``.
 
-    Where both positive parts are zero, 0/0 gives nan, which loses to
-    every coin, so yes is forced there.  A positive part may be -0.0
-    (``np.maximum(-0.0, 0.0)``); its probability is then -0.0 or nan,
-    which decides exactly as 0.0 would.
+    The rule overwrites the marginals it gets (a becomes the
+    probability p, b the total a+ + b+) and takes no where the coin is
+    >= p, so yes is ``~(coins[:, i] >= p)``: one compare.  Where both
+    positive parts are zero, p is 0/0 = nan, which no coin is >= of, so
+    yes is forced there.  :func:`_walk` runs the rule inside
+    ``np.errstate(invalid="ignore")``, which keeps that 0/0 silent; a
+    caller outside the walk enters it too.  A positive part may be
+    -0.0; its probability is then -0.0 or nan, which decides exactly as
+    0.0 would.  ``np.fmax`` takes a nan marginal's positive part as
+    0.0, as the scalar rule does.
     """
 
     def choose(i: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ap = np.maximum(a, 0.0)
-        total = ap + np.maximum(b, 0.0)
-        with np.errstate(invalid="ignore"):
-            yes = coins[:, i] < ap / total
-        yes |= total == 0.0
-        return yes
+        np.fmax(a, 0.0, out=a)
+        np.fmax(b, 0.0, out=b)
+        b += a
+        a /= b
+        no = coins[:, i] >= a
+        return np.invert(no, out=no)
 
     return choose
 

@@ -14,12 +14,15 @@ values bit for bit (``==`` on floats, never a tolerance):
 * ``distinct_tables``: each round's value table, built once per distinct
   oracle, as the replay diagnostics summed them before the game
   reported its best set;
-* ``reference_csv_line``: the per-cell CSV formatting of a tuple row.
+* ``reference_csv_line``: the per-cell CSV formatting of a tuple row;
+* ``reference_random_digraph``: the random digraph drawn one scalar
+  coin and one ``uniform`` weight at a time.
 
 The rest are helpers that only the tests call, so they live here and not
 in the package:
 
 * ``mask_of``: a bitmask from 1-based element ids;
+* ``same_bits``: whether two floats are the very same double;
 * ``reconstruct``: the point that ``decompose``'s weights combine to;
 * ``expected_ledger_deltas``: the expected one-round ledger changes that
   ``step_invariant_deltas`` adds to its potential changes;
@@ -36,7 +39,7 @@ import numpy as np
 
 from onlineusm.balance import BalancePoint, Ledger
 from onlineusm.errors import ConfigError, DomainError, InvalidSubsetError, SizeError
-from onlineusm.submodular import ENUMERATION_LIMIT, Mask, SubmodularOracle, value_table
+from onlineusm.submodular import ENUMERATION_LIMIT, DirectedGraph, Mask, SubmodularOracle, value_table
 
 
 def distinct_tables(oracles: Sequence[SubmodularOracle]) -> list[np.ndarray]:
@@ -144,6 +147,22 @@ def reference_csv_line(row: tuple) -> str:
     return ",".join(str(v) if isinstance(v, int) else format(v, ".12g") for v in row)
 
 
+def reference_random_digraph(
+    n: int,
+    density: float,
+    weight_range: tuple[float, float],
+    rng: np.random.Generator,
+) -> DirectedGraph:
+    """Each ordered pair becomes an edge with probability ``density``."""
+    lo, hi = weight_range
+    edges = []
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if u != v and rng.random() < density:
+                edges.append((u, v, float(rng.uniform(lo, hi))))
+    return DirectedGraph(n, tuple(edges))
+
+
 def mask_of(elements: Iterable[int], n: int | None = None) -> Mask:
     """Build a bitmask from 1-based element ids, validating the range."""
     mask = 0
@@ -152,6 +171,11 @@ def mask_of(elements: Iterable[int], n: int | None = None) -> Mask:
             raise InvalidSubsetError(f"element {e} outside ground set 1..{n}")
         mask |= 1 << (e - 1)
     return mask
+
+
+def same_bits(a: float, b: float) -> bool:
+    """True when ``a`` and ``b`` are the same double, -0.0 apart from 0.0."""
+    return float(a).hex() == float(b).hex()
 
 
 def reconstruct(c_up: float, c_right: float, c_left: float) -> tuple[float, float]:

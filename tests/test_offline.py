@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, _in_triangle, step_invariant_deltas
 from onlineusm.errors import ConfigError, SizeError
-from onlineusm.framework import opt_tracking_check, run_round
+from onlineusm.framework import opt_tracking_check, run_round, run_usm_game
 from onlineusm.offline import (
     _coin_rule,
     _walk,
@@ -30,7 +31,7 @@ from onlineusm.submodular import (
     verify_submodularity,
 )
 
-from references import mask_of
+from references import mask_of, same_bits
 
 
 def test_brute_force_single_edge(single_edge_oracle):
@@ -199,10 +200,6 @@ def reference_rand_sweep(f, coins):
     return reference_sweep(f, lambda a, b: reference_coin_rule(a, b, coin()))
 
 
-def same_bits(a, b) -> bool:
-    return float(a).hex() == float(b).hex()
-
-
 _weights = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 # a subnormal mixing weight rounds its part to multiples of 2^-1074, which
 # can take the mixture off submodularity
@@ -264,8 +261,9 @@ def _mixture(draw, n):
 
 
 @st.composite
-def value_tables(draw):
-    """Value tables in [0, 1] of nonnegative submodular functions.
+def value_tables(draw, n=None):
+    """Value tables in [0, 1] of nonnegative submodular functions, on
+    ``n`` elements when it is given.
 
     Cut tables of random digraphs and of bidirected pairs, constant
     tables, dyadic cut tables whose marginals tie exactly, two families
@@ -277,9 +275,12 @@ def value_tables(draw):
     violations) and confirmed by ``verify_submodularity``.
     Any draw may turn some of its zero entries into -0.0.
     """
-    kind = draw(st.sampled_from(["cut", "bidirected", "constant", "dyadic", "concave", "coverage",
-                                 "mixture"]))
-    n = draw(st.integers(2 if kind in ("bidirected", "dyadic") else 1, 10))
+    kinds = ["cut", "bidirected", "constant", "dyadic", "concave", "coverage", "mixture"]
+    if n == 1:
+        kinds = [k for k in kinds if k not in ("bidirected", "dyadic")]
+    kind = draw(st.sampled_from(kinds))
+    if n is None:
+        n = draw(st.integers(2 if kind in ("bidirected", "dyadic") else 1, 10))
     if kind == "constant":
         table = np.full(1 << n, draw(_weights))
     elif kind == "dyadic":
@@ -369,12 +370,16 @@ _SUBNORMAL = 2.2250738585072014e-308 / 3
     (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (-0.5, -0.25), (-0.0, 0.5), (0.5, -0.0),
     (0.25, -0.25), (-0.25, 0.25), (1.0, -1.0), (_TINY, -_TINY), (-_TINY, _TINY),
     (_TINY, _TINY), (_TINY, 0.0), (0.0, _TINY), (_TINY, 1.0), (1.0, _TINY), (_SUBNORMAL, _TINY),
-    (_SUBNORMAL, 1e-310), (0.3, 0.7), (0.5, 0.5),
+    (_SUBNORMAL, 1e-310), (0.3, 0.7), (0.5, 0.5), (math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan),
+    (math.nan, -0.5),
 ])
 def test_coin_rule_is_the_scalar_rule(a, b):
     coins = np.array([0.0, _TINY, 1e-300, 0.3, 0.5, np.nextafter(0.5, 1.0), 0.7, np.nextafter(1.0, 0.0)])
     k = coins.size
-    yes = _coin_rule(coins.reshape(k, 1))(0, np.full(k, a), np.full(k, b))
+    # the walk runs its rules inside this errstate: both positive parts
+    # zero make the rule divide 0 by 0
+    with np.errstate(invalid="ignore"):
+        yes = _coin_rule(coins.reshape(k, 1))(0, np.full(k, a), np.full(k, b))
     assert yes.dtype == bool
     assert yes.tolist() == [reference_coin_rule(a, b, c) for c in coins.tolist()]
 
@@ -411,6 +416,36 @@ def test_online_round_on_every_family(table, data):
     for d, pt in zip(tr.decisions, tr.marginals):
         d_alg, d_yes, d_no = step_invariant_deltas(d.p_used, pt, horizon)
         assert d_alg - max(d_yes, d_no) + 2.0 / s >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_whole_game_on_cycled_tables(data):
+    # every round of a game over 2-4 cycled tables: exactly 2n counted
+    # queries, marginals inside the triangle, the replay relations against
+    # the best fixed set and an arbitrary one, and no negative slack in the
+    # potential certificate at any reached state
+    n = data.draw(st.integers(1, 6))
+    tables = data.draw(st.lists(value_tables(n), min_size=2, max_size=4))
+    rounds = data.draw(st.integers(1, 40))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    oracles = [oracle_from_table(t) for t in tables]
+    subroutines = [Balancer(rounds) for _ in range(n)]
+    streams = [np.random.default_rng([seed, i]) for i in range(n)]
+    res = run_usm_game(subroutines, CycleFunctionAdversary(oracles), rounds, streams, keep_transcripts=True)
+    assert res.round_queries.tolist() == [2 * n] * rounds
+    assert sum(f.queries for f in oracles) == 2 * n * rounds
+    other = data.draw(st.integers(0, (1 << n) - 1))
+    s = math.sqrt(rounds)
+    for t, (tr, f) in enumerate(zip(res.transcripts, res.oracles)):
+        assert f is oracles[t % len(oracles)]
+        assert tr.queries == 2 * n
+        assert all(_in_triangle(a, b) for a, b in tr.marginals)
+        assert opt_tracking_check(tr, f, res.opt_set) is None
+        assert opt_tracking_check(tr, f, other) is None
+        for d, pt in zip(tr.decisions, tr.marginals):
+            d_alg, d_yes, d_no = step_invariant_deltas(d.p_used, pt, rounds)
+            assert d_alg - max(d_yes, d_no) + 2.0 / s >= 0.0
 
 
 def exact_rand_sweep_value(table):

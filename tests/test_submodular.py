@@ -33,7 +33,7 @@ from onlineusm.submodular import (
 )
 
 from conftest import grow_only_oracle, naive_first_violation
-from references import mask_of
+from references import mask_of, reference_random_digraph, same_bits
 
 
 def test_mask_helpers():
@@ -275,6 +275,29 @@ def test_evaluate_many_takes_any_integer_dtype(backing, dtype):
     assert got.dtype == np.float64
     assert got.tolist() == want.tolist()
     assert f.queries == 60
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32,
+                                   np.int64, np.uint64])
+def test_evaluate_many_gathers_the_very_doubles_of_the_table(dtype):
+    # -0.0 next to 0.0 and neighbours one ulp apart come back bit for bit,
+    # as an index gather from the table returns them
+    values = [0.0, -0.0, 0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0), 1.0,
+              np.nextafter(1.0, 0.0), 5e-324]
+    f = oracle_from_table(values)
+    table = value_table(f)
+    masks = np.array([1, 0, 1, 3, 2, 4, 7, 6, 5, 1, 3, 0], dtype=dtype)
+    got = f.evaluate_many(masks)
+    want = table[masks]
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert all(same_bits(g, w) for g, w in zip(got.tolist(), want.tolist()))
+    assert [v.hex() for v in got.tolist()] == [float(values[m]).hex() for m in masks.tolist()]
+    assert f.queries == masks.size
+    # out of range for an unsigned dtype, negative for a signed one
+    bad = np.array([0, 8] if np.dtype(dtype).kind == "u" else [0, -1], dtype=dtype)
+    with pytest.raises(InvalidSubsetError):
+        f.evaluate_many(bad)
+    assert f.queries == masks.size
 
 
 @pytest.mark.parametrize("backing", ["table", "cut"])
@@ -602,6 +625,31 @@ def test_family_validation():
         RandomObliviousAdversary(4, 1.5, (0.0, 1.0), seed=0).next_oracle(None)
     with pytest.raises(ConfigError):
         CycleFunctionAdversary([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0)),
+    st.one_of(
+        st.sampled_from([(0.0, 1.0), (0.0, 2.0), (0.0, 0.0), (0.5, 0.5), (1e-300, 1e300), (0.0, 1.7e308)]),
+        st.floats(0.0, 1e300).map(lambda w: (w, w)),
+        st.tuples(st.floats(0.0, 1e300), st.floats(0.0, 1e300)).map(lambda p: (min(p), max(p))),
+    ),
+    st.integers(0, 2**64 - 1),
+)
+@example(1, 0.5, (0.0, 1.0), 0)
+@example(12, 1.0, (0.0, 1.0), 3)
+@example(12, 0.0, (0.0, 1.0), 3)
+@example(7, 0.5, (0.25, 0.25), 11)
+def test_random_digraph_is_the_per_pair_loop(n, density, weight_range, seed):
+    rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    g = random_digraph(n, density, weight_range, rng)
+    want = reference_random_digraph(n, density, weight_range, scalar_rng)
+    assert [(u, v) for u, v, _ in g.edges] == [(u, v) for u, v, _ in want.edges]
+    assert all(same_bits(w, x) for (_, _, w), (_, _, x) in zip(g.edges, want.edges))
+    assert rng.bit_generator.state == scalar_rng.bit_generator.state
+    assert same_bits(rng.random(), scalar_rng.random())
 
 
 def test_graph_file_roundtrip(tmp_path):
