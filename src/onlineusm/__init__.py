@@ -77,7 +77,6 @@ from .submodular import (
     elements_of,
     full_mask,
     normalize,
-    oracle_from_table,
     random_digraph,
     read_digraph,
     tabulate,

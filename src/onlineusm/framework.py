@@ -173,9 +173,8 @@ def fit_growth_exponent(ts: Iterable[float], values: Iterable[float]) -> float:
     return float(np.polyfit(lt, lv, 1)[0])
 
 
-#: bytes of value tables that one tracking pass stacks; a pass always
-#: takes at least one table, so from n = 15 on each pass is one round
-_TRACK_BLOCK_BYTES = 256 * 1024
+#: rounds whose coins become Python floats at a time
+_COIN_BLOCK = 128
 
 
 def run_usm_game(
@@ -191,23 +190,16 @@ def run_usm_game(
     """Drive ``rounds`` rounds of the framework against a function adversary.
 
     ``adversary.next_oracle(last_set)`` supplies each round's function
-    (oblivious kinds ignore the argument).  With ``track_opt`` the full
-    value table of each distinct oracle is accumulated (n <= 20) so the
-    best fixed set's total value after each round (``cum_opt``) is
+    (oblivious kinds ignore the argument).  With ``track_opt`` (n <= 20)
+    each round's value table goes into one running total, round 1's
+    copied and each later one's added in place, so the best fixed set's
+    total value after each round (``cum_opt``, that total's maximum) is
     reported without spending counted queries, and the final total's
     first maximizer as ``opt_set``.  Callers that already hold these
     pass ``track_opt=False``: the experiment driver for every trial but
     the first of a cycle kind, whose sequence of functions, and so whose
     series and best set, is the first trial's; and replays that need
     only the chosen sets.
-
-    The game is played in blocks of rounds, each holding at most
-    ``_TRACK_BLOCK_BYTES`` of value tables (and at least one round).
-    Each round looks its table up as it is played; at the end of a block
-    one pass stacks the block's tables, adds the running total to the
-    first row and accumulates down the rows.  That is the same sequence
-    of IEEE additions as one ``total += table`` per round, so every
-    running total and row maximum (``cum_opt``) is the same double.
 
     ``streams`` holds one distinct Generator per subroutine.  Each
     stream's ``rounds`` coins are drawn up front as one ``random``
@@ -232,13 +224,9 @@ def run_usm_game(
     coins = np.empty((n, rounds))
     for stream, row in zip(streams, coins):
         stream.random(out=row)
-    step = max(1, _TRACK_BLOCK_BYTES // (8 << n))
     rewards = np.empty(rounds)
     round_queries = np.empty(rounds, dtype=np.int64)
     cum_opt = np.empty(rounds) if track_opt else None
-    # rows of running totals, reused by every block; ``total`` is a view of
-    # the last row the previous block wrote
-    totals = np.empty((min(step, rounds), 1 << n)) if track_opt else None
     total: np.ndarray | None = None
     table_cache: dict[int, np.ndarray] = {}
     transcripts: list[RoundTranscript] | None = [] if keep_transcripts else None
@@ -246,10 +234,8 @@ def run_usm_game(
     oracles: list[SubmodularOracle] | None = [] if keep_transcripts else None
 
     last_set: int | None = None
-    for start in range(0, rounds, step):
-        stop = min(start + step, rounds)
-        tables = []
-        for t, round_coins in enumerate(coins[:, start:stop].T.tolist(), start):
+    for start in range(0, rounds, _COIN_BLOCK):
+        for t, round_coins in enumerate(coins[:, start:start + _COIN_BLOCK].T.tolist(), start):
             f = adversary.next_oracle(last_set)
             if f.n != n:
                 raise ConfigError(f"oracle ground size {f.n} != subroutine count {n}")
@@ -262,15 +248,18 @@ def run_usm_game(
                 if table is None:
                     table = value_table(f)
                     table_cache[key] = table
-                tables.append(table)
+                # a copy, not zeros plus the table: +0.0 + -0.0 is +0.0
+                if total is None:
+                    total = table.copy()
+                else:
+                    total += table
+                cum_opt[t] = np.maximum.reduce(total)
             if transcripts is not None:
                 transcripts.append(tr)
                 oracles.append(f)
             if sets is not None:
                 sets.append(tr.chosen)
             last_set = tr.chosen
-        if track_opt:
-            total = _accumulate(tables, total, totals[: stop - start], cum_opt[start:stop])
 
     return UsmRunResult(
         rewards=rewards,
@@ -283,31 +272,6 @@ def run_usm_game(
         transcripts=transcripts,
         oracles=oracles,
     )
-
-
-def _accumulate(
-    tables: list[np.ndarray],
-    total: np.ndarray | None,
-    block: np.ndarray,
-    maxima: np.ndarray,
-) -> np.ndarray:
-    """Running totals of one block of rounds; returns the last one.
-
-    ``block`` (one row per table) receives ``total + tables[0]`` (or a
-    copy of ``tables[0]`` when there is no total yet) and the later
-    tables, then ``np.cumsum`` down its rows, a sequential accumulate:
-    row r is the running total after the block's round r.  ``total`` may
-    be a row of ``block`` itself.  The row maxima go into ``maxima``.
-    """
-    if total is None:
-        block[0] = tables[0]
-    else:
-        np.add(total, tables[0], out=block[0])
-    if len(tables) > 1:
-        np.stack(tables[1:], out=block[1:])
-        np.cumsum(block, axis=0, out=block)
-    np.maximum.reduce(block, axis=1, out=maxima)
-    return block[-1]
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ rows are seven column arrays named by ``RESULT_HEADER`` (int64
 ``trial``, ``t`` and ``queries``, float64 for the rest), in (trial,
 round) order.  Both online games build them, and their summaries, in
 one function from each trial's series with array operations, so no
-Python object per row exists until output, which formats a bounded
-slice of rows at a time.  Files are written atomically (temp file, then
-rename).
+Python object per row exists until output.  CSV output formats a
+bounded slice of rows at a time; JSON output builds every row's list at
+once.  Files are written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -50,13 +50,10 @@ from .offline import (
 )
 from .submodular import (
     ENUMERATION_LIMIT,
-    EXHAUSTIVE_VERIFY_LIMIT,
     normalize,
-    oracle_from_table,
     random_digraph,
     read_digraph,
     tabulate,
-    value_table,
     verify_submodularity,
 )
 
@@ -355,12 +352,7 @@ def run_experiment(config: ExperimentConfig):
     config = config.validated()
     if config.game in ("usm", "balance"):
         return _run_online_experiment(config)
-    if config.game == "offline":
-        summary = _run_offline(config)
-    elif config.game == "verify":
-        summary = _run_verify(config)
-    else:
-        raise ConfigError(f"unknown game {config.game!r}")
+    summary = _run_offline(config) if config.game == "offline" else _run_verify(config)
     return _columns(*[()] * len(RESULT_HEADER)), summary
 
 
@@ -501,14 +493,11 @@ def _run_offline(config: ExperimentConfig) -> dict:
 def _run_verify(config: ExperimentConfig) -> dict:
     """Summary of the submodularity check of a graph file's cut function.
 
-    The exhaustive check reads every value, so it reads them from the
-    cut table (unclipped: :func:`normalize`'s values bit for bit, still
-    2^n counted queries) instead of 2^n Python cut sums.
+    Up to n = ENUMERATION_LIMIT, :func:`normalize` answers every counted
+    query from its unclipped cut table, not with a Python cut sum.
     """
     g = read_digraph(config.graph)
     oracle = normalize(g)
-    if config.samples is None and g.n <= EXHAUSTIVE_VERIFY_LIMIT:
-        oracle = oracle_from_table(value_table(oracle))
     witness = verify_submodularity(oracle, samples=config.samples, seed=config.seed)
     summary = {
         "game": "verify",

@@ -18,8 +18,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -123,14 +122,14 @@ class SubmodularOracle:
     The count therefore rests on the GIL: a build of Python without it
     would need the lock back in :meth:`evaluate`.
 
-    ``table``, when given, returns a fresh array of all 2^n values by
-    increasing bitmask; :func:`value_table` uses it in place of 2^n
-    peeks.  An oracle made by :func:`oracle_from_table` keeps its
-    read-only table in ``_values`` instead, which :func:`value_table`
-    returns and :meth:`evaluate_many` reads with one ``take``: the same
-    doubles as indexing the table with the masks, at less cost (6144
-    masks into a 2^16 table: 11.8 -> 8.3 us on a 2-core Xeon with numpy
-    2.4).  An ``n`` below 1 raises :class:`InvalidInstanceError`.
+    ``values``, when given, is the oracle's read-only float64 table of
+    all 2^n values by increasing bitmask, the one ``fn`` reads; it is
+    set at construction only (:func:`normalize` for n <= ENUMERATION_LIMIT,
+    :func:`tabulate`).  :func:`value_table` returns it, and
+    :meth:`evaluate_many` reads it with one ``take``: the same doubles as
+    indexing the table with the masks, at less cost (6144 masks into a
+    2^16 table: 11.8 -> 8.3 us on a 2-core Xeon with numpy 2.4).  An
+    ``n`` below 1 raises :class:`InvalidInstanceError`.
     """
 
     def __init__(
@@ -138,15 +137,14 @@ class SubmodularOracle:
         n: int,
         fn: Callable[[Mask], float],
         *,
-        table: Callable[[], np.ndarray] | None = None,
+        values: np.ndarray | None = None,
     ):
         if n < 1:
             raise InvalidInstanceError(f"ground set size must be >= 1, got {n}")
         self.n = n
         self._full = full_mask(n)
         self._fn = fn
-        self._all_values = table
-        self._values: np.ndarray | None = None
+        self._values = values
         # one tick per evaluate call and per read of ``queries``
         self._ticks = itertools.count()
         self._reads = 0
@@ -212,16 +210,24 @@ def normalize(g: DirectedGraph) -> SubmodularOracle:
     total weight, so the range requirement holds.  A total weight whose
     sum or reciprocal is not finite (an overflowing sum, a subnormal
     total) raises :class:`InvalidInstanceError`.
+
+    For n <= ENUMERATION_LIMIT the oracle holds its :func:`_cut_table`
+    and answers every query from it, bit for bit the scaled
+    :func:`directed_cut_value`; the table is not clipped, so a value may
+    exceed 1 by a rounding (:func:`tabulate` clips).  A larger graph is
+    answered by one cut sum per query.
     """
     w = g.total_weight
     scale = 1.0 / w if w > 0 else 1.0
     if not (math.isfinite(w) and math.isfinite(scale)):
         raise InvalidInstanceError(f"total edge weight {w!r} cannot be scaled into [0, 1]")
+    if g.n <= ENUMERATION_LIMIT:
+        return _table_oracle(_cut_table(g, scale))
 
     def fn(s: Mask, _g: DirectedGraph = g, _scale: float = scale) -> float:
         return directed_cut_value(_g, s) * _scale
 
-    return SubmodularOracle(g.n, fn, table=partial(_cut_table, g, scale))
+    return SubmodularOracle(g.n, fn)
 
 
 #: low mask bits per row of a routed cut-table add: 2^13 = 8192 entries,
@@ -289,23 +295,16 @@ def _cut_table(g: DirectedGraph, scale: float) -> np.ndarray:
     return acc
 
 
-def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
-    """Oracle backed by an explicit table of 2^n finite values in [0, 1].
+def _table_oracle(table: np.ndarray) -> SubmodularOracle:
+    """Oracle backed by ``table``, a float64 array of 2^n finite values in
+    [0, 1] that no one else holds; it is made read-only.
 
     A single lookup goes through a zero-copy ``memoryview`` of the table,
     which returns the same Python float as ``float(table[s])`` without a
     numpy scalar per query and without a list copy of the table.  A batch
     lookup (:meth:`SubmodularOracle.evaluate_many`) is one gather from
-    the table, kept in the oracle's private ``_values``.  The table is a
-    read-only copy of ``values``, so later writes to the caller's array
-    do not reach the oracle, and no reader of the oracle can write it.
+    the table.
     """
-    return _table_oracle(np.array(values, dtype=float))
-
-
-def _table_oracle(table: np.ndarray) -> SubmodularOracle:
-    """:func:`oracle_from_table` over ``table`` itself, a float64 array no
-    one else holds; it is made read-only."""
     if table.ndim != 1 or table.size < 2 or table.size & (table.size - 1):
         raise InvalidInstanceError(f"table length {table.size} is not a power of two >= 2")
     # min/max propagate nan, and every comparison with nan is false
@@ -313,28 +312,22 @@ def _table_oracle(table: np.ndarray) -> SubmodularOracle:
         raise InvalidInstanceError("table values must be finite and lie in [0, 1]")
     n = int(table.size.bit_length() - 1)
     table.flags.writeable = False
-    oracle = SubmodularOracle(n, memoryview(table).__getitem__)
-    oracle._values = table
-    return oracle
+    return SubmodularOracle(n, memoryview(table).__getitem__, values=table)
 
 
 def value_table(oracle: SubmodularOracle) -> np.ndarray:
     """All 2^n values of the oracle, by increasing bitmask, uncounted, read-only.
 
-    A table-backed oracle (:func:`oracle_from_table`, :func:`tabulate`)
-    returns its own table, uncopied.  A cut function builds a fresh
-    table, and anything else falls back to a peek loop.  Requires
-    n <= ENUMERATION_LIMIT.
+    An oracle that holds its table (:func:`normalize`, :func:`tabulate`)
+    returns it, uncopied; any other builds a fresh table with 2^n peeks.
+    Requires n <= ENUMERATION_LIMIT.
     """
     n = oracle.n
     if n > ENUMERATION_LIMIT:
         raise SizeError(f"full value table needs n <= {ENUMERATION_LIMIT}, got {n}")
     if oracle._values is not None:
         return oracle._values
-    if oracle._all_values is not None:
-        table = oracle._all_values()
-    else:
-        table = np.array([oracle.peek(m) for m in range(1 << n)], dtype=float)
+    table = np.array([oracle.peek(m) for m in range(1 << n)], dtype=float)
     table.flags.writeable = False
     return table
 

@@ -5,9 +5,10 @@ from onlineusm.harness import RESULT_HEADER
 from onlineusm.submodular import (
     DirectedGraph,
     normalize,
-    oracle_from_table,
     random_digraph,
 )
+
+from references import oracle_from_table
 
 
 @pytest.fixture

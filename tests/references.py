@@ -9,8 +9,7 @@ values bit for bit (``==`` on floats, never a tolerance):
 * ``reference_usm_rows`` / ``reference_balance_rows``: the tuple rows
   that ``run_experiment`` assembled before it returned column arrays;
 * ``reference_tracking``: the per-round ``cum_table += table`` tracking
-  of the best fixed set that ``run_usm_game`` did before it accumulated
-  blocks of rounds;
+  of the best fixed set, which ``run_usm_game`` must match;
 * ``distinct_tables``: each round's value table, built once per distinct
   oracle, as the replay diagnostics summed them before the game
   reported its best set;
@@ -21,6 +20,8 @@ values bit for bit (``==`` on floats, never a tolerance):
 The rest are helpers that only the tests call, so they live here and not
 in the package:
 
+* ``oracle_from_table``: an oracle over a read-only copy of an explicit
+  table;
 * ``mask_of``: a bitmask from 1-based element ids;
 * ``same_bits``: whether two floats are the very same double;
 * ``reconstruct``: the point that ``decompose``'s weights combine to;
@@ -39,7 +40,14 @@ import numpy as np
 
 from onlineusm.balance import BalancePoint, Ledger
 from onlineusm.errors import ConfigError, DomainError, InvalidSubsetError, SizeError
-from onlineusm.submodular import ENUMERATION_LIMIT, DirectedGraph, Mask, SubmodularOracle, value_table
+from onlineusm.submodular import (
+    ENUMERATION_LIMIT,
+    DirectedGraph,
+    Mask,
+    SubmodularOracle,
+    _table_oracle,
+    value_table,
+)
 
 
 def distinct_tables(oracles: Sequence[SubmodularOracle]) -> list[np.ndarray]:
@@ -161,6 +169,16 @@ def reference_random_digraph(
             if u != v and rng.random() < density:
                 edges.append((u, v, float(rng.uniform(lo, hi))))
     return DirectedGraph(n, tuple(edges))
+
+
+def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:
+    """Oracle backed by an explicit table of 2^n finite values in [0, 1].
+
+    The table is a read-only copy of ``values``, so later writes to the
+    caller's array do not reach the oracle, and no reader of the oracle
+    can write it.
+    """
+    return _table_oracle(np.array(values, dtype=float))
 
 
 def mask_of(elements: Iterable[int], n: int | None = None) -> Mask:

@@ -9,7 +9,14 @@ import onlineusm.cli as cli
 from onlineusm import submodular
 from onlineusm.errors import ConfigError
 from onlineusm.harness import SUBROUTINE_NAMES, build_subroutine
-from onlineusm.submodular import normalize, random_digraph, verify_submodularity, write_digraph
+from onlineusm.submodular import (
+    ENUMERATION_LIMIT,
+    SubmodularOracle,
+    directed_cut_value,
+    random_digraph,
+    verify_submodularity,
+    write_digraph,
+)
 
 
 def run_cli(*args):
@@ -168,7 +175,9 @@ def test_exhaustive_verify_reads_the_cut_table(tmp_path, monkeypatch, capsys):
     g = random_digraph(12, 0.5, (0.0, 1.0), np.random.default_rng(12))
     p = tmp_path / "g.dg"
     write_digraph(p, g)
-    oracle = normalize(g)  # the untabulated check: one Python cut sum per mask
+    # the check through the cut function itself: one Python cut sum per mask
+    scale = 1.0 / g.total_weight
+    oracle = SubmodularOracle(g.n, lambda s: directed_cut_value(g, s) * scale)
     witness = verify_submodularity(oracle)
     want = {"game": "verify", "n": 12, "edges": len(g.edges), "mode": "exhaustive",
             "passed": witness is None, "witness": None, "queries": oracle.queries}
@@ -177,10 +186,15 @@ def test_exhaustive_verify_reads_the_cut_table(tmp_path, monkeypatch, capsys):
     cut_value = submodular.directed_cut_value
     monkeypatch.setattr(submodular, "directed_cut_value", lambda g, s: calls.append(s) or cut_value(g, s))
     assert cli.main(["verify", str(p)]) == 0
-    assert calls == []
     assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
-    # the sampled mode still asks the cut function itself, once per query
+    # the sampled mode reads the same table
     assert cli.main(["verify", str(p), "--samples", "50"]) == 0
+    assert json.loads(capsys.readouterr().out)["queries"] > 0
+    assert calls == []
+    # above ENUMERATION_LIMIT it asks the cut function itself, once per query
+    big = tmp_path / "big.dg"
+    write_digraph(big, random_digraph(ENUMERATION_LIMIT + 1, 0.05, (0.0, 1.0), np.random.default_rng(21)))
+    assert cli.main(["verify", str(big), "--samples", "50"]) == 0
     assert len(calls) == json.loads(capsys.readouterr().out)["queries"] > 0
 
 

@@ -1,6 +1,5 @@
 import math
 import pickle
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
 from onlineusm.balance import BalancePoint, Balancer, ConstantPolicy, Decision
-from onlineusm import framework
 from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import (
     RoundTranscript,
@@ -26,14 +24,13 @@ from onlineusm.submodular import (
     SubmodularOracle,
     full_mask,
     normalize,
-    oracle_from_table,
     random_digraph,
     tabulate,
     value_table,
 )
 
 from conftest import grow_only_oracle
-from references import distinct_tables, reference_tracking, usm_alpha_regret
+from references import distinct_tables, oracle_from_table, reference_tracking, same_bits, usm_alpha_regret
 
 
 def streams_for(n, seed=0):
@@ -468,18 +465,18 @@ def test_run_result_series_invariants():
 
 def assert_tracking_is_the_reference(res, tables):
     want_opt, want_final, want_set = reference_tracking(tables)
-    assert res.cum_opt.tolist() == want_opt.tolist()
-    assert res.cum_opt[-1] == want_final
+    assert [v.hex() for v in res.cum_opt.tolist()] == [v.hex() for v in want_opt.tolist()]
+    assert same_bits(res.cum_opt[-1], want_final)
     assert res.opt_set == want_set
 
 
 @pytest.mark.parametrize(
     "n, rounds, adversary",
     [
-        (8, 300, "cycle"),  # 128 tables per block: two full blocks and a part
+        (8, 300, "cycle"),  # 128 rounds per coin block: two full blocks and a part
         (8, 129, "fresh"),  # a fresh table every round, one round past a block
-        (15, 4, "cycle"),  # one table fills a block: a block per round
-        (16, 3, "fixed"),  # one table exceeds a block: still a block per round
+        (15, 4, "cycle"),  # n > 13: cut tables route their short-run edges
+        (16, 3, "fixed"),
     ],
 )
 def test_block_tracking_is_the_per_round_sum_bit_for_bit(n, rounds, adversary):
@@ -498,20 +495,30 @@ def test_block_tracking_is_the_per_round_sum_bit_for_bit(n, rounds, adversary):
     n=st.integers(1, 5),
     k=st.integers(1, 4),
     rounds=st.integers(1, 40),
-    tables_per_block=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_any_block_size_tracks_the_per_round_sum(n, k, rounds, tables_per_block, seed):
+def test_tracking_is_the_per_round_sum(n, k, rounds, seed):
     # arbitrary tables in [0, 1] with a spread of exponents, so that any
     # other order of additions would round differently; constant policies
     # ignore the feedback, so the tables need not be submodular
     rng = np.random.default_rng(seed)
     tables = [rng.random(1 << n) ** rng.integers(1, 40) for _ in range(k)]
     oracles = [oracle_from_table(t) for t in tables]
-    with patch.object(framework, "_TRACK_BLOCK_BYTES", tables_per_block * (8 << n)):
-        res = run_usm_game([ConstantPolicy(0.5) for _ in range(n)], CycleFunctionAdversary(oracles),
-                           rounds, streams_for(n, seed=seed % 7))
+    res = run_usm_game([ConstantPolicy(0.5) for _ in range(n)], CycleFunctionAdversary(oracles),
+                       rounds, streams_for(n, seed=seed % 7))
     assert_tracking_is_the_reference(res, [value_table(oracles[t % k]) for t in range(rounds)])
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 129])
+def test_tracking_keeps_a_negative_zero_maximum(rounds):
+    # a total that started from +0.0 would turn every -0.0 into +0.0
+    n = 2
+    tables = [[-0.0, -1e-12, -0.0, -5e-324], [-0.0, -0.0, -0.0, -0.0]]
+    oracles = [oracle_from_table(t) for t in tables]
+    res = run_usm_game([ConstantPolicy(0.5) for _ in range(n)], CycleFunctionAdversary(oracles),
+                       rounds, streams_for(n))
+    assert_tracking_is_the_reference(res, [value_table(oracles[t % 2]) for t in range(rounds)])
+    assert np.signbit(res.cum_opt).all()
 
 
 def test_run_usm_game_errors():

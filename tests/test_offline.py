@@ -25,13 +25,12 @@ from onlineusm.submodular import (
     full_mask,
     _cut_table,
     normalize,
-    oracle_from_table,
     tabulate,
     value_table,
     verify_submodularity,
 )
 
-from references import mask_of, same_bits
+from references import mask_of, oracle_from_table, same_bits
 
 
 def test_brute_force_single_edge(single_edge_oracle):

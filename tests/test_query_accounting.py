@@ -18,10 +18,11 @@ from onlineusm.framework import run_usm_game
 from onlineusm.submodular import (
     SubmodularOracle,
     normalize,
-    oracle_from_table,
     random_digraph,
     tabulate,
 )
+
+from references import oracle_from_table
 
 N = 6
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from onlineusm import submodular
 from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
 from onlineusm.errors import (
     ConfigError,
@@ -15,13 +16,13 @@ from onlineusm.errors import (
     SizeError,
 )
 from onlineusm.submodular import (
+    ENUMERATION_LIMIT,
     DirectedGraph,
     SubmodularOracle,
     directed_cut_value,
     elements_of,
     full_mask,
     normalize,
-    oracle_from_table,
     random_digraph,
     read_digraph,
     tabulate,
@@ -33,7 +34,7 @@ from onlineusm.submodular import (
 )
 
 from conftest import grow_only_oracle, naive_first_violation
-from references import mask_of, reference_random_digraph, same_bits
+from references import mask_of, oracle_from_table, reference_random_digraph, same_bits
 
 
 def test_mask_helpers():
@@ -204,7 +205,7 @@ def test_counter_exact_with_concurrent_readers(single_edge_oracle):
 
 
 def _backed_oracles(n, seed):
-    """The same cut function behind tables (contiguous, from a list, strided), a graph and a plain callable."""
+    """The same cut function behind tables (clipped, normalize's own, from a list, strided) and a plain callable."""
     g = random_digraph(n, 0.5, (0.0, 1.0), np.random.default_rng(seed))
     cut = normalize(g)
     table = value_table(cut)
@@ -469,8 +470,33 @@ def test_value_table_equals_the_peeks_bit_for_bit(g):
         with pytest.raises(InvalidInstanceError):
             normalize(g)
         return
+    scale = 1.0 / total if total > 0 else 1.0
     oracle = normalize(g)
-    assert _hex(value_table(oracle)) == _hex(oracle.peek(m) for m in range(1 << g.n))
+    table = value_table(oracle)
+    # the oracle's own read-only table, the same object on every call
+    assert value_table(oracle) is table and not table.flags.writeable
+    assert _hex(table) == _hex(reference_cut_table(g, scale))
+    assert _hex(oracle.peek(m) for m in range(1 << g.n)) == _hex(
+        directed_cut_value(g, m) * scale for m in range(1 << g.n))
+
+
+def test_normalize_holds_a_table_up_to_the_enumeration_limit(monkeypatch):
+    rng = np.random.default_rng(20)
+    masks = rng.integers(0, 1 << ENUMERATION_LIMIT, size=50).tolist()
+    g = random_digraph(ENUMERATION_LIMIT, 0.05, (0.0, 1.0), rng)
+    oracle = normalize(g)
+    assert value_table(oracle) is value_table(oracle)
+    assert _hex(map(oracle.peek, masks)) == _hex(directed_cut_value(g, m) * (1.0 / g.total_weight) for m in masks)
+    # one vertex more: every query is a cut sum, and there is no table
+    big = random_digraph(ENUMERATION_LIMIT + 1, 0.05, (0.0, 1.0), rng)
+    oracle = normalize(big)
+    calls = []
+    cut_value = submodular.directed_cut_value
+    monkeypatch.setattr(submodular, "directed_cut_value", lambda g, s: calls.append(s) or cut_value(g, s))
+    assert _hex(map(oracle.evaluate, masks)) == _hex(cut_value(big, m) * (1.0 / big.total_weight) for m in masks)
+    assert calls == masks
+    with pytest.raises(SizeError):
+        value_table(oracle)
 
 
 def test_value_table_size_error():
