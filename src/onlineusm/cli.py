@@ -36,45 +36,80 @@ def _add_common(p: argparse.ArgumentParser, *, alpha_default: str) -> None:
     p.add_argument("--summary-only", action="store_true", help="omit per-round rows from the output file")
 
 
-def build_parser() -> _Parser:
+def _add_usm(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, help="ground set size (required)")
+    p.add_argument("--adversary", default=None,
+                   help="cycle-random:k=4[,density=..] | fixed-random[:density=..] | "
+                        "fresh-random[:density=..] | cycle-files:a.dg;b.dg | fixed-file:a.dg | "
+                        "adaptive:punish-last-set")
+    p.add_argument("--keep-transcripts", action="store_true",
+                   help="retain round transcripts and add replay diagnostics to the summary (json)")
+    _add_common(p, alpha_default="0.5")
+
+
+def _add_balance(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--adversary", default=None,
+                   help="pattern:<string over U,R,L> | adaptive:punish-last | adaptive:reward-chase")
+    _add_common(p, alpha_default="1")
+
+
+def _add_offline(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--graph", default=None, help="graph file; omit to generate a random instance")
+    p.add_argument("--n", type=int, default=None, help="size of the random instance")
+    p.add_argument("--density", type=float, default=0.5)
+    p.add_argument("--trials", type=int, default=10000, help="randomized double-greedy repetitions")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", default=None)
+    p.add_argument("--format", default="json", choices=["json"])
+
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph", help="graph file to verify")
+    p.add_argument("--samples", type=int, default=None,
+                   help="randomized triples instead of the exhaustive check (needed for n > 16)")
+    p.add_argument("--seed", type=int, default=0)
+
+
+#: subcommand name -> (help line, function that adds its arguments), in help order
+COMMANDS = {
+    "simulate-usm": ("online submodular maximization game", _add_usm),
+    "simulate-balance": ("balance subproblem game", _add_balance),
+    "offline": ("offline baselines on one instance", _add_offline),
+    "verify": ("submodularity check of a graph file's cut function", _add_verify),
+}
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by a new parser that fills in only the subcommand run.
+
+    argparse hands the arguments after the first one naming a subcommand
+    (an option string cannot name one) to that subcommand's parser, and no
+    other subparser formats any output, so only that one gets its
+    arguments.  When ``argv[0]`` names it, that parser is built alone,
+    with the prog ``add_subparsers`` would give it, and parses the rest.
+    Otherwise (``--help``, no arguments, an unknown name, an option first)
+    the top-level parser registers every name, so that its help and its
+    choice errors list all four.  Help texts, usage lines, error messages
+    and exit codes are those of one parser holding every argument.
+    Nothing is kept between calls: a one-shot command builds its parser
+    once anyway.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = _Parser(prog=f"onlineusm {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     parser = _Parser(prog="onlineusm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_usm = sub.add_parser("simulate-usm", help="online submodular maximization game")
-    p_usm.add_argument("--n", type=int, required=True, help="ground set size (required)")
-    p_usm.add_argument("--adversary", default=None,
-                       help="cycle-random:k=4[,density=..] | fixed-random[:density=..] | "
-                            "fresh-random[:density=..] | cycle-files:a.dg;b.dg | fixed-file:a.dg | "
-                            "adaptive:punish-last-set")
-    p_usm.add_argument("--keep-transcripts", action="store_true",
-                       help="retain round transcripts and add replay diagnostics to the summary (json)")
-    _add_common(p_usm, alpha_default="0.5")
-
-    p_bal = sub.add_parser("simulate-balance", help="balance subproblem game")
-    p_bal.add_argument("--adversary", default=None,
-                       help="pattern:<string over U,R,L> | adaptive:punish-last | adaptive:reward-chase")
-    _add_common(p_bal, alpha_default="1")
-
-    p_off = sub.add_parser("offline", help="offline baselines on one instance")
-    p_off.add_argument("--graph", default=None, help="graph file; omit to generate a random instance")
-    p_off.add_argument("--n", type=int, default=None, help="size of the random instance")
-    p_off.add_argument("--density", type=float, default=0.5)
-    p_off.add_argument("--trials", type=int, default=10000, help="randomized double-greedy repetitions")
-    p_off.add_argument("--seed", type=int, default=0)
-    p_off.add_argument("--output", default=None)
-    p_off.add_argument("--format", default="json", choices=["json"])
-
-    p_ver = sub.add_parser("verify", help="submodularity check of a graph file's cut function")
-    p_ver.add_argument("graph", help="graph file to verify")
-    p_ver.add_argument("--samples", type=int, default=None,
-                       help="randomized triples instead of the exhaustive check (needed for n > 16)")
-    p_ver.add_argument("--seed", type=int, default=0)
-
-    return parser
+    run = next((arg for arg in argv if arg in COMMANDS), None)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == run:
+            add_arguments(p)
+    return parser.parse_args(argv)
 
 
 def parse_config(argv) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(list(argv))
     game = {"simulate-usm": "usm", "simulate-balance": "balance"}.get(args.command, args.command)
     fields = {k: v for k, v in vars(args).items() if k != "command"}
     workers = fields.pop("workers", 1)

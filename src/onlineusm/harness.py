@@ -50,6 +50,7 @@ from .offline import (
 )
 from .submodular import (
     ENUMERATION_LIMIT,
+    check_exhaustive_size,
     normalize,
     random_digraph,
     read_digraph,
@@ -494,9 +495,13 @@ def _run_verify(config: ExperimentConfig) -> dict:
     """Summary of the submodularity check of a graph file's cut function.
 
     Up to n = ENUMERATION_LIMIT, :func:`normalize` answers every counted
-    query from its unclipped cut table, not with a Python cut sum.
+    query from its unclipped cut table, not with a Python cut sum.  An
+    exhaustive request is checked against its size limit before that
+    table is built.
     """
     g = read_digraph(config.graph)
+    if config.samples is None:
+        check_exhaustive_size(g.n)
     oracle = normalize(g)
     witness = verify_submodularity(oracle, samples=config.samples, seed=config.seed)
     summary = {

@@ -342,6 +342,15 @@ def tabulate(oracle: SubmodularOracle) -> SubmodularOracle:
     return _table_oracle(np.clip(value_table(oracle), 0.0, 1.0))
 
 
+def check_exhaustive_size(n: int) -> None:
+    """Raise SizeError when the exhaustive check cannot take n elements."""
+    if n > EXHAUSTIVE_VERIFY_LIMIT:
+        raise SizeError(
+            f"exhaustive check needs n <= {EXHAUSTIVE_VERIFY_LIMIT}, got {n}; "
+            "pass samples= for the randomized mode"
+        )
+
+
 #: mask bits whose subset-minimum passes :func:`verify_submodularity` runs
 #: on a transposed copy of the gains
 _LOW_BITS = 4
@@ -376,11 +385,7 @@ def verify_submodularity(
     n = oracle.n
     if samples is not None:
         return _verify_sampled(oracle, samples=samples, seed=seed)
-    if n > EXHAUSTIVE_VERIFY_LIMIT:
-        raise SizeError(
-            f"exhaustive check needs n <= {EXHAUSTIVE_VERIFY_LIMIT}, got {n}; "
-            "pass samples= for the randomized mode"
-        )
+    check_exhaustive_size(n)
     masks = np.arange(1 << n)
     table = oracle.evaluate_many(masks)
     first = masks.size

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -31,6 +32,64 @@ def test_help_exits_zero():
     proc = run_cli("--help")
     assert proc.returncode == 0
     assert "simulate-usm" in proc.stdout
+
+
+#: sha256 of the empty output
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+#: argv -> (exit code, sha256 of stdout, sha256 of stderr), recorded with
+#: COLUMNS=80 from the parser that filled in every subcommand's arguments
+CLI_SURFACE = {
+    ("--help",): (0, "e40abf89aa3a910677707556604c721208af7575f28913d8a49e7b6c3541995a", EMPTY),
+    ("simulate-usm", "--help"): (0, "4ff828eb839d7b5bb83dab16b8f22b48f6b1c44b052873327783f6fe7134562d", EMPTY),
+    ("simulate-balance", "--help"): (0, "2688e96febe77bb1a9289fd3582081d0b51719506b6072ee7718f65161d38069", EMPTY),
+    ("offline", "--help"): (0, "48c3beedab7becdeb1a63c0775aac26f9c9b500d45951331401391df49b18b9e", EMPTY),
+    ("verify", "--help"): (0, "46e821ddc0a282d66580c059e8599cfe8f6b82750c57373773e3c33b52730f73", EMPTY),
+    ("bogus",): (1, EMPTY, "b55d9d8bf0ce289956798dd8aab56ac250933c904252f66351599999bafd6d03"),
+    (): (1, EMPTY, "398a71844e12cf1130e8120e26594978f8c8e18f9dc1ee972324c143698a7cad"),
+    ("simulate-usm", "--n", "4"): (1, EMPTY, "c6fdee9d4ada44fdd5be2afe37c82175c641eaf4014e7a6cedab3bd49bba1e87"),
+    ("offline", "--nope"): (1, EMPTY, "a0f650bc73172ad2b64740da4e846caf70a66feef2aeb43e82d8984391f33a2a"),
+    ("--nope", "offline"): (1, EMPTY, "a0f650bc73172ad2b64740da4e846caf70a66feef2aeb43e82d8984391f33a2a"),
+    ("-h", "offline"): (0, "e40abf89aa3a910677707556604c721208af7575f28913d8a49e7b6c3541995a", EMPTY),
+    # an option first still runs the named subcommand, which needs its arguments
+    ("--nope", "simulate-usm"): (1, EMPTY, "b997827725ec9a4c2a2c400f16eebbdfaba83c4c4192cc585db0dba5e0769a04"),
+    ("-x", "simulate-balance", "--rounds"): (1, EMPTY, "784e37857e62621c1d3a620c98b0cc162506c66e88b3538f0df8535d88ff8e93"),
+}
+
+
+@pytest.mark.parametrize("argv", list(CLI_SURFACE), ids=" ".join)
+def test_cli_surface_bytes(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's help exits from inside parse_args
+        code = exc.code
+    out, err = capsys.readouterr()
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert (code, digest(out), digest(err)) == CLI_SURFACE[argv], (out, err)
+
+
+SUBCOMMANDS = ("simulate-usm", "simulate-balance", "offline", "verify")
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["offline", "--n", "6", "--trials", "10"], ["onlineusm offline"]),
+    (["simulate-usm", "--n", "4", "--rounds", "10"], ["onlineusm simulate-usm"]),
+    (["--nope", "verify", "g.dg"], ["onlineusm", *(f"onlineusm {name}" for name in SUBCOMMANDS)]),
+])
+def test_parsing_adds_only_the_arguments_of_the_subcommand_run(argv, built, monkeypatch):
+    progs = []
+    add_argument = cli._Parser.add_argument
+    monkeypatch.setattr(cli._Parser, "add_argument",
+                        lambda self, *args, **kwargs: progs.append(self.prog) or add_argument(self, *args, **kwargs))
+    if argv[0] in SUBCOMMANDS:
+        cli.parse_config(argv)
+    else:
+        with pytest.raises(ConfigError, match="unrecognized arguments: --nope"):
+            cli.parse_config(argv)
+    # every parser built adds its own -h; only the subcommand run adds more
+    assert sorted(set(progs)) == sorted(built)
+    run = next(arg for arg in argv if arg in SUBCOMMANDS)
+    assert {prog for prog in progs if progs.count(prog) > 1} == {f"onlineusm {run}"}
 
 
 def test_missing_rounds_exit_one():
@@ -198,7 +257,7 @@ def test_exhaustive_verify_reads_the_cut_table(tmp_path, monkeypatch, capsys):
     assert len(calls) == json.loads(capsys.readouterr().out)["queries"] > 0
 
 
-def test_verify_too_large_exit_one(tmp_path):
+def test_verify_too_large_exit_one(tmp_path, monkeypatch, capsys):
     g = random_digraph(17, 0.05, (0.0, 1.0), np.random.default_rng(0))
     p = tmp_path / "big.dg"
     write_digraph(p, g)
@@ -207,6 +266,13 @@ def test_verify_too_large_exit_one(tmp_path):
     assert "samples" in proc.stderr
     sampled = run_cli("verify", str(p), "--samples", "200")
     assert sampled.returncode == 0
+    # the rejected exhaustive request builds no cut table first
+    tables = []
+    cut_table = submodular._cut_table
+    monkeypatch.setattr(submodular, "_cut_table", lambda g, scale: tables.append(g.n) or cut_table(g, scale))
+    assert cli.main(["verify", str(p)]) == 1
+    assert capsys.readouterr().err == proc.stderr
+    assert tables == []
 
 
 @pytest.mark.parametrize("adversary", ["cycle-random:whi=nan", "cycle-random:whi=inf",
