@@ -20,9 +20,7 @@ from .balance import (
     BalancePoint,
     Balancer,
     ConstantPolicy,
-    Decision,
     LEFT,
-    Ledger,
     RIGHT,
     TwoExperts,
     UP,
@@ -40,17 +38,11 @@ from .errors import (
     UsmError,
 )
 from .framework import (
-    RoundTranscript,
-    UsmRunResult,
     default_checkpoints,
     fit_growth_exponent,
-    opt_tracking_check,
-    run_round,
     run_usm_game,
-    value_identity_residual,
 )
 from .harness import (
-    BalanceRunResult,
     ExperimentConfig,
     RESULT_HEADER,
     build_balance_adversary,
@@ -63,10 +55,8 @@ from .harness import (
     write_results,
 )
 from .offline import (
-    OfflineResult,
     brute_force_opt,
     det_double_greedy,
-    rand_double_greedy,
     rand_double_greedy_stats,
     uniform_random_value,
 )

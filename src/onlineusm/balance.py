@@ -126,12 +126,10 @@ class Balancer:
     the potential analysis and is preserved exactly.
     """
 
-    def __init__(self, horizon: int, x: float | None = None):
+    def __init__(self, horizon: int):
         self.sqrt_horizon = _sqrt_horizon(horizon)
         self.horizon = horizon
-        self.x = 0.5 * self.sqrt_horizon if x is None else float(x)
-        if not 0.0 <= self.x <= self.sqrt_horizon:
-            raise DomainError(f"x={self.x} outside [0, sqrt(T)={self.sqrt_horizon}]")
+        self.x = 0.5 * self.sqrt_horizon
 
     def decide(self, coin: float) -> Decision:
         p = self.x / self.sqrt_horizon
@@ -158,22 +156,14 @@ class TwoExperts:
 
     Rewards are shifted from [-1, 1] to [0, 1] before exponentiation;
     weights are renormalized by their max each update so long runs stay
-    in range without changing the yes-probability.  Without an explicit
-    ``eta`` the rate is the Hedge tuning for two actions over the
-    horizon, sqrt(8 ln 2 / T).
+    in range without changing the yes-probability.  The rate is the
+    Hedge tuning for two actions over the horizon, sqrt(8 ln 2 / T).
     """
 
-    def __init__(self, horizon: int | None = None, *, eta: float | None = None):
-        if eta is None:
-            if horizon is None:
-                raise DomainError("TwoExperts needs a horizon or an explicit eta")
-            if horizon < 1:
-                raise DomainError(f"horizon must be >= 1, got {horizon}")
-            eta = math.sqrt(8.0 * math.log(2.0) / horizon)
-        # a nan or infinite eta turns both weights into nan after one update
-        if not (math.isfinite(eta) and eta > 0):
-            raise DomainError(f"eta must be finite and > 0, got {eta}")
-        self.eta = eta
+    def __init__(self, horizon: int):
+        if horizon < 1:
+            raise DomainError(f"horizon must be >= 1, got {horizon}")
+        self.eta = math.sqrt(8.0 * math.log(2.0) / horizon)
         self.w_yes = 1.0
         self.w_no = 1.0
 

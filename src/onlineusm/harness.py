@@ -54,7 +54,6 @@ from .submodular import (
     normalize,
     random_digraph,
     read_digraph,
-    tabulate,
     verify_submodularity,
 )
 
@@ -210,7 +209,7 @@ def build_usm_adversary(descriptor: str, n: int, master_seed: int):
         if k < 1:
             raise ConfigError(f"cycle-random needs k >= 1, got {k}")
         graphs = [random_digraph(n, density, wr, rng) for _ in range(k)]
-        return adv.CycleFunctionAdversary([tabulate(normalize(g)) for g in graphs])
+        return adv.CycleFunctionAdversary([normalize(g) for g in graphs])
     if kind in ("cycle-files", "fixed-file"):
         paths = [p for p in rest.split(";") if p]
         if not paths or (kind == "fixed-file" and len(paths) != 1):
@@ -220,7 +219,7 @@ def build_usm_adversary(descriptor: str, n: int, master_seed: int):
             g = read_digraph(p)
             if g.n != n:
                 raise ConfigError(f"graph {p} has n={g.n}, experiment has n={n}")
-            oracles.append(tabulate(normalize(g)))
+            oracles.append(normalize(g))
         return adv.CycleFunctionAdversary(oracles)
     if kind == "adaptive":
         return adv.AdaptiveCutAdversary(n, rest)
@@ -465,7 +464,7 @@ def _offline_instance(config: ExperimentConfig):
 
 def _run_offline(config: ExperimentConfig) -> dict:
     g = _offline_instance(config)
-    oracle = tabulate(normalize(g))
+    oracle = normalize(g)
     opt = brute_force_opt(oracle)
     det = det_double_greedy(oracle)
     rnd = rand_double_greedy_stats(oracle, config.trials, config.seed)
@@ -495,7 +494,7 @@ def _run_verify(config: ExperimentConfig) -> dict:
     """Summary of the submodularity check of a graph file's cut function.
 
     Up to n = ENUMERATION_LIMIT, :func:`normalize` answers every counted
-    query from its unclipped cut table, not with a Python cut sum.  An
+    query from its cut table, not with a Python cut sum.  An
     exhaustive request is checked against its size limit before that
     table is built.
     """

@@ -140,28 +140,16 @@ def _coin_rule(coins: np.ndarray) -> Callable[[int, np.ndarray, np.ndarray], np.
     return choose
 
 
-def rand_double_greedy(f: SubmodularOracle, rng: np.random.Generator) -> OfflineResult:
-    """Randomized sweep: yes with probability a+ / (a+ + b+).
-
-    Positive parts make the rule total: when only one marginal is
-    positive that choice is forced, and when both are zero yes is taken.
-    Draws the n coins as one ``rng.random((1, n))`` block, the same values
-    as n sequential draws, coin i for element i.
-    """
-    x, fx = _walk(f, 1, _coin_rule(rng.random((1, f.n))))
-    return OfflineResult(chosen=int(x[0]), value=float(fx[0]))
-
-
 def rand_double_greedy_stats(f: SubmodularOracle, trials: int, seed: int) -> OfflineResult:
-    """Repeat the randomized sweep; report the best run plus mean/std.
+    """Run the randomized sweep ``trials`` times; report the best run plus mean/std.
 
     The sweeps walk side by side in blocks of up to ``_BLOCK``.  A block
     of k sweeps draws its coins as one ``rng.random((k, n))`` array, the
     same values as k sequential ``random(n)`` draws, row j for sweep j,
-    so the results are those of ``trials`` calls of
-    :func:`rand_double_greedy` on one Generator.  Each sweep still spends
-    2n + 2 counted queries; the best run is the first with the largest
-    value.
+    so the results are those of ``trials`` sequential sweeps on one
+    Generator, coin i for element i (:func:`_coin_rule`).  Each sweep
+    spends 2n + 2 counted queries; the best run is the first with the
+    largest value.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")

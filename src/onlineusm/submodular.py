@@ -213,19 +213,22 @@ def normalize(g: DirectedGraph) -> SubmodularOracle:
 
     For n <= ENUMERATION_LIMIT the oracle holds its :func:`_cut_table`
     and answers every query from it, bit for bit the scaled
-    :func:`directed_cut_value`; the table is not clipped, so a value may
-    exceed 1 by a rounding (:func:`tabulate` clips).  A larger graph is
-    answered by one cut sum per query.
+    :func:`directed_cut_value`; a larger graph is answered by one cut
+    sum per query.  Either way a value is capped at 1.0: a total weight
+    above 2^1022 has a subnormal reciprocal, and its full cut can scale
+    to 1 plus a rounding.
     """
     w = g.total_weight
     scale = 1.0 / w if w > 0 else 1.0
     if not (math.isfinite(w) and math.isfinite(scale)):
         raise InvalidInstanceError(f"total edge weight {w!r} cannot be scaled into [0, 1]")
     if g.n <= ENUMERATION_LIMIT:
-        return _table_oracle(_cut_table(g, scale))
+        table = _cut_table(g, scale)
+        np.minimum(table, 1.0, out=table)
+        return _table_oracle(table)
 
     def fn(s: Mask, _g: DirectedGraph = g, _scale: float = scale) -> float:
-        return directed_cut_value(_g, s) * _scale
+        return min(directed_cut_value(_g, s) * _scale, 1.0)
 
     return SubmodularOracle(g.n, fn)
 
@@ -351,11 +354,6 @@ def check_exhaustive_size(n: int) -> None:
         )
 
 
-#: mask bits whose subset-minimum passes :func:`verify_submodularity` runs
-#: on a transposed copy of the gains
-_LOW_BITS = 4
-
-
 def verify_submodularity(
     oracle: SubmodularOracle,
     *,
@@ -368,18 +366,14 @@ def verify_submodularity(
     f(T+i) - f(T) + VALUE_TOL for every T subset of S with i outside S, and on
     failure reports the first violating triple in (S asc, T asc, i asc)
     order.  All 2^n values are read with one counted batch query.  For
-    each i, the gains of the sets that lack i are reduced to their
-    minimum over subsets (``np.fmin``, one pass per other element).  The
-    passes over the lowest ``_LOW_BITS`` bits (all of them for n <= 4)
-    run on a transposed copy, whose rows are the low-bit patterns, so
-    they walk whole rows and not runs of 1 to 8 entries; ``fmin`` is
-    exact, so the order of the passes does not change the minimum
-    (n = 16, a whole check: 17.7 -> 11.6 ms on a 2-core Xeon).  S
-    violates for i exactly when its gain exceeds that minimum plus
-    VALUE_TOL, as rounding x + VALUE_TOL keeps the order of x.  A nan
-    gain fails every comparison and ``fmin`` skips it, as in the pairwise
-    test.  The smallest violating S over all i is the witness's; one
-    comparison of its gains with those of its subsets gives T, then i.
+    each i, a copy of the gains of the sets that lack i is reduced to
+    their minimum over subsets (``np.fmin``, exact, one pass per other
+    element).  S violates for i exactly when its gain exceeds that
+    minimum plus VALUE_TOL, as rounding x + VALUE_TOL keeps the order of
+    x.  A nan gain fails every comparison and ``fmin`` skips it, as in
+    the pairwise test.  The smallest violating S over all i is the
+    witness's; one comparison of its gains with those of its subsets
+    gives T, then i.
     ``samples`` switches to randomized triples for larger n.
     """
     n = oracle.n
@@ -389,18 +383,13 @@ def verify_submodularity(
     masks = np.arange(1 << n)
     table = oracle.evaluate_many(masks)
     first = masks.size
-    low_bits = min(_LOW_BITS, n - 1)
     for i in range(n):
         # entry c of ``gain`` is the set whose bits below i are c's and
         # whose bits above i are c's bits from i up, shifted one place
         pairs = table.reshape(-1, 2, 1 << i)
         gain = (pairs[:, 1] - pairs[:, 0]).ravel()
-        low = gain.reshape(-1, 1 << low_bits).T.copy()
-        for j in range(low_bits):
-            halves = low.reshape(-1, 2, low.size >> (low_bits - j))
-            np.fmin(halves[:, 1], halves[:, 0], out=halves[:, 1])
-        least = low.T.ravel()
-        for j in range(low_bits, n - 1):
+        least = gain.copy()
+        for j in range(n - 1):
             halves = least.reshape(-1, 2, 1 << j)
             np.fmin(halves[:, 1], halves[:, 0], out=halves[:, 1])
         hits = np.flatnonzero(gain > least + VALUE_TOL)
@@ -442,8 +431,8 @@ def _verify_sampled(
 def random_digraph(
     n: int,
     density: float,
-    weight_range: tuple[float, float] = (0.0, 1.0),
-    rng: np.random.Generator | None = None,
+    weight_range: tuple[float, float],
+    rng: np.random.Generator,
 ) -> DirectedGraph:
     """Each ordered pair becomes an edge with probability ``density``.
 
@@ -462,8 +451,6 @@ def random_digraph(
     lo, hi = weight_range
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0 or hi < lo:
         raise ConfigError(f"weight range must satisfy 0 <= lo <= hi, both finite, got {weight_range}")
-    if rng is None:
-        rng = np.random.default_rng()
     lo, span = float(lo), float(hi) - float(lo)
     undecided = n * (n - 1)
     draws: list[float] = []

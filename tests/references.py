@@ -15,7 +15,10 @@ values bit for bit (``==`` on floats, never a tolerance):
   reported its best set;
 * ``reference_csv_line``: the per-cell CSV formatting of a tuple row;
 * ``reference_random_digraph``: the random digraph drawn one scalar
-  coin and one ``uniform`` weight at a time.
+  coin and one ``uniform`` weight at a time;
+* ``reference_sweep`` / ``reference_rand_sweep``: the scalar
+  double-greedy sweep, one counted query per mask, that the offline
+  walk replaced, with ``reference_coin_rule`` its randomized rule.
 
 The rest are helpers that only the tests call, so they live here and not
 in the package:
@@ -46,6 +49,7 @@ from onlineusm.submodular import (
     Mask,
     SubmodularOracle,
     _table_oracle,
+    full_mask,
     value_table,
 )
 
@@ -169,6 +173,45 @@ def reference_random_digraph(
             if u != v and rng.random() < density:
                 edges.append((u, v, float(rng.uniform(lo, hi))))
     return DirectedGraph(n, tuple(edges))
+
+
+def reference_sweep(
+    f: SubmodularOracle, choose_yes: Callable[[float, float], bool]
+) -> tuple[Mask, float]:
+    """One double-greedy sweep, one counted ``evaluate`` per mask."""
+    n = f.n
+    evaluate = f.evaluate
+    x = 0
+    y = full_mask(n)
+    fx = evaluate(x)
+    fy = evaluate(y)
+    for i in range(n):
+        bit = 1 << i
+        fx_add = evaluate(x | bit)
+        fy_del = evaluate(y & ~bit)
+        alpha = fx_add - fx
+        beta = fy_del - fy
+        if choose_yes(alpha, beta):
+            x |= bit
+            fx = fx_add
+        else:
+            y &= ~bit
+            fy = fy_del
+    return x, fx
+
+
+def reference_coin_rule(a: float, b: float, coin: float) -> bool:
+    """The randomized sweep's scalar rule: yes with probability a+ / (a+ + b+)."""
+    ap = a if a > 0.0 else 0.0
+    bp = b if b > 0.0 else 0.0
+    p = 1.0 if ap + bp <= 0.0 else ap / (ap + bp)
+    return coin < p
+
+
+def reference_rand_sweep(f: SubmodularOracle, coins: np.ndarray) -> tuple[Mask, float]:
+    """The randomized sweep, deciding element i + 1 with ``coins[i]``."""
+    coin = iter(coins.tolist()).__next__
+    return reference_sweep(f, lambda a, b: reference_coin_rule(a, b, coin()))
 
 
 def oracle_from_table(values: Sequence[float] | np.ndarray) -> SubmodularOracle:

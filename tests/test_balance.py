@@ -132,7 +132,8 @@ def test_balancer_midpoint_up_keeps_state():
 
 
 def test_balancer_cap_at_lower_boundary():
-    b = Balancer(100, x=0.0)
+    b = Balancer(100)
+    b.x = 0.0
     d = b.decide(0.0)
     b.update(LEFT)
     assert d.p_used == 0.0 and not d.chose_yes
@@ -140,7 +141,8 @@ def test_balancer_cap_at_lower_boundary():
 
 
 def test_balancer_cap_at_upper_boundary():
-    b = Balancer(100, x=10.0)
+    b = Balancer(100)
+    b.x = 10.0
     d = b.decide(0.999)
     b.update(RIGHT)
     assert d.p_used == 1.0 and d.chose_yes
@@ -165,11 +167,9 @@ def test_balancer_update_rejects_far_outside_points():
         b.update(BalancePoint(-0.8, 0.2))
 
 
-def test_balancer_rejects_bad_horizon_and_state():
+def test_balancer_rejects_bad_horizon():
     with pytest.raises(DomainError):
         Balancer(0)
-    with pytest.raises(DomainError):
-        Balancer(100, x=11.0)
 
 
 # --- two experts ---------------------------------------------------------
@@ -181,7 +181,8 @@ def test_mw_fresh_state_is_uniform():
 
 
 def test_mw_ratio_after_right_point():
-    m = TwoExperts(horizon=None, eta=0.1)
+    m = TwoExperts(1)
+    m.eta = 0.1
     m.decide(0.3)
     m.update(RIGHT)
     # yes reward 1, no reward 0 after the [-1,1] -> [0,1] shift
@@ -189,7 +190,8 @@ def test_mw_ratio_after_right_point():
 
 
 def test_mw_equal_rewards_keep_ratio():
-    m = TwoExperts(horizon=None, eta=0.25)
+    m = TwoExperts(1)
+    m.eta = 0.25
     m.decide(0.1)
     m.update(RIGHT)
     ratio = m.w_yes / m.w_no
@@ -199,14 +201,9 @@ def test_mw_equal_rewards_keep_ratio():
         assert m.w_yes / m.w_no == pytest.approx(ratio, rel=1e-12)
 
 
-@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, 0.0])
-def test_mw_rejects_a_non_finite_or_nonpositive_eta(eta):
-    with pytest.raises(DomainError, match="eta must be finite and > 0"):
-        TwoExperts(horizon=None, eta=eta)
-
-
 def test_mw_weights_stay_bounded():
-    m = TwoExperts(horizon=None, eta=0.5)
+    m = TwoExperts(1)
+    m.eta = 0.5
     rng = np.random.default_rng(0)
     for _ in range(5000):
         m.decide(rng.random())

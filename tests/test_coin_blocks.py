@@ -18,8 +18,10 @@ from onlineusm.balance import Balancer, ConstantPolicy, TwoExperts
 from onlineusm.errors import ConfigError
 from onlineusm.framework import run_round, run_usm_game
 from onlineusm.harness import build_balance_adversary, run_balance_game
-from onlineusm.offline import _BLOCK, rand_double_greedy, rand_double_greedy_stats
+from onlineusm.offline import _BLOCK, rand_double_greedy_stats
 from onlineusm.submodular import normalize, random_digraph, tabulate
+
+from references import reference_rand_sweep
 
 
 def cut_oracles(n, seeds):
@@ -132,14 +134,6 @@ def test_run_round_decides_element_i_from_coin_i():
         run_round([ConstantPolicy(0.5) for _ in range(n)], cut_oracles(n, (8,))[0], coins[:-1])
 
 
-def test_sweep_draws_one_coin_per_element():
-    f = cut_oracles(9, (12,))[0]
-    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-    rand_double_greedy(f, rng)
-    twin.random(9)
-    assert rng.random() == twin.random()
-
-
 # trial counts around the block size and around 4096: full and partial last blocks
 @pytest.mark.parametrize("trials", sorted({1, 2, 300, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1,
                                            4095, 4096, 4097, 8193}))
@@ -164,10 +158,10 @@ def test_stats_equal_a_loop_of_sequential_sweeps(trials, monkeypatch):
     assert stream.random() == twin.random()
 
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    runs = [rand_double_greedy(f, rng) for _ in range(trials)]
-    values = np.array([r.value for r in runs])
-    best = max(range(trials), key=lambda k: (runs[k].value, -k))
-    assert got.chosen == runs[best].chosen
-    assert got.value == runs[best].value
+    runs = [reference_rand_sweep(f, rng.random(n)) for _ in range(trials)]
+    values = np.array([value for _, value in runs])
+    best = max(range(trials), key=lambda k: (runs[k][1], -k))
+    assert got.chosen == runs[best][0]
+    assert got.value == runs[best][1]
     assert got.mean == float(values.mean())
     assert got.std == (float(values.std(ddof=1)) if trials > 1 else 0.0)

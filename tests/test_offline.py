@@ -14,7 +14,6 @@ from onlineusm.offline import (
     _walk,
     brute_force_opt,
     det_double_greedy,
-    rand_double_greedy,
     rand_double_greedy_stats,
     uniform_random_value,
 )
@@ -22,7 +21,6 @@ from onlineusm.submodular import (
     VALUE_TOL,
     DirectedGraph,
     SubmodularOracle,
-    full_mask,
     _cut_table,
     normalize,
     tabulate,
@@ -30,7 +28,14 @@ from onlineusm.submodular import (
     verify_submodularity,
 )
 
-from references import mask_of, oracle_from_table, same_bits
+from references import (
+    mask_of,
+    oracle_from_table,
+    reference_coin_rule,
+    reference_rand_sweep,
+    reference_sweep,
+    same_bits,
+)
 
 
 def test_brute_force_single_edge(single_edge_oracle):
@@ -93,9 +98,6 @@ def test_sweep_query_budget(cut_corpus):
         t = tabulate(oracle)
         det_double_greedy(t)
         assert t.queries == 2 * n + 2 <= 4 * n + 2
-        t2 = tabulate(oracle)
-        rand_double_greedy(t2, np.random.default_rng(0))
-        assert t2.queries == 2 * n + 2
         for trials in (1, 7, 300):
             t3 = tabulate(oracle)
             rand_double_greedy_stats(t3, trials, seed=n)
@@ -105,7 +107,7 @@ def test_sweep_query_budget(cut_corpus):
 def test_rand_double_greedy_forced_choices(single_edge_oracle):
     # element 1 is forced yes (only alpha positive), element 2 forced no
     for seed in range(25):
-        res = rand_double_greedy(single_edge_oracle, np.random.default_rng(seed))
+        res = rand_double_greedy_stats(single_edge_oracle, 1, seed)
         assert res.chosen == mask_of([1])
         assert res.value == 1.0
 
@@ -113,13 +115,12 @@ def test_rand_double_greedy_forced_choices(single_edge_oracle):
 def test_rand_double_greedy_tie_is_fair_coin():
     # bidirected pair: alpha = beta = 0.5 for element 1
     oracle = tabulate(normalize(DirectedGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))))
-    rng = np.random.default_rng(7)
-    hits = sum(rand_double_greedy(oracle, rng).chosen & 1 for _ in range(2000))
+    hits = sum(rand_double_greedy_stats(oracle, 1, seed).chosen & 1 for seed in range(2000))
     assert abs(hits / 2000 - 0.5) < 0.06  # ~5 sigma
 
 
 def test_rand_double_greedy_zero_marginals_choose_yes(constant_oracle):
-    res = rand_double_greedy(constant_oracle(4, 0.0), np.random.default_rng(1))
+    res = rand_double_greedy_stats(constant_oracle(4, 0.0), 1, 1)
     assert res.chosen == (1 << 4) - 1
 
 
@@ -163,41 +164,6 @@ def test_uniform_random_value_quarter_of_opt(cut_corpus):
 
 
 # --- the walk against the scalar sweep it replaced ---------------------------
-
-def reference_sweep(f, choose_yes):
-    n = f.n
-    evaluate = f.evaluate
-    x = 0
-    y = full_mask(n)
-    fx = evaluate(x)
-    fy = evaluate(y)
-    for i in range(n):
-        bit = 1 << i
-        fx_add = evaluate(x | bit)
-        fy_del = evaluate(y & ~bit)
-        alpha = fx_add - fx
-        beta = fy_del - fy
-        if choose_yes(alpha, beta):
-            x |= bit
-            fx = fx_add
-        else:
-            y &= ~bit
-            fy = fy_del
-    return x, fx
-
-
-def reference_coin_rule(a: float, b: float, coin: float) -> bool:
-    """The randomized sweep's scalar rule: yes with probability a+ / (a+ + b+)."""
-    ap = a if a > 0.0 else 0.0
-    bp = b if b > 0.0 else 0.0
-    p = 1.0 if ap + bp <= 0.0 else ap / (ap + bp)
-    return coin < p
-
-
-def reference_rand_sweep(f, coins):
-    coin = iter(coins.tolist()).__next__
-    return reference_sweep(f, lambda a, b: reference_coin_rule(a, b, coin()))
-
 
 _weights = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 # a subnormal mixing weight rounds its part to multiples of 2^-1074, which
@@ -336,9 +302,10 @@ def test_rand_walk_is_the_scalar_sweep_on_any_coins(data):
 def test_rand_and_stats_are_the_scalar_sweeps(table, seed, trials):
     n = int(table.size).bit_length() - 1
     walked = oracle_from_table(table)
-    res = rand_double_greedy(walked, np.random.default_rng(seed))
+    res = rand_double_greedy_stats(walked, 1, seed)
     scalar = oracle_from_table(table)
-    want_set, want_value = reference_rand_sweep(scalar, np.random.default_rng(seed).random(n))
+    coins = np.random.default_rng(np.random.SeedSequence([seed])).random(n)
+    want_set, want_value = reference_rand_sweep(scalar, coins)
     assert res.chosen == want_set and same_bits(res.value, want_value)
 
     stats = rand_double_greedy_stats(walked, trials, seed)
@@ -406,7 +373,10 @@ def test_online_round_on_every_family(table, data):
     xs = data.draw(st.lists(st.floats(0.0, s), min_size=n, max_size=n))
     coins = data.draw(_coins(n, 1))[0]
     f, asked = _recording_oracle(table)
-    tr = run_round([Balancer(horizon, x) for x in xs], f, coins)
+    subroutines = [Balancer(horizon) for _ in xs]
+    for b, x in zip(subroutines, xs):
+        b.x = x
+    tr = run_round(subroutines, f, coins)
     assert all(_in_triangle(a, b) for a, b in tr.marginals)
     assert len(asked) == len(set(asked)) == f.queries == tr.queries == 2 * n
     opt = brute_force_opt(oracle_from_table(table)).chosen

@@ -2,10 +2,14 @@
 
 A use is a name read, an attribute access or an imported name in the
 package's own modules, the demos or the benchmark scripts.  A name that
-only the tests use belongs in ``tests/references.py``.
+only the tests use belongs in ``tests/references.py``.  The number of
+exported names may not grow past ``EXPORT_LIMIT``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -17,8 +21,11 @@ ROOT = Path(__file__).resolve().parent.parent
 EXEMPT = {
     "step_invariant_deltas": "the pacing certificate; ROADMAP item 3's run diagnostics give it a caller",
     "write_digraph": "writes the graph file format that read_digraph reads",
-    "rand_double_greedy": "the one-sweep form that rand_double_greedy_stats is pinned to",
 }
+
+#: names a fresh ``import onlineusm`` exports, modules included; it may
+#: only go down
+EXPORT_LIMIT = 58
 
 
 def _sources() -> list[Path]:
@@ -54,3 +61,15 @@ def test_every_exported_name_is_used_outside_its_definition():
 def test_every_exemption_is_exported_and_still_needed():
     assert set(EXEMPT) <= _exported()
     assert not set(EXEMPT) & _used_names()
+
+
+def test_exported_count_stays_within_its_limit():
+    count = subprocess.run(
+        [sys.executable, "-c",
+         "import onlineusm; print(len([n for n in dir(onlineusm) if not n.startswith('_')]))"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert int(count) <= EXPORT_LIMIT, (
+        f"onlineusm exports {int(count)} names, more than {EXPORT_LIMIT}; "
+        "ROADMAP item 8 asks for fewer, so keep new records and helpers in their modules"
+    )

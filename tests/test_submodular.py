@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from onlineusm import submodular
@@ -377,6 +377,15 @@ def test_normalize_rejects_a_total_weight_it_cannot_scale():
     assert normalize(DirectedGraph(2, ((1, 2, 1e-300),))).peek(0b01) == pytest.approx(1.0)
 
 
+# above 2^1022 the reciprocal is subnormal: w * (1 / w) is 1 + 4.4e-16 for
+# 1.75 * 2^1023, and exactly 1 for 1.5 * 2^1022
+@pytest.mark.parametrize("w", [1.75 * 2.0**1023, 1.5 * 2.0**1022], ids=["1.75x2^1023", "1.5x2^1022"])
+def test_normalize_caps_a_huge_single_edge_at_one(w):
+    assert value_table(normalize(DirectedGraph(2, ((1, 2, w),)))).tolist() == [0.0, 1.0, 0.0, 0.0]
+    # the cut-sum path, one vertex past the table limit
+    assert normalize(DirectedGraph(ENUMERATION_LIMIT + 1, ((1, 2, w),))).peek(0b01) == 1.0
+
+
 def reference_cut_table(g, scale):
     """The per-edge integer pass ``_cut_table`` made before the cube view, kept verbatim."""
     masks = np.arange(1 << g.n, dtype=np.int64)
@@ -411,6 +420,15 @@ def digraphs(draw, max_n=12):
 
 def _hex(values):
     return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs())
+def test_normalize_table_is_its_clipped_copy(g):
+    w = g.total_weight
+    assume(w == 0 or math.isfinite(1.0 / w))
+    oracle = normalize(g)
+    assert value_table(oracle).tobytes() == value_table(tabulate(oracle)).tobytes()
 
 
 # Above _ROW_BITS vertices, _cut_table routes the edges whose lower bit
@@ -644,9 +662,9 @@ def test_synth_random_all_verify():
 
 def test_family_validation():
     with pytest.raises(ConfigError):
-        random_digraph(4, 1.5)
+        random_digraph(4, 1.5, (0.0, 1.0), np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        random_digraph(4, 0.5, (0.5, 0.1))
+        random_digraph(4, 0.5, (0.5, 0.1), np.random.default_rng(0))
     with pytest.raises(ConfigError):
         RandomObliviousAdversary(4, 1.5, (0.0, 1.0), seed=0).next_oracle(None)
     with pytest.raises(ConfigError):
