@@ -16,17 +16,20 @@ elements 1..i and Y_i is X_i plus every element after i.  A round's
 record keeps S and derives the chains from it.
 
 A round walks the elements once: after f(empty set) and f(full set) it
-evaluates f(X_{i-1} + i) and f(Y_{i-1} - i) for each element i < n and
+reads f(X_{i-1} + i) and f(Y_{i-1} - i) for each element i < n and
 then advances X and Y.  None of these masks repeats: for i < n,
 X_{i-1} + i lacks element n and Y_{i-1} - i holds it, and neither is
 empty or full.  At element n they do repeat, since Y_{n-1} = X_{n-1} + n:
 its point is (f(Y_{n-1}) - f(X_{n-1}), f(X_{n-1}) - f(Y_{n-1})) from the
 two values the walk already holds.  A round therefore costs exactly 2n
 counted queries, one per distinct mask, inside the 4n + 2 budget; a
-round's ``queries`` is that count.  The game records per-round series
-(reward, best fixed set in hindsight, queries) and the experiment driver
-turns them into alpha-regret; the best fixed set and the replay
-diagnostics use the oracle's uncounted peek path.
+round's ``queries`` is that count.  f(empty set) and f(full set) go
+through the oracle's checked ``evaluate``; the walk's masks are built
+from X and Y inside the ground set, so it reads them unchecked from the
+oracle's function and charges all 2n - 2 with one count.  The game
+records per-round series (reward, best fixed set in hindsight, queries)
+and the experiment driver turns them into alpha-regret; the best fixed
+set and the replay diagnostics use the oracle's uncounted peek path.
 
 Subroutine i decides with one uniform coin per round.  A round takes
 its n coins as an array, coin i for element i; a game draws each
@@ -82,15 +85,17 @@ def run_round(
 ) -> RoundTranscript:
     """One framework round: decide all elements, then feed back marginals.
 
-    Every subroutine decides first (subroutine i with ``coins[i]``).  One
-    walk over elements 1..n-1 then evaluates f(X_{i-1} + i) and
-    f(Y_{i-1} - i), builds element i's marginal point and advances X and
-    Y by decision i.  Element n needs no query: X_{n-1} + n is Y_{n-1}
-    and Y_{n-1} - n is X_{n-1}, whose values the walk holds.  Last, each
-    subroutine, in index order, is fed its point, the same object the
-    transcript keeps.  ``queries`` is the round's own count of
-    ``evaluate`` calls, exactly 2n: f(empty set), f(full set) and two
-    masks per element before n, all distinct.
+    Every subroutine decides first (subroutine i with ``coins[i]``).
+    f(empty set) and f(full set) are two ``evaluate`` calls.  One walk
+    over elements 1..n-1 then reads f(X_{i-1} + i) and f(Y_{i-1} - i)
+    from the oracle's function, builds element i's marginal point and
+    advances X and Y by decision i; the walk's 2n - 2 reads are charged
+    to the oracle with one count after it.  Element n needs no query:
+    X_{n-1} + n is Y_{n-1} and Y_{n-1} - n is X_{n-1}, whose values the
+    walk holds.  Last, each subroutine, in index order, is fed its
+    point, the same object the transcript keeps.  ``queries`` is the
+    round's counted queries, exactly 2n: f(empty set), f(full set) and
+    two masks per element before n, all distinct.
     """
     n = f.n
     if len(subroutines) != n:
@@ -99,11 +104,11 @@ def run_round(
         raise ConfigError(f"need {n} coins, got {len(coins)}")
     decisions = [sub.decide(coin) for sub, coin in zip(subroutines, coins)]
 
-    evaluate = f.evaluate
     x = 0
     y = full_mask(n)
-    fx = evaluate(x)
-    fy = evaluate(y)
+    fx = f.evaluate(x)
+    fy = f.evaluate(y)
+    read = f._fn
     # tuple.__new__ builds the same BalancePoint (and RoundTranscript) as
     # the class call, at half the cost (no Python frame for the generated
     # __new__)
@@ -112,9 +117,9 @@ def run_round(
     bit = 1
     for d in decisions[:-1]:
         x_up = x | bit
-        fx_up = evaluate(x_up)
+        fx_up = read(x_up)
         y_down = y ^ bit
-        fy_down = evaluate(y_down)
+        fy_down = read(y_down)
         marginals.append(record(BalancePoint, (fx_up - fx, fy_down - fy)))
         if d.chose_yes:
             x, fx = x_up, fx_up
@@ -124,6 +129,7 @@ def run_round(
     marginals.append(record(BalancePoint, (fy - fx, fx - fy)))
     if decisions[-1].chose_yes:
         x = y
+    f._charge(2 * n - 2)
 
     for sub, pt in zip(subroutines, marginals):
         sub.update(pt)

@@ -8,11 +8,13 @@ through one walk that runs k sweeps side by side.  A sweep's shrinking
 set Y is always its growing set X plus the elements not yet decided, so
 the walk keeps only X (int64 masks, a length-k array) and derives every
 Y mask from it; f(X) and f(Y) of all k sweeps sit in one 2k buffer, and
-the two marginals of every sweep are read with one counted batch query
-per element.  A randomized walk takes its coins as one (k, n) array,
-equal to k sequential ``random(n)`` draws, and decides each element
-with one compare of its coin column against the yes-probabilities,
-computed in place in the marginal buffer.  Each sweep spends exactly
+the two marginals of every sweep are read with one counted batch read
+per element: its masks are built inside the ground set, so the walk
+reads them through the oracle's unchecked reader, which charges one
+query per mask as ``evaluate_many`` does.  A randomized walk takes its
+coins as one (k, n) array, equal to k sequential ``random(n)`` draws,
+and decides each element with one compare of its coin column against
+the yes-probabilities, computed in place in the marginal buffer.  Each sweep spends exactly
 2n + 2 counted value queries; the enumeration-based operations use the
 uncounted table path.
 """
@@ -60,7 +62,8 @@ def _walk(
     X_j plus the elements not yet decided.  At bit i (element i + 1) the
     two masks it queries are X_j | (1 << i) and Y_j without bit i, which
     is X_j | (full & ~((2 << i) - 1)).  Both halves of one reused 2k mask
-    buffer are filled in place and read with one counted batch query;
+    buffer are filled in place and read with one counted batch read
+    (``_read_many``: these masks need none of ``evaluate_many``'s checks);
     ``choose_yes(i, alpha, beta)`` gets the marginals (k-long views of
     one buffer, which it may overwrite: the walk reads them no more) and
     returns a bool array of where to take the element.  The rules run
@@ -74,13 +77,13 @@ def _walk(
     """
     n = f.n
     full = full_mask(n)
-    evaluate_many = f.evaluate_many
+    read_many = f._read_many
     x = np.zeros(k, dtype=np.int64)
     masks = np.empty(2 * k, dtype=np.int64)
     grown, shrunk = masks[:k], masks[k:]
     grown.fill(0)
     shrunk.fill(full)
-    values = evaluate_many(masks)
+    values = read_many(masks)
     bits = values.view(np.int64)
     # all ones where a query's value replaces the held one: f(X) on yes,
     # f(Y) on no
@@ -93,7 +96,7 @@ def _walk(
             bit = 1 << i
             np.bitwise_or(x, bit, out=grown)
             np.bitwise_or(x, full & ~((2 << i) - 1), out=shrunk)
-            queried = evaluate_many(masks)
+            queried = read_many(masks)
             np.subtract(queried, values, out=marginals)
             np.copyto(keep_x, choose_yes(i, alpha, beta))
             np.negative(keep_x, out=keep_x)

@@ -7,9 +7,10 @@ algebra O(1) for the desk scales this package targets (n <= 30 for
 anything that enumerates, n <= 20 for full value tables).
 
 Oracles map subsets into [0, 1], are deterministic, and count every
-``evaluate`` call; the online algorithms are budgeted against that
-counter.  Metrics and diagnostics that are not part of an algorithm's
-query budget go through :meth:`SubmodularOracle.peek` instead.
+value an algorithm reads; the online algorithms are budgeted against
+that counter.  Metrics and diagnostics that are not part of an
+algorithm's query budget go through :meth:`SubmodularOracle.peek`
+instead.
 """
 
 from __future__ import annotations
@@ -106,15 +107,20 @@ def directed_cut_value(g: DirectedGraph, s: Mask) -> float:
 class SubmodularOracle:
     """Value-oracle access to a set function on {1, ..., n} with query accounting.
 
-    The oracle never caches: every :meth:`evaluate` call counts one
-    query, and callers that want per-round memoization do it on their
-    side.  Counting is exact when threads share an oracle, and
-    :meth:`evaluate` takes no lock:
+    The oracle never caches: every value it answers through
+    :meth:`evaluate` or :meth:`evaluate_many` counts one query, and callers
+    that want per-round memoization do it on their side.  Counting is
+    exact when threads share an oracle, and :meth:`evaluate` takes no lock:
 
     * :meth:`evaluate` takes one tick of an ``itertools.count``: a single
       ``next()`` call, which runs in C and so is atomic under the GIL;
-    * :meth:`evaluate_many` adds its batch size to a separate total under
-      the lock;
+    * every other count goes through ``_charge``, which adds to a separate
+      total under the lock.  :meth:`evaluate_many` checks its masks and
+      hands them to ``_read_many``, which charges their number and reads
+      them; the package's own walks, whose masks lie inside the ground
+      set by construction, call ``_read_many`` directly (the offline
+      sweep), or read ``fn`` and charge the round's reads at once
+      (:func:`~onlineusm.framework.run_round`);
     * :attr:`queries` reads under the lock.  Reading the tick counter
       takes a tick too, so it subtracts the reads made before it, which
       the lock keeps in step with the ticks the reads took.
@@ -185,8 +191,16 @@ class SubmodularOracle:
         seen = np.bitwise_or.reduce(masks)
         if seen < 0 or seen > self._full:
             raise InvalidSubsetError(f"a subset in the batch lies outside ground set of size {self.n}")
+        return self._read_many(masks)
+
+    def _charge(self, count: int) -> None:
+        """Count ``count`` queries at once, under the lock."""
         with self._lock:
-            self._batched += masks.size
+            self._batched += count
+
+    def _read_many(self, masks: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate_many` without its checks, for masks built inside the ground set."""
+        self._charge(masks.size)
         if self._values is not None:
             return self._values.take(masks)
         return np.fromiter(map(self._fn, masks.tolist()), float, masks.size)

@@ -16,6 +16,7 @@ from onlineusm.balance import (
     ConstantPolicy,
     Ledger,
     TwoExperts,
+    _in_triangle,
     decompose,
     potentials,
     step_invariant_deltas,
@@ -119,6 +120,34 @@ def test_decompose_and_balancer_update_share_the_triangle_gate(base, da, db):
         c_up, c_right, c_left = decompose(pt)
         assert min(c_up, c_right, c_left) >= 0.0
         assert c_up + c_right + c_left == pytest.approx(1.0, abs=1e-12)
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -1.0, 0.5, -0.5, 1.0 + TRIANGLE_TOL]
+
+
+@pytest.mark.parametrize("a", _SPECIAL)
+@pytest.mark.parametrize("b", _SPECIAL)
+def test_nan_inf_and_negative_zero_meet_one_gate(a, b):
+    """``_in_triangle``, ``decompose`` and the chain ``Balancer.update`` spells
+    inline accept the same points: no nan or infinite coordinate, and -0.0
+    as 0.0."""
+    pt = BalancePoint(a, b)
+    gate = _in_triangle(a, b)
+    assert _accepts(lambda: decompose(pt)) == gate
+    balancer = Balancer(100)
+    assert _accepts(lambda: balancer.update(pt)) == gate
+    finite = math.isfinite(a) and math.isfinite(b)
+    assert gate == (finite and abs(a) <= 1.0 + TRIANGLE_TOL and abs(b) <= 1.0 + TRIANGLE_TOL
+                    and a + b >= -2 * TRIANGLE_TOL)
+    if gate:
+        # a zero of either sign weighs and moves the state as 0.0 does
+        plain = BalancePoint(a + 0.0, b + 0.0)
+        assert decompose(pt) == decompose(plain)
+        reference = Balancer(100)
+        reference.update(plain)
+        assert balancer.x == reference.x
+    else:
+        assert balancer.x == 5.0  # a rejected point leaves the state as it was
 
 
 # --- balancer ------------------------------------------------------------

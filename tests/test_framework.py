@@ -149,7 +149,8 @@ def test_run_round_no_cross_round_caching():
 
 
 def recording_oracle(n, seed):
-    """A table-backed cut oracle whose ``evaluate`` calls append their masks to a list."""
+    """A cut oracle whose function appends each mask it answers to a list, for
+    ``evaluate`` calls and the round's unchecked reads alike."""
     table = value_table(random_cut_oracle(n, seed))
     calls = []
 

@@ -143,3 +143,89 @@ def test_more_failed_operations_clear_the_gain():
     out = paired_bench.summarize(pairs, METRICS, "goodput")
     assert out["change_failed_frac"] > out["parent_failed_frac"] == 0.0
     assert not out["claim"]["gain"] and not out["passed"]
+
+
+# --- suite mode -------------------------------------------------------------
+
+#: ``pytest -q --durations=0`` output of a run with one failure and one error
+FAILING_RUN = """\
+.FsE.....                                                                [100%]
+==================================== ERRORS ====================================
+___________________________ ERROR at setup of test_d ___________________________
+E   RuntimeError
+=================================== FAILURES ===================================
+____________________________________ test_b ____________________________________
+E   assert 0
+============================== slowest durations ===============================
+18.30s setup    tests/test_acceptance.py::test_3
+15.80s setup    tests/test_acceptance.py::test_4
+10.70s call     tests/test_acceptance.py::test_2_balancer_regret_bound
+3.40s call     tests/test_demos.py::test_demo_exits_zero[balance pacing.py]
+2.30s call     tests/test_submodular.py::test_cut_table
+2.00s call     tests/a.py::t1
+1.00s teardown tests/a.py::t2
+0.90s call     tests/a.py::t3
+0.80s call     tests/a.py::t4
+0.70s call     tests/a.py::t5
+0.60s call     tests/a.py::t6
+0.01s call     tests/a.py::t7
+
+(13 durations < 0.005s hidden.  Use -vv to show these durations.)
+=========================== short test summary info ============================
+FAILED tests/test_x.py::test_b[a - b] - assert 0
+ERROR tests/test_x.py::test_d - RuntimeError
+1 failed, 6 passed, 1 skipped, 1 error in 76.12s (0:01:16)
+"""
+
+
+def test_suite_output_gives_counts_failed_ids_and_the_ten_slowest():
+    out = paired_bench.parse_suite_output(FAILING_RUN)
+    assert out["passed"] == 6
+    assert out["failed"] == 2  # the error counts as failed
+    assert out["failed_tests"] == ["tests/test_x.py::test_b[a - b]", "tests/test_x.py::test_d"]
+    assert len(out["slowest"]) == paired_bench.SLOWEST == 10
+    assert out["slowest"][0] == [18.3, "setup", "tests/test_acceptance.py::test_3"]
+    assert out["slowest"][3][2] == "tests/test_demos.py::test_demo_exits_zero[balance pacing.py]"
+    assert out["slowest"][-1] == [0.7, "call", "tests/a.py::t5"]
+    # quartiles of 18.3, 15.8, 10.7, 3.4, 2.3, 2.0, 1.0, 0.9, 0.8, 0.7
+    assert out["slowest_quartiles"] == pytest.approx({"q1": 0.925, "median": 2.15, "q3": 8.875})
+
+
+def test_a_passing_summary_line_and_its_plural_forms():
+    out = paired_bench.parse_suite_output("....\n465 passed, 2 warnings, 3 errors in 76.12s (0:01:16)\n")
+    assert out["passed"] == 465 and out["failed"] == 3 and out["failed_tests"] == []
+    assert out["slowest"] == [] and out["slowest_quartiles"] is None
+    assert paired_bench.parse_suite_output("465 passed in 9.5s\n")["failed"] == 0
+
+
+def test_output_without_a_summary_line_is_an_error():
+    with pytest.raises(ValueError):
+        paired_bench.parse_suite_output("ImportError while loading conftest\n")
+
+
+def suite_run(wall, failed=0):
+    return {"wall_s": wall, "passed": 465 - failed, "failed": failed,
+            "failed_tests": [f"tests/t.py::test_{i}" for i in range(failed)],
+            "slowest": [], "slowest_quartiles": None}
+
+
+def test_the_suite_verdict_judges_wall_time():
+    pairs = [{"parent": suite_run(100.0 + i), "change": suite_run(60.0 + i)} for i in range(10)]
+    out = paired_bench.summarize_suite(pairs, "wall_s")
+    assert out["claim"]["gain"] and out["passed"]
+    assert out["metrics"]["wall_s"]["relative_gain"] == pytest.approx(40.0 / 104.5)
+    # slower by more than SUITE_BOUND is a regression
+    pairs = [{"parent": suite_run(100.0), "change": suite_run(130.0)} for _ in range(3)]
+    out = paired_bench.summarize_suite(pairs, None)
+    assert out["regressions"] == ["wall_s"] and not out["passed"]
+
+
+@pytest.mark.parametrize("side", paired_bench.SIDES)
+def test_a_failed_test_on_either_side_fails_the_suite_verdict(side):
+    pairs = [{"parent": suite_run(100.0 + i), "change": suite_run(60.0 + i)} for i in range(10)]
+    assert paired_bench.summarize_suite(pairs, "wall_s")["passed"]
+    pairs[6][side] = suite_run(pairs[6][side]["wall_s"], failed=1)
+    out = paired_bench.summarize_suite(pairs, "wall_s")
+    assert out[f"{side}_failed_tests"] == ["tests/t.py::test_0"]
+    assert out[f"{side}_runs"][6]["failed"] == 1
+    assert not out["claim"]["gain"] and not out["passed"]

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from onlineusm import submodular
 from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
+from onlineusm.balance import Balancer
 from onlineusm.errors import (
     ConfigError,
     InvalidInstanceError,
     InvalidSubsetError,
     SizeError,
 )
+from onlineusm.framework import run_round
 from onlineusm.submodular import (
     ENUMERATION_LIMIT,
     DirectedGraph,
@@ -158,9 +160,12 @@ def test_counter_thread_safe(single_edge_oracle):
 
 
 def test_counter_exact_with_concurrent_readers(single_edge_oracle):
+    """Scalar, checked and unchecked batch reads and whole rounds (2n = 4
+    queries each, 2 of them one bulk charge) share one oracle while readers
+    poll its count: every reader sees it rise, and the total is exact."""
     f = single_edge_oracle
     batch = np.array([0b01, 0b10, 0b11], dtype=np.int64)
-    scalar_threads, batch_threads, calls = 4, 3, 1000
+    scalar_threads, batch_threads, unchecked_threads, round_threads, calls = 4, 3, 2, 2, 1000
     seen = []
     done = threading.Event()
 
@@ -171,6 +176,15 @@ def test_counter_exact_with_concurrent_readers(single_edge_oracle):
     def hammer_many():
         for _ in range(calls):
             f.evaluate_many(batch)
+
+    def hammer_unchecked():
+        for _ in range(calls):
+            f._read_many(batch)
+
+    def play_rounds():
+        subroutines = [Balancer(calls), Balancer(calls)]
+        for t in range(calls):
+            assert run_round(subroutines, f, [0.3, 0.7], t=t + 1).queries == 4
 
     def read():
         values = []
@@ -185,6 +199,8 @@ def test_counter_exact_with_concurrent_readers(single_edge_oracle):
         readers = [threading.Thread(target=read) for _ in range(3)]
         writers = [threading.Thread(target=hammer) for _ in range(scalar_threads)]
         writers += [threading.Thread(target=hammer_many) for _ in range(batch_threads)]
+        writers += [threading.Thread(target=hammer_unchecked) for _ in range(unchecked_threads)]
+        writers += [threading.Thread(target=play_rounds) for _ in range(round_threads)]
         for t in readers + writers:
             t.start()
         for t in writers:
@@ -196,12 +212,28 @@ def test_counter_exact_with_concurrent_readers(single_edge_oracle):
         done.set()
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in readers + writers)
-    total = scalar_threads * calls + batch_threads * calls * batch.size
+    total = (scalar_threads + (batch_threads + unchecked_threads) * batch.size + round_threads * 4) * calls
     assert len(seen) == 3
     for values in seen:
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] == total
     assert f.queries == total
+
+
+def test_a_bulk_charge_waits_for_the_oracle_lock(single_edge_oracle):
+    """The count rests on the GIL, under which an unlocked ``+=`` is seldom
+    torn; a build without it needs ``_charge`` to hold the lock, so that is
+    pinned directly: a charge made while the lock is held lands after it."""
+    f = single_edge_oracle
+    with f._lock:
+        charger = threading.Thread(target=f._charge, args=(5,))
+        charger.start()
+        charger.join(timeout=0.2)
+        assert charger.is_alive()
+        assert f._batched == 0
+    charger.join(timeout=60)
+    assert not charger.is_alive()
+    assert f.queries == 5
 
 
 def _backed_oracles(n, seed):

@@ -2,6 +2,8 @@
 
     python3 tools/paired_bench.py --parent d3a6069 --change HEAD \\
         --workload offline-n16 --seed 1 --pairs 10 --out BENCH_tag.json
+    python3 tools/paired_bench.py --parent d3a6069 --change HEAD \\
+        --suite --pairs 3 --out BENCH_tag.json
 
 Run it from the root of a git checkout.  It extracts both revisions with
 ``git archive`` into two sibling directories whose paths have the same
@@ -27,6 +29,15 @@ failed share and, when a gain is claimed, the gain.
 already holds runs of the same two revisions keeps them, except those of
 the same workload and seed, so several workloads and seeds share one file.
 
+``--suite`` times the tier-1 test suite instead of a workload: each copy
+runs ``python3 -m pytest -q --continue-on-collection-errors -p
+no:cacheprovider --durations=0`` with ``src`` on ``PYTHONPATH``, in the same
+alternation.  Each run records its wall time, its passed and failed counts
+(errors count as failed), the ids the short summary names, and the ten
+slowest durations (setup, call and teardown apart) with their q1, median
+and q3.  The verdict judges the wall time as above, against ``SUITE_BOUND``,
+and fails when any run on either side has a failed test.
+
 Any tree-ish names a revision, so an uncommitted change can be measured
 as the tree of its index (``git write-tree`` after ``git add -A``).  Each
 side's provenance records the tree ids of ``src`` and ``perfbench``, the
@@ -41,6 +52,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -57,6 +70,15 @@ MIN_PAIRS = 10
 #: the directories each copy's benchmark runs are built from
 BUILT_FROM = ("src", "perfbench")
 SIDES = ("parent", "change")
+#: the tier-1 command of ``--suite``, run from the root of each copy
+SUITE_COMMAND = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+                 "--durations=0")
+#: relative worsening of the suite's wall time the verdict allows: the
+#: bound ``BENCHMARK.json`` gives its timed metrics
+SUITE_BOUND = 0.25
+SUITE_METRICS = {"wall_s": {"better": "lower", "bound": SUITE_BOUND}}
+#: durations whose quartiles a suite run records, the largest first
+SLOWEST = 10
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -150,15 +172,18 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     return record
 
 
-def measure(copies: dict[str, Path], workload: str, seed: int, seconds: float, pairs: int) -> list[dict]:
-    """``pairs`` alternating pairs; pair i runs the parent first when i is even."""
+def measure(copies: dict[str, Path], pairs: int, run, show) -> list[dict]:
+    """``pairs`` alternating pairs of ``run(copy)``; pair i runs the parent first when i is even.
+
+    ``show(record)`` is how a run is printed in the pair's progress line.
+    """
     runs = []
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {side: run_once(copies[side], workload, seed, seconds) for side in order}
+        pair = {side: run(copies[side]) for side in order}
         runs.append(pair)
-        values = "  ".join(f"{side} {pair[side]['metrics']['goodput']['value']:.6g}" for side in SIDES)
-        print(f"pair {i + 1}/{pairs} ({order[0]} first): goodput {values}", flush=True)
+        values = "  ".join(f"{side} {show(pair[side])}" for side in SIDES)
+        print(f"pair {i + 1}/{pairs} ({order[0]} first): {values}", flush=True)
     return runs
 
 
@@ -176,6 +201,97 @@ def summarize(runs: list[dict], metrics: dict[str, dict], claim: str | None) -> 
         if "claim" in result:
             result["claim"]["gain"] = False
     return result
+
+
+_COUNT = re.compile(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed|deselected|warnings?)\b")
+_DURATION = re.compile(r"^(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S.*)$")
+# a test id, whose parameters in brackets may hold spaces, then " - " and the message
+_NAMED = re.compile(r"^(FAILED|ERROR) ([^\s\[]+(?:\[.*?\](?= - |$))?)")
+
+
+def parse_suite_output(text: str) -> dict:
+    """Counts and slowest durations of one ``pytest -q --durations=0`` run.
+
+    ``failed`` adds the errors to the failed tests; ``failed_tests`` lists
+    the ids of the short summary's ``FAILED`` and ``ERROR`` lines.
+    ``slowest`` holds the ``SLOWEST`` largest durations as ``[seconds,
+    phase, id]``, and ``slowest_quartiles`` their q1, median and q3.  Text
+    without a summary line (``... in 76.12s``) raises ``ValueError``.
+    """
+    summary = None
+    durations, named = [], []
+    for line in text.splitlines():
+        if m := _DURATION.match(line):
+            durations.append([float(m[1]), m[2], m[3]])
+        elif m := _NAMED.match(line):
+            named.append(m[2])
+        elif re.search(r" in \d+(?:\.\d+)?s\b", line) and _COUNT.search(line):
+            summary = line
+    if summary is None:
+        raise ValueError("no pytest summary line in the output")
+    # "errors" and "warnings" to their singular; no other word ends in "s"
+    counts = {word.rstrip("s"): int(number) for number, word in _COUNT.findall(summary)}
+    durations.sort(key=lambda d: d[0], reverse=True)
+    slowest = durations[:SLOWEST]
+    return {
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0) + counts.get("error", 0),
+        "failed_tests": named,
+        "slowest": slowest,
+        "slowest_quartiles": quartiles([d[0] for d in slowest]) if slowest else None,
+    }
+
+
+def run_suite_once(copy: Path) -> dict:
+    """One tier-1 run in ``copy``: its wall time plus :func:`parse_suite_output`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    cmd = [sys.executable, *SUITE_COMMAND]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    # pytest exits 1 when a test failed; anything above means it did not run the suite
+    if proc.returncode > 1:
+        raise RuntimeError(f"{' '.join(cmd)} in {copy} exited {proc.returncode}:\n{proc.stdout[-2000:]}")
+    return {"wall_s": wall, **parse_suite_output(proc.stdout)}
+
+
+def summarize_suite(runs: list[dict], claim: str | None) -> dict:
+    """The verdict on the suite's wall time, failed unless every run of both sides failed no test."""
+    series = {side: {"wall_s": [r[side]["wall_s"] for r in runs]} for side in SIDES}
+    result = verdict(series["parent"], series["change"], SUITE_METRICS, claim)
+    for side in SIDES:
+        result[f"{side}_failed_tests"] = sorted({t for r in runs for t in r[side]["failed_tests"]})
+        result[f"{side}_values"] = series[side]
+        result[f"{side}_runs"] = [r[side] for r in runs]
+    if any(r[side]["failed"] for r in runs for side in SIDES):
+        result["passed"] = False
+        if "claim" in result:
+            result["claim"]["gain"] = False
+    return result
+
+
+def print_suite_summary(result: dict) -> None:
+    print("== tier-1 suite")
+    m = result["metrics"]["wall_s"]
+    for side in SIDES:
+        q = m[side]
+        failed = sum(r["failed"] for r in result[f"{side}_runs"])
+        print(f"  wall_s  {side:7s} q1 {q['q1']:.4g}  median {q['median']:.4g}  q3 {q['q3']:.4g}, "
+              f"passed {sorted({r['passed'] for r in result[f'{side}_runs']})}, failed {failed}")
+        for test in result[f"{side}_failed_tests"]:
+            print(f"    failed: {test}")
+    print(f"  wall_s change {m['relative_gain']:+.2%} (better is positive; bound {m['bound']:.0%}), "
+          f"won {m['pairs_won']} of {m['pairs']} pairs: {m['status']}")
+    print(f"  verdict: {'passed' if result['passed'] else 'failed'}")
+
+
+def host_of(copy: Path) -> dict:
+    """The host fields of the provenance the benchmark in ``copy`` records."""
+    code = ("import json, sys; sys.path.insert(0, 'perfbench'); import run; "
+            "print(json.dumps(run.provenance(0)))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=copy, check=True, capture_output=True, text=True)
+    return {k: v for k, v in json.loads(out.stdout).items() if k not in ("git_commit", "seed")}
 
 
 def print_summary(workload: str, seed: int, result: dict) -> None:
@@ -208,7 +324,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="tree-ish of the parent revision")
     parser.add_argument("--change", required=True, help="tree-ish of the change")
-    parser.add_argument("--workload", required=True)
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload")
+    what.add_argument("--suite", action="store_true", help="time the tier-1 test suite")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--claim", default=None, help="end-to-end metric a gain is claimed on")
@@ -217,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads(Path("BENCHMARK.json").read_text())
-    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    metrics = SUITE_METRICS if args.suite else {m["name"]: m for m in bench["end_to_end"]}
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim must be one of {sorted(metrics)}")
     seconds = bench["run_seconds"]
@@ -229,22 +347,28 @@ def main(argv=None) -> int:
         parser.error(f"{out} holds runs of other revisions")
 
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    runs = measure(copies, args.workload, args.seed, seconds, args.pairs)
-    result = summarize(runs, metrics, args.claim)
-    print_summary(args.workload, args.seed, result)
-    if out is not None:
-        header = {
-            "tool": "tools/paired_bench.py",
-            "revisions": revisions,
-            "host": {k: v for k, v in runs[0]["change"]["provenance"].items() if k not in ("git_commit", "seed")},
-        }
+    if args.suite:
+        runs = measure(copies, args.pairs, run_suite_once,
+                       lambda r: f"{r['wall_s']:.1f} s, {r['passed']} passed, {r['failed']} failed")
+        result = summarize_suite(runs, args.claim)
+        print_suite_summary(result)
+        host = host_of(copies["change"])
+        entry = {"workload": "tier-1", "seed": None, "pairs": args.pairs, "started_utc": started,
+                 "command": "PYTHONPATH=src python3 " + " ".join(SUITE_COMMAND), **result}
+    else:
+        runs = measure(copies, args.pairs, lambda copy: run_once(copy, args.workload, args.seed, seconds),
+                       lambda r: f"goodput {r['metrics']['goodput']['value']:.6g}")
+        result = summarize(runs, metrics, args.claim)
+        print_summary(args.workload, args.seed, result)
+        host = {k: v for k, v in runs[0]["change"]["provenance"].items() if k not in ("git_commit", "seed")}
         entry = {
             "workload": args.workload, "seed": args.seed, "run_seconds": seconds, "pairs": args.pairs,
             "started_utc": started, "command": f"perfbench/run.py --workload {args.workload} "
                                                f"--seed {args.seed} --seconds {seconds:g}",
             **result,
         }
-        write_out(out, header, entry)
+    if out is not None:
+        write_out(out, {"tool": "tools/paired_bench.py", "revisions": revisions, "host": host}, entry)
     return 0 if result["passed"] else 1
 
 
