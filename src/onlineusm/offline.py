@@ -3,20 +3,27 @@
 The approximation ladder these realize on nonnegative submodular
 functions: a uniform random subset earns at least 1/4 of the optimum in
 expectation, the deterministic double-greedy sweep at least 1/3, and
-the randomized sweep at least 1/2 in expectation.  Both sweeps go
-through one walk that runs k sweeps side by side.  A sweep's shrinking
-set Y is always its growing set X plus the elements not yet decided, so
-the walk keeps only X (int64 masks, a length-k array) and derives every
-Y mask from it; f(X) and f(Y) of all k sweeps sit in one 2k buffer, and
-the two marginals of every sweep are read with one counted batch read
-per element: its masks are built inside the ground set, so the walk
-reads them through the oracle's unchecked reader, which charges one
-query per mask as ``evaluate_many`` does.  A randomized walk takes its
-coins as one (k, n) array, equal to k sequential ``random(n)`` draws,
-and decides each element with one compare of its coin column against
-the yes-probabilities, computed in place in the marginal buffer.  Each sweep spends exactly
-2n + 2 counted value queries; the enumeration-based operations use the
-uncounted table path.
+the randomized sweep at least 1/2 in expectation.
+
+Both sweeps run through one walk over the prefix tree of the value
+table t.  A sweep's choice at element i + 1 depends only on its prefix,
+the set X < 2^i it has grown from elements 1..i; its shrinking set is
+then Y = X + hi with hi = 2^n - 2^i.  Node 2^i | X of the tree is that
+prefix at element i + 1, and its marginals are
+alpha = t[X + 2^i] - t[X] and beta = t[X + hi - 2^i] - t[X + hi]: over
+all 2^i nodes of level i, two contiguous slice subtractions.  On levels
+with 2^i <= the number of sweeps, the walk computes the rule's node
+value (the yes-probability, or alpha >= beta) once per node, and each
+sweep-step is one ``take`` at the sweeps' prefixes; a deeper level
+gathers each sweep's own four values instead, so a few sweeps at large
+n build no 2^n-entry node table.  The values are the very doubles the
+sweep would have queried, under the same IEEE operations, so each sweep
+ends where the scalar sweep with one counted query per mask ends.  Each
+sweep is charged its 2n + 2 queries, one charge per block of sweeps;
+the table itself is read uncounted, so n > ENUMERATION_LIMIT raises
+:class:`SizeError` before anything is charged.  Where both positive
+marginals are zero, the yes-probability is 0/0 = nan, which no coin is
+>= of: such an element is taken.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .submodular import SubmodularOracle, full_mask, value_table
+from .submodular import SubmodularOracle, value_table
 
 
 @dataclass(frozen=True)
@@ -48,99 +55,79 @@ def brute_force_opt(f: SubmodularOracle) -> OfflineResult:
     return OfflineResult(chosen=idx, value=float(table[idx]))
 
 
-#: sweeps that :func:`rand_double_greedy_stats` walks side by side; its
-#: coins come as one (block, n) array per block
+#: sweeps that :func:`_sweep` walks side by side; a randomized block
+#: draws its coins as one (block, n) array
 _BLOCK = 3072
 
 
-def _walk(
-    f: SubmodularOracle, k: int, choose_yes: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk k double-greedy sweeps side by side; return their sets and values.
+def _marginals(t: np.ndarray, i: int, x: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta at element i + 1: at every prefix X < 2^i by default,
+    else at the prefixes ``x``; fresh arrays either way."""
+    lo, top = 1 << i, t.size
+    if x is None:
+        return t[lo:2 * lo] - t[:lo], t[top - 2 * lo:top - lo] - t[top - lo:]
+    v = t.take(np.add.outer((lo, 0, top - 2 * lo, top - lo), x))
+    return v[0] - v[1], v[2] - v[3]
 
-    Sweep j keeps only X_j, grown from the empty set; its Y_j is always
-    X_j plus the elements not yet decided.  At bit i (element i + 1) the
-    two masks it queries are X_j | (1 << i) and Y_j without bit i, which
-    is X_j | (full & ~((2 << i) - 1)).  Both halves of one reused 2k mask
-    buffer are filled in place and read with one counted batch read
-    (``_read_many``: these masks need none of ``evaluate_many``'s checks);
-    ``choose_yes(i, alpha, beta)`` gets the marginals (k-long views of
-    one buffer, which it may overwrite: the walk reads them no more) and
-    returns a bool array of where to take the element.  The rules run
-    inside one ``np.errstate(invalid="ignore")`` that the walk enters
-    once, so a rule may divide 0 by 0 without a warning.  A yes makes the
-    queried f(X_j + i) the new f(X_j) and sets bit i of X_j; a no makes
-    the queried f(Y_j - i) the new f(Y_j).  The 2k buffer of f(X) then
-    f(Y) takes these by selecting bit patterns through an int64 view, so
-    every value it holds is the very double that was queried.  Each
-    sweep spends 2n + 2 counted queries.
+
+def _yes_probability(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The randomized rule's a+ / (a+ + b+) per marginal pair, written over ``a``.
+
+    ``b`` is overwritten too.  A sweep says yes where ``~(coin >= p)``:
+    a nan p, from 0/0 where both positive parts are zero, forces yes,
+    and the caller keeps that division silent with
+    ``np.errstate(invalid="ignore")``.  A positive part may be -0.0; its
+    probability is then -0.0 or nan, which decides exactly as 0.0 would.
+    ``np.fmax`` takes a nan marginal's positive part as 0.0, as the
+    scalar rule does.
     """
+    np.fmax(a, 0.0, out=a)
+    np.fmax(b, 0.0, out=b)
+    b += a
+    a /= b
+    return a
+
+
+def _sweep(
+    f: SubmodularOracle,
+    trials: int,
+    rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    coins: Callable[[int], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk ``trials`` sweeps over the prefix tree; return their sets and values.
+
+    ``rule(alpha, beta)`` gives each node's value, which it may compute
+    in place.  Without ``coins`` that value is whether to take the
+    element; with it, ``coins(k)`` gives a block of k sweeps its (k, n)
+    coins and sweep j takes element i + 1 where
+    ``~(coins[j, i] >= value)``.  Node values are computed once, for the
+    levels with 2^i <= ``trials``, and shared by every block.
+    """
+    t = value_table(f)
     n = f.n
-    full = full_mask(n)
-    read_many = f._read_many
-    x = np.zeros(k, dtype=np.int64)
-    masks = np.empty(2 * k, dtype=np.int64)
-    grown, shrunk = masks[:k], masks[k:]
-    grown.fill(0)
-    shrunk.fill(full)
-    values = read_many(masks)
-    bits = values.view(np.int64)
-    # all ones where a query's value replaces the held one: f(X) on yes,
-    # f(Y) on no
-    keep = np.empty(2 * k, dtype=np.int64)
-    keep_x, keep_y = keep[:k], keep[k:]
-    marginals = np.empty(2 * k)
-    alpha, beta = marginals[:k], marginals[k:]
+    depth = min(n, trials.bit_length())
+    x = np.zeros(trials, dtype=np.int64)
     with np.errstate(invalid="ignore"):
-        for i in range(n):
-            bit = 1 << i
-            np.bitwise_or(x, bit, out=grown)
-            np.bitwise_or(x, full & ~((2 << i) - 1), out=shrunk)
-            queried = read_many(masks)
-            np.subtract(queried, values, out=marginals)
-            np.copyto(keep_x, choose_yes(i, alpha, beta))
-            np.negative(keep_x, out=keep_x)
-            np.invert(keep_x, out=keep_y)
-            # queried is a fresh array, so its bits can hold the selection
-            new_bits = queried.view(np.int64)
-            np.bitwise_xor(new_bits, bits, out=new_bits)
-            new_bits &= keep
-            bits ^= new_bits
-            keep_x &= bit
-            x |= keep_x
-    return x, values[:k]
+        nodes = [rule(*_marginals(t, i)) for i in range(depth)]
+        for start in range(0, trials, _BLOCK):
+            block = x[start:start + _BLOCK]
+            drawn = None if coins is None else coins(block.size)
+            f._charge(block.size * (2 * n + 2))
+            for i in range(n):
+                value = nodes[i].take(block) if i < depth else rule(*_marginals(t, i, block))
+                yes = value if drawn is None else ~(drawn[:, i] >= value)
+                block |= yes << i
+    return x, t.take(x)
 
 
 def det_double_greedy(f: SubmodularOracle) -> OfflineResult:
-    """Greedy sweep keeping the larger marginal; ties choose yes."""
-    x, fx = _walk(f, 1, lambda i, a, b: a >= b)
-    return OfflineResult(chosen=int(x[0]), value=float(fx[0]))
+    """Greedy sweep keeping the larger marginal; ties choose yes.
 
-
-def _coin_rule(coins: np.ndarray) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
-    """Yes with probability a+ / (a+ + b+), sweep j deciding i with ``coins[j, i]``.
-
-    The rule overwrites the marginals it gets (a becomes the
-    probability p, b the total a+ + b+) and takes no where the coin is
-    >= p, so yes is ``~(coins[:, i] >= p)``: one compare.  Where both
-    positive parts are zero, p is 0/0 = nan, which no coin is >= of, so
-    yes is forced there.  :func:`_walk` runs the rule inside
-    ``np.errstate(invalid="ignore")``, which keeps that 0/0 silent; a
-    caller outside the walk enters it too.  A positive part may be
-    -0.0; its probability is then -0.0 or nan, which decides exactly as
-    0.0 would.  ``np.fmax`` takes a nan marginal's positive part as
-    0.0, as the scalar rule does.
+    It reads the oracle's value table, so n > ENUMERATION_LIMIT raises
+    :class:`SizeError` with no query charged; it charges 2n + 2.
     """
-
-    def choose(i: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        np.fmax(a, 0.0, out=a)
-        np.fmax(b, 0.0, out=b)
-        b += a
-        a /= b
-        no = coins[:, i] >= a
-        return np.invert(no, out=no)
-
-    return choose
+    x, fx = _sweep(f, 1, np.greater_equal)
+    return OfflineResult(chosen=int(x[0]), value=float(fx[0]))
 
 
 def rand_double_greedy_stats(f: SubmodularOracle, trials: int, seed: int) -> OfflineResult:
@@ -150,27 +137,20 @@ def rand_double_greedy_stats(f: SubmodularOracle, trials: int, seed: int) -> Off
     of k sweeps draws its coins as one ``rng.random((k, n))`` array, the
     same values as k sequential ``random(n)`` draws, row j for sweep j,
     so the results are those of ``trials`` sequential sweeps on one
-    Generator, coin i for element i (:func:`_coin_rule`).  Each sweep
-    spends 2n + 2 counted queries; the best run is the first with the
-    largest value.
+    Generator, coin i for element i (:func:`_yes_probability`).  Each
+    sweep is charged 2n + 2 queries; the best run is the first with the
+    largest value.  The sweeps read the oracle's value table, so
+    n > ENUMERATION_LIMIT raises :class:`SizeError` with no query charged.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     n = f.n
-    value = np.empty(trials)
-    # each block's first best set: the first best sweep overall is the
-    # first best of the block that holds it
-    block_best = []
-    for start in range(0, trials, _BLOCK):
-        stop = min(start + _BLOCK, trials)
-        x, fx = _walk(f, stop - start, _coin_rule(rng.random((stop - start, n))))
-        value[start:stop] = fx
-        block_best.append(int(x[np.argmax(fx)]))
+    x, value = _sweep(f, trials, _yes_probability, lambda k: rng.random((k, n)))
     best = int(np.argmax(value))
     std = float(value.std(ddof=1)) if trials > 1 else 0.0
     return OfflineResult(
-        chosen=block_best[best // _BLOCK],
+        chosen=int(x[best]),
         value=float(value[best]),
         trials=trials,
         mean=float(value.mean()),

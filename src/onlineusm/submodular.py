@@ -117,10 +117,10 @@ class SubmodularOracle:
     * every other count goes through ``_charge``, which adds to a separate
       total under the lock.  :meth:`evaluate_many` checks its masks and
       hands them to ``_read_many``, which charges their number and reads
-      them; the package's own walks, whose masks lie inside the ground
-      set by construction, call ``_read_many`` directly (the offline
-      sweep), or read ``fn`` and charge the round's reads at once
-      (:func:`~onlineusm.framework.run_round`);
+      them; the package's own walks read ``fn`` and charge the round's
+      reads at once (:func:`~onlineusm.framework.run_round`), or read
+      :func:`value_table` and charge each block of sweeps at once (the
+      offline sweep);
     * :attr:`queries` reads under the lock.  Reading the tick counter
       takes a tick too, so it subtracts the reads made before it, which
       the lock keeps in step with the ticks the reads took.

@@ -10,8 +10,9 @@ from onlineusm.balance import Balancer, _in_triangle, step_invariant_deltas
 from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import opt_tracking_check, run_round, run_usm_game
 from onlineusm.offline import (
-    _coin_rule,
-    _walk,
+    _marginals,
+    _sweep,
+    _yes_probability,
     brute_force_opt,
     det_double_greedy,
     rand_double_greedy_stats,
@@ -68,6 +69,16 @@ def test_brute_force_modular_picks_positive_support():
 def test_brute_force_size_error():
     with pytest.raises(SizeError):
         brute_force_opt(SubmodularOracle(21, lambda m: 0.0))
+
+
+def test_sweeps_need_the_value_table():
+    # n = 21 is answered by cut sums: both sweeps refuse it before any query
+    g = DirectedGraph(21, tuple((i, i + 1, 1.0) for i in range(1, 21)))
+    for sweep in (det_double_greedy, lambda f: rand_double_greedy_stats(f, 3, 1)):
+        f = normalize(g)
+        with pytest.raises(SizeError):
+            sweep(f)
+        assert f.queries == 0
 
 
 def test_det_double_greedy_single_edge_trace(single_edge_oracle):
@@ -288,7 +299,7 @@ def test_rand_walk_is_the_scalar_sweep_on_any_coins(data):
     n = int(table.size).bit_length() - 1
     coins = np.array(data.draw(_coins(n, data.draw(st.integers(1, 6)))), dtype=float).reshape(-1, n)
     walked, scalar = oracle_from_table(table), oracle_from_table(table)
-    x, fx = _walk(walked, len(coins), _coin_rule(coins))
+    x, fx = _sweep(walked, len(coins), _yes_probability, lambda k: coins)
     want = [reference_rand_sweep(scalar, row) for row in coins]
     assert x.tolist() == [s for s, _ in want]
     assert all(same_bits(v, w) for v, (_, w) in zip(fx.tolist(), want))
@@ -322,6 +333,49 @@ def test_rand_and_stats_are_the_scalar_sweeps(table, seed, trials):
     assert walked.queries == scalar.queries
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_level_marginals_are_the_scalar_walks(data):
+    # every node 2^i | X of every level, both as the level's slices and as
+    # a gather at the prefixes; the last level's pair is (f(Y) - f(X), f(X) - f(Y))
+    table = data.draw(value_tables(data.draw(st.integers(1, 8))))
+    n = int(table.size).bit_length() - 1
+    values, full = table.tolist(), table.size - 1
+    for i in range(n):
+        bit = 1 << i
+        prefixes = np.arange(bit, dtype=np.int64)
+        want = [(values[x | bit] - values[x], values[y & ~bit] - values[y])
+                for x, y in ((x, x | (full & ~(bit - 1))) for x in range(bit))]
+        for alpha, beta in (_marginals(table, i), _marginals(table, i, prefixes)):
+            assert len(alpha) == len(beta) == bit
+            assert all(same_bits(a, wa) and same_bits(b, wb)
+                       for a, b, (wa, wb) in zip(alpha.tolist(), beta.tolist(), want))
+    alpha, beta = _marginals(table, n - 1, np.array([0]))
+    f_x, f_y = values[0], values[1 << (n - 1)]
+    assert same_bits(alpha[0], f_y - f_x) and same_bits(beta[0], f_x - f_y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stats_on_node_and_gathered_levels_are_the_scalar_loop(data):
+    # 2^(n-1) - 1 sweeps gather the last level, 2^(n-1) and more read
+    # every level from its node table, one sweep gathers all but level 0
+    table = data.draw(value_tables(data.draw(st.integers(2, 8))))
+    n = int(table.size).bit_length() - 1
+    trials = data.draw(st.sampled_from([1, (1 << (n - 1)) - 1, 1 << (n - 1), (1 << n) + 1]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    walked, scalar = oracle_from_table(table), oracle_from_table(table)
+    got = rand_double_greedy_stats(walked, trials, seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    runs = [reference_rand_sweep(scalar, rng.random(n)) for _ in range(trials)]
+    values = np.array([v for _, v in runs])
+    best = max(range(trials), key=lambda k: (runs[k][1], -k))
+    assert got.chosen == runs[best][0] and same_bits(got.value, runs[best][1])
+    assert same_bits(got.mean, values.mean())
+    assert same_bits(got.std, values.std(ddof=1) if trials > 1 else 0.0)
+    assert walked.queries == scalar.queries == trials * (2 * n + 2)
+
+
 def test_bidirected_pair_tie_chooses_yes():
     # alpha == beta == 0.5 for element 1, and then element 2 is forced no
     oracle = tabulate(normalize(DirectedGraph(2, ((1, 2, 1.0), (2, 1, 1.0)))))
@@ -342,10 +396,10 @@ _SUBNORMAL = 2.2250738585072014e-308 / 3
 def test_coin_rule_is_the_scalar_rule(a, b):
     coins = np.array([0.0, _TINY, 1e-300, 0.3, 0.5, np.nextafter(0.5, 1.0), 0.7, np.nextafter(1.0, 0.0)])
     k = coins.size
-    # the walk runs its rules inside this errstate: both positive parts
-    # zero make the rule divide 0 by 0
+    # the sweep runs its rules inside this errstate: both positive parts
+    # zero make the rule divide 0 by 0; a coin decides as it does in the sweep
     with np.errstate(invalid="ignore"):
-        yes = _coin_rule(coins.reshape(k, 1))(0, np.full(k, a), np.full(k, b))
+        yes = ~(coins >= _yes_probability(np.full(k, a), np.full(k, b)))
     assert yes.dtype == bool
     assert yes.tolist() == [reference_coin_rule(a, b, c) for c in coins.tolist()]
 
