@@ -26,7 +26,17 @@ counted queries, one per distinct mask, inside the 4n + 2 budget; a
 round's ``queries`` is that count.  f(empty set) and f(full set) go
 through the oracle's checked ``evaluate``; the walk's masks are built
 from X and Y inside the ground set, so it reads them unchecked from the
-oracle's function and charges all 2n - 2 with one count.  The game
+oracle's function and charges all 2n - 2 with one count.
+
+A round's points depend only on its function and its chosen set, and
+element i's point only on the prefix X_{i-1}: they lie on the prefix
+tree of the double greedy, node 2^(i-1) | X_{i-1} for element i, the
+numbering of the offline sweep.  A cycled function comes back round
+after round, so the game keeps one tree per function of a cycle and a
+round reads the points on its path from it, walking only from the first
+node no earlier round reached.  The reads the tree saves are uncounted
+reads of the function, and each round still charges the 2n its walk
+would cost, so every count and output is that of the walk.  The game
 records per-round series (reward, best fixed set in hindsight, queries)
 and the experiment driver turns them into alpha-regret; the best fixed
 set and the replay diagnostics use the oracle's uncounted peek path.
@@ -44,6 +54,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .adversaries import CycleFunctionAdversary
 from .balance import BalancePoint, BalanceSubroutine, Decision
 from .errors import ConfigError, SizeError
 from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mask, value_table
@@ -82,6 +93,7 @@ def run_round(
     coins: Sequence[float],
     *,
     t: int = 1,
+    tree: list[BalancePoint | None] | None = None,
 ) -> RoundTranscript:
     """One framework round: decide all elements, then feed back marginals.
 
@@ -89,13 +101,26 @@ def run_round(
     f(empty set) and f(full set) are two ``evaluate`` calls.  One walk
     over elements 1..n-1 then reads f(X_{i-1} + i) and f(Y_{i-1} - i)
     from the oracle's function, builds element i's marginal point and
-    advances X and Y by decision i; the walk's 2n - 2 reads are charged
-    to the oracle with one count after it.  Element n needs no query:
+    advances X and Y by decision i.  Element n needs no read:
     X_{n-1} + n is Y_{n-1} and Y_{n-1} - n is X_{n-1}, whose values the
     walk holds.  Last, each subroutine, in index order, is fed its
-    point, the same object the transcript keeps.  ``queries`` is the
-    round's counted queries, exactly 2n: f(empty set), f(full set) and
-    two masks per element before n, all distinct.
+    point, the same object the transcript keeps.
+
+    ``tree``, a list of 2^n entries, holds points of earlier rounds on
+    the same oracle: entry 2^i | X is element i + 1's point at prefix
+    X = X_i, the node numbering of the offline sweep.  The round first
+    follows its decisions down the nodes the tree holds, then walks as
+    above from the first node it lacks, reading that node's f(X_i) and
+    f(Y_i) unless it is the root, and stores every point it built.  An
+    empty tree is read exactly as no tree: the walk's 2n - 2 masks in
+    walk order; a tree that holds the whole path is not read at all.
+    Every point is the same double pair either way, since the oracle
+    answers a mask with the same value each time.
+
+    Whatever was read, the round charges the oracle the walk's 2n - 2
+    reads with one count, so ``queries`` is the round's counted queries,
+    exactly 2n: f(empty set), f(full set) and two masks per element
+    before n, all distinct.
     """
     n = f.n
     if len(subroutines) != n:
@@ -104,31 +129,50 @@ def run_round(
         raise ConfigError(f"need {n} coins, got {len(coins)}")
     decisions = [sub.decide(coin) for sub, coin in zip(subroutines, coins)]
 
-    x = 0
-    y = full_mask(n)
-    fx = f.evaluate(x)
-    fy = f.evaluate(y)
-    read = f._fn
+    full = full_mask(n)
+    fx = f.evaluate(0)
+    fy = f.evaluate(full)
+    marginals = []
+    # node = bit | X_i at element i + 1, with bit = 2^i; yes moves to
+    # bit << 1 | X_i | bit, no to bit << 1 | X_i
+    node = bit = 1
+    if tree is not None:
+        for d in decisions:
+            pt = tree[node]
+            if pt is None:
+                break
+            marginals.append(pt)
+            node += bit << d.chose_yes
+            bit <<= 1
     # tuple.__new__ builds the same BalancePoint (and RoundTranscript) as
     # the class call, at half the cost (no Python frame for the generated
     # __new__)
     record = tuple.__new__
-    marginals = []
-    bit = 1
-    for d in decisions[:-1]:
-        x_up = x | bit
-        fx_up = read(x_up)
-        y_down = y ^ bit
-        fy_down = read(y_down)
-        marginals.append(record(BalancePoint, (fx_up - fx, fy_down - fy)))
-        if d.chose_yes:
-            x, fx = x_up, fx_up
-        else:
-            y, fy = y_down, fy_down
-        bit <<= 1
-    marginals.append(record(BalancePoint, (fy - fx, fx - fy)))
-    if decisions[-1].chose_yes:
-        x = y
+    held = len(marginals)
+    x = node ^ bit
+    if held < n:
+        # Y_held: X_held plus every element from held + 1 on
+        y = x | (full ^ (bit - 1))
+        read = f._fn
+        if held:
+            fx, fy = read(x), read(y)
+        for d in decisions[held:-1]:
+            x_up = x | bit
+            fx_up = read(x_up)
+            y_down = y ^ bit
+            fy_down = read(y_down)
+            marginals.append(record(BalancePoint, (fx_up - fx, fy_down - fy)))
+            if d.chose_yes:
+                x, fx = x_up, fx_up
+            else:
+                y, fy = y_down, fy_down
+            bit <<= 1
+        marginals.append(record(BalancePoint, (fy - fx, fx - fy)))
+        if decisions[-1].chose_yes:
+            x = y
+        if tree is not None:
+            for i in range(held, n):
+                tree[1 << i | (x & ((1 << i) - 1))] = marginals[i]
     f._charge(2 * n - 2)
 
     for sub, pt in zip(subroutines, marginals):
@@ -215,6 +259,14 @@ def run_usm_game(
     hands ``run_round`` the list of every stream's coin t.
     ``keep_transcripts`` keeps each round's transcript and oracle,
     which the replay diagnostics read together.
+
+    Against a :class:`CycleFunctionAdversary` with 2^n <= ``rounds``,
+    the game keeps one prefix tree (``run_round``'s ``tree``) per oracle
+    of the cycle for its length, so each node's point is built once, in
+    the first round that reaches it, from uncounted reads of the oracle's
+    function.  The bound keeps a tree's 2^n entries within the rounds
+    that fill it; any other adversary or size walks every round.  Rounds
+    are charged 2n either way, and their points are the same doubles.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -238,6 +290,10 @@ def run_usm_game(
     transcripts: list[RoundTranscript] | None = [] if keep_transcripts else None
     sets: list[int] | None = [] if keep_sets else None
     oracles: list[SubmodularOracle] | None = [] if keep_transcripts else None
+    # keyed by the oracle objects themselves, which the dict holds alive
+    trees: dict[SubmodularOracle, list[BalancePoint | None]] = {}
+    if isinstance(adversary, CycleFunctionAdversary) and 1 << n <= rounds:
+        trees = {g: [None] * (1 << n) for g in adversary.oracles}
 
     last_set: int | None = None
     for start in range(0, rounds, _COIN_BLOCK):
@@ -245,7 +301,7 @@ def run_usm_game(
             f = adversary.next_oracle(last_set)
             if f.n != n:
                 raise ConfigError(f"oracle ground size {f.n} != subroutine count {n}")
-            tr = run_round(subroutines, f, round_coins, t=t + 1)
+            tr = run_round(subroutines, f, round_coins, t=t + 1, tree=trees.get(f))
             rewards[t] = f.peek(tr.chosen)
             round_queries[t] = tr.queries
             if track_opt:

@@ -115,10 +115,10 @@ class SubmodularOracle:
     * :meth:`evaluate` takes one tick of an ``itertools.count``: a single
       ``next()`` call, which runs in C and so is atomic under the GIL;
     * every other count goes through ``_charge``, which adds to a separate
-      total under the lock.  :meth:`evaluate_many` checks its masks and
-      hands them to ``_read_many``, which charges their number and reads
-      them; the package's own walks read ``fn`` and charge the round's
-      reads at once (:func:`~onlineusm.framework.run_round`), or read
+      total under the lock.  :meth:`evaluate_many` checks its masks, then
+      charges their number and reads them; the package's own walks read
+      ``fn`` and charge the round's reads at once
+      (:func:`~onlineusm.framework.run_round`), or read
       :func:`value_table` and charge each block of sweeps at once (the
       offline sweep);
     * :attr:`queries` reads under the lock.  Reading the tick counter
@@ -191,19 +191,15 @@ class SubmodularOracle:
         seen = np.bitwise_or.reduce(masks)
         if seen < 0 or seen > self._full:
             raise InvalidSubsetError(f"a subset in the batch lies outside ground set of size {self.n}")
-        return self._read_many(masks)
+        self._charge(masks.size)
+        if self._values is not None:
+            return self._values.take(masks)
+        return np.fromiter(map(self._fn, masks.tolist()), float, masks.size)
 
     def _charge(self, count: int) -> None:
         """Count ``count`` queries at once, under the lock."""
         with self._lock:
             self._batched += count
-
-    def _read_many(self, masks: np.ndarray) -> np.ndarray:
-        """:meth:`evaluate_many` without its checks, for masks built inside the ground set."""
-        self._charge(masks.size)
-        if self._values is not None:
-            return self._values.take(masks)
-        return np.fromiter(map(self._fn, masks.tolist()), float, masks.size)
 
     def peek(self, s: Mask) -> float:
         """Return f(s) without touching the query counter.

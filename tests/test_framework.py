@@ -30,6 +30,7 @@ from onlineusm.submodular import (
 )
 
 from conftest import grow_only_oracle
+from test_offline import value_tables
 from references import distinct_tables, oracle_from_table, reference_tracking, same_bits, usm_alpha_regret
 
 
@@ -197,6 +198,131 @@ def test_round_evaluates_each_mask_once_in_walk_order(n):
         fx, fy = f.peek(x), f.peek(y)
         assert y == x | 1 << (n - 1)
         assert _bits(tr.marginals[-1]) == _bits((fy - fx, fx - fy))
+        # an empty tree is read as no tree; once filled, it holds the path
+        tree = [None] * (1 << n)
+        for reads in (expected_round_masks(n, choices), [0, full_mask(n)]):
+            calls.clear()
+            before = f.queries
+            again = run_round(policies, f, coins_for(n), tree=tree)
+            assert calls == reads
+            assert again.queries == f.queries - before == 2 * n
+            assert (again.chosen, again.decisions) == (tr.chosen, tr.decisions)
+            assert _bits(again.marginals) == _bits(tr.marginals)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_round_walks_a_tree_from_its_first_missing_node(n):
+    # a round on a tree another path filled holds the nodes the two paths
+    # share; past them it reads f(X_i) and f(Y_i), then walks as usual
+    full = full_mask(n)
+    for first in decision_vectors(n):
+        for then in decision_vectors(n):
+            f, calls = recording_oracle(n, seed=first)
+            tree = [None] * (1 << n)
+            run_round([ConstantPolicy(float(first >> i & 1)) for i in range(n)], f, coins_for(n), tree=tree)
+            before = list(tree)
+            calls.clear()
+            policies = [ConstantPolicy(float(then >> i & 1)) for i in range(n)]
+            got = run_round(policies, f, coins_for(n), tree=tree)
+            # the paths part after the first element they decide apart
+            diff = first ^ then
+            held = (diff & -diff).bit_length() if diff else n
+            x = then & ((1 << held) - 1)
+            walk = [x, x | full >> held << held, *expected_round_masks(n, then)[2 + 2 * held:]]
+            assert calls == [0, full, *(walk if held < n else [])]
+            want = run_round(policies, oracle_from_table(value_table(f)), coins_for(n))
+            assert got.chosen == want.chosen == then
+            assert _bits(got.marginals) == _bits(want.marginals)
+            assert all(old is None or old is new for old, new in zip(before, tree))
+            assert all(tree[1 << i | then & ((1 << i) - 1)] is got.marginals[i] for i in range(n))
+
+
+# --- the game's prefix trees against a loop of tree-less rounds ------------
+
+def cycle_tables(n, seed):
+    """Two cut tables on n vertices (a random table for n = 1) and the cycle
+    (a, b, a), which plays a twice as often as b."""
+    rng = np.random.default_rng(seed)
+    if n == 1:
+        tables = [rng.random(2), rng.random(2)]
+    else:
+        tables = [value_table(normalize(random_digraph(n, 0.5, (0.0, 1.0), rng))) for _ in range(2)]
+    return [tables[0], tables[1], tables[0]]
+
+
+def play_cycle(tables, name, rounds, seed, *, game):
+    """``run_usm_game`` over a cycle of fresh oracles on ``tables``, or, without
+    ``game``, the plain loop: one tree-less ``run_round`` per round, its coins
+    drawn one at a time.  A table that recurs in the cycle is one oracle.
+    Returns what the two must share, floats by their bits, and the number
+    of values the oracles' functions answered."""
+    n = int(tables[0].size).bit_length() - 1
+    answered = []
+
+    def counted(table):
+        def fn(s):
+            answered.append(s)
+            return float(table[s])
+
+        return SubmodularOracle(n, fn)
+
+    oracles = []
+    for k, table in enumerate(tables):
+        same = [j for j in range(k) if tables[j] is table]
+        oracles.append(oracles[same[0]] if same else counted(table))
+    subs = [build_subroutine(name, rounds) for _ in range(n)]
+    streams = streams_for(n, seed)
+    if game:
+        res = run_usm_game(subs, CycleFunctionAdversary(oracles), rounds, streams,
+                           track_opt=False, keep_transcripts=True)
+        rewards, queries, transcripts = res.rewards.tolist(), res.round_queries.tolist(), res.transcripts
+    else:
+        transcripts = [run_round(subs, oracles[t % len(oracles)], [s.random() for s in streams], t=t + 1)
+                       for t in range(rounds)]
+        rewards = [oracles[t % len(oracles)].peek(tr.chosen) for t, tr in enumerate(transcripts)]
+        queries = [tr.queries for tr in transcripts]
+    return len(answered), dict(
+        rewards=_bits(rewards),
+        queries=queries,
+        chosen=[tr.chosen for tr in transcripts],
+        decisions=[tr.decisions for tr in transcripts],
+        marginals=[_bits(tr.marginals) for tr in transcripts],
+        oracle_queries=[f.queries for f in oracles],
+        subroutines=[subroutine_state(sub) for sub in subs],
+        streams=[s.bit_generator.state for s in streams],
+    )
+
+
+@pytest.mark.parametrize("name", ["balancer", "mw", "uniform"])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("scale", ["below", "at", "above"])
+def test_game_with_trees_is_a_loop_of_treeless_rounds(scale, n, name):
+    # below 2^n rounds the game walks; at and above it keeps trees
+    rounds = {"below": (1 << n) - 1, "at": 1 << n, "above": 4 << n}[scale]
+    tables = cycle_tables(n, seed=n)
+    got_reads, got = play_cycle(tables, name, rounds, seed=n, game=True)
+    want_reads, want = play_cycle(tables, name, rounds, seed=n, game=False)
+    assert got == want
+    assert got["queries"] == [2 * n] * rounds
+    plays_b = len(range(1, rounds, 3))
+    assert got["oracle_queries"] == [2 * n * (rounds - plays_b), 2 * n * plays_b, 2 * n * (rounds - plays_b)]
+    # a round on a tree reads less only where the walk reads at all
+    if scale == "below" or n == 1:
+        assert got_reads == want_reads
+    else:
+        assert got_reads < want_reads
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_game_with_trees_on_any_cycled_tables(data):
+    n = data.draw(st.integers(1, 6))
+    tables = data.draw(st.lists(value_tables(n), min_size=1, max_size=3))
+    tables += data.draw(st.lists(st.sampled_from(tables), max_size=2))  # a repeat shares its oracle
+    name = data.draw(st.sampled_from(["balancer", "mw", "uniform"]))
+    rounds = data.draw(st.integers(max(1, (1 << n) - 2), 3 << n))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    assert play_cycle(tables, name, rounds, seed, game=True)[1] == play_cycle(tables, name, rounds, seed, game=False)[1]
 
 
 def test_run_round_subroutine_count_mismatch():

@@ -160,12 +160,12 @@ def test_counter_thread_safe(single_edge_oracle):
 
 
 def test_counter_exact_with_concurrent_readers(single_edge_oracle):
-    """Scalar, checked and unchecked batch reads and whole rounds (2n = 4
-    queries each, 2 of them one bulk charge) share one oracle while readers
-    poll its count: every reader sees it rise, and the total is exact."""
+    """Scalar reads, batch reads (one bulk charge each) and whole rounds
+    (2n = 4 queries each, 2 of them one bulk charge) share one oracle while
+    readers poll its count: every reader sees it rise, and the total is exact."""
     f = single_edge_oracle
     batch = np.array([0b01, 0b10, 0b11], dtype=np.int64)
-    scalar_threads, batch_threads, unchecked_threads, round_threads, calls = 4, 3, 2, 2, 1000
+    scalar_threads, batch_threads, round_threads, calls = 4, 5, 2, 1000
     seen = []
     done = threading.Event()
 
@@ -176,10 +176,6 @@ def test_counter_exact_with_concurrent_readers(single_edge_oracle):
     def hammer_many():
         for _ in range(calls):
             f.evaluate_many(batch)
-
-    def hammer_unchecked():
-        for _ in range(calls):
-            f._read_many(batch)
 
     def play_rounds():
         subroutines = [Balancer(calls), Balancer(calls)]
@@ -199,7 +195,6 @@ def test_counter_exact_with_concurrent_readers(single_edge_oracle):
         readers = [threading.Thread(target=read) for _ in range(3)]
         writers = [threading.Thread(target=hammer) for _ in range(scalar_threads)]
         writers += [threading.Thread(target=hammer_many) for _ in range(batch_threads)]
-        writers += [threading.Thread(target=hammer_unchecked) for _ in range(unchecked_threads)]
         writers += [threading.Thread(target=play_rounds) for _ in range(round_threads)]
         for t in readers + writers:
             t.start()
@@ -212,7 +207,7 @@ def test_counter_exact_with_concurrent_readers(single_edge_oracle):
         done.set()
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in readers + writers)
-    total = (scalar_threads + (batch_threads + unchecked_threads) * batch.size + round_threads * 4) * calls
+    total = (scalar_threads + batch_threads * batch.size + round_threads * 4) * calls
     assert len(seen) == 3
     for values in seen:
         assert all(a <= b for a, b in zip(values, values[1:]))
