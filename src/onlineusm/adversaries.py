@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .balance import LEFT, RIGHT, UP, BalancePoint, Decision
+from .balance import LEFT, RIGHT, UP, BalancePoint
 from .errors import ConfigError
 from .submodular import DirectedGraph, SubmodularOracle, full_mask, normalize, random_digraph
 
@@ -39,7 +39,7 @@ class ObliviousBalanceAdversary:
                 raise ConfigError(f"unknown pattern symbol {ch!r}; expected U, R, or L")
         return cls([_PATTERN_POINTS[ch] for ch in pattern])
 
-    def next_point(self, last_decision: Decision | None = None) -> BalancePoint:
+    def next_point(self, last_decision: bool | None = None) -> BalancePoint:
         pt = self.points[self._pos % len(self.points)]
         self._pos += 1
         return pt
@@ -62,12 +62,13 @@ class AdaptiveBalanceAdversary:
             raise ConfigError(f"unknown adaptive rule {rule!r}; expected one of {ADAPTIVE_BALANCE_RULES}")
         self.rule = rule
 
-    def next_point(self, last_decision: Decision | None = None) -> BalancePoint:
+    def next_point(self, last_decision: bool | None = None) -> BalancePoint:
+        # None, not False, is "no history": a no is a decision too
         if last_decision is None:
             return UP
         if self.rule == "punish-last":
-            return LEFT if last_decision.chose_yes else RIGHT
-        return RIGHT if last_decision.chose_yes else LEFT
+            return LEFT if last_decision else RIGHT
+        return RIGHT if last_decision else LEFT
 
 
 # --- function adversaries for the online game ---------------------------

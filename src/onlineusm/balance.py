@@ -10,9 +10,10 @@ max(C_yes, C_no) - R_alg.
 
 Two subroutines are provided: :class:`Balancer`, which paces a scalar
 x in [0, sqrt(T)] and says yes with probability x / sqrt(T), and
-:class:`TwoExperts`, a two-action multiplicative-weights learner.  The
-quadratic potentials attached to the Balancer's state make its per-step
-progress checkable in closed form (:func:`step_invariant_deltas`).
+:class:`TwoExperts`, a two-action multiplicative-weights learner; each
+one's ``decide(coin)`` returns its action as a plain ``bool``, True for
+yes.  The quadratic potentials attached to the Balancer's state make its
+per-step progress checkable in closed form (:func:`step_invariant_deltas`).
 """
 
 from __future__ import annotations
@@ -79,34 +80,18 @@ def decompose(pt: BalancePoint) -> tuple[float, float, float]:
     return c_up, c_right, c_left
 
 
-class Decision(NamedTuple):
-    """One round's move: the action taken and its yes-probability.
-
-    An immutable tuple of two fields, so it is always truthy: read
-    ``d.chose_yes``, never ``if d:``.
-    """
-
-    chose_yes: bool
-    p_used: float
-
-
-#: ``_record(Decision, (yes, p))`` builds the same record as
-#: ``Decision(yes, p)`` without the Python frame of the generated
-#: ``__new__``, at half the cost; every round builds one per element
-_record = tuple.__new__
-
-
 class BalanceSubroutine(Protocol):
     """Protocol for binary-action subroutines.
 
-    ``decide`` must depend only on internal state and the coin (one
-    uniform [0,1) draw per round, always consumed); the revealed point
-    arrives later through ``update``.  Both records are immutable
-    tuples: a :class:`Decision` is always truthy (read ``.chose_yes``),
-    and a :class:`BalancePoint` unpacks as ``alpha, beta``.
+    ``decide`` returns the action as a plain ``bool``, True for yes:
+    ``coin < p`` for the subroutine's current yes-probability p.  It must
+    depend only on internal state and the coin (one uniform [0,1) draw
+    per round, always consumed); the revealed point arrives later
+    through ``update``.  A :class:`BalancePoint` is an immutable tuple
+    that unpacks as ``alpha, beta``.
     """
 
-    def decide(self, coin: float) -> Decision: ...
+    def decide(self, coin: float) -> bool: ...
 
     def update(self, pt: BalancePoint) -> None: ...
 
@@ -131,9 +116,8 @@ class Balancer:
         self.horizon = horizon
         self.x = 0.5 * self.sqrt_horizon
 
-    def decide(self, coin: float) -> Decision:
-        p = self.x / self.sqrt_horizon
-        return _record(Decision, (coin < p, p))
+    def decide(self, coin: float) -> bool:
+        return coin < self.x / self.sqrt_horizon
 
     def update(self, pt: BalancePoint) -> None:
         a, b = pt
@@ -168,9 +152,8 @@ class TwoExperts:
         self.w_yes = 1.0
         self.w_no = 1.0
 
-    def decide(self, coin: float) -> Decision:
-        p = self.w_yes / (self.w_yes + self.w_no)
-        return _record(Decision, (coin < p, p))
+    def decide(self, coin: float) -> bool:
+        return coin < self.w_yes / (self.w_yes + self.w_no)
 
     def update(self, pt: BalancePoint) -> None:
         wy = self.w_yes * math.exp(self.eta * 0.5 * (pt.alpha + 1.0))
@@ -188,8 +171,8 @@ class ConstantPolicy:
             raise DomainError(f"probability must be in [0, 1], got {p}")
         self.p = p
 
-    def decide(self, coin: float) -> Decision:
-        return _record(Decision, (coin < self.p, self.p))
+    def decide(self, coin: float) -> bool:
+        return coin < self.p
 
     def update(self, pt: BalancePoint) -> None:
         pass

@@ -13,7 +13,7 @@ the rewards for yes and no.  Submodularity makes alpha_i + beta_i >= 0,
 so the pair is a valid balance-subproblem point.  All decisions come
 before any feedback, so S fixes both chains: X_i is S restricted to
 elements 1..i and Y_i is X_i plus every element after i.  A round's
-record keeps S and derives the chains from it.
+record keeps S and derives the decisions and the chains from it.
 
 A round walks the elements once: after f(empty set) and f(full set) it
 reads f(X_{i-1} + i) and f(Y_{i-1} - i) for each element i < n and
@@ -23,10 +23,11 @@ empty or full.  At element n they do repeat, since Y_{n-1} = X_{n-1} + n:
 its point is (f(Y_{n-1}) - f(X_{n-1}), f(X_{n-1}) - f(Y_{n-1})) from the
 two values the walk already holds.  A round therefore costs exactly 2n
 counted queries, one per distinct mask, inside the 4n + 2 budget; a
-round's ``queries`` is that count.  f(empty set) and f(full set) go
-through the oracle's checked ``evaluate``; the walk's masks are built
-from X and Y inside the ground set, so it reads them unchecked from the
-oracle's function and charges all 2n - 2 with one count.
+round's ``queries`` is that count.  A walk from the root reads f(empty
+set) and f(full set) through the oracle's checked ``evaluate``; the
+walk's masks are built from X and Y inside the ground set, so it reads
+them unchecked from the oracle's function and charges all 2n - 2 with
+one count.
 
 A round's points depend only on its function and its chosen set, and
 element i's point only on the prefix X_{i-1}: they lie on the prefix
@@ -34,12 +35,13 @@ tree of the double greedy, node 2^(i-1) | X_{i-1} for element i, the
 numbering of the offline sweep.  A cycled function comes back round
 after round, so the game keeps one tree per function of a cycle and a
 round reads the points on its path from it, walking only from the first
-node no earlier round reached.  The reads the tree saves are uncounted
-reads of the function, and each round still charges the 2n its walk
-would cost, so every count and output is that of the walk.  The game
-records per-round series (reward, best fixed set in hindsight, queries)
-and the experiment driver turns them into alpha-regret; the best fixed
-set and the replay diagnostics use the oracle's uncounted peek path.
+node no earlier round reached; only a walk from the root calls
+``evaluate``.  The reads the tree saves are uncounted reads of the
+function, and each round still charges the 2n its walk would cost, so
+every count and output is that of the walk.  The game records
+per-round series (reward, best fixed set in hindsight, queries) and the
+experiment driver turns them into alpha-regret; the best fixed set and
+the replay diagnostics use the oracle's uncounted peek path.
 
 Subroutine i decides with one uniform coin per round.  A round takes
 its n coins as an array, coin i for element i; a game draws each
@@ -55,36 +57,41 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .adversaries import CycleFunctionAdversary
-from .balance import BalancePoint, BalanceSubroutine, Decision
+from .balance import BalancePoint, BalanceSubroutine
 from .errors import ConfigError, SizeError
 from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mask, value_table
 
 
 class RoundTranscript(NamedTuple):
-    """Everything one round did: choice, decisions, marginals, queries.
+    """Everything one round did: choice, marginals, queries.
 
     An immutable tuple; ``marginals[i]`` is the very :class:`BalancePoint`
     that subroutine i + 1 was fed, and unpacks as ``alpha, beta``.  The
-    set chains are derived from the choice, as bitmasks:
+    decisions and the set chains are derived from the choice, as bits
+    and bitmasks: decision i + 1 is bit i of ``chosen``,
     X_i = chosen & (2^i - 1) and Y_i = chosen | (full & ~(2^i - 1)).
     """
 
     t: int
     chosen: int
-    decisions: tuple[Decision, ...]
     marginals: tuple[BalancePoint, ...]
     queries: int
 
     @property
+    def decisions(self) -> tuple[bool, ...]:
+        """Each subroutine's action, True for yes: bit i of the chosen set."""
+        return tuple(bool(self.chosen >> i & 1) for i in range(len(self.marginals)))
+
+    @property
     def x_sets(self) -> tuple[int, ...]:
         """X_0..X_n: the chosen elements among the first i."""
-        return tuple(self.chosen & ((1 << i) - 1) for i in range(len(self.decisions) + 1))
+        return tuple(self.chosen & ((1 << i) - 1) for i in range(len(self.marginals) + 1))
 
     @property
     def y_sets(self) -> tuple[int, ...]:
         """Y_0..Y_n: X_i plus every element after i."""
-        full = full_mask(len(self.decisions))
-        return tuple(self.chosen | (full >> i << i) for i in range(len(self.decisions) + 1))
+        full = full_mask(len(self.marginals))
+        return tuple(self.chosen | (full >> i << i) for i in range(len(self.marginals) + 1))
 
 
 def run_round(
@@ -97,30 +104,33 @@ def run_round(
 ) -> RoundTranscript:
     """One framework round: decide all elements, then feed back marginals.
 
-    Every subroutine decides first (subroutine i with ``coins[i]``).
-    f(empty set) and f(full set) are two ``evaluate`` calls.  One walk
-    over elements 1..n-1 then reads f(X_{i-1} + i) and f(Y_{i-1} - i)
-    from the oracle's function, builds element i's marginal point and
-    advances X and Y by decision i.  Element n needs no read:
-    X_{n-1} + n is Y_{n-1} and Y_{n-1} - n is X_{n-1}, whose values the
-    walk holds.  Last, each subroutine, in index order, is fed its
-    point, the same object the transcript keeps.
+    Every subroutine decides first (subroutine i with ``coins[i]``),
+    each decision a bool.  A walk from the root reads f(empty set) and
+    f(full set) with two ``evaluate`` calls, then, over elements 1..n-1,
+    reads f(X_{i-1} + i) and f(Y_{i-1} - i) from the oracle's function,
+    builds element i's marginal point and advances X and Y by decision
+    i.  Element n needs no read: X_{n-1} + n is Y_{n-1} and Y_{n-1} - n
+    is X_{n-1}, whose values the walk holds.  Last, each subroutine, in
+    index order, is fed its point, the same object the transcript keeps.
 
     ``tree``, a list of 2^n entries, holds points of earlier rounds on
     the same oracle: entry 2^i | X is element i + 1's point at prefix
     X = X_i, the node numbering of the offline sweep.  The round first
     follows its decisions down the nodes the tree holds, then walks as
-    above from the first node it lacks, reading that node's f(X_i) and
-    f(Y_i) unless it is the root, and stores every point it built.  An
-    empty tree is read exactly as no tree: the walk's 2n - 2 masks in
-    walk order; a tree that holds the whole path is not read at all.
+    above from the first node it lacks, and stores every point it
+    built.  Only a walk that starts at the root calls ``evaluate``; one
+    that resumes at an inner node reads that node's f(X_i) and f(Y_i)
+    uncounted from the oracle's function.  An empty tree is read exactly
+    as no tree: f(empty set), f(full set), then the walk's 2n - 2 masks
+    in walk order; a tree that holds the whole path is not read at all.
     Every point is the same double pair either way, since the oracle
     answers a mask with the same value each time.
 
-    Whatever was read, the round charges the oracle the walk's 2n - 2
-    reads with one count, so ``queries`` is the round's counted queries,
-    exactly 2n: f(empty set), f(full set) and two masks per element
-    before n, all distinct.
+    Whatever was read, the round charges the oracle what a walk from
+    the root counts: one ``_charge`` of 2n - 2 after the two
+    ``evaluate`` calls, or of 2n without them.  So ``queries`` is the
+    round's counted queries, exactly 2n: f(empty set), f(full set) and
+    two masks per element before n, all distinct.
     """
     n = f.n
     if len(subroutines) != n:
@@ -129,9 +139,6 @@ def run_round(
         raise ConfigError(f"need {n} coins, got {len(coins)}")
     decisions = [sub.decide(coin) for sub, coin in zip(subroutines, coins)]
 
-    full = full_mask(n)
-    fx = f.evaluate(0)
-    fy = f.evaluate(full)
     marginals = []
     # node = bit | X_i at element i + 1, with bit = 2^i; yes moves to
     # bit << 1 | X_i | bit, no to bit << 1 | X_i
@@ -142,7 +149,7 @@ def run_round(
             if pt is None:
                 break
             marginals.append(pt)
-            node += bit << d.chose_yes
+            node += bit << d
             bit <<= 1
     # tuple.__new__ builds the same BalancePoint (and RoundTranscript) as
     # the class call, at half the cost (no Python frame for the generated
@@ -151,36 +158,41 @@ def run_round(
     held = len(marginals)
     x = node ^ bit
     if held < n:
+        full = full_mask(n)
         # Y_held: X_held plus every element from held + 1 on
         y = x | (full ^ (bit - 1))
         read = f._fn
         if held:
             fx, fy = read(x), read(y)
+        else:
+            fx = f.evaluate(0)
+            fy = f.evaluate(full)
         for d in decisions[held:-1]:
             x_up = x | bit
             fx_up = read(x_up)
             y_down = y ^ bit
             fy_down = read(y_down)
             marginals.append(record(BalancePoint, (fx_up - fx, fy_down - fy)))
-            if d.chose_yes:
+            if d:
                 x, fx = x_up, fx_up
             else:
                 y, fy = y_down, fy_down
             bit <<= 1
         marginals.append(record(BalancePoint, (fy - fx, fx - fy)))
-        if decisions[-1].chose_yes:
+        if decisions[-1]:
             x = y
         if tree is not None:
             for i in range(held, n):
                 tree[1 << i | (x & ((1 << i) - 1))] = marginals[i]
-    f._charge(2 * n - 2)
+    # evaluate counted f(empty set) and f(full set) only on a root walk
+    f._charge(2 * n if held else 2 * n - 2)
 
     for sub, pt in zip(subroutines, marginals):
         sub.update(pt)
 
     return record(
         RoundTranscript,
-        (t, x, tuple(decisions), tuple(marginals), 2 * n),
+        (t, x, tuple(marginals), 2 * n),
     )
 
 
@@ -364,20 +376,19 @@ def opt_tracking_check(
 
     Returns None when every relation holds within ``VALUE_TOL``.
     """
-    n = len(transcript.decisions)
+    n = len(transcript.marginals)
     xs = transcript.x_sets
     ys = transcript.y_sets
     opt_cur = opt
     f_opt_cur = f.peek(opt_cur)
     for i in range(1, n + 1):
         bit = 1 << (i - 1)
-        d = transcript.decisions[i - 1]
         alpha, beta = transcript.marginals[i - 1]
         fx_prev = f.peek(xs[i - 1])
         fx_cur = f.peek(xs[i])
         fy_prev = f.peek(ys[i - 1])
         fy_cur = f.peek(ys[i])
-        if d.chose_yes:
+        if transcript.chosen & bit:
             if abs(fx_cur - (fx_prev + alpha)) > VALUE_TOL:
                 return TrackingViolation(i, "x-gain", fx_cur, fx_prev + alpha)
             if abs(fy_cur - fy_prev) > VALUE_TOL:
@@ -421,5 +432,5 @@ def value_identity_residual(
         ys = tr.y_sets
         lhs += f.peek(xs[i]) - f.peek(xs[prev]) + f.peek(ys[i]) - f.peek(ys[prev])
         alpha, beta = tr.marginals[prev]
-        rhs += alpha if tr.decisions[prev].chose_yes else beta
+        rhs += alpha if tr.chosen >> prev & 1 else beta
     return lhs - rhs

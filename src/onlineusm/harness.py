@@ -258,7 +258,7 @@ def run_balance_game(
     c_no = 0.0
     rewards = np.empty(rounds)
     piles = np.empty(rounds)
-    prev: bal.Decision | None = None
+    prev: bool | None = None
     next_point = adversary.next_point
     decide = subroutine.decide
     update = subroutine.update
@@ -266,7 +266,7 @@ def run_balance_game(
         pt = next_point(prev)
         d = decide(coin)
         update(pt)
-        if d.chose_yes:
+        if d:
             r_alg += 0.5 * pt.alpha
             c_no += pt.beta
         else:
@@ -444,7 +444,7 @@ def _usm_diagnostics(results) -> dict:
         for tr, f in zip(res.transcripts, res.oracles):
             if opt_tracking_check(tr, f, res.opt_set) is not None:
                 failures += 1
-        n = len(res.transcripts[0].decisions)
+        n = len(res.transcripts[0].marginals)
         for i in range(1, n + 1):
             worst_residual = max(
                 worst_residual, abs(value_identity_residual(res.transcripts, res.oracles, i))

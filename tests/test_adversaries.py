@@ -8,7 +8,7 @@ from onlineusm.adversaries import (
     ObliviousBalanceAdversary,
     RandomObliviousAdversary,
 )
-from onlineusm.balance import LEFT, RIGHT, UP, Balancer, ConstantPolicy, Decision
+from onlineusm.balance import LEFT, RIGHT, UP, Balancer, ConstantPolicy
 from onlineusm.errors import ConfigError
 from onlineusm.harness import run_balance_game
 from onlineusm.submodular import value_table, verify_submodularity
@@ -53,23 +53,38 @@ def test_points_are_exactly_in_triangle():
         assert adv.next_point(None) in (UP, RIGHT, LEFT)
     rule = AdaptiveBalanceAdversary("punish-last")
     assert rule.next_point(None) in (UP, RIGHT, LEFT)
-    assert rule.next_point(Decision(True, 0.5)) in (UP, RIGHT, LEFT)
+    assert rule.next_point(True) in (UP, RIGHT, LEFT)
 
 
 def test_adaptive_punish_last():
     adv = AdaptiveBalanceAdversary("punish-last")
     assert adv.next_point(None) == UP  # declared default first move
-    assert adv.next_point(Decision(True, 0.5)) == LEFT
-    assert adv.next_point(Decision(False, 0.5)) == RIGHT
+    assert adv.next_point(True) == LEFT
+    assert adv.next_point(False) == RIGHT
     # each point depends on the last decision only
-    assert [adv.next_point(Decision(True, p)) for p in (0.1, 0.9)] == [LEFT, LEFT]
+    assert [adv.next_point(True) for _ in range(2)] == [LEFT, LEFT]
 
 
 def test_adaptive_reward_chase():
     adv = AdaptiveBalanceAdversary("reward-chase")
     assert adv.next_point(None) == UP
-    assert adv.next_point(Decision(False, 0.5)) == LEFT
-    assert adv.next_point(Decision(True, 0.5)) == RIGHT
+    assert adv.next_point(False) == LEFT
+    assert adv.next_point(True) == RIGHT
+
+
+@pytest.mark.parametrize("rule, after_no, after_yes", [
+    ("punish-last", RIGHT, LEFT),
+    ("reward-chase", LEFT, RIGHT),
+])
+def test_adaptive_rules_read_a_no_as_a_decision(rule, after_no, after_yes):
+    # a decision is a plain bool: False is a no, and only None means no history
+    adv = AdaptiveBalanceAdversary(rule)
+    assert [adv.next_point(d) for d in (None, False, True, False)] == [UP, after_no, after_yes, after_no]
+    # in a game, round 2's point answers round 1's action, a no included
+    for policy, after in ((0.0, after_no), (1.0, after_yes)):
+        spy = PointSpy(AdaptiveBalanceAdversary(rule))
+        run_balance_game(ConstantPolicy(policy), spy, 3, np.random.default_rng(0))
+        assert spy.points == [UP, after, after]
 
 
 def test_unknown_adaptive_rule():

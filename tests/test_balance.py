@@ -154,27 +154,30 @@ def test_nan_inf_and_negative_zero_meet_one_gate(a, b):
 
 def test_balancer_midpoint_up_keeps_state():
     b = Balancer(100)  # sqrt(T) = 10, x starts at 5
+    p = b.x / b.sqrt_horizon
     d = b.decide(0.49)
     b.update(UP)
-    assert d.p_used == 0.5 and d.chose_yes
+    assert p == 0.5 and d is True
     assert b.x == 5.0
 
 
 def test_balancer_cap_at_lower_boundary():
     b = Balancer(100)
     b.x = 0.0
+    p = b.x / b.sqrt_horizon
     d = b.decide(0.0)
     b.update(LEFT)
-    assert d.p_used == 0.0 and not d.chose_yes
+    assert p == 0.0 and d is False
     assert b.x == 0.0
 
 
 def test_balancer_cap_at_upper_boundary():
     b = Balancer(100)
     b.x = 10.0
+    p = b.x / b.sqrt_horizon
     d = b.decide(0.999)
     b.update(RIGHT)
-    assert d.p_used == 1.0 and d.chose_yes
+    assert p == 1.0 and d is True
     assert b.x == 10.0
 
 
@@ -205,8 +208,9 @@ def test_balancer_rejects_bad_horizon():
 
 def test_mw_fresh_state_is_uniform():
     m = TwoExperts(1000)
-    assert m.decide(0.49).chose_yes
-    assert m.decide(0.51).p_used == 0.5
+    assert m.w_yes / (m.w_yes + m.w_no) == 0.5
+    assert m.decide(0.49) is True
+    assert m.decide(0.51) is False
 
 
 def test_mw_ratio_after_right_point():
@@ -423,10 +427,47 @@ def test_capping_monotonicity():
 # --- constant policies ---------------------------------------------------
 
 def test_constant_policies():
-    assert ConstantPolicy(1.0).decide(0.999).chose_yes
-    assert not ConstantPolicy(0.0).decide(0.0).chose_yes
+    assert ConstantPolicy(1.0).decide(0.999) is True
+    assert ConstantPolicy(0.0).decide(0.0) is False
     u = ConstantPolicy(0.5)
-    assert u.decide(0.49).chose_yes and not u.decide(0.51).chose_yes
+    assert u.decide(0.49) is True and u.decide(0.51) is False
+
+
+def yes_probability(sub):
+    """The yes-probability a subroutine's state gives its next ``decide``."""
+    if isinstance(sub, Balancer):
+        return sub.x / sub.sqrt_horizon
+    if isinstance(sub, TwoExperts):
+        return sub.w_yes / (sub.w_yes + sub.w_no)
+    return sub.p
+
+
+@st.composite
+def subroutines_in_any_state(draw):
+    """A Balancer, TwoExperts or ConstantPolicy (0, 1 and interior p among
+    them) in a reachable state: fresh, or after up to 30 triangle points."""
+    kind = draw(st.sampled_from(["balancer", "mw", "constant"]))
+    if kind == "constant":
+        return ConstantPolicy(draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+    horizon = draw(st.integers(1, 400))
+    sub = Balancer(horizon) if kind == "balancer" else TwoExperts(horizon)
+    inside = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda ab: ab[0] + ab[1] >= 0.0)
+    for a, b in draw(st.lists(st.sampled_from([UP, RIGHT, LEFT]) | inside, max_size=30)):
+        sub.update(BalancePoint(a, b))
+    return sub
+
+
+@settings(max_examples=300, deadline=None)
+@given(subroutines_in_any_state(), st.data())
+def test_decide_returns_coin_below_p_as_a_bool(sub, data):
+    p = yes_probability(sub)
+    # the boundary coins: p itself, its two neighbours and 0.0, then any coin
+    for coin in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf), 0.0,
+                 data.draw(st.floats(0.0, 1.0, exclude_max=True))):
+        d = sub.decide(coin)
+        assert type(d) is bool
+        assert d == (coin < p)
+        assert yes_probability(sub) == p  # deciding leaves the state as it was
 
 
 # --- empirical two-experts reduction (extremal oblivious adversaries) ----

@@ -114,7 +114,7 @@ def test_every_subroutine_name_parses_and_builds(name):
     for command in (["simulate-usm", "--n", "3"], ["simulate-balance"]):
         config = cli.parse_config([*command, "--rounds", "4", "--subroutine", name])
         sub = build_subroutine(config.subroutine, config.rounds)
-        assert 0.0 <= sub.decide(0.5).p_used <= 1.0
+        assert type(sub.decide(0.5)) is bool
     with pytest.raises(ConfigError):
         cli.parse_config(["simulate-balance", "--rounds", "4", "--subroutine", name + "-x"])
 

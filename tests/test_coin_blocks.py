@@ -76,7 +76,7 @@ def reference_balance_game(subroutine, adversary, rounds, rng):
         pt = next_point(prev)
         d = decide(random())
         update(pt)
-        if d.chose_yes:
+        if d:
             r_alg += 0.5 * pt.alpha
             c_no += pt.beta
         else:
@@ -128,7 +128,7 @@ def test_run_round_decides_element_i_from_coin_i():
     n = 6
     coins = [0.1, 0.9, 0.4, 0.6, 0.0, 0.99]
     tr = run_round([ConstantPolicy(0.5) for _ in range(n)], cut_oracles(n, (8,))[0], coins)
-    assert [d.chose_yes for d in tr.decisions] == [c < 0.5 for c in coins]
+    assert list(tr.decisions) == [c < 0.5 for c in coins]
     assert tr.chosen == 0b010101
     with pytest.raises(ConfigError, match="coins"):
         run_round([ConstantPolicy(0.5) for _ in range(n)], cut_oracles(n, (8,))[0], coins[:-1])

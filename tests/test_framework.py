@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
-from onlineusm.balance import BalancePoint, Balancer, ConstantPolicy, Decision
+from onlineusm.balance import BalancePoint, Balancer, ConstantPolicy
 from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import (
     RoundTranscript,
@@ -149,17 +149,42 @@ def test_run_round_no_cross_round_caching():
     assert tr2.queries == tr1.queries  # second identical round pays again
 
 
+class LoggedOracle(SubmodularOracle):
+    """A function-backed oracle over ``table`` that lists what it is asked.
+
+    ``reads`` holds every mask its function answers, for ``evaluate``
+    calls and uncounted reads alike; ``log`` holds each ``evaluate`` call
+    and each bulk charge, as ("evaluate", mask) and ("charge", count), in
+    call order (a shared list, when one is given)."""
+
+    def __init__(self, table, log=None):
+        self.reads = []
+        self.log = [] if log is None else log
+
+        def fn(s):
+            self.reads.append(s)
+            return float(table[s])
+
+        super().__init__(int(table.size).bit_length() - 1, fn)
+
+    def evaluate(self, s):
+        self.log.append(("evaluate", s))
+        return super().evaluate(s)
+
+    def _charge(self, count):
+        self.log.append(("charge", count))
+        super()._charge(count)
+
+
 def recording_oracle(n, seed):
-    """A cut oracle whose function appends each mask it answers to a list, for
-    ``evaluate`` calls and the round's unchecked reads alike."""
-    table = value_table(random_cut_oracle(n, seed))
-    calls = []
+    """A logged cut oracle and the list of masks its function answers."""
+    f = LoggedOracle(value_table(random_cut_oracle(n, seed)))
+    return f, f.reads
 
-    def fn(s):
-        calls.append(s)
-        return float(table[s])
 
-    return SubmodularOracle(n, fn), calls
+def root_walk_log(n):
+    """What a walk from the root counts: two ``evaluate`` calls, then 2n - 2."""
+    return [("evaluate", 0), ("evaluate", full_mask(n)), ("charge", 2 * n - 2)]
 
 
 def expected_round_masks(n, chosen):
@@ -193,18 +218,22 @@ def test_round_evaluates_each_mask_once_in_walk_order(n):
         assert len(calls) == tr.queries == f.queries == 2 * n
         assert len(set(calls)) == 2 * n
         assert calls == expected_round_masks(n, choices)
+        assert f.log == root_walk_log(n)
         # element n reuses f(X_{n-1}) and f(Y_{n-1}) = f(X_{n-1} + n)
         x, y = tr.x_sets[n - 1], tr.y_sets[n - 1]
         fx, fy = f.peek(x), f.peek(y)
         assert y == x | 1 << (n - 1)
         assert _bits(tr.marginals[-1]) == _bits((fy - fx, fx - fy))
-        # an empty tree is read as no tree; once filled, it holds the path
+        # an empty tree is read as no tree; once filled, it holds the path,
+        # and the round reads nothing but still charges 2n
         tree = [None] * (1 << n)
-        for reads in (expected_round_masks(n, choices), [0, full_mask(n)]):
+        for reads, log in ((expected_round_masks(n, choices), root_walk_log(n)), ([], [("charge", 2 * n)])):
             calls.clear()
+            f.log.clear()
             before = f.queries
             again = run_round(policies, f, coins_for(n), tree=tree)
             assert calls == reads
+            assert f.log == log
             assert again.queries == f.queries - before == 2 * n
             assert (again.chosen, again.decisions) == (tr.chosen, tr.decisions)
             assert _bits(again.marginals) == _bits(tr.marginals)
@@ -213,15 +242,19 @@ def test_round_evaluates_each_mask_once_in_walk_order(n):
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_round_walks_a_tree_from_its_first_missing_node(n):
     # a round on a tree another path filled holds the nodes the two paths
-    # share; past them it reads f(X_i) and f(Y_i), then walks as usual
+    # share, the root among them; past them it reads f(X_i) and f(Y_i)
+    # uncounted, then walks as usual, and it charges 2n with one count
     full = full_mask(n)
     for first in decision_vectors(n):
         for then in decision_vectors(n):
             f, calls = recording_oracle(n, seed=first)
             tree = [None] * (1 << n)
             run_round([ConstantPolicy(float(first >> i & 1)) for i in range(n)], f, coins_for(n), tree=tree)
+            assert f.log == root_walk_log(n)
             before = list(tree)
             calls.clear()
+            f.log.clear()
+            queries = f.queries
             policies = [ConstantPolicy(float(then >> i & 1)) for i in range(n)]
             got = run_round(policies, f, coins_for(n), tree=tree)
             # the paths part after the first element they decide apart
@@ -229,7 +262,9 @@ def test_round_walks_a_tree_from_its_first_missing_node(n):
             held = (diff & -diff).bit_length() if diff else n
             x = then & ((1 << held) - 1)
             walk = [x, x | full >> held << held, *expected_round_masks(n, then)[2 + 2 * held:]]
-            assert calls == [0, full, *(walk if held < n else [])]
+            assert calls == (walk if held < n else [])
+            assert f.log == [("charge", 2 * n)]
+            assert got.queries == f.queries - queries == 2 * n
             want = run_round(policies, oracle_from_table(value_table(f)), coins_for(n))
             assert got.chosen == want.chosen == then
             assert _bits(got.marginals) == _bits(want.marginals)
@@ -306,11 +341,56 @@ def test_game_with_trees_is_a_loop_of_treeless_rounds(scale, n, name):
     assert got["queries"] == [2 * n] * rounds
     plays_b = len(range(1, rounds, 3))
     assert got["oracle_queries"] == [2 * n * (rounds - plays_b), 2 * n * plays_b, 2 * n * (rounds - plays_b)]
-    # a round on a tree reads less only where the walk reads at all
-    if scale == "below" or n == 1:
+    # with trees, a round on an oracle that comes back (a, in round 3)
+    # reads less, for n = 1 as well
+    if scale == "below" or rounds < 3:
         assert got_reads == want_reads
     else:
         assert got_reads < want_reads
+
+
+class MarkedCycle(CycleFunctionAdversary):
+    """A cycle that logs ("round", oracle) as it hands out each round's oracle."""
+
+    def __init__(self, oracles, log):
+        super().__init__(oracles)
+        self.log = log
+
+    def next_oracle(self, last_set=None):
+        f = super().next_oracle(last_set)
+        self.log.append(("round", f))
+        return f
+
+
+@pytest.mark.parametrize("name", ["balancer", "uniform"])
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("scale", ["below", "at", "above"])
+def test_game_counts_2n_per_round_and_evaluates_only_on_root_walks(scale, n, name):
+    # with trees (2^n <= rounds) only each oracle's first round walks from
+    # the root; below 2^n every round does.  Either way the evaluate ticks
+    # and the bulk charges of each round come to exactly 2n
+    rounds = {"below": (1 << n) - 1, "at": 1 << n, "above": 4 << n}[scale]
+    log = []
+    tables = cycle_tables(n, seed=n)
+    oracles = [LoggedOracle(tables[0], log), LoggedOracle(tables[1], log)]
+    res = run_usm_game([build_subroutine(name, rounds) for _ in range(n)],
+                       MarkedCycle([oracles[0], oracles[1], oracles[0]], log), rounds, streams_for(n, seed=n))
+    assert res.round_queries.tolist() == [2 * n] * rounds
+    per_round = []
+    for kind, what in log:
+        if kind == "round":
+            per_round.append((what, []))
+        else:
+            per_round[-1][1].append((kind, what))
+    assert len(per_round) == rounds
+    played = set()
+    for f, entries in per_round:
+        root = scale == "below" or f not in played
+        played.add(f)
+        assert entries == (root_walk_log(n) if root else [("charge", 2 * n)])
+        ticks = sum(kind == "evaluate" for kind, _ in entries)
+        assert ticks + sum(count for kind, count in entries if kind == "charge") == 2 * n
+    assert sum(f.queries for f in oracles) == 2 * n * rounds
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,7 +427,7 @@ def reference_round(subroutines, f, coins, *, t=1):
     bit = 1
     for sub, coin in zip(subroutines, coins):
         d = sub.decide(coin)
-        if d.chose_yes:
+        if d:
             others.append(y ^ bit)
             x |= bit
         else:
@@ -427,10 +507,10 @@ def test_run_round_is_the_reference_round_bit_for_bit(cycle, name, rounds, seed)
         k = r % len(tables)
         got = run_round(got_subs, got_oracles[k], coins[r], t=r + 1)
         want = reference_round(want_subs, want_oracles[k], coins[r], t=r + 1)
-        # the stored fields and the chains derived from them
-        assert {*got._fields, "x_sets", "y_sets"} == set(want)
+        # the stored fields and the decisions and chains derived from them
+        assert {*got._fields, "decisions", "x_sets", "y_sets"} == set(want)
         assert {k: _bits(getattr(got, k)) for k in want} == {k: _bits(v) for k, v in want.items()}
-        assert [type(d) for d in got.decisions] == [Decision] * n
+        assert [type(d) for d in got.decisions] == [bool] * n
         assert [type(pt) for pt in got.marginals] == [BalancePoint] * n
     assert [subroutine_state(s) for s in got_subs] == [subroutine_state(s) for s in want_subs]
     assert [f.queries for f in got_oracles] == [f.queries for f in want_oracles]
@@ -451,16 +531,17 @@ def test_run_round_feeds_each_subroutine_the_point_it_records():
 def test_round_records_are_immutable_and_pickle():
     n = 4
     tr = run_round([Balancer(16) for _ in range(n)], random_cut_oracle(n, seed=6), coins_for(n))
-    records = [(tr, "chosen", 0), (tr.decisions[0], "chose_yes", False),
-               (tr.marginals[0], "alpha", 0.0)]
+    records = [(tr, "chosen", 0), (tr, "decisions", ()), (tr.marginals[0], "alpha", 0.0)]
     for record, field, value in records:
         with pytest.raises(AttributeError):
             setattr(record, field, value)
         back = pickle.loads(pickle.dumps(record))
         assert type(back) is type(record) and back == record
     assert isinstance(tr, RoundTranscript) and pickle.loads(pickle.dumps(tr)).marginals == tr.marginals
-    # a record is a nonempty tuple, so it is truthy whatever it holds
-    assert Decision(False, 0.0) and BalancePoint(0.0, 0.0)
+    # a point is a nonempty tuple, so it is truthy whatever it holds; a
+    # decision is a plain bool, bit i of the chosen set
+    assert BalancePoint(0.0, 0.0)
+    assert tr.decisions == tuple(bool(tr.chosen >> i & 1) for i in range(n))
 
 
 # --- usm_alpha_regret ----------------------------------------------------

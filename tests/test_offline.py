@@ -430,14 +430,16 @@ def test_online_round_on_every_family(table, data):
     subroutines = [Balancer(horizon) for _ in xs]
     for b, x in zip(subroutines, xs):
         b.x = x
+    # each subroutine's yes-probability, read from its state before it decides
+    ps = [b.x / b.sqrt_horizon for b in subroutines]
     tr = run_round(subroutines, f, coins)
     assert all(_in_triangle(a, b) for a, b in tr.marginals)
     assert len(asked) == len(set(asked)) == f.queries == tr.queries == 2 * n
     opt = brute_force_opt(oracle_from_table(table)).chosen
     for reference in (opt, data.draw(st.integers(0, table.size - 1))):
         assert opt_tracking_check(tr, f, reference) is None
-    for d, pt in zip(tr.decisions, tr.marginals):
-        d_alg, d_yes, d_no = step_invariant_deltas(d.p_used, pt, horizon)
+    for p, pt in zip(ps, tr.marginals):
+        d_alg, d_yes, d_no = step_invariant_deltas(p, pt, horizon)
         assert d_alg - max(d_yes, d_no) + 2.0 / s >= 0.0
 
 
@@ -460,15 +462,20 @@ def test_whole_game_on_cycled_tables(data):
     assert sum(f.queries for f in oracles) == 2 * n * rounds
     other = data.draw(st.integers(0, (1 << n) - 1))
     s = math.sqrt(rounds)
+    # a twin of each subroutine, fed the same points, gives the state each
+    # round decided from
+    twins = [Balancer(rounds) for _ in range(n)]
     for t, (tr, f) in enumerate(zip(res.transcripts, res.oracles)):
         assert f is oracles[t % len(oracles)]
         assert tr.queries == 2 * n
         assert all(_in_triangle(a, b) for a, b in tr.marginals)
         assert opt_tracking_check(tr, f, res.opt_set) is None
         assert opt_tracking_check(tr, f, other) is None
-        for d, pt in zip(tr.decisions, tr.marginals):
-            d_alg, d_yes, d_no = step_invariant_deltas(d.p_used, pt, rounds)
+        for twin, pt in zip(twins, tr.marginals):
+            d_alg, d_yes, d_no = step_invariant_deltas(twin.x / twin.sqrt_horizon, pt, rounds)
             assert d_alg - max(d_yes, d_no) + 2.0 / s >= 0.0
+            twin.update(pt)
+    assert [twin.x for twin in twins] == [sub.x for sub in subroutines]
 
 
 def exact_rand_sweep_value(table):
