@@ -16,29 +16,22 @@ elements 1..i and Y_i is X_i plus every element after i.  A round's
 record keeps S and derives the decisions and the chains from it.
 
 A round walks the elements once: after f(empty set) and f(full set) it
-reads f(X_{i-1} + i) and f(Y_{i-1} - i) for each element i < n and
-then advances X and Y.  None of these masks repeats: for i < n,
-X_{i-1} + i lacks element n and Y_{i-1} - i holds it, and neither is
-empty or full.  At element n they do repeat, since Y_{n-1} = X_{n-1} + n:
-its point is (f(Y_{n-1}) - f(X_{n-1}), f(X_{n-1}) - f(Y_{n-1})) from the
-two values the walk already holds.  A round therefore costs exactly 2n
-counted queries, one per distinct mask, inside the 4n + 2 budget; a
-round's ``queries`` is that count.  A walk from the root reads f(empty
-set) and f(full set) through the oracle's checked ``evaluate``; the
-walk's masks are built from X and Y inside the ground set, so it reads
-them unchecked from the oracle's function and charges all 2n - 2 with
-one count.
+reads f(X_{i-1} + i) and f(Y_{i-1} - i) for each element i < n.  None
+of these masks repeats: for i < n, X_{i-1} + i lacks element n and
+Y_{i-1} - i holds it, and neither is empty or full.  Element n's point
+comes from f(X_{n-1}) and f(Y_{n-1}) = f(X_{n-1} + n), which the walk
+holds.  A round therefore costs exactly 2n counted queries, inside the
+4n + 2 budget; a round's ``queries`` is that count.
 
-A round's points depend only on its function and its chosen set, and
-element i's point only on the prefix X_{i-1}: they lie on the prefix
-tree of the double greedy, node 2^(i-1) | X_{i-1} for element i, the
-numbering of the offline sweep.  A cycled function comes back round
-after round, so the game keeps one tree per function of a cycle and a
-round reads the points on its path from it, walking only from the first
-node no earlier round reached; only a walk from the root calls
-``evaluate``.  The reads the tree saves are uncounted reads of the
-function, and each round still charges the 2n its walk would cost, so
-every count and output is that of the walk.  The game records
+Element i's point depends only on the function and the prefix X_{i-1}:
+it is node 2^(i-1) | X_{i-1} of the double greedy's prefix tree, the
+numbering of the offline sweep.  Against a cycle of functions the game
+builds each function's whole tree before its first round, level by
+level with the offline sweep's :func:`~onlineusm.offline._marginals`
+(the walk's doubles, under the same subtraction), and a round follows
+its decisions down the tree without a read; only a round without a
+tree reads the function.  Every round charges the 2n its walk counts,
+so every count and output is that of the walk.  The game records
 per-round series (reward, best fixed set in hindsight, queries) and the
 experiment driver turns them into alpha-regret; the best fixed set and
 the replay diagnostics use the oracle's uncounted peek path.
@@ -59,6 +52,7 @@ import numpy as np
 from .adversaries import CycleFunctionAdversary
 from .balance import BalancePoint, BalanceSubroutine
 from .errors import ConfigError, SizeError
+from .offline import _marginals
 from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mask, value_table
 
 
@@ -66,7 +60,9 @@ class RoundTranscript(NamedTuple):
     """Everything one round did: choice, marginals, queries.
 
     An immutable tuple; ``marginals[i]`` is the very :class:`BalancePoint`
-    that subroutine i + 1 was fed, and unpacks as ``alpha, beta``.  The
+    that subroutine i + 1 was fed, and unpacks as ``alpha, beta``: built
+    by a tree-less round's walk, the only round that reads the oracle,
+    or taken from a prefix tree built whole from ``_marginals``.  The
     decisions and the set chains are derived from the choice, as bits
     and bitmasks: decision i + 1 is bit i of ``chosen``,
     X_i = chosen & (2^i - 1) and Y_i = chosen | (full & ~(2^i - 1)).
@@ -94,43 +90,43 @@ class RoundTranscript(NamedTuple):
         return tuple(self.chosen | (full >> i << i) for i in range(len(self.marginals) + 1))
 
 
+def _prefix_tree(g: SubmodularOracle) -> list[BalancePoint | None]:
+    """g's prefix tree: entry 2^i | X is element i + 1's point at prefix
+    X < 2^i, from level i of :func:`~onlineusm.offline._marginals` over
+    g's value table, as Python floats; entry 0 is None.  The table is
+    read uncounted (2^n peeks of a function-backed oracle), so
+    n > ENUMERATION_LIMIT raises :class:`SizeError`.
+    """
+    t = value_table(g)
+    tree: list[BalancePoint | None] = [None]
+    for i in range(g.n):
+        alpha, beta = _marginals(t, i)
+        tree += map(BalancePoint._make, zip(alpha.tolist(), beta.tolist()))
+    return tree
+
+
 def run_round(
     subroutines: Sequence[BalanceSubroutine],
     f: SubmodularOracle,
     coins: Sequence[float],
     *,
     t: int = 1,
-    tree: list[BalancePoint | None] | None = None,
+    tree: Sequence[BalancePoint | None] | None = None,
 ) -> RoundTranscript:
     """One framework round: decide all elements, then feed back marginals.
 
     Every subroutine decides first (subroutine i with ``coins[i]``),
-    each decision a bool.  A walk from the root reads f(empty set) and
-    f(full set) with two ``evaluate`` calls, then, over elements 1..n-1,
-    reads f(X_{i-1} + i) and f(Y_{i-1} - i) from the oracle's function,
-    builds element i's marginal point and advances X and Y by decision
-    i.  Element n needs no read: X_{n-1} + n is Y_{n-1} and Y_{n-1} - n
-    is X_{n-1}, whose values the walk holds.  Last, each subroutine, in
-    index order, is fed its point, the same object the transcript keeps.
-
-    ``tree``, a list of 2^n entries, holds points of earlier rounds on
-    the same oracle: entry 2^i | X is element i + 1's point at prefix
-    X = X_i, the node numbering of the offline sweep.  The round first
-    follows its decisions down the nodes the tree holds, then walks as
-    above from the first node it lacks, and stores every point it
-    built.  Only a walk that starts at the root calls ``evaluate``; one
-    that resumes at an inner node reads that node's f(X_i) and f(Y_i)
-    uncounted from the oracle's function.  An empty tree is read exactly
-    as no tree: f(empty set), f(full set), then the walk's 2n - 2 masks
-    in walk order; a tree that holds the whole path is not read at all.
-    Every point is the same double pair either way, since the oracle
-    answers a mask with the same value each time.
-
-    Whatever was read, the round charges the oracle what a walk from
-    the root counts: one ``_charge`` of 2n - 2 after the two
-    ``evaluate`` calls, or of 2n without them.  So ``queries`` is the
-    round's counted queries, exactly 2n: f(empty set), f(full set) and
-    two masks per element before n, all distinct.
+    each decision a bool.  Without ``tree`` the round walks from the
+    root: two ``evaluate`` calls read f(empty set) and f(full set), then
+    for each element i < n it reads f(X_{i-1} + i) and f(Y_{i-1} - i)
+    unchecked from the oracle's function (the masks lie in the ground
+    set), builds element i's point and advances X and Y by decision i;
+    one ``_charge`` counts those 2n - 2 reads.  ``tree``, f's whole
+    prefix tree as :func:`_prefix_tree` builds it, holds element
+    i + 1's point at prefix X_i in entry 2^i | X_i: the round follows
+    its decisions down it, reads nothing and charges 2n.  Either way
+    ``queries`` is 2n, and then each subroutine, in index order, is fed
+    its point, the same object the transcript keeps.
     """
     n = f.n
     if len(subroutines) != n:
@@ -139,35 +135,28 @@ def run_round(
         raise ConfigError(f"need {n} coins, got {len(coins)}")
     decisions = [sub.decide(coin) for sub, coin in zip(subroutines, coins)]
 
-    marginals = []
-    # node = bit | X_i at element i + 1, with bit = 2^i; yes moves to
-    # bit << 1 | X_i | bit, no to bit << 1 | X_i
-    node = bit = 1
-    if tree is not None:
-        for d in decisions:
-            pt = tree[node]
-            if pt is None:
-                break
-            marginals.append(pt)
-            node += bit << d
-            bit <<= 1
     # tuple.__new__ builds the same BalancePoint (and RoundTranscript) as
     # the class call, at half the cost (no Python frame for the generated
     # __new__)
     record = tuple.__new__
-    held = len(marginals)
-    x = node ^ bit
-    if held < n:
+    marginals = []
+    bit = 1
+    if tree is not None:
+        # node = bit | X_i at element i + 1, with bit = 2^i; yes moves to
+        # bit << 1 | X_i | bit, no to bit << 1 | X_i
+        node = 1
+        for d in decisions:
+            marginals.append(tree[node])
+            node += bit << d
+            bit <<= 1
+        x = node ^ bit
+        f._charge(2 * n)
+    else:
         full = full_mask(n)
-        # Y_held: X_held plus every element from held + 1 on
-        y = x | (full ^ (bit - 1))
         read = f._fn
-        if held:
-            fx, fy = read(x), read(y)
-        else:
-            fx = f.evaluate(0)
-            fy = f.evaluate(full)
-        for d in decisions[held:-1]:
+        x, fx = 0, f.evaluate(0)
+        y, fy = full, f.evaluate(full)
+        for d in decisions[:-1]:
             x_up = x | bit
             fx_up = read(x_up)
             y_down = y ^ bit
@@ -181,11 +170,7 @@ def run_round(
         marginals.append(record(BalancePoint, (fy - fx, fx - fy)))
         if decisions[-1]:
             x = y
-        if tree is not None:
-            for i in range(held, n):
-                tree[1 << i | (x & ((1 << i) - 1))] = marginals[i]
-    # evaluate counted f(empty set) and f(full set) only on a root walk
-    f._charge(2 * n if held else 2 * n - 2)
+        f._charge(2 * n - 2)
 
     for sub, pt in zip(subroutines, marginals):
         sub.update(pt)
@@ -272,13 +257,13 @@ def run_usm_game(
     ``keep_transcripts`` keeps each round's transcript and oracle,
     which the replay diagnostics read together.
 
-    Against a :class:`CycleFunctionAdversary` with 2^n <= ``rounds``,
-    the game keeps one prefix tree (``run_round``'s ``tree``) per oracle
-    of the cycle for its length, so each node's point is built once, in
-    the first round that reaches it, from uncounted reads of the oracle's
-    function.  The bound keeps a tree's 2^n entries within the rounds
-    that fill it; any other adversary or size walks every round.  Rounds
-    are charged 2n either way, and their points are the same doubles.
+    Against a :class:`CycleFunctionAdversary` with 2^n <= ``rounds`` and
+    n <= ENUMERATION_LIMIT, the game builds each distinct oracle's whole
+    prefix tree from its value table before the first round, and every
+    round follows its oracle's tree (``run_round``'s ``tree``) without a
+    read.  The bound keeps a tree's 2^n points within the rounds that
+    use them; any other adversary or size walks every round.  Rounds are
+    charged 2n either way, and their points are the same doubles.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -291,6 +276,10 @@ def run_usm_game(
         raise ConfigError("coin streams must be distinct objects, one per subroutine")
     if track_opt and n > ENUMERATION_LIMIT:
         raise SizeError(f"tracking the best fixed set needs n <= {ENUMERATION_LIMIT}")
+    # keyed by the oracle objects themselves, which the dict holds alive
+    trees: dict[SubmodularOracle, list[BalancePoint | None]] = {}
+    if isinstance(adversary, CycleFunctionAdversary) and 1 << n <= rounds and n <= ENUMERATION_LIMIT:
+        trees = {g: _prefix_tree(g) for g in dict.fromkeys(adversary.oracles)}
     coins = np.empty((n, rounds))
     for stream, row in zip(streams, coins):
         stream.random(out=row)
@@ -302,10 +291,6 @@ def run_usm_game(
     transcripts: list[RoundTranscript] | None = [] if keep_transcripts else None
     sets: list[int] | None = [] if keep_sets else None
     oracles: list[SubmodularOracle] | None = [] if keep_transcripts else None
-    # keyed by the oracle objects themselves, which the dict holds alive
-    trees: dict[SubmodularOracle, list[BalancePoint | None]] = {}
-    if isinstance(adversary, CycleFunctionAdversary) and 1 << n <= rounds:
-        trees = {g: [None] * (1 << n) for g in adversary.oracles}
 
     last_set: int | None = None
     for start in range(0, rounds, _COIN_BLOCK):

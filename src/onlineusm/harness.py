@@ -145,7 +145,8 @@ class ExperimentConfig:
 
 
 def _parse_params(text: str, spec: dict[str, type], what: str) -> dict:
-    """Parse 'k=v,k=v' descriptor parameters with typed coercion."""
+    """Parse 'k=v,k=v' descriptor parameters with typed coercion; a key
+    given twice raises :class:`ConfigError`."""
     out: dict = {}
     if not text:
         return out
@@ -156,6 +157,8 @@ def _parse_params(text: str, spec: dict[str, type], what: str) -> dict:
         key = key.strip()
         if key not in spec:
             raise ConfigError(f"unknown {what} parameter {key!r}; expected one of {sorted(spec)}")
+        if key in out:
+            raise ConfigError(f"{what} parameter {key!r} given twice")
         try:
             out[key] = spec[key](value)
         except ValueError:

@@ -24,6 +24,10 @@ the table itself is read uncounted, so n > ENUMERATION_LIMIT raises
 :class:`SizeError` before anything is charged.  Where both positive
 marginals are zero, the yes-probability is 0/0 = nan, which no coin is
 >= of: such an element is taken.
+
+The online game builds its prefix trees of cycled functions with the
+same :func:`_marginals`, level by level
+(:func:`onlineusm.framework.run_usm_game`).
 """
 
 from __future__ import annotations

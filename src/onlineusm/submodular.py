@@ -118,7 +118,8 @@ class SubmodularOracle:
       total under the lock.  :meth:`evaluate_many` checks its masks, then
       charges their number and reads them; the package's own walks read
       ``fn`` and charge the round's reads at once
-      (:func:`~onlineusm.framework.run_round`), or read
+      (:func:`~onlineusm.framework.run_round`, which reads ``fn`` only
+      on a walk from the root, not on a prefix tree), or read
       :func:`value_table` and charge each block of sweeps at once (the
       offline sweep);
     * :attr:`queries` reads under the lock.  Reading the tick counter

@@ -284,6 +284,15 @@ def test_non_finite_weight_range_exit_one(adversary):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("adversary", ["cycle-random:k=2,k=3", "fresh-random:density=0.5,density=0.6"])
+def test_repeated_descriptor_key_exit_one(adversary):
+    proc = run_cli("simulate-usm", "--n", "3", "--rounds", "5", "--adversary", adversary)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "given twice" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_workers_must_be_one():
     args = ("simulate-usm", "--n", "4", "--rounds", "20", "--trials", "2", "--keep-transcripts")
     proc = run_cli(*args, "--workers", "2")

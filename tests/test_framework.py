@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
@@ -11,6 +11,7 @@ from onlineusm.balance import BalancePoint, Balancer, ConstantPolicy
 from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import (
     RoundTranscript,
+    _prefix_tree,
     fit_growth_exponent,
     opt_tracking_check,
     run_round,
@@ -224,52 +225,95 @@ def test_round_evaluates_each_mask_once_in_walk_order(n):
         fx, fy = f.peek(x), f.peek(y)
         assert y == x | 1 << (n - 1)
         assert _bits(tr.marginals[-1]) == _bits((fy - fx, fx - fy))
-        # an empty tree is read as no tree; once filled, it holds the path,
-        # and the round reads nothing but still charges 2n
-        tree = [None] * (1 << n)
-        for reads, log in ((expected_round_masks(n, choices), root_walk_log(n)), ([], [("charge", 2 * n)])):
-            calls.clear()
-            f.log.clear()
+        # on the oracle's whole tree the round reads nothing but still charges 2n
+        tree = _prefix_tree(f)
+        calls.clear()
+        f.log.clear()
+        before = f.queries
+        again = run_round(policies, f, coins_for(n), tree=tree)
+        assert calls == []
+        assert f.log == [("charge", 2 * n)]
+        assert again.queries == f.queries - before == 2 * n
+        assert (again.chosen, again.decisions) == (tr.chosen, tr.decisions)
+        assert _bits(again.marginals) == _bits(tr.marginals)
+
+
+def tree_and_walk(table, name, rounds, seed):
+    """``rounds`` rounds on ``table``'s built prefix tree and as many
+    tree-less rounds, each on its own oracle, subroutines and coin streams
+    (both seeded alike); returns what each must share with the other,
+    floats by their bits."""
+    n = int(table.size).bit_length() - 1
+    sides = []
+    for use_tree in (True, False):
+        f = oracle_from_table(table)
+        tree = _prefix_tree(f) if use_tree else None
+        subs = [build_subroutine(name, rounds) for _ in range(n)]
+        streams = streams_for(n, seed)
+        rounds_seen = []
+        for t in range(rounds):
             before = f.queries
-            again = run_round(policies, f, coins_for(n), tree=tree)
-            assert calls == reads
-            assert f.log == log
-            assert again.queries == f.queries - before == 2 * n
-            assert (again.chosen, again.decisions) == (tr.chosen, tr.decisions)
-            assert _bits(again.marginals) == _bits(tr.marginals)
+            tr = run_round(subs, f, [s.random() for s in streams], t=t + 1, tree=tree)
+            rounds_seen.append((tr.chosen, tr.decisions, _bits(tr.marginals), tr.queries, f.queries - before,
+                                [subroutine_state(sub) for sub in subs]))
+            if use_tree:
+                assert all(tree[1 << i | tr.chosen & ((1 << i) - 1)] is pt for i, pt in enumerate(tr.marginals))
+        sides.append(rounds_seen)
+    return sides
 
 
-@pytest.mark.parametrize("n", [2, 3, 6])
-def test_round_walks_a_tree_from_its_first_missing_node(n):
-    # a round on a tree another path filled holds the nodes the two paths
-    # share, the root among them; past them it reads f(X_i) and f(Y_i)
-    # uncounted, then walks as usual, and it charges 2n with one count
-    full = full_mask(n)
-    for first in decision_vectors(n):
-        for then in decision_vectors(n):
-            f, calls = recording_oracle(n, seed=first)
-            tree = [None] * (1 << n)
-            run_round([ConstantPolicy(float(first >> i & 1)) for i in range(n)], f, coins_for(n), tree=tree)
-            assert f.log == root_walk_log(n)
-            before = list(tree)
-            calls.clear()
-            f.log.clear()
-            queries = f.queries
-            policies = [ConstantPolicy(float(then >> i & 1)) for i in range(n)]
-            got = run_round(policies, f, coins_for(n), tree=tree)
-            # the paths part after the first element they decide apart
-            diff = first ^ then
-            held = (diff & -diff).bit_length() if diff else n
-            x = then & ((1 << held) - 1)
-            walk = [x, x | full >> held << held, *expected_round_masks(n, then)[2 + 2 * held:]]
-            assert calls == (walk if held < n else [])
-            assert f.log == [("charge", 2 * n)]
-            assert got.queries == f.queries - queries == 2 * n
-            want = run_round(policies, oracle_from_table(value_table(f)), coins_for(n))
-            assert got.chosen == want.chosen == then
-            assert _bits(got.marginals) == _bits(want.marginals)
-            assert all(old is None or old is new for old, new in zip(before, tree))
-            assert all(tree[1 << i | then & ((1 << i) - 1)] is got.marginals[i] for i in range(n))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_built_tree_is_the_root_walk_at_every_node(n):
+    # building reads each of the 2^n values once, uncounted and uncharged
+    f, calls = recording_oracle(n, seed=n)
+    tree = _prefix_tree(f)
+    assert calls == list(range(1 << n))
+    assert f.log == [] and f.queries == 0
+    assert len(tree) == 1 << n and tree[0] is None
+    # every decision vector's path, so every node, against the walk
+    walk = oracle_from_table(value_table(f))
+    for choices in range(1 << n):
+        policies = [ConstantPolicy(float(choices >> i & 1)) for i in range(n)]
+        got = run_round(policies, f, coins_for(n), tree=tree)
+        want = run_round(policies, walk, coins_for(n))
+        assert got.chosen == want.chosen == choices
+        assert _bits(got.marginals) == _bits(want.marginals)
+        assert got.marginals == tuple(tree[1 << i | choices & ((1 << i) - 1)] for i in range(n))
+        assert all(type(v) is float for pt in got.marginals for v in pt)
+    assert f.log == [("charge", 2 * n)] * (1 << n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=st.integers(1, 6).flatmap(value_tables), name=st.sampled_from(["balancer", "mw", "uniform"]),
+       rounds=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(table=np.array([0.0, -0.0, -0.0, 0.0]), name="balancer", rounds=4, seed=0)
+@example(table=np.array([0.0, 5e-324, 1e-310, -0.0]), name="mw", rounds=4, seed=1)
+def test_built_tree_rounds_are_root_walks_on_any_table(table, name, rounds, seed):
+    got, want = tree_and_walk(table, name, rounds, seed)
+    assert got == want
+    assert all(queries == charged == 2 * len(decisions) for _, decisions, _, queries, charged, _ in got)
+
+
+def test_game_builds_trees_only_for_tabulable_sizes():
+    # a tree needs the value table: n = 21 raises before any read or charge
+    reads = []
+    big = SubmodularOracle(21, lambda m: reads.append(m) or 0.0)
+    with pytest.raises(SizeError):
+        _prefix_tree(big)
+    assert reads == [] and big.queries == 0
+
+    # so a 2^21-round game on it builds no tree: it gets as far as its coins
+    class Drawn(Exception):
+        pass
+
+    class StopAtDraw:
+        def random(self, out):
+            raise Drawn
+
+    with pytest.raises(Drawn):
+        run_usm_game([ConstantPolicy(1.0) for _ in range(21)], CycleFunctionAdversary([big]), 1 << 21,
+                     [StopAtDraw() for _ in range(21)], track_opt=False)
+    assert reads == []
 
 
 # --- the game's prefix trees against a loop of tree-less rounds ------------
@@ -332,7 +376,7 @@ def play_cycle(tables, name, rounds, seed, *, game):
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 @pytest.mark.parametrize("scale", ["below", "at", "above"])
 def test_game_with_trees_is_a_loop_of_treeless_rounds(scale, n, name):
-    # below 2^n rounds the game walks; at and above it keeps trees
+    # below 2^n rounds the game walks; at and above it builds trees
     rounds = {"below": (1 << n) - 1, "at": 1 << n, "above": 4 << n}[scale]
     tables = cycle_tables(n, seed=n)
     got_reads, got = play_cycle(tables, name, rounds, seed=n, game=True)
@@ -341,12 +385,11 @@ def test_game_with_trees_is_a_loop_of_treeless_rounds(scale, n, name):
     assert got["queries"] == [2 * n] * rounds
     plays_b = len(range(1, rounds, 3))
     assert got["oracle_queries"] == [2 * n * (rounds - plays_b), 2 * n * plays_b, 2 * n * (rounds - plays_b)]
-    # with trees, a round on an oracle that comes back (a, in round 3)
-    # reads less, for n = 1 as well
-    if scale == "below" or rounds < 3:
-        assert got_reads == want_reads
-    else:
-        assert got_reads < want_reads
+    # besides one peek per round for its reward, a tree-less round reads
+    # its 2n masks; with trees, the functions answer each of the two
+    # distinct oracles' 2^n values once, and no round reads
+    assert want_reads == (2 * n + 1) * rounds
+    assert got_reads == (want_reads if scale == "below" else (2 << n) + rounds)
 
 
 class MarkedCycle(CycleFunctionAdversary):
@@ -366,9 +409,9 @@ class MarkedCycle(CycleFunctionAdversary):
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("scale", ["below", "at", "above"])
 def test_game_counts_2n_per_round_and_evaluates_only_on_root_walks(scale, n, name):
-    # with trees (2^n <= rounds) only each oracle's first round walks from
-    # the root; below 2^n every round does.  Either way the evaluate ticks
-    # and the bulk charges of each round come to exactly 2n
+    # with trees (2^n <= rounds) no round walks, so none calls evaluate;
+    # below 2^n every round does.  Either way the evaluate ticks and the
+    # bulk charges of each round come to exactly 2n
     rounds = {"below": (1 << n) - 1, "at": 1 << n, "above": 4 << n}[scale]
     log = []
     tables = cycle_tables(n, seed=n)
@@ -383,11 +426,8 @@ def test_game_counts_2n_per_round_and_evaluates_only_on_root_walks(scale, n, nam
         else:
             per_round[-1][1].append((kind, what))
     assert len(per_round) == rounds
-    played = set()
     for f, entries in per_round:
-        root = scale == "below" or f not in played
-        played.add(f)
-        assert entries == (root_walk_log(n) if root else [("charge", 2 * n)])
+        assert entries == (root_walk_log(n) if scale == "below" else [("charge", 2 * n)])
         ticks = sum(kind == "evaluate" for kind, _ in entries)
         assert ticks + sum(count for kind, count in entries if kind == "charge") == 2 * n
     assert sum(f.queries for f in oracles) == 2 * n * rounds
