@@ -12,8 +12,10 @@ Two subroutines are provided: :class:`Balancer`, which paces a scalar
 x in [0, sqrt(T)] and says yes with probability x / sqrt(T), and
 :class:`TwoExperts`, a two-action multiplicative-weights learner; each
 one's ``decide(coin)`` returns its action as a plain ``bool``, True for
-yes.  The quadratic potentials attached to the Balancer's state make its
-per-step progress checkable in closed form (:func:`step_invariant_deltas`).
+yes.  Each also plays as a batch of copies stepped together (see
+:class:`BalanceSubroutine`).  The quadratic potentials attached to the
+Balancer's state make its per-step progress checkable in closed form
+(:func:`step_invariant_deltas`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
+
+import numpy as np
 
 from .errors import DomainError, InvalidPointError
 
@@ -51,6 +55,16 @@ _SUM_LO = -2.0 * TRIANGLE_TOL
 
 def _in_triangle(a: float, b: float) -> bool:
     return _LO <= a <= _HI and _LO <= b <= _HI and a + b >= _SUM_LO
+
+
+def _outside_triangle(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Where ``_in_triangle`` is false, point by point (nan included)."""
+    return ~((_LO <= alpha) & (alpha <= _HI) & (_LO <= beta) & (beta <= _HI) & (alpha + beta >= _SUM_LO))
+
+
+def _point_error(a: float, b: float) -> InvalidPointError:
+    """What :meth:`Balancer.update` raises for the point (a, b)."""
+    return InvalidPointError(f"({a}, {b}) outside triangle; is the function submodular?")
 
 
 UP = BalancePoint(1.0, 1.0)
@@ -89,11 +103,26 @@ class BalanceSubroutine(Protocol):
     per round, always consumed); the revealed point arrives later
     through ``update``.  A :class:`BalancePoint` is an immutable tuple
     that unpacks as ``alpha, beta``.
+
+    ``batch(shape)`` turns the subroutine into independent copies, one
+    state per entry of an array of ``shape``; ``decide`` then takes an
+    array of coins and returns a bool array.  ``point_terms(alpha,
+    beta)`` computes ahead what ``update`` derives from each point,
+    stacked on a new first axis, and marks the points ``update`` rejects
+    (None for none); ``update_terms`` takes those terms, gathered to the
+    batch's shape, and updates every copy as ``update`` would, bit for
+    bit, checking no point.
     """
 
     def decide(self, coin: float) -> bool: ...
 
     def update(self, pt: BalancePoint) -> None: ...
+
+    def batch(self, shape: tuple[int, ...]) -> "BalanceSubroutine": ...
+
+    def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]: ...
+
+    def update_terms(self, terms: np.ndarray) -> None: ...
 
 
 def _sqrt_horizon(horizon: int) -> float:
@@ -123,7 +152,7 @@ class Balancer:
         a, b = pt
         # _in_triangle spelled out: one call fewer per element per round
         if not (_LO <= a <= _HI and _LO <= b <= _HI and a + b >= _SUM_LO):
-            raise InvalidPointError(f"({a}, {b}) outside triangle; is the function submodular?")
+            raise _point_error(a, b)
         c_up = 0.5 * (a + b)
         c_right = 0.5 * (1.0 - b)
         c_left = 0.5 * (1.0 - a)
@@ -133,6 +162,30 @@ class Balancer:
             x = 0.0
         elif x > self.sqrt_horizon:
             x = self.sqrt_horizon
+        self.x = x
+
+    def batch(self, shape: tuple[int, ...]) -> "Balancer":
+        self.x = np.full(shape, self.x)
+        return self
+
+    def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """c_up, c_right and c_left of each point, and the points outside
+        the triangle by more than ``TRIANGLE_TOL``; as in Python floats,
+        inf - inf is a silent nan."""
+        with np.errstate(invalid="ignore"):
+            outside = _outside_triangle(alpha, beta)
+            terms = np.stack((0.5 * (alpha + beta), 0.5 * (1.0 - beta), 0.5 * (1.0 - alpha)))
+        return terms, outside if outside.any() else None
+
+    def update_terms(self, terms: np.ndarray) -> None:
+        """x = ((x + (1 - 2p) c_up) + c_right) - c_left, then the cap, per entry."""
+        c_up, c_right, c_left = terms
+        p = self.x / self.sqrt_horizon
+        x = self.x + (1.0 - 2.0 * p) * c_up
+        x += c_right
+        x -= c_left
+        np.maximum(x, 0.0, out=x)
+        np.minimum(x, self.sqrt_horizon, out=x)
         self.x = x
 
 
@@ -162,6 +215,26 @@ class TwoExperts:
         self.w_yes = wy / top
         self.w_no = wn / top
 
+    def batch(self, shape: tuple[int, ...]) -> "TwoExperts":
+        self.w_yes = np.full(shape, self.w_yes)
+        self.w_no = np.full(shape, self.w_no)
+        return self
+
+    def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, None]:
+        """Each point's two weight factors, through ``math.exp`` one value
+        at a time: ``np.exp`` differs from it in the last bit on a few
+        percent of arguments."""
+        z = self.eta * 0.5 * (np.stack((alpha, beta)) + 1.0)
+        return np.fromiter(map(math.exp, z.ravel().tolist()), float, z.size).reshape(z.shape), None
+
+    def update_terms(self, terms: np.ndarray) -> None:
+        e_yes, e_no = terms
+        wy = self.w_yes * e_yes
+        wn = self.w_no * e_no
+        top = np.where(wy >= wn, wy, wn)
+        self.w_yes = wy / top
+        self.w_no = wn / top
+
 
 class ConstantPolicy:
     """Fixed yes-probability; ignores feedback.  Baseline subroutine."""
@@ -175,6 +248,15 @@ class ConstantPolicy:
         return coin < self.p
 
     def update(self, pt: BalancePoint) -> None:
+        pass
+
+    def batch(self, shape: tuple[int, ...]) -> "ConstantPolicy":
+        return self
+
+    def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, None]:
+        return np.empty((0, *np.shape(alpha))), None
+
+    def update_terms(self, terms: np.ndarray) -> None:
         pass
 
 

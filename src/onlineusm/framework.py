@@ -40,6 +40,15 @@ Subroutine i decides with one uniform coin per round.  A round takes
 its n coins as an array, coin i for element i; a game draws each
 element's coins for all rounds as one ``random(T)`` block of its own
 stream, which equals T sequential draws.
+
+Trials against one cycle can also play together, bit for bit
+(:func:`run_cycle_trials`): X_{i-1} = S & (2^(i-1) - 1) for the round's
+chosen set S, so every point of every trial is one gather by S.  The
+experiment driver batches two trials or more once 2^n <= T.  The
+one-game path stays: it is faster for one trial, it serves the other
+adversaries, and the benchmark's tracer test pins its calls (one
+``run_round`` and n ``decide``/``update`` per trial-round) until ROADMAP
+item 1 re-pins that test.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .adversaries import CycleFunctionAdversary
-from .balance import BalancePoint, BalanceSubroutine
+from .balance import BalancePoint, BalanceSubroutine, _point_error
 from .errors import ConfigError, SizeError
 from .offline import _marginals
 from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mask, value_table
@@ -90,19 +99,49 @@ class RoundTranscript(NamedTuple):
         return tuple(self.chosen | (full >> i << i) for i in range(len(self.marginals) + 1))
 
 
-def _prefix_tree(g: SubmodularOracle) -> list[BalancePoint | None]:
-    """g's prefix tree: entry 2^i | X is element i + 1's point at prefix
-    X < 2^i, from level i of :func:`~onlineusm.offline._marginals` over
-    g's value table, as Python floats; entry 0 is None.  The table is
-    read uncounted (2^n peeks of a function-backed oracle), so
-    n > ENUMERATION_LIMIT raises :class:`SizeError`.
+def _prefix_points(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and beta at every node of value table t's prefix tree: entry
+    2^i | X is element i + 1's point at prefix X < 2^i, from level i of
+    :func:`~onlineusm.offline._marginals`; entry 0, no node, is (0.0, 0.0).
     """
-    t = value_table(g)
-    tree: list[BalancePoint | None] = [None]
-    for i in range(g.n):
-        alpha, beta = _marginals(t, i)
-        tree += map(BalancePoint._make, zip(alpha.tolist(), beta.tolist()))
-    return tree
+    alpha, beta = np.zeros(t.size), np.zeros(t.size)
+    for i in range(t.size.bit_length() - 1):
+        alpha[1 << i:2 << i], beta[1 << i:2 << i] = _marginals(t, i)
+    return alpha, beta
+
+
+def _prefix_tree(g: SubmodularOracle) -> list[BalancePoint | None]:
+    """g's prefix tree as :func:`_prefix_points` numbers it, one
+    :class:`BalancePoint` of Python floats per node; entry 0 is None.
+    g's value table is read uncounted (2^n peeks of a function-backed
+    oracle), so n > ENUMERATION_LIMIT raises :class:`SizeError`.
+    """
+    alpha, beta = _prefix_points(value_table(g))
+    return [None, *map(BalancePoint._make, zip(alpha[1:].tolist(), beta[1:].tolist()))]
+
+
+#: bytes of prefix data a game, or an experiment's batch of trials, may
+#: hold for a cycle of functions; with more, rounds walk from the root
+#: (or trials play one by one), to the same bytes
+_PREFIX_BYTES = 1 << 26
+#: one scalar prefix-tree node: a BalancePoint of two Python floats and
+#: its list slot (tracemalloc at n = 12, 14 and 16: 120 B)
+_TREE_NODE_BYTES = 120
+
+
+def _holds_prefix(adversary, n: int, rounds: int, *, batched: bool = False) -> bool:
+    """Whether a game against ``adversary`` keeps prefix data for its
+    distinct functions: a cycle whose rounds can reach all 2^n nodes, with
+    value tables, and data within ``_PREFIX_BYTES``: per node, a scalar
+    tree's or, ``batched``, up to three float64 terms per chosen set and
+    element plus alpha and beta."""
+    node_bytes = 8 * (3 * n + 2) if batched else _TREE_NODE_BYTES
+    return (
+        isinstance(adversary, CycleFunctionAdversary)
+        and 1 << n <= rounds
+        and n <= ENUMERATION_LIMIT
+        and len(set(adversary.oracles)) * node_bytes << n <= _PREFIX_BYTES
+    )
 
 
 def run_round(
@@ -220,8 +259,36 @@ def fit_growth_exponent(ts: Iterable[float], values: Iterable[float]) -> float:
     return float(np.polyfit(lt, lv, 1)[0])
 
 
-#: rounds whose coins become Python floats at a time
+#: rounds whose coins become Python floats at a time, or, for batched
+#: trials, rounds whose coins are drawn at a time
 _COIN_BLOCK = 128
+
+#: bytes of running totals :func:`_cycle_best` sums at a time
+_TRACK_BYTES = 1 << 18
+
+
+def _cycle_best(tables: Sequence[np.ndarray], rounds: int) -> tuple[np.ndarray, int]:
+    """``cum_opt`` and ``opt_set`` of ``rounds`` rounds over the cycle of
+    value tables ``tables``, as :func:`run_usm_game` tracks them.
+
+    Its round-by-round running total (round 1's table copied, each later
+    one added in place) is summed here a block of rounds at a time: a
+    block's tables, the last total added to the first of them, then one
+    ``np.add.accumulate`` down the block.  Those are the same sequential
+    IEEE adds (an add is commutative), so the same doubles.
+    """
+    stacked = np.stack(tables)
+    block = max(1, _TRACK_BYTES // stacked[0].nbytes)
+    cum_opt = np.empty(rounds)
+    total = None
+    for start in range(0, rounds, block):
+        rows = stacked[np.arange(start, min(start + block, rounds)) % len(tables)]
+        if total is not None:
+            rows[0] += total
+        np.add.accumulate(rows, axis=0, out=rows)
+        np.maximum.reduce(rows, axis=1, out=cum_opt[start:start + len(rows)])
+        total = rows[-1]
+    return cum_opt, int(np.argmax(total))
 
 
 def run_usm_game(
@@ -257,13 +324,14 @@ def run_usm_game(
     ``keep_transcripts`` keeps each round's transcript and oracle,
     which the replay diagnostics read together.
 
-    Against a :class:`CycleFunctionAdversary` with 2^n <= ``rounds`` and
-    n <= ENUMERATION_LIMIT, the game builds each distinct oracle's whole
-    prefix tree from its value table before the first round, and every
-    round follows its oracle's tree (``run_round``'s ``tree``) without a
-    read.  The bound keeps a tree's 2^n points within the rounds that
-    use them; any other adversary or size walks every round.  Rounds are
-    charged 2n either way, and their points are the same doubles.
+    Against a :class:`CycleFunctionAdversary` with 2^n <= ``rounds``,
+    n <= ENUMERATION_LIMIT and trees within ``_PREFIX_BYTES``, the game
+    builds each distinct oracle's whole prefix tree from its value table
+    before the first round, and every round follows its oracle's tree
+    (``run_round``'s ``tree``) without a read.  The bound keeps a tree's
+    2^n points within the rounds that use them; any other adversary or
+    size walks every round.  Rounds are charged 2n either way, and their
+    points are the same doubles.
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -278,7 +346,7 @@ def run_usm_game(
         raise SizeError(f"tracking the best fixed set needs n <= {ENUMERATION_LIMIT}")
     # keyed by the oracle objects themselves, which the dict holds alive
     trees: dict[SubmodularOracle, list[BalancePoint | None]] = {}
-    if isinstance(adversary, CycleFunctionAdversary) and 1 << n <= rounds and n <= ENUMERATION_LIMIT:
+    if _holds_prefix(adversary, n, rounds):
         trees = {g: _prefix_tree(g) for g in dict.fromkeys(adversary.oracles)}
     coins = np.empty((n, rounds))
     for stream, row in zip(streams, coins):
@@ -331,6 +399,96 @@ def run_usm_game(
         transcripts=transcripts,
         oracles=oracles,
     )
+
+
+def run_cycle_trials(
+    sub: BalanceSubroutine,
+    adversary: CycleFunctionAdversary,
+    rounds: int,
+    streams: Sequence[Sequence[np.random.Generator]],
+    *,
+    keep_transcripts: bool = False,
+) -> list[UsmRunResult]:
+    """Play one game per row of ``streams`` (trial k's coin stream for
+    element i at ``[k][i]``) against the cycle, all trials one array round
+    at a time; each result is bit for bit that trial's own
+    :func:`run_usm_game` with tracking.
+
+    ``sub`` becomes a batch of shape (trials, n).  Element i + 1's point
+    sits at node 2^i | S & (2^i - 1) for the round's chosen set S, so
+    each distinct function's :func:`_prefix_points` become ``sub``'s
+    point terms laid out by chosen set, (terms, 2^n, n), and a round is:
+    decide, pack S, gather the terms at S, ``update_terms``.  Coins are
+    drawn ``_COIN_BLOCK`` rounds of every stream at a time, as sequential
+    draws would.  After play the rewards are gathered by S, the best set
+    is tracked once (one read-only ``cum_opt``), each function is charged
+    2n per trial-round it played, and transcripts are built from the
+    tree.  A point ``sub`` rejects raises :class:`InvalidPointError` in
+    the first round that meets one, for its first trial and element.
+    """
+    trials = len(streams)
+    oracles = adversary.oracles
+    n = oracles[0].n
+    flat = [stream for row in streams for stream in row]
+    sets = np.arange(1 << n)
+    bits = 1 << np.arange(n)
+    # nodes[S, i]: element i + 1's node when the round chooses S
+    nodes = (sets[:, None] & (bits - 1)) | bits
+    sub = sub.batch((trials, n))
+    built = {}
+    for g in dict.fromkeys(oracles):
+        alpha, beta = _prefix_points(value_table(g))
+        terms, rejected = sub.point_terms(alpha, beta)
+        built[g] = terms[:, nodes], None if rejected is None else rejected[nodes], alpha, beta
+    cycle = [built[g] for g in oracles]
+    period = len(cycle)
+
+    chosen = np.empty((rounds, trials), dtype=np.int64)
+    coins = np.empty((trials * n, min(rounds, _COIN_BLOCK)))
+    decide, update = sub.decide, sub.update_terms
+    for start in range(0, rounds, _COIN_BLOCK):
+        size = min(_COIN_BLOCK, rounds - start)
+        for stream, row in zip(flat, coins):
+            stream.random(out=row[:size])
+        for t, round_coins in enumerate(coins[:, :size].T.reshape(size, trials, n), start):
+            s = decide(round_coins).dot(bits)
+            chosen[t] = s
+            terms, rejected, alpha, beta = cycle[t % period]
+            if rejected is not None:
+                hit = rejected[s]
+                if hit.any():
+                    k, i = np.argwhere(hit)[0]
+                    node = nodes[s[k], i]
+                    raise _point_error(alpha[node].item(), beta[node].item())
+            update(terms.take(s, axis=1))
+
+    tables = [value_table(g) for g in oracles]
+    which = np.arange(rounds) % period
+    rewards = np.stack(tables)[which, chosen.T]
+    cum_rewards = np.cumsum(rewards, axis=1)
+    for j, g in enumerate(oracles):
+        g._charge(2 * n * trials * len(range(j, rounds, period)))
+    cum_opt, opt_set = _cycle_best(tables, rounds)
+    cum_opt.flags.writeable = False
+    round_queries = np.full(rounds, 2 * n, dtype=np.int64)
+
+    if keep_transcripts:
+        # each round's alpha and beta at every node, by cycle position
+        sides = [np.stack([c[side] for c in cycle]) for side in (2, 3)]
+    results = []
+    for k in range(trials):
+        res = UsmRunResult(rewards=rewards[k], cum_rewards=cum_rewards[k], cum_opt=cum_opt,
+                           round_queries=round_queries, max_round_queries=2 * n, opt_set=opt_set)
+        if keep_transcripts:
+            path = which[:, None], nodes[chosen[:, k]]
+            points = zip(*(side[path].tolist() for side in sides))
+            res.transcripts = [
+                RoundTranscript(t, s, tuple(map(BalancePoint._make, zip(a, b))), 2 * n)
+                for t, s, (a, b) in zip(range(1, rounds + 1), chosen[:, k].tolist(), points)
+            ]
+            res.oracles = [oracles[t % period] for t in range(rounds)]
+        results.append(res)
+    return results
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,21 @@ tracks its best fixed set once: the trials share the oracles and the
 ``cum_opt`` series.  ``fresh-random`` and the adaptive kinds build and
 track per trial.
 
-Trials run one after another in one process.  An experiment's result
-rows are seven column arrays named by ``RESULT_HEADER`` (int64
-``trial``, ``t`` and ``queries``, float64 for the rest), in (trial,
-round) order.  Both online games build them, and their summaries, in
-one function from each trial's series with array operations, so no
-Python object per row exists until output.  CSV output formats a
-bounded slice of rows at a time; JSON output builds every row's list at
-once.  Files are written atomically (temp file, then rename).
+Trials run in one process.  A cycle kind's trials play together, one
+array round for all of them at a time, when there are at least two, its
+rounds reach every prefix (2^n <= T) and the arrays fit the framework's
+byte budget (:func:`~onlineusm.framework.run_cycle_trials`); otherwise
+they run one after another.  Either way each trial's results are those
+of its own game, bit for bit.
+
+An experiment's result rows are seven column arrays named by
+``RESULT_HEADER`` (int64 ``trial``, ``t`` and ``queries``, float64 for
+the rest), in (trial, round) order.  Both online games build them, and
+their summaries, in one function from each trial's series with array
+operations, so no Python object per row exists until output.  CSV output
+formats a bounded slice of rows at a time; JSON output builds every
+row's list at once.  Files are written atomically (temp file, then
+rename).
 """
 
 from __future__ import annotations
@@ -36,9 +43,11 @@ from . import adversaries as adv
 from . import balance as bal
 from .errors import ConfigError
 from .framework import (
+    _holds_prefix,
     default_checkpoints,
     fit_growth_exponent,
     opt_tracking_check,
+    run_cycle_trials,
     run_usm_game,
     value_identity_residual,
 )
@@ -141,6 +150,9 @@ class ExperimentConfig:
                 raise ConfigError(f"--trials must be >= 1, got {self.trials}")
         if self.game == "verify" and self.graph is None:
             raise ConfigError("verify needs a graph file")
+        # checked before the graph is read and its table built
+        if self.game == "verify" and self.samples is not None and self.samples < 1:
+            raise ConfigError(f"--samples must be >= 1, got {self.samples}")
         return self
 
 
@@ -307,18 +319,32 @@ def _usm_trial(config: ExperimentConfig, trial: int, adversary=None, tracked=Non
     return res
 
 
+#: fewest trials a cycled experiment plays as one batch: one batched
+#: trial ran 0.87-0.94x the speed of its own game, two ran 1.24-1.47x
+#: (n = 8, T = 4000, cycle-random:k=4, balancer, best of 5)
+_BATCH_MIN_TRIALS = 2
+
+
 def _usm_trials(config: ExperimentConfig) -> list:
     """Every trial of a USM experiment, in trial order.
 
     A cycle kind's sequence of functions is fixed by the master seed
-    before any coin is drawn, so its instance is built once: each trial
-    plays a fresh cursor over the same oracles, and the best-fixed-set
-    series that trial 0 tracks (the same doubles any trial would track)
-    is every trial's ``cum_opt``, one read-only array, as its best set is
-    every trial's ``opt_set``.  Other kinds build their adversary, and
-    track, once per trial.
+    before any coin is drawn, so its instance is built once and its best
+    fixed set is tracked once: every trial's ``cum_opt`` is one
+    read-only array, and its ``opt_set`` one set.  With at least
+    ``_BATCH_MIN_TRIALS`` trials, 2^n <= rounds and the batch's prefix
+    arrays within the framework's byte budget, the trials play together
+    (:func:`~onlineusm.framework.run_cycle_trials`).  Otherwise each
+    trial plays a fresh cursor over the same oracles, and trial 0 tracks
+    (the same doubles any trial would track).  Other kinds build their
+    adversary, and track, once per trial.  Either way the results are
+    bit for bit those of one game per trial.
     """
     built = build_usm_adversary(config.adversary, config.n, config.seed)
+    if config.trials >= _BATCH_MIN_TRIALS and _holds_prefix(built, config.n, config.rounds, batched=True):
+        streams = [[coin_stream(config.seed, k, i) for i in range(config.n)] for k in range(config.trials)]
+        return run_cycle_trials(build_subroutine(config.subroutine, config.rounds), built, config.rounds,
+                                streams, keep_transcripts=config.keep_transcripts)
     first = _usm_trial(config, 0, built)
     if not isinstance(built, adv.CycleFunctionAdversary):
         return [first, *(_usm_trial(config, k) for k in range(1, config.trials))]

@@ -3,7 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The heavy online
 runs (criteria 3, 4, 8 share them) are built once per subroutine in
 module-scoped fixtures, through the harness's per-experiment helper
-``_usm_trials``, the path ``run_experiment`` takes.
+``_usm_trials``, the path ``run_experiment`` takes.  Their 50 trials
+against one 4-function cycle play as one batch
+(``framework.run_cycle_trials``), bit for bit the 50 games one by one
+(``tests/test_batched_trials.py``); so does criterion 9's run.
 """
 
 import math

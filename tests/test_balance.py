@@ -470,6 +470,106 @@ def test_decide_returns_coin_below_p_as_a_bool(sub, data):
         assert yes_probability(sub) == p  # deciding leaves the state as it was
 
 
+# --- batches: the array step against a loop of scalar steps ----------------
+
+def scalars_and_batch(kind, horizon, p, copies):
+    """``copies`` fresh subroutines of one kind and one batch of as many."""
+    def make():
+        if kind == "balancer":
+            return Balancer(horizon)
+        return TwoExperts(horizon) if kind == "mw" else ConstantPolicy(p)
+
+    return [make() for _ in range(copies)], make().batch((copies,))
+
+
+def state_bits(subs, batch):
+    """Each state field of the scalar subroutines and of the batch, as int64
+    bit patterns per copy: (scalars', batch's)."""
+    names = {Balancer: ("x",), TwoExperts: ("w_yes", "w_no"), ConstantPolicy: ("p",)}[type(batch)]
+    scalar = [np.array([getattr(sub, name) for sub in subs]).view(np.int64).tolist() for name in names]
+    batched = [np.broadcast_to(getattr(batch, name), len(subs)).view(np.int64).tolist() for name in names]
+    return scalar, batched
+
+
+# points on the triangle's edges within the gate's tolerance, the extremal
+# points and points inside
+_edge_points = st.tuples(_on_boundary, _offset, _offset).map(
+    lambda d: (d[0][0] + d[1], d[0][1] + d[2])).filter(lambda ab: _in_triangle(*ab))
+_batch_points = (
+    st.sampled_from([tuple(UP), tuple(RIGHT), tuple(LEFT)])
+    | _edge_points
+    | st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda ab: ab[0] + ab[1] >= 0.0)
+)
+
+
+def play_both(subs, batch, rounds):
+    """Each round's (points, coins) fed to the scalars one by one and to the
+    batch at once; asserts the decisions and every state bit after each
+    round, and returns the scalars' states per round."""
+    seen = []
+    for points, coins in rounds:
+        want = [sub.decide(c) for sub, c in zip(subs, coins)]
+        got = batch.decide(np.array(coins))
+        assert got.dtype == bool and got.tolist() == want
+        for sub, pt in zip(subs, points):
+            sub.update(BalancePoint(*pt))
+        terms, rejected = batch.point_terms(np.array([a for a, _ in points]), np.array([b for _, b in points]))
+        assert rejected is None
+        batch.update_terms(terms)
+        scalar, batched = state_bits(subs, batch)
+        assert scalar == batched
+        seen.append([vars(sub).copy() for sub in subs])
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["balancer", "mw", "constant"]), horizon=st.integers(1, 400),
+       p=st.sampled_from([0.0, 0.5, 1.0]), copies=st.integers(1, 4), data=st.data())
+def test_batch_step_is_a_loop_of_scalar_steps(kind, horizon, p, copies, data):
+    subs, batch = scalars_and_batch(kind, horizon, p, copies)
+    coin = st.floats(0.0, 1.0, exclude_max=True)
+    rounds = data.draw(st.lists(st.tuples(st.lists(_batch_points, min_size=copies, max_size=copies),
+                                          st.lists(coin, min_size=copies, max_size=copies)),
+                                min_size=1, max_size=40))
+    play_both(subs, batch, rounds)
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 5, 100])
+def test_batch_step_caps_and_renormalizes_as_the_scalar_does(horizon):
+    # copy 0 sees right points, copy 1 left points, copy 2 alternates: the
+    # Balancer's x reaches both caps, and the mw weights renormalize
+    rounds = [((tuple(RIGHT), tuple(LEFT), tuple(RIGHT if t % 2 else LEFT)), (0.3, 0.6, 0.9))
+              for t in range(3 * horizon)]
+    subs, batch = scalars_and_batch("balancer", horizon, None, 3)
+    states = [sub["x"] for row in play_both(subs, batch, rounds) for sub in row]
+    assert 0.0 in states and math.sqrt(horizon) in states
+    subs, batch = scalars_and_batch("mw", horizon, None, 3)
+    states = play_both(subs, batch, rounds)
+    assert all(max(sub["w_yes"], sub["w_no"]) == 1.0 for row in states for sub in row)
+    assert min(sub["w_no"] for sub in states[-1]) < 1.0 and min(sub["w_yes"] for sub in states[-1]) < 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_on_boundary, _offset, _offset), min_size=1, max_size=8))
+def test_point_terms_mark_the_points_update_rejects(draws):
+    a = [base[0] + da for base, da, _ in draws]
+    b = [base[1] + db for base, _, db in draws]
+    want = [not _accepts(lambda: Balancer(100).update(BalancePoint(x, y))) for x, y in zip(a, b)]
+    _, rejected = Balancer(100).point_terms(np.array(a), np.array(b))
+    assert (rejected.tolist() if rejected is not None else [False] * len(a)) == want
+    assert rejected is None or any(want)
+
+
+def test_point_terms_gate_nan_inf_and_negative_zero_as_update_does():
+    pairs = [(a, b) for a in _SPECIAL for b in _SPECIAL]
+    alpha, beta = np.array(pairs).T
+    _, rejected = Balancer(100).point_terms(alpha, beta)
+    assert rejected.tolist() == [not _in_triangle(a, b) for a, b in pairs]
+    # the other subroutines check no point
+    for sub in (TwoExperts(100), ConstantPolicy(0.5)):
+        assert sub.point_terms(alpha, beta)[1] is None
+
+
 # --- empirical two-experts reduction (extremal oblivious adversaries) ----
 
 @pytest.mark.parametrize("pattern", ["U", "RL", "URL"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import onlineusm.cli as cli
-from onlineusm import submodular
+from onlineusm import harness, submodular
 from onlineusm.errors import ConfigError
 from onlineusm.harness import SUBROUTINE_NAMES, build_subroutine
 from onlineusm.submodular import (
@@ -273,6 +273,19 @@ def test_verify_too_large_exit_one(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", str(p)]) == 1
     assert capsys.readouterr().err == proc.stderr
     assert tables == []
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_sample_count_below_one_exit_one_before_reading(samples, tmp_path, monkeypatch, capsys):
+    p = tmp_path / "g20.dg"
+    write_digraph(p, random_digraph(ENUMERATION_LIMIT, 0.05, (0.0, 1.0), np.random.default_rng(3)))
+    tables, reads = [], []
+    cut_table, read = submodular._cut_table, harness.read_digraph
+    monkeypatch.setattr(submodular, "_cut_table", lambda g, scale: tables.append(g.n) or cut_table(g, scale))
+    monkeypatch.setattr(harness, "read_digraph", lambda path: reads.append(path) or read(path))
+    assert cli.main(["verify", str(p), "--samples", samples]) == 1
+    assert capsys.readouterr().err == f"error: --samples must be >= 1, got {samples}\n"
+    assert tables == [] and reads == []
 
 
 @pytest.mark.parametrize("adversary", ["cycle-random:whi=nan", "cycle-random:whi=inf",
