@@ -12,10 +12,10 @@ Two subroutines are provided: :class:`Balancer`, which paces a scalar
 x in [0, sqrt(T)] and says yes with probability x / sqrt(T), and
 :class:`TwoExperts`, a two-action multiplicative-weights learner; each
 one's ``decide(coin)`` returns its action as a plain ``bool``, True for
-yes.  Each also plays as a batch of copies stepped together (see
-:class:`BalanceSubroutine`).  The quadratic potentials attached to the
-Balancer's state make its per-step progress checkable in closed form
-(:func:`step_invariant_deltas`).
+yes.  Each also plays as a batch of copies that hold their
+yes-probabilities and step in place (see :class:`SubroutineBatch`).
+The quadratic potentials attached to the Balancer's state make its
+per-step progress checkable in closed form (:func:`step_invariant_deltas`).
 """
 
 from __future__ import annotations
@@ -104,25 +104,49 @@ class BalanceSubroutine(Protocol):
     through ``update``.  A :class:`BalancePoint` is an immutable tuple
     that unpacks as ``alpha, beta``.
 
-    ``batch(shape)`` turns the subroutine into independent copies, one
-    state per entry of an array of ``shape``; ``decide`` then takes an
-    array of coins and returns a bool array.  ``point_terms(alpha,
-    beta)`` computes ahead what ``update`` derives from each point,
-    stacked on a new first axis, and marks the points ``update`` rejects
-    (None for none); ``update_terms`` takes those terms, gathered to the
-    batch's shape, and updates every copy as ``update`` would, bit for
-    bit, checking no point.
+    ``point_terms(alpha, beta)`` computes ahead what ``update`` derives
+    from each point, stacked on a new first axis, and marks the points
+    ``update`` rejects (None for none).  ``batch(shape)`` returns copies
+    of the subroutine in its current state, one per entry of an array of
+    ``shape``, which decide from their held p and step in place as
+    ``update`` would, bit for bit, checking no point
+    (:class:`SubroutineBatch`).
     """
 
     def decide(self, coin: float) -> bool: ...
 
     def update(self, pt: BalancePoint) -> None: ...
 
-    def batch(self, shape: tuple[int, ...]) -> "BalanceSubroutine": ...
-
     def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]: ...
 
-    def update_terms(self, terms: np.ndarray) -> None: ...
+    def batch(self, shape: tuple[int, ...]) -> "SubroutineBatch": ...
+
+
+class SubroutineBatch:
+    """Copies of one subroutine stepped together, one per entry of an
+    array of ``shape``.
+
+    Bound once, for all rounds, to the copies' state, their held
+    yes-probability ``p``, a scratch array and ``gathered``: the buffer
+    of shape (shape[0], terms, *shape[1:]) in which the caller leaves each
+    copy's point terms (those of ``point_terms``) before ``update``, which
+    reads them through ``views``, one per term, taken here.  ``update``
+    steps every copy in place and refreshes ``p``, so no round allocates
+    state.
+    """
+
+    def __init__(self, shape: tuple[int, ...], terms: int):
+        self.p = np.empty(shape)
+        self.scratch = np.empty(shape)
+        self.gathered = np.empty((shape[0], terms, *shape[1:]))
+        self.views = tuple(self.gathered[:, j] for j in range(terms))
+
+    def decide(self, coins: np.ndarray) -> np.ndarray:
+        """Every copy's action as a new bool array: coin < p."""
+        return coins < self.p
+
+    def update(self) -> None:
+        """Step every copy from ``gathered``: a constant policy has no state."""
 
 
 def _sqrt_horizon(horizon: int) -> float:
@@ -164,9 +188,8 @@ class Balancer:
             x = self.sqrt_horizon
         self.x = x
 
-    def batch(self, shape: tuple[int, ...]) -> "Balancer":
-        self.x = np.full(shape, self.x)
-        return self
+    def batch(self, shape: tuple[int, ...]) -> "BalancerBatch":
+        return BalancerBatch(self, shape)
 
     def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """c_up, c_right and c_left of each point, and the points outside
@@ -177,16 +200,35 @@ class Balancer:
             terms = np.stack((0.5 * (alpha + beta), 0.5 * (1.0 - beta), 0.5 * (1.0 - alpha)))
         return terms, outside if outside.any() else None
 
-    def update_terms(self, terms: np.ndarray) -> None:
-        """x = ((x + (1 - 2p) c_up) + c_right) - c_left, then the cap, per entry."""
-        c_up, c_right, c_left = terms
-        p = self.x / self.sqrt_horizon
-        x = self.x + (1.0 - 2.0 * p) * c_up
+
+class BalancerBatch(SubroutineBatch):
+    """Balancers stepped together; besides x and p each copy holds
+    1 - 2p, the weight of its c_up term."""
+
+    def __init__(self, sub: Balancer, shape: tuple[int, ...]):
+        super().__init__(shape, 3)
+        self.sqrt_horizon = sub.sqrt_horizon
+        self.x = np.full(shape, sub.x)
+        self.q = np.empty(shape)
+        self._follow_x()
+
+    def _follow_x(self) -> None:
+        """p = x / sqrt(T) and q = 1 - 2p, as the scalar computes them."""
+        np.divide(self.x, self.sqrt_horizon, out=self.p)
+        np.multiply(self.p, 2.0, out=self.q)
+        np.subtract(1.0, self.q, out=self.q)
+
+    def update(self) -> None:
+        """x = ((x + (1 - 2p) c_up) + c_right) - c_left, then the cap, per copy."""
+        c_up, c_right, c_left = self.views
+        x = self.x
+        np.multiply(self.q, c_up, out=self.scratch)
+        x += self.scratch
         x += c_right
         x -= c_left
         np.maximum(x, 0.0, out=x)
         np.minimum(x, self.sqrt_horizon, out=x)
-        self.x = x
+        self._follow_x()
 
 
 class TwoExperts:
@@ -215,10 +257,8 @@ class TwoExperts:
         self.w_yes = wy / top
         self.w_no = wn / top
 
-    def batch(self, shape: tuple[int, ...]) -> "TwoExperts":
-        self.w_yes = np.full(shape, self.w_yes)
-        self.w_no = np.full(shape, self.w_no)
-        return self
+    def batch(self, shape: tuple[int, ...]) -> "TwoExpertsBatch":
+        return TwoExpertsBatch(self, shape)
 
     def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, None]:
         """Each point's two weight factors, through ``math.exp`` one value
@@ -227,13 +267,31 @@ class TwoExperts:
         z = self.eta * 0.5 * (np.stack((alpha, beta)) + 1.0)
         return np.fromiter(map(math.exp, z.ravel().tolist()), float, z.size).reshape(z.shape), None
 
-    def update_terms(self, terms: np.ndarray) -> None:
-        e_yes, e_no = terms
-        wy = self.w_yes * e_yes
-        wn = self.w_no * e_no
+
+class TwoExpertsBatch(SubroutineBatch):
+    """Two-experts learners stepped together."""
+
+    def __init__(self, sub: TwoExperts, shape: tuple[int, ...]):
+        super().__init__(shape, 2)
+        self.w_yes = np.full(shape, sub.w_yes)
+        self.w_no = np.full(shape, sub.w_no)
+        self._follow_weights()
+
+    def _follow_weights(self) -> None:
+        """p = w_yes / (w_yes + w_no), as the scalar computes it."""
+        np.add(self.w_yes, self.w_no, out=self.scratch)
+        np.divide(self.w_yes, self.scratch, out=self.p)
+
+    def update(self) -> None:
+        e_yes, e_no = self.views
+        wy, wn = self.w_yes, self.w_no
+        wy *= e_yes
+        wn *= e_no
+        # the scalar's comparison, which picks wn when either is nan
         top = np.where(wy >= wn, wy, wn)
-        self.w_yes = wy / top
-        self.w_no = wn / top
+        wy /= top
+        wn /= top
+        self._follow_weights()
 
 
 class ConstantPolicy:
@@ -250,14 +308,13 @@ class ConstantPolicy:
     def update(self, pt: BalancePoint) -> None:
         pass
 
-    def batch(self, shape: tuple[int, ...]) -> "ConstantPolicy":
-        return self
-
     def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, None]:
         return np.empty((0, *np.shape(alpha))), None
 
-    def update_terms(self, terms: np.ndarray) -> None:
-        pass
+    def batch(self, shape: tuple[int, ...]) -> SubroutineBatch:
+        batch = SubroutineBatch(shape, 0)
+        batch.p[...] = self.p
+        return batch
 
 
 # --- ledger ------------------------------------------------------------

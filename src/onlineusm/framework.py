@@ -43,12 +43,14 @@ stream, which equals T sequential draws.
 
 Trials against one cycle can also play together, bit for bit
 (:func:`run_cycle_trials`): X_{i-1} = S & (2^(i-1) - 1) for the round's
-chosen set S, so every point of every trial is one gather by S.  The
-experiment driver batches two trials or more once 2^n <= T.  The
-one-game path stays: it is faster for one trial, it serves the other
-adversaries, and the benchmark's tracer test pins its calls (one
-``run_round`` and n ``decide``/``update`` per trial-round) until ROADMAP
-item 1 re-pins that test.
+chosen set S, so every point of every trial is one gather by S from
+terms laid out set-major, (2^n, terms, n), into a buffer the batched
+subroutines were bound to once, with their state, before the first
+round.  The experiment driver batches two trials or more once
+2^n <= T.  The one-game path stays: it is as fast for one Balancer
+trial, it serves the other adversaries, and the benchmark's tracer test
+pins its calls (one ``run_round`` and n ``decide``/``update`` per
+trial-round) until ROADMAP item 1 re-pins that test.
 """
 
 from __future__ import annotations
@@ -414,17 +416,22 @@ def run_cycle_trials(
     at a time; each result is bit for bit that trial's own
     :func:`run_usm_game` with tracking.
 
-    ``sub`` becomes a batch of shape (trials, n).  Element i + 1's point
-    sits at node 2^i | S & (2^i - 1) for the round's chosen set S, so
-    each distinct function's :func:`_prefix_points` become ``sub``'s
-    point terms laid out by chosen set, (terms, 2^n, n), and a round is:
-    decide, pack S, gather the terms at S, ``update_terms``.  Coins are
-    drawn ``_COIN_BLOCK`` rounds of every stream at a time, as sequential
-    draws would.  After play the rewards are gathered by S, the best set
-    is tracked once (one read-only ``cum_opt``), each function is charged
-    2n per trial-round it played, and transcripts are built from the
-    tree.  A point ``sub`` rejects raises :class:`InvalidPointError` in
-    the first round that meets one, for its first trial and element.
+    ``sub`` becomes a batch of shape (trials, n), bound once to its
+    state, held yes-probabilities, scratch array and gather buffer.
+    Element i + 1's point sits at node 2^i | S & (2^i - 1) for the
+    round's chosen set S, so each distinct function's
+    :func:`_prefix_points` become ``sub``'s point terms laid out set-major,
+    (2^n, terms, n): row S holds every term of every element when the
+    round chooses S.  A round is: decide (coin < p), pack S straight into
+    the round's row of chosen sets, one ``take`` of the terms' rows at S
+    into the batch's buffer, and the batch's in-place ``update``, which
+    also refreshes p.  Coins are drawn ``_COIN_BLOCK`` rounds of every
+    stream at a time, as sequential draws would.  After play the rewards
+    are gathered by S, the best set is tracked once (one read-only
+    ``cum_opt``), each function is charged 2n per trial-round it played,
+    and transcripts are built from the tree.  A point ``sub`` rejects
+    raises :class:`InvalidPointError` in the first round that meets one,
+    for its first trial and element.
     """
     trials = len(streams)
     oracles = adversary.oracles
@@ -434,25 +441,26 @@ def run_cycle_trials(
     bits = 1 << np.arange(n)
     # nodes[S, i]: element i + 1's node when the round chooses S
     nodes = (sets[:, None] & (bits - 1)) | bits
-    sub = sub.batch((trials, n))
     built = {}
     for g in dict.fromkeys(oracles):
         alpha, beta = _prefix_points(value_table(g))
         terms, rejected = sub.point_terms(alpha, beta)
-        built[g] = terms[:, nodes], None if rejected is None else rejected[nodes], alpha, beta
+        built[g] = (np.moveaxis(terms[:, nodes], 0, 1).copy(), None if rejected is None else rejected[nodes],
+                    alpha, beta)
     cycle = [built[g] for g in oracles]
     period = len(cycle)
 
     chosen = np.empty((rounds, trials), dtype=np.int64)
     coins = np.empty((trials * n, min(rounds, _COIN_BLOCK)))
-    decide, update = sub.decide, sub.update_terms
+    batch = sub.batch((trials, n))
+    decide, gathered, update = batch.decide, batch.gathered, batch.update
     for start in range(0, rounds, _COIN_BLOCK):
         size = min(_COIN_BLOCK, rounds - start)
         for stream, row in zip(flat, coins):
             stream.random(out=row[:size])
-        for t, round_coins in enumerate(coins[:, :size].T.reshape(size, trials, n), start):
-            s = decide(round_coins).dot(bits)
-            chosen[t] = s
+        # each round's coins contiguous, (trials, n)
+        for t, round_coins in enumerate(np.ascontiguousarray(coins[:, :size].T).reshape(size, trials, n), start):
+            s = decide(round_coins).dot(bits, out=chosen[t])
             terms, rejected, alpha, beta = cycle[t % period]
             if rejected is not None:
                 hit = rejected[s]
@@ -460,7 +468,8 @@ def run_cycle_trials(
                     k, i = np.argwhere(hit)[0]
                     node = nodes[s[k], i]
                     raise _point_error(alpha[node].item(), beta[node].item())
-            update(terms.take(s, axis=1))
+            terms.take(s, axis=0, out=gathered)
+            update()
 
     tables = [value_table(g) for g in oracles]
     which = np.arange(rounds) % period

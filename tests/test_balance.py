@@ -483,11 +483,13 @@ def scalars_and_batch(kind, horizon, p, copies):
 
 
 def state_bits(subs, batch):
-    """Each state field of the scalar subroutines and of the batch, as int64
-    bit patterns per copy: (scalars', batch's)."""
-    names = {Balancer: ("x",), TwoExperts: ("w_yes", "w_no"), ConstantPolicy: ("p",)}[type(batch)]
+    """Each state field of the scalar subroutines and of the batch, and each
+    copy's yes-probability (the batch's held ``p``), as int64 bit patterns
+    per copy: (scalars', batch's)."""
+    names = {Balancer: ("x",), TwoExperts: ("w_yes", "w_no"), ConstantPolicy: ("p",)}[type(subs[0])]
     scalar = [np.array([getattr(sub, name) for sub in subs]).view(np.int64).tolist() for name in names]
-    batched = [np.broadcast_to(getattr(batch, name), len(subs)).view(np.int64).tolist() for name in names]
+    scalar.append(np.array([yes_probability(sub) for sub in subs]).view(np.int64).tolist())
+    batched = [np.broadcast_to(getattr(batch, name), len(subs)).view(np.int64).tolist() for name in (*names, "p")]
     return scalar, batched
 
 
@@ -502,23 +504,45 @@ _batch_points = (
 )
 
 
+def assert_decides_alike(subs, batch, coins):
+    want = [sub.decide(c) for sub, c in zip(subs, coins)]
+    got = batch.decide(np.array(coins))
+    assert got.dtype == bool and got.tolist() == want
+
+
+def assert_decides_alike_at_p(subs, batch):
+    """Each copy's coin at its yes-probability p, and at the double below p."""
+    p = [yes_probability(sub) for sub in subs]
+    assert_decides_alike(subs, batch, p)
+    assert_decides_alike(subs, batch, [math.nextafter(v, -math.inf) for v in p])
+
+
+def step_batch(subs, batch, points):
+    """One round's points, one per copy: the scalars' ``point_terms`` put in
+    the batch's gather buffer, then the batch's ``update``."""
+    terms, rejected = subs[0].point_terms(np.array([a for a, _ in points]), np.array([b for _, b in points]))
+    assert rejected is None
+    batch.gathered[...] = terms.T
+    batch.update()
+
+
 def play_both(subs, batch, rounds):
     """Each round's (points, coins) fed to the scalars one by one and to the
-    batch at once; asserts the decisions and every state bit after each
-    round, and returns the scalars' states per round."""
+    batch at once; asserts the decisions, at the drawn coins and at each
+    copy's p and the double below it, before every round and after the
+    last, and every state bit after each round, and returns the scalars'
+    states per round."""
     seen = []
     for points, coins in rounds:
-        want = [sub.decide(c) for sub, c in zip(subs, coins)]
-        got = batch.decide(np.array(coins))
-        assert got.dtype == bool and got.tolist() == want
+        assert_decides_alike_at_p(subs, batch)
+        assert_decides_alike(subs, batch, coins)
         for sub, pt in zip(subs, points):
             sub.update(BalancePoint(*pt))
-        terms, rejected = batch.point_terms(np.array([a for a, _ in points]), np.array([b for _, b in points]))
-        assert rejected is None
-        batch.update_terms(terms)
+        step_batch(subs, batch, points)
         scalar, batched = state_bits(subs, batch)
         assert scalar == batched
         seen.append([vars(sub).copy() for sub in subs])
+    assert_decides_alike_at_p(subs, batch)
     return seen
 
 
@@ -532,6 +556,31 @@ def test_batch_step_is_a_loop_of_scalar_steps(kind, horizon, p, copies, data):
                                           st.lists(coin, min_size=copies, max_size=copies)),
                                 min_size=1, max_size=40))
     play_both(subs, batch, rounds)
+
+
+def arrays_of(batch):
+    """Every array a batch holds, its per-term views included."""
+    return [a for v in vars(batch).values() for a in (v if isinstance(v, tuple) else (v,))
+            if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("kind", ["balancer", "mw", "constant"])
+def test_batches_own_their_buffers_and_decisions(kind):
+    subs, batch = scalars_and_batch(kind, 100, 0.5, 3)
+    _, other = scalars_and_batch(kind, 100, 0.5, 3)
+    assert arrays_of(batch) and len(arrays_of(batch)) == len(arrays_of(other))
+    assert not any(np.shares_memory(a, b) for a in arrays_of(batch) for b in arrays_of(other))
+    coins = np.array([0.2, 0.5, 0.8])
+    first = batch.decide(coins)
+    kept = first.copy()
+    points = [tuple(RIGHT), tuple(LEFT), tuple(UP)]
+    for sub, pt in zip(subs, points):
+        sub.update(BalancePoint(*pt))
+    step_batch(subs, batch, points)
+    second = batch.decide(coins)
+    assert first.tolist() == kept.tolist()
+    assert not any(np.shares_memory(first, a) for a in (second, *arrays_of(batch)))
+    assert second.tolist() == [sub.decide(c) for sub, c in zip(subs, coins.tolist())]
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 5, 100])

@@ -8,12 +8,14 @@ writers to per-row formatting and to ``json.dumps``.
 """
 
 import json
+import math
+import struct
 from dataclasses import asdict
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onlineusm import harness
@@ -94,8 +96,69 @@ def tuple_rows(draw):
             for _ in range(count)]
 
 
-@settings(max_examples=80, deadline=None)
-@given(rows=tuple_rows(), rows_per_slice=st.integers(1, 5))
+def _float_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+#: nans of other payloads and signs, infinities, subnormals and both zeros
+_SPECIAL_FLOATS = (0.0, -0.0, math.nan, _float_bits(0x7FF8000000000001), _float_bits(0xFFF8000000000000),
+                   _float_bits(0x7FF0000000000001), math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072e-308)
+_BLOCK_FLOATS = st.sampled_from(_SPECIAL_FLOATS) | _FLOATS
+
+
+def _flipped(v):
+    """v with its sign bit flipped when it is a zero, and v otherwise."""
+    return -v if v == 0.0 else v
+
+
+@st.composite
+def trial_block_rows(draw):
+    """Rows as an experiment lays them out, in trial blocks: each block a
+    run of one ``trial`` value, drawn anew (so the column need not be
+    monotone).  A block either is new, of its own length, each column's
+    cells drawn apart or as one value, or repeats an earlier block's
+    length and chosen columns, its float cells zero-flipped here and
+    there (0.0 for -0.0 and back); the others are drawn anew."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        trial = draw(_INTS)
+        if blocks and draw(st.booleans()):
+            source = draw(st.sampled_from(blocks))
+            kept = draw(st.lists(st.booleans(), min_size=len(RESULT_HEADER), max_size=len(RESULT_HEADER)))
+            flips = draw(st.lists(st.booleans(), min_size=len(source), max_size=len(source)))
+            rows = []
+            for row, flip in zip(source, flips):
+                cells = [trial]
+                for j, name in enumerate(RESULT_HEADER[1:], 1):
+                    if not kept[j]:
+                        cells.append(draw(_INTS if name in INT_COLUMNS else _BLOCK_FLOATS))
+                    else:
+                        cells.append(_flipped(row[j]) if flip and name not in INT_COLUMNS else row[j])
+                rows.append(tuple(cells))
+        else:
+            length = draw(st.integers(1, 6))
+            columns = [[trial] * length]
+            for name in RESULT_HEADER[1:]:
+                cell = _INTS if name in INT_COLUMNS else _BLOCK_FLOATS
+                one = draw(st.booleans())
+                columns.append([draw(cell)] * length if one else [draw(cell) for _ in range(length)])
+            rows = list(zip(*columns))
+        blocks.append(rows)
+    return [row for rows in blocks for row in rows]
+
+
+_NAN1 = _float_bits(0x7FF8000000000001)
+
+
+@settings(max_examples=160, deadline=None)
+@given(rows=tuple_rows() | trial_block_rows(), rows_per_slice=st.integers(1, 5))
+# a block repeating the one before it but for a flipped zero, and nans of
+# two payloads, with trial values falling
+@example(rows=[(5, 1, 0.0, 1.0, 2.0, math.nan, 10), (5, 2, 0.5, -0.0, 2.0, 0.0, 20),
+               (3, 1, -0.0, 1.0, 2.0, _NAN1, 10), (3, 2, 0.5, 0.0, 2.0, 0.0, 20)], rows_per_slice=1)
+# a column of one value but for a zero's sign, after a block of one value
+@example(rows=[(7, 1, 0.0, 0.0, 1.0, 0.0, 4), (7, 1, 0.0, 0.0, 1.0, 0.0, 4),
+               (2, 1, 0.0, -0.0, 1.0, 0.0, 4), (2, 1, 0.0, 0.0, 1.0, 0.0, 4)], rows_per_slice=3)
 def test_csv_is_the_per_row_formatting(tmp_path_factory, rows, rows_per_slice):
     path = tmp_path_factory.mktemp("csv") / "r.csv"
     with patch.object(harness, "_ROWS_PER_SLICE", rows_per_slice):
