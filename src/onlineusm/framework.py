@@ -468,7 +468,7 @@ def run_cycle_trials(
                     k, i = np.argwhere(hit)[0]
                     node = nodes[s[k], i]
                     raise _point_error(alpha[node].item(), beta[node].item())
-            terms.take(s, axis=0, out=gathered)
+            terms.take(s, axis=0, out=gathered, mode="clip")
             update()
 
     tables = [value_table(g) for g in oracles]

@@ -23,12 +23,9 @@ An experiment's result rows are seven column arrays named by
 the rest), in (trial, round) order.  Both online games build them, and
 their summaries, in one function from each trial's series with array
 operations, so no Python object per row exists until output.  CSV output
-goes one trial block at a time, a bounded slice of rows at a time: a
-column of one value in a block, such as ``trial``, is formatted once for
-the block, and a column that repeats the previous block bit for bit,
-such as a cycled experiment's ``t``, ``cum_opt`` and ``queries``, reuses
-that block's text.  JSON output builds every row's list at once.  Files
-are written atomically (temp file, then rename).
+formats a bounded slice of rows at a time; JSON output builds every
+row's list at once.  Files are written atomically (temp file, then
+rename).
 """
 
 from __future__ import annotations
@@ -555,9 +552,8 @@ def _run_verify(config: ExperimentConfig) -> dict:
 # --- output -----------------------------------------------------------
 
 #: rows per output slice; only one slice's rows exist as Python objects
-#: at a time, beside the CSV text kept from one trial block for the next
-#: (4096 rows raised the peak of an 8-trial, 4000-round CSV run by about
-#: 1 MB)
+#: at a time (4096 rows raised the peak of an 8-trial, 4000-round CSV
+#: run by about 1 MB)
 _ROWS_PER_SLICE = 1024
 
 
@@ -571,55 +567,13 @@ def _row_slices(columns: Mapping[str, np.ndarray]) -> Iterator[list[list]]:
 
 def _csv_blocks(columns: Mapping[str, np.ndarray]) -> Iterator[str]:
     """CSV text of the rows, one block of whole lines per slice, each
-    ending in a newline: ``%d`` for int columns (the text ``str`` gives),
-    ``%.12g`` for float columns (the text ``format(v, ".12g")`` gives,
-    nan, infinities and -0.0 included).
-
-    Rows go out one trial block at a time, a block being a run of rows
-    with one ``trial`` value, in slices of at most ``_ROWS_PER_SLICE``
-    rows; one ``%`` template per block formats a whole row.  Cells are
-    compared as int64 bit patterns, never with float ``==`` (which makes
-    -0.0 equal 0.0 and nan unequal to itself).  A column holding one bit
-    pattern in a block is formatted once, into the block's template.  A
-    column whose cells repeat the previous block's, as in every trial of
-    a cycled experiment its ``t``, ``cum_opt`` and ``queries``, takes the
-    text kept from that block through ``%s``; a column is kept, one
-    block's text at most, only while the next block repeats it.
-    """
-    arrays = [columns[name] for name in RESULT_HEADER]
-    trial = arrays[0]
-    if not len(trial):
-        return
-    formats = ["%d" if a.dtype.kind in "iu" else "%.12g" for a in arrays]
-    cells = [a.view(np.int64) for a in arrays]
-    edges = [0, *(np.flatnonzero(trial[1:] != trial[:-1]) + 1).tolist(), len(trial)]
-    blocks = list(zip(edges[:-1], edges[1:]))
-    # same[b][c]: column c of block b holds the cells of block b - 1
-    none = [False] * len(cells)
-    same = [none, *([phi - plo == hi - lo and np.array_equal(v[plo:phi], v[lo:hi]) for v in cells]
-                    for (plo, phi), (lo, hi) in zip(blocks, blocks[1:])), none]
-    kept: list[list[str] | None] = [None] * len(cells)
-    for (lo, hi), repeated, follows in zip(blocks, same, same[1:]):
-        # the template's pieces, and per %-slot its block of texts or values
-        pieces, slots = [], []
-        for c, (v, fmt) in enumerate(zip(cells, formats)):
-            if not repeated[c]:
-                kept[c] = None
-            if (v[lo:hi] == v[lo]).all():
-                pieces.append(fmt % arrays[c][lo].item())
-                continue
-            if kept[c] is None and follows[c]:
-                kept[c] = list(map(fmt.__mod__, arrays[c][lo:hi].tolist()))
-            pieces.append(fmt if kept[c] is None else "%s")
-            slots.append(arrays[c][lo:hi] if kept[c] is None else kept[c])
-        template = ",".join(pieces)
-        for start in range(0, hi - lo, _ROWS_PER_SLICE):
-            stop = min(start + _ROWS_PER_SLICE, hi - lo)
-            if slots:
-                part = [s[start:stop] if type(s) is list else s[start:stop].tolist() for s in slots]
-                yield "\n".join(map(template.__mod__, zip(*part))) + "\n"
-            else:
-                yield (template + "\n") * (stop - start)
+    ending in a newline.  One ``%`` template formats a whole row: ``%d``
+    for int columns (the text ``str`` gives), ``%.12g`` for float columns
+    (the text ``format(v, ".12g")`` gives, nan, infinities and -0.0
+    included)."""
+    template = ",".join("%d" if columns[name].dtype.kind in "iu" else "%.12g" for name in RESULT_HEADER)
+    for part in _row_slices(columns):
+        yield "\n".join(map(template.__mod__, zip(*part))) + "\n"
 
 
 def _atomic_write(path: str, parts: Iterable[str]) -> None:
