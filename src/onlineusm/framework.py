@@ -424,8 +424,9 @@ def run_cycle_trials(
     (2^n, terms, n): row S holds every term of every element when the
     round chooses S.  A round is: decide (coin < p), pack S straight into
     the round's row of chosen sets, one ``take`` of the terms' rows at S
-    into the batch's buffer, and the batch's in-place ``update``, which
-    also refreshes p.  Coins are drawn ``_COIN_BLOCK`` rounds of every
+    straight into the batch's buffer (``mode="clip"``: every S is in
+    range, and the default mode would copy through a temporary), and the
+    batch's in-place ``update``, which also refreshes p.  Coins are drawn ``_COIN_BLOCK`` rounds of every
     stream at a time, as sequential draws would.  After play the rewards
     are gathered by S, the best set is tracked once (one read-only
     ``cum_opt``), each function is charged 2n per trial-round it played,
