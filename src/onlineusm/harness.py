@@ -320,10 +320,10 @@ def _usm_trial(config: ExperimentConfig, trial: int, adversary=None, tracked=Non
 
 
 #: fewest trials a cycled experiment plays as one batch: one batched
-#: trial ran 0.95-1.01x the speed of its own game with balancer, 1.05-1.08x
-#: with mw and 1.55-1.59x with uniform; two ran 1.4x, 1.6x and 2.6x
-#: (n = 8, T = 4000, cycle-random:k=4, medians of 12 and 16 alternating
-#: in-process pairs)
+#: trial ran 0.95-1.03x the speed of its own game with balancer, 1.05-1.09x
+#: with mw and 1.55-1.74x with uniform; two ran 1.4x, 1.6x and 2.6x
+#: (n = 8, T = 4000, cycle-random:k=4, medians of three sets of 12 to 16
+#: alternating in-process pairs)
 _BATCH_MIN_TRIALS = 2
 
 
