@@ -23,34 +23,29 @@ comes from f(X_{n-1}) and f(Y_{n-1}) = f(X_{n-1} + n), which the walk
 holds.  A round therefore costs exactly 2n counted queries, inside the
 4n + 2 budget; a round's ``queries`` is that count.
 
-Element i's point depends only on the function and the prefix X_{i-1}:
-it is node 2^(i-1) | X_{i-1} of the double greedy's prefix tree, the
-numbering of the offline sweep.  Against a cycle of functions the game
-builds each function's whole tree before its first round, level by
-level with the offline sweep's :func:`~onlineusm.offline._marginals`
-(the walk's doubles, under the same subtraction), and a round follows
-its decisions down the tree without a read; only a round without a
-tree reads the function.  Every round charges the 2n its walk counts,
-so every count and output is that of the walk.  The game records
-per-round series (reward, best fixed set in hindsight, queries) and the
-experiment driver turns them into alpha-regret; the best fixed set and
-the replay diagnostics use the oracle's uncounted peek path.
+The game records per-round series (reward, best fixed set in
+hindsight, queries) and the experiment driver turns them into
+alpha-regret; the best fixed set and the replay diagnostics use the
+oracle's uncounted peek path.
 
 Subroutine i decides with one uniform coin per round.  A round takes
 its n coins as an array, coin i for element i; a game draws each
 element's coins for all rounds as one ``random(T)`` block of its own
 stream, which equals T sequential draws.
 
-Trials against one cycle can also play together, bit for bit
-(:func:`run_cycle_trials`): X_{i-1} = S & (2^(i-1) - 1) for the round's
-chosen set S, so every point of every trial is one gather by S from
-terms laid out set-major, (2^n, terms, n), into a buffer the batched
-subroutines were bound to once, with their state, before the first
-round.  The experiment driver batches two trials or more once
-2^n <= T.  The one-game path stays: it is as fast for one Balancer
-trial, it serves the other adversaries, and the benchmark's tracer test
-pins its calls (one ``run_round`` and n ``decide``/``update`` per
-trial-round) until ROADMAP item 1 re-pins that test.
+Element i's point depends only on the function and the prefix X_{i-1}
+= S & (2^(i-1) - 1) of the round's chosen set S: it is node
+2^(i-1) | X_{i-1} of the double greedy's prefix tree, which
+:func:`_prefix_points` builds level by level with the offline sweep's
+:func:`~onlineusm.offline._marginals` (the walk's doubles, under the
+same subtraction).  Any number of trials against one cycle play
+together on it (:func:`run_cycle_trials`): every point of every trial
+is one gather by S from terms laid out set-major, (2^n, terms, n).  The
+experiment driver plays a cycle that way once 2^n <= T, so that its
+rounds reach every node, and the arrays fit ``_PREFIX_BYTES``; other
+cycles and the other adversaries play one :func:`run_usm_game` per
+trial, whose rounds walk from the root.
+Every trial-round is charged 2n on either path.
 """
 
 from __future__ import annotations
@@ -70,13 +65,13 @@ from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mas
 class RoundTranscript(NamedTuple):
     """Everything one round did: choice, marginals, queries.
 
-    An immutable tuple; ``marginals[i]`` is the very :class:`BalancePoint`
-    that subroutine i + 1 was fed, and unpacks as ``alpha, beta``: built
-    by a tree-less round's walk, the only round that reads the oracle,
-    or taken from a prefix tree built whole from ``_marginals``.  The
-    decisions and the set chains are derived from the choice, as bits
-    and bitmasks: decision i + 1 is bit i of ``chosen``,
-    X_i = chosen & (2^i - 1) and Y_i = chosen | (full & ~(2^i - 1)).
+    An immutable tuple; ``marginals[i]`` is the :class:`BalancePoint`
+    that subroutine i + 1 was fed, and unpacks as ``alpha, beta``: the
+    very one a :func:`run_round` walk built, or, for batched trials, read
+    back from :func:`_prefix_points`.  The decisions and the set chains
+    are derived from the choice, as bits and bitmasks: decision i + 1 is
+    bit i of ``chosen``, X_i = chosen & (2^i - 1) and
+    Y_i = chosen | (full & ~(2^i - 1)).
     """
 
     t: int
@@ -112,37 +107,22 @@ def _prefix_points(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def _prefix_tree(g: SubmodularOracle) -> list[BalancePoint | None]:
-    """g's prefix tree as :func:`_prefix_points` numbers it, one
-    :class:`BalancePoint` of Python floats per node; entry 0 is None.
-    g's value table is read uncounted (2^n peeks of a function-backed
-    oracle), so n > ENUMERATION_LIMIT raises :class:`SizeError`.
-    """
-    alpha, beta = _prefix_points(value_table(g))
-    return [None, *map(BalancePoint._make, zip(alpha[1:].tolist(), beta[1:].tolist()))]
-
-
-#: bytes of prefix data a game, or an experiment's batch of trials, may
-#: hold for a cycle of functions; with more, rounds walk from the root
-#: (or trials play one by one), to the same bytes
+#: bytes of prefix data an experiment's batch of trials may hold for a
+#: cycle of functions; with more, its trials play one by one, to the
+#: same bytes
 _PREFIX_BYTES = 1 << 26
-#: one scalar prefix-tree node: a BalancePoint of two Python floats and
-#: its list slot (tracemalloc at n = 12, 14 and 16: 120 B)
-_TREE_NODE_BYTES = 120
 
 
-def _holds_prefix(adversary, n: int, rounds: int, *, batched: bool = False) -> bool:
-    """Whether a game against ``adversary`` keeps prefix data for its
-    distinct functions: a cycle whose rounds can reach all 2^n nodes, with
-    value tables, and data within ``_PREFIX_BYTES``: per node, a scalar
-    tree's or, ``batched``, up to three float64 terms per chosen set and
-    element plus alpha and beta."""
-    node_bytes = 8 * (3 * n + 2) if batched else _TREE_NODE_BYTES
+def _holds_prefix(adversary, n: int, rounds: int) -> bool:
+    """Whether trials against ``adversary`` play as one batch: a cycle
+    whose rounds can reach all 2^n nodes, with value tables, and, per
+    node of each distinct function, up to three float64 terms per chosen
+    set and element plus alpha and beta within ``_PREFIX_BYTES``."""
     return (
         isinstance(adversary, CycleFunctionAdversary)
         and 1 << n <= rounds
         and n <= ENUMERATION_LIMIT
-        and len(set(adversary.oracles)) * node_bytes << n <= _PREFIX_BYTES
+        and len(set(adversary.oracles)) * 8 * (3 * n + 2) << n <= _PREFIX_BYTES
     )
 
 
@@ -152,22 +132,18 @@ def run_round(
     coins: Sequence[float],
     *,
     t: int = 1,
-    tree: Sequence[BalancePoint | None] | None = None,
 ) -> RoundTranscript:
     """One framework round: decide all elements, then feed back marginals.
 
     Every subroutine decides first (subroutine i with ``coins[i]``),
-    each decision a bool.  Without ``tree`` the round walks from the
-    root: two ``evaluate`` calls read f(empty set) and f(full set), then
-    for each element i < n it reads f(X_{i-1} + i) and f(Y_{i-1} - i)
-    unchecked from the oracle's function (the masks lie in the ground
-    set), builds element i's point and advances X and Y by decision i;
-    one ``_charge`` counts those 2n - 2 reads.  ``tree``, f's whole
-    prefix tree as :func:`_prefix_tree` builds it, holds element
-    i + 1's point at prefix X_i in entry 2^i | X_i: the round follows
-    its decisions down it, reads nothing and charges 2n.  Either way
-    ``queries`` is 2n, and then each subroutine, in index order, is fed
-    its point, the same object the transcript keeps.
+    each decision a bool.  The round then walks from the root: two
+    ``evaluate`` calls read f(empty set) and f(full set), then for each
+    element i < n it reads f(X_{i-1} + i) and f(Y_{i-1} - i) unchecked
+    from the oracle's function (the masks lie in the ground set), builds
+    element i's point and advances X and Y by decision i; one
+    ``_charge`` counts those 2n - 2 reads, so ``queries`` is 2n.  Then
+    each subroutine, in index order, is fed its point, the same object
+    the transcript keeps.
     """
     n = f.n
     if len(subroutines) != n:
@@ -182,36 +158,25 @@ def run_round(
     record = tuple.__new__
     marginals = []
     bit = 1
-    if tree is not None:
-        # node = bit | X_i at element i + 1, with bit = 2^i; yes moves to
-        # bit << 1 | X_i | bit, no to bit << 1 | X_i
-        node = 1
-        for d in decisions:
-            marginals.append(tree[node])
-            node += bit << d
-            bit <<= 1
-        x = node ^ bit
-        f._charge(2 * n)
-    else:
-        full = full_mask(n)
-        read = f._fn
-        x, fx = 0, f.evaluate(0)
-        y, fy = full, f.evaluate(full)
-        for d in decisions[:-1]:
-            x_up = x | bit
-            fx_up = read(x_up)
-            y_down = y ^ bit
-            fy_down = read(y_down)
-            marginals.append(record(BalancePoint, (fx_up - fx, fy_down - fy)))
-            if d:
-                x, fx = x_up, fx_up
-            else:
-                y, fy = y_down, fy_down
-            bit <<= 1
-        marginals.append(record(BalancePoint, (fy - fx, fx - fy)))
-        if decisions[-1]:
-            x = y
-        f._charge(2 * n - 2)
+    full = full_mask(n)
+    read = f._fn
+    x, fx = 0, f.evaluate(0)
+    y, fy = full, f.evaluate(full)
+    for d in decisions[:-1]:
+        x_up = x | bit
+        fx_up = read(x_up)
+        y_down = y ^ bit
+        fy_down = read(y_down)
+        marginals.append(record(BalancePoint, (fx_up - fx, fy_down - fy)))
+        if d:
+            x, fx = x_up, fx_up
+        else:
+            y, fy = y_down, fy_down
+        bit <<= 1
+    marginals.append(record(BalancePoint, (fy - fx, fx - fy)))
+    if decisions[-1]:
+        x = y
+    f._charge(2 * n - 2)
 
     for sub, pt in zip(subroutines, marginals):
         sub.update(pt)
@@ -265,7 +230,7 @@ def fit_growth_exponent(ts: Iterable[float], values: Iterable[float]) -> float:
 #: trials, rounds whose coins are drawn at a time
 _COIN_BLOCK = 128
 
-#: bytes of running totals :func:`_cycle_best` sums at a time
+#: bytes of running totals :func:`_cycle_best` keeps at a time
 _TRACK_BYTES = 1 << 18
 
 
@@ -273,23 +238,20 @@ def _cycle_best(tables: Sequence[np.ndarray], rounds: int) -> tuple[np.ndarray, 
     """``cum_opt`` and ``opt_set`` of ``rounds`` rounds over the cycle of
     value tables ``tables``, as :func:`run_usm_game` tracks them.
 
-    Its round-by-round running total (round 1's table copied, each later
-    one added in place) is summed here a block of rounds at a time: a
-    block's tables, the last total added to the first of them, then one
-    ``np.add.accumulate`` down the block.  Those are the same sequential
-    IEEE adds (an add is commutative), so the same doubles.
+    Each round's running total is one ``np.add`` of its table to the last
+    total, into the next row of a buffer of ``_TRACK_BYTES``, and a full
+    buffer's row maxima are taken at once: the game's sequential IEEE
+    adds, so the same doubles.  The first total is -0.0 plus round 1's
+    table, which is that table: -0.0 + x is x for every double x.
     """
-    stacked = np.stack(tables)
-    block = max(1, _TRACK_BYTES // stacked[0].nbytes)
+    rows = np.empty((max(1, _TRACK_BYTES // tables[0].nbytes), tables[0].size))
     cum_opt = np.empty(rounds)
-    total = None
-    for start in range(0, rounds, block):
-        rows = stacked[np.arange(start, min(start + block, rounds)) % len(tables)]
-        if total is not None:
-            rows[0] += total
-        np.add.accumulate(rows, axis=0, out=rows)
-        np.maximum.reduce(rows, axis=1, out=cum_opt[start:start + len(rows)])
-        total = rows[-1]
+    total = -0.0
+    for start in range(0, rounds, len(rows)):
+        block = rows[:rounds - start]
+        for t, row in enumerate(block, start):
+            total = np.add(total, tables[t % len(tables)], out=row)
+        np.maximum.reduce(block, axis=1, out=cum_opt[start:start + len(block)])
     return cum_opt, int(np.argmax(total))
 
 
@@ -312,10 +274,9 @@ def run_usm_game(
     total value after each round (``cum_opt``, that total's maximum) is
     reported without spending counted queries, and the final total's
     first maximizer as ``opt_set``.  Callers that already hold these
-    pass ``track_opt=False``: the experiment driver for every trial but
-    the first of a cycle kind, whose sequence of functions, and so whose
-    series and best set, is the first trial's; and replays that need
-    only the chosen sets.
+    pass ``track_opt=False``: the experiment driver for a cycle kind,
+    whose trials share one sequence of functions that it tracks once
+    (:func:`_cycle_best`), and replays that need only the chosen sets.
 
     ``streams`` holds one distinct Generator per subroutine.  Each
     stream's ``rounds`` coins are drawn up front as one ``random``
@@ -324,16 +285,8 @@ def run_usm_game(
     become Python floats one block of rounds at a time, and round t
     hands ``run_round`` the list of every stream's coin t.
     ``keep_transcripts`` keeps each round's transcript and oracle,
-    which the replay diagnostics read together.
-
-    Against a :class:`CycleFunctionAdversary` with 2^n <= ``rounds``,
-    n <= ENUMERATION_LIMIT and trees within ``_PREFIX_BYTES``, the game
-    builds each distinct oracle's whole prefix tree from its value table
-    before the first round, and every round follows its oracle's tree
-    (``run_round``'s ``tree``) without a read.  The bound keeps a tree's
-    2^n points within the rounds that use them; any other adversary or
-    size walks every round.  Rounds are charged 2n either way, and their
-    points are the same doubles.
+    which the replay diagnostics read together.  Every round walks from
+    the root (:func:`run_round`).
     """
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
@@ -346,10 +299,6 @@ def run_usm_game(
         raise ConfigError("coin streams must be distinct objects, one per subroutine")
     if track_opt and n > ENUMERATION_LIMIT:
         raise SizeError(f"tracking the best fixed set needs n <= {ENUMERATION_LIMIT}")
-    # keyed by the oracle objects themselves, which the dict holds alive
-    trees: dict[SubmodularOracle, list[BalancePoint | None]] = {}
-    if _holds_prefix(adversary, n, rounds):
-        trees = {g: _prefix_tree(g) for g in dict.fromkeys(adversary.oracles)}
     coins = np.empty((n, rounds))
     for stream, row in zip(streams, coins):
         stream.random(out=row)
@@ -368,7 +317,7 @@ def run_usm_game(
             f = adversary.next_oracle(last_set)
             if f.n != n:
                 raise ConfigError(f"oracle ground size {f.n} != subroutine count {n}")
-            tr = run_round(subroutines, f, round_coins, t=t + 1, tree=trees.get(f))
+            tr = run_round(subroutines, f, round_coins, t=t + 1)
             rewards[t] = f.peek(tr.chosen)
             round_queries[t] = tr.queries
             if track_opt:
@@ -426,11 +375,12 @@ def run_cycle_trials(
     the round's row of chosen sets, one ``take`` of the terms' rows at S
     straight into the batch's buffer (``mode="clip"``: every S is in
     range, and the default mode would copy through a temporary), and the
-    batch's in-place ``update``, which also refreshes p.  Coins are drawn ``_COIN_BLOCK`` rounds of every
-    stream at a time, as sequential draws would.  After play the rewards
-    are gathered by S, the best set is tracked once (one read-only
-    ``cum_opt``), each function is charged 2n per trial-round it played,
-    and transcripts are built from the tree.  A point ``sub`` rejects
+    batch's in-place ``update``, which also refreshes p.  Coins are drawn
+    ``_COIN_BLOCK`` rounds of every stream at a time, as sequential draws
+    would.  After play the rewards are gathered by S, the best set is
+    tracked once (one read-only ``cum_opt``), each function is charged
+    2n per trial-round it played, and transcripts are built from the
+    prefix points.  A point ``sub`` rejects
     raises :class:`InvalidPointError` in the first round that meets one,
     for its first trial and element.
     """

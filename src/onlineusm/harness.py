@@ -11,12 +11,12 @@ tracks its best fixed set once: the trials share the oracles and the
 ``cum_opt`` series.  ``fresh-random`` and the adaptive kinds build and
 track per trial.
 
-Trials run in one process.  A cycle kind's trials play together, one
-array round for all of them at a time, when there are at least two, its
-rounds reach every prefix (2^n <= T) and the arrays fit the framework's
-byte budget (:func:`~onlineusm.framework.run_cycle_trials`); otherwise
-they run one after another.  Either way each trial's results are those
-of its own game, bit for bit.
+Trials run in one process.  A cycle kind's trials, one or more, play
+together, one array round for all of them at a time, when its rounds
+reach every prefix (2^n <= T) and the arrays fit the framework's byte
+budget (:func:`~onlineusm.framework.run_cycle_trials`); otherwise they
+run one after another.  Either way each trial's results are those of
+its own game, bit for bit.
 
 An experiment's result rows are seven column arrays named by
 ``RESULT_HEADER`` (int64 ``trial``, ``t`` and ``queries``, float64 for
@@ -43,6 +43,7 @@ from . import adversaries as adv
 from . import balance as bal
 from .errors import ConfigError
 from .framework import (
+    _cycle_best,
     _holds_prefix,
     default_checkpoints,
     fit_growth_exponent,
@@ -63,6 +64,7 @@ from .submodular import (
     normalize,
     random_digraph,
     read_digraph,
+    value_table,
     verify_submodularity,
 )
 
@@ -295,36 +297,21 @@ def run_balance_game(
 
 # --- experiment drivers ---------------------------------------------------
 
-def _usm_trial(config: ExperimentConfig, trial: int, adversary=None, tracked=None):
-    """One USM trial, against ``adversary`` or, without one, a fresh build.
-
-    With ``tracked``, an earlier trial's result against the same sequence
-    of functions, the game skips tracking the best fixed set and the
-    result reports that trial's ``cum_opt`` and ``opt_set`` instead.
-    """
+def _usm_trial(config: ExperimentConfig, trial: int, adversary=None, track_opt: bool = True):
+    """One USM trial's game, against ``adversary`` or, without one, a fresh
+    build; ``track_opt`` as :func:`~onlineusm.framework.run_usm_game` takes it."""
     if adversary is None:
         adversary = build_usm_adversary(config.adversary, config.n, config.seed)
     subs = [build_subroutine(config.subroutine, config.rounds) for _ in range(config.n)]
     streams = [coin_stream(config.seed, trial, i) for i in range(config.n)]
-    res = run_usm_game(
+    return run_usm_game(
         subs,
         adversary,
         config.rounds,
         streams,
-        track_opt=tracked is None,
+        track_opt=track_opt,
         keep_transcripts=config.keep_transcripts,
     )
-    if tracked is not None:
-        res.cum_opt, res.opt_set = tracked.cum_opt, tracked.opt_set
-    return res
-
-
-#: fewest trials a cycled experiment plays as one batch: one batched
-#: trial ran 0.95-1.03x the speed of its own game with balancer, 1.05-1.09x
-#: with mw and 1.55-1.74x with uniform; two ran 1.4x, 1.6x and 2.6x
-#: (n = 8, T = 4000, cycle-random:k=4, medians of three sets of 12 to 16
-#: alternating in-process pairs)
-_BATCH_MIN_TRIALS = 2
 
 
 def _usm_trials(config: ExperimentConfig) -> list:
@@ -333,26 +320,29 @@ def _usm_trials(config: ExperimentConfig) -> list:
     A cycle kind's sequence of functions is fixed by the master seed
     before any coin is drawn, so its instance is built once and its best
     fixed set is tracked once: every trial's ``cum_opt`` is one
-    read-only array, and its ``opt_set`` one set.  With at least
-    ``_BATCH_MIN_TRIALS`` trials, 2^n <= rounds and the batch's prefix
-    arrays within the framework's byte budget, the trials play together
-    (:func:`~onlineusm.framework.run_cycle_trials`).  Otherwise each
-    trial plays a fresh cursor over the same oracles, and trial 0 tracks
-    (the same doubles any trial would track).  Other kinds build their
-    adversary, and track, once per trial.  Either way the results are
-    bit for bit those of one game per trial.
+    read-only array, and its ``opt_set`` one set.  With 2^n <= rounds
+    and the batch's prefix arrays within the framework's byte budget,
+    the trials, one or more, play together
+    (:func:`~onlineusm.framework.run_cycle_trials`).  Otherwise the
+    experiment tracks with :func:`~onlineusm.framework._cycle_best` and
+    each trial plays a fresh cursor over the same oracles.  Other kinds
+    build their adversary, and track, once per trial.  Either way the
+    results are bit for bit those of one tracking game per trial.
     """
     built = build_usm_adversary(config.adversary, config.n, config.seed)
-    if config.trials >= _BATCH_MIN_TRIALS and _holds_prefix(built, config.n, config.rounds, batched=True):
+    if not isinstance(built, adv.CycleFunctionAdversary):
+        return [_usm_trial(config, 0, built), *(_usm_trial(config, k) for k in range(1, config.trials))]
+    if _holds_prefix(built, config.n, config.rounds):
         streams = [[coin_stream(config.seed, k, i) for i in range(config.n)] for k in range(config.trials)]
         return run_cycle_trials(build_subroutine(config.subroutine, config.rounds), built, config.rounds,
                                 streams, keep_transcripts=config.keep_transcripts)
-    first = _usm_trial(config, 0, built)
-    if not isinstance(built, adv.CycleFunctionAdversary):
-        return [first, *(_usm_trial(config, k) for k in range(1, config.trials))]
-    first.cum_opt.flags.writeable = False
-    return [first, *(_usm_trial(config, k, adv.CycleFunctionAdversary(built.oracles), first)
-                     for k in range(1, config.trials))]
+    cum_opt, opt_set = _cycle_best([value_table(g) for g in built.oracles], config.rounds)
+    cum_opt.flags.writeable = False
+    results = [_usm_trial(config, k, adv.CycleFunctionAdversary(built.oracles), track_opt=False)
+               for k in range(config.trials)]
+    for res in results:
+        res.cum_opt, res.opt_set = cum_opt, opt_set
+    return results
 
 
 def _usm_series(res) -> tuple[np.ndarray, ...]:
@@ -466,7 +456,7 @@ def _run_online_experiment(config: ExperimentConfig):
 def _usm_diagnostics(results) -> dict:
     """Replay checks over retained transcripts (see framework module).
 
-    Each trial's reference set is the best fixed set its game tracked
+    Each trial's reference set is the best fixed set tracked for it
     (``opt_set``), checked against every round it played.
     """
     worst_residual = 0.0

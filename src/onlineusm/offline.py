@@ -25,9 +25,9 @@ the table itself is read uncounted, so n > ENUMERATION_LIMIT raises
 marginals are zero, the yes-probability is 0/0 = nan, which no coin is
 >= of: such an element is taken.
 
-The online game builds its prefix trees of cycled functions with the
+Batched online trials build each cycled function's prefix tree with the
 same :func:`_marginals`, level by level
-(:func:`onlineusm.framework.run_usm_game`).
+(:func:`onlineusm.framework.run_cycle_trials`).
 """
 
 from __future__ import annotations

@@ -118,10 +118,9 @@ class SubmodularOracle:
       total under the lock.  :meth:`evaluate_many` checks its masks, then
       charges their number and reads them; the package's own walks read
       ``fn`` and charge the round's reads at once
-      (:func:`~onlineusm.framework.run_round`, which reads ``fn`` only
-      on a walk from the root, not on a prefix tree), or read
-      :func:`value_table` and charge each block of sweeps at once (the
-      offline sweep);
+      (:func:`~onlineusm.framework.run_round`), or read
+      :func:`value_table` and charge each block of sweeps, or each batch
+      of trials, at once (the offline sweep, batched online trials);
     * :attr:`queries` reads under the lock.  Reading the tick counter
       takes a tick too, so it subtracts the reads made before it, which
       the lock keeps in step with the ticks the reads took.

@@ -1,13 +1,13 @@
 """A cycled experiment's trials played together are its trials played one by one.
 
-``harness._usm_trials`` plays a cycle kind's trials as one batch
-(``framework.run_cycle_trials``) when there are at least
-``_BATCH_MIN_TRIALS`` of them, 2^n <= rounds and the batch's arrays fit
-``framework._PREFIX_BYTES``.  These tests pin the batch to the per-trial
-games bit for bit: the result columns, the summary, the transcripts,
-every oracle's counted queries and every coin stream's final state.  They
-also pin the byte budget, which changes speed and memory but no output,
-and the rejection of points outside the triangle on the batched path.
+``harness._usm_trials`` plays a cycle kind's trials, one or more, as one
+batch (``framework.run_cycle_trials``) when 2^n <= rounds and the batch's
+arrays fit ``framework._PREFIX_BYTES``.  These tests pin the batch to the
+per-trial games bit for bit: the result columns, the summary, the
+transcripts, every oracle's counted queries and every coin stream's final
+state.  They also pin the byte budget, which changes speed and memory but
+no output, and the rejection of points outside the triangle on the
+batched path.
 """
 
 import contextlib
@@ -58,7 +58,8 @@ def recorded_run(monkeypatch, config, batched):
     monkeypatch.setattr(harness, "coin_stream", lambda *a: streams.append(make_stream(*a)) or streams[-1])
     monkeypatch.setattr(harness, "build_usm_adversary", lambda *a: builds.append(build(*a)) or builds[-1])
     monkeypatch.setattr(harness, "run_cycle_trials", lambda *a, **k: batches.append(1) or batch(*a, **k))
-    monkeypatch.setattr(harness, "_BATCH_MIN_TRIALS", 2 if batched else 1 << 62)
+    if not batched:
+        monkeypatch.setattr(framework, "_PREFIX_BYTES", 0)
     columns, summary = run_experiment(config)
     queries = [f.queries for f in builds[0].oracles]
     states = [s.bit_generator.state for s in streams]
@@ -70,7 +71,7 @@ def recorded_run(monkeypatch, config, batched):
 
 
 @pytest.mark.parametrize("rounds", [1 << N, (1 << N) + 1, 150])
-@pytest.mark.parametrize("trials", [2, 3])
+@pytest.mark.parametrize("trials", [1, 2, 3])
 @pytest.mark.parametrize("adversary", ["cycle-random:k=3", "fixed-random", "cycle-files"])
 @pytest.mark.parametrize("subroutine", SUBROUTINE_NAMES)
 def test_batched_trials_are_the_per_trial_games(subroutine, adversary, trials, rounds, monkeypatch, tmp_path):
@@ -112,12 +113,13 @@ def test_batched_results_share_one_read_only_best_set_series():
 
 
 @pytest.mark.parametrize("trials, rounds", [(1, 150), (3, (1 << N) - 1)])
-def test_one_trial_or_too_few_rounds_play_trial_by_trial(trials, rounds, monkeypatch):
+def test_one_trial_batches_and_too_few_rounds_play_trial_by_trial(trials, rounds, monkeypatch):
     batches = []
-    monkeypatch.setattr(harness, "run_cycle_trials", lambda *a, **k: batches.append(1))
+    batch = harness.run_cycle_trials
+    monkeypatch.setattr(harness, "run_cycle_trials", lambda *a, **k: batches.append(1) or batch(*a, **k))
     config = ExperimentConfig(game="usm", n=N, rounds=rounds, trials=trials, seed=6).validated()
     assert len(_usm_trials(config)) == trials
-    assert batches == []
+    assert batches == ([1] if 1 << N <= rounds else [])
 
 
 def cli_bytes(tmp_path, *argv):
@@ -134,20 +136,19 @@ def cli_bytes(tmp_path, *argv):
 def test_prefix_byte_budget_changes_no_output(trials, extra, monkeypatch, tmp_path):
     argv = ("simulate-usm", "--n", "6", "--rounds", "150", "--trials", str(trials), "--seed", "2",
             "--adversary", "cycle-random:k=3", *extra)
-    trees, batches = [], []
-    prefix_tree, batch = framework._prefix_tree, harness.run_cycle_trials
-    monkeypatch.setattr(framework, "_prefix_tree", lambda g: trees.append(g) or prefix_tree(g))
+    batches = []
+    batch = harness.run_cycle_trials
     monkeypatch.setattr(harness, "run_cycle_trials", lambda *a, **k: batches.append(1) or batch(*a, **k))
     uncapped = cli_bytes(tmp_path, *argv)
     assert uncapped[0] == 0
-    # each trial game builds its three trees, or the experiment plays one batch
-    assert (len(trees), len(batches)) == ((3, 0) if trials == 1 else (0, 1))
-    trees.clear()
+    # one trial or two, the experiment plays one batch
+    assert batches == [1]
     batches.clear()
-    # one byte short of three trees' nodes: every round walks from the root
-    monkeypatch.setattr(framework, "_PREFIX_BYTES", 3 * framework._TREE_NODE_BYTES * 64 - 1)
+    # one byte short of three functions' 64 nodes of 3n + 2 doubles each:
+    # the trials play one by one, their rounds walking from the root
+    monkeypatch.setattr(framework, "_PREFIX_BYTES", 3 * 8 * (3 * 6 + 2) * 64 - 1)
     assert cli_bytes(tmp_path, *argv) == uncapped
-    assert trees == [] and batches == []
+    assert batches == []
 
 
 def nonsubmodular_table(n):
@@ -159,7 +160,7 @@ def nonsubmodular_table(n):
     return table
 
 
-@pytest.mark.parametrize("trials", [2, 3])
+@pytest.mark.parametrize("trials", [1, 2, 3])
 def test_a_rejected_point_raises_on_the_batched_path(trials):
     n, rounds = 3, 8
     oracles = [oracle_from_table(nonsubmodular_table(n))]

@@ -11,9 +11,11 @@ from onlineusm.balance import BalancePoint, Balancer, ConstantPolicy
 from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import (
     RoundTranscript,
-    _prefix_tree,
+    _holds_prefix,
+    _prefix_points,
     fit_growth_exponent,
     opt_tracking_check,
+    run_cycle_trials,
     run_round,
     run_usm_game,
     value_identity_residual,
@@ -225,62 +227,43 @@ def test_round_evaluates_each_mask_once_in_walk_order(n):
         fx, fy = f.peek(x), f.peek(y)
         assert y == x | 1 << (n - 1)
         assert _bits(tr.marginals[-1]) == _bits((fy - fx, fx - fy))
-        # on the oracle's whole tree the round reads nothing but still charges 2n
-        tree = _prefix_tree(f)
-        calls.clear()
-        f.log.clear()
-        before = f.queries
-        again = run_round(policies, f, coins_for(n), tree=tree)
-        assert calls == []
-        assert f.log == [("charge", 2 * n)]
-        assert again.queries == f.queries - before == 2 * n
-        assert (again.chosen, again.decisions) == (tr.chosen, tr.decisions)
-        assert _bits(again.marginals) == _bits(tr.marginals)
 
 
-def tree_and_walk(table, name, rounds, seed):
-    """``rounds`` rounds on ``table``'s built prefix tree and as many
-    tree-less rounds, each on its own oracle, subroutines and coin streams
-    (both seeded alike); returns what each must share with the other,
-    floats by their bits."""
+def batch_and_walk(table, name, rounds, seed):
+    """``rounds`` rounds of one batched trial on ``table``'s prefix points
+    and as many root-walk rounds, each on its own oracle, subroutines and
+    coin streams (both seeded alike); returns what each must share with
+    the other, floats by their bits."""
     n = int(table.size).bit_length() - 1
-    sides = []
-    for use_tree in (True, False):
-        f = oracle_from_table(table)
-        tree = _prefix_tree(f) if use_tree else None
-        subs = [build_subroutine(name, rounds) for _ in range(n)]
-        streams = streams_for(n, seed)
-        rounds_seen = []
-        for t in range(rounds):
-            before = f.queries
-            tr = run_round(subs, f, [s.random() for s in streams], t=t + 1, tree=tree)
-            rounds_seen.append((tr.chosen, tr.decisions, _bits(tr.marginals), tr.queries, f.queries - before,
-                                [subroutine_state(sub) for sub in subs]))
-            if use_tree:
-                assert all(tree[1 << i | tr.chosen & ((1 << i) - 1)] is pt for i, pt in enumerate(tr.marginals))
-        sides.append(rounds_seen)
-    return sides
+    f = oracle_from_table(table)
+    res = run_cycle_trials(build_subroutine(name, rounds), CycleFunctionAdversary([f]), rounds,
+                           [streams_for(n, seed)], keep_transcripts=True)[0]
+    got = ([(tr.t, tr.chosen, tr.decisions, _bits(tr.marginals), tr.queries) for tr in res.transcripts],
+           _bits(res.rewards.tolist()), res.round_queries.tolist(), f.queries)
+    f = oracle_from_table(table)
+    subs = [build_subroutine(name, rounds) for _ in range(n)]
+    streams = streams_for(n, seed)
+    walks = [run_round(subs, f, [s.random() for s in streams], t=t + 1) for t in range(rounds)]
+    want = ([(tr.t, tr.chosen, tr.decisions, _bits(tr.marginals), tr.queries) for tr in walks],
+            _bits([f.peek(tr.chosen) for tr in walks]), [tr.queries for tr in walks], f.queries)
+    return got, want
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_built_tree_is_the_root_walk_at_every_node(n):
     # building reads each of the 2^n values once, uncounted and uncharged
     f, calls = recording_oracle(n, seed=n)
-    tree = _prefix_tree(f)
+    alpha, beta = _prefix_points(value_table(f))
     assert calls == list(range(1 << n))
     assert f.log == [] and f.queries == 0
-    assert len(tree) == 1 << n and tree[0] is None
+    assert alpha.size == beta.size == 1 << n
     # every decision vector's path, so every node, against the walk
-    walk = oracle_from_table(value_table(f))
     for choices in range(1 << n):
         policies = [ConstantPolicy(float(choices >> i & 1)) for i in range(n)]
-        got = run_round(policies, f, coins_for(n), tree=tree)
-        want = run_round(policies, walk, coins_for(n))
-        assert got.chosen == want.chosen == choices
-        assert _bits(got.marginals) == _bits(want.marginals)
-        assert got.marginals == tuple(tree[1 << i | choices & ((1 << i) - 1)] for i in range(n))
-        assert all(type(v) is float for pt in got.marginals for v in pt)
-    assert f.log == [("charge", 2 * n)] * (1 << n)
+        walk = run_round(policies, f, coins_for(n))
+        assert walk.chosen == choices
+        nodes = [1 << i | choices & ((1 << i) - 1) for i in range(n)]
+        assert _bits(walk.marginals) == _bits([(alpha[v].item(), beta[v].item()) for v in nodes])
 
 
 @settings(max_examples=100, deadline=None)
@@ -289,9 +272,10 @@ def test_built_tree_is_the_root_walk_at_every_node(n):
 @example(table=np.array([0.0, -0.0, -0.0, 0.0]), name="balancer", rounds=4, seed=0)
 @example(table=np.array([0.0, 5e-324, 1e-310, -0.0]), name="mw", rounds=4, seed=1)
 def test_built_tree_rounds_are_root_walks_on_any_table(table, name, rounds, seed):
-    got, want = tree_and_walk(table, name, rounds, seed)
+    got, want = batch_and_walk(table, name, rounds, seed)
     assert got == want
-    assert all(queries == charged == 2 * len(decisions) for _, decisions, _, queries, charged, _ in got)
+    n = int(table.size).bit_length() - 1
+    assert got[2] == [2 * n] * rounds and got[3] == 2 * n * rounds
 
 
 def test_game_builds_trees_only_for_tabulable_sizes():
@@ -299,10 +283,12 @@ def test_game_builds_trees_only_for_tabulable_sizes():
     reads = []
     big = SubmodularOracle(21, lambda m: reads.append(m) or 0.0)
     with pytest.raises(SizeError):
-        _prefix_tree(big)
+        _prefix_points(value_table(big))
     assert reads == [] and big.queries == 0
+    # so its trials never play as a batch
+    assert not _holds_prefix(CycleFunctionAdversary([big]), 21, 1 << 21)
 
-    # so a 2^21-round game on it builds no tree: it gets as far as its coins
+    # and a 2^21-round game on it reads nothing: it gets as far as its coins
     class Drawn(Exception):
         pass
 
@@ -316,7 +302,7 @@ def test_game_builds_trees_only_for_tabulable_sizes():
     assert reads == []
 
 
-# --- the game's prefix trees against a loop of tree-less rounds ------------
+# --- the game against a loop of root-walk rounds ----------------------------
 
 def cycle_tables(n, seed):
     """Two cut tables on n vertices (a random table for n = 1) and the cycle
@@ -331,7 +317,7 @@ def cycle_tables(n, seed):
 
 def play_cycle(tables, name, rounds, seed, *, game):
     """``run_usm_game`` over a cycle of fresh oracles on ``tables``, or, without
-    ``game``, the plain loop: one tree-less ``run_round`` per round, its coins
+    ``game``, the plain loop: one ``run_round`` per round, its coins
     drawn one at a time.  A table that recurs in the cycle is one oracle.
     Returns what the two must share, floats by their bits, and the number
     of values the oracles' functions answered."""
@@ -376,7 +362,7 @@ def play_cycle(tables, name, rounds, seed, *, game):
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 @pytest.mark.parametrize("scale", ["below", "at", "above"])
 def test_game_with_trees_is_a_loop_of_treeless_rounds(scale, n, name):
-    # below 2^n rounds the game walks; at and above it builds trees
+    # below, at and above 2^n rounds alike the game's rounds walk
     rounds = {"below": (1 << n) - 1, "at": 1 << n, "above": 4 << n}[scale]
     tables = cycle_tables(n, seed=n)
     got_reads, got = play_cycle(tables, name, rounds, seed=n, game=True)
@@ -385,11 +371,8 @@ def test_game_with_trees_is_a_loop_of_treeless_rounds(scale, n, name):
     assert got["queries"] == [2 * n] * rounds
     plays_b = len(range(1, rounds, 3))
     assert got["oracle_queries"] == [2 * n * (rounds - plays_b), 2 * n * plays_b, 2 * n * (rounds - plays_b)]
-    # besides one peek per round for its reward, a tree-less round reads
-    # its 2n masks; with trees, the functions answer each of the two
-    # distinct oracles' 2^n values once, and no round reads
-    assert want_reads == (2 * n + 1) * rounds
-    assert got_reads == (want_reads if scale == "below" else (2 << n) + rounds)
+    # besides one peek per round for its reward, a round reads its 2n masks
+    assert got_reads == want_reads == (2 * n + 1) * rounds
 
 
 class MarkedCycle(CycleFunctionAdversary):
@@ -409,9 +392,8 @@ class MarkedCycle(CycleFunctionAdversary):
 @pytest.mark.parametrize("n", [1, 2, 5])
 @pytest.mark.parametrize("scale", ["below", "at", "above"])
 def test_game_counts_2n_per_round_and_evaluates_only_on_root_walks(scale, n, name):
-    # with trees (2^n <= rounds) no round walks, so none calls evaluate;
-    # below 2^n every round does.  Either way the evaluate ticks and the
-    # bulk charges of each round come to exactly 2n
+    # every round walks from the root, whatever 2^n is against the
+    # rounds: its evaluate ticks and its bulk charge come to exactly 2n
     rounds = {"below": (1 << n) - 1, "at": 1 << n, "above": 4 << n}[scale]
     log = []
     tables = cycle_tables(n, seed=n)
@@ -427,7 +409,7 @@ def test_game_counts_2n_per_round_and_evaluates_only_on_root_walks(scale, n, nam
             per_round[-1][1].append((kind, what))
     assert len(per_round) == rounds
     for f, entries in per_round:
-        assert entries == (root_walk_log(n) if scale == "below" else [("charge", 2 * n)])
+        assert entries == root_walk_log(n)
         ticks = sum(kind == "evaluate" for kind, _ in entries)
         assert ticks + sum(count for kind, count in entries if kind == "charge") == 2 * n
     assert sum(f.queries for f in oracles) == 2 * n * rounds

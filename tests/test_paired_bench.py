@@ -129,6 +129,24 @@ def test_an_unresolved_metric_fails_the_verdict():
     assert not out["passed"]
 
 
+def test_a_zero_parent_median_is_unresolved_and_keeps_its_quartiles(capsys):
+    # every unit failing its output check reads goodput 0 on both sides
+    zero = runs([0.0] * 10)
+    out = paired_bench.verdict(zero, runs([0.0] * 9 + [5.0]), METRICS, None)
+    goodput = out["metrics"]["goodput"]
+    assert goodput["status"] == "unresolved" and goodput["relative_gain"] is None
+    assert goodput["parent"] == {"q1": 0.0, "median": 0.0, "q3": 0.0}
+    assert goodput["change"] == {"q1": 0.0, "median": 0.0, "q3": 0.0}
+    assert goodput["pairs_won"] == 1 and goodput["pairs_lost"] == 0
+    assert out["unresolved"] == ["goodput"] and out["regressions"] == []
+    assert not out["passed"]
+    # the other metrics are judged as ever, and the summary prints
+    assert out["metrics"]["setup_s"]["status"] == "within bound"
+    paired_bench.print_summary("w", 1, {**out, "parent_failed_frac": 1.0, "change_failed_frac": 1.0,
+                                        "parent_output_sha256": ["ab"], "change_output_sha256": ["ab"]})
+    assert "goodput      change n/a" in capsys.readouterr().out
+
+
 def record(goodput, failed):
     return {"metrics": {"goodput": {"value": goodput}, "setup_s": {"value": 0.1},
                         "peak_rss_mb": {"value": 40.0}},

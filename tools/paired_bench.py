@@ -97,19 +97,26 @@ def verdict(parent: dict[str, list[float]], change: dict[str, list[float]],
     ``metrics`` maps each metric to its ``BENCHMARK.json`` entry (``better``
     is ``"higher"`` or ``"lower"``, ``bound`` the relative worsening
     allowed).  ``claim`` names the metric a gain is claimed on, or None.
+    A metric whose parent median is 0 has no relative change: its
+    ``relative_gain`` is None and it is unresolved.
     """
     report, regressions, unresolved = {}, [], []
     for name, spec in metrics.items():
         sign = 1.0 if spec["better"] == "higher" else -1.0
         pa, ch = parent[name], change[name]
         qp, qc = quartiles(pa), quartiles(ch)
-        # relative change, positive when the change is better
-        gain = sign * (qc["median"] - qp["median"]) / abs(qp["median"])
         won = sum(sign * (c - p) > 0 for p, c in zip(pa, ch))
         lost = sum(sign * (c - p) < 0 for p, c in zip(pa, ch))
-        spread = (qp["q3"] - qp["q1"]) / abs(qp["median"])
         every_run_better = min(sign * c for c in ch) > max(sign * p for p in pa)
-        if gain < -spec["bound"]:
+        gain = spread = None
+        if qp["median"] != 0:
+            # relative change, positive when the change is better
+            gain = sign * (qc["median"] - qp["median"]) / abs(qp["median"])
+            spread = (qp["q3"] - qp["q1"]) / abs(qp["median"])
+        if gain is None:
+            status = "unresolved"
+            unresolved.append(name)
+        elif gain < -spec["bound"]:
             status = "regressed"
             regressions.append(name)
         elif spread > spec["bound"] and not every_run_better:
@@ -138,6 +145,11 @@ def verdict(parent: dict[str, list[float]], change: dict[str, list[float]],
         }
     out["passed"] = not regressions and not unresolved and out.get("claim", {}).get("gain", True)
     return out
+
+
+def percent(gain: float | None) -> str:
+    """A relative gain as a signed percentage, or "n/a" without one."""
+    return "n/a" if gain is None else f"{gain:+.2%}"
 
 
 def _git(*args: str) -> bytes:
@@ -281,7 +293,7 @@ def print_suite_summary(result: dict) -> None:
               f"passed {sorted({r['passed'] for r in result[f'{side}_runs']})}, failed {failed}")
         for test in result[f"{side}_failed_tests"]:
             print(f"    failed: {test}")
-    print(f"  wall_s change {m['relative_gain']:+.2%} (better is positive; bound {m['bound']:.0%}), "
+    print(f"  wall_s change {percent(m['relative_gain'])} (better is positive; bound {m['bound']:.0%}), "
           f"won {m['pairs_won']} of {m['pairs']} pairs: {m['status']}")
     print(f"  verdict: {'passed' if result['passed'] else 'failed'}")
 
@@ -300,7 +312,7 @@ def print_summary(workload: str, seed: int, result: dict) -> None:
         for side in SIDES:
             q = m[side]
             print(f"  {name:12s} {side:7s} q1 {q['q1']:.6g}  median {q['median']:.6g}  q3 {q['q3']:.6g}")
-        print(f"  {name:12s} change {m['relative_gain']:+.2%} (better is positive; bound {m['bound']:.0%}), "
+        print(f"  {name:12s} change {percent(m['relative_gain'])} (better is positive; bound {m['bound']:.0%}), "
               f"won {m['pairs_won']} of {m['pairs']} pairs: {m['status']}")
     for side in SIDES:
         print(f"  {side} failed_frac {result[f'{side}_failed_frac']:.6g}, "
