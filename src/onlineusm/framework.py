@@ -13,7 +13,7 @@ the rewards for yes and no.  Submodularity makes alpha_i + beta_i >= 0,
 so the pair is a valid balance-subproblem point.  All decisions come
 before any feedback, so S fixes both chains: X_i is S restricted to
 elements 1..i and Y_i is X_i plus every element after i.  A round's
-record keeps S and derives the decisions and the chains from it.
+record keeps S and the points it fed; decision i is bit i - 1 of S.
 
 A round walks the elements once: after f(empty set) and f(full set) it
 reads f(X_{i-1} + i) and f(Y_{i-1} - i) for each element i < n.  None
@@ -25,8 +25,11 @@ holds.  A round therefore costs exactly 2n counted queries, inside the
 
 The game records per-round series (reward, best fixed set in
 hindsight, queries) and the experiment driver turns them into
-alpha-regret; the best fixed set and the replay diagnostics use the
-oracle's uncounted peek path.
+alpha-regret.  A game that keeps its rounds holds them as arrays: the
+chosen sets, every point fed, (rounds, n, 2), and each round's oracle.
+:func:`_replay` checks the paper's per-element relations on those
+arrays.  The best fixed set and the replay read value tables, which
+count no query.
 
 Subroutine i decides with one uniform coin per round.  A round takes
 its n coins as an array, coin i for element i; a game draws each
@@ -63,37 +66,18 @@ from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mas
 
 
 class RoundTranscript(NamedTuple):
-    """Everything one round did: choice, marginals, queries.
+    """What one round did: its choice, the points it fed, its queries.
 
     An immutable tuple; ``marginals[i]`` is the :class:`BalancePoint`
-    that subroutine i + 1 was fed, and unpacks as ``alpha, beta``: the
-    very one a :func:`run_round` walk built, or, for batched trials, read
-    back from :func:`_prefix_points`.  The decisions and the set chains
-    are derived from the choice, as bits and bitmasks: decision i + 1 is
-    bit i of ``chosen``, X_i = chosen & (2^i - 1) and
-    Y_i = chosen | (full & ~(2^i - 1)).
+    that subroutine i + 1 was fed, the very one the :func:`run_round`
+    walk built, and unpacks as ``alpha, beta``.  Decision i + 1 is bit i
+    of ``chosen``.
     """
 
     t: int
     chosen: int
     marginals: tuple[BalancePoint, ...]
     queries: int
-
-    @property
-    def decisions(self) -> tuple[bool, ...]:
-        """Each subroutine's action, True for yes: bit i of the chosen set."""
-        return tuple(bool(self.chosen >> i & 1) for i in range(len(self.marginals)))
-
-    @property
-    def x_sets(self) -> tuple[int, ...]:
-        """X_0..X_n: the chosen elements among the first i."""
-        return tuple(self.chosen & ((1 << i) - 1) for i in range(len(self.marginals) + 1))
-
-    @property
-    def y_sets(self) -> tuple[int, ...]:
-        """Y_0..Y_n: X_i plus every element after i."""
-        full = full_mask(len(self.marginals))
-        return tuple(self.chosen | (full >> i << i) for i in range(len(self.marginals) + 1))
 
 
 def _prefix_points(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,8 +179,10 @@ class UsmRunResult:
     1..t, and ``opt_set`` is the best fixed set over all rounds (the
     first maximizer of the final total, so ties go to the smallest
     bitmask); both are None without tracking.  The experiment driver
-    turns ``cum_opt`` and ``cum_rewards`` into the alpha-regret, and the
-    replay diagnostics morph ``opt_set`` into each round's choice.
+    turns ``cum_opt`` and ``cum_rewards`` into the alpha-regret.  A run
+    that keeps its rounds holds each round's chosen set, the points it
+    fed (``points[t - 1, i]`` is element i + 1's alpha and beta) and its
+    oracle, which :func:`_replay` reads with ``opt_set``.
     """
 
     rewards: np.ndarray
@@ -206,7 +192,7 @@ class UsmRunResult:
     max_round_queries: int
     opt_set: int | None = None
     chosen_sets: list[int] | None = None
-    transcripts: list[RoundTranscript] | None = None
+    points: np.ndarray | None = None
     oracles: list[SubmodularOracle] | None = None
 
 
@@ -236,13 +222,14 @@ _TRACK_BYTES = 1 << 18
 
 def _cycle_best(tables: Sequence[np.ndarray], rounds: int) -> tuple[np.ndarray, int]:
     """``cum_opt`` and ``opt_set`` of ``rounds`` rounds over the cycle of
-    value tables ``tables``, as :func:`run_usm_game` tracks them.
+    value tables ``tables``: round t plays ``tables[t % len(tables)]``, so
+    a game whose every round has its own table passes one per round.
 
     Each round's running total is one ``np.add`` of its table to the last
     total, into the next row of a buffer of ``_TRACK_BYTES``, and a full
-    buffer's row maxima are taken at once: the game's sequential IEEE
-    adds, so the same doubles.  The first total is -0.0 plus round 1's
-    table, which is that table: -0.0 + x is x for every double x.
+    buffer's row maxima are taken at once: sequential IEEE adds, so the
+    same doubles as one running total.  The first total is -0.0 plus
+    round 1's table, which is that table: -0.0 + x is x for every double x.
     """
     rows = np.empty((max(1, _TRACK_BYTES // tables[0].nbytes), tables[0].size))
     cum_opt = np.empty(rounds)
@@ -253,6 +240,21 @@ def _cycle_best(tables: Sequence[np.ndarray], rounds: int) -> tuple[np.ndarray, 
             total = np.add(total, tables[t % len(tables)], out=row)
         np.maximum.reduce(block, axis=1, out=cum_opt[start:start + len(block)])
     return cum_opt, int(np.argmax(total))
+
+
+def _check_streams(rounds: int, n: int, rows: Sequence[Sequence[np.random.Generator]]) -> None:
+    """Raise :class:`ConfigError` unless ``rounds`` >= 1 and each trial's
+    row of ``rows`` holds one coin stream per element, every stream of
+    every row a distinct object (a shared one would hand its coins out
+    in turn, not as each element's own sequence)."""
+    if rounds < 1:
+        raise ConfigError(f"rounds must be >= 1, got {rounds}")
+    for row in rows:
+        if len(row) != n:
+            raise ConfigError(f"need {n} coin streams, got {len(row)}")
+    flat = [stream for row in rows for stream in row]
+    if len(set(flat)) != len(flat):
+        raise ConfigError("coin streams must be distinct objects, one per subroutine")
 
 
 def run_usm_game(
@@ -269,14 +271,13 @@ def run_usm_game(
 
     ``adversary.next_oracle(last_set)`` supplies each round's function
     (oblivious kinds ignore the argument).  With ``track_opt`` (n <= 20)
-    each round's value table goes into one running total, round 1's
-    copied and each later one's added in place, so the best fixed set's
-    total value after each round (``cum_opt``, that total's maximum) is
-    reported without spending counted queries, and the final total's
-    first maximizer as ``opt_set``.  Callers that already hold these
-    pass ``track_opt=False``: the experiment driver for a cycle kind,
-    whose trials share one sequence of functions that it tracks once
-    (:func:`_cycle_best`), and replays that need only the chosen sets.
+    each round's value table, built once per oracle id, is kept, and
+    :func:`_cycle_best` turns them into the best fixed set's total value
+    after each round (``cum_opt``) and the final total's first maximizer
+    (``opt_set``), without spending counted queries.  Callers that
+    already hold these pass ``track_opt=False``: the experiment driver
+    for a cycle kind, whose trials share one sequence of functions that
+    it tracks once, and replays that need only the chosen sets.
 
     ``streams`` holds one distinct Generator per subroutine.  Each
     stream's ``rounds`` coins are drawn up front as one ``random``
@@ -284,19 +285,15 @@ def run_usm_game(
     ``random()`` calls and leaves the stream in the same state; they
     become Python floats one block of rounds at a time, and round t
     hands ``run_round`` the list of every stream's coin t.
-    ``keep_transcripts`` keeps each round's transcript and oracle,
-    which the replay diagnostics read together.  Every round walks from
-    the root (:func:`run_round`).
+    ``keep_sets`` keeps each round's chosen set; ``keep_transcripts``
+    keeps it too, with the round's points and oracle, which
+    :func:`_replay` reads.  Every round walks from the root
+    (:func:`run_round`).
     """
-    if rounds < 1:
-        raise ConfigError(f"rounds must be >= 1, got {rounds}")
     n = len(subroutines)
+    _check_streams(rounds, n, [streams])
     if n < 1:
         raise ConfigError("need at least one subroutine")
-    if len(streams) != n:
-        raise ConfigError(f"need {n} coin streams, got {len(streams)}")
-    if len(set(streams)) != n:
-        raise ConfigError("coin streams must be distinct objects, one per subroutine")
     if track_opt and n > ENUMERATION_LIMIT:
         raise SizeError(f"tracking the best fixed set needs n <= {ENUMERATION_LIMIT}")
     coins = np.empty((n, rounds))
@@ -304,11 +301,10 @@ def run_usm_game(
         stream.random(out=row)
     rewards = np.empty(rounds)
     round_queries = np.empty(rounds, dtype=np.int64)
-    cum_opt = np.empty(rounds) if track_opt else None
-    total: np.ndarray | None = None
+    tables: list[np.ndarray] = []
     table_cache: dict[int, np.ndarray] = {}
-    transcripts: list[RoundTranscript] | None = [] if keep_transcripts else None
-    sets: list[int] | None = [] if keep_sets else None
+    sets: list[int] | None = [] if keep_sets or keep_transcripts else None
+    points = np.empty((rounds, n, 2)) if keep_transcripts else None
     oracles: list[SubmodularOracle] | None = [] if keep_transcripts else None
 
     last_set: int | None = None
@@ -326,28 +322,24 @@ def run_usm_game(
                 if table is None:
                     table = value_table(f)
                     table_cache[key] = table
-                # a copy, not zeros plus the table: +0.0 + -0.0 is +0.0
-                if total is None:
-                    total = table.copy()
-                else:
-                    total += table
-                cum_opt[t] = np.maximum.reduce(total)
-            if transcripts is not None:
-                transcripts.append(tr)
+                tables.append(table)
+            if points is not None:
+                points[t] = tr.marginals
                 oracles.append(f)
             if sets is not None:
                 sets.append(tr.chosen)
             last_set = tr.chosen
 
+    cum_opt, opt_set = _cycle_best(tables, rounds) if track_opt else (None, None)
     return UsmRunResult(
         rewards=rewards,
         cum_rewards=np.cumsum(rewards),
         cum_opt=cum_opt,
         round_queries=round_queries,
         max_round_queries=int(round_queries.max()),
-        opt_set=int(np.argmax(total)) if track_opt else None,
+        opt_set=opt_set,
         chosen_sets=sets,
-        transcripts=transcripts,
+        points=points,
         oracles=oracles,
     )
 
@@ -363,7 +355,8 @@ def run_cycle_trials(
     """Play one game per row of ``streams`` (trial k's coin stream for
     element i at ``[k][i]``) against the cycle, all trials one array round
     at a time; each result is bit for bit that trial's own
-    :func:`run_usm_game` with tracking.
+    :func:`run_usm_game` with tracking, and the streams are checked as
+    that game checks them.
 
     ``sub`` becomes a batch of shape (trials, n), bound once to its
     state, held yes-probabilities, scratch array and gather buffer.
@@ -379,14 +372,15 @@ def run_cycle_trials(
     ``_COIN_BLOCK`` rounds of every stream at a time, as sequential draws
     would.  After play the rewards are gathered by S, the best set is
     tracked once (one read-only ``cum_opt``), each function is charged
-    2n per trial-round it played, and transcripts are built from the
-    prefix points.  A point ``sub`` rejects
-    raises :class:`InvalidPointError` in the first round that meets one,
-    for its first trial and element.
+    2n per trial-round it played, and, with ``keep_transcripts``, each
+    trial's points are gathered from the prefix points by S.  A point
+    ``sub`` rejects raises :class:`InvalidPointError` in the first round
+    that meets one, for its first trial and element.
     """
     trials = len(streams)
     oracles = adversary.oracles
     n = oracles[0].n
+    _check_streams(rounds, n, streams)
     flat = [stream for row in streams for stream in row]
     sets = np.arange(1 << n)
     bits = 1 << np.arange(n)
@@ -433,107 +427,77 @@ def run_cycle_trials(
     round_queries = np.full(rounds, 2 * n, dtype=np.int64)
 
     if keep_transcripts:
-        # each round's alpha and beta at every node, by cycle position
-        sides = [np.stack([c[side] for c in cycle]) for side in (2, 3)]
+        # alpha and beta at every node, by cycle position: (period, 2^n, 2)
+        points = np.stack([np.stack(c[2:], axis=-1) for c in cycle])
+        played = [oracles[j] for j in which.tolist()]
     results = []
     for k in range(trials):
         res = UsmRunResult(rewards=rewards[k], cum_rewards=cum_rewards[k], cum_opt=cum_opt,
                            round_queries=round_queries, max_round_queries=2 * n, opt_set=opt_set)
         if keep_transcripts:
-            path = which[:, None], nodes[chosen[:, k]]
-            points = zip(*(side[path].tolist() for side in sides))
-            res.transcripts = [
-                RoundTranscript(t, s, tuple(map(BalancePoint._make, zip(a, b))), 2 * n)
-                for t, s, (a, b) in zip(range(1, rounds + 1), chosen[:, k].tolist(), points)
-            ]
-            res.oracles = [oracles[t % period] for t in range(rounds)]
+            res.chosen_sets = chosen[:, k].tolist()
+            res.points = points[which[:, None], nodes[chosen[:, k]]]
+            res.oracles = played
         results.append(res)
     return results
 
 
-@dataclass(frozen=True)
-class TrackingViolation:
-    """First failed replay relation: which one, at which element."""
-
-    index: int
-    relation: str
-    lhs: float
-    rhs: float
-
-
-def opt_tracking_check(
-    transcript: RoundTranscript,
-    f: SubmodularOracle,
+def _replay(
+    oracles: Sequence[SubmodularOracle],
+    chosen_sets: Sequence[int],
+    points: np.ndarray,
     opt: int,
-) -> TrackingViolation | None:
-    """Replay one round against a reference set morphing into the choice.
+) -> tuple[int, np.ndarray]:
+    """The rounds of a kept run that break a replay relation, and each
+    element's value-identity residual.
 
-    OPT_0 = ``opt``; OPT_i copies decision i.  Checks, per element, the
-    two value-update equalities for X and Y and the submodularity bound
-    on how much the reference set's value may drop:
+    Round t played ``oracles[t]``'s function f, chose S = ``chosen_sets[t]``
+    and fed element i the point (alpha_i, beta_i) = ``points[t, i - 1]``.
+    A reference set OPT_0 = ``opt`` (a set of the ground set) morphs into
+    S, OPT_i copying S's bit for element i, so OPT_n is S.  Each element
+    must keep the two value updates of X and Y and the submodularity
+    bound on how much the reference set's value may drop:
 
         yes: f(X_i) = f(X_{i-1}) + alpha_i,  f(Y_i) = f(Y_{i-1}),
              i not in OPT => f(OPT_i) >= f(OPT_{i-1}) - beta_i;
         no:  f(X_i) = f(X_{i-1}),  f(Y_i) = f(Y_{i-1}) + beta_i,
-             i in OPT     => f(OPT_i) >= f(OPT_{i-1}) - alpha_i.
+             i in OPT     => f(OPT_i) >= f(OPT_{i-1}) - alpha_i,
 
-    Returns None when every relation holds within ``VALUE_TOL``.
+    each within ``VALUE_TOL``; a round fails when any relation breaks.
+    Element i's residual is the total growth of f(X_i) + f(Y_i) less the
+    total of the yes-rounds' alpha_i and the no-rounds' beta_i, both
+    totals summed round by round from 0.0: zero up to rounding.  Each
+    round's X, Y and OPT chains are read from its value table with one
+    ``take``.
     """
-    n = len(transcript.marginals)
-    xs = transcript.x_sets
-    ys = transcript.y_sets
-    opt_cur = opt
-    f_opt_cur = f.peek(opt_cur)
-    for i in range(1, n + 1):
-        bit = 1 << (i - 1)
-        alpha, beta = transcript.marginals[i - 1]
-        fx_prev = f.peek(xs[i - 1])
-        fx_cur = f.peek(xs[i])
-        fy_prev = f.peek(ys[i - 1])
-        fy_cur = f.peek(ys[i])
-        if transcript.chosen & bit:
-            if abs(fx_cur - (fx_prev + alpha)) > VALUE_TOL:
-                return TrackingViolation(i, "x-gain", fx_cur, fx_prev + alpha)
-            if abs(fy_cur - fy_prev) > VALUE_TOL:
-                return TrackingViolation(i, "y-unchanged", fy_cur, fy_prev)
-            opt_next = opt_cur | bit
-            f_opt_next = f.peek(opt_next)
-            if not opt & bit and f_opt_next < f_opt_cur - beta - VALUE_TOL:
-                return TrackingViolation(i, "opt-drop-yes", f_opt_next, f_opt_cur - beta)
-        else:
-            if abs(fx_cur - fx_prev) > VALUE_TOL:
-                return TrackingViolation(i, "x-unchanged", fx_cur, fx_prev)
-            if abs(fy_cur - (fy_prev + beta)) > VALUE_TOL:
-                return TrackingViolation(i, "y-gain", fy_cur, fy_prev + beta)
-            opt_next = opt_cur & ~bit
-            f_opt_next = f.peek(opt_next)
-            if opt & bit and f_opt_next < f_opt_cur - alpha - VALUE_TOL:
-                return TrackingViolation(i, "opt-drop-no", f_opt_next, f_opt_cur - alpha)
-        opt_cur = opt_next
-        f_opt_cur = f_opt_next
-    if opt_cur != transcript.chosen:
-        return TrackingViolation(n, "opt-final", float(opt_cur), float(transcript.chosen))
-    return None
+    n = points.shape[1]
+    chosen = np.array(chosen_sets, dtype=np.int64)[:, None]
+    low = (1 << np.arange(n + 1)) - 1
+    x = chosen & low
+    masks = np.stack([x, chosen | (full_mask(n) & ~low), x | (opt & ~low)], axis=1)
+    values = np.empty(masks.shape)
+    for f, round_masks, out in zip(oracles, masks, values):
+        value_table(f).take(round_masks, out=out)
+    fx, fy, fo = np.moveaxis(values, 1, 0)
+    x_prev, x_cur = fx[:, :-1], fx[:, 1:]
+    y_prev, y_cur = fy[:, :-1], fy[:, 1:]
+    o_prev, o_cur = fo[:, :-1], fo[:, 1:]
+    alpha, beta = points[..., 0], points[..., 1]
+    element = np.arange(n)
+    yes = (chosen >> element & 1).astype(bool)
+    broken = np.where(
+        yes,
+        (abs(x_cur - (x_prev + alpha)) > VALUE_TOL) | (abs(y_cur - y_prev) > VALUE_TOL),
+        (abs(x_cur - x_prev) > VALUE_TOL) | (abs(y_cur - (y_prev + beta)) > VALUE_TOL),
+    )
+    # OPT leaves its last value only where S and opt disagree on the element
+    moved = yes != (opt >> element & 1).astype(bool)
+    broken |= moved & (o_cur < o_prev - np.where(yes, beta, alpha) - VALUE_TOL)
 
-
-def value_identity_residual(
-    transcripts: Sequence[RoundTranscript],
-    oracles: Sequence[SubmodularOracle],
-    i: int,
-) -> float:
-    """Residual of the per-element value-change identity, summed over rounds.
-
-    For element i, the total growth of f(X_i) + f(Y_i) over the run must
-    equal the yes-rounds' alpha_i plus the no-rounds' beta_i.  Returns
-    lhs - rhs (zero up to float accumulation).
-    """
-    prev = i - 1
-    lhs = 0.0
-    rhs = 0.0
-    for tr, f in zip(transcripts, oracles):
-        xs = tr.x_sets
-        ys = tr.y_sets
-        lhs += f.peek(xs[i]) - f.peek(xs[prev]) + f.peek(ys[i]) - f.peek(ys[prev])
-        alpha, beta = tr.marginals[prev]
-        rhs += alpha if tr.chosen >> prev & 1 else beta
-    return lhs - rhs
+    growth = x_cur - x_prev + y_cur - y_prev
+    gains = np.where(yes, alpha, beta)
+    # totals that start from 0.0: 0.0 + x is x for every double x but -0.0
+    growth[0] += 0.0
+    gains[0] += 0.0
+    residuals = np.cumsum(growth, axis=0)[-1] - np.cumsum(gains, axis=0)[-1]
+    return int(broken.any(axis=1).sum()), residuals

@@ -45,12 +45,11 @@ from .errors import ConfigError
 from .framework import (
     _cycle_best,
     _holds_prefix,
+    _replay,
     default_checkpoints,
     fit_growth_exponent,
-    opt_tracking_check,
     run_cycle_trials,
     run_usm_game,
-    value_identity_residual,
 )
 from .offline import (
     brute_force_opt,
@@ -454,22 +453,16 @@ def _run_online_experiment(config: ExperimentConfig):
 
 
 def _usm_diagnostics(results) -> dict:
-    """Replay checks over retained transcripts (see framework module).
-
-    Each trial's reference set is the best fixed set tracked for it
-    (``opt_set``), checked against every round it played.
-    """
+    """Replay checks over each trial's kept rounds
+    (:func:`~onlineusm.framework._replay`), against the best fixed set
+    tracked for the trial (``opt_set``)."""
     worst_residual = 0.0
     failures = 0
     for res in results:
-        for tr, f in zip(res.transcripts, res.oracles):
-            if opt_tracking_check(tr, f, res.opt_set) is not None:
-                failures += 1
-        n = len(res.transcripts[0].marginals)
-        for i in range(1, n + 1):
-            worst_residual = max(
-                worst_residual, abs(value_identity_residual(res.transcripts, res.oracles, i))
-            )
+        failed, residuals = _replay(res.oracles, res.chosen_sets, res.points, res.opt_set)
+        failures += failed
+        for r in residuals.tolist():
+            worst_residual = max(worst_residual, abs(r))
     return {"opt_tracking_failures": failures, "max_value_identity_residual": worst_residual}
 
 

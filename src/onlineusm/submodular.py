@@ -15,7 +15,6 @@ instead.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -109,24 +108,15 @@ class SubmodularOracle:
 
     The oracle never caches: every value it answers through
     :meth:`evaluate` or :meth:`evaluate_many` counts one query, and callers
-    that want per-round memoization do it on their side.  Counting is
-    exact when threads share an oracle, and :meth:`evaluate` takes no lock:
-
-    * :meth:`evaluate` takes one tick of an ``itertools.count``: a single
-      ``next()`` call, which runs in C and so is atomic under the GIL;
-    * every other count goes through ``_charge``, which adds to a separate
-      total under the lock.  :meth:`evaluate_many` checks its masks, then
-      charges their number and reads them; the package's own walks read
-      ``fn`` and charge the round's reads at once
-      (:func:`~onlineusm.framework.run_round`), or read
-      :func:`value_table` and charge each block of sweeps, or each batch
-      of trials, at once (the offline sweep, batched online trials);
-    * :attr:`queries` reads under the lock.  Reading the tick counter
-      takes a tick too, so it subtracts the reads made before it, which
-      the lock keeps in step with the ticks the reads took.
-
-    The count therefore rests on the GIL: a build of Python without it
-    would need the lock back in :meth:`evaluate`.
+    that want per-round memoization do it on their side.  The count is
+    one int, and every change to it is made under the oracle's lock, so
+    it stays exact when threads share an oracle: :meth:`evaluate` adds
+    1, and ``_charge`` adds a bulk count.  :meth:`evaluate_many` checks
+    its masks, then charges their number and reads them; the package's
+    own walks read ``fn`` and charge the round's reads at once
+    (:func:`~onlineusm.framework.run_round`), or read :func:`value_table`
+    and charge each block of sweeps, or each batch of trials, at once
+    (the offline sweep, batched online trials).
 
     ``values``, when given, is the oracle's read-only float64 table of
     all 2^n values by increasing bitmask, the one ``fn`` reads; it is
@@ -151,24 +141,19 @@ class SubmodularOracle:
         self._full = full_mask(n)
         self._fn = fn
         self._values = values
-        # one tick per evaluate call and per read of ``queries``
-        self._ticks = itertools.count()
-        self._reads = 0
-        self._batched = 0
+        self._queries = 0
         self._lock = threading.Lock()
 
     @property
     def queries(self) -> int:
-        with self._lock:
-            scalar = next(self._ticks) - self._reads
-            self._reads += 1
-            return scalar + self._batched
+        return self._queries
 
     def evaluate(self, s: Mask) -> float:
         """Return f(s), counting one query."""
         if s < 0 or s > self._full:
             raise InvalidSubsetError(f"subset {s:#x} outside ground set of size {self.n}")
-        next(self._ticks)
+        with self._lock:
+            self._queries += 1
         return self._fn(s)
 
     def evaluate_many(self, masks: np.ndarray) -> np.ndarray:
@@ -199,7 +184,7 @@ class SubmodularOracle:
     def _charge(self, count: int) -> None:
         """Count ``count`` queries at once, under the lock."""
         with self._lock:
-            self._batched += count
+            self._queries += count
 
     def peek(self, s: Mask) -> float:
         """Return f(s) without touching the query counter.

@@ -16,6 +16,11 @@ values bit for bit (``==`` on floats, never a tolerance):
 * ``reference_csv_line``: the per-cell CSV formatting of a tuple row;
 * ``reference_random_digraph``: the random digraph drawn one scalar
   coin and one ``uniform`` weight at a time;
+* ``opt_tracking_check`` / ``value_identity_residual``: the replay of
+  one round record, and of a run's records for one element, by peeks,
+  which the array replay ``framework._replay`` must match; ``kept_rounds``
+  turns a run's kept arrays back into those records, and ``decisions``,
+  ``x_sets`` and ``y_sets`` derive a record's decisions and chains;
 * ``reference_sweep`` / ``reference_rand_sweep``: the scalar
   double-greedy sweep, one counted query per mask, that the offline
   walk replaced, with ``reference_coin_rule`` its randomized rule.
@@ -36,6 +41,7 @@ in the package:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
@@ -43,8 +49,10 @@ import numpy as np
 
 from onlineusm.balance import BalancePoint, Ledger
 from onlineusm.errors import ConfigError, DomainError, InvalidSubsetError, SizeError
+from onlineusm.framework import RoundTranscript
 from onlineusm.submodular import (
     ENUMERATION_LIMIT,
+    VALUE_TOL,
     DirectedGraph,
     Mask,
     SubmodularOracle,
@@ -173,6 +181,120 @@ def reference_random_digraph(
             if u != v and rng.random() < density:
                 edges.append((u, v, float(rng.uniform(lo, hi))))
     return DirectedGraph(n, tuple(edges))
+
+
+def decisions(tr: RoundTranscript) -> tuple[bool, ...]:
+    """Each subroutine's action, True for yes: bit i of the chosen set."""
+    return tuple(bool(tr.chosen >> i & 1) for i in range(len(tr.marginals)))
+
+
+def x_sets(tr: RoundTranscript) -> tuple[int, ...]:
+    """X_0..X_n: the chosen elements among the first i."""
+    return tuple(tr.chosen & ((1 << i) - 1) for i in range(len(tr.marginals) + 1))
+
+
+def y_sets(tr: RoundTranscript) -> tuple[int, ...]:
+    """Y_0..Y_n: X_i plus every element after i."""
+    full = full_mask(len(tr.marginals))
+    return tuple(tr.chosen | (full >> i << i) for i in range(len(tr.marginals) + 1))
+
+
+def kept_rounds(res) -> list[RoundTranscript]:
+    """The round records of a ``UsmRunResult`` that kept its rounds, from
+    its chosen sets and points."""
+    n = res.points.shape[1]
+    return [
+        RoundTranscript(t, s, tuple(BalancePoint(a, b) for a, b in pts), 2 * n)
+        for t, s, pts in zip(range(1, len(res.chosen_sets) + 1), res.chosen_sets, res.points.tolist())
+    ]
+
+
+@dataclass(frozen=True)
+class TrackingViolation:
+    """First failed replay relation: which one, at which element."""
+
+    index: int
+    relation: str
+    lhs: float
+    rhs: float
+
+
+def opt_tracking_check(
+    transcript: RoundTranscript,
+    f: SubmodularOracle,
+    opt: int,
+) -> TrackingViolation | None:
+    """Replay one round against a reference set morphing into the choice.
+
+    OPT_0 = ``opt``; OPT_i copies decision i.  Checks, per element, the
+    two value-update equalities for X and Y and the submodularity bound
+    on how much the reference set's value may drop:
+
+        yes: f(X_i) = f(X_{i-1}) + alpha_i,  f(Y_i) = f(Y_{i-1}),
+             i not in OPT => f(OPT_i) >= f(OPT_{i-1}) - beta_i;
+        no:  f(X_i) = f(X_{i-1}),  f(Y_i) = f(Y_{i-1}) + beta_i,
+             i in OPT     => f(OPT_i) >= f(OPT_{i-1}) - alpha_i.
+
+    Returns None when every relation holds within ``VALUE_TOL``.
+    """
+    n = len(transcript.marginals)
+    xs = x_sets(transcript)
+    ys = y_sets(transcript)
+    opt_cur = opt
+    f_opt_cur = f.peek(opt_cur)
+    for i in range(1, n + 1):
+        bit = 1 << (i - 1)
+        alpha, beta = transcript.marginals[i - 1]
+        fx_prev = f.peek(xs[i - 1])
+        fx_cur = f.peek(xs[i])
+        fy_prev = f.peek(ys[i - 1])
+        fy_cur = f.peek(ys[i])
+        if transcript.chosen & bit:
+            if abs(fx_cur - (fx_prev + alpha)) > VALUE_TOL:
+                return TrackingViolation(i, "x-gain", fx_cur, fx_prev + alpha)
+            if abs(fy_cur - fy_prev) > VALUE_TOL:
+                return TrackingViolation(i, "y-unchanged", fy_cur, fy_prev)
+            opt_next = opt_cur | bit
+            f_opt_next = f.peek(opt_next)
+            if not opt & bit and f_opt_next < f_opt_cur - beta - VALUE_TOL:
+                return TrackingViolation(i, "opt-drop-yes", f_opt_next, f_opt_cur - beta)
+        else:
+            if abs(fx_cur - fx_prev) > VALUE_TOL:
+                return TrackingViolation(i, "x-unchanged", fx_cur, fx_prev)
+            if abs(fy_cur - (fy_prev + beta)) > VALUE_TOL:
+                return TrackingViolation(i, "y-gain", fy_cur, fy_prev + beta)
+            opt_next = opt_cur & ~bit
+            f_opt_next = f.peek(opt_next)
+            if opt & bit and f_opt_next < f_opt_cur - alpha - VALUE_TOL:
+                return TrackingViolation(i, "opt-drop-no", f_opt_next, f_opt_cur - alpha)
+        opt_cur = opt_next
+        f_opt_cur = f_opt_next
+    if opt_cur != transcript.chosen:
+        return TrackingViolation(n, "opt-final", float(opt_cur), float(transcript.chosen))
+    return None
+
+
+def value_identity_residual(
+    transcripts: Sequence[RoundTranscript],
+    oracles: Sequence[SubmodularOracle],
+    i: int,
+) -> float:
+    """Residual of the per-element value-change identity, summed over rounds.
+
+    For element i, the total growth of f(X_i) + f(Y_i) over the run must
+    equal the yes-rounds' alpha_i plus the no-rounds' beta_i.  Returns
+    lhs - rhs (zero up to float accumulation).
+    """
+    prev = i - 1
+    lhs = 0.0
+    rhs = 0.0
+    for tr, f in zip(transcripts, oracles):
+        xs = x_sets(tr)
+        ys = y_sets(tr)
+        lhs += f.peek(xs[i]) - f.peek(xs[prev]) + f.peek(ys[i]) - f.peek(ys[prev])
+        alpha, beta = tr.marginals[prev]
+        rhs += alpha if tr.chosen >> prev & 1 else beta
+    return lhs - rhs
 
 
 def reference_sweep(

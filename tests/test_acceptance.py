@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from onlineusm.balance import LEFT, RIGHT, UP, BalancePoint, Balancer, step_invariant_deltas
-from onlineusm.framework import opt_tracking_check, run_usm_game, value_identity_residual
+from onlineusm.framework import _replay, run_usm_game
 from onlineusm.harness import (
     ExperimentConfig,
     _usm_trials,
@@ -223,14 +223,9 @@ def test_6_round_replay_relations():
                 tables[id(f)] = value_table(f)
             total = total + tables[id(f)]
         opt = int(np.argmax(total))
-        for tr, f in zip(res.transcripts, res.oracles):
-            if opt_tracking_check(tr, f, opt) is not None:
-                tracking_failures += 1
-        for i in range(1, n + 1):
-            worst_residual = max(
-                worst_residual,
-                abs(value_identity_residual(res.transcripts, res.oracles, i)),
-            )
+        failed, residuals = _replay(res.oracles, res.chosen_sets, res.points, opt)
+        tracking_failures += failed
+        worst_residual = max(worst_residual, float(np.abs(residuals).max()))
     ok = tracking_failures == 0 and worst_residual <= 1e-9
     report(
         "round replay relations on 10 recorded runs (n <= 12)",

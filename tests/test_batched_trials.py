@@ -4,8 +4,8 @@
 batch (``framework.run_cycle_trials``) when 2^n <= rounds and the batch's
 arrays fit ``framework._PREFIX_BYTES``.  These tests pin the batch to the
 per-trial games bit for bit: the result columns, the summary, the
-transcripts, every oracle's counted queries and every coin stream's final
-state.  They also pin the byte budget, which changes speed and memory but
+kept rounds (chosen sets and points), every oracle's counted queries and
+every coin stream's final state.  They also pin the byte budget, which changes speed and memory but
 no output, and the rejection of points outside the triangle on the
 batched path.
 """
@@ -26,7 +26,7 @@ from onlineusm.framework import _cycle_best, run_cycle_trials, run_usm_game
 from onlineusm.harness import SUBROUTINE_NAMES, ExperimentConfig, _usm_trials, build_subroutine, run_experiment
 from onlineusm.submodular import random_digraph, write_digraph
 
-from references import oracle_from_table
+from references import oracle_from_table, reference_tracking
 from test_offline import value_tables
 
 N = 5
@@ -91,9 +91,11 @@ def test_batched_trials_are_the_per_trial_games(subroutine, adversary, trials, r
     assert summary["diagnostics"]["opt_tracking_failures"] == 0
     assert summary["diagnostics"]["max_value_identity_residual"] <= 1e-9
     for res, w_res in zip(results, w_results, strict=True):
-        assert [bits(tuple(tr)) for tr in res.transcripts] == [bits(tuple(tr)) for tr in w_res.transcripts]
-        assert all(type(v) is float for tr in res.transcripts for pt in tr.marginals for v in pt)
-        assert [type(tr.chosen) for tr in res.transcripts] == [int] * rounds
+        assert res.chosen_sets == w_res.chosen_sets
+        assert [type(s) for s in res.chosen_sets] == [int] * rounds
+        assert res.points.dtype == w_res.points.dtype == np.float64
+        assert res.points.shape == w_res.points.shape == (rounds, N, 2)
+        assert res.points.tobytes() == w_res.points.tobytes()
         assert res.oracles == w_res.oracles
         assert res.opt_set == w_res.opt_set
     # 2n counted queries per trial-round, on the oracle of that round
@@ -251,7 +253,7 @@ def test_batched_trials_on_any_cycled_tables(data):
                        for row in streams]
         sides.append(([(res.rewards.tobytes(), res.cum_rewards.tobytes(), res.cum_opt.tobytes(), res.opt_set,
                          res.round_queries.tolist(), res.max_round_queries,
-                         [bits(tuple(tr)) for tr in res.transcripts],
+                         res.chosen_sets, res.points.shape, res.points.tobytes(),
                          [oracles.index(f) for f in res.oracles]) for res in results],
                        [f.queries for f in oracles],
                        [s.bit_generator.state for row in streams for s in row]))
@@ -267,9 +269,6 @@ def test_cycle_best_is_the_round_by_round_total(tables, rounds, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(framework, "_TRACK_BYTES", block)
         cum_opt, opt_set = _cycle_best(tables, rounds)
-    oracles = [oracle_from_table(t) for t in tables]
-    n = oracles[0].n
-    want = run_usm_game([build_subroutine("uniform", rounds) for _ in range(n)], CycleFunctionAdversary(oracles),
-                        rounds, [np.random.default_rng(i) for i in range(n)])
-    assert cum_opt.tobytes() == want.cum_opt.tobytes()
-    assert opt_set == want.opt_set
+    want_opt, _, want_set = reference_tracking([tables[t % len(tables)] for t in range(rounds)])
+    assert cum_opt.tobytes() == want_opt.tobytes()
+    assert opt_set == want_set

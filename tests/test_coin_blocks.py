@@ -7,7 +7,8 @@ and a randomized offline walk of k sweeps draws its coins as one
 ``random((k, n))`` block.  These tests pin that the blocks change
 no coin: the results, and the streams' states afterwards, are those of
 sequential ``random()`` calls.  A game needs one distinct stream per
-subroutine, and rejects anything else before it draws.
+subroutine, and rejects anything else before it draws; so do the
+batched trials, for every trial's row of streams.
 """
 
 import numpy as np
@@ -16,12 +17,12 @@ import pytest
 from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, ConstantPolicy, TwoExperts
 from onlineusm.errors import ConfigError
-from onlineusm.framework import run_round, run_usm_game
+from onlineusm.framework import run_cycle_trials, run_round, run_usm_game
 from onlineusm.harness import build_balance_adversary, run_balance_game
 from onlineusm.offline import _BLOCK, rand_double_greedy_stats
 from onlineusm.submodular import normalize, random_digraph, tabulate
 
-from references import reference_rand_sweep
+from references import decisions, reference_rand_sweep
 
 
 def cut_oracles(n, seeds):
@@ -53,10 +54,10 @@ def test_game_equals_rounds_on_sequential_streams(make):
                        rounds, streams_for(n, seed=9), keep_transcripts=True)
     subs = [make(rounds) for _ in range(n)]
     plain = streams_for(n, seed=9)
-    for t, tr in enumerate(res.transcripts):
+    for t, (chosen, points) in enumerate(zip(res.chosen_sets, res.points.tolist())):
         coins = [stream.random() for stream in plain]
         want = run_round(subs, oracles[t % len(oracles)], coins, t=t + 1)
-        assert (tr.chosen, tr.decisions, tr.marginals) == (want.chosen, want.decisions, want.marginals)
+        assert (chosen, points) == (want.chosen, [list(pt) for pt in want.marginals])
 
 
 def reference_balance_game(subroutine, adversary, rounds, rng):
@@ -115,6 +116,35 @@ def test_game_rejects_repeated_streams():
     assert stream.random() == np.random.default_rng(9).random()  # nothing was drawn
 
 
+@pytest.mark.parametrize("case", ["short row", "long row", "shared in a row", "shared across rows",
+                                  "no rounds"])
+def test_batched_trials_check_their_streams_as_the_game_does(case):
+    n, rounds = 3, 16
+    rows = [streams_for(n, seed=k) for k in range(2)]
+    if case == "short row":
+        rows[1] = rows[1][:2]
+    elif case == "long row":
+        rows[0] = [*rows[0], np.random.default_rng(7)]
+    elif case == "shared in a row":
+        rows[1][2] = rows[1][0]
+    elif case == "shared across rows":
+        rows[1][0] = rows[0][0]
+    else:
+        rounds = 0
+    message = {"short row": "need 3 coin streams, got 2", "long row": "need 3 coin streams, got 4",
+               "no rounds": "rounds must be >= 1"}.get(case, "distinct")
+    states = [s.bit_generator.state for row in rows for s in row]
+    with pytest.raises(ConfigError, match=message):
+        run_cycle_trials(Balancer(max(rounds, 1)), CycleFunctionAdversary(cut_oracles(n, (5,))), rounds, rows)
+    assert [s.bit_generator.state for row in rows for s in row] == states  # nothing was drawn
+    # one game on the faulty row raises the same error
+    if case != "shared across rows":
+        row = rows[0] if case in ("long row", "no rounds") else rows[1]
+        with pytest.raises(ConfigError, match=message):
+            run_usm_game([Balancer(max(rounds, 1)) for _ in range(n)],
+                         CycleFunctionAdversary(cut_oracles(n, (5,))), rounds, row)
+
+
 @pytest.mark.parametrize("count", [0, 3, 5])
 def test_game_rejects_a_wrong_stream_count(count):
     n = 4
@@ -128,7 +158,7 @@ def test_run_round_decides_element_i_from_coin_i():
     n = 6
     coins = [0.1, 0.9, 0.4, 0.6, 0.0, 0.99]
     tr = run_round([ConstantPolicy(0.5) for _ in range(n)], cut_oracles(n, (8,))[0], coins)
-    assert list(tr.decisions) == [c < 0.5 for c in coins]
+    assert list(decisions(tr)) == [c < 0.5 for c in coins]
     assert tr.chosen == 0b010101
     with pytest.raises(ConfigError, match="coins"):
         run_round([ConstantPolicy(0.5) for _ in range(n)], cut_oracles(n, (8,))[0], coins[:-1])

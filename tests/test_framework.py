@@ -13,12 +13,11 @@ from onlineusm.framework import (
     RoundTranscript,
     _holds_prefix,
     _prefix_points,
+    _replay,
     fit_growth_exponent,
-    opt_tracking_check,
     run_cycle_trials,
     run_round,
     run_usm_game,
-    value_identity_residual,
 )
 from onlineusm.harness import SUBROUTINE_NAMES, build_subroutine
 from onlineusm.offline import brute_force_opt
@@ -34,7 +33,19 @@ from onlineusm.submodular import (
 
 from conftest import grow_only_oracle
 from test_offline import value_tables
-from references import distinct_tables, oracle_from_table, reference_tracking, same_bits, usm_alpha_regret
+from references import (
+    decisions,
+    distinct_tables,
+    kept_rounds,
+    opt_tracking_check,
+    oracle_from_table,
+    reference_tracking,
+    same_bits,
+    usm_alpha_regret,
+    value_identity_residual,
+    x_sets,
+    y_sets,
+)
 
 
 def streams_for(n, seed=0):
@@ -83,7 +94,7 @@ def test_run_round_chains_meet_the_marginal_preconditions():
         tr = run_round(policies, random_cut_oracle(n, seed=choices), coins_for(n))
         for i in range(1, n + 1):
             bit = 1 << (i - 1)
-            x, y = tr.x_sets[i - 1], tr.y_sets[i - 1]
+            x, y = x_sets(tr)[i - 1], y_sets(tr)[i - 1]
             assert x & ~y == 0
             assert (x ^ y) & (bit - 1) == 0
             assert not x & bit and y & bit
@@ -96,15 +107,15 @@ def test_run_round_forced_yes_single_element():
     f = oracle_from_table([0.0, 1.0])
     tr = run_round([ConstantPolicy(1.0)], f, coins_for(1))
     assert tr.chosen == 0b1
-    assert tr.x_sets == (0, 1) and tr.y_sets == (1, 1)
+    assert x_sets(tr) == (0, 1) and y_sets(tr) == (1, 1)
 
 
 def test_run_round_always_no_shrinks_y():
     f = random_cut_oracle(4, seed=3)
     tr = run_round([ConstantPolicy(0.0) for _ in range(4)], f, coins_for(4))
     assert tr.chosen == 0
-    assert tr.y_sets == (0b1111, 0b1110, 0b1100, 0b1000, 0b0000)
-    assert tr.x_sets == (0, 0, 0, 0, 0)
+    assert y_sets(tr) == (0b1111, 0b1110, 0b1100, 0b1000, 0b0000)
+    assert x_sets(tr) == (0, 0, 0, 0, 0)
 
 
 def test_run_round_transcript_invariants():
@@ -113,8 +124,8 @@ def test_run_round_transcript_invariants():
     subs = [Balancer(64) for _ in range(n)]
     tr = run_round(subs, f, coins_for(n))
     for i in range(n + 1):
-        assert tr.x_sets[i] & ~tr.y_sets[i] == 0  # X inside Y
-    assert tr.x_sets[n] == tr.y_sets[n] == tr.chosen
+        assert x_sets(tr)[i] & ~y_sets(tr)[i] == 0  # X inside Y
+    assert x_sets(tr)[n] == y_sets(tr)[n] == tr.chosen
     for a, b in tr.marginals:
         assert a + b >= -1e-9
 
@@ -137,7 +148,7 @@ def test_run_round_marginals_match_direct_recompute():
     tr = run_round(subs, f, coins_for(n, seed=4))
     for i in range(1, n + 1):
         bit = 1 << (i - 1)
-        x_prev, y_prev = tr.x_sets[i - 1], tr.y_sets[i - 1]
+        x_prev, y_prev = x_sets(tr)[i - 1], y_sets(tr)[i - 1]
         alpha = f.peek(x_prev | bit) - f.peek(x_prev)
         beta = f.peek(y_prev & ~bit) - f.peek(y_prev)
         assert tr.marginals[i - 1] == (alpha, beta)
@@ -223,7 +234,7 @@ def test_round_evaluates_each_mask_once_in_walk_order(n):
         assert calls == expected_round_masks(n, choices)
         assert f.log == root_walk_log(n)
         # element n reuses f(X_{n-1}) and f(Y_{n-1}) = f(X_{n-1} + n)
-        x, y = tr.x_sets[n - 1], tr.y_sets[n - 1]
+        x, y = x_sets(tr)[n - 1], y_sets(tr)[n - 1]
         fx, fy = f.peek(x), f.peek(y)
         assert y == x | 1 << (n - 1)
         assert _bits(tr.marginals[-1]) == _bits((fy - fx, fx - fy))
@@ -233,18 +244,19 @@ def batch_and_walk(table, name, rounds, seed):
     """``rounds`` rounds of one batched trial on ``table``'s prefix points
     and as many root-walk rounds, each on its own oracle, subroutines and
     coin streams (both seeded alike); returns what each must share with
-    the other, floats by their bits."""
+    the other (the chosen sets and the points fed, then the rewards and
+    the queries), floats by their bits."""
     n = int(table.size).bit_length() - 1
     f = oracle_from_table(table)
     res = run_cycle_trials(build_subroutine(name, rounds), CycleFunctionAdversary([f]), rounds,
                            [streams_for(n, seed)], keep_transcripts=True)[0]
-    got = ([(tr.t, tr.chosen, tr.decisions, _bits(tr.marginals), tr.queries) for tr in res.transcripts],
+    got = ((res.chosen_sets, _bits(res.points.tolist())),
            _bits(res.rewards.tolist()), res.round_queries.tolist(), f.queries)
     f = oracle_from_table(table)
     subs = [build_subroutine(name, rounds) for _ in range(n)]
     streams = streams_for(n, seed)
     walks = [run_round(subs, f, [s.random() for s in streams], t=t + 1) for t in range(rounds)]
-    want = ([(tr.t, tr.chosen, tr.decisions, _bits(tr.marginals), tr.queries) for tr in walks],
+    want = (([tr.chosen for tr in walks], _bits([tr.marginals for tr in walks])),
             _bits([f.peek(tr.chosen) for tr in walks]), [tr.queries for tr in walks], f.queries)
     return got, want
 
@@ -278,7 +290,7 @@ def test_built_tree_rounds_are_root_walks_on_any_table(table, name, rounds, seed
     assert got[2] == [2 * n] * rounds and got[3] == 2 * n * rounds
 
 
-def test_game_builds_trees_only_for_tabulable_sizes():
+def test_prefix_points_need_a_tabulable_size():
     # a tree needs the value table: n = 21 raises before any read or charge
     reads = []
     big = SubmodularOracle(21, lambda m: reads.append(m) or 0.0)
@@ -340,18 +352,19 @@ def play_cycle(tables, name, rounds, seed, *, game):
     if game:
         res = run_usm_game(subs, CycleFunctionAdversary(oracles), rounds, streams,
                            track_opt=False, keep_transcripts=True)
-        rewards, queries, transcripts = res.rewards.tolist(), res.round_queries.tolist(), res.transcripts
+        rewards, queries, chosen, points = (res.rewards.tolist(), res.round_queries.tolist(), res.chosen_sets,
+                                            res.points.tolist())
     else:
         transcripts = [run_round(subs, oracles[t % len(oracles)], [s.random() for s in streams], t=t + 1)
                        for t in range(rounds)]
         rewards = [oracles[t % len(oracles)].peek(tr.chosen) for t, tr in enumerate(transcripts)]
         queries = [tr.queries for tr in transcripts]
+        chosen, points = [tr.chosen for tr in transcripts], [tr.marginals for tr in transcripts]
     return len(answered), dict(
         rewards=_bits(rewards),
         queries=queries,
-        chosen=[tr.chosen for tr in transcripts],
-        decisions=[tr.decisions for tr in transcripts],
-        marginals=[_bits(tr.marginals) for tr in transcripts],
+        chosen=chosen,
+        points=_bits(points),
         oracle_queries=[f.queries for f in oracles],
         subroutines=[subroutine_state(sub) for sub in subs],
         streams=[s.bit_generator.state for s in streams],
@@ -417,7 +430,7 @@ def test_game_counts_2n_per_round_and_evaluates_only_on_root_walks(scale, n, nam
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_game_with_trees_on_any_cycled_tables(data):
+def test_game_is_a_loop_of_rounds_on_any_cycled_tables(data):
     n = data.draw(st.integers(1, 6))
     tables = data.draw(st.lists(value_tables(n), min_size=1, max_size=3))
     tables += data.draw(st.lists(st.sampled_from(tables), max_size=2))  # a repeat shares its oracle
@@ -530,9 +543,9 @@ def test_run_round_is_the_reference_round_bit_for_bit(cycle, name, rounds, seed)
         got = run_round(got_subs, got_oracles[k], coins[r], t=r + 1)
         want = reference_round(want_subs, want_oracles[k], coins[r], t=r + 1)
         # the stored fields and the decisions and chains derived from them
-        assert {*got._fields, "decisions", "x_sets", "y_sets"} == set(want)
-        assert {k: _bits(getattr(got, k)) for k in want} == {k: _bits(v) for k, v in want.items()}
-        assert [type(d) for d in got.decisions] == [bool] * n
+        fields = {**got._asdict(), "decisions": decisions(got), "x_sets": x_sets(got), "y_sets": y_sets(got)}
+        assert {k: _bits(v) for k, v in fields.items()} == {k: _bits(v) for k, v in want.items()}
+        assert [type(s) for s in (got.t, got.chosen, got.queries)] == [int] * 3
         assert [type(pt) for pt in got.marginals] == [BalancePoint] * n
     assert [subroutine_state(s) for s in got_subs] == [subroutine_state(s) for s in want_subs]
     assert [f.queries for f in got_oracles] == [f.queries for f in want_oracles]
@@ -553,17 +566,15 @@ def test_run_round_feeds_each_subroutine_the_point_it_records():
 def test_round_records_are_immutable_and_pickle():
     n = 4
     tr = run_round([Balancer(16) for _ in range(n)], random_cut_oracle(n, seed=6), coins_for(n))
-    records = [(tr, "chosen", 0), (tr, "decisions", ()), (tr.marginals[0], "alpha", 0.0)]
+    records = [(tr, "chosen", 0), (tr, "marginals", ()), (tr.marginals[0], "alpha", 0.0)]
     for record, field, value in records:
         with pytest.raises(AttributeError):
             setattr(record, field, value)
         back = pickle.loads(pickle.dumps(record))
         assert type(back) is type(record) and back == record
     assert isinstance(tr, RoundTranscript) and pickle.loads(pickle.dumps(tr)).marginals == tr.marginals
-    # a point is a nonempty tuple, so it is truthy whatever it holds; a
-    # decision is a plain bool, bit i of the chosen set
+    # a point is a nonempty tuple, so it is truthy whatever it holds
     assert BalancePoint(0.0, 0.0)
-    assert tr.decisions == tuple(bool(tr.chosen >> i & 1) for i in range(n))
 
 
 # --- usm_alpha_regret ----------------------------------------------------
@@ -599,7 +610,7 @@ def test_usm_alpha_regret_supplied_opt_and_size_error():
     assert usm_alpha_regret([], 0.5) == 0.0
 
 
-# --- opt_tracking_check and summed diagnostics ----------------------------
+# --- the replay relations, by record and by array --------------------------
 
 def run_recorded(n, rounds, subs_factory, oracle_seed=0, coin_seed=0):
     f = random_cut_oracle(n, seed=oracle_seed)
@@ -612,17 +623,24 @@ def run_recorded(n, rounds, subs_factory, oracle_seed=0, coin_seed=0):
     )
 
 
+def replay(res, opt):
+    """The array replay of a run's kept rounds against ``opt``."""
+    return _replay(res.oracles, res.chosen_sets, res.points, opt)
+
+
 def test_opt_tracking_passes_on_submodular_runs():
     res = run_recorded(6, 25, lambda: Balancer(25), oracle_seed=14)
     opt = brute_force_opt(res.oracles[0]).chosen
-    for tr, f in zip(res.transcripts, res.oracles):
+    for tr, f in zip(kept_rounds(res), res.oracles):
         assert opt_tracking_check(tr, f, opt) is None
+    assert replay(res, opt)[0] == 0
 
 
 def test_opt_tracking_with_opt_equal_to_choice():
     res = run_recorded(5, 10, lambda: ConstantPolicy(0.5), oracle_seed=3)
-    for tr, f in zip(res.transcripts, res.oracles):
+    for t, (tr, f) in enumerate(zip(kept_rounds(res), res.oracles)):
         assert opt_tracking_check(tr, f, tr.chosen) is None
+        assert _replay([f], [tr.chosen], res.points[t:t + 1], tr.chosen)[0] == 0
 
 
 def test_opt_tracking_flags_non_submodular():
@@ -633,6 +651,7 @@ def test_opt_tracking_flags_non_submodular():
     violation = opt_tracking_check(tr, f, opt=0)
     assert violation is not None
     assert violation.relation == "opt-drop-yes"
+    assert _replay([f], [tr.chosen], np.array([tr.marginals]), 0)[0] == 1
 
 
 def test_value_identity_residual_and_drop_margin():
@@ -640,8 +659,57 @@ def test_value_identity_residual_and_drop_margin():
     # opt-drop relations that opt_tracking_check checks on every round
     res = run_recorded(6, 40, lambda: Balancer(40), oracle_seed=21, coin_seed=5)
     n = 6
+    records = kept_rounds(res)
+    residuals = replay(res, res.opt_set)[1]
     for i in range(1, n + 1):
-        assert abs(value_identity_residual(res.transcripts, res.oracles, i)) <= 1e-9
+        assert abs(value_identity_residual(records, res.oracles, i)) <= 1e-9
+        assert abs(residuals[i - 1]) <= 1e-9
+
+
+def unit_tables(n):
+    """Tables of 2^n arbitrary values in [0, 1], zeros of either sign:
+    most are not submodular, so the points they yield break relations."""
+    values = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 5e-324]))
+    return st.lists(values, min_size=1 << n, max_size=1 << n).map(np.array)
+
+
+def assert_replays_agree(tables, name, rounds, seed, others):
+    """Play ``tables`` cycled; the array replay's failed-round count and
+    residuals against the tracked best set and each of ``others`` are the
+    record replay's, bit for bit.  Returns the last failed-round count."""
+    n = int(tables[0].size).bit_length() - 1
+    oracles = [oracle_from_table(t) for t in tables]
+    res = run_usm_game([build_subroutine(name, rounds) for _ in range(n)], CycleFunctionAdversary(oracles),
+                       rounds, streams_for(n, seed), keep_transcripts=True)
+    records = kept_rounds(res)
+    for opt in (res.opt_set, *others):
+        failed, residuals = replay(res, opt)
+        assert failed == sum(opt_tracking_check(tr, f, opt) is not None for tr, f in zip(records, res.oracles))
+        want = [value_identity_residual(records, res.oracles, i) for i in range(1, n + 1)]
+        assert _bits(residuals.tolist()) == _bits(want)
+    return failed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_array_replay_is_the_record_replay(data):
+    # submodular tables played by any subroutine; arbitrary [0, 1] tables
+    # by the constant policies, which accept any point
+    n = data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):
+        tables = data.draw(st.lists(unit_tables(n), min_size=1, max_size=3))
+        name = data.draw(st.sampled_from(["uniform", "always-yes", "always-no"]))
+    else:
+        tables = data.draw(st.lists(value_tables(n), min_size=1, max_size=3))
+        name = data.draw(st.sampled_from(SUBROUTINE_NAMES))
+    assert_replays_agree(tables, name, data.draw(st.integers(1, 40)), data.draw(st.integers(0, 2**32 - 1)),
+                         [data.draw(st.integers(0, (1 << n) - 1))])
+
+
+def test_array_replay_counts_the_rounds_a_supermodular_table_breaks():
+    # (|S| / n)^2 under uniform play: some rounds break a relation, not all
+    failed = assert_replays_agree([value_table(grow_only_oracle(4))], "uniform", 30, 3, [0, 0b1111])
+    assert 0 < failed < 30
 
 
 # --- subroutine isolation -------------------------------------------------
@@ -661,7 +729,7 @@ def test_earlier_subroutine_inputs_ignore_later_seeds():
     moved = run_with([10, 11, 99, 98])
 
     def column(res, i):
-        return [tr.marginals[i - 1] for tr in res.transcripts]
+        return res.points[:, i - 1].tolist()
 
     # inputs of subroutines 1..3 depend only on coins of subroutines < i
     for i in (1, 2, 3):

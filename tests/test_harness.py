@@ -200,7 +200,7 @@ def test_usm_rows_match_recomputed_regret(small_usm_config):
     # rebuild trial 1 with retention on and recompute regret on 100 random prefixes
     retained = ExperimentConfig(**{**vars(cfg), "keep_transcripts": True, "format": "json"})
     res = _usm_trial(retained, 1)
-    history = list(zip(res.oracles, [tr.chosen for tr in res.transcripts]))
+    history = list(zip(res.oracles, res.chosen_sets))
     trial_rows = [r for r in rows if r[0] == 1]
     rng = np.random.default_rng(0)
     for _ in range(100):

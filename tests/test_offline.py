@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onlineusm.adversaries import CycleFunctionAdversary
-from onlineusm.balance import Balancer, _in_triangle, step_invariant_deltas
+from onlineusm.balance import BalancePoint, Balancer, _in_triangle, step_invariant_deltas
 from onlineusm.errors import ConfigError, SizeError
-from onlineusm.framework import opt_tracking_check, run_round, run_usm_game
+from onlineusm.framework import _replay, run_round, run_usm_game
 from onlineusm.offline import (
     _marginals,
     _sweep,
@@ -31,6 +31,7 @@ from onlineusm.submodular import (
 
 from references import (
     mask_of,
+    opt_tracking_check,
     oracle_from_table,
     reference_coin_rule,
     reference_rand_sweep,
@@ -465,13 +466,12 @@ def test_whole_game_on_cycled_tables(data):
     # a twin of each subroutine, fed the same points, gives the state each
     # round decided from
     twins = [Balancer(rounds) for _ in range(n)]
-    for t, (tr, f) in enumerate(zip(res.transcripts, res.oracles)):
-        assert f is oracles[t % len(oracles)]
-        assert tr.queries == 2 * n
-        assert all(_in_triangle(a, b) for a, b in tr.marginals)
-        assert opt_tracking_check(tr, f, res.opt_set) is None
-        assert opt_tracking_check(tr, f, other) is None
-        for twin, pt in zip(twins, tr.marginals):
+    assert res.oracles == [oracles[t % len(oracles)] for t in range(rounds)]
+    for opt in (res.opt_set, other):
+        assert _replay(res.oracles, res.chosen_sets, res.points, opt)[0] == 0
+    for points in res.points.tolist():
+        assert all(_in_triangle(a, b) for a, b in points)
+        for twin, pt in zip(twins, map(BalancePoint._make, points)):
             d_alg, d_yes, d_no = step_invariant_deltas(twin.x / twin.sqrt_horizon, pt, rounds)
             assert d_alg - max(d_yes, d_no) + 2.0 / s >= 0.0
             twin.update(pt)

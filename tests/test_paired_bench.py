@@ -150,7 +150,8 @@ def test_a_zero_parent_median_is_unresolved_and_keeps_its_quartiles(capsys):
 def record(goodput, failed):
     return {"metrics": {"goodput": {"value": goodput}, "setup_s": {"value": 0.1},
                         "peak_rss_mb": {"value": 40.0}},
-            "failed": failed, "attempted": 100, "output_sha256": "ab"}
+            "failed": failed, "attempted": 100, "output_sha256": "ab",
+            "check_failures": [f"trial {k}: rewards differ from a replay of the trial" for k in range(failed)]}
 
 
 def test_more_failed_operations_clear_the_gain():
@@ -161,6 +162,19 @@ def test_more_failed_operations_clear_the_gain():
     out = paired_bench.summarize(pairs, METRICS, "goodput")
     assert out["change_failed_frac"] > out["parent_failed_frac"] == 0.0
     assert not out["claim"]["gain"] and not out["passed"]
+
+
+def test_each_run_keeps_its_failed_count_and_check_failures():
+    pairs = [{"parent": record(g, 0), "change": record(g, 0)} for g in PARENT["goodput"]]
+    pairs[6]["parent"] = record(PARENT["goodput"][6], 2)
+    out = paired_bench.summarize(pairs, METRICS, None)
+    assert len(out["parent_runs"]) == len(out["change_runs"]) == 10
+    assert out["parent_runs"][6] == {"failed": 2, "attempted": 100,
+                                     "check_failures": ["trial 0: rewards differ from a replay of the trial",
+                                                        "trial 1: rewards differ from a replay of the trial"]}
+    assert [r["failed"] for r in out["parent_runs"]] == [0] * 6 + [2] + [0] * 3
+    assert out["change_runs"] == [{"failed": 0, "attempted": 100, "check_failures": []}] * 10
+    assert out["parent_failed_frac"] == 2 / 1000
 
 
 # --- suite mode -------------------------------------------------------------

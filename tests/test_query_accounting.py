@@ -2,8 +2,8 @@
 
 A round evaluates each distinct mask it needs once: the marginal masks
 X_{i-1}, X_{i-1} + i, Y_{i-1} - i, Y_{i-1} of every element i and the
-chosen set S, which are 2n masks.  The tests recompute that set from the
-transcript and compare it with the counter.
+chosen set S, which are 2n masks.  The tests recompute that set from
+each kept round and compare it with the counter.
 """
 
 import math
@@ -22,7 +22,7 @@ from onlineusm.submodular import (
     tabulate,
 )
 
-from references import oracle_from_table
+from references import kept_rounds, oracle_from_table, x_sets, y_sets
 
 N = 6
 
@@ -51,7 +51,7 @@ def distinct_masks(tr) -> int:
     masks = {tr.chosen}
     for i in range(1, N + 1):
         bit = 1 << (i - 1)
-        x, y = tr.x_sets[i - 1], tr.y_sets[i - 1]
+        x, y = x_sets(tr)[i - 1], y_sets(tr)[i - 1]
         masks.update((x, x | bit, y & ~bit, y))
     return len(masks)
 
@@ -64,8 +64,7 @@ def test_round_queries_are_the_distinct_masks(backing, make):
     streams = [np.random.default_rng((2, i)) for i in range(N)]
     res = run_usm_game([make(rounds) for _ in range(N)], CycleFunctionAdversary([f]), rounds,
                        streams, keep_transcripts=True)
-    assert [tr.queries for tr in res.transcripts] == [distinct_masks(tr) for tr in res.transcripts]
-    assert res.round_queries.tolist() == [tr.queries for tr in res.transcripts]
+    assert res.round_queries.tolist() == [distinct_masks(tr) for tr in kept_rounds(res)]
     assert f.queries == res.round_queries.sum()
     assert res.max_round_queries == 2 * N
 

@@ -216,16 +216,16 @@ def test_counter_exact_with_concurrent_readers(single_edge_oracle):
 
 
 def test_a_bulk_charge_waits_for_the_oracle_lock(single_edge_oracle):
-    """The count rests on the GIL, under which an unlocked ``+=`` is seldom
-    torn; a build without it needs ``_charge`` to hold the lock, so that is
-    pinned directly: a charge made while the lock is held lands after it."""
+    """Every change to the count holds the oracle's lock: under the GIL an
+    unlocked ``+=`` is seldom torn, so that is pinned directly: a charge
+    made while the lock is held lands after it."""
     f = single_edge_oracle
     with f._lock:
         charger = threading.Thread(target=f._charge, args=(5,))
         charger.start()
         charger.join(timeout=0.2)
         assert charger.is_alive()
-        assert f._batched == 0
+        assert f._queries == 0
     charger.join(timeout=60)
     assert not charger.is_alive()
     assert f.queries == 5

@@ -12,7 +12,9 @@ length (``<workdir>/pa`` and ``<workdir>/ch``), warms each copy's
 ``python3 perfbench/run.py --workload W --seed S --seconds T`` in each,
 with T the ``run_seconds`` of ``BENCHMARK.json``, ``--pairs`` times,
 switching which side runs first from one pair to the next.  It reads each run's last stdout line (the benchmark's JSON record)
-and the output digest from the result file the benchmark writes.
+and the output digest and check failures from the result file the benchmark writes.
+Each side's ``{side}_runs`` lists every run's failed and attempted
+operations and check failures, so a failed share can be traced to its runs.
 
 It prints, per side, the first quartile, median and third quartile of
 every end-to-end metric of ``BENCHMARK.json``, the pairs the change won on
@@ -171,7 +173,8 @@ def extract(rev: str, dest: Path) -> dict[str, str]:
 
 
 def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``copy``: its last JSON line plus the output digest."""
+    """One benchmark run in ``copy``: its last JSON line plus the output digest
+    and the reasons its output check failed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
@@ -180,6 +183,7 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     record = json.loads(proc.stdout.splitlines()[-1])
     result = json.loads((copy / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json").read_text())
     record["output_sha256"] = result["output_sha256"]
+    record["check_failures"] = result["check_failures"]
     record["provenance"] = result["provenance"]
     return record
 
@@ -208,6 +212,7 @@ def summarize(runs: list[dict], metrics: dict[str, dict], claim: str | None) -> 
         result[f"{side}_failed_frac"] = failed / attempted
         result[f"{side}_output_sha256"] = sorted({r[side]["output_sha256"] for r in runs})
         result[f"{side}_values"] = series[side]
+        result[f"{side}_runs"] = [{k: r[side][k] for k in ("failed", "attempted", "check_failures")} for r in runs]
     if result["change_failed_frac"] > result["parent_failed_frac"]:
         result["passed"] = False
         if "claim" in result:
