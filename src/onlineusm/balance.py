@@ -128,18 +128,18 @@ class SubroutineBatch:
 
     Bound once, for all rounds, to the copies' state, their held
     yes-probability ``p``, a scratch array and ``gathered``: the buffer
-    of shape (shape[0], terms, *shape[1:]) in which the caller leaves each
-    copy's point terms (those of ``point_terms``) before ``update``, which
-    reads them through ``views``, one per term, taken here.  ``update``
-    steps every copy in place and refreshes ``p``, so no round allocates
-    state.
+    of shape (terms, *shape) in which the caller leaves each copy's point
+    terms (those of ``point_terms``) before ``update``, which reads them
+    through ``views``, one contiguous ``gathered[j]`` per term, taken
+    here.  ``update`` steps every copy in place and refreshes ``p``, so
+    no round allocates state.
     """
 
     def __init__(self, shape: tuple[int, ...], terms: int):
         self.p = np.empty(shape)
         self.scratch = np.empty(shape)
-        self.gathered = np.empty((shape[0], terms, *shape[1:]))
-        self.views = tuple(self.gathered[:, j] for j in range(terms))
+        self.gathered = np.empty((terms, *shape))
+        self.views = tuple(self.gathered)
 
     def decide(self, coins: np.ndarray) -> np.ndarray:
         """Every copy's action as a new bool array: coin < p."""
@@ -203,11 +203,14 @@ class Balancer:
 
 class BalancerBatch(SubroutineBatch):
     """Balancers stepped together; besides x and p each copy holds
-    1 - 2p, the weight of its c_up term."""
+    1 - 2p, the weight of its c_up term.  The constants 0, 1, 2 and
+    sqrt(T) are bound as arrays of the batch's shape, so no step
+    converts a Python float."""
 
     def __init__(self, sub: Balancer, shape: tuple[int, ...]):
         super().__init__(shape, 3)
-        self.sqrt_horizon = sub.sqrt_horizon
+        self.sqrt_horizon = np.full(shape, sub.sqrt_horizon)
+        self.zero, self.one, self.two = (np.full(shape, c) for c in (0.0, 1.0, 2.0))
         self.x = np.full(shape, sub.x)
         self.q = np.empty(shape)
         self._follow_x()
@@ -215,8 +218,8 @@ class BalancerBatch(SubroutineBatch):
     def _follow_x(self) -> None:
         """p = x / sqrt(T) and q = 1 - 2p, as the scalar computes them."""
         np.divide(self.x, self.sqrt_horizon, out=self.p)
-        np.multiply(self.p, 2.0, out=self.q)
-        np.subtract(1.0, self.q, out=self.q)
+        np.multiply(self.p, self.two, out=self.q)
+        np.subtract(self.one, self.q, out=self.q)
 
     def update(self) -> None:
         """x = ((x + (1 - 2p) c_up) + c_right) - c_left, then the cap, per copy."""
@@ -226,7 +229,7 @@ class BalancerBatch(SubroutineBatch):
         x += self.scratch
         x += c_right
         x -= c_left
-        np.maximum(x, 0.0, out=x)
+        np.maximum(x, self.zero, out=x)
         np.minimum(x, self.sqrt_horizon, out=x)
         self._follow_x()
 

@@ -43,7 +43,8 @@ Element i's point depends only on the function and the prefix X_{i-1}
 :func:`~onlineusm.offline._marginals` (the walk's doubles, under the
 same subtraction).  Any number of trials against one cycle play
 together on it (:func:`run_cycle_trials`): every point of every trial
-is one gather by S from terms laid out set-major, (2^n, terms, n).  The
+is one gather by S from terms laid out term-major, (terms, 2^n, n), so
+each term's gathered (trials, n) block is contiguous.  The
 experiment driver plays a cycle that way once 2^n <= T, so that its
 rounds reach every node, and the arrays fit ``_PREFIX_BYTES``; other
 cycles and the other adversaries play one :func:`run_usm_game` per
@@ -362,12 +363,13 @@ def run_cycle_trials(
     state, held yes-probabilities, scratch array and gather buffer.
     Element i + 1's point sits at node 2^i | S & (2^i - 1) for the
     round's chosen set S, so each distinct function's
-    :func:`_prefix_points` become ``sub``'s point terms laid out set-major,
-    (2^n, terms, n): row S holds every term of every element when the
-    round chooses S.  A round is: decide (coin < p), pack S straight into
-    the round's row of chosen sets, one ``take`` of the terms' rows at S
-    straight into the batch's buffer (``mode="clip"``: every S is in
-    range, and the default mode would copy through a temporary), and the
+    :func:`_prefix_points` become ``sub``'s point terms laid out
+    term-major, (terms, 2^n, n): entry [j, S] holds term j of every
+    element when the round chooses S.  A round is: decide (coin < p),
+    pack S straight into the round's row of chosen sets, one ``take`` at
+    S along axis 1 straight into the batch's (terms, trials, n) buffer,
+    one contiguous block per term (``mode="clip"``: every S is in range,
+    and the default mode would copy through a temporary), and the
     batch's in-place ``update``, which also refreshes p.  Coins are drawn
     ``_COIN_BLOCK`` rounds of every stream at a time, as sequential draws
     would.  After play the rewards are gathered by S, the best set is
@@ -390,8 +392,7 @@ def run_cycle_trials(
     for g in dict.fromkeys(oracles):
         alpha, beta = _prefix_points(value_table(g))
         terms, rejected = sub.point_terms(alpha, beta)
-        built[g] = (np.moveaxis(terms[:, nodes], 0, 1).copy(), None if rejected is None else rejected[nodes],
-                    alpha, beta)
+        built[g] = (terms[:, nodes].copy(), None if rejected is None else rejected[nodes], alpha, beta)
     cycle = [built[g] for g in oracles]
     period = len(cycle)
 
@@ -413,7 +414,7 @@ def run_cycle_trials(
                     k, i = np.argwhere(hit)[0]
                     node = nodes[s[k], i]
                     raise _point_error(alpha[node].item(), beta[node].item())
-            terms.take(s, axis=0, out=gathered, mode="clip")
+            terms.take(s, axis=1, out=gathered, mode="clip")
             update()
 
     tables = [value_table(g) for g in oracles]

@@ -559,6 +559,27 @@ def _csv_blocks(columns: Mapping[str, np.ndarray]) -> Iterator[str]:
         yield "\n".join(map(template.__mod__, zip(*part))) + "\n"
 
 
+def _json_row_blocks(columns: Mapping[str, np.ndarray]) -> Iterator[str]:
+    """The rows as ``JSONEncoder(indent=1)`` writes them in the items of
+    the top-level object's ``rows`` array, one block per slice, the blocks
+    joined by ``",\n"``.  One ``%`` template formats a whole row: ``%d``
+    for int columns and ``%r`` for float columns, the text of
+    ``int.__repr__`` and ``float.__repr__``, which the encoder writes for
+    ints and finite floats.  A slice holding a nan or an infinity goes
+    through the encoder (``NaN``, ``Infinity``), one indent level deeper."""
+    ints = [columns[name].dtype.kind in "iu" for name in RESULT_HEADER]
+    template = "  [\n" + ",\n".join("   %d" if i else "   %r" for i in ints) + "\n  ]"
+    floats = [columns[name] for name, i in zip(RESULT_HEADER, ints) if not i]
+    encode = json.JSONEncoder(indent=1).encode
+    for start, part in zip(range(0, len(columns[RESULT_HEADER[0]]), _ROWS_PER_SLICE), _row_slices(columns)):
+        if all(np.isfinite(a[start:start + _ROWS_PER_SLICE]).all() for a in floats):
+            text = ",\n".join(map(template.__mod__, zip(*part)))
+        else:
+            # "[\n [\n  cell,\n ...\n ]\n]" without its outer brackets, one level in
+            text = " " + encode(list(zip(*part)))[2:-2].replace("\n", "\n ")
+        yield text if start == 0 else ",\n" + text
+
+
 def _atomic_write(path: str, parts: Iterable[str]) -> None:
     """Write the concatenation of ``parts`` atomically."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -586,10 +607,11 @@ def write_results(
     them) and the summary, as csv (12 significant digits for floats, LF
     endings) or as a single json object; the write is atomic either way.
 
-    CSV text is formatted one slice of rows at a time.  JSON is encoded
-    piece by piece with ``JSONEncoder(indent=1).iterencode``, the same
-    encoder and bytes as ``json.dumps(obj, indent=1)``, without the whole
-    text in one string.
+    CSV text is formatted one slice of rows at a time.  JSON is the bytes
+    of ``json.dumps(obj, indent=1)``: the encoder writes the config, the
+    summary and an empty ``rows`` array, and the rows, if any, are then
+    written into that array one slice at a time
+    (:func:`_json_row_blocks`), without the whole text in one string.
     """
     if fmt == "csv":
         header = ",".join(RESULT_HEADER) + "\n"
@@ -602,7 +624,12 @@ def write_results(
             obj["config"] = {k: v for k, v in asdict(config).items() if k != "output"}
         obj["summary"] = summary
         if not summary_only:
-            obj["rows"] = [list(row) for part in _row_slices(columns) for row in zip(*part)]
-        _atomic_write(path, chain(json.JSONEncoder(indent=1).iterencode(obj), ["\n"]))
+            obj["rows"] = []
+        text = json.JSONEncoder(indent=1).encode(obj)
+        if summary_only or not len(columns[RESULT_HEADER[0]]):
+            _atomic_write(path, [text, "\n"])
+        else:
+            # the text ends in the empty rows array, "[]\n}": the rows go after its "["
+            _atomic_write(path, chain([text[:-3], "\n"], _json_row_blocks(columns), ["\n ]\n}\n"]))
     else:
         raise ConfigError(f"unknown output format {fmt!r}")

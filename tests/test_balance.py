@@ -522,7 +522,7 @@ def step_batch(subs, batch, points):
     the batch's gather buffer, then the batch's ``update``."""
     terms, rejected = subs[0].point_terms(np.array([a for a, _ in points]), np.array([b for _, b in points]))
     assert rejected is None
-    batch.gathered[...] = terms.T
+    batch.gathered[...] = terms
     batch.update()
 
 
@@ -581,6 +581,25 @@ def test_batches_own_their_buffers_and_decisions(kind):
     assert first.tolist() == kept.tolist()
     assert not any(np.shares_memory(first, a) for a in (second, *arrays_of(batch)))
     assert second.tolist() == [sub.decide(c) for sub, c in zip(subs, coins.tolist())]
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5)])
+@pytest.mark.parametrize("kind", ["balancer", "mw", "constant"])
+def test_batch_views_are_contiguous_and_tile_the_gather_buffer(kind, shape):
+    sub = scalars_and_batch(kind, 100, 0.5, 1)[0][0]
+    batch = sub.batch(shape)
+    terms = sub.point_terms(np.zeros(shape), np.zeros(shape))[0].shape[0]
+    assert batch.gathered.shape == (terms, *shape) and len(batch.views) == terms
+    for j, view in enumerate(batch.views):
+        assert view.flags.c_contiguous and view.shape == shape
+        assert np.shares_memory(view, batch.gathered)
+        assert not any(np.shares_memory(view, other) for other in batch.views[j + 1:])
+    # disjoint views of the buffer's size in all fill every entry of it
+    assert sum(view.size for view in batch.views) == batch.gathered.size
+    batch.gathered[...] = -1.0
+    for j, view in enumerate(batch.views):
+        view[...] = j
+    assert (batch.gathered == np.arange(terms).reshape(terms, *[1] * len(shape))).all()
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 5, 100])

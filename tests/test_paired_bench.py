@@ -177,6 +177,32 @@ def test_each_run_keeps_its_failed_count_and_check_failures():
     assert out["parent_failed_frac"] == 2 / 1000
 
 
+#: a stand-in for ``perfbench/run.py``: it writes the result file of a run
+#: whose commands took reference-loop times 9, 12 and 10 ms, and prints its record
+FAKE_RUN = """\
+import json, pathlib, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+out = pathlib.Path(".perfbench_out")
+out.mkdir(exist_ok=True)
+result = {"output_sha256": "ab", "check_failures": [], "provenance": {"seed": int(args["--seed"])},
+          "unscaled_goodput_samples": [2.0e5, 1.0e5, 3.0e5], "reference_s": [0.009, 0.012, 0.010]}
+(out / f"result-{args['--workload']}-seed{args['--seed']}-trace0.json").write_text(json.dumps(result))
+print(json.dumps({"correct": True, "attempted": 8, "failed": 0, "metrics": {
+    "goodput": {"value": 1.0}, "setup_s": {"value": 0.1}, "peak_rss_mb": {"value": 40.0}}}))
+"""
+
+
+def test_each_run_keeps_its_unscaled_goodput_and_reference_loop(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    rec = paired_bench.run_once(tmp_path, "w", 7, 0.1)
+    assert rec["unscaled_goodput"] == 2.0e5 and rec["reference_s"] == 0.010
+    assert rec["provenance"] == {"seed": 7} and rec["failed"] == 0
+    out = paired_bench.summarize([{"parent": rec, "change": rec}] * 2, METRICS, None)
+    assert out["change_runs"] == [{"failed": 0, "attempted": 8, "check_failures": [],
+                                   "unscaled_goodput": 2.0e5, "reference_s": 0.010}] * 2
+
+
 # --- suite mode -------------------------------------------------------------
 
 #: ``pytest -q --durations=0`` output of a run with one failure and one error

@@ -167,8 +167,20 @@ def test_csv_is_the_per_row_formatting(tmp_path_factory, rows, rows_per_slice):
     assert path.read_bytes() == want.encode()
 
 
+#: finite rows, then rows holding each non-finite float and a negative zero
+_JSON_ROWS = [(0, 1, 0.1, 0.30000000000000004, 1e-05, -2.5e-300, 16), (0, 2, 5e-324, 1e16, -1.0, 123.0, 32),
+              (1, 1, math.nan, 0.0, 1.0, 2.0, 16), (1, 2, -0.0, math.inf, 1.0, -math.inf, 32),
+              (2, 1, 0.5, -0.0, 1.5, -0.0, 16), (2, 2, 0.25, 0.75, 1.75, 0.0, 32)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(rows=tuple_rows(), rows_per_slice=st.integers(1, 5), summary_only=st.booleans())
+# finite slices take the row template and the others the encoder: slices
+# of both kinds in one array, all in one slice, and no rows
+@example(rows=_JSON_ROWS, rows_per_slice=2, summary_only=False)
+@example(rows=_JSON_ROWS, rows_per_slice=1024, summary_only=False)
+@example(rows=_JSON_ROWS, rows_per_slice=2, summary_only=True)
+@example(rows=[], rows_per_slice=2, summary_only=False)
 def test_json_is_json_dumps(tmp_path_factory, rows, rows_per_slice, summary_only):
     path = tmp_path_factory.mktemp("json") / "r.json"
     cfg = ExperimentConfig(game="balance", rounds=3, output=str(path), format="json").validated()
@@ -182,3 +194,4 @@ def test_json_is_json_dumps(tmp_path_factory, rows, rows_per_slice, summary_only
     if not summary_only:
         obj["rows"] = [list(row) for row in rows]
     assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=1) + "\n"
+

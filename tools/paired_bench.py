@@ -14,7 +14,10 @@ with T the ``run_seconds`` of ``BENCHMARK.json``, ``--pairs`` times,
 switching which side runs first from one pair to the next.  It reads each run's last stdout line (the benchmark's JSON record)
 and the output digest and check failures from the result file the benchmark writes.
 Each side's ``{side}_runs`` lists every run's failed and attempted
-operations and check failures, so a failed share can be traced to its runs.
+operations and check failures, so a failed share can be traced to its runs,
+and the medians of its unscaled goodput samples and of its reference-loop
+times, so a shift in the loop that scales ``goodput`` can be told apart
+from a change in the command.
 
 It prints, per side, the first quartile, median and third quartile of
 every end-to-end metric of ``BENCHMARK.json``, the pairs the change won on
@@ -69,6 +72,8 @@ from pathlib import Path
 WIN_SHARE = 0.9
 #: fewest pairs a gain can rest on
 MIN_PAIRS = 10
+#: what ``{side}_runs`` keeps of each run, where the run has it
+RUN_FIELDS = ("failed", "attempted", "check_failures", "unscaled_goodput", "reference_s")
 #: the directories each copy's benchmark runs are built from
 BUILT_FROM = ("src", "perfbench")
 SIDES = ("parent", "change")
@@ -173,8 +178,9 @@ def extract(rev: str, dest: Path) -> dict[str, str]:
 
 
 def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``copy``: its last JSON line plus the output digest
-    and the reasons its output check failed."""
+    """One benchmark run in ``copy``: its last JSON line plus the output digest,
+    the reasons its output check failed, and the medians of its unscaled
+    goodput samples and reference-loop times (None without samples)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
@@ -185,6 +191,8 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     record["output_sha256"] = result["output_sha256"]
     record["check_failures"] = result["check_failures"]
     record["provenance"] = result["provenance"]
+    for field, samples in (("unscaled_goodput", "unscaled_goodput_samples"), ("reference_s", "reference_s")):
+        record[field] = statistics.median(result[samples]) if result[samples] else None
     return record
 
 
@@ -212,7 +220,7 @@ def summarize(runs: list[dict], metrics: dict[str, dict], claim: str | None) -> 
         result[f"{side}_failed_frac"] = failed / attempted
         result[f"{side}_output_sha256"] = sorted({r[side]["output_sha256"] for r in runs})
         result[f"{side}_values"] = series[side]
-        result[f"{side}_runs"] = [{k: r[side][k] for k in ("failed", "attempted", "check_failures")} for r in runs]
+        result[f"{side}_runs"] = [{k: r[side][k] for k in RUN_FIELDS if k in r[side]} for r in runs]
     if result["change_failed_frac"] > result["parent_failed_frac"]:
         result["passed"] = False
         if "claim" in result:
