@@ -374,7 +374,7 @@ def play_cycle(tables, name, rounds, seed, *, game):
 @pytest.mark.parametrize("name", ["balancer", "mw", "uniform"])
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 @pytest.mark.parametrize("scale", ["below", "at", "above"])
-def test_game_is_a_loop_of_root_walk_rounds(scale, n, name):
+def test_game_with_trees_is_a_loop_of_treeless_rounds(scale, n, name):
     # below, at and above 2^n rounds alike the game's rounds walk
     rounds = {"below": (1 << n) - 1, "at": 1 << n, "above": 4 << n}[scale]
     tables = cycle_tables(n, seed=n)
