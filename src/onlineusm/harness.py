@@ -565,19 +565,14 @@ def _json_row_blocks(columns: Mapping[str, np.ndarray]) -> Iterator[str]:
     joined by ``",\n"``.  One ``%`` template formats a whole row: ``%d``
     for int columns and ``%r`` for float columns, the text of
     ``int.__repr__`` and ``float.__repr__``, which the encoder writes for
-    ints and finite floats.  A slice holding a nan or an infinity goes
-    through the encoder (``NaN``, ``Infinity``), one indent level deeper."""
-    ints = [columns[name].dtype.kind in "iu" for name in RESULT_HEADER]
-    template = "  [\n" + ",\n".join("   %d" if i else "   %r" for i in ints) + "\n  ]"
-    floats = [columns[name] for name, i in zip(RESULT_HEADER, ints) if not i]
-    encode = json.JSONEncoder(indent=1).encode
-    for start, part in zip(range(0, len(columns[RESULT_HEADER[0]]), _ROWS_PER_SLICE), _row_slices(columns)):
-        if all(np.isfinite(a[start:start + _ROWS_PER_SLICE]).all() for a in floats):
-            text = ",\n".join(map(template.__mod__, zip(*part)))
-        else:
-            # "[\n [\n  cell,\n ...\n ]\n]" without its outer brackets, one level in
-            text = " " + encode(list(zip(*part)))[2:-2].replace("\n", "\n ")
-        yield text if start == 0 else ",\n" + text
+    ints and finite floats.  ``%r`` writes every nan as ``nan`` and the
+    infinities as ``inf`` and ``-inf``, which no other cell's text holds;
+    they become the encoder's ``NaN``, ``Infinity`` and ``-Infinity``."""
+    template = "  [\n" + ",\n".join(
+        "   %d" if columns[name].dtype.kind in "iu" else "   %r" for name in RESULT_HEADER) + "\n  ]"
+    for k, part in enumerate(_row_slices(columns)):
+        text = ",\n".join(map(template.__mod__, zip(*part))).replace("nan", "NaN").replace("inf", "Infinity")
+        yield text if k == 0 else ",\n" + text
 
 
 def _atomic_write(path: str, parts: Iterable[str]) -> None:

@@ -151,7 +151,8 @@ def record(goodput, failed):
     return {"metrics": {"goodput": {"value": goodput}, "setup_s": {"value": 0.1},
                         "peak_rss_mb": {"value": 40.0}},
             "failed": failed, "attempted": 100, "output_sha256": "ab",
-            "check_failures": [f"trial {k}: rewards differ from a replay of the trial" for k in range(failed)]}
+            "check_failures": [f"trial {k}: rewards differ from a replay of the trial" for k in range(failed)],
+            "unscaled_goodput": goodput * 1.5, "reference_s": 0.01}
 
 
 def test_more_failed_operations_clear_the_gain():
@@ -171,9 +172,11 @@ def test_each_run_keeps_its_failed_count_and_check_failures():
     assert len(out["parent_runs"]) == len(out["change_runs"]) == 10
     assert out["parent_runs"][6] == {"failed": 2, "attempted": 100,
                                      "check_failures": ["trial 0: rewards differ from a replay of the trial",
-                                                        "trial 1: rewards differ from a replay of the trial"]}
+                                                        "trial 1: rewards differ from a replay of the trial"],
+                                     "unscaled_goodput": PARENT["goodput"][6] * 1.5, "reference_s": 0.01}
     assert [r["failed"] for r in out["parent_runs"]] == [0] * 6 + [2] + [0] * 3
-    assert out["change_runs"] == [{"failed": 0, "attempted": 100, "check_failures": []}] * 10
+    assert out["change_runs"] == [{"failed": 0, "attempted": 100, "check_failures": [],
+                                   "unscaled_goodput": g * 1.5, "reference_s": 0.01} for g in PARENT["goodput"]]
     assert out["parent_failed_frac"] == 2 / 1000
 
 

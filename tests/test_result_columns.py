@@ -175,8 +175,8 @@ _JSON_ROWS = [(0, 1, 0.1, 0.30000000000000004, 1e-05, -2.5e-300, 16), (0, 2, 5e-
 
 @settings(max_examples=40, deadline=None)
 @given(rows=tuple_rows(), rows_per_slice=st.integers(1, 5), summary_only=st.booleans())
-# finite slices take the row template and the others the encoder: slices
-# of both kinds in one array, all in one slice, and no rows
+# nan, infinities and -0.0 in slices next to finite ones, all in one
+# slice, summary only, and no rows
 @example(rows=_JSON_ROWS, rows_per_slice=2, summary_only=False)
 @example(rows=_JSON_ROWS, rows_per_slice=1024, summary_only=False)
 @example(rows=_JSON_ROWS, rows_per_slice=2, summary_only=True)
@@ -194,4 +194,3 @@ def test_json_is_json_dumps(tmp_path_factory, rows, rows_per_slice, summary_only
     if not summary_only:
         obj["rows"] = [list(row) for row in rows]
     assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=1) + "\n"
-

@@ -220,7 +220,7 @@ def summarize(runs: list[dict], metrics: dict[str, dict], claim: str | None) -> 
         result[f"{side}_failed_frac"] = failed / attempted
         result[f"{side}_output_sha256"] = sorted({r[side]["output_sha256"] for r in runs})
         result[f"{side}_values"] = series[side]
-        result[f"{side}_runs"] = [{k: r[side][k] for k in RUN_FIELDS if k in r[side]} for r in runs]
+        result[f"{side}_runs"] = [{k: r[side][k] for k in RUN_FIELDS} for r in runs]
     if result["change_failed_frac"] > result["parent_failed_frac"]:
         result["passed"] = False
         if "claim" in result:
