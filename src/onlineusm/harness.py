@@ -22,10 +22,10 @@ An experiment's result rows are seven column arrays named by
 ``RESULT_HEADER`` (int64 ``trial``, ``t`` and ``queries``, float64 for
 the rest), in (trial, round) order.  Both online games build them, and
 their summaries, in one function from each trial's series with array
-operations, so no Python object per row exists until output.  CSV output
-formats a bounded slice of rows at a time; JSON output builds every
-row's list at once.  Files are written atomically (temp file, then
-rename).
+operations, so no Python object per row exists until output.  CSV and
+JSON output format a bounded slice of rows at a time, and a cell that
+every trial shares round by round once for all trials.  Files are
+written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -534,45 +534,84 @@ def _run_verify(config: ExperimentConfig) -> dict:
 
 # --- output -----------------------------------------------------------
 
-#: rows per output slice; only one slice's rows exist as Python objects
-#: at a time (4096 rows raised the peak of an 8-trial, 4000-round CSV
-#: run by about 1 MB)
+#: rows per output slice and rounds per chunk of per-round text: only one
+#: slice's cells exist as Python objects at a time (4096 rows raised the
+#: peak of an 8-trial, 4000-round CSV run by about 1 MB)
 _ROWS_PER_SLICE = 1024
 
 
-def _row_slices(columns: Mapping[str, np.ndarray]) -> Iterator[list[list]]:
-    """Each bounded slice of rows as one list of Python values per column,
-    in RESULT_HEADER order (ints for int64 columns, floats for float64)."""
+def _per_round(arrays: list[np.ndarray]) -> tuple[int, list[bool]]:
+    """The trial-block length, that of the first run of one ``trial``
+    value, and which columns are per-round: the rows split into whole
+    blocks and each block holds the first one's bits in that column (so
+    ±0.0 and nan payloads differ).  Without a per-round column, 1."""
+    rows = len(arrays[0])
+    # 0 when the first run of trial is every row, or there are none
+    length = int(np.argmax(arrays[0] != arrays[0][0])) if rows else 0
+    if length and rows % length == 0:
+        blocks = [a.view(f"u{a.itemsize}").reshape(-1, length) for a in arrays]
+        shared = [bool((bits == bits[0]).all()) for bits in blocks]
+        if any(shared):
+            return length, shared
+    return 1, [False] * len(arrays)
+
+
+def _cells(arrays: list[np.ndarray], count: int) -> tuple:
+    """The first ``count`` rows of the arrays' cells, flat, as Python values."""
+    flat = [None] * (count * len(arrays))
+    for j, a in enumerate(arrays):
+        flat[j::len(arrays)] = a[:count].tolist()
+    return tuple(flat)
+
+
+def _row_texts(columns: Mapping[str, np.ndarray], specs: list[str], row) -> Iterator[str]:
+    """The rows' text, one string per slice of at most ``_ROWS_PER_SLICE``
+    rows, each row ``row(specs) % cells`` (one spec per column).
+
+    Per-round cells (:func:`_per_round`) are formatted once for all
+    trials: the row template, the other specs escaped as ``%%``, formats
+    each chunk of rounds into one string, the template of its rows.  A
+    slice, one chunk of a block or as many whole blocks as fit, fills its
+    chunk's template with its own cells in one ``%``.
+    """
     arrays = [columns[name] for name in RESULT_HEADER]
-    for start in range(0, len(arrays[0]), _ROWS_PER_SLICE):
-        yield [a[start:start + _ROWS_PER_SLICE].tolist() for a in arrays]
+    length, shared = _per_round(arrays)
+    rounds = [a for a, s in zip(arrays, shared) if s]
+    own = [a for a, s in zip(arrays, shared) if not s]
+    template = row([spec if s else spec.replace("%", "%%") for spec, s in zip(specs, shared)])
+    chunks = [(c, min(_ROWS_PER_SLICE, length - c)) for c in range(0, length, _ROWS_PER_SLICE)]
+    texts = [(template * n) % _cells([a[c:] for a in rounds], n) for c, n in chunks]
+    step = max(1, _ROWS_PER_SLICE // length) * length
+    for start in range(0, len(arrays[0]), step):
+        blocks = min(step, len(arrays[0]) - start) // length
+        for (c, n), text in zip(chunks, texts):
+            yield (text * blocks) % _cells([a[start + c:] for a in own], n * blocks)
 
 
 def _csv_blocks(columns: Mapping[str, np.ndarray]) -> Iterator[str]:
     """CSV text of the rows, one block of whole lines per slice, each
-    ending in a newline.  One ``%`` template formats a whole row: ``%d``
-    for int columns (the text ``str`` gives), ``%.12g`` for float columns
-    (the text ``format(v, ".12g")`` gives, nan, infinities and -0.0
-    included)."""
-    template = ",".join("%d" if columns[name].dtype.kind in "iu" else "%.12g" for name in RESULT_HEADER)
-    for part in _row_slices(columns):
-        yield "\n".join(map(template.__mod__, zip(*part))) + "\n"
+    ending in a newline (:func:`_row_texts`).  ``%d`` writes int columns
+    (the text ``str`` gives) and ``%.12g`` float columns (the text
+    ``format(v, ".12g")`` gives, nan, infinities and -0.0 included)."""
+    specs = ["%d" if columns[name].dtype.kind in "iu" else "%.12g" for name in RESULT_HEADER]
+    return _row_texts(columns, specs, lambda cells: ",".join(cells) + "\n")
 
 
 def _json_row_blocks(columns: Mapping[str, np.ndarray]) -> Iterator[str]:
     """The rows as ``JSONEncoder(indent=1)`` writes them in the items of
-    the top-level object's ``rows`` array, one block per slice, the blocks
-    joined by ``",\n"``.  One ``%`` template formats a whole row: ``%d``
-    for int columns and ``%r`` for float columns, the text of
+    the top-level object's ``rows`` array, one block per slice
+    (:func:`_row_texts`), to be written one after the other.  ``%d``
+    writes int columns and ``%r`` float columns, the text of
     ``int.__repr__`` and ``float.__repr__``, which the encoder writes for
     ints and finite floats.  ``%r`` writes every nan as ``nan`` and the
     infinities as ``inf`` and ``-inf``, which no other cell's text holds;
-    they become the encoder's ``NaN``, ``Infinity`` and ``-Infinity``."""
-    template = "  [\n" + ",\n".join(
-        "   %d" if columns[name].dtype.kind in "iu" else "   %r" for name in RESULT_HEADER) + "\n  ]"
-    for k, part in enumerate(_row_slices(columns)):
-        text = ",\n".join(map(template.__mod__, zip(*part))).replace("nan", "NaN").replace("inf", "Infinity")
-        yield text if k == 0 else ",\n" + text
+    they become the encoder's ``NaN``, ``Infinity`` and ``-Infinity``.
+    Each row starts with the ``",\n"`` before it; the first block drops it."""
+    specs = ["%d" if columns[name].dtype.kind in "iu" else "%r" for name in RESULT_HEADER]
+    row = lambda cells: ",\n  [\n" + ",\n".join("   " + c for c in cells) + "\n  ]"
+    for k, text in enumerate(_row_texts(columns, specs, row)):
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        yield text if k else text[2:]
 
 
 def _atomic_write(path: str, parts: Iterable[str]) -> None:
@@ -602,11 +641,11 @@ def write_results(
     them) and the summary, as csv (12 significant digits for floats, LF
     endings) or as a single json object; the write is atomic either way.
 
-    CSV text is formatted one slice of rows at a time.  JSON is the bytes
-    of ``json.dumps(obj, indent=1)``: the encoder writes the config, the
+    Rows are written one slice at a time, each per-round cell formatted
+    once for all trials (:func:`_row_texts`).  JSON is the bytes of
+    ``json.dumps(obj, indent=1)``: the encoder writes the config, the
     summary and an empty ``rows`` array, and the rows, if any, are then
-    written into that array one slice at a time
-    (:func:`_json_row_blocks`), without the whole text in one string.
+    written into that array (:func:`_json_row_blocks`).
     """
     if fmt == "csv":
         header = ",".join(RESULT_HEADER) + "\n"

@@ -1,6 +1,7 @@
 """The verdict of ``tools/paired_bench.py`` on synthetic paired runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -290,3 +291,94 @@ def test_a_failed_test_on_either_side_fails_the_suite_verdict(side):
     assert out[f"{side}_failed_tests"] == ["tests/t.py::test_0"]
     assert out[f"{side}_runs"][6]["failed"] == 1
     assert not out["claim"]["gain"] and not out["passed"]
+
+
+# --- in-process mode --------------------------------------------------------
+
+#: a stand-in for ``onlineusm.cli``: it sleeps, allocates and writes what
+#: its sibling module ``work`` says, through a relative import as the
+#: package does
+STUB_CLI = """\
+import time
+from . import work
+
+
+def main(argv):
+    args = dict(zip(argv[::2], argv[1::2]))
+    ballast = bytearray(work.BALLAST)
+    time.sleep(work.DELAY)
+    with open(args["--output"], "w") as fh:
+        fh.write(work.TEXT + args["--n"])
+    print("summary")
+    return 0 if ballast is not None else 1
+"""
+
+
+def stub_copy(root, delay, text="rows\n", ballast=0):
+    package = root / "src" / "onlineusm"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(STUB_CLI)
+    (package / "work.py").write_text(f"DELAY = {delay}\nTEXT = {text!r}\nBALLAST = {ballast}\n")
+    return root
+
+
+def stub_copies(tmp_path, parent, change):
+    return {"parent": stub_copy(tmp_path / "pa", **parent), "change": stub_copy(tmp_path / "ch", **change)}
+
+
+#: the metric of calls that are not forked
+WALL = {"wall_s": paired_bench.IN_PROCESS_METRICS["wall_s"]}
+
+
+def test_in_process_reports_the_slower_side(tmp_path):
+    copies = stub_copies(tmp_path, {"delay": 0.02}, {"delay": 0.0})
+    runs = paired_bench.run_in_process(copies, ["--n", "4"], 4, False, tmp_path)
+    out = paired_bench.summarize_in_process(runs, WALL, None)
+    wall = out["metrics"]["wall_s"]
+    assert wall["pairs_won"] == 4 and wall["relative_gain"] > 0.5
+    assert wall["parent"]["median"] >= 0.02 > wall["change"]["median"]
+    assert out["identical"] and out["passed"]
+    assert out["parent_output_sha256"] == out["change_output_sha256"]
+    # the two copies swapped: the change is now the slower side and fails the bound
+    runs = paired_bench.run_in_process(stub_copies(tmp_path / "swap", {"delay": 0.0}, {"delay": 0.02}),
+                                       ["--n", "4"], 4, False, tmp_path)
+    out = paired_bench.summarize_in_process(runs, WALL, None)
+    assert out["metrics"]["wall_s"]["pairs_lost"] == 4
+    assert out["regressions"] == ["wall_s"] and not out["passed"]
+
+
+def test_in_process_flags_differing_output_bytes(tmp_path):
+    copies = stub_copies(tmp_path, {"delay": 0.0}, {"delay": 0.0, "text": "other rows\n"})
+    runs = paired_bench.run_in_process(copies, ["--n", "4"], 2, False, tmp_path)
+    out = paired_bench.summarize_in_process(runs, WALL, "wall_s")
+    assert not out["identical"] and not out["passed"] and not out["claim"]["gain"]
+    assert out["parent_output_sha256"] != out["change_output_sha256"]
+
+
+def test_in_process_forked_calls_record_peak_rss(tmp_path):
+    copies = stub_copies(tmp_path, {"delay": 0.0}, {"delay": 0.0, "ballast": 64 * 2**20})
+    runs = paired_bench.run_in_process(copies, ["--n", "4"], 2, True, tmp_path)
+    out = paired_bench.summarize_in_process(runs, paired_bench.IN_PROCESS_METRICS, None)
+    rss = out["metrics"]["peak_rss_mb"]
+    assert rss["change"]["median"] - rss["parent"]["median"] > 50
+    assert rss["status"] == "regressed"
+    assert out["identical"]
+
+
+def test_in_process_entries_share_the_file_with_runs(tmp_path):
+    path = tmp_path / "BENCH.json"
+    header = {"tool": "t", "revisions": {}, "host": {}}
+    paired_bench.write_out(path, header, {"workload": "w", "seed": 1, "x": 1})
+    paired_bench.write_out(path, header, {"command": "c", "fork": False, "x": 1}, "in_process")
+    paired_bench.write_out(path, header, {"command": "c", "fork": False, "x": 2}, "in_process")
+    paired_bench.write_out(path, header, {"command": "c", "fork": True, "x": 3}, "in_process")
+    paired_bench.write_out(path, header, {"workload": "w", "seed": 7, "x": 4})
+    data = json.loads(path.read_text())
+    assert [e["x"] for e in data["runs"]] == [1, 4]
+    assert [e["x"] for e in data["in_process"]] == [2, 3]
+
+
+def test_a_failing_forked_call_raises():
+    with pytest.raises(RuntimeError, match="forked call failed"):
+        paired_bench.forked(lambda: {}["missing"])

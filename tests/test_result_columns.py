@@ -10,6 +10,7 @@ writers to per-row formatting and to ``json.dumps``.
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import asdict
 from unittest.mock import patch
 
@@ -194,3 +195,146 @@ def test_json_is_json_dumps(tmp_path_factory, rows, rows_per_slice, summary_only
     if not summary_only:
         obj["rows"] = [list(row) for row in rows]
     assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=1) + "\n"
+
+
+# --- per-round text ---------------------------------------------------------
+
+_ROUND_COLUMNS = ("t", "cum_opt", "queries")
+
+
+def _drawn(name, count, rng):
+    if name in INT_COLUMNS:
+        return rng.integers(-10**6, 10**6, count).tolist()
+    return (rng.standard_normal(count) * 1e3).tolist()
+
+
+def block_rows(lengths, repeated=_ROUND_COLUMNS, seed=0):
+    """Tuple rows in trial blocks of the given lengths, trial k's block
+    holding ``trial`` k.  Each ``repeated`` column holds the same cells,
+    round by round, in every block (the longest block's cells, cut to the
+    block's length); the others are drawn per row."""
+    rng = np.random.default_rng(seed)
+    per_round = {name: _drawn(name, max(lengths), rng) for name in repeated}
+    rows = []
+    for trial, length in enumerate(lengths):
+        cells = [per_round[name][:length] if name in repeated else _drawn(name, length, rng)
+                 for name in RESULT_HEADER]
+        cells[0] = [trial] * length
+        rows += zip(*cells)
+    return rows
+
+
+def per_round_of(rows):
+    """:func:`harness._per_round` of the rows' columns, its mask as column names."""
+    columns = columns_of(rows)
+    length, shared = harness._per_round([columns[name] for name in RESULT_HEADER])
+    return length, {name for name, s in zip(RESULT_HEADER, shared) if s}
+
+
+def assert_writers_are_the_references(path, rows, rows_per_slice):
+    """Both writers give the per-row CSV lines and ``json.dumps``'s bytes."""
+    with patch.object(harness, "_ROWS_PER_SLICE", rows_per_slice):
+        write_results(columns_of(rows), {}, "csv", str(path / "r.csv"))
+        write_results(columns_of(rows), {}, "json", str(path / "r.json"))
+    want = "".join(line + "\n" for line in [",".join(RESULT_HEADER), *map(reference_csv_line, rows)])
+    assert (path / "r.csv").read_bytes() == want.encode()
+    obj = {"summary": {}, "rows": [list(row) for row in rows]}
+    assert (path / "r.json").read_text(encoding="utf-8") == json.dumps(obj, indent=1) + "\n"
+
+
+def test_cycle_rows_repeat_t_cum_opt_and_queries(tmp_path):
+    rows = block_rows([6] * 4)
+    assert per_round_of(rows) == (6, set(_ROUND_COLUMNS))
+    # a chunk of four rounds and one of two, per block
+    assert_writers_are_the_references(tmp_path, rows, 4)
+
+
+@pytest.mark.parametrize("lengths", [[5, 3, 5], [3, 5, 4], [4, 2, 2]])
+def test_blocks_of_unequal_length(tmp_path, lengths):
+    rows = block_rows(lengths)
+    assert per_round_of(rows) == (1, set())
+    for rows_per_slice in (2, 3, 1024):
+        assert_writers_are_the_references(tmp_path, rows, rows_per_slice)
+
+
+def test_unequal_trials_repeating_at_the_first_ones_length(tmp_path):
+    # trial 1 plays trial 0's two rounds twice: blocks of two rows repeat
+    # t and queries although trial 1 is twice as long
+    rows = [(0, 1, 0.5, 0.5, 1.0, 0.0, 10), (0, 2, 0.25, 0.75, 1.5, 0.0, 20),
+            (1, 1, 0.125, 0.125, 1.0, 0.375, 10), (1, 2, 1.0, 1.125, 1.5, -0.375, 20),
+            (1, 1, 0.0, 1.125, 2.5, 0.125, 10), (1, 2, 1e-300, 1.125, 2.5, 0.125, 20)]
+    assert per_round_of(rows) == (2, {"t", "queries"})
+    assert_writers_are_the_references(tmp_path, rows, 3)
+
+
+@pytest.mark.parametrize("rows_per_slice, trials", [(10, 7), (1024, 700)])
+def test_blocks_shorter_than_a_slice_with_a_partial_last_slice(tmp_path, rows_per_slice, trials):
+    # three whole blocks of three rows per slice of 10, and a last slice of
+    # one block; 341 blocks per slice of 1024, and a last slice of 18
+    rows = block_rows([3] * trials)
+    assert per_round_of(rows) == (3, set(_ROUND_COLUMNS))
+    assert_writers_are_the_references(tmp_path, rows, rows_per_slice)
+
+
+def test_a_repeated_column_broken_in_one_block_by_a_zeros_sign(tmp_path):
+    rows = block_rows([5] * 4)
+    # round 3's cum_opt is 0.0 in every block, and -0.0 in trial 2's
+    for k in range(2, len(rows), 5):
+        rows[k] = (*rows[k][:4], 0.0, *rows[k][5:])
+    assert per_round_of(rows) == (5, set(_ROUND_COLUMNS))
+    rows[12] = (*rows[12][:4], -0.0, *rows[12][5:])
+    assert per_round_of(rows) == (5, {"t", "queries"})
+    assert_writers_are_the_references(tmp_path, rows, 2)
+    assert (tmp_path / "r.csv").read_text().splitlines()[1 + 12].split(",")[4] == "-0"
+
+
+@pytest.mark.parametrize("rows_per_slice", [3, 1024])
+def test_one_trial(tmp_path, rows_per_slice):
+    rows = block_rows([7])
+    assert per_round_of(rows) == (1, set())
+    assert_writers_are_the_references(tmp_path, rows, rows_per_slice)
+
+
+@pytest.mark.parametrize("rows_per_slice", [2, 5, 1024])
+def test_every_column_but_trial_repeating(tmp_path, rows_per_slice):
+    rows = block_rows([4] * 3, repeated=RESULT_HEADER[1:])
+    assert per_round_of(rows) == (4, set(RESULT_HEADER[1:]))
+    assert_writers_are_the_references(tmp_path, rows, rows_per_slice)
+
+
+def test_nan_and_infinities_in_a_repeated_column(tmp_path):
+    rows = block_rows([4] * 3)
+    special = [math.nan, math.inf, -math.inf, 1.5]
+    rows = [(*row[:4], special[k % 4], *row[5:]) for k, row in enumerate(rows)]
+    assert per_round_of(rows) == (4, set(_ROUND_COLUMNS))
+    assert_writers_are_the_references(tmp_path, rows, 3)
+    text = (tmp_path / "r.json").read_text()
+    assert "NaN" in text and "-Infinity" in text
+
+
+#: a bound on the peak of traced memory while a 2-trial, 2^16-round run
+#: is written as JSON.  The writer keeps the per-round text of one trial
+#: block, one string per chunk of rounds: about 5.4 MiB here (3 MiB in
+#: CSV, from the same helper).  One str object per per-round cell would
+#: take at least 56 bytes and a list slot, over 12 MiB for three columns.
+_WRITE_PEAK_BYTES = 8 * 2**20
+
+
+def test_writing_a_long_horizon_keeps_memory_bounded(tmp_path):
+    rounds = 2**16
+    rng = np.random.default_rng(5)
+    t = np.arange(1, rounds + 1)
+    best = np.tile(np.cumsum(rng.random(rounds)), 2)
+    reward = rng.random(2 * rounds)
+    cum_reward = np.cumsum(reward.reshape(2, rounds), axis=1).ravel()
+    columns = harness._columns(np.repeat(np.arange(2), rounds), np.tile(t, 2), reward, cum_reward,
+                               best, 0.5 * best - cum_reward, np.tile(34 * t, 2))
+    shared = [name in _ROUND_COLUMNS for name in RESULT_HEADER]
+    assert harness._per_round([columns[name] for name in RESULT_HEADER]) == (rounds, shared)
+    tracemalloc.start()
+    try:
+        write_results(columns, {}, "json", str(tmp_path / "r.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _WRITE_PEAK_BYTES

@@ -43,6 +43,24 @@ slowest durations (setup, call and teardown apart) with their q1, median
 and q3.  The verdict judges the wall time as above, against ``SUITE_BOUND``,
 and fails when any run on either side has a failed test.
 
+``--in-process --command "<argv>"`` times one CLI command inside one
+process instead: it imports each copy's ``src/onlineusm`` under its own
+package name (``onlineusm_parent``, ``onlineusm_change``; the package uses
+only relative imports), calls each side's ``cli.main`` once to warm it,
+then alternately, ``--pairs`` times, with ``--output`` appended to the
+argv (a file in a temporary directory).  Each call records its wall time
+and the sha256 of its stdout followed by the file it wrote; both sides
+must write identical bytes.  With ``--fork`` each call runs in a child
+forked from the tool's process, which holds both copies imported, and
+also records the child's peak RSS (which starts at the tool's own).  The
+record, the quartiles and pairs won of ``IN_PROCESS_METRICS`` and the
+digests, goes to the same ``--out`` file under ``in_process``, one entry
+per command.  It locates a difference that process-level runs show (in
+the command, or only across processes); the process-level verdict stays
+the gate.  Byte checks need a command whose output does not depend on
+the process: a cycle kind, a balance game or a run with
+``--keep-transcripts``.
+
 Any tree-ish names a revision, so an uncommitted change can be measured
 as the tree of its index (``git write-tree`` after ``git add -A``).  Each
 side's provenance records the tree ids of ``src`` and ``perfbench``, the
@@ -55,10 +73,17 @@ Nothing but the two copies should run meanwhile.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
+import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import os
 import re
+import resource
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -66,6 +91,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import traceback
 from pathlib import Path
 
 #: share of the pairs the change must win for a gain
@@ -86,6 +112,10 @@ SUITE_BOUND = 0.25
 SUITE_METRICS = {"wall_s": {"better": "lower", "bound": SUITE_BOUND}}
 #: durations whose quartiles a suite run records, the largest first
 SLOWEST = 10
+#: what an ``--in-process`` call records, with the bounds of ``--suite``'s
+#: wall time and of ``BENCHMARK.json``'s peak RSS; peak RSS with ``--fork`` only
+IN_PROCESS_METRICS = {"wall_s": {"better": "lower", "bound": SUITE_BOUND},
+                      "peak_rss_mb": {"better": "lower", "bound": 0.1}}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -311,6 +341,104 @@ def print_suite_summary(result: dict) -> None:
     print(f"  verdict: {'passed' if result['passed'] else 'failed'}")
 
 
+def load_cli(copy: Path, name: str):
+    """The ``cli`` module of ``copy``'s ``src/onlineusm``, imported as package ``name``."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+    root = copy / "src" / "onlineusm"
+    spec = importlib.util.spec_from_file_location(name, root / "__init__.py",
+                                                  submodule_search_locations=[str(root)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def call_once(cli, argv: list[str], output: Path) -> dict:
+    """One ``cli.main(argv + ["--output", output])``: its wall time and the
+    sha256 of its stdout followed by the bytes it wrote."""
+    output.unlink(missing_ok=True)
+    stdout = io.StringIO()
+    gc.collect()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        start = time.perf_counter()
+        code = cli.main([*argv, "--output", str(output)])
+        wall = time.perf_counter() - start
+    if code != 0:
+        raise RuntimeError(f"{cli.__name__}.main({argv}) returned {code}")
+    digest = hashlib.sha256(stdout.getvalue().encode())
+    if output.exists():
+        # in blocks, so that a forked call's peak RSS is the command's, not the file's
+        with output.open("rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    return {"wall_s": wall, "output_sha256": digest.hexdigest()}
+
+
+def forked(fn) -> dict:
+    """``fn()``'s record, made in a child forked from this process, with the child's peak RSS in MB."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child never returns into the caller's code
+        os.close(read)
+        code = 1
+        try:
+            record = fn()
+            record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            with os.fdopen(write, "w") as fh:
+                fh.write(json.dumps(record))
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read) as fh:
+        text = fh.read()
+    if os.waitpid(pid, 0)[1] != 0:
+        raise RuntimeError("a forked call failed; its traceback is on stderr")
+    return json.loads(text)
+
+
+def run_in_process(copies: dict[str, Path], argv: list[str], pairs: int, fork: bool, outdir: Path) -> list[dict]:
+    """``pairs`` alternating pairs of :func:`call_once` on each side's ``cli``, after one warm-up call each."""
+    clis = {side: load_cli(copies[side], f"onlineusm_{side}") for side in SIDES}
+
+    def run(side):
+        record = lambda: call_once(clis[side], argv, outdir / f"{side}.out")
+        return forked(record) if fork else record()
+
+    for side in SIDES:
+        run(side)
+    return measure({side: side for side in SIDES}, pairs, run,
+                   lambda r: " ".join(f"{m} {r[m]:.6g}" for m in IN_PROCESS_METRICS if m in r))
+
+
+def summarize_in_process(runs: list[dict], metrics: dict[str, dict], claim: str | None) -> dict:
+    """The verdict on ``metrics``, failed unless every call of both sides wrote the same bytes."""
+    series = {side: {m: [r[side][m] for r in runs] for m in metrics} for side in SIDES}
+    result = verdict(series["parent"], series["change"], metrics, claim)
+    digests = {side: sorted({r[side]["output_sha256"] for r in runs}) for side in SIDES}
+    result["identical"] = len(digests["parent"]) == 1 and digests["parent"] == digests["change"]
+    for side in SIDES:
+        result[f"{side}_output_sha256"] = digests[side]
+        result[f"{side}_values"] = series[side]
+    if not result["identical"]:
+        result["passed"] = False
+        if "claim" in result:
+            result["claim"]["gain"] = False
+    return result
+
+
+def print_in_process_summary(command: str, result: dict) -> None:
+    print(f"== in process: {command}")
+    print_metrics(result)
+    print(f"  output bytes {'identical' if result['identical'] else 'DIFFER'}: "
+          f"parent {', '.join(result['parent_output_sha256'])}; change {', '.join(result['change_output_sha256'])}")
+    print(f"  verdict: {'passed' if result['passed'] else 'failed'}")
+
+
 def host_of(copy: Path) -> dict:
     """The host fields of the provenance the benchmark in ``copy`` records."""
     code = ("import json, sys; sys.path.insert(0, 'perfbench'); import run; "
@@ -319,14 +447,19 @@ def host_of(copy: Path) -> dict:
     return {k: v for k, v in json.loads(out.stdout).items() if k not in ("git_commit", "seed")}
 
 
-def print_summary(workload: str, seed: int, result: dict) -> None:
-    print(f"== {workload}  seed {seed}")
+def print_metrics(result: dict) -> None:
+    """Each metric's quartiles per side, relative change, pairs won and status."""
     for name, m in result["metrics"].items():
         for side in SIDES:
             q = m[side]
             print(f"  {name:12s} {side:7s} q1 {q['q1']:.6g}  median {q['median']:.6g}  q3 {q['q3']:.6g}")
         print(f"  {name:12s} change {percent(m['relative_gain'])} (better is positive; bound {m['bound']:.0%}), "
               f"won {m['pairs_won']} of {m['pairs']} pairs: {m['status']}")
+
+
+def print_summary(workload: str, seed: int, result: dict) -> None:
+    print(f"== {workload}  seed {seed}")
+    print_metrics(result)
     for side in SIDES:
         print(f"  {side} failed_frac {result[f'{side}_failed_frac']:.6g}, "
               f"output sha256 {', '.join(result[f'{side}_output_sha256'])}")
@@ -338,11 +471,18 @@ def print_summary(workload: str, seed: int, result: dict) -> None:
     print(f"  verdict: {'passed' if result['passed'] else 'failed'}")
 
 
-def write_out(path: Path, header: dict, entry: dict) -> None:
-    """Add ``entry`` to the runs of ``path``, replacing one of the same workload and seed."""
-    runs = json.loads(path.read_text())["runs"] if path.exists() else []
-    runs = [r for r in runs if (r["workload"], r["seed"]) != (entry["workload"], entry["seed"])]
-    path.write_text(json.dumps({**header, "runs": [*runs, entry]}, indent=1) + "\n")
+#: the fields that name an entry of each list of a BENCH file
+ENTRY_KEYS = {"runs": ("workload", "seed"), "in_process": ("command", "fork")}
+
+
+def write_out(path: Path, header: dict, entry: dict, key: str = "runs") -> None:
+    """Add ``entry`` to the ``key`` list of ``path``, replacing one that
+    agrees with it on ``ENTRY_KEYS[key]``; the other lists stay."""
+    data = json.loads(path.read_text()) if path.exists() else {"runs": []}
+    lists = {k: v for k, v in data.items() if k in ENTRY_KEYS}
+    named = lambda e: [e[k] for k in ENTRY_KEYS[key]]
+    lists[key] = [e for e in lists.get(key, []) if named(e) != named(entry)] + [entry]
+    path.write_text(json.dumps({**header, **lists}, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
@@ -352,6 +492,10 @@ def main(argv=None) -> int:
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload")
     what.add_argument("--suite", action="store_true", help="time the tier-1 test suite")
+    what.add_argument("--in-process", action="store_true", help="time --command inside one process")
+    parser.add_argument("--command", help="onlineusm CLI arguments for --in-process, without --output")
+    parser.add_argument("--fork", action="store_true", help="with --in-process, fork a child per call "
+                                                             "and record its peak RSS")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--claim", default=None, help="end-to-end metric a gain is claimed on")
@@ -359,8 +503,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="BENCH_<tag>.json to write or extend")
     args = parser.parse_args(argv)
 
+    if args.in_process != (args.command is not None) or (args.fork and not args.in_process):
+        parser.error("--command and --fork go with --in-process, which needs --command")
     bench = json.loads(Path("BENCHMARK.json").read_text())
-    metrics = SUITE_METRICS if args.suite else {m["name"]: m for m in bench["end_to_end"]}
+    if args.in_process:
+        metrics = {m: IN_PROCESS_METRICS[m] for m in (("wall_s", "peak_rss_mb") if args.fork else ("wall_s",))}
+    else:
+        metrics = SUITE_METRICS if args.suite else {m["name"]: m for m in bench["end_to_end"]}
     if args.claim is not None and args.claim not in metrics:
         parser.error(f"--claim must be one of {sorted(metrics)}")
     seconds = bench["run_seconds"]
@@ -372,7 +521,15 @@ def main(argv=None) -> int:
         parser.error(f"{out} holds runs of other revisions")
 
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    if args.suite:
+    key = "runs"
+    if args.in_process:
+        runs = run_in_process(copies, shlex.split(args.command), args.pairs, args.fork, workdir)
+        result = summarize_in_process(runs, metrics, args.claim)
+        print_in_process_summary(args.command, result)
+        host = host_of(copies["change"])
+        key, entry = "in_process", {"command": args.command, "fork": args.fork, "pairs": args.pairs,
+                                    "started_utc": started, **result}
+    elif args.suite:
         runs = measure(copies, args.pairs, run_suite_once,
                        lambda r: f"{r['wall_s']:.1f} s, {r['passed']} passed, {r['failed']} failed")
         result = summarize_suite(runs, args.claim)
@@ -393,7 +550,7 @@ def main(argv=None) -> int:
             **result,
         }
     if out is not None:
-        write_out(out, {"tool": "tools/paired_bench.py", "revisions": revisions, "host": host}, entry)
+        write_out(out, {"tool": "tools/paired_bench.py", "revisions": revisions, "host": host}, entry, key)
     return 0 if result["passed"] else 1
 
 
