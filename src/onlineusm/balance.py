@@ -72,7 +72,7 @@ RIGHT = BalancePoint(1.0, -1.0)
 LEFT = BalancePoint(-1.0, 1.0)
 
 
-def decompose(pt: BalancePoint) -> tuple[float, float, float]:
+def decompose(pt: tuple[float, float]) -> tuple[float, float, float]:
     """Unique affine weights ``(c_up, c_right, c_left)`` of ``pt`` over up/right/left.
 
     c_up = (alpha+beta)/2, c_right = (1-beta)/2, c_left = (1-alpha)/2.
@@ -80,11 +80,12 @@ def decompose(pt: BalancePoint) -> tuple[float, float, float]:
     to zero and the triple renormalized.  Points outside the triangle by
     more than ``TRIANGLE_TOL`` are rejected.
     """
-    if not _in_triangle(pt.alpha, pt.beta):
-        raise InvalidPointError(f"({pt.alpha}, {pt.beta}) outside triangle by more than {TRIANGLE_TOL}")
-    c_up = 0.5 * (pt.alpha + pt.beta)
-    c_right = 0.5 * (1.0 - pt.beta)
-    c_left = 0.5 * (1.0 - pt.alpha)
+    alpha, beta = pt
+    if not _in_triangle(alpha, beta):
+        raise InvalidPointError(f"({alpha}, {beta}) outside triangle by more than {TRIANGLE_TOL}")
+    c_up = 0.5 * (alpha + beta)
+    c_right = 0.5 * (1.0 - beta)
+    c_left = 0.5 * (1.0 - alpha)
     if c_up < 0.0 or c_right < 0.0 or c_left < 0.0:
         c_up = max(c_up, 0.0)
         c_right = max(c_right, 0.0)
@@ -101,8 +102,9 @@ class BalanceSubroutine(Protocol):
     ``coin < p`` for the subroutine's current yes-probability p.  It must
     depend only on internal state and the coin (one uniform [0,1) draw
     per round, always consumed); the revealed point arrives later
-    through ``update``.  A :class:`BalancePoint` is an immutable tuple
-    that unpacks as ``alpha, beta``.
+    through ``update``.  A point is any pair that unpacks as
+    ``alpha, beta``: the online round feeds plain tuples, and the
+    balance game feeds its adversary's :class:`BalancePoint` objects.
 
     ``point_terms(alpha, beta)`` computes ahead what ``update`` derives
     from each point, stacked on a new first axis, and marks the points
@@ -115,7 +117,7 @@ class BalanceSubroutine(Protocol):
 
     def decide(self, coin: float) -> bool: ...
 
-    def update(self, pt: BalancePoint) -> None: ...
+    def update(self, pt: tuple[float, float]) -> None: ...
 
     def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]: ...
 
@@ -172,7 +174,7 @@ class Balancer:
     def decide(self, coin: float) -> bool:
         return coin < self.x / self.sqrt_horizon
 
-    def update(self, pt: BalancePoint) -> None:
+    def update(self, pt: tuple[float, float]) -> None:
         a, b = pt
         # _in_triangle spelled out: one call fewer per element per round
         if not (_LO <= a <= _HI and _LO <= b <= _HI and a + b >= _SUM_LO):
@@ -253,9 +255,10 @@ class TwoExperts:
     def decide(self, coin: float) -> bool:
         return coin < self.w_yes / (self.w_yes + self.w_no)
 
-    def update(self, pt: BalancePoint) -> None:
-        wy = self.w_yes * math.exp(self.eta * 0.5 * (pt.alpha + 1.0))
-        wn = self.w_no * math.exp(self.eta * 0.5 * (pt.beta + 1.0))
+    def update(self, pt: tuple[float, float]) -> None:
+        a, b = pt
+        wy = self.w_yes * math.exp(self.eta * 0.5 * (a + 1.0))
+        wn = self.w_no * math.exp(self.eta * 0.5 * (b + 1.0))
         top = wy if wy >= wn else wn
         self.w_yes = wy / top
         self.w_no = wn / top
@@ -308,7 +311,7 @@ class ConstantPolicy:
     def decide(self, coin: float) -> bool:
         return coin < self.p
 
-    def update(self, pt: BalancePoint) -> None:
+    def update(self, pt: tuple[float, float]) -> None:
         pass
 
     def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, None]:
@@ -359,7 +362,7 @@ def potentials(x: float, horizon: int) -> tuple[float, float, float]:
     return _phi_alg(x, s), _phi_yes(x, s), _phi_no(x, s)
 
 
-def step_invariant_deltas(p: float, pt: BalancePoint, horizon: int) -> tuple[float, float, float]:
+def step_invariant_deltas(p: float, pt: tuple[float, float], horizon: int) -> tuple[float, float, float]:
     """Exact expected one-step changes of the three potential-augmented sums.
 
     Adds the expected one-round changes of (R_alg, C_yes, C_no) when yes
@@ -377,9 +380,10 @@ def step_invariant_deltas(p: float, pt: BalancePoint, horizon: int) -> tuple[flo
     x = p * s
     delta = (1.0 - 2.0 * p) * c_up + c_right - c_left
     x2 = x + delta
-    d_r = p * 0.5 * pt.alpha + (1.0 - p) * 0.5 * pt.beta
-    d_cyes = (1.0 - p) * pt.alpha
-    d_cno = p * pt.beta
+    alpha, beta = pt
+    d_r = p * 0.5 * alpha + (1.0 - p) * 0.5 * beta
+    d_cyes = (1.0 - p) * alpha
+    d_cno = p * beta
     d_alg = d_r + _phi_alg(x2, s) - _phi_alg(x, s)
     d_yes = d_cyes + _phi_yes(x2, s) - _phi_yes(x, s)
     d_no = d_cno + _phi_no(x2, s) - _phi_no(x, s)

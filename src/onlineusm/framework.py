@@ -12,8 +12,8 @@ round's function arrives, each subroutine i is fed the marginal pair
 the rewards for yes and no.  Submodularity makes alpha_i + beta_i >= 0,
 so the pair is a valid balance-subproblem point.  All decisions come
 before any feedback, so S fixes both chains: X_i is S restricted to
-elements 1..i and Y_i is X_i plus every element after i.  A round's
-record keeps S and the points it fed; decision i is bit i - 1 of S.
+elements 1..i and Y_i is X_i plus every element after i.  A round
+returns S and the (alpha, beta) pairs it fed; decision i is bit i - 1 of S.
 
 A round walks the elements once: after f(empty set) and f(full set) it
 reads f(X_{i-1} + i) and f(Y_{i-1} - i) for each element i < n.  None
@@ -21,7 +21,7 @@ of these masks repeats: for i < n, X_{i-1} + i lacks element n and
 Y_{i-1} - i holds it, and neither is empty or full.  Element n's point
 comes from f(X_{n-1}) and f(Y_{n-1}) = f(X_{n-1} + n), which the walk
 holds.  A round therefore costs exactly 2n counted queries, inside the
-4n + 2 budget; a round's ``queries`` is that count.
+4n + 2 budget, and a game records that count for every round.
 
 The game records per-round series (reward, best fixed set in
 hindsight, queries) and the experiment driver turns them into
@@ -55,30 +55,15 @@ Every trial-round is charged 2n on either path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .adversaries import CycleFunctionAdversary
-from .balance import BalancePoint, BalanceSubroutine, _point_error
+from .balance import BalanceSubroutine, _point_error
 from .errors import ConfigError, SizeError
 from .offline import _marginals
 from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mask, value_table
-
-
-class RoundTranscript(NamedTuple):
-    """What one round did: its choice, the points it fed, its queries.
-
-    An immutable tuple; ``marginals[i]`` is the :class:`BalancePoint`
-    that subroutine i + 1 was fed, the very one the :func:`run_round`
-    walk built, and unpacks as ``alpha, beta``.  Decision i + 1 is bit i
-    of ``chosen``.
-    """
-
-    t: int
-    chosen: int
-    marginals: tuple[BalancePoint, ...]
-    queries: int
 
 
 def _prefix_points(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,9 +100,7 @@ def run_round(
     subroutines: Sequence[BalanceSubroutine],
     f: SubmodularOracle,
     coins: Sequence[float],
-    *,
-    t: int = 1,
-) -> RoundTranscript:
+) -> tuple[int, tuple[tuple[float, float], ...]]:
     """One framework round: decide all elements, then feed back marginals.
 
     Every subroutine decides first (subroutine i with ``coins[i]``),
@@ -125,10 +108,10 @@ def run_round(
     ``evaluate`` calls read f(empty set) and f(full set), then for each
     element i < n it reads f(X_{i-1} + i) and f(Y_{i-1} - i) unchecked
     from the oracle's function (the masks lie in the ground set), builds
-    element i's point and advances X and Y by decision i; one
-    ``_charge`` counts those 2n - 2 reads, so ``queries`` is 2n.  Then
-    each subroutine, in index order, is fed its point, the same object
-    the transcript keeps.
+    element i's point (alpha_i, beta_i) and advances X and Y by decision
+    i; one ``_charge`` counts those 2n - 2 reads, so the round costs 2n.
+    Then each subroutine, in index order, is fed its point.  Returns S
+    and the tuple of the very pairs fed.
     """
     n = f.n
     if len(subroutines) != n:
@@ -137,11 +120,7 @@ def run_round(
         raise ConfigError(f"need {n} coins, got {len(coins)}")
     decisions = [sub.decide(coin) for sub, coin in zip(subroutines, coins)]
 
-    # tuple.__new__ builds the same BalancePoint (and RoundTranscript) as
-    # the class call, at half the cost (no Python frame for the generated
-    # __new__)
-    record = tuple.__new__
-    marginals = []
+    points = []
     bit = 1
     full = full_mask(n)
     read = f._fn
@@ -152,24 +131,20 @@ def run_round(
         fx_up = read(x_up)
         y_down = y ^ bit
         fy_down = read(y_down)
-        marginals.append(record(BalancePoint, (fx_up - fx, fy_down - fy)))
+        points.append((fx_up - fx, fy_down - fy))
         if d:
             x, fx = x_up, fx_up
         else:
             y, fy = y_down, fy_down
         bit <<= 1
-    marginals.append(record(BalancePoint, (fy - fx, fx - fy)))
+    points.append((fy - fx, fx - fy))
     if decisions[-1]:
         x = y
     f._charge(2 * n - 2)
 
-    for sub, pt in zip(subroutines, marginals):
+    for sub, pt in zip(subroutines, points):
         sub.update(pt)
-
-    return record(
-        RoundTranscript,
-        (t, x, tuple(marginals), 2 * n),
-    )
+    return x, tuple(points)
 
 
 @dataclass
@@ -272,13 +247,18 @@ def run_usm_game(
 
     ``adversary.next_oracle(last_set)`` supplies each round's function
     (oblivious kinds ignore the argument).  With ``track_opt`` (n <= 20)
-    each round's value table, built once per oracle id, is kept, and
-    :func:`_cycle_best` turns them into the best fixed set's total value
-    after each round (``cum_opt``) and the final total's first maximizer
-    (``opt_set``), without spending counted queries.  Callers that
-    already hold these pass ``track_opt=False``: the experiment driver
-    for a cycle kind, whose trials share one sequence of functions that
-    it tracks once, and replays that need only the chosen sets.
+    each round's value table is kept, and :func:`_cycle_best` turns them
+    into the best fixed set's total value after each round (``cum_opt``)
+    and the final total's first maximizer (``opt_set``), without
+    spending counted queries.  The tables are cached under ``id(f)``, a
+    defect (ROADMAP item 1): a freed oracle's id can be reused by a later
+    one, which is then tracked with the freed one's table, so
+    ``fresh-random`` and the adaptive kinds, which make a new oracle per
+    round, report true regret only when the run keeps its oracles
+    (``keep_transcripts``).  Callers that already hold the tables pass
+    ``track_opt=False``: the experiment driver for a cycle kind, whose
+    trials share one sequence of functions that it tracks once, and
+    replays that need only the chosen sets.
 
     ``streams`` holds one distinct Generator per subroutine.  Each
     stream's ``rounds`` coins are drawn up front as one ``random``
@@ -301,7 +281,7 @@ def run_usm_game(
     for stream, row in zip(streams, coins):
         stream.random(out=row)
     rewards = np.empty(rounds)
-    round_queries = np.empty(rounds, dtype=np.int64)
+    round_queries = np.full(rounds, 2 * n, dtype=np.int64)
     tables: list[np.ndarray] = []
     table_cache: dict[int, np.ndarray] = {}
     sets: list[int] | None = [] if keep_sets or keep_transcripts else None
@@ -314,9 +294,8 @@ def run_usm_game(
             f = adversary.next_oracle(last_set)
             if f.n != n:
                 raise ConfigError(f"oracle ground size {f.n} != subroutine count {n}")
-            tr = run_round(subroutines, f, round_coins, t=t + 1)
-            rewards[t] = f.peek(tr.chosen)
-            round_queries[t] = tr.queries
+            last_set, fed = run_round(subroutines, f, round_coins)
+            rewards[t] = f.peek(last_set)
             if track_opt:
                 key = id(f)
                 table = table_cache.get(key)
@@ -325,11 +304,10 @@ def run_usm_game(
                     table_cache[key] = table
                 tables.append(table)
             if points is not None:
-                points[t] = tr.marginals
+                points[t] = fed
                 oracles.append(f)
             if sets is not None:
-                sets.append(tr.chosen)
-            last_set = tr.chosen
+                sets.append(last_set)
 
     cum_opt, opt_set = _cycle_best(tables, rounds) if track_opt else (None, None)
     return UsmRunResult(
@@ -337,7 +315,7 @@ def run_usm_game(
         cum_rewards=np.cumsum(rewards),
         cum_opt=cum_opt,
         round_queries=round_queries,
-        max_round_queries=int(round_queries.max()),
+        max_round_queries=2 * n,
         opt_set=opt_set,
         chosen_sets=sets,
         points=points,

@@ -63,6 +63,7 @@ from .submodular import (
     normalize,
     random_digraph,
     read_digraph,
+    sampling_oracle,
     value_table,
     verify_submodularity,
 )
@@ -507,15 +508,14 @@ def _run_offline(config: ExperimentConfig) -> dict:
 def _run_verify(config: ExperimentConfig) -> dict:
     """Summary of the submodularity check of a graph file's cut function.
 
-    Up to n = ENUMERATION_LIMIT, :func:`normalize` answers every counted
-    query from its cut table, not with a Python cut sum.  An
-    exhaustive request is checked against its size limit before that
-    table is built.
+    An exhaustive request is checked against its size limit, then reads
+    all 2^n values from :func:`normalize`'s cut table; a sampled one reads
+    4 values per sample from the cheaper of the table and cut sums.
     """
     g = read_digraph(config.graph)
     if config.samples is None:
         check_exhaustive_size(g.n)
-    oracle = normalize(g)
+    oracle = normalize(g) if config.samples is None else sampling_oracle(g, config.samples)
     witness = verify_submodularity(oracle, samples=config.samples, seed=config.seed)
     summary = {
         "game": "verify",

@@ -209,23 +209,40 @@ def normalize(g: DirectedGraph) -> SubmodularOracle:
     For n <= ENUMERATION_LIMIT the oracle holds its :func:`_cut_table`
     and answers every query from it, bit for bit the scaled
     :func:`directed_cut_value`; a larger graph is answered by one cut
-    sum per query.  Either way a value is capped at 1.0: a total weight
-    above 2^1022 has a subnormal reciprocal, and its full cut can scale
-    to 1 plus a rounding.
+    sum per query (:func:`_cut_sums`).  Either way a value is capped at
+    1.0: a total weight above 2^1022 has a subnormal reciprocal, and its
+    full cut can scale to 1 plus a rounding.
     """
+    if g.n > ENUMERATION_LIMIT:
+        return _cut_sums(g)
+    table = _cut_table(g, _cut_scale(g))
+    np.minimum(table, 1.0, out=table)
+    return _table_oracle(table)
+
+
+def _cut_scale(g: DirectedGraph) -> float:
+    """1 / total weight (1 for the edgeless graph); raises if either is not finite."""
     w = g.total_weight
     scale = 1.0 / w if w > 0 else 1.0
     if not (math.isfinite(w) and math.isfinite(scale)):
         raise InvalidInstanceError(f"total edge weight {w!r} cannot be scaled into [0, 1]")
-    if g.n <= ENUMERATION_LIMIT:
-        table = _cut_table(g, scale)
-        np.minimum(table, 1.0, out=table)
-        return _table_oracle(table)
+    return scale
+
+
+def _cut_sums(g: DirectedGraph) -> SubmodularOracle:
+    """:func:`normalize`'s doubles with no table: one scaled, capped cut sum per query."""
+    scale = _cut_scale(g)
 
     def fn(s: Mask, _g: DirectedGraph = g, _scale: float = scale) -> float:
         return min(directed_cut_value(_g, s) * _scale, 1.0)
 
     return SubmodularOracle(g.n, fn)
+
+
+def sampling_oracle(g: DirectedGraph, samples: int) -> SubmodularOracle:
+    """Oracle for ``samples`` sampled triples, 4 queries each: :func:`normalize` (a table up to
+    n = 20) from 2^(n-10) samples on, else cut sums.  Per edge a sum costs ~80 ns, an entry ~0.3 ns."""
+    return normalize(g) if samples << 10 >= 1 << g.n else _cut_sums(g)
 
 
 #: low mask bits per row of a routed cut-table add: 2^13 = 8192 entries,

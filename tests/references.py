@@ -18,9 +18,11 @@ values bit for bit (``==`` on floats, never a tolerance):
   coin and one ``uniform`` weight at a time;
 * ``opt_tracking_check`` / ``value_identity_residual``: the replay of
   one round record, and of a run's records for one element, by peeks,
-  which the array replay ``framework._replay`` must match; ``kept_rounds``
-  turns a run's kept arrays back into those records, and ``decisions``,
-  ``x_sets`` and ``y_sets`` derive a record's decisions and chains;
+  which the array replay ``framework._replay`` must match; a record is a
+  ``RoundRecord``, the chosen set and points that ``framework.run_round``
+  returns, ``kept_rounds`` turns a run's kept arrays back into records,
+  and ``decisions``, ``x_sets`` and ``y_sets`` derive a record's
+  decisions and chains;
 * ``reference_sweep`` / ``reference_rand_sweep``: the scalar
   double-greedy sweep, one counted query per mask, that the offline
   walk replaced, with ``reference_coin_rule`` its randomized rule.
@@ -43,13 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from onlineusm.balance import BalancePoint, Ledger
 from onlineusm.errors import ConfigError, DomainError, InvalidSubsetError, SizeError
-from onlineusm.framework import RoundTranscript
 from onlineusm.submodular import (
     ENUMERATION_LIMIT,
     VALUE_TOL,
@@ -183,29 +184,37 @@ def reference_random_digraph(
     return DirectedGraph(n, tuple(edges))
 
 
-def decisions(tr: RoundTranscript) -> tuple[bool, ...]:
+class RoundRecord(NamedTuple):
+    """One round as ``framework.run_round`` returns it, the chosen set and
+    the (alpha, beta) pair fed to each subroutine, with the two named:
+    ``RoundRecord(*run_round(...))``."""
+
+    chosen: int
+    points: tuple[tuple[float, float], ...]
+
+
+def decisions(tr: RoundRecord) -> tuple[bool, ...]:
     """Each subroutine's action, True for yes: bit i of the chosen set."""
-    return tuple(bool(tr.chosen >> i & 1) for i in range(len(tr.marginals)))
+    return tuple(bool(tr.chosen >> i & 1) for i in range(len(tr.points)))
 
 
-def x_sets(tr: RoundTranscript) -> tuple[int, ...]:
+def x_sets(tr: RoundRecord) -> tuple[int, ...]:
     """X_0..X_n: the chosen elements among the first i."""
-    return tuple(tr.chosen & ((1 << i) - 1) for i in range(len(tr.marginals) + 1))
+    return tuple(tr.chosen & ((1 << i) - 1) for i in range(len(tr.points) + 1))
 
 
-def y_sets(tr: RoundTranscript) -> tuple[int, ...]:
+def y_sets(tr: RoundRecord) -> tuple[int, ...]:
     """Y_0..Y_n: X_i plus every element after i."""
-    full = full_mask(len(tr.marginals))
-    return tuple(tr.chosen | (full >> i << i) for i in range(len(tr.marginals) + 1))
+    full = full_mask(len(tr.points))
+    return tuple(tr.chosen | (full >> i << i) for i in range(len(tr.points) + 1))
 
 
-def kept_rounds(res) -> list[RoundTranscript]:
+def kept_rounds(res) -> list[RoundRecord]:
     """The round records of a ``UsmRunResult`` that kept its rounds, from
     its chosen sets and points."""
-    n = res.points.shape[1]
     return [
-        RoundTranscript(t, s, tuple(BalancePoint(a, b) for a, b in pts), 2 * n)
-        for t, s, pts in zip(range(1, len(res.chosen_sets) + 1), res.chosen_sets, res.points.tolist())
+        RoundRecord(s, tuple(map(tuple, pts)))
+        for s, pts in zip(res.chosen_sets, res.points.tolist())
     ]
 
 
@@ -220,7 +229,7 @@ class TrackingViolation:
 
 
 def opt_tracking_check(
-    transcript: RoundTranscript,
+    transcript: RoundRecord,
     f: SubmodularOracle,
     opt: int,
 ) -> TrackingViolation | None:
@@ -237,14 +246,14 @@ def opt_tracking_check(
 
     Returns None when every relation holds within ``VALUE_TOL``.
     """
-    n = len(transcript.marginals)
+    n = len(transcript.points)
     xs = x_sets(transcript)
     ys = y_sets(transcript)
     opt_cur = opt
     f_opt_cur = f.peek(opt_cur)
     for i in range(1, n + 1):
         bit = 1 << (i - 1)
-        alpha, beta = transcript.marginals[i - 1]
+        alpha, beta = transcript.points[i - 1]
         fx_prev = f.peek(xs[i - 1])
         fx_cur = f.peek(xs[i])
         fy_prev = f.peek(ys[i - 1])
@@ -275,7 +284,7 @@ def opt_tracking_check(
 
 
 def value_identity_residual(
-    transcripts: Sequence[RoundTranscript],
+    transcripts: Sequence[RoundRecord],
     oracles: Sequence[SubmodularOracle],
     i: int,
 ) -> float:
@@ -292,7 +301,7 @@ def value_identity_residual(
         xs = x_sets(tr)
         ys = y_sets(tr)
         lhs += f.peek(xs[i]) - f.peek(xs[prev]) + f.peek(ys[i]) - f.peek(ys[prev])
-        alpha, beta = tr.marginals[prev]
+        alpha, beta = tr.points[prev]
         rhs += alpha if tr.chosen >> prev & 1 else beta
     return lhs - rhs
 

