@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from onlineusm import (
-    BalancePoint,
     Balancer,
     TwoExperts,
     build_balance_adversary,
@@ -30,7 +29,7 @@ SEED = 3
 
 print("decomposing a few points into up/right/left weights:")
 for alpha, beta in [(1.0, 1.0), (1.0, -1.0), (0.0, 0.0), (0.3, 0.4)]:
-    c_up, c_right, c_left = decompose(BalancePoint(alpha, beta))
+    c_up, c_right, c_left = decompose((alpha, beta))
     print(f"  ({alpha:+.1f}, {beta:+.1f})  ->  up={c_up:.2f} right={c_right:.2f} left={c_left:.2f}")
 
 print("\nthe three bookkeeping potentials at a few states (sqrt(T) = 100):")

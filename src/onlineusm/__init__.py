@@ -17,7 +17,6 @@ from .adversaries import (
     RandomObliviousAdversary,
 )
 from .balance import (
-    BalancePoint,
     Balancer,
     ConstantPolicy,
     LEFT,

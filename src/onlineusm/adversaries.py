@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .balance import LEFT, RIGHT, UP, BalancePoint
+from .balance import LEFT, RIGHT, UP
 from .errors import ConfigError
 from .submodular import DirectedGraph, SubmodularOracle, full_mask, normalize, random_digraph
 
@@ -23,7 +23,7 @@ _PATTERN_POINTS = {"U": UP, "R": RIGHT, "L": LEFT}
 class ObliviousBalanceAdversary:
     """Fixed point sequence, repeated cyclically; ignores decisions."""
 
-    def __init__(self, points: Sequence[BalancePoint]):
+    def __init__(self, points: Sequence[tuple[float, float]]):
         if not points:
             raise ConfigError("oblivious adversary needs at least one point")
         self.points = tuple(points)
@@ -39,7 +39,7 @@ class ObliviousBalanceAdversary:
                 raise ConfigError(f"unknown pattern symbol {ch!r}; expected U, R, or L")
         return cls([_PATTERN_POINTS[ch] for ch in pattern])
 
-    def next_point(self, last_decision: bool | None = None) -> BalancePoint:
+    def next_point(self, last_decision: bool | None = None) -> tuple[float, float]:
         pt = self.points[self._pos % len(self.points)]
         self._pos += 1
         return pt
@@ -62,7 +62,7 @@ class AdaptiveBalanceAdversary:
             raise ConfigError(f"unknown adaptive rule {rule!r}; expected one of {ADAPTIVE_BALANCE_RULES}")
         self.rule = rule
 
-    def next_point(self, last_decision: bool | None = None) -> BalancePoint:
+    def next_point(self, last_decision: bool | None = None) -> tuple[float, float]:
         # None, not False, is "no history": a no is a decision too
         if last_decision is None:
             return UP

@@ -22,24 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol
+from typing import Protocol
 
 import numpy as np
 
 from .errors import DomainError, InvalidPointError
-
-
-class BalancePoint(NamedTuple):
-    """Adversary move (alpha, beta); valid points satisfy
-    -1 <= alpha, beta <= 1 and alpha + beta >= 0 (up to float drift).
-
-    An immutable tuple, so ``a, b = pt`` unpacks it.  Construction does
-    not validate so that callers can represent and test out-of-triangle
-    data; consuming operations enforce membership.
-    """
-
-    alpha: float
-    beta: float
 
 
 #: float drift a point may show past each triangle edge (the sum edge
@@ -67,9 +54,10 @@ def _point_error(a: float, b: float) -> InvalidPointError:
     return InvalidPointError(f"({a}, {b}) outside triangle; is the function submodular?")
 
 
-UP = BalancePoint(1.0, 1.0)
-RIGHT = BalancePoint(1.0, -1.0)
-LEFT = BalancePoint(-1.0, 1.0)
+#: the triangle's vertices, as the plain (alpha, beta) pairs both games feed
+UP = (1.0, 1.0)
+RIGHT = (1.0, -1.0)
+LEFT = (-1.0, 1.0)
 
 
 def decompose(pt: tuple[float, float]) -> tuple[float, float, float]:
@@ -103,8 +91,8 @@ class BalanceSubroutine(Protocol):
     depend only on internal state and the coin (one uniform [0,1) draw
     per round, always consumed); the revealed point arrives later
     through ``update``.  A point is any pair that unpacks as
-    ``alpha, beta``: the online round feeds plain tuples, and the
-    balance game feeds its adversary's :class:`BalancePoint` objects.
+    ``alpha, beta``: both the online round and the balance game feed
+    plain ``(alpha, beta)`` tuples.
 
     ``point_terms(alpha, beta)`` computes ahead what ``update`` derives
     from each point, stacked on a new first axis, and marks the points

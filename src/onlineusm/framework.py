@@ -188,8 +188,7 @@ def fit_growth_exponent(ts: Iterable[float], values: Iterable[float]) -> float:
     return float(np.polyfit(lt, lv, 1)[0])
 
 
-#: rounds whose coins become Python floats at a time, or, for batched
-#: trials, rounds whose coins are drawn at a time
+#: rounds of coins both engines draw from every stream at a time
 _COIN_BLOCK = 128
 
 #: bytes of running totals :func:`_cycle_best` keeps at a time
@@ -216,6 +215,20 @@ def _cycle_best(tables: Sequence[np.ndarray], rounds: int) -> tuple[np.ndarray, 
             total = np.add(total, tables[t % len(tables)], out=row)
         np.maximum.reduce(block, axis=1, out=cum_opt[start:start + len(block)])
     return cum_opt, int(np.argmax(total))
+
+
+def _coin_blocks(streams: Sequence[np.random.Generator], rounds: int):
+    """Yield ``(start, coins)`` for each block of up to ``_COIN_BLOCK``
+    rounds from ``start`` on: ``coins[j, k]`` is stream j's coin for round
+    start + k.  One buffer is refilled block by block, so the coins take
+    memory independent of ``rounds``; each stream's draws, and its state
+    after them, are those of sequential ``random()`` calls."""
+    coins = np.empty((len(streams), min(rounds, _COIN_BLOCK)))
+    for start in range(0, rounds, _COIN_BLOCK):
+        size = min(_COIN_BLOCK, rounds - start)
+        for stream, row in zip(streams, coins):
+            stream.random(out=row[:size])
+        yield start, coins[:, :size]
 
 
 def _check_streams(rounds: int, n: int, rows: Sequence[Sequence[np.random.Generator]]) -> None:
@@ -260,12 +273,10 @@ def run_usm_game(
     trials share one sequence of functions that it tracks once, and
     replays that need only the chosen sets.
 
-    ``streams`` holds one distinct Generator per subroutine.  Each
-    stream's ``rounds`` coins are drawn up front as one ``random``
-    block, which yields the same values as ``rounds`` sequential
-    ``random()`` calls and leaves the stream in the same state; they
-    become Python floats one block of rounds at a time, and round t
-    hands ``run_round`` the list of every stream's coin t.
+    ``streams`` holds one distinct Generator per subroutine.  Coins are
+    drawn a block of rounds at a time (:func:`_coin_blocks`); each block
+    becomes Python floats at once, and round t hands ``run_round`` the
+    list of every stream's coin t.
     ``keep_sets`` keeps each round's chosen set; ``keep_transcripts``
     keeps it too, with the round's points and oracle, which
     :func:`_replay` reads.  Every round walks from the root
@@ -277,9 +288,6 @@ def run_usm_game(
         raise ConfigError("need at least one subroutine")
     if track_opt and n > ENUMERATION_LIMIT:
         raise SizeError(f"tracking the best fixed set needs n <= {ENUMERATION_LIMIT}")
-    coins = np.empty((n, rounds))
-    for stream, row in zip(streams, coins):
-        stream.random(out=row)
     rewards = np.empty(rounds)
     round_queries = np.full(rounds, 2 * n, dtype=np.int64)
     tables: list[np.ndarray] = []
@@ -289,8 +297,8 @@ def run_usm_game(
     oracles: list[SubmodularOracle] | None = [] if keep_transcripts else None
 
     last_set: int | None = None
-    for start in range(0, rounds, _COIN_BLOCK):
-        for t, round_coins in enumerate(coins[:, start:start + _COIN_BLOCK].T.tolist(), start):
+    for start, coins in _coin_blocks(streams, rounds):
+        for t, round_coins in enumerate(coins.T.tolist(), start):
             f = adversary.next_oracle(last_set)
             if f.n != n:
                 raise ConfigError(f"oracle ground size {f.n} != subroutine count {n}")
@@ -349,13 +357,13 @@ def run_cycle_trials(
     one contiguous block per term (``mode="clip"``: every S is in range,
     and the default mode would copy through a temporary), and the
     batch's in-place ``update``, which also refreshes p.  Coins are drawn
-    ``_COIN_BLOCK`` rounds of every stream at a time, as sequential draws
-    would.  After play the rewards are gathered by S, the best set is
-    tracked once (one read-only ``cum_opt``), each function is charged
-    2n per trial-round it played, and, with ``keep_transcripts``, each
-    trial's points are gathered from the prefix points by S.  A point
-    ``sub`` rejects raises :class:`InvalidPointError` in the first round
-    that meets one, for its first trial and element.
+    a block of rounds at a time (:func:`_coin_blocks`).  After play the
+    rewards are gathered by S, the best set is tracked once (one
+    read-only ``cum_opt``), each function is charged 2n per trial-round
+    it played, and, with ``keep_transcripts``, each trial's points are
+    gathered from the prefix points by S.  A point ``sub`` rejects raises
+    :class:`InvalidPointError` in the first round that meets one, for its
+    first trial and element.
     """
     trials = len(streams)
     oracles = adversary.oracles
@@ -375,15 +383,11 @@ def run_cycle_trials(
     period = len(cycle)
 
     chosen = np.empty((rounds, trials), dtype=np.int64)
-    coins = np.empty((trials * n, min(rounds, _COIN_BLOCK)))
     batch = sub.batch((trials, n))
     decide, gathered, update = batch.decide, batch.gathered, batch.update
-    for start in range(0, rounds, _COIN_BLOCK):
-        size = min(_COIN_BLOCK, rounds - start)
-        for stream, row in zip(flat, coins):
-            stream.random(out=row[:size])
+    for start, coins in _coin_blocks(flat, rounds):
         # each round's coins contiguous, (trials, n)
-        for t, round_coins in enumerate(np.ascontiguousarray(coins[:, :size].T).reshape(size, trials, n), start):
+        for t, round_coins in enumerate(np.ascontiguousarray(coins.T).reshape(-1, trials, n), start):
             s = decide(round_coins).dot(bits, out=chosen[t])
             terms, rejected, alpha, beta = cycle[t % period]
             if rejected is not None:

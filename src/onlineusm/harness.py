@@ -283,12 +283,13 @@ def run_balance_game(
         pt = next_point(prev)
         d = decide(coin)
         update(pt)
+        a, b = pt
         if d:
-            r_alg += 0.5 * pt.alpha
-            c_no += pt.beta
+            r_alg += 0.5 * a
+            c_no += b
         else:
-            r_alg += 0.5 * pt.beta
-            c_yes += pt.alpha
+            r_alg += 0.5 * b
+            c_yes += a
         rewards[t] = r_alg
         piles[t] = c_yes if c_yes >= c_no else c_no
         prev = d

@@ -49,7 +49,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from onlineusm.balance import BalancePoint, Ledger
+from onlineusm.balance import Ledger
 from onlineusm.errors import ConfigError, DomainError, InvalidSubsetError, SizeError
 from onlineusm.submodular import (
     ENUMERATION_LIMIT,
@@ -377,13 +377,14 @@ def reconstruct(c_up: float, c_right: float, c_left: float) -> tuple[float, floa
     return a, b
 
 
-def expected_ledger_deltas(p: float, pt: BalancePoint) -> tuple[float, float, float]:
+def expected_ledger_deltas(p: float, pt: tuple[float, float]) -> tuple[float, float, float]:
     """Expected one-round (dR_alg, dC_yes, dC_no) when yes has probability p."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p={p} outside [0, 1]")
-    d_r = p * 0.5 * pt.alpha + (1.0 - p) * 0.5 * pt.beta
-    d_cyes = (1.0 - p) * pt.alpha
-    d_cno = p * pt.beta
+    alpha, beta = pt
+    d_r = p * 0.5 * alpha + (1.0 - p) * 0.5 * beta
+    d_cyes = (1.0 - p) * alpha
+    d_cno = p * beta
     return d_r, d_cyes, d_cno
 
 

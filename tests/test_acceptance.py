@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from onlineusm.balance import LEFT, RIGHT, UP, BalancePoint, Balancer, step_invariant_deltas
+from onlineusm.balance import LEFT, RIGHT, UP, Balancer, step_invariant_deltas
 from onlineusm.framework import _replay, run_usm_game
 from onlineusm.harness import (
     ExperimentConfig,
@@ -183,7 +183,7 @@ def test_5_potential_step_invariant():
     weights = rng.dirichlet((1.0, 1.0, 1.0), size=10_000)
     ps = rng.random(10_000)
     for (cu, cr, cl), p in zip(weights, ps):
-        pt = BalancePoint(cu + cr - cl, cu - cr + cl)
+        pt = (cu + cr - cl, cu - cr + cl)
         d_alg, d_yes, d_no = step_invariant_deltas(float(p), pt, horizon)
         margin = d_alg - (max(d_yes, d_no) - bound)
         worst_margin = min(worst_margin, margin)

@@ -10,7 +10,7 @@ from onlineusm.adversaries import (
 )
 from onlineusm.balance import LEFT, RIGHT, UP, Balancer, ConstantPolicy
 from onlineusm.errors import ConfigError
-from onlineusm.harness import run_balance_game
+from onlineusm.harness import build_balance_adversary, run_balance_game
 from onlineusm.submodular import value_table, verify_submodularity
 
 from references import BUILTIN_COVARIANCE_RULES, covariance_estimate
@@ -103,6 +103,35 @@ class PointSpy:
         pt = self.adversary.next_point(last_decision)
         self.points.append(pt)
         return pt
+
+
+#: every pattern symbol and adaptive rule, with the points each emits
+_EMITTED = {
+    "pattern:U": {UP},
+    "pattern:R": {RIGHT},
+    "pattern:L": {LEFT},
+    "adaptive:punish-last": {UP, RIGHT, LEFT},
+    "adaptive:reward-chase": {UP, RIGHT, LEFT},
+}
+
+
+@pytest.mark.parametrize("descriptor", list(_EMITTED))
+def test_balance_adversaries_hand_out_plain_pairs_the_game_feeds_as_is(descriptor):
+    # a point is a plain (alpha, beta) tuple of two floats, and the game
+    # feeds its subroutine the very object the adversary handed out
+    fed = []
+
+    class Recording(Balancer):
+        def update(self, pt):
+            fed.append(pt)
+            super().update(pt)
+
+    rounds = 40
+    spy = PointSpy(build_balance_adversary(descriptor))
+    run_balance_game(Recording(rounds), spy, rounds, np.random.default_rng(1))
+    assert len(fed) == rounds and all(a is b for a, b in zip(fed, spy.points))
+    assert all(type(pt) is tuple and [type(v) for v in pt] == [float, float] for pt in spy.points)
+    assert set(spy.points) == _EMITTED[descriptor]
 
 
 def test_oblivious_sequence_independent_of_algorithm_seed():

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from onlineusm.balance import (
     RIGHT,
     TRIANGLE_TOL,
     UP,
-    BalancePoint,
     Balancer,
     ConstantPolicy,
     Ledger,
@@ -34,6 +34,16 @@ def random_triangle_points(count, rng):
     return alpha, beta
 
 
+def test_vertices_are_plain_pairs_that_are_immutable_and_pickle():
+    assert (UP, RIGHT, LEFT) == ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0))
+    for pt in (UP, RIGHT, LEFT):
+        assert type(pt) is tuple
+        with pytest.raises(TypeError):
+            pt[0] = 0.0
+        back = pickle.loads(pickle.dumps(pt))
+        assert type(back) is tuple and back == pt
+
+
 # --- decomposition -------------------------------------------------------
 
 def test_decompose_vertices():
@@ -47,9 +57,9 @@ def test_decompose_center_matches_linear_solve():
     for alpha, beta in [(0.0, 0.0), (0.3, 0.2), (-0.4, 0.9), (0.5, -0.5)]:
         a = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
         want = np.linalg.solve(a, np.array([1.0, alpha, beta]))
-        c_up, c_right, c_left = decompose(BalancePoint(alpha, beta))
+        c_up, c_right, c_left = decompose((alpha, beta))
         assert np.allclose([c_up, c_right, c_left], want, atol=1e-12)
-    assert decompose(BalancePoint(0.0, 0.0)) == pytest.approx((0.0, 0.5, 0.5))
+    assert decompose((0.0, 0.0)) == pytest.approx((0.0, 0.5, 0.5))
 
 
 def test_decompose_reconstruct_identity_bulk():
@@ -57,7 +67,7 @@ def test_decompose_reconstruct_identity_bulk():
     alpha, beta = random_triangle_points(100_000, rng)
     worst = 0.0
     for a, b in zip(alpha, beta):
-        c_up, c_right, c_left = decompose(BalancePoint(a, b))
+        c_up, c_right, c_left = decompose((a, b))
         ra, rb = reconstruct(c_up, c_right, c_left)
         worst = max(worst, abs(ra - a), abs(rb - b))
         assert c_up >= 0 and c_right >= 0 and c_left >= 0
@@ -66,7 +76,7 @@ def test_decompose_reconstruct_identity_bulk():
 
 
 def test_decompose_clamps_boundary_drift():
-    c_up, c_right, c_left = decompose(BalancePoint(1e-13, -2e-13))  # alpha+beta = -1e-13
+    c_up, c_right, c_left = decompose((1e-13, -2e-13))  # alpha+beta = -1e-13
     assert c_up == 0.0
     assert abs(c_up + c_right + c_left - 1.0) <= 1e-12
     ra, rb = reconstruct(c_up, c_right, c_left)
@@ -76,9 +86,9 @@ def test_decompose_clamps_boundary_drift():
 def test_decompose_rejects_far_outside():
     for bad in [(-1.0, -1.0), (1.2, 0.0), (0.0, -1.5), (-0.6, 0.5)]:
         with pytest.raises(InvalidPointError):
-            decompose(BalancePoint(*bad))
+            decompose(bad)
     # within the 1e-6 gate is accepted
-    decompose(BalancePoint(1.0 + 5e-7, -1.0))
+    decompose((1.0 + 5e-7, -1.0))
 
 
 # Base points on the triangle's edges (alpha = 1, beta = 1, alpha + beta = 0),
@@ -86,7 +96,7 @@ def test_decompose_rejects_far_outside():
 # coordinate then moves by up to 10 * TRIANGLE_TOL, so draws land on both
 # sides of the gate.  Half-tolerance steps put draws exactly on the gate.
 _on_boundary = st.one_of(
-    st.sampled_from([(UP.alpha, UP.beta), (RIGHT.alpha, RIGHT.beta), (LEFT.alpha, LEFT.beta)]),
+    st.sampled_from([UP, RIGHT, LEFT]),
     st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
     st.tuples(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0])),
     st.floats(-1.0, 1.0).map(lambda a: (a, -a)),
@@ -109,7 +119,7 @@ def _accepts(op) -> bool:
 @given(_on_boundary, _offset, _offset)
 def test_decompose_and_balancer_update_share_the_triangle_gate(base, da, db):
     a, b = base[0] + da, base[1] + db
-    pt = BalancePoint(a, b)
+    pt = (a, b)
     by_decompose = _accepts(lambda: decompose(pt))
     assert _accepts(lambda: Balancer(100).update(pt)) == by_decompose
     inside = (
@@ -131,7 +141,7 @@ def test_nan_inf_and_negative_zero_meet_one_gate(a, b):
     """``_in_triangle``, ``decompose`` and the chain ``Balancer.update`` spells
     inline accept the same points: no nan or infinite coordinate, and -0.0
     as 0.0."""
-    pt = BalancePoint(a, b)
+    pt = (a, b)
     gate = _in_triangle(a, b)
     assert _accepts(lambda: decompose(pt)) == gate
     balancer = Balancer(100)
@@ -141,7 +151,7 @@ def test_nan_inf_and_negative_zero_meet_one_gate(a, b):
                     and a + b >= -2 * TRIANGLE_TOL)
     if gate:
         # a zero of either sign weighs and moves the state as 0.0 does
-        plain = BalancePoint(a + 0.0, b + 0.0)
+        plain = (a + 0.0, b + 0.0)
         assert decompose(pt) == decompose(plain)
         reference = Balancer(100)
         reference.update(plain)
@@ -189,14 +199,14 @@ def test_balancer_stays_in_range_on_random_sequences():
         alpha, beta = random_triangle_points(T, rng)
         for a, be in zip(alpha, beta):
             b.decide(rng.random())
-            b.update(BalancePoint(a, be))
+            b.update((a, be))
             assert 0.0 <= b.x <= s
 
 
 def test_balancer_update_rejects_far_outside_points():
     b = Balancer(100)
     with pytest.raises(InvalidPointError):
-        b.update(BalancePoint(-0.8, 0.2))
+        b.update((-0.8, 0.2))
 
 
 def test_balancer_rejects_bad_horizon():
@@ -230,7 +240,7 @@ def test_mw_equal_rewards_keep_ratio():
     ratio = m.w_yes / m.w_no
     for c in (0.7, -0.2, 0.0):
         m.decide(0.5)
-        m.update(BalancePoint(c, c))
+        m.update((c, c))
         assert m.w_yes / m.w_no == pytest.approx(ratio, rel=1e-12)
 
 
@@ -270,7 +280,7 @@ def test_ledger_update_no_on_right():
 
 
 def test_ledger_update_zero_point():
-    points = [RIGHT, LEFT, UP, BalancePoint(0.0, 0.0)]
+    points = [RIGHT, LEFT, UP, (0.0, 0.0)]
     for p in (0.0, 1.0):
         before = ledger_after(p, points, 3)
         assert before != Ledger()
@@ -281,7 +291,7 @@ def test_ledger_bounds_after_t_rounds():
     rng = np.random.default_rng(9)
     t = 500
     alpha, beta = random_triangle_points(t, rng)
-    points = [BalancePoint(a, b) for a, b in zip(alpha, beta)]
+    points = list(zip(alpha, beta))
     led = ledger_after(0.5, points, t, seed=9)
     assert abs(led.r_alg) <= t / 2 + 1e-9
     assert abs(led.c_yes) <= t + 1e-9
@@ -349,7 +359,7 @@ def test_step_invariant_deltas_add_the_ledger_deltas_to_the_potential_changes():
     checked = 0
     for p in np.linspace(0, 1, 21):
         p = float(p)
-        for pt in (UP, RIGHT, LEFT, BalancePoint(0.3, 0.4), BalancePoint(-0.5, 0.7)):
+        for pt in (UP, RIGHT, LEFT, (0.3, 0.4), (-0.5, 0.7)):
             c_up, c_right, c_left = decompose(pt)
             x = p * s
             x2 = x + ((1.0 - 2.0 * p) * c_up + c_right - c_left)
@@ -381,7 +391,7 @@ def test_step_invariant_matches_reduced_algebra():
     alpha, beta = random_triangle_points(300, rng)
     for a, b in zip(alpha, beta):
         p = float(rng.random())
-        pt = BalancePoint(a, b)
+        pt = (a, b)
         c_up, c_right, c_left = decompose(pt)
         delta = (1 - 2 * p) * c_up + c_right - c_left
         want_alg = c_up * (1 + (1 - 2 * p) ** 2) / 2 - delta**2 / (2 * s)
@@ -452,8 +462,8 @@ def subroutines_in_any_state(draw):
     horizon = draw(st.integers(1, 400))
     sub = Balancer(horizon) if kind == "balancer" else TwoExperts(horizon)
     inside = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda ab: ab[0] + ab[1] >= 0.0)
-    for a, b in draw(st.lists(st.sampled_from([UP, RIGHT, LEFT]) | inside, max_size=30)):
-        sub.update(BalancePoint(a, b))
+    for pt in draw(st.lists(st.sampled_from([UP, RIGHT, LEFT]) | inside, max_size=30)):
+        sub.update(pt)
     return sub
 
 
@@ -498,7 +508,7 @@ def state_bits(subs, batch):
 _edge_points = st.tuples(_on_boundary, _offset, _offset).map(
     lambda d: (d[0][0] + d[1], d[0][1] + d[2])).filter(lambda ab: _in_triangle(*ab))
 _batch_points = (
-    st.sampled_from([tuple(UP), tuple(RIGHT), tuple(LEFT)])
+    st.sampled_from([UP, RIGHT, LEFT])
     | _edge_points
     | st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(lambda ab: ab[0] + ab[1] >= 0.0)
 )
@@ -537,7 +547,7 @@ def play_both(subs, batch, rounds):
         assert_decides_alike_at_p(subs, batch)
         assert_decides_alike(subs, batch, coins)
         for sub, pt in zip(subs, points):
-            sub.update(BalancePoint(*pt))
+            sub.update(pt)
         step_batch(subs, batch, points)
         scalar, batched = state_bits(subs, batch)
         assert scalar == batched
@@ -573,9 +583,9 @@ def test_batches_own_their_buffers_and_decisions(kind):
     coins = np.array([0.2, 0.5, 0.8])
     first = batch.decide(coins)
     kept = first.copy()
-    points = [tuple(RIGHT), tuple(LEFT), tuple(UP)]
+    points = [RIGHT, LEFT, UP]
     for sub, pt in zip(subs, points):
-        sub.update(BalancePoint(*pt))
+        sub.update(pt)
     step_batch(subs, batch, points)
     second = batch.decide(coins)
     assert first.tolist() == kept.tolist()
@@ -606,7 +616,7 @@ def test_batch_views_are_contiguous_and_tile_the_gather_buffer(kind, shape):
 def test_batch_step_caps_and_renormalizes_as_the_scalar_does(horizon):
     # copy 0 sees right points, copy 1 left points, copy 2 alternates: the
     # Balancer's x reaches both caps, and the mw weights renormalize
-    rounds = [((tuple(RIGHT), tuple(LEFT), tuple(RIGHT if t % 2 else LEFT)), (0.3, 0.6, 0.9))
+    rounds = [((RIGHT, LEFT, RIGHT if t % 2 else LEFT), (0.3, 0.6, 0.9))
               for t in range(3 * horizon)]
     subs, batch = scalars_and_batch("balancer", horizon, None, 3)
     states = [sub["x"] for row in play_both(subs, batch, rounds) for sub in row]
@@ -622,7 +632,7 @@ def test_batch_step_caps_and_renormalizes_as_the_scalar_does(horizon):
 def test_point_terms_mark_the_points_update_rejects(draws):
     a = [base[0] + da for base, da, _ in draws]
     b = [base[1] + db for base, _, db in draws]
-    want = [not _accepts(lambda: Balancer(100).update(BalancePoint(x, y))) for x, y in zip(a, b)]
+    want = [not _accepts(lambda: Balancer(100).update((x, y))) for x, y in zip(a, b)]
     _, rejected = Balancer(100).point_terms(np.array(a), np.array(b))
     assert (rejected.tolist() if rejected is not None else [False] * len(a)) == want
     assert rejected is None or any(want)

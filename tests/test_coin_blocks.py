@@ -1,15 +1,18 @@
 """Coins drawn as blocks are the coins drawn one at a time.
 
 A round takes its n coins as an array, coin i for element i.  A game
-draws each stream's coins for all its rounds as one ``random(T)``
-block, the balance game draws its T coins as one ``random(T)`` block,
-and a randomized offline walk of k sweeps draws its coins as one
-``random((k, n))`` block.  These tests pin that the blocks change
-no coin: the results, and the streams' states afterwards, are those of
-sequential ``random()`` calls.  A game needs one distinct stream per
-subroutine, and rejects anything else before it draws; so do the
-batched trials, for every trial's row of streams.
+draws each stream's coins ``_COIN_BLOCK`` rounds at a time into one
+reused buffer, so its coins take memory independent of T; the balance
+game draws its T coins as one ``random(T)`` block, and a randomized
+offline walk of k sweeps draws its coins as one ``random((k, n))``
+block.  These tests pin that the blocks change no coin: the results,
+and the streams' states afterwards, are those of sequential
+``random()`` calls.  A game needs one distinct stream per subroutine,
+and rejects anything else before it draws; so do the batched trials,
+for every trial's row of streams.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ import pytest
 from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, ConstantPolicy, TwoExperts
 from onlineusm.errors import ConfigError
-from onlineusm.framework import run_cycle_trials, run_round, run_usm_game
+from onlineusm.framework import _COIN_BLOCK, run_cycle_trials, run_round, run_usm_game
 from onlineusm.harness import build_balance_adversary, run_balance_game
 from onlineusm.offline import _BLOCK, rand_double_greedy_stats
 from onlineusm.submodular import normalize, random_digraph, tabulate
@@ -34,7 +37,7 @@ def streams_for(n, seed):
     return [np.random.default_rng((seed, i)) for i in range(n)]
 
 
-@pytest.mark.parametrize("rounds", [1, 7, 120])
+@pytest.mark.parametrize("rounds", [1, 7, 120, _COIN_BLOCK, _COIN_BLOCK + 1, 2 * _COIN_BLOCK + 44])
 def test_game_leaves_each_stream_after_rounds_draws(rounds):
     n = 5
     streams = streams_for(n, seed=3)
@@ -48,7 +51,8 @@ def test_game_leaves_each_stream_after_rounds_draws(rounds):
 
 @pytest.mark.parametrize("make", [Balancer, TwoExperts])
 def test_game_equals_rounds_on_sequential_streams(make):
-    n, rounds = 4, 60
+    # two full coin blocks and a partial one
+    n, rounds = 4, 2 * _COIN_BLOCK + 20
     oracles = cut_oracles(n, (5, 6, 7))
     res = run_usm_game([make(rounds) for _ in range(n)], CycleFunctionAdversary(oracles),
                        rounds, streams_for(n, seed=9), keep_transcripts=True)
@@ -58,6 +62,22 @@ def test_game_equals_rounds_on_sequential_streams(make):
         coins = [stream.random() for stream in plain]
         want_chosen, want_points = run_round(subs, oracles[t % len(oracles)], coins)
         assert (chosen, points) == (want_chosen, [list(pt) for pt in want_points])
+
+
+def test_game_coins_take_memory_independent_of_the_horizon():
+    # an (n, T) coin array alone would take n * T * 8 bytes, 512 KiB here;
+    # the other per-round arrays of an untracked game take 3 * T * 8
+    n, rounds = 16, 4096
+    adversary = CycleFunctionAdversary(cut_oracles(n, (3,)))
+    subs = [ConstantPolicy(0.5) for _ in range(n)]
+    streams = streams_for(n, seed=4)
+    tracemalloc.start()
+    try:
+        run_usm_game(subs, adversary, rounds, streams, track_opt=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * rounds * 8 // 2
 
 
 def reference_balance_game(subroutine, adversary, rounds, rng):
@@ -77,12 +97,13 @@ def reference_balance_game(subroutine, adversary, rounds, rng):
         pt = next_point(prev)
         d = decide(random())
         update(pt)
+        a, b = pt
         if d:
-            r_alg += 0.5 * pt.alpha
-            c_no += pt.beta
+            r_alg += 0.5 * a
+            c_no += b
         else:
-            r_alg += 0.5 * pt.beta
-            c_yes += pt.alpha
+            r_alg += 0.5 * b
+            c_yes += a
         rewards[t] = r_alg
         piles[t] = c_yes if c_yes >= c_no else c_no
         prev = d

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
-from onlineusm.balance import BalancePoint, Balancer, ConstantPolicy, TwoExperts
+from onlineusm.balance import Balancer, ConstantPolicy, TwoExperts
 from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import (
     _holds_prefix,
@@ -463,9 +463,9 @@ def test_run_round_subroutine_count_mismatch():
 
 def reference_round(subroutines, f, coins):
     """The single-loop round that ``run_round``'s three passes replaced,
-    past its argument checks, feeding each subroutine a ``BalancePoint``;
-    returns the round's chosen set, points, decisions, chains and queries
-    as a dict."""
+    past its argument checks, feeding each subroutine an ``(alpha, beta)``
+    tuple as ``run_round`` does; returns the round's chosen set, points,
+    decisions, chains and queries as a dict."""
     n = f.n
     q0 = f.queries
     x = 0
@@ -495,7 +495,7 @@ def reference_round(subroutines, f, coins):
     for sub, xprev, yprev in zip(subroutines, xs, ys):
         alpha = value[xprev | bit] - value[xprev]
         beta = value[yprev ^ bit] - value[yprev]
-        sub.update(BalancePoint(alpha, beta))
+        sub.update((alpha, beta))
         marginals.append((alpha, beta))
         bit <<= 1
 
@@ -582,7 +582,8 @@ def test_run_round_feeds_each_subroutine_the_point_it_records():
 @pytest.mark.parametrize("make", [Balancer, TwoExperts])
 def test_round_feeds_plain_pairs_that_subroutines_take_as_points(make):
     # each subroutine gets the very (alpha, beta) tuple the round returns,
-    # and steps from it bit for bit as from a BalancePoint of the same floats
+    # and steps from it bit for bit as from any other pair of the same
+    # floats, here a list
     n, rounds = 5, 30
     oracles = [random_cut_oracle(n, seed) for seed in (13, 14)]
     fed = []
@@ -603,7 +604,7 @@ def test_round_feeds_plain_pairs_that_subroutines_take_as_points(make):
         assert all(type(pt) is tuple for pt in points)
         for pair_fed, point_fed, pt in zip(from_pairs, from_points, points):
             pair_fed.update(pt)
-            point_fed.update(BalancePoint(*pt))
+            point_fed.update(list(pt))
     want = [subroutine_state(s) for s in from_points]
     assert [subroutine_state(s) for s in from_pairs] == want
     assert [subroutine_state(s) for s in subs] == want
@@ -622,14 +623,8 @@ def test_round_records_are_immutable_and_pickle():
             value[0] = 0
         back = pickle.loads(pickle.dumps(value))
         assert type(back) is type(value) and back == value
-    # the BalancePoint a caller may still build from a returned pair
-    pt = BalancePoint(*points[0])
-    with pytest.raises(AttributeError):
-        setattr(pt, "alpha", 0.0)
-    back = pickle.loads(pickle.dumps(pt))
-    assert type(back) is BalancePoint and back == pt == points[0]
     # a point is a nonempty tuple, so it is truthy whatever it holds
-    assert all(points) and BalancePoint(0.0, 0.0)
+    assert all(points)
 
 
 # --- usm_alpha_regret ----------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onlineusm.adversaries import CycleFunctionAdversary
-from onlineusm.balance import BalancePoint, Balancer, _in_triangle, step_invariant_deltas
+from onlineusm.balance import Balancer, _in_triangle, step_invariant_deltas
 from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import _replay, run_round, run_usm_game
 from onlineusm.offline import (
@@ -472,7 +472,7 @@ def test_whole_game_on_cycled_tables(data):
         assert _replay(res.oracles, res.chosen_sets, res.points, opt)[0] == 0
     for points in res.points.tolist():
         assert all(_in_triangle(a, b) for a, b in points)
-        for twin, pt in zip(twins, map(BalancePoint._make, points)):
+        for twin, pt in zip(twins, map(tuple, points)):
             d_alg, d_yes, d_no = step_invariant_deltas(twin.x / twin.sqrt_horizon, pt, rounds)
             assert d_alg - max(d_yes, d_no) + 2.0 / s >= 0.0
             twin.update(pt)

@@ -314,11 +314,23 @@ def main(argv):
 """
 
 
-def stub_copy(root, delay, text="rows\n", ballast=0):
+#: a stand-in for ``onlineusm.cli`` that rejects its arguments as the CLI
+#: does: a message on stderr and exit status 2
+FAILING_CLI = """\
+import sys
+
+
+def main(argv):
+    print("unknown balance adversary 'pattern:X'", file=sys.stderr)
+    return 2
+"""
+
+
+def stub_copy(root, delay, text="rows\n", ballast=0, cli=STUB_CLI):
     package = root / "src" / "onlineusm"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
-    (package / "cli.py").write_text(STUB_CLI)
+    (package / "cli.py").write_text(cli)
     (package / "work.py").write_text(f"DELAY = {delay}\nTEXT = {text!r}\nBALLAST = {ballast}\n")
     return root
 
@@ -380,5 +392,14 @@ def test_in_process_entries_share_the_file_with_runs(tmp_path):
 
 
 def test_a_failing_forked_call_raises():
-    with pytest.raises(RuntimeError, match="forked call failed"):
+    with pytest.raises(RuntimeError, match="forked call failed") as raised:
         paired_bench.forked(lambda: {}["missing"])
+    assert "KeyError: 'missing'" in str(raised.value)
+
+
+@pytest.mark.parametrize("fork", [False, True])
+def test_a_failing_command_raises_with_its_stderr(tmp_path, fork):
+    copies = stub_copies(tmp_path, {"delay": 0.0, "cli": FAILING_CLI}, {"delay": 0.0})
+    with pytest.raises(RuntimeError, match="returned 2") as raised:
+        paired_bench.run_in_process(copies, ["--n", "4"], 1, fork, tmp_path)
+    assert "unknown balance adversary 'pattern:X'" in str(raised.value)

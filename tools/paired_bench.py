@@ -356,16 +356,17 @@ def load_cli(copy: Path, name: str):
 
 def call_once(cli, argv: list[str], output: Path) -> dict:
     """One ``cli.main(argv + ["--output", output])``: its wall time and the
-    sha256 of its stdout followed by the bytes it wrote."""
+    sha256 of its stdout followed by the bytes it wrote.  A nonzero exit
+    raises, with what the call wrote to stderr."""
     output.unlink(missing_ok=True)
-    stdout = io.StringIO()
+    stdout, stderr = io.StringIO(), io.StringIO()
     gc.collect()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         start = time.perf_counter()
         code = cli.main([*argv, "--output", str(output)])
         wall = time.perf_counter() - start
     if code != 0:
-        raise RuntimeError(f"{cli.__name__}.main({argv}) returned {code}")
+        raise RuntimeError(f"{cli.__name__}.main({argv}) returned {code}; its stderr:\n{stderr.getvalue()}")
     digest = hashlib.sha256(stdout.getvalue().encode())
     if output.exists():
         # in blocks, so that a forked call's peak RSS is the command's, not the file's
@@ -376,7 +377,9 @@ def call_once(cli, argv: list[str], output: Path) -> dict:
 
 
 def forked(fn) -> dict:
-    """``fn()``'s record, made in a child forked from this process, with the child's peak RSS in MB."""
+    """``fn()``'s record, made in a child forked from this process, with the
+    child's peak RSS in MB.  If ``fn`` raises, so does this, with the
+    child's traceback."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -384,20 +387,21 @@ def forked(fn) -> dict:
         os.close(read)
         code = 1
         try:
-            record = fn()
-            record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             with os.fdopen(write, "w") as fh:
-                fh.write(json.dumps(record))
-            code = 0
-        except Exception:
-            traceback.print_exc()
+                try:
+                    record = fn()
+                    record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                    fh.write(json.dumps(record))
+                    code = 0
+                except Exception:
+                    fh.write(traceback.format_exc())
         finally:
             os._exit(code)
     os.close(write)
     with os.fdopen(read) as fh:
         text = fh.read()
     if os.waitpid(pid, 0)[1] != 0:
-        raise RuntimeError("a forked call failed; its traceback is on stderr")
+        raise RuntimeError(f"a forked call failed:\n{text}")
     return json.loads(text)
 
 
