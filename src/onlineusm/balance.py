@@ -8,14 +8,19 @@ alpha / 2 and adds beta to the adversary's "no" pile; choosing no pays
 beta / 2 and adds alpha to the "yes" pile.  The 1-regret target is
 max(C_yes, C_no) - R_alg.
 
-Two subroutines are provided: :class:`Balancer`, which paces a scalar
-x in [0, sqrt(T)] and says yes with probability x / sqrt(T), and
-:class:`TwoExperts`, a two-action multiplicative-weights learner; each
-one's ``decide(coin)`` returns its action as a plain ``bool``, True for
-yes.  Each also plays as a batch of copies that hold their
-yes-probabilities and step in place (see :class:`SubroutineBatch`).
-The quadratic potentials attached to the Balancer's state make its
-per-step progress checkable in closed form (:func:`step_invariant_deltas`).
+Two subroutines are provided: :class:`Balancer`, the paper's pacing
+subroutine, and :class:`TwoExperts`, a two-action multiplicative-weights
+learner; each one's ``decide(coin)`` returns its action as a plain
+``bool``, True for yes.  Each also plays as a batch of copies that hold
+their yes-probabilities and step in place (see :class:`SubroutineBatch`).
+
+The paper paces x = p sqrt(T) in [0, sqrt(T)], p the yes-probability, by
+x += (1 - 2p) c_up + c_right - c_left (:func:`decompose`'s weights), that
+is x += alpha - p (alpha + beta).  Divided by sqrt(T) this is the affine
+map p <- p (1 - (alpha + beta) / sqrt(T)) + alpha / sqrt(T), capped into
+[0, 1], by which the Balancer steps p.  The quadratic potentials of x
+(:func:`potentials`) make its per-step progress checkable in closed form
+(:func:`step_invariant_deltas`).
 """
 
 from __future__ import annotations
@@ -117,17 +122,16 @@ class SubroutineBatch:
     array of ``shape``.
 
     Bound once, for all rounds, to the copies' state, their held
-    yes-probability ``p``, a scratch array and ``gathered``: the buffer
-    of shape (terms, *shape) in which the caller leaves each copy's point
-    terms (those of ``point_terms``) before ``update``, which reads them
-    through ``views``, one contiguous ``gathered[j]`` per term, taken
-    here.  ``update`` steps every copy in place and refreshes ``p``, so
-    no round allocates state.
+    yes-probability ``p`` and ``gathered``: the buffer of shape (terms,
+    *shape) in which the caller leaves each copy's point terms (those of
+    ``point_terms``) before ``update``, which reads them through
+    ``views``, one contiguous ``gathered[j]`` per term, taken here.
+    ``update`` steps every copy in place and refreshes ``p``, so no round
+    allocates state.
     """
 
     def __init__(self, shape: tuple[int, ...], terms: int):
         self.p = np.empty(shape)
-        self.scratch = np.empty(shape)
         self.gathered = np.empty((terms, *shape))
         self.views = tuple(self.gathered)
 
@@ -146,82 +150,67 @@ def _sqrt_horizon(horizon: int) -> float:
 
 
 class Balancer:
-    """Pacing subroutine: keep x in [0, sqrt(T)], say yes w.p. x/sqrt(T).
-
-    The state update x += (1 - 2p) * c_up + c_right - c_left (then cap
-    into [0, sqrt(T)]) is deterministic given the revealed point; the
-    coin only realizes the decision.  Update-then-cap order matters for
-    the potential analysis and is preserved exactly.
+    """Pacing subroutine: yes with probability p, 1/2 at the start, stepped
+    by the paper's step divided by sqrt(T) (module docstring): p <- p * m + b
+    with m = 1 - (alpha + beta) / sqrt(T) and b = alpha / sqrt(T), then
+    capped into [0, 1].  b is ``alpha / sqrt(T) + 0.0``, which turns -0.0
+    into +0.0, so p never holds -0.0, which the cap's comparison keeps and
+    the batch's ``np.maximum`` may not.
     """
 
     def __init__(self, horizon: int):
         self.sqrt_horizon = _sqrt_horizon(horizon)
-        self.horizon = horizon
-        self.x = 0.5 * self.sqrt_horizon
+        self.p = 0.5
 
     def decide(self, coin: float) -> bool:
-        return coin < self.x / self.sqrt_horizon
+        return coin < self.p
 
     def update(self, pt: tuple[float, float]) -> None:
         a, b = pt
         # _in_triangle spelled out: one call fewer per element per round
         if not (_LO <= a <= _HI and _LO <= b <= _HI and a + b >= _SUM_LO):
             raise _point_error(a, b)
-        c_up = 0.5 * (a + b)
-        c_right = 0.5 * (1.0 - b)
-        c_left = 0.5 * (1.0 - a)
-        p = self.x / self.sqrt_horizon
-        x = self.x + (1.0 - 2.0 * p) * c_up + c_right - c_left
-        if x < 0.0:
-            x = 0.0
-        elif x > self.sqrt_horizon:
-            x = self.sqrt_horizon
-        self.x = x
+        s = self.sqrt_horizon
+        p = self.p * (1.0 - (a + b) / s) + (a / s + 0.0)
+        if p < 0.0:
+            p = 0.0
+        elif p > 1.0:
+            p = 1.0
+        self.p = p
 
     def batch(self, shape: tuple[int, ...]) -> "BalancerBatch":
         return BalancerBatch(self, shape)
 
     def point_terms(self, alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """c_up, c_right and c_left of each point, and the points outside
-        the triangle by more than ``TRIANGLE_TOL``; as in Python floats,
-        inf - inf is a silent nan."""
+        """m and b of each point, by ``update``'s operations, and the points
+        outside the triangle by more than ``TRIANGLE_TOL``; as in Python
+        floats, inf - inf is a silent nan."""
+        s = self.sqrt_horizon
         with np.errstate(invalid="ignore"):
             outside = _outside_triangle(alpha, beta)
-            terms = np.stack((0.5 * (alpha + beta), 0.5 * (1.0 - beta), 0.5 * (1.0 - alpha)))
+            terms = np.stack((1.0 - (alpha + beta) / s, alpha / s + 0.0))
         return terms, outside if outside.any() else None
 
 
 class BalancerBatch(SubroutineBatch):
-    """Balancers stepped together; besides x and p each copy holds
-    1 - 2p, the weight of its c_up term.  The constants 0, 1, 2 and
-    sqrt(T) are bound as arrays of the batch's shape, so no step
-    converts a Python float."""
+    """Balancers stepped together: each copy's p is its state, stepped by
+    p = p * m + b and capped as :meth:`Balancer.update` does.  The cap's
+    0 and 1 are bound as arrays of the batch's shape, so no step converts
+    a Python float."""
 
     def __init__(self, sub: Balancer, shape: tuple[int, ...]):
-        super().__init__(shape, 3)
-        self.sqrt_horizon = np.full(shape, sub.sqrt_horizon)
-        self.zero, self.one, self.two = (np.full(shape, c) for c in (0.0, 1.0, 2.0))
-        self.x = np.full(shape, sub.x)
-        self.q = np.empty(shape)
-        self._follow_x()
-
-    def _follow_x(self) -> None:
-        """p = x / sqrt(T) and q = 1 - 2p, as the scalar computes them."""
-        np.divide(self.x, self.sqrt_horizon, out=self.p)
-        np.multiply(self.p, self.two, out=self.q)
-        np.subtract(self.one, self.q, out=self.q)
+        super().__init__(shape, 2)
+        self.p[...] = sub.p
+        self.zero, self.one = np.zeros(shape), np.ones(shape)
 
     def update(self) -> None:
-        """x = ((x + (1 - 2p) c_up) + c_right) - c_left, then the cap, per copy."""
-        c_up, c_right, c_left = self.views
-        x = self.x
-        np.multiply(self.q, c_up, out=self.scratch)
-        x += self.scratch
-        x += c_right
-        x -= c_left
-        np.maximum(x, self.zero, out=x)
-        np.minimum(x, self.sqrt_horizon, out=x)
-        self._follow_x()
+        """p = p * m + b, then the cap, per copy."""
+        m, b = self.views
+        p = self.p
+        p *= m
+        p += b
+        np.maximum(p, self.zero, out=p)
+        np.minimum(p, self.one, out=p)
 
 
 class TwoExperts:
@@ -267,6 +256,7 @@ class TwoExpertsBatch(SubroutineBatch):
 
     def __init__(self, sub: TwoExperts, shape: tuple[int, ...]):
         super().__init__(shape, 2)
+        self.scratch = np.empty(shape)
         self.w_yes = np.full(shape, sub.w_yes)
         self.w_no = np.full(shape, sub.w_no)
         self._follow_weights()

@@ -86,8 +86,10 @@ _PREFIX_BYTES = 1 << 26
 def _holds_prefix(adversary, n: int, rounds: int) -> bool:
     """Whether trials against ``adversary`` play as one batch: a cycle
     whose rounds can reach all 2^n nodes, with value tables, and, per
-    node of each distinct function, up to three float64 terms per chosen
-    set and element plus alpha and beta within ``_PREFIX_BYTES``."""
+    node of each distinct function, three float64 terms per chosen set
+    and element plus alpha and beta within ``_PREFIX_BYTES``.  No
+    subroutine's ``point_terms`` holds more than two terms, so the third
+    is headroom."""
     return (
         isinstance(adversary, CycleFunctionAdversary)
         and 1 << n <= rounds
@@ -158,7 +160,9 @@ class UsmRunResult:
     turns ``cum_opt`` and ``cum_rewards`` into the alpha-regret.  A run
     that keeps its rounds holds each round's chosen set, the points it
     fed (``points[t - 1, i]`` is element i + 1's alpha and beta) and its
-    oracle, which :func:`_replay` reads with ``opt_set``.
+    oracle, which :func:`_replay` reads with ``opt_set``.  Every round is
+    charged 2n, so ``round_queries`` is one read-only int64 broadcast over
+    the rounds.
     """
 
     rewards: np.ndarray
@@ -289,7 +293,7 @@ def run_usm_game(
     if track_opt and n > ENUMERATION_LIMIT:
         raise SizeError(f"tracking the best fixed set needs n <= {ENUMERATION_LIMIT}")
     rewards = np.empty(rounds)
-    round_queries = np.full(rounds, 2 * n, dtype=np.int64)
+    round_queries = np.broadcast_to(np.int64(2 * n), (rounds,))
     tables: list[np.ndarray] = []
     table_cache: dict[int, np.ndarray] = {}
     sets: list[int] | None = [] if keep_sets or keep_transcripts else None
@@ -346,7 +350,7 @@ def run_cycle_trials(
     that game checks them.
 
     ``sub`` becomes a batch of shape (trials, n), bound once to its
-    state, held yes-probabilities, scratch array and gather buffer.
+    state, held yes-probabilities and gather buffer.
     Element i + 1's point sits at node 2^i | S & (2^i - 1) for the
     round's chosen set S, so each distinct function's
     :func:`_prefix_points` become ``sub``'s point terms laid out
@@ -407,7 +411,7 @@ def run_cycle_trials(
         g._charge(2 * n * trials * len(range(j, rounds, period)))
     cum_opt, opt_set = _cycle_best(tables, rounds)
     cum_opt.flags.writeable = False
-    round_queries = np.full(rounds, 2 * n, dtype=np.int64)
+    round_queries = np.broadcast_to(np.int64(2 * n), (rounds,))
 
     if keep_transcripts:
         # alpha and beta at every node, by cycle position: (period, 2^n, 2)

@@ -1,5 +1,6 @@
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,52 +156,51 @@ def test_nan_inf_and_negative_zero_meet_one_gate(a, b):
         assert decompose(pt) == decompose(plain)
         reference = Balancer(100)
         reference.update(plain)
-        assert balancer.x == reference.x
+        assert balancer.p == reference.p
     else:
-        assert balancer.x == 5.0  # a rejected point leaves the state as it was
+        assert balancer.p == 0.5  # a rejected point leaves the state as it was
 
 
 # --- balancer ------------------------------------------------------------
 
 def test_balancer_midpoint_up_keeps_state():
-    b = Balancer(100)  # sqrt(T) = 10, x starts at 5
-    p = b.x / b.sqrt_horizon
+    b = Balancer(100)  # sqrt(T) = 10, p starts at 0.5 (x = p sqrt(T) = 5)
+    p = b.p
     d = b.decide(0.49)
     b.update(UP)
     assert p == 0.5 and d is True
-    assert b.x == 5.0
+    assert b.p == 0.5
 
 
 def test_balancer_cap_at_lower_boundary():
     b = Balancer(100)
-    b.x = 0.0
-    p = b.x / b.sqrt_horizon
+    b.p = 0.0
+    p = b.p
     d = b.decide(0.0)
     b.update(LEFT)
     assert p == 0.0 and d is False
-    assert b.x == 0.0
+    assert b.p == 0.0
 
 
 def test_balancer_cap_at_upper_boundary():
     b = Balancer(100)
-    b.x = 10.0
-    p = b.x / b.sqrt_horizon
+    b.p = 1.0
+    p = b.p
     d = b.decide(0.999)
     b.update(RIGHT)
     assert p == 1.0 and d is True
-    assert b.x == 10.0
+    assert b.p == 1.0
 
 
 def test_balancer_stays_in_range_on_random_sequences():
     rng = np.random.default_rng(2)
     for T in (7, 50, 400):
         b = Balancer(T)
-        s = math.sqrt(T)
         alpha, beta = random_triangle_points(T, rng)
         for a, be in zip(alpha, beta):
             b.decide(rng.random())
             b.update((a, be))
-            assert 0.0 <= b.x <= s
+            assert 0.0 <= b.p <= 1.0
 
 
 def test_balancer_update_rejects_far_outside_points():
@@ -445,8 +445,6 @@ def test_constant_policies():
 
 def yes_probability(sub):
     """The yes-probability a subroutine's state gives its next ``decide``."""
-    if isinstance(sub, Balancer):
-        return sub.x / sub.sqrt_horizon
     if isinstance(sub, TwoExperts):
         return sub.w_yes / (sub.w_yes + sub.w_no)
     return sub.p
@@ -496,7 +494,7 @@ def state_bits(subs, batch):
     """Each state field of the scalar subroutines and of the batch, and each
     copy's yes-probability (the batch's held ``p``), as int64 bit patterns
     per copy: (scalars', batch's)."""
-    names = {Balancer: ("x",), TwoExperts: ("w_yes", "w_no"), ConstantPolicy: ("p",)}[type(subs[0])]
+    names = {Balancer: ("p",), TwoExperts: ("w_yes", "w_no"), ConstantPolicy: ("p",)}[type(subs[0])]
     scalar = [np.array([getattr(sub, name) for sub in subs]).view(np.int64).tolist() for name in names]
     scalar.append(np.array([yes_probability(sub) for sub in subs]).view(np.int64).tolist())
     batched = [np.broadcast_to(getattr(batch, name), len(subs)).view(np.int64).tolist() for name in (*names, "p")]
@@ -615,12 +613,12 @@ def test_batch_views_are_contiguous_and_tile_the_gather_buffer(kind, shape):
 @pytest.mark.parametrize("horizon", [1, 2, 5, 100])
 def test_batch_step_caps_and_renormalizes_as_the_scalar_does(horizon):
     # copy 0 sees right points, copy 1 left points, copy 2 alternates: the
-    # Balancer's x reaches both caps, and the mw weights renormalize
+    # Balancer's p reaches both caps, and the mw weights renormalize
     rounds = [((RIGHT, LEFT, RIGHT if t % 2 else LEFT), (0.3, 0.6, 0.9))
               for t in range(3 * horizon)]
     subs, batch = scalars_and_batch("balancer", horizon, None, 3)
-    states = [sub["x"] for row in play_both(subs, batch, rounds) for sub in row]
-    assert 0.0 in states and math.sqrt(horizon) in states
+    states = [sub["p"] for row in play_both(subs, batch, rounds) for sub in row]
+    assert 0.0 in states and 1.0 in states
     subs, batch = scalars_and_batch("mw", horizon, None, 3)
     states = play_both(subs, batch, rounds)
     assert all(max(sub["w_yes"], sub["w_no"]) == 1.0 for row in states for sub in row)
@@ -646,6 +644,73 @@ def test_point_terms_gate_nan_inf_and_negative_zero_as_update_does():
     # the other subroutines check no point
     for sub in (TwoExperts(100), ConstantPolicy(0.5)):
         assert sub.point_terms(alpha, beta)[1] is None
+
+
+# --- the Balancer's affine step against the paper's step ------------------
+
+def _paper_step(p, pt, s):
+    """The paper's step of x = p s, x + (1 - 2p) c_up + c_right - c_left
+    with the unclamped weights of ``decompose``, capped into [0, s], then
+    divided by s: exact, for Fractions."""
+    a, b = pt
+    x = p * s
+    x += (1 - 2 * p) * (a + b) / 2 + (1 - b) / 2 - (1 - a) / 2
+    return min(max(x, 0), s) / s
+
+
+def _affine_step(p, pt, s):
+    """The Balancer's map p * (1 - (a + b) / s) + a / s, capped into [0, 1]: exact, for Fractions."""
+    a, b = pt
+    return min(max(p * (1 - (a + b) / s) + a / s, 0), 1)
+
+
+_unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pt=_batch_points, p=_unit, horizon=st.integers(1, 400))
+def test_affine_map_is_the_papers_step_divided_by_sqrt_horizon(pt, p, horizon):
+    # exact arithmetic at the float sqrt(T) the Balancer holds: the identity
+    # is algebraic, so it holds for any positive s
+    s = Fraction(math.sqrt(horizon))
+    exact = [Fraction(v) for v in pt]
+    assert _affine_step(Fraction(p), exact, s) == _paper_step(Fraction(p), exact, s)
+
+
+#: unit roundoff of float64
+_U = Fraction(1, 2**53)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pt=_batch_points, p=_unit, horizon=st.integers(1, 400))
+def test_float_step_is_within_ten_units_of_roundoff_of_the_exact_step(pt, p, horizon):
+    # With u = 2^-53, |a|, |b| <= 1 + tol, a + b >= -2 tol, s >= 1, p in [0, 1]
+    # and each operation's result r(1 + d), |d| <= u:
+    #   q = fl(fl(a + b) / s)  |q - (a+b)/s| <= (2u + u^2) |a+b| / s <= 4.1u
+    #   m = fl(1 - q)          |1 - q| <= 1.01, so |m - (1 - (a+b)/s)| <= 4.1u + 1.01u = 5.2u
+    #   b' = fl(a / s) + 0.0   |b' - a/s| <= 1.01u (adding +0.0 is exact)
+    #   y = fl(p m)            |y - p(1 - (a+b)/s)| <= 5.2u + 1.01u = 6.3u
+    #   z = fl(y + b')         |z - exact| <= 6.3u + 1.01u + u |y + b'| <= 6.3u + 1.01u + 2.03u = 9.4u
+    # The cap is exact and 1-Lipschitz, so the capped step keeps the bound.
+    sub = Balancer(horizon)
+    sub.p = p
+    sub.update(pt)
+    s = Fraction(sub.sqrt_horizon)
+    exact = _affine_step(Fraction(p), [Fraction(v) for v in pt], s)
+    assert 0.0 <= sub.p <= 1.0
+    assert abs(Fraction(sub.p) - exact) <= 10 * _U
+
+
+def test_no_zero_point_leaves_a_negative_zero_state():
+    # at T = 1 a point (-0.0, beta > 1) has m = 1 - beta < 0, so p = 0.0 times
+    # m is -0.0; alpha / sqrt(T) is -0.0 too, and without the + 0.0 the sum
+    # would be -0.0, which the scalar's cap keeps and the batch's
+    # np.maximum may turn into 0.0
+    subs, batch = scalars_and_batch("balancer", 1, None, 2)
+    rounds = [((LEFT, LEFT), (0.5, 0.5)), (((-0.0, 1.0 + TRIANGLE_TOL / 2), (0.0, 1.0)), (0.5, 0.5))]
+    play_both(subs, batch, rounds)
+    assert [math.copysign(1.0, sub.p) for sub in subs] == [1.0, 1.0]
+    assert [sub.p for sub in subs] == [0.0, 0.0]
 
 
 # --- empirical two-experts reduction (extremal oblivious adversaries) ----

@@ -426,14 +426,14 @@ def test_online_round_on_every_family(table, data):
     n = table.size.bit_length() - 1
     horizon = data.draw(st.integers(1, 400))
     s = math.sqrt(horizon)
-    xs = data.draw(st.lists(st.floats(0.0, s), min_size=n, max_size=n))
+    states = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     coins = data.draw(_coins(n, 1))[0]
     f, asked = _recording_oracle(table)
-    subroutines = [Balancer(horizon) for _ in xs]
-    for b, x in zip(subroutines, xs):
-        b.x = x
+    subroutines = [Balancer(horizon) for _ in states]
+    for b, p in zip(subroutines, states):
+        b.p = p
     # each subroutine's yes-probability, read from its state before it decides
-    ps = [b.x / b.sqrt_horizon for b in subroutines]
+    ps = [b.p for b in subroutines]
     tr = RoundRecord(*run_round(subroutines, f, coins))
     assert all(_in_triangle(a, b) for a, b in tr.points)
     assert len(asked) == len(set(asked)) == f.queries == 2 * n
@@ -473,10 +473,10 @@ def test_whole_game_on_cycled_tables(data):
     for points in res.points.tolist():
         assert all(_in_triangle(a, b) for a, b in points)
         for twin, pt in zip(twins, map(tuple, points)):
-            d_alg, d_yes, d_no = step_invariant_deltas(twin.x / twin.sqrt_horizon, pt, rounds)
+            d_alg, d_yes, d_no = step_invariant_deltas(twin.p, pt, rounds)
             assert d_alg - max(d_yes, d_no) + 2.0 / s >= 0.0
             twin.update(pt)
-    assert [twin.x for twin in twins] == [sub.x for sub in subroutines]
+    assert [twin.p for twin in twins] == [sub.p for sub in subroutines]
 
 
 def exact_rand_sweep_value(table):

@@ -326,12 +326,32 @@ def main(argv):
 """
 
 
+#: a stand-in for ``perfbench/workloads.py``: a frozen dataclass, as the
+#: benchmark's, whose argv puts ``--output`` between other arguments
+STUB_WORKLOADS = """\
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Workload:
+    n: int
+
+    def argv(self, seed, output):
+        return ["--n", str(self.n * seed), "--output", output, "--summary", "yes"]
+
+
+WORKLOADS = {"tiny": Workload(2)}
+"""
+
+
 def stub_copy(root, delay, text="rows\n", ballast=0, cli=STUB_CLI):
     package = root / "src" / "onlineusm"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "cli.py").write_text(cli)
     (package / "work.py").write_text(f"DELAY = {delay}\nTEXT = {text!r}\nBALLAST = {ballast}\n")
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "workloads.py").write_text(STUB_WORKLOADS)
     return root
 
 
@@ -403,3 +423,31 @@ def test_a_failing_command_raises_with_its_stderr(tmp_path, fork):
     with pytest.raises(RuntimeError, match="returned 2") as raised:
         paired_bench.run_in_process(copies, ["--n", "4"], 1, fork, tmp_path)
     assert "unknown balance adversary 'pattern:X'" in str(raised.value)
+
+
+def test_a_workloads_argv_is_taken_from_its_copy_without_the_output(tmp_path):
+    copies = stub_copies(tmp_path, {"delay": 0.02}, {"delay": 0.0})
+    argv = paired_bench.workload_argv(copies["change"], "tiny", 3)
+    assert argv == ["--n", "6", "--summary", "yes"]
+    runs = paired_bench.run_in_process(copies, argv, 2, False, tmp_path)
+    out = paired_bench.summarize_in_process(runs, WALL, None)
+    assert out["metrics"]["wall_s"]["pairs_won"] == 2 and out["identical"]
+    # the call appended its own --output, and the stub wrote the workload's --n there
+    assert (tmp_path / "change.out").read_text() == "rows\n6"
+    assert "paired_bench_workloads" not in paired_bench.sys.modules
+    with pytest.raises(ValueError, match="no workload 'usm-n8-cycle'"):
+        paired_bench.workload_argv(copies["change"], "usm-n8-cycle", 1)
+
+
+@pytest.mark.parametrize("argv", [["--in-process", "--suite"], ["--command", "x"], ["--workload", "w", "--fork"],
+                                  ["--suite", "--fork"]])
+def test_in_process_options_go_together(argv):
+    with pytest.raises(SystemExit) as raised:
+        paired_bench.main(["--parent", "a", "--change", "b", *argv])
+    assert raised.value.code == 2
+
+
+def test_the_benchmarks_own_workloads_give_their_argv():
+    argv = paired_bench.workload_argv(ROOT, "usm-n8-cycle", 7)
+    assert "--output" not in argv and argv[:2] == ["simulate-usm", "--n"]
+    assert argv[argv.index("--seed") + 1] == "7"

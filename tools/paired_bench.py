@@ -44,22 +44,24 @@ and q3.  The verdict judges the wall time as above, against ``SUITE_BOUND``,
 and fails when any run on either side has a failed test.
 
 ``--in-process --command "<argv>"`` times one CLI command inside one
-process instead: it imports each copy's ``src/onlineusm`` under its own
-package name (``onlineusm_parent``, ``onlineusm_change``; the package uses
-only relative imports), calls each side's ``cli.main`` once to warm it,
-then alternately, ``--pairs`` times, with ``--output`` appended to the
-argv (a file in a temporary directory).  Each call records its wall time
-and the sha256 of its stdout followed by the file it wrote; both sides
-must write identical bytes.  With ``--fork`` each call runs in a child
-forked from the tool's process, which holds both copies imported, and
-also records the child's peak RSS (which starts at the tool's own).  The
-record, the quartiles and pairs won of ``IN_PROCESS_METRICS`` and the
-digests, goes to the same ``--out`` file under ``in_process``, one entry
-per command.  It locates a difference that process-level runs show (in
-the command, or only across processes); the process-level verdict stays
-the gate.  Byte checks need a command whose output does not depend on
-the process: a cycle kind, a balance game or a run with
-``--keep-transcripts``.
+process instead (``--in-process --workload W --seed S`` times workload W's
+command: the argv ``WORKLOADS[W].argv(S, ...)`` of the change copy's
+``perfbench/workloads.py``, without its ``--output``).  It imports each
+copy's ``src/onlineusm`` under its own package name (``onlineusm_parent``,
+``onlineusm_change``; the package uses only relative imports), calls each
+side's ``cli.main`` once to warm it, then alternately, ``--pairs`` times,
+with ``--output`` appended to the argv (a file in a temporary directory).
+Each call records its wall time and the sha256 of its stdout followed by
+the file it wrote; both sides must write identical bytes.  With ``--fork``
+each call runs in a child forked from the tool's process, which holds both
+copies imported, and also records the child's peak RSS (which starts at
+the tool's own).  The record, the quartiles and pairs won of
+``IN_PROCESS_METRICS`` and the digests, goes to the same ``--out`` file
+under ``in_process``, one entry per command.  It locates a difference that
+process-level runs show (in the command, or only across processes); the
+process-level verdict stays the gate.  Byte checks need a command whose
+output does not depend on the process: a cycle kind, a balance game or a
+run with ``--keep-transcripts``.
 
 Any tree-ish names a revision, so an uncommitted change can be measured
 as the tree of its index (``git write-tree`` after ``git add -A``).  Each
@@ -405,6 +407,26 @@ def forked(fn) -> dict:
     return json.loads(text)
 
 
+def workload_argv(copy: Path, name: str, seed: int) -> list[str]:
+    """Workload ``name``'s CLI argv at ``seed`` from ``copy``'s
+    ``perfbench/workloads.py``, imported by path, without its ``--output``
+    pair (:func:`call_once` appends its own)."""
+    spec = importlib.util.spec_from_file_location("paired_bench_workloads", copy / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is built
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    if name not in workloads.WORKLOADS:
+        raise ValueError(f"no workload {name!r}; there are {sorted(workloads.WORKLOADS)}")
+    argv = workloads.WORKLOADS[name].argv(seed, "")
+    at = argv.index("--output")
+    del argv[at:at + 2]
+    return argv
+
+
 def run_in_process(copies: dict[str, Path], argv: list[str], pairs: int, fork: bool, outdir: Path) -> list[dict]:
     """``pairs`` alternating pairs of :func:`call_once` on each side's ``cli``, after one warm-up call each."""
     clis = {side: load_cli(copies[side], f"onlineusm_{side}") for side in SIDES}
@@ -496,8 +518,9 @@ def main(argv=None) -> int:
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload")
     what.add_argument("--suite", action="store_true", help="time the tier-1 test suite")
-    what.add_argument("--in-process", action="store_true", help="time --command inside one process")
-    parser.add_argument("--command", help="onlineusm CLI arguments for --in-process, without --output")
+    what.add_argument("--command", help="onlineusm CLI arguments for --in-process, without --output")
+    parser.add_argument("--in-process", action="store_true",
+                        help="time --command, or --workload's command, inside one process")
     parser.add_argument("--fork", action="store_true", help="with --in-process, fork a child per call "
                                                              "and record its peak RSS")
     parser.add_argument("--seed", type=int, default=1)
@@ -507,8 +530,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="BENCH_<tag>.json to write or extend")
     args = parser.parse_args(argv)
 
-    if args.in_process != (args.command is not None) or (args.fork and not args.in_process):
-        parser.error("--command and --fork go with --in-process, which needs --command")
+    if args.suite if args.in_process else args.command is not None or args.fork:
+        parser.error("--command and --fork go with --in-process, which needs --command or --workload")
     bench = json.loads(Path("BENCHMARK.json").read_text())
     if args.in_process:
         metrics = {m: IN_PROCESS_METRICS[m] for m in (("wall_s", "peak_rss_mb") if args.fork else ("wall_s",))}
@@ -527,11 +550,20 @@ def main(argv=None) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     key = "runs"
     if args.in_process:
-        runs = run_in_process(copies, shlex.split(args.command), args.pairs, args.fork, workdir)
+        if args.workload is None:
+            argv, named = shlex.split(args.command), {}
+        else:
+            try:
+                argv = workload_argv(copies["change"], args.workload, args.seed)
+            except ValueError as err:
+                parser.error(str(err))
+            named = {"workload": args.workload, "seed": args.seed}
+        command = args.command or shlex.join(argv)
+        runs = run_in_process(copies, argv, args.pairs, args.fork, workdir)
         result = summarize_in_process(runs, metrics, args.claim)
-        print_in_process_summary(args.command, result)
+        print_in_process_summary(command, result)
         host = host_of(copies["change"])
-        key, entry = "in_process", {"command": args.command, "fork": args.fork, "pairs": args.pairs,
+        key, entry = "in_process", {"command": command, **named, "fork": args.fork, "pairs": args.pairs,
                                     "started_utc": started, **result}
     elif args.suite:
         runs = measure(copies, args.pairs, run_suite_once,
