@@ -33,8 +33,9 @@ count no query.
 
 Subroutine i decides with one uniform coin per round.  A round takes
 its n coins as an array, coin i for element i; a game draws each
-element's coins for all rounds as one ``random(T)`` block of its own
-stream, which equals T sequential draws.
+element's coins from its own stream ``_COIN_BLOCK`` rounds at a time
+into one reused buffer (:func:`_coin_blocks`), which equals T
+sequential draws.
 
 Element i's point depends only on the function and the prefix X_{i-1}
 = S & (2^(i-1) - 1) of the round's chosen set S: it is node
@@ -86,15 +87,14 @@ _PREFIX_BYTES = 1 << 26
 def _holds_prefix(adversary, n: int, rounds: int) -> bool:
     """Whether trials against ``adversary`` play as one batch: a cycle
     whose rounds can reach all 2^n nodes, with value tables, and, per
-    node of each distinct function, three float64 terms per chosen set
-    and element plus alpha and beta within ``_PREFIX_BYTES``.  No
-    subroutine's ``point_terms`` holds more than two terms, so the third
-    is headroom."""
+    node of each distinct function, the at most two float64 terms per
+    element that a subroutine's ``point_terms`` holds plus alpha and beta
+    within ``_PREFIX_BYTES``."""
     return (
         isinstance(adversary, CycleFunctionAdversary)
         and 1 << n <= rounds
         and n <= ENUMERATION_LIMIT
-        and len(set(adversary.oracles)) * 8 * (3 * n + 2) << n <= _PREFIX_BYTES
+        and len(set(adversary.oracles)) * 8 * (2 * n + 2) << n <= _PREFIX_BYTES
     )
 
 
@@ -221,15 +221,15 @@ def _cycle_best(tables: Sequence[np.ndarray], rounds: int) -> tuple[np.ndarray, 
     return cum_opt, int(np.argmax(total))
 
 
-def _coin_blocks(streams: Sequence[np.random.Generator], rounds: int):
-    """Yield ``(start, coins)`` for each block of up to ``_COIN_BLOCK``
-    rounds from ``start`` on: ``coins[j, k]`` is stream j's coin for round
+def _coin_blocks(streams: Sequence[np.random.Generator], rounds: int, block: int = _COIN_BLOCK):
+    """Yield ``(start, coins)`` for each block of up to ``block`` rounds
+    from ``start`` on: ``coins[j, k]`` is stream j's coin for round
     start + k.  One buffer is refilled block by block, so the coins take
     memory independent of ``rounds``; each stream's draws, and its state
     after them, are those of sequential ``random()`` calls."""
-    coins = np.empty((len(streams), min(rounds, _COIN_BLOCK)))
-    for start in range(0, rounds, _COIN_BLOCK):
-        size = min(_COIN_BLOCK, rounds - start)
+    coins = np.empty((len(streams), min(rounds, block)))
+    for start in range(0, rounds, block):
+        size = min(block, rounds - start)
         for stream, row in zip(streams, coins):
             stream.random(out=row[:size])
         yield start, coins[:, :size]

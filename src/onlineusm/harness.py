@@ -23,9 +23,11 @@ An experiment's result rows are seven column arrays named by
 the rest), in (trial, round) order.  Both online games build them, and
 their summaries, in one function from each trial's series with array
 operations, so no Python object per row exists until output.  CSV and
-JSON output format a bounded slice of rows at a time, and a cell that
-every trial shares round by round once for all trials.  Files are
-written atomically (temp file, then rename).
+JSON output format a bounded slice of rows at a time, a cell that every
+trial shares round by round once for all trials, and, when the
+``reward`` column holds few distinct values (a cycle of value tables
+gives at most k * 2^n), each of them once.  Files are written atomically
+(temp file, then rename).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from . import adversaries as adv
 from . import balance as bal
 from .errors import ConfigError
 from .framework import (
+    _coin_blocks,
     _cycle_best,
     _holds_prefix,
     _replay,
@@ -255,6 +258,12 @@ class BalanceRunResult:
     pile_series: np.ndarray
 
 
+#: rounds of coins the balance game draws at a time: its rounds are short,
+#: and at the engines' ``_COIN_BLOCK`` of 128 the per-block cost made a
+#: game about 5 % slower than one ``random(T)`` draw
+_BALANCE_COIN_BLOCK = 1024
+
+
 def run_balance_game(
     subroutine,
     adversary,
@@ -264,11 +273,12 @@ def run_balance_game(
     """Play ``rounds`` rounds: decide, reveal, update, settle the ledger.
 
     Adaptive adversaries see only strictly past decisions; the round's
-    point is fixed before the round's coin is read.  The ``rounds``
-    coins are drawn up front as one ``rng.random(rounds)`` block, which
-    yields the same values as ``rounds`` sequential ``random()`` calls
-    and leaves ``rng`` in the same state.  ``reward_series`` and
-    ``pile_series`` hold R_alg and max(C_yes, C_no) after each round.
+    point is fixed before the round's coin is read.  The coins are drawn
+    ``_BALANCE_COIN_BLOCK`` rounds at a time into one reused buffer
+    (:func:`~onlineusm.framework._coin_blocks`), which yields the same
+    values as ``rounds`` sequential ``random()`` calls and leaves ``rng``
+    in the same state.  ``reward_series`` and ``pile_series`` hold R_alg
+    and max(C_yes, C_no) after each round.
     """
     r_alg = 0.0
     c_yes = 0.0
@@ -279,20 +289,21 @@ def run_balance_game(
     next_point = adversary.next_point
     decide = subroutine.decide
     update = subroutine.update
-    for t, coin in enumerate(rng.random(rounds).tolist()):
-        pt = next_point(prev)
-        d = decide(coin)
-        update(pt)
-        a, b = pt
-        if d:
-            r_alg += 0.5 * a
-            c_no += b
-        else:
-            r_alg += 0.5 * b
-            c_yes += a
-        rewards[t] = r_alg
-        piles[t] = c_yes if c_yes >= c_no else c_no
-        prev = d
+    for start, coins in _coin_blocks([rng], rounds, _BALANCE_COIN_BLOCK):
+        for t, coin in enumerate(coins[0].tolist(), start):
+            pt = next_point(prev)
+            d = decide(coin)
+            update(pt)
+            a, b = pt
+            if d:
+                r_alg += 0.5 * a
+                c_no += b
+            else:
+                r_alg += 0.5 * b
+                c_yes += a
+            rewards[t] = r_alg
+            piles[t] = c_yes if c_yes >= c_no else c_no
+            prev = d
     return BalanceRunResult(bal.Ledger(r_alg, c_yes, c_no), rewards, piles)
 
 
@@ -537,8 +548,13 @@ def _run_verify(config: ExperimentConfig) -> dict:
 
 #: rows per output slice and rounds per chunk of per-round text: only one
 #: slice's cells exist as Python objects at a time (4096 rows raised the
-#: peak of an 8-trial, 4000-round CSV run by about 1 MB)
+#: peak of an 8-trial, 4000-round CSV run by about 1 MB); also the most
+#: distinct ``reward`` cells formatted once each (:func:`_distinct`), which
+#: an int16 index must reach
 _ROWS_PER_SLICE = 1024
+
+#: rows of ``reward`` whose bit patterns :func:`_distinct` sorts at a time
+_COUNT_ROWS = 8192
 
 
 def _per_round(arrays: list[np.ndarray]) -> tuple[int, list[bool]]:
@@ -557,11 +573,40 @@ def _per_round(arrays: list[np.ndarray]) -> tuple[int, list[bool]]:
     return 1, [False] * len(arrays)
 
 
-def _cells(arrays: list[np.ndarray], count: int) -> tuple:
-    """The first ``count`` rows of the arrays' cells, flat, as Python values."""
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(values, index)``: the column's distinct bit patterns, sorted, as
+    its dtype, and each row's place among them as int16, so that
+    ``values[index]`` is the column bit for bit (±0.0 and nan payloads
+    stay apart).  None when there are more than ``_ROWS_PER_SLICE``
+    patterns: they are counted ``_COUNT_ROWS`` rows at a time, and
+    counting stops at the chunk that passes the bound, so the work and the
+    memory stay those of a chunk and of the int16 index."""
+    bits = column.view(f"u{column.itemsize}")
+    seen = bits[:0]
+    for start in range(0, len(bits), _COUNT_ROWS):
+        # sort and drop repeats by hand: np.unique takes ~4x as long here
+        merged = np.sort(np.concatenate((seen, bits[start:start + _COUNT_ROWS])))
+        seen = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+        if len(seen) > _ROWS_PER_SLICE:
+            return None
+    index = np.empty(len(bits), np.int16)
+    for start in range(0, len(bits), _COUNT_ROWS):
+        # searchsorted runs ~7x as fast on sorted keys, which pays for the argsort
+        chunk = bits[start:start + _COUNT_ROWS]
+        order = np.argsort(chunk)
+        index[start:start + _COUNT_ROWS][order] = np.searchsorted(seen, chunk[order])
+    return seen.view(column.dtype), index
+
+
+def _cells(arrays: list[np.ndarray], names: list, start: int, count: int) -> tuple:
+    """Rows ``start`` to ``start + count`` of the arrays' cells, flat, as
+    Python values.  Where ``names`` holds an object array of strings for
+    a column, the column holds indexes into it, and its cells are those
+    strings."""
     flat = [None] * (count * len(arrays))
-    for j, a in enumerate(arrays):
-        flat[j::len(arrays)] = a[:count].tolist()
+    for j, (a, strings) in enumerate(zip(arrays, names)):
+        cells = a[start:start + count]
+        flat[j::len(arrays)] = (cells if strings is None else strings[cells]).tolist()
     return tuple(flat)
 
 
@@ -574,19 +619,36 @@ def _row_texts(columns: Mapping[str, np.ndarray], specs: list[str], row) -> Iter
     each chunk of rounds into one string, the template of its rows.  A
     slice, one chunk of a block or as many whole blocks as fit, fills its
     chunk's template with its own cells in one ``%``.
+
+    A ``reward`` cell is one read of the round's function, so against a
+    cycle it takes few values.  When the column is not per-round and holds
+    at most ``_ROWS_PER_SLICE`` bit patterns (:func:`_distinct`), each
+    pattern is formatted once with the column's spec, and a slice gathers
+    its reward cells from those strings, which ``%s`` writes.  The running
+    sums (``cum_reward``, ``alpha_regret``) are nearly all distinct, so
+    they are not counted.
     """
     arrays = [columns[name] for name in RESULT_HEADER]
     length, shared = _per_round(arrays)
+    specs = list(specs)
+    names = [None] * len(arrays)
+    j = RESULT_HEADER.index("reward")
+    distinct = None if shared[j] else _distinct(arrays[j])
+    if distinct is not None:
+        values, arrays[j] = distinct
+        names[j] = np.array([specs[j] % v for v in values.tolist()], dtype=object)
+        specs[j] = "%s"
     rounds = [a for a, s in zip(arrays, shared) if s]
     own = [a for a, s in zip(arrays, shared) if not s]
+    own_names = [m for m, s in zip(names, shared) if not s]
     template = row([spec if s else spec.replace("%", "%%") for spec, s in zip(specs, shared)])
     chunks = [(c, min(_ROWS_PER_SLICE, length - c)) for c in range(0, length, _ROWS_PER_SLICE)]
-    texts = [(template * n) % _cells([a[c:] for a in rounds], n) for c, n in chunks]
+    texts = [(template * n) % _cells(rounds, [None] * len(rounds), c, n) for c, n in chunks]
     step = max(1, _ROWS_PER_SLICE // length) * length
     for start in range(0, len(arrays[0]), step):
         blocks = min(step, len(arrays[0]) - start) // length
         for (c, n), text in zip(chunks, texts):
-            yield (text * blocks) % _cells([a[start + c:] for a in own], n * blocks)
+            yield (text * blocks) % _cells(own, own_names, start + c, n * blocks)
 
 
 def _csv_blocks(columns: Mapping[str, np.ndarray]) -> Iterator[str]:

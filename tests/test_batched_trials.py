@@ -146,9 +146,14 @@ def test_prefix_byte_budget_changes_no_output(trials, extra, monkeypatch, tmp_pa
     # one trial or two, the experiment plays one batch
     assert batches == [1]
     batches.clear()
-    # one byte short of three functions' 64 nodes of 3n + 2 doubles each:
-    # the trials play one by one, their rounds walking from the root
-    monkeypatch.setattr(framework, "_PREFIX_BYTES", 3 * 8 * (3 * 6 + 2) * 64 - 1)
+    # exactly three functions' 64 nodes of 2n + 2 doubles each (two point
+    # terms per element, alpha and beta): one batch still
+    monkeypatch.setattr(framework, "_PREFIX_BYTES", 3 * 8 * (2 * 6 + 2) * 64)
+    assert cli_bytes(tmp_path, *argv) == uncapped
+    assert batches == [1]
+    batches.clear()
+    # one byte short: the trials play one by one, their rounds walking from the root
+    monkeypatch.setattr(framework, "_PREFIX_BYTES", 3 * 8 * (2 * 6 + 2) * 64 - 1)
     assert cli_bytes(tmp_path, *argv) == uncapped
     assert batches == []
 

@@ -3,9 +3,9 @@
 A round takes its n coins as an array, coin i for element i.  A game
 draws each stream's coins ``_COIN_BLOCK`` rounds at a time into one
 reused buffer, so its coins take memory independent of T; the balance
-game draws its T coins as one ``random(T)`` block, and a randomized
-offline walk of k sweeps draws its coins as one ``random((k, n))``
-block.  These tests pin that the blocks change no coin: the results,
+game draws its one stream's coins the same way, ``_BALANCE_COIN_BLOCK``
+rounds at a time, and a randomized offline walk of k sweeps draws its
+coins as one ``random((k, n))`` block.  These tests pin that the blocks change no coin: the results,
 and the streams' states afterwards, are those of sequential
 ``random()`` calls.  A game needs one distinct stream per subroutine,
 and rejects anything else before it draws; so do the batched trials,
@@ -21,7 +21,7 @@ from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, ConstantPolicy, TwoExperts
 from onlineusm.errors import ConfigError
 from onlineusm.framework import _COIN_BLOCK, run_cycle_trials, run_round, run_usm_game
-from onlineusm.harness import build_balance_adversary, run_balance_game
+from onlineusm.harness import _BALANCE_COIN_BLOCK, build_balance_adversary, run_balance_game
 from onlineusm.offline import _BLOCK, rand_double_greedy_stats
 from onlineusm.submodular import normalize, random_digraph, tabulate
 
@@ -80,6 +80,22 @@ def test_game_coins_take_memory_independent_of_the_horizon():
     assert peak < n * rounds * 8 // 2
 
 
+def test_balance_game_coins_take_memory_independent_of_the_horizon():
+    # the reward and pile series take 16 bytes a round; a (T,) coin array
+    # and its T Python floats would take 8 + 32 more
+    rounds = 1 << 16
+    adversary = build_balance_adversary("pattern:URL")
+    sub = Balancer(rounds)
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        run_balance_game(sub, adversary, rounds, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * rounds
+
+
 def reference_balance_game(subroutine, adversary, rounds, rng):
     """The balance game's loop as it was with one ``rng.random()`` per round:
     returns (r_alg, c_yes, c_no), the reward series and the pile series."""
@@ -111,7 +127,7 @@ def reference_balance_game(subroutine, adversary, rounds, rng):
 
 
 @pytest.mark.parametrize("adversary", ["pattern:URL", "adaptive:punish-last"])
-@pytest.mark.parametrize("rounds", [1, 2, 999])
+@pytest.mark.parametrize("rounds", [1, 2, 999, _BALANCE_COIN_BLOCK, 2 * _BALANCE_COIN_BLOCK + 3])
 def test_balance_game_equals_a_per_round_draw_loop(adversary, rounds):
     rng, twin = np.random.default_rng(17), np.random.default_rng(17)
     got = run_balance_game(Balancer(rounds), build_balance_adversary(adversary), rounds, rng)

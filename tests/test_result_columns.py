@@ -312,6 +312,93 @@ def test_nan_and_infinities_in_a_repeated_column(tmp_path):
     assert "NaN" in text and "-Infinity" in text
 
 
+# --- reward text, once per distinct value -------------------------------------
+
+
+def with_rewards(rows, rewards):
+    """The rows with their ``reward`` cells replaced, row by row."""
+    j = RESULT_HEADER.index("reward")
+    return [(*row[:j], v, *row[j + 1:]) for row, v in zip(rows, rewards)]
+
+
+def distinct_rewards(rows):
+    """How many reward bit patterns :func:`harness._distinct` found in the
+    rows, or None when it stopped counting."""
+    reward = columns_of(rows)["reward"]
+    distinct = harness._distinct(reward)
+    if distinct is not None:
+        values, index = distinct
+        assert index.dtype == np.int16
+        assert values[index].tobytes() == reward.tobytes()
+        return len(values)
+    return None
+
+
+def assert_distinct_writers_are_the_references(path, rows, rows_per_slice, count_rows):
+    with patch.object(harness, "_COUNT_ROWS", count_rows):
+        assert_writers_are_the_references(path, rows, rows_per_slice)
+
+
+#: both zeros, nans of two payloads and the infinities beside finite values
+_REWARD_SPECIALS = (0.0, -0.0, math.nan, _NAN1, math.inf, -math.inf, 0.1, 1e-300)
+
+
+@pytest.mark.parametrize("count_rows", [3, 8192])
+@pytest.mark.parametrize("rows_per_slice", [len(_REWARD_SPECIALS), 1024])
+def test_special_rewards_formatted_once_each(tmp_path, rows_per_slice, count_rows):
+    rows = block_rows([7] * 3)
+    rows = with_rewards(rows, [_REWARD_SPECIALS[(5 * k) % 8] for k in range(len(rows))])
+    assert per_round_of(rows) == (7, set(_ROUND_COLUMNS))
+    with patch.object(harness, "_COUNT_ROWS", count_rows), \
+            patch.object(harness, "_ROWS_PER_SLICE", rows_per_slice):
+        assert distinct_rewards(rows) == len(_REWARD_SPECIALS)
+    assert_distinct_writers_are_the_references(tmp_path, rows, rows_per_slice, count_rows)
+    cells = [line.split(",")[2] for line in (tmp_path / "r.csv").read_text().splitlines()[1:]]
+    assert {"0", "-0", "nan", "inf", "-inf"} <= set(cells)
+    assert "NaN" in (tmp_path / "r.json").read_text()
+
+
+@pytest.mark.parametrize("extra, counted", [(0, True), (1, False)])
+@pytest.mark.parametrize("rows_per_slice, count_rows", [(4, 3), (4, 64), (1024, 8192), (1024, 700)])
+def test_rewards_at_and_past_the_bound(tmp_path, rows_per_slice, count_rows, extra, counted):
+    # rows_per_slice + extra values, each in three rows that lie apart
+    values = np.random.default_rng(3).standard_normal(rows_per_slice + extra).tolist()
+    rows = block_rows([len(values)] * 3)
+    rows = with_rewards(rows, values[1:] + values[:1] + values[::-1] + values)
+    with patch.object(harness, "_COUNT_ROWS", count_rows), \
+            patch.object(harness, "_ROWS_PER_SLICE", rows_per_slice):
+        assert distinct_rewards(rows) == (len(values) if counted else None)
+    assert_distinct_writers_are_the_references(tmp_path, rows, rows_per_slice, count_rows)
+
+
+@pytest.mark.parametrize("count_rows", [1, 2, 5, 6])
+def test_repeated_rewards_across_counting_chunks(tmp_path, count_rows):
+    # five values repeated over 36 rows in blocks of unequal length, so no
+    # column is per-round; the first six rows hold three of them, so later
+    # counting chunks add values to those of the chunks before
+    five = [2.5, -0.0, 1 / 3, 0.0, -7e20]
+    picks = [(k * k + k // 8) % 5 for k in range(36)]
+    assert len(set(picks[:6])) == 3
+    rows = with_rewards(block_rows([13, 11, 12]), [five[j] for j in picks])
+    assert per_round_of(rows) == (1, set())
+    with patch.object(harness, "_COUNT_ROWS", count_rows), patch.object(harness, "_ROWS_PER_SLICE", 5):
+        assert distinct_rewards(rows) == 5
+    for rows_per_slice in (5, 7):
+        assert_distinct_writers_are_the_references(tmp_path, rows, rows_per_slice, count_rows)
+
+
+def test_a_per_round_reward_is_not_counted(tmp_path, monkeypatch):
+    # reward repeats round by round in every block: the per-round text holds it
+    rows = block_rows([6] * 4, repeated=("t", "reward", "cum_opt", "queries"))
+    counted = []
+    distinct = harness._distinct
+    monkeypatch.setattr(harness, "_distinct", lambda column: counted.append(1) or distinct(column))
+    assert_writers_are_the_references(tmp_path, rows, 4)
+    assert counted == []
+    assert_writers_are_the_references(tmp_path, block_rows([6] * 4), 4)
+    assert counted == [1, 1]
+
+
 #: a bound on the peak of traced memory while a 2-trial, 2^16-round run
 #: is written as JSON.  The writer keeps the per-round text of one trial
 #: block, one string per chunk of rounds: about 5.4 MiB here (3 MiB in
@@ -325,16 +412,20 @@ def test_writing_a_long_horizon_keeps_memory_bounded(tmp_path):
     rng = np.random.default_rng(5)
     t = np.arange(1, rounds + 1)
     best = np.tile(np.cumsum(rng.random(rounds)), 2)
-    reward = rng.random(2 * rounds)
-    cum_reward = np.cumsum(reward.reshape(2, rounds), axis=1).ravel()
-    columns = harness._columns(np.repeat(np.arange(2), rounds), np.tile(t, 2), reward, cum_reward,
-                               best, 0.5 * best - cum_reward, np.tile(34 * t, 2))
-    shared = [name in _ROUND_COLUMNS for name in RESULT_HEADER]
-    assert harness._per_round([columns[name] for name in RESULT_HEADER]) == (rounds, shared)
-    tracemalloc.start()
-    try:
-        write_results(columns, {}, "json", str(tmp_path / "r.json"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < _WRITE_PEAK_BYTES
+    # all distinct, and 996 values, as a cycle of four n = 8 tables gives,
+    # each formatted once and gathered through an int16 index
+    for reward, counted in ((rng.random(2 * rounds), False),
+                            (rng.random(996)[rng.integers(0, 996, 2 * rounds)], True)):
+        cum_reward = np.cumsum(reward.reshape(2, rounds), axis=1).ravel()
+        columns = harness._columns(np.repeat(np.arange(2), rounds), np.tile(t, 2), reward, cum_reward,
+                                   best, 0.5 * best - cum_reward, np.tile(34 * t, 2))
+        shared = [name in _ROUND_COLUMNS for name in RESULT_HEADER]
+        assert harness._per_round([columns[name] for name in RESULT_HEADER]) == (rounds, shared)
+        assert (harness._distinct(reward) is not None) == counted
+        tracemalloc.start()
+        try:
+            write_results(columns, {}, "json", str(tmp_path / "r.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _WRITE_PEAK_BYTES
