@@ -39,6 +39,7 @@ from .errors import (
 from .framework import (
     default_checkpoints,
     fit_growth_exponent,
+    run_balance_game,
     run_usm_game,
 )
 from .harness import (
@@ -49,7 +50,6 @@ from .harness import (
     build_usm_adversary,
     coin_stream,
     instance_rng,
-    run_balance_game,
     run_experiment,
     write_results,
 )

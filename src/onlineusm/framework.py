@@ -23,45 +23,47 @@ comes from f(X_{n-1}) and f(Y_{n-1}) = f(X_{n-1} + n), which the walk
 holds.  A round therefore costs exactly 2n counted queries, inside the
 4n + 2 budget, and a game records that count for every round.
 
-The game records per-round series (reward, best fixed set in
-hindsight, queries) and the experiment driver turns them into
-alpha-regret.  A game that keeps its rounds holds them as arrays: the
-chosen sets, every point fed, (rounds, n, 2), and each round's oracle.
-:func:`_replay` checks the paper's per-element relations on those
-arrays.  The best fixed set and the replay read value tables, which
-count no query.
+The game records per-round series (reward and best fixed set in
+hindsight) and the experiment harness turns them into alpha-regret.  A
+game that keeps its rounds holds them as arrays: the chosen sets, every
+point fed, (rounds, n, 2), and each round's oracle.  :func:`_replay`
+checks the paper's per-element relations on those arrays, and
+:func:`replay_diagnostics` sums its findings over a run's trials.  The
+best fixed set and the replay read value tables, which count no query.
 
 Subroutine i decides with one uniform coin per round.  A round takes
 its n coins as an array, coin i for element i; a game draws each
 element's coins from its own stream ``_COIN_BLOCK`` rounds at a time
 into one reused buffer (:func:`_coin_blocks`), which equals T
-sequential draws.
+sequential draws.  The balance game (:func:`run_balance_game`), the
+subproblem each element plays, draws its one stream the same way.
 
 Element i's point depends only on the function and the prefix X_{i-1}
 = S & (2^(i-1) - 1) of the round's chosen set S: it is node
 2^(i-1) | X_{i-1} of the double greedy's prefix tree, which
 :func:`_prefix_points` builds level by level with the offline sweep's
 :func:`~onlineusm.offline._marginals` (the walk's doubles, under the
-same subtraction).  Any number of trials against one cycle play
-together on it (:func:`run_cycle_trials`): every point of every trial
-is one gather by S from terms laid out term-major, (terms, 2^n, n), so
-each term's gathered (trials, n) block is contiguous.  The
-experiment driver plays a cycle that way once 2^n <= T, so that its
-rounds reach every node, and the arrays fit ``_PREFIX_BYTES``; other
-cycles and the other adversaries play one :func:`run_usm_game` per
-trial, whose rounds walk from the root.
-Every trial-round is charged 2n on either path.
+same subtraction).  A cycle's trials are played by
+:func:`run_cycle_trials`, which decides how: when 2^n <= T, so that the
+rounds reach every node, and the arrays fit ``_PREFIX_BYTES``
+(:func:`_holds_prefix`), all trials play together, every point of every
+trial one gather by S from terms laid out term-major, (terms, 2^n, n),
+so each term's gathered (trials, n) block is contiguous; otherwise each
+trial plays one :func:`run_usm_game`, whose rounds walk from the root,
+as the other adversaries' trials do.  Every trial-round is charged 2n
+on either path.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .adversaries import CycleFunctionAdversary
-from .balance import BalanceSubroutine, _point_error
+from .balance import BalanceSubroutine, Ledger, _point_error
 from .errors import ConfigError, SizeError
 from .offline import _marginals
 from .submodular import ENUMERATION_LIMIT, VALUE_TOL, SubmodularOracle, full_mask, value_table
@@ -86,15 +88,16 @@ _PREFIX_BYTES = 1 << 26
 
 def _holds_prefix(adversary, n: int, rounds: int) -> bool:
     """Whether trials against ``adversary`` play as one batch: a cycle
-    whose rounds can reach all 2^n nodes, with value tables, and, per
-    node of each distinct function, the at most two float64 terms per
-    element that a subroutine's ``point_terms`` holds plus alpha and beta
-    within ``_PREFIX_BYTES``."""
+    whose rounds can reach all 2^n nodes, with value tables, whose arrays
+    fit ``_PREFIX_BYTES``: per node of each distinct function, the at most
+    two float64 terms per element that a subroutine's ``point_terms``
+    holds plus alpha and beta, and, once per node, the int64 node of
+    every element that the batch gathers by."""
     return (
         isinstance(adversary, CycleFunctionAdversary)
         and 1 << n <= rounds
         and n <= ENUMERATION_LIMIT
-        and len(set(adversary.oracles)) * 8 * (2 * n + 2) << n <= _PREFIX_BYTES
+        and (len(set(adversary.oracles)) * 8 * (2 * n + 2) + 8 * n) << n <= _PREFIX_BYTES
     )
 
 
@@ -161,14 +164,12 @@ class UsmRunResult:
     that keeps its rounds holds each round's chosen set, the points it
     fed (``points[t - 1, i]`` is element i + 1's alpha and beta) and its
     oracle, which :func:`_replay` reads with ``opt_set``.  Every round is
-    charged 2n, so ``round_queries`` is one read-only int64 broadcast over
-    the rounds.
+    charged ``max_round_queries``, 2n.
     """
 
     rewards: np.ndarray
     cum_rewards: np.ndarray
     cum_opt: np.ndarray | None
-    round_queries: np.ndarray
     max_round_queries: int
     opt_set: int | None = None
     chosen_sets: list[int] | None = None
@@ -235,6 +236,62 @@ def _coin_blocks(streams: Sequence[np.random.Generator], rounds: int, block: int
         yield start, coins[:, :size]
 
 
+@dataclass
+class BalanceRunResult:
+    ledger: Ledger
+    reward_series: np.ndarray
+    pile_series: np.ndarray
+
+
+#: rounds of coins the balance game draws at a time: its rounds are short,
+#: and at the engines' ``_COIN_BLOCK`` of 128 the per-block cost made a
+#: game about 5 % slower than one ``random(T)`` draw
+_BALANCE_COIN_BLOCK = 1024
+
+
+def run_balance_game(
+    subroutine: BalanceSubroutine,
+    adversary,
+    rounds: int,
+    rng: np.random.Generator,
+) -> BalanceRunResult:
+    """Play ``rounds`` rounds: decide, reveal, update, settle the ledger.
+
+    Adaptive adversaries see only strictly past decisions; the round's
+    point is fixed before the round's coin is read.  The coins are drawn
+    ``_BALANCE_COIN_BLOCK`` rounds at a time into one reused buffer
+    (:func:`_coin_blocks`), which yields the same values as ``rounds``
+    sequential ``random()`` calls and leaves ``rng`` in the same state.
+    ``reward_series`` and ``pile_series`` hold R_alg and max(C_yes, C_no)
+    after each round.
+    """
+    r_alg = 0.0
+    c_yes = 0.0
+    c_no = 0.0
+    rewards = np.empty(rounds)
+    piles = np.empty(rounds)
+    prev: bool | None = None
+    next_point = adversary.next_point
+    decide = subroutine.decide
+    update = subroutine.update
+    for start, coins in _coin_blocks([rng], rounds, _BALANCE_COIN_BLOCK):
+        for t, coin in enumerate(coins[0].tolist(), start):
+            pt = next_point(prev)
+            d = decide(coin)
+            update(pt)
+            a, b = pt
+            if d:
+                r_alg += 0.5 * a
+                c_no += b
+            else:
+                r_alg += 0.5 * b
+                c_yes += a
+            rewards[t] = r_alg
+            piles[t] = c_yes if c_yes >= c_no else c_no
+            prev = d
+    return BalanceRunResult(Ledger(r_alg, c_yes, c_no), rewards, piles)
+
+
 def _check_streams(rounds: int, n: int, rows: Sequence[Sequence[np.random.Generator]]) -> None:
     """Raise :class:`ConfigError` unless ``rounds`` >= 1 and each trial's
     row of ``rows`` holds one coin stream per element, every stream of
@@ -273,9 +330,9 @@ def run_usm_game(
     ``fresh-random`` and the adaptive kinds, which make a new oracle per
     round, report true regret only when the run keeps its oracles
     (``keep_transcripts``).  Callers that already hold the tables pass
-    ``track_opt=False``: the experiment driver for a cycle kind, whose
-    trials share one sequence of functions that it tracks once, and
-    replays that need only the chosen sets.
+    ``track_opt=False``: :func:`run_cycle_trials`, whose trials share one
+    cycle of functions that it tracks once, and replays that need only
+    the chosen sets.
 
     ``streams`` holds one distinct Generator per subroutine.  Coins are
     drawn a block of rounds at a time (:func:`_coin_blocks`); each block
@@ -293,7 +350,6 @@ def run_usm_game(
     if track_opt and n > ENUMERATION_LIMIT:
         raise SizeError(f"tracking the best fixed set needs n <= {ENUMERATION_LIMIT}")
     rewards = np.empty(rounds)
-    round_queries = np.broadcast_to(np.int64(2 * n), (rounds,))
     tables: list[np.ndarray] = []
     table_cache: dict[int, np.ndarray] = {}
     sets: list[int] | None = [] if keep_sets or keep_transcripts else None
@@ -326,13 +382,23 @@ def run_usm_game(
         rewards=rewards,
         cum_rewards=np.cumsum(rewards),
         cum_opt=cum_opt,
-        round_queries=round_queries,
         max_round_queries=2 * n,
         opt_set=opt_set,
         chosen_sets=sets,
         points=points,
         oracles=oracles,
     )
+
+
+def _fresh_copy(sub: BalanceSubroutine) -> BalanceSubroutine:
+    """A deep copy of ``sub``, its attributes set one by one as ``__init__``
+    sets them: CPython 3.11 reads the attributes of an instance whose dict
+    is filled at once, as ``copy.deepcopy`` fills it, more slowly (a
+    ``Balancer.update`` 0.20 -> 0.28 us)."""
+    new = object.__new__(type(sub))
+    for name, value in vars(sub).items():
+        setattr(new, name, copy.deepcopy(value))
+    return new
 
 
 def run_cycle_trials(
@@ -344,28 +410,36 @@ def run_cycle_trials(
     keep_transcripts: bool = False,
 ) -> list[UsmRunResult]:
     """Play one game per row of ``streams`` (trial k's coin stream for
-    element i at ``[k][i]``) against the cycle, all trials one array round
-    at a time; each result is bit for bit that trial's own
-    :func:`run_usm_game` with tracking, and the streams are checked as
-    that game checks them.
+    element i at ``[k][i]``) against the cycle, each subroutine starting
+    from ``sub``'s current state; each result is bit for bit that trial's
+    own :func:`run_usm_game` with tracking, and the streams are checked
+    as that game checks them, across the rows too.
 
-    ``sub`` becomes a batch of shape (trials, n), bound once to its
-    state, held yes-probabilities and gather buffer.
+    The cycle's functions are fixed before any coin is drawn, so the best
+    fixed set is tracked once (:func:`_cycle_best`): every result holds
+    the one read-only ``cum_opt`` and the one ``opt_set``.  When
+    :func:`_holds_prefix` allows, the trials play as one batch below;
+    otherwise each row of ``streams`` plays a :func:`run_usm_game` without
+    tracking, over fresh copies of ``sub`` (:func:`_fresh_copy`) and a
+    fresh cursor over the cycle, its rounds walking from the root.
+
+    In the batch, ``sub`` becomes a batch of shape (trials, n), bound once
+    to its state, held yes-probabilities and gather buffer.
     Element i + 1's point sits at node 2^i | S & (2^i - 1) for the
     round's chosen set S, so each distinct function's
     :func:`_prefix_points` become ``sub``'s point terms laid out
-    term-major, (terms, 2^n, n): entry [j, S] holds term j of every
-    element when the round chooses S.  A round is: decide (coin < p),
-    pack S straight into the round's row of chosen sets, one ``take`` at
-    S along axis 1 straight into the batch's (terms, trials, n) buffer,
-    one contiguous block per term (``mode="clip"``: every S is in range,
-    and the default mode would copy through a temporary), and the
-    batch's in-place ``update``, which also refreshes p.  Coins are drawn
-    a block of rounds at a time (:func:`_coin_blocks`).  After play the
-    rewards are gathered by S, the best set is tracked once (one
-    read-only ``cum_opt``), each function is charged 2n per trial-round
-    it played, and, with ``keep_transcripts``, each trial's points are
-    gathered from the prefix points by S.  A point ``sub`` rejects raises
+    term-major, (terms, 2^n, n), by one ``take`` of the nodes: entry
+    [j, S] holds term j of every element when the round chooses S.  A
+    round is: decide (coin < p), pack S straight into the round's row of
+    chosen sets, one ``take`` at S along axis 1 straight into the batch's
+    (terms, trials, n) buffer, one contiguous block per term
+    (``mode="clip"``: every S is in range, and the default mode would copy
+    through a temporary), and the batch's in-place ``update``, which also
+    refreshes p.  Coins are drawn a block of rounds at a time
+    (:func:`_coin_blocks`).  After play the rewards are gathered by S,
+    each function is charged 2n per trial-round it played, and, with
+    ``keep_transcripts``, each trial's points are gathered from the prefix
+    points by S.  A point ``sub`` rejects raises
     :class:`InvalidPointError` in the first round that meets one, for its
     first trial and element.
     """
@@ -373,23 +447,33 @@ def run_cycle_trials(
     oracles = adversary.oracles
     n = oracles[0].n
     _check_streams(rounds, n, streams)
-    flat = [stream for row in streams for stream in row]
+    table_of = {g: value_table(g) for g in dict.fromkeys(oracles)}
+    tables = [table_of[g] for g in oracles]
+    cum_opt, opt_set = _cycle_best(tables, rounds)
+    cum_opt.flags.writeable = False
+    if not _holds_prefix(adversary, n, rounds):
+        results = [run_usm_game([_fresh_copy(sub) for _ in range(n)], CycleFunctionAdversary(oracles), rounds,
+                                row, track_opt=False, keep_transcripts=keep_transcripts) for row in streams]
+        for res in results:
+            res.cum_opt, res.opt_set = cum_opt, opt_set
+        return results
+
     sets = np.arange(1 << n)
     bits = 1 << np.arange(n)
     # nodes[S, i]: element i + 1's node when the round chooses S
     nodes = (sets[:, None] & (bits - 1)) | bits
     built = {}
-    for g in dict.fromkeys(oracles):
-        alpha, beta = _prefix_points(value_table(g))
+    for g, table in table_of.items():
+        alpha, beta = _prefix_points(table)
         terms, rejected = sub.point_terms(alpha, beta)
-        built[g] = (terms[:, nodes].copy(), None if rejected is None else rejected[nodes], alpha, beta)
+        built[g] = (terms.take(nodes, axis=1), None if rejected is None else rejected[nodes], alpha, beta)
     cycle = [built[g] for g in oracles]
     period = len(cycle)
 
     chosen = np.empty((rounds, trials), dtype=np.int64)
     batch = sub.batch((trials, n))
     decide, gathered, update = batch.decide, batch.gathered, batch.update
-    for start, coins in _coin_blocks(flat, rounds):
+    for start, coins in _coin_blocks([stream for row in streams for stream in row], rounds):
         # each round's coins contiguous, (trials, n)
         for t, round_coins in enumerate(np.ascontiguousarray(coins.T).reshape(-1, trials, n), start):
             s = decide(round_coins).dot(bits, out=chosen[t])
@@ -403,15 +487,11 @@ def run_cycle_trials(
             terms.take(s, axis=1, out=gathered, mode="clip")
             update()
 
-    tables = [value_table(g) for g in oracles]
     which = np.arange(rounds) % period
     rewards = np.stack(tables)[which, chosen.T]
     cum_rewards = np.cumsum(rewards, axis=1)
     for j, g in enumerate(oracles):
         g._charge(2 * n * trials * len(range(j, rounds, period)))
-    cum_opt, opt_set = _cycle_best(tables, rounds)
-    cum_opt.flags.writeable = False
-    round_queries = np.broadcast_to(np.int64(2 * n), (rounds,))
 
     if keep_transcripts:
         # alpha and beta at every node, by cycle position: (period, 2^n, 2)
@@ -420,7 +500,7 @@ def run_cycle_trials(
     results = []
     for k in range(trials):
         res = UsmRunResult(rewards=rewards[k], cum_rewards=cum_rewards[k], cum_opt=cum_opt,
-                           round_queries=round_queries, max_round_queries=2 * n, opt_set=opt_set)
+                           max_round_queries=2 * n, opt_set=opt_set)
         if keep_transcripts:
             res.chosen_sets = chosen[:, k].tolist()
             res.points = points[which[:, None], nodes[chosen[:, k]]]
@@ -488,3 +568,16 @@ def _replay(
     gains[0] += 0.0
     residuals = np.cumsum(growth, axis=0)[-1] - np.cumsum(gains, axis=0)[-1]
     return int(broken.any(axis=1).sum()), residuals
+
+
+def replay_diagnostics(results: Sequence[UsmRunResult]) -> dict:
+    """Replay checks over each kept run's rounds (:func:`_replay`), against
+    the best fixed set tracked for the run (``opt_set``): the rounds that
+    break a relation, over all runs, and the largest value-identity
+    residual of any element."""
+    failures, worst_residual = 0, 0.0
+    for res in results:
+        failed, residuals = _replay(res.oracles, res.chosen_sets, res.points, res.opt_set)
+        failures += failed
+        worst_residual = max(worst_residual, *np.abs(residuals).tolist())
+    return {"opt_tracking_failures": failures, "max_value_identity_residual": worst_residual}

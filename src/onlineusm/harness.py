@@ -11,23 +11,27 @@ tracks its best fixed set once: the trials share the oracles and the
 ``cum_opt`` series.  ``fresh-random`` and the adaptive kinds build and
 track per trial.
 
-Trials run in one process.  A cycle kind's trials, one or more, play
-together, one array round for all of them at a time, when its rounds
-reach every prefix (2^n <= T) and the arrays fit the framework's byte
-budget (:func:`~onlineusm.framework.run_cycle_trials`); otherwise they
-run one after another.  Either way each trial's results are those of
-its own game, bit for bit.
+Trials run in one process.  A cycle kind's trials go to
+:func:`~onlineusm.framework.run_cycle_trials`, which tracks the cycle
+once and decides whether they play together, one array round for all
+of them at a time, or one after another; the other kinds play one
+:func:`~onlineusm.framework.run_usm_game` per trial.  Either way each
+trial's results are those of its own game, bit for bit.  The balance
+game's engine, :func:`~onlineusm.framework.run_balance_game`, is the
+framework's too; this module configures the games, reduces their
+series to columns and a summary, and writes them.
 
 An experiment's result rows are seven column arrays named by
 ``RESULT_HEADER`` (int64 ``trial``, ``t`` and ``queries``, float64 for
 the rest), in (trial, round) order.  Both online games build them, and
 their summaries, in one function from each trial's series with array
-operations, so no Python object per row exists until output.  CSV and
-JSON output format a bounded slice of rows at a time, a cell that every
-trial shares round by round once for all trials, and, when the
-``reward`` column holds few distinct values (a cycle of value tables
-gives at most k * 2^n), each of them once.  Files are written atomically
-(temp file, then rename).
+operations, so no Python object per row exists until output.  Every USM
+round costs 2n counted queries, so ``queries`` is 2n * t; the balance
+game counts none.  CSV and JSON output format a bounded slice of rows at
+a time, a cell that every trial shares round by round once for all
+trials, and, when the ``reward`` column holds few distinct values (a
+cycle of value tables gives at most k * 2^n), each of them once.  Files
+are written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
@@ -45,12 +49,11 @@ from . import adversaries as adv
 from . import balance as bal
 from .errors import ConfigError
 from .framework import (
-    _coin_blocks,
-    _cycle_best,
-    _holds_prefix,
-    _replay,
+    BalanceRunResult,
     default_checkpoints,
     fit_growth_exponent,
+    replay_diagnostics,
+    run_balance_game,
     run_cycle_trials,
     run_usm_game,
 )
@@ -67,7 +70,6 @@ from .submodular import (
     random_digraph,
     read_digraph,
     sampling_oracle,
-    value_table,
     verify_submodularity,
 )
 
@@ -249,116 +251,34 @@ def build_usm_adversary(descriptor: str, n: int, master_seed: int):
     )
 
 
-# --- balance game -------------------------------------------------------
-
-@dataclass
-class BalanceRunResult:
-    ledger: bal.Ledger
-    reward_series: np.ndarray
-    pile_series: np.ndarray
-
-
-#: rounds of coins the balance game draws at a time: its rounds are short,
-#: and at the engines' ``_COIN_BLOCK`` of 128 the per-block cost made a
-#: game about 5 % slower than one ``random(T)`` draw
-_BALANCE_COIN_BLOCK = 1024
-
-
-def run_balance_game(
-    subroutine,
-    adversary,
-    rounds: int,
-    rng: np.random.Generator,
-) -> BalanceRunResult:
-    """Play ``rounds`` rounds: decide, reveal, update, settle the ledger.
-
-    Adaptive adversaries see only strictly past decisions; the round's
-    point is fixed before the round's coin is read.  The coins are drawn
-    ``_BALANCE_COIN_BLOCK`` rounds at a time into one reused buffer
-    (:func:`~onlineusm.framework._coin_blocks`), which yields the same
-    values as ``rounds`` sequential ``random()`` calls and leaves ``rng``
-    in the same state.  ``reward_series`` and ``pile_series`` hold R_alg
-    and max(C_yes, C_no) after each round.
-    """
-    r_alg = 0.0
-    c_yes = 0.0
-    c_no = 0.0
-    rewards = np.empty(rounds)
-    piles = np.empty(rounds)
-    prev: bool | None = None
-    next_point = adversary.next_point
-    decide = subroutine.decide
-    update = subroutine.update
-    for start, coins in _coin_blocks([rng], rounds, _BALANCE_COIN_BLOCK):
-        for t, coin in enumerate(coins[0].tolist(), start):
-            pt = next_point(prev)
-            d = decide(coin)
-            update(pt)
-            a, b = pt
-            if d:
-                r_alg += 0.5 * a
-                c_no += b
-            else:
-                r_alg += 0.5 * b
-                c_yes += a
-            rewards[t] = r_alg
-            piles[t] = c_yes if c_yes >= c_no else c_no
-            prev = d
-    return BalanceRunResult(bal.Ledger(r_alg, c_yes, c_no), rewards, piles)
-
-
 # --- experiment drivers ---------------------------------------------------
 
-def _usm_trial(config: ExperimentConfig, trial: int, adversary=None, track_opt: bool = True):
-    """One USM trial's game, against ``adversary`` or, without one, a fresh
-    build; ``track_opt`` as :func:`~onlineusm.framework.run_usm_game` takes it."""
+def _usm_trial(config: ExperimentConfig, trial: int, adversary=None):
+    """One USM trial's tracking game, against ``adversary`` or, without
+    one, a fresh build."""
     if adversary is None:
         adversary = build_usm_adversary(config.adversary, config.n, config.seed)
     subs = [build_subroutine(config.subroutine, config.rounds) for _ in range(config.n)]
     streams = [coin_stream(config.seed, trial, i) for i in range(config.n)]
-    return run_usm_game(
-        subs,
-        adversary,
-        config.rounds,
-        streams,
-        track_opt=track_opt,
-        keep_transcripts=config.keep_transcripts,
-    )
+    return run_usm_game(subs, adversary, config.rounds, streams, keep_transcripts=config.keep_transcripts)
 
 
 def _usm_trials(config: ExperimentConfig) -> list:
     """Every trial of a USM experiment, in trial order.
 
     A cycle kind's sequence of functions is fixed by the master seed
-    before any coin is drawn, so its instance is built once and its best
-    fixed set is tracked once: every trial's ``cum_opt`` is one
-    read-only array, and its ``opt_set`` one set.  With 2^n <= rounds
-    and the batch's prefix arrays within the framework's byte budget,
-    the trials, one or more, play together
-    (:func:`~onlineusm.framework.run_cycle_trials`).  Otherwise the
-    experiment tracks with :func:`~onlineusm.framework._cycle_best` and
-    each trial plays a fresh cursor over the same oracles.  Other kinds
-    build their adversary, and track, once per trial.  Either way the
-    results are bit for bit those of one tracking game per trial.
+    before any coin is drawn, so its instance is built once and its
+    trials go to :func:`~onlineusm.framework.run_cycle_trials`, which
+    tracks the cycle once and chooses how they play.  Other kinds build
+    their adversary, and track, once per trial.  Either way the results
+    are bit for bit those of one tracking game per trial.
     """
     built = build_usm_adversary(config.adversary, config.n, config.seed)
-    if not isinstance(built, adv.CycleFunctionAdversary):
-        return [_usm_trial(config, 0, built), *(_usm_trial(config, k) for k in range(1, config.trials))]
-    if _holds_prefix(built, config.n, config.rounds):
+    if isinstance(built, adv.CycleFunctionAdversary):
         streams = [[coin_stream(config.seed, k, i) for i in range(config.n)] for k in range(config.trials)]
         return run_cycle_trials(build_subroutine(config.subroutine, config.rounds), built, config.rounds,
                                 streams, keep_transcripts=config.keep_transcripts)
-    cum_opt, opt_set = _cycle_best([value_table(g) for g in built.oracles], config.rounds)
-    cum_opt.flags.writeable = False
-    results = [_usm_trial(config, k, adv.CycleFunctionAdversary(built.oracles), track_opt=False)
-               for k in range(config.trials)]
-    for res in results:
-        res.cum_opt, res.opt_set = cum_opt, opt_set
-    return results
-
-
-def _usm_series(res) -> tuple[np.ndarray, ...]:
-    return res.rewards, res.cum_rewards, res.cum_opt, np.cumsum(res.round_queries)
+    return [_usm_trial(config, 0, built), *(_usm_trial(config, k) for k in range(1, config.trials))]
 
 
 def _balance_trial(config: ExperimentConfig, trial: int) -> BalanceRunResult:
@@ -366,11 +286,6 @@ def _balance_trial(config: ExperimentConfig, trial: int) -> BalanceRunResult:
     sub = build_subroutine(config.subroutine, config.rounds)
     rng = coin_stream(config.seed, trial, 0)
     return run_balance_game(sub, adversary, config.rounds, rng)
-
-
-def _balance_series(res: BalanceRunResult) -> tuple[np.ndarray, ...]:
-    rewards = res.reward_series
-    return np.diff(rewards, prepend=0.0), rewards, res.pile_series, np.zeros(rewards.size, dtype=np.int64)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -400,24 +315,29 @@ def _columns(*cells) -> dict[str, np.ndarray]:
 def _run_online_experiment(config: ExperimentConfig):
     """Columns and summary of the USM or the balance game.
 
-    Each trial's series (per-round reward, cumulative reward, best
-    fixed choice so far and cumulative queries) come from the game's
-    ``_*_series`` adapter: ``cum_opt`` is the USM best so far, the
-    larger pile the balance game's.  This is the one place the
-    alpha-regret is computed: the regret column is
-    ``alpha * best - cum_reward``, its last entry per trial is that
-    trial's final regret, and the summary statistics are reductions of it.
+    Each trial's series (per-round reward, cumulative reward and best
+    fixed choice so far) come from its game's result: ``cum_opt`` is the
+    USM best so far, the larger pile the balance game's.  The cumulative queries are written as ``t`` is: 2n * t for
+    the USM game, whose every round costs 2n, and 0 for the balance
+    game.  This is the one place the alpha-regret is computed: the regret
+    column is ``alpha * best - cum_reward``, its last entry per trial is
+    that trial's final regret, and the summary statistics are reductions
+    of it.
     """
     usm = config.game == "usm"
     if usm:
-        results, series = _usm_trials(config), _usm_series
+        results = _usm_trials(config)
+        series = [(res.rewards, res.cum_rewards, res.cum_opt) for res in results]
     else:
-        results, series = [_balance_trial(config, k) for k in range(config.trials)], _balance_series
-    reward, cum_reward, best, queries = (np.concatenate(s) for s in zip(*map(series, results)))
+        results = [_balance_trial(config, k) for k in range(config.trials)]
+        series = [(np.diff(res.reward_series, prepend=0.0), res.reward_series, res.pile_series) for res in results]
+    reward, cum_reward, best = (np.concatenate(s) for s in zip(*series))
     regret = config.alpha * best - cum_reward
+    t = np.tile(np.arange(1, config.rounds + 1), config.trials)
+    queries = t * (2 * config.n if usm else 0)
     columns = _columns(
         np.repeat(np.arange(config.trials), config.rounds),
-        np.tile(np.arange(1, config.rounds + 1), config.trials),
+        t,
         reward,
         cum_reward,
         best,
@@ -461,22 +381,8 @@ def _run_online_experiment(config: ExperimentConfig):
         summary["max_round_queries"] = int(max(res.max_round_queries for res in results))
         summary["query_budget_per_round"] = 4 * config.n + 2
         if config.keep_transcripts:
-            summary["diagnostics"] = _usm_diagnostics(results)
+            summary["diagnostics"] = replay_diagnostics(results)
     return columns, summary
-
-
-def _usm_diagnostics(results) -> dict:
-    """Replay checks over each trial's kept rounds
-    (:func:`~onlineusm.framework._replay`), against the best fixed set
-    tracked for the trial (``opt_set``)."""
-    worst_residual = 0.0
-    failures = 0
-    for res in results:
-        failed, residuals = _replay(res.oracles, res.chosen_sets, res.points, res.opt_set)
-        failures += failed
-        for r in residuals.tolist():
-            worst_residual = max(worst_residual, abs(r))
-    return {"opt_tracking_failures": failures, "max_value_identity_residual": worst_residual}
 
 
 def _offline_instance(config: ExperimentConfig):

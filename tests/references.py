@@ -10,6 +10,9 @@ values bit for bit (``==`` on floats, never a tolerance):
   that ``run_experiment`` assembled before it returned column arrays;
 * ``reference_tracking``: the per-round ``cum_table += table`` tracking
   of the best fixed set, which ``run_usm_game`` must match;
+* ``reference_experiment``: a USM experiment's result columns, every
+  trial played round by round on fresh pieces, with rewards and the
+  best fixed set read by peeks, which ``run_experiment`` must match;
 * ``distinct_tables``: each round's value table, built once per distinct
   oracle, as the replay diagnostics summed them before the game
   reported its best set;
@@ -32,6 +35,8 @@ in the package:
 
 * ``oracle_from_table``: an oracle over a read-only copy of an explicit
   table;
+* ``CountingCycle``: a cycle adversary that reads each round's counted
+  queries off its oracles' counters;
 * ``mask_of``: a bitmask from 1-based element ids;
 * ``same_bits``: whether two floats are the very same double;
 * ``reconstruct``: the point that ``decompose``'s weights combine to;
@@ -49,8 +54,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Ledger
 from onlineusm.errors import ConfigError, DomainError, InvalidSubsetError, SizeError
+from onlineusm.framework import run_round
+from onlineusm.harness import RESULT_HEADER, build_subroutine, build_usm_adversary, coin_stream
 from onlineusm.submodular import (
     ENUMERATION_LIMIT,
     VALUE_TOL,
@@ -118,8 +126,9 @@ def balance_alpha_regret(ledger: Ledger, a: float) -> float:
     return a * max(ledger.c_yes, ledger.c_no) - ledger.r_alg
 
 
-def reference_usm_rows(results, rounds: int, alpha: float) -> list[tuple]:
-    """Tuple rows of USM trials' ``UsmRunResult``s, in (trial, t) order."""
+def reference_usm_rows(results, rounds: int, alpha: float, round_queries: int) -> list[tuple]:
+    """Tuple rows of USM trials' ``UsmRunResult``s, in (trial, t) order,
+    each round costing ``round_queries`` counted queries."""
     rows = []
     for k, res in enumerate(results):
         rows.extend(zip(
@@ -129,7 +138,7 @@ def reference_usm_rows(results, rounds: int, alpha: float) -> list[tuple]:
             res.cum_rewards.tolist(),
             res.cum_opt.tolist(),
             (alpha * res.cum_opt - res.cum_rewards).tolist(),
-            np.cumsum(res.round_queries).tolist(),
+            (round_queries * t for t in range(1, rounds + 1)),
         ))
     return rows
 
@@ -161,6 +170,62 @@ def reference_tracking(tables: Iterable[np.ndarray]) -> tuple[np.ndarray, float,
             cum_table += table
         cum_opt.append(np.maximum.reduce(cum_table))
     return np.array(cum_opt), float(cum_table.max()), int(np.argmax(cum_table))
+
+
+def reference_experiment(config) -> dict[str, np.ndarray]:
+    """The result columns of a validated USM ``ExperimentConfig``, built
+    from scalar pieces that share no cache with the engines.
+
+    Each trial plays a fresh adversary and fresh subroutines, one
+    ``run_round`` per round on the trial's coin streams drawn one coin at
+    a time.  A round's reward is a ``peek`` of its chosen set, and its
+    queries are what its oracle's counter gained.  The best fixed set's
+    running totals are 2^n peeks a round, each added to the last total
+    from -0.0 on, as ``_cycle_best`` adds them, so the doubles match;
+    ``cum_opt`` is their maximum after each round.
+    """
+    n, rounds = config.n, config.rounds
+    cells: dict[str, list] = {name: [] for name in RESULT_HEADER}
+    for k in range(config.trials):
+        adversary = build_usm_adversary(config.adversary, n, config.seed)
+        subs = [build_subroutine(config.subroutine, rounds) for _ in range(n)]
+        streams = [coin_stream(config.seed, k, i) for i in range(n)]
+        totals = [-0.0] * (1 << n)
+        chosen, cum_reward, queries = None, 0.0, 0
+        for t in range(1, rounds + 1):
+            f = adversary.next_oracle(chosen)
+            before = f.queries
+            chosen, _ = run_round(subs, f, [s.random() for s in streams])
+            queries += f.queries - before
+            reward = f.peek(chosen)
+            cum_reward = reward if t == 1 else cum_reward + reward
+            totals = [total + f.peek(m) for m, total in enumerate(totals)]
+            cum_opt = float(np.maximum.reduce(np.array(totals)))
+            for name, value in zip(RESULT_HEADER, (k, t, reward, cum_reward, cum_opt,
+                                                   config.alpha * cum_opt - cum_reward, queries)):
+                cells[name].append(value)
+    return {name: np.array(values, dtype=np.float64 if isinstance(values[0], float) else np.int64)
+            for name, values in cells.items()}
+
+
+class CountingCycle(CycleFunctionAdversary):
+    """A cycle that notes its oracles' total counted queries as it hands
+    out each round's oracle, so that ``round_queries()`` gives what each
+    round cost by the counters alone, not by what the game reports."""
+
+    def __init__(self, oracles: Sequence[SubmodularOracle]):
+        super().__init__(oracles)
+        self.marks: list[int] = []
+
+    def _total(self) -> int:
+        return sum(f.queries for f in set(self.oracles))
+
+    def next_oracle(self, last_set: int | None = None) -> SubmodularOracle:
+        self.marks.append(self._total())
+        return super().next_oracle(last_set)
+
+    def round_queries(self) -> list[int]:
+        return np.diff([*self.marks, self._total()]).tolist()
 
 
 def reference_csv_line(row: tuple) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from onlineusm.balance import LEFT, RIGHT, UP, Balancer, step_invariant_deltas
-from onlineusm.framework import _replay, run_usm_game
+from onlineusm.framework import _replay, run_balance_game, run_usm_game
 from onlineusm.harness import (
     ExperimentConfig,
     _usm_trials,
@@ -24,7 +24,6 @@ from onlineusm.harness import (
     build_subroutine,
     build_usm_adversary,
     coin_stream,
-    run_balance_game,
     run_experiment,
     write_results,
 )

@@ -10,7 +10,8 @@ from onlineusm.adversaries import (
 )
 from onlineusm.balance import LEFT, RIGHT, UP, Balancer, ConstantPolicy
 from onlineusm.errors import ConfigError
-from onlineusm.harness import build_balance_adversary, run_balance_game
+from onlineusm.framework import run_balance_game
+from onlineusm.harness import build_balance_adversary
 from onlineusm.submodular import value_table, verify_submodularity
 
 from references import BUILTIN_COVARIANCE_RULES, covariance_estimate

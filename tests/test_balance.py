@@ -23,7 +23,8 @@ from onlineusm.balance import (
     step_invariant_deltas,
 )
 from onlineusm.errors import DomainError, InvalidPointError
-from onlineusm.harness import ExperimentConfig, _balance_trial, run_balance_game, run_experiment
+from onlineusm.framework import run_balance_game
+from onlineusm.harness import ExperimentConfig, _balance_trial, run_experiment
 
 from references import balance_alpha_regret, expected_ledger_deltas, reconstruct
 
@@ -717,7 +718,7 @@ def test_no_zero_point_leaves_a_negative_zero_state():
 
 @pytest.mark.parametrize("pattern", ["U", "RL", "URL"])
 def test_mw_half_regret_and_balancer_one_regret_sublinear(pattern):
-    from onlineusm.harness import build_balance_adversary, run_balance_game
+    from onlineusm.harness import build_balance_adversary
 
     for T in (1000, 10_000):
         bound = 5 * math.sqrt(T)

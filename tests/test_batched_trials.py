@@ -1,18 +1,22 @@
 """A cycled experiment's trials played together are its trials played one by one.
 
-``harness._usm_trials`` plays a cycle kind's trials, one or more, as one
-batch (``framework.run_cycle_trials``) when 2^n <= rounds and the batch's
-arrays fit ``framework._PREFIX_BYTES``.  These tests pin the batch to the
-per-trial games bit for bit: the result columns, the summary, the
-kept rounds (chosen sets and points), every oracle's counted queries and
-every coin stream's final state.  They also pin the byte budget, which changes speed and memory but
-no output, and the rejection of points outside the triangle on the
+``framework.run_cycle_trials``, to which ``harness._usm_trials`` hands a
+cycle kind's trials, plays them, one or more, as one batch when 2^n <=
+rounds and the batch's arrays fit ``framework._PREFIX_BYTES``, and
+otherwise one root-walk ``framework.run_usm_game`` per trial; the tests
+tell the paths apart by counting those games.  They pin the batch to the
+per-trial games bit for bit: the result columns, the summary, the kept
+rounds (chosen sets and points), every oracle's counted queries and
+every coin stream's final state.  They also pin the byte budget, which
+changes speed and memory but no output, what building the batch takes
+against it, and the rejection of points outside the triangle on the
 batched path.
 """
 
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.errors import InvalidPointError
 from onlineusm.framework import _cycle_best, run_cycle_trials, run_usm_game
 from onlineusm.harness import SUBROUTINE_NAMES, ExperimentConfig, _usm_trials, build_subroutine, run_experiment
-from onlineusm.submodular import random_digraph, write_digraph
+from onlineusm.submodular import normalize, random_digraph, write_digraph
 
 from references import oracle_from_table, reference_tracking
 from test_offline import value_tables
@@ -49,15 +53,24 @@ def bits(x):
     return x
 
 
+def counted_games(monkeypatch):
+    """A list that gains an entry for every ``framework.run_usm_game`` call,
+    the per-trial games ``run_cycle_trials`` plays when it does not batch."""
+    games = []
+    game = framework.run_usm_game
+    monkeypatch.setattr(framework, "run_usm_game", lambda *a, **k: games.append(1) or game(*a, **k))
+    return games
+
+
 def recorded_run(monkeypatch, config, batched):
     """``run_experiment`` and ``_usm_trials`` of ``config`` on one path, with
     the oracles and coin streams they made: (columns, summary, results,
     oracles' queries, streams' final states, whether the batch played)."""
-    streams, builds, batches = [], [], []
-    make_stream, build, batch = harness.coin_stream, harness.build_usm_adversary, harness.run_cycle_trials
+    streams, builds = [], []
+    make_stream, build = harness.coin_stream, harness.build_usm_adversary
     monkeypatch.setattr(harness, "coin_stream", lambda *a: streams.append(make_stream(*a)) or streams[-1])
     monkeypatch.setattr(harness, "build_usm_adversary", lambda *a: builds.append(build(*a)) or builds[-1])
-    monkeypatch.setattr(harness, "run_cycle_trials", lambda *a, **k: batches.append(1) or batch(*a, **k))
+    games = counted_games(monkeypatch)
     if not batched:
         monkeypatch.setattr(framework, "_PREFIX_BYTES", 0)
     columns, summary = run_experiment(config)
@@ -67,7 +80,7 @@ def recorded_run(monkeypatch, config, batched):
     # each round's oracle, by its place in the cycle
     for res in results:
         res.oracles = [builds[-1].oracles.index(f) for f in res.oracles]
-    return columns, summary, results, queries, states, bool(batches)
+    return columns, summary, results, queries, states, not games
 
 
 @pytest.mark.parametrize("rounds", [1 << N, (1 << N) + 1, 150])
@@ -116,12 +129,10 @@ def test_batched_results_share_one_read_only_best_set_series():
 
 @pytest.mark.parametrize("trials, rounds", [(1, 150), (3, (1 << N) - 1)])
 def test_one_trial_batches_and_too_few_rounds_play_trial_by_trial(trials, rounds, monkeypatch):
-    batches = []
-    batch = harness.run_cycle_trials
-    monkeypatch.setattr(harness, "run_cycle_trials", lambda *a, **k: batches.append(1) or batch(*a, **k))
+    games = counted_games(monkeypatch)
     config = ExperimentConfig(game="usm", n=N, rounds=rounds, trials=trials, seed=6).validated()
     assert len(_usm_trials(config)) == trials
-    assert batches == ([1] if 1 << N <= rounds else [])
+    assert len(games) == (0 if 1 << N <= rounds else trials)
 
 
 def cli_bytes(tmp_path, *argv):
@@ -138,24 +149,52 @@ def cli_bytes(tmp_path, *argv):
 def test_prefix_byte_budget_changes_no_output(trials, extra, monkeypatch, tmp_path):
     argv = ("simulate-usm", "--n", "6", "--rounds", "150", "--trials", str(trials), "--seed", "2",
             "--adversary", "cycle-random:k=3", *extra)
-    batches = []
-    batch = harness.run_cycle_trials
-    monkeypatch.setattr(harness, "run_cycle_trials", lambda *a, **k: batches.append(1) or batch(*a, **k))
+    games = counted_games(monkeypatch)
     uncapped = cli_bytes(tmp_path, *argv)
     assert uncapped[0] == 0
-    # one trial or two, the experiment plays one batch
-    assert batches == [1]
-    batches.clear()
+    # one trial or two, the experiment plays one batch and no game
+    assert games == []
     # exactly three functions' 64 nodes of 2n + 2 doubles each (two point
-    # terms per element, alpha and beta): one batch still
-    monkeypatch.setattr(framework, "_PREFIX_BYTES", 3 * 8 * (2 * 6 + 2) * 64)
+    # terms per element, alpha and beta), and the n int64 nodes of each of
+    # the 64 sets: one batch still
+    fits = (3 * 8 * (2 * 6 + 2) + 8 * 6) * 64
+    monkeypatch.setattr(framework, "_PREFIX_BYTES", fits)
     assert cli_bytes(tmp_path, *argv) == uncapped
-    assert batches == [1]
-    batches.clear()
+    assert games == []
     # one byte short: the trials play one by one, their rounds walking from the root
-    monkeypatch.setattr(framework, "_PREFIX_BYTES", 3 * 8 * (2 * 6 + 2) * 64 - 1)
+    monkeypatch.setattr(framework, "_PREFIX_BYTES", fits - 1)
     assert cli_bytes(tmp_path, *argv) == uncapped
-    assert batches == []
+    assert len(games) == trials
+
+
+#: what building and playing a batch may take beyond ``_holds_prefix``'s
+#: figure: the value tables' prefix points and point terms while they are
+#: built, and the per-round arrays of a trial
+BUILD_SLACK = 1 << 19
+
+
+def test_building_the_batch_stays_within_its_byte_budget(monkeypatch):
+    n, k, rounds = 12, 2, 1 << 12
+    rng = np.random.default_rng(3)
+    adversary = CycleFunctionAdversary([normalize(random_digraph(n, 0.5, (0.0, 1.0), rng)) for _ in range(k)])
+    # per node: two terms per element, alpha and beta for each function,
+    # and the n int64 nodes the batch gathers by (2 MiB here)
+    figure = (k * 8 * (2 * n + 2) + 8 * n) << n
+    monkeypatch.setattr(framework, "_PREFIX_BYTES", figure)
+    assert framework._holds_prefix(adversary, n, rounds)
+    monkeypatch.setattr(framework, "_PREFIX_BYTES", figure - 1)
+    assert not framework._holds_prefix(adversary, n, rounds)
+    monkeypatch.setattr(framework, "_PREFIX_BYTES", figure)
+    games = counted_games(monkeypatch)
+    sub, streams = build_subroutine("balancer", rounds), [[np.random.default_rng((0, i)) for i in range(n)]]
+    tracemalloc.start()
+    try:
+        run_cycle_trials(sub, adversary, rounds, streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert games == []
+    assert peak <= figure + BUILD_SLACK
 
 
 def nonsubmodular_table(n):
@@ -223,15 +262,13 @@ def test_a_rejected_point_is_named_in_round_major_order():
 def test_a_nonsubmodular_cycle_exits_two(monkeypatch, tmp_path):
     # cut functions are submodular, so the CLI meets such a cycle only
     # through a stubbed build
-    batches = []
-    batch = harness.run_cycle_trials
-    monkeypatch.setattr(harness, "run_cycle_trials", lambda *a, **k: batches.append(1) or batch(*a, **k))
+    games = counted_games(monkeypatch)
     monkeypatch.setattr(harness, "build_usm_adversary", lambda *a: CycleFunctionAdversary(
         [oracle_from_table(np.array(t)) for t in TWO_BAD_TABLES]))
     code, stdout, stderr, written = cli_bytes(tmp_path, "simulate-usm", "--n", "3", "--rounds", "8", "--trials", "2")
     assert code == 2 and stdout == "" and written is None
     assert stderr.startswith("runtime error: (") and stderr.endswith("outside triangle; is the function submodular?\n")
-    assert batches == [1]
+    assert games == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -250,14 +287,17 @@ def test_batched_trials_on_any_cycled_tables(data):
         oracles = [distinct.setdefault(id(t), oracle_from_table(t)) for t in tables]
         streams = [[np.random.default_rng((seed, k, i)) for i in range(n)] for k in range(trials)]
         if batched:
-            results = run_cycle_trials(build_subroutine(name, rounds), CycleFunctionAdversary(oracles), rounds,
-                                       streams, keep_transcripts=True)
+            # the batch even where its rounds reach only some nodes (rounds < 2^n)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(framework, "_holds_prefix", lambda *a: True)
+                results = run_cycle_trials(build_subroutine(name, rounds), CycleFunctionAdversary(oracles),
+                                           rounds, streams, keep_transcripts=True)
         else:
             results = [run_usm_game([build_subroutine(name, rounds) for _ in range(n)],
                                     CycleFunctionAdversary(oracles), rounds, row, keep_transcripts=True)
                        for row in streams]
         sides.append(([(res.rewards.tobytes(), res.cum_rewards.tobytes(), res.cum_opt.tobytes(), res.opt_set,
-                         res.round_queries.tolist(), res.max_round_queries,
+                         res.max_round_queries,
                          res.chosen_sets, res.points.shape, res.points.tobytes(),
                          [oracles.index(f) for f in res.oracles]) for res in results],
                        [f.queries for f in oracles],

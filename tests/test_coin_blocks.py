@@ -1,15 +1,17 @@
 """Coins drawn as blocks are the coins drawn one at a time.
 
-A round takes its n coins as an array, coin i for element i.  A game
-draws each stream's coins ``_COIN_BLOCK`` rounds at a time into one
-reused buffer, so its coins take memory independent of T; the balance
-game draws its one stream's coins the same way, ``_BALANCE_COIN_BLOCK``
-rounds at a time, and a randomized offline walk of k sweeps draws its
-coins as one ``random((k, n))`` block.  These tests pin that the blocks change no coin: the results,
-and the streams' states afterwards, are those of sequential
-``random()`` calls.  A game needs one distinct stream per subroutine,
-and rejects anything else before it draws; so do the batched trials,
-for every trial's row of streams.
+A round takes its n coins as an array, coin i for element i.  Every
+game of ``framework`` draws through ``framework._coin_blocks`` into one
+reused buffer, so its coins take memory independent of T: a USM game
+each stream's coins ``_COIN_BLOCK`` rounds at a time, and the balance
+game (``framework.run_balance_game``) its one stream's coins
+``_BALANCE_COIN_BLOCK`` rounds at a time.  A randomized offline walk of
+k sweeps draws its coins as one ``random((k, n))`` block.  These tests
+pin that the blocks change no coin: the results, and the streams'
+states afterwards, are those of sequential ``random()`` calls.  A game
+needs one distinct stream per subroutine, and rejects anything else
+before it draws; so does ``framework.run_cycle_trials``, for every
+trial's row of streams, whether it batches the trials or not.
 """
 
 import tracemalloc
@@ -20,8 +22,15 @@ import pytest
 from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, ConstantPolicy, TwoExperts
 from onlineusm.errors import ConfigError
-from onlineusm.framework import _COIN_BLOCK, run_cycle_trials, run_round, run_usm_game
-from onlineusm.harness import _BALANCE_COIN_BLOCK, build_balance_adversary, run_balance_game
+from onlineusm.framework import (
+    _BALANCE_COIN_BLOCK,
+    _COIN_BLOCK,
+    run_balance_game,
+    run_cycle_trials,
+    run_round,
+    run_usm_game,
+)
+from onlineusm.harness import build_balance_adversary
 from onlineusm.offline import _BLOCK, rand_double_greedy_stats
 from onlineusm.submodular import normalize, random_digraph, tabulate
 

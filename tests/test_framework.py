@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from onlineusm import framework
 from onlineusm.adversaries import CycleFunctionAdversary, RandomObliviousAdversary
 from onlineusm.balance import Balancer, ConstantPolicy, TwoExperts
 from onlineusm.errors import ConfigError, SizeError
@@ -33,6 +34,7 @@ from onlineusm.submodular import (
 from conftest import grow_only_oracle
 from test_offline import value_tables
 from references import (
+    CountingCycle,
     RoundRecord,
     decisions,
     distinct_tables,
@@ -244,23 +246,26 @@ def test_round_evaluates_each_mask_once_in_walk_order(n):
 
 def batch_and_walk(table, name, rounds, seed):
     """``rounds`` rounds of one batched trial on ``table``'s prefix points
-    and as many root-walk rounds, each on its own oracle, subroutines and
-    coin streams (both seeded alike); returns what each must share with
-    the other (the chosen sets and the points fed, then the rewards and
-    the queries), floats by their bits."""
+    (batched even where the rounds reach only some nodes) and as many
+    root-walk rounds, each on its own oracle, subroutines and coin
+    streams (both seeded alike); returns what each must share with the
+    other (the chosen sets and the points fed, then the rewards and the
+    oracle's counted queries), floats by their bits, and the queries each
+    walked round's oracle counted."""
     n = int(table.size).bit_length() - 1
     f = oracle_from_table(table)
-    res = run_cycle_trials(build_subroutine(name, rounds), CycleFunctionAdversary([f]), rounds,
-                           [streams_for(n, seed)], keep_transcripts=True)[0]
-    got = ((res.chosen_sets, _bits(res.points.tolist())),
-           _bits(res.rewards.tolist()), res.round_queries.tolist(), f.queries)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(framework, "_holds_prefix", lambda *a: True)
+        res = run_cycle_trials(build_subroutine(name, rounds), CycleFunctionAdversary([f]), rounds,
+                               [streams_for(n, seed)], keep_transcripts=True)[0]
+    got = ((res.chosen_sets, _bits(res.points.tolist())), _bits(res.rewards.tolist()), f.queries)
     f = oracle_from_table(table)
     subs = [build_subroutine(name, rounds) for _ in range(n)]
     streams = streams_for(n, seed)
     walks, queries = walk_rounds(subs, [f], rounds, streams)
     want = (([tr.chosen for tr in walks], _bits([tr.points for tr in walks])),
-            _bits([f.peek(tr.chosen) for tr in walks]), queries, f.queries)
-    return got, want
+            _bits([f.peek(tr.chosen) for tr in walks]), f.queries)
+    return got, want, queries
 
 
 def walk_rounds(subs, oracles, rounds, streams):
@@ -299,10 +304,10 @@ def test_built_tree_is_the_root_walk_at_every_node(n):
 @example(table=np.array([0.0, -0.0, -0.0, 0.0]), name="balancer", rounds=4, seed=0)
 @example(table=np.array([0.0, 5e-324, 1e-310, -0.0]), name="mw", rounds=4, seed=1)
 def test_built_tree_rounds_are_root_walks_on_any_table(table, name, rounds, seed):
-    got, want = batch_and_walk(table, name, rounds, seed)
+    got, want, queries = batch_and_walk(table, name, rounds, seed)
     assert got == want
     n = int(table.size).bit_length() - 1
-    assert got[2] == [2 * n] * rounds and got[3] == 2 * n * rounds
+    assert queries == [2 * n] * rounds and got[2] == 2 * n * rounds
 
 
 def test_prefix_points_need_a_tabulable_size():
@@ -365,9 +370,9 @@ def play_cycle(tables, name, rounds, seed, *, game):
     subs = [build_subroutine(name, rounds) for _ in range(n)]
     streams = streams_for(n, seed)
     if game:
-        res = run_usm_game(subs, CycleFunctionAdversary(oracles), rounds, streams,
-                           track_opt=False, keep_transcripts=True)
-        rewards, queries, chosen, points = (res.rewards.tolist(), res.round_queries.tolist(), res.chosen_sets,
+        adversary = CountingCycle(oracles)
+        res = run_usm_game(subs, adversary, rounds, streams, track_opt=False, keep_transcripts=True)
+        rewards, queries, chosen, points = (res.rewards.tolist(), adversary.round_queries(), res.chosen_sets,
                                             res.points.tolist())
     else:
         transcripts, queries = walk_rounds(subs, oracles, rounds, streams)
@@ -426,7 +431,7 @@ def test_game_counts_2n_per_round_and_evaluates_only_on_root_walks(scale, n, nam
     oracles = [LoggedOracle(tables[0], log), LoggedOracle(tables[1], log)]
     res = run_usm_game([build_subroutine(name, rounds) for _ in range(n)],
                        MarkedCycle([oracles[0], oracles[1], oracles[0]], log), rounds, streams_for(n, seed=n))
-    assert res.round_queries.tolist() == [2 * n] * rounds
+    assert res.max_round_queries == 2 * n
     per_round = []
     for kind, what in log:
         if kind == "round":
@@ -793,15 +798,14 @@ def test_run_result_series_invariants():
     n = 5
     rounds = 60
     oracles = [random_cut_oracle(n, seed=s) for s in (1, 2)]
-    adversary = CycleFunctionAdversary(oracles)
+    adversary = CountingCycle(oracles)
     subs = [Balancer(rounds) for _ in range(n)]
     res = run_usm_game(
         subs, adversary, rounds, streams_for(n, seed=2),
         keep_sets=True, keep_transcripts=True,
     )
     assert np.allclose(np.cumsum(res.rewards), res.cum_rewards)
-    assert np.all(np.diff(np.cumsum(res.round_queries)) >= 0)
-    assert res.max_round_queries <= 4 * n + 2
+    assert max(adversary.round_queries()) <= res.max_round_queries <= 4 * n + 2
     # the regret from the series agrees with an independent recomputation on prefixes
     history = list(zip(res.oracles, res.chosen_sets))
     for t in (1, 7, 33, 60):

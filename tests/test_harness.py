@@ -156,7 +156,7 @@ def test_balance_experiment_final_matches_replay():
                            adversary="adaptive:punish-last").validated()
     rows, summary = run_experiment(cfg)
     # independent replay through the public pieces
-    from onlineusm.harness import run_balance_game
+    from onlineusm.framework import run_balance_game
 
     res = run_balance_game(
         build_subroutine("balancer", 200),

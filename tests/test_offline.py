@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, _in_triangle, step_invariant_deltas
 from onlineusm.errors import ConfigError, SizeError
 from onlineusm.framework import _replay, run_round, run_usm_game
@@ -30,6 +29,7 @@ from onlineusm.submodular import (
 )
 
 from references import (
+    CountingCycle,
     RoundRecord,
     mask_of,
     opt_tracking_check,
@@ -459,8 +459,9 @@ def test_whole_game_on_cycled_tables(data):
     oracles = [oracle_from_table(t) for t in tables]
     subroutines = [Balancer(rounds) for _ in range(n)]
     streams = [np.random.default_rng([seed, i]) for i in range(n)]
-    res = run_usm_game(subroutines, CycleFunctionAdversary(oracles), rounds, streams, keep_transcripts=True)
-    assert res.round_queries.tolist() == [2 * n] * rounds
+    adversary = CountingCycle(oracles)
+    res = run_usm_game(subroutines, adversary, rounds, streams, keep_transcripts=True)
+    assert adversary.round_queries() == [2 * n] * rounds
     assert sum(f.queries for f in oracles) == 2 * n * rounds
     other = data.draw(st.integers(0, (1 << n) - 1))
     s = math.sqrt(rounds)

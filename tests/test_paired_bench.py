@@ -451,3 +451,14 @@ def test_the_benchmarks_own_workloads_give_their_argv():
     argv = paired_bench.workload_argv(ROOT, "usm-n8-cycle", 7)
     assert "--output" not in argv and argv[:2] == ["simulate-usm", "--n"]
     assert argv[argv.index("--seed") + 1] == "7"
+
+
+def test_each_side_records_its_package_size(tmp_path):
+    copies = stub_copies(tmp_path, {"delay": 0.0}, {"delay": 0.0})
+    package = copies["change"] / "src" / "onlineusm"
+    # binds DELAY, a name of its own and the submodule work; _hidden is private
+    (package / "__init__.py").write_text("from .work import DELAY\nvalue = 1\n_hidden = 2\n")
+    (package / "extra.py").write_text("a = 1\nb = 2")  # no newline at the end: wc -l counts 1
+    stub = STUB_CLI.count("\n") + 3  # cli.py and the three lines of work.py
+    assert paired_bench.size_of(copies["parent"]) == {"src_lines": stub, "exported_names": 0}
+    assert paired_bench.size_of(copies["change"]) == {"src_lines": stub + 3 + 1, "exported_names": 3}

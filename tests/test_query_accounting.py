@@ -3,7 +3,8 @@
 A round evaluates each distinct mask it needs once: the marginal masks
 X_{i-1}, X_{i-1} + i, Y_{i-1} - i, Y_{i-1} of every element i and the
 chosen set S, which are 2n masks.  The tests recompute that set from
-each kept round and compare it with the counter.
+each kept round and compare it with what the oracles' counters gained
+in that round.
 """
 
 import math
@@ -11,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from onlineusm.adversaries import CycleFunctionAdversary
 from onlineusm.balance import Balancer, TwoExperts
 from onlineusm.errors import InvalidSubsetError
 from onlineusm.framework import run_usm_game
@@ -22,7 +22,7 @@ from onlineusm.submodular import (
     tabulate,
 )
 
-from references import kept_rounds, oracle_from_table, x_sets, y_sets
+from references import CountingCycle, kept_rounds, oracle_from_table, x_sets, y_sets
 
 N = 6
 
@@ -62,10 +62,10 @@ def test_round_queries_are_the_distinct_masks(backing, make):
     rounds = 40
     f = BACKINGS[backing](3)
     streams = [np.random.default_rng((2, i)) for i in range(N)]
-    res = run_usm_game([make(rounds) for _ in range(N)], CycleFunctionAdversary([f]), rounds,
-                       streams, keep_transcripts=True)
-    assert res.round_queries.tolist() == [distinct_masks(tr) for tr in kept_rounds(res)]
-    assert f.queries == res.round_queries.sum()
+    adversary = CountingCycle([f])
+    res = run_usm_game([make(rounds) for _ in range(N)], adversary, rounds, streams, keep_transcripts=True)
+    assert adversary.round_queries() == [distinct_masks(tr) for tr in kept_rounds(res)]
+    assert f.queries == 2 * N * rounds
     assert res.max_round_queries == 2 * N
 
 
@@ -74,9 +74,9 @@ def test_counters_sum_to_the_game_total_across_a_cycle(backing):
     rounds = 25
     oracles = [BACKINGS[backing](seed) for seed in (4, 5, 6)]
     streams = [np.random.default_rng((7, i)) for i in range(N)]
-    res = run_usm_game([Balancer(rounds) for _ in range(N)], CycleFunctionAdversary(oracles),
-                       rounds, streams)
-    assert sum(f.queries for f in oracles) == res.round_queries.sum()
+    adversary = CountingCycle(oracles)
+    run_usm_game([Balancer(rounds) for _ in range(N)], adversary, rounds, streams)
+    assert sum(f.queries for f in oracles) == sum(adversary.round_queries()) == 2 * N * rounds
 
 
 def test_table_lookup_returns_python_floats_for_numpy_masks():

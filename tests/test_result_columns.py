@@ -67,7 +67,7 @@ def test_usm_columns_are_the_tuple_rows(subroutine, adversary, graph_files):
     cfg = ExperimentConfig(game="usm", n=5, rounds=70, trials=3, seed=6, subroutine=subroutine,
                            adversary=adversary).validated()
     columns, _ = run_experiment(cfg)
-    rows = reference_usm_rows([_usm_trial(cfg, k) for k in range(cfg.trials)], cfg.rounds, cfg.alpha)
+    rows = reference_usm_rows([_usm_trial(cfg, k) for k in range(cfg.trials)], cfg.rounds, cfg.alpha, 2 * cfg.n)
     assert_columns_are_rows(columns, rows)
 
 

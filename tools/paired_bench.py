@@ -63,6 +63,10 @@ process-level verdict stays the gate.  Byte checks need a command whose
 output does not depend on the process: a cycle kind, a balance game or a
 run with ``--keep-transcripts``.
 
+Each side's provenance also records the size of its package: the lines
+of ``src/onlineusm/*.py`` (as ``wc -l`` counts them) and the number of
+names ``import onlineusm`` exports, modules included.
+
 Any tree-ish names a revision, so an uncommitted change can be measured
 as the tree of its index (``git write-tree`` after ``git add -A``).  Each
 side's provenance records the tree ids of ``src`` and ``perfbench``, the
@@ -207,6 +211,21 @@ def extract(rev: str, dest: Path) -> dict[str, str]:
     subprocess.run([sys.executable, "-m", "compileall", "-q", *BUILT_FROM], cwd=dest, check=True)
     ids = _git("rev-parse", f"{rev}^{{tree}}", *(f"{rev}^{{tree}}:{d}" for d in BUILT_FROM)).decode().split()
     return {"rev": rev, "tree": ids[0], **{f"{d}_tree": i for d, i in zip(BUILT_FROM, ids[1:])}}
+
+
+#: counts the names a fresh ``import onlineusm`` exports, modules included
+EXPORTED_NAMES = "import onlineusm; print(len([n for n in dir(onlineusm) if not n.startswith('_')]))"
+
+
+def size_of(copy: Path) -> dict[str, int]:
+    """The size of the package in ``copy``: the lines of its modules, the
+    total ``wc -l src/onlineusm/*.py`` prints, and the names it exports,
+    counted by ``EXPORTED_NAMES`` with only that copy's ``src`` on the path."""
+    lines = sum(path.read_bytes().count(b"\n") for path in (copy / "src" / "onlineusm").glob("*.py"))
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    names = subprocess.run([sys.executable, "-c", EXPORTED_NAMES], cwd=copy, env=env, check=True,
+                           capture_output=True, text=True).stdout
+    return {"src_lines": lines, "exported_names": int(names)}
 
 
 def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -542,7 +561,9 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="paired-bench-")).resolve()
     copies = {"parent": workdir / "pa", "change": workdir / "ch"}
-    revisions = {side: extract(getattr(args, side), copies[side]) for side in SIDES}
+    revisions = {side: {**extract(getattr(args, side), copies[side]), **size_of(copies[side])} for side in SIDES}
+    for side in SIDES:
+        print(f"{side}: src/ {revisions[side]['src_lines']} lines, {revisions[side]['exported_names']} exported names")
     out = Path(args.out) if args.out else None
     if out is not None and out.exists() and json.loads(out.read_text())["revisions"] != revisions:
         parser.error(f"{out} holds runs of other revisions")
